@@ -22,44 +22,31 @@ from typing import Optional
 from . import embed as embed_mod
 from . import rules as rules_mod
 from .embed import (
-    BranchPath,
-    BranchSkeleton,
     DomainState,
     EmbeddingFailed,
     EmbeddingPlan,
     InsufficientResources,
     OverAllocation,
-    Placement,
-    crossing_ops,
+    border_ops,
     expand_domain_hop,
-    link_members,
+    path_ops,
     prepare_domain,
-    route_branch,
-    _path_ops,
 )
-from .graphstore import (
-    Iri,
-    Model,
-    RDFS_SUBCLASS_OF,
-    Triple,
-    entail,
-    merge,
-    parse_document,
-    serialize_document,
-)
+from .graphstore import Iri, Model, ParseError, merge, parse_document, serialize_document
+from .graphstore import entail  # noqa: F401 -- perfbench's tracer test checks this binding
 from .models import (
     DelegationView,
+    RequestError,
     SliceRequest,
     Term,
     build_delegation,
     build_manifest,
     check_homeomorphic,
-    parse_datetime,
     parse_delegation,
     parse_request,
     render_datetime,
 )
-from .vocab import builtin_schema, validate_conformance
+from .vocab import builtin_schema, close, satisfies, validate_conformance
 
 
 class UnknownSlice(Exception):
@@ -156,10 +143,10 @@ class SliceRecord:
 class AggregateManager:
     """Represents one resource provider; owns the detailed substrate."""
 
-    def __init__(self, am_id: str, substrate_text: str):
+    def __init__(self, am_id: str, substrate_text: str, schemas=()):
         self.am_id = am_id
         raw = parse_document(substrate_text)
-        self.state: DomainState = prepare_domain(raw)
+        self.state: DomainState = prepare_domain(raw, schemas)
         self.domain = self.state.substrate.domain
         self.leases: dict[str, Lease] = {}
         self._lease_counter = 0
@@ -174,19 +161,16 @@ class AggregateManager:
     def _host_candidates(self, requested_class: Iri) -> list:
         """Pools able to provision the class, first-fit order. Subclass
         checks use the substrate's own model so provider extensions count."""
-        out = []
-        for pool in sorted(
-            self.state.substrate.pools, key=lambda p: (p.node.value, p.provides.value)
-        ):
-            if pool.provides == requested_class or Triple(
-                pool.provides, RDFS_SUBCLASS_OF, requested_class
-            ) in self.state.model:
-                out.append((pool.node, pool.provides))
-        return out
+        pools = sorted(self.state.substrate.pools, key=lambda p: (p.node.value, p.provides.value))
+        return [
+            (pool.node, pool.provides)
+            for pool in pools
+            if satisfies(self.state.model, pool.provides, requested_class)
+        ]
 
     def redeem(self, ticket: Ticket, clock: VirtualClock):
-        """Re-validate the ticket against the detailed substrate, allocate,
-        and return provisioned details. Raises RedeemError.
+        """Re-validate the ticket against the detailed substrate, reserve
+        its resources, and return provisioned details. Raises RedeemError.
 
         Host selection is the AM's own call: if the first-fit host cannot
         reach the required borders (labels fragmented by earlier slices),
@@ -236,10 +220,7 @@ class AggregateManager:
                 self.state.apply_ops(token, [("units", host, 1)])
                 placements[node] = (host, concrete, None)
             for iface, bandwidth, label in ticket.border_allocs:
-                ops = [("bw", iface, bandwidth)]
-                if label is not None:
-                    ops.append(("label", iface, label))
-                self.state.apply_ops(token, ops)
+                self.state.apply_ops(token, border_ops(iface, bandwidth, label))
             for branch_key, index, hop, from_node, to_node, layer, bandwidth in ticket.segments:
                 from_dev = placements[from_node][0] if from_node is not None else None
                 to_dev = placements[to_node][0] if to_node is not None else None
@@ -248,7 +229,7 @@ class AggregateManager:
                     limit=10, link=branch_key[0],
                 )
                 if path.segments:
-                    self.state.apply_ops(token, _path_ops(path))
+                    self.state.apply_ops(token, path_ops(path))
                 paths[(branch_key, index)] = path
         except (OverAllocation, EmbeddingFailed, KeyError):
             if self.state.has_token(token):
@@ -291,7 +272,7 @@ class Broker:
 
     def register_delegation(self, text: str) -> Iri:
         raw = parse_document(text)
-        closed = entail(merge([builtin_schema(), raw]))
+        closed = close(raw)
         view = parse_delegation(closed)
         domain = view.domain
         outstanding = self._outstanding(domain)
@@ -318,8 +299,8 @@ class Broker:
         needed_units: dict = {}
         needed_bw: dict = {}
         needed_labels: dict = {}
-        for journal in outstanding.values():
-            for op in journal.ops:
+        for ops in outstanding.values():
+            for op in ops:
                 if op[0] == "units":
                     needed_units[op[1]] = needed_units.get(op[1], 0) + op[2]
                 elif op[0] == "bw":
@@ -342,9 +323,7 @@ class Broker:
     def routing_view(self) -> Optional[Model]:
         if not self.delegations:
             return None
-        return entail(
-            merge([builtin_schema()] + [self.ledgers[d].model for d in sorted(self.delegations, key=lambda d: d.value)])
-        )
+        return close(*(self.ledgers[d].model for d in sorted(self.delegations, key=lambda d: d.value)))
 
     def delegation_views(self) -> list:
         views = []
@@ -360,20 +339,17 @@ class Broker:
             raise TicketError(f"no delegation registered for {domain.value}")
         ops = []
         view = self.views[domain]
-        schema = ledger.model  # delegation-carried subclass axioms count too
         for node, cls in placements:
-            pool_node = None
-            for delegated_cls in sorted(view.pool_nodes, key=lambda c: c.value):
-                if delegated_cls == cls or Triple(delegated_cls, RDFS_SUBCLASS_OF, cls) in schema:
-                    pool_node = view.pool_nodes[delegated_cls]
-                    break
-            if pool_node is None:
+            # the ledger model carries the delegation's own subclass axioms
+            delegated = [
+                c for c in sorted(view.pool_nodes, key=lambda c: c.value)
+                if satisfies(ledger.model, c, cls)
+            ]
+            if not delegated:
                 raise TicketError(f"{domain.value} delegated no {cls.local()} units")
-            ops.append(("units", pool_node, 1))
+            ops.append(("units", view.pool_nodes[delegated[0]], 1))
         for iface, bandwidth, label in border_allocs:
-            ops.append(("bw", iface, bandwidth))
-            if label is not None:
-                ops.append(("label", iface, label))
+            ops.extend(border_ops(iface, bandwidth, label))
         self._ticket_counter += 1
         ticket = Ticket(
             ticket_id=f"ticket/{self._ticket_counter}",
@@ -420,15 +396,12 @@ class _DelegationLedger(embed_mod.DomainState):
     machinery as a substrate state, with originals from the delegation."""
 
     def __init__(self, view: DelegationView, model: Model):
-        self.substrate = None
-        self.model = model
-        self.active = {}
+        super().__init__(None, model)
         self._view = view
-        self._address_counter = 0
 
     def replay(self, prior: "_DelegationLedger") -> None:
         for token in sorted(prior.active):
-            self.apply_ops(token, list(prior.active[token].ops))
+            self.apply_ops(token, list(prior.active[token]))
 
     def conservation_problems(self) -> list:
         problems = []
@@ -450,15 +423,30 @@ class _DelegationLedger(embed_mod.DomainState):
         return problems
 
 
-class Controller:
-    """Entry point for slice requests: validates, embeds, tickets, redeems,
-    and assembles manifests."""
+class EventLog:
+    """The globally sequenced event lines of one World. Actors that log are
+    handed this log, never the World, so a World holds no reference cycle
+    and is freed as soon as its last reference goes."""
 
-    def __init__(self, controller_id: str, broker: Broker, clock: VirtualClock, world=None):
+    def __init__(self):
+        self.lines: list[str] = []
+
+    def __call__(self, actor: str, kind: str, subject: str, outcome: str) -> None:
+        self.lines.append(f"seq {len(self.lines) + 1} {actor} {kind} {subject} {outcome}")
+
+
+class Controller:
+    """Entry point for slice requests: validates, embeds at the delegation
+    level, tickets, redeems, and assembles manifests."""
+
+    def __init__(
+        self, controller_id: str, broker: Broker, clock: VirtualClock, log: EventLog, schemas=()
+    ):
         self.controller_id = controller_id
         self.broker = broker
         self.clock = clock
-        self.world = world
+        self.log = log
+        self.schemas = list(schemas)  # extension T-boxes for request closure
         self.slices: dict[str, SliceRecord] = {}
         self.extra_rules: list = []
 
@@ -479,16 +467,35 @@ class Controller:
         return manifest
 
     def _create(self, record: SliceRecord, request_text: str, ams: dict) -> str:
-        # validation: conformance plus rule violations against the closure
+        request = self._validate(record, request_text)
+        try:
+            plan = embed_mod.embed_request(
+                request,
+                self.broker.delegation_views(),
+                self.broker.routing_view(),
+                record.slice_id,
+            )
+        except InsufficientResources as e:
+            raise SliceError("Binding", str(e))
+        except EmbeddingFailed as e:
+            raise SliceError("Embedding", str(e))
+        record.plan = plan
+        tickets = self._ticket(record, request, plan)
+        node_hosts, branch_paths = self._redeem(record, tickets, ams)
+        return self._assemble(request, plan, node_hosts, branch_paths)
+
+    def _validate(self, record: SliceRecord, request_text: str) -> SliceRequest:
+        """Conformance, then rule violations against the closure, then the
+        typed view. Unparseable and malformed requests fail with the parse
+        error as the SliceError's cause."""
         try:
             raw = parse_document(request_text)
-        except Exception as e:
-            raise SliceError("Validation", f"unparseable request: {e}")
-        merged = merge([builtin_schema(), raw])
-        issues = validate_conformance(merged)
+        except ParseError as e:
+            raise SliceError("Validation", f"unparseable request: {e}") from e
+        issues = validate_conformance(merge([builtin_schema(), *self.schemas, raw]))
         if issues:
             raise SliceError("Validation", f"{len(issues)} conformance issues", issues=issues)
-        closed = entail(merged)
+        closed = close(*self.schemas, raw)
         violations = rules_mod.validate(closed, self.extra_rules)
         if violations:
             raise SliceError(
@@ -496,75 +503,38 @@ class Controller:
             )
         try:
             request = parse_request(closed, source=raw)
-        except Exception as e:
-            raise SliceError("Validation", str(e))
+        except (RequestError, ValueError) as e:
+            raise SliceError("Validation", str(e)) from e
         if request.term.begin < self.clock.now:
             raise SliceError("Validation", "term begins in the past")
         record.request = request
         record.transition("Validated")
         self._log("validate", record.slice_id, "ok")
+        return request
 
-        # binding over the broker's residual delegation view
-        views = self.broker.delegation_views()
-        routing = self.broker.routing_view()
-        try:
-            binding = embed_mod.bind_domains(request, views, schema=routing)
-        except InsufficientResources as e:
-            raise SliceError("Binding", str(e))
-
-        # delegation-level embedding
-        plan = EmbeddingPlan(record.slice_id)
-        for node in request.nodes:
-            plan.placements[node.iri] = Placement(
-                node=node.iri, domain=binding[node.iri], compute_class=node.compute_class
-            )
-        skeletons: dict = {}
-        try:
-            for link in request.links:
-                root, others = link_members(request, link, plan.placements)
-                plan.realizations[link.iri] = embed_mod.LinkRealization(
-                    link=link.iri, root_node=root, branches=[]
-                )
-                for member in others:
-                    skeleton = route_branch(
-                        routing,
-                        member,
-                        plan.placements[root].domain,
-                        plan.placements[member].domain,
-                        link.layer,
-                        link.bandwidth,
-                        limit=10,
-                        link=link.iri,
-                    )
-                    # later strands must route around this one's reservations
-                    for crossing in skeleton.crossings:
-                        embed_mod.deduct_crossing_from_view(routing, crossing)
-                    skeletons.setdefault(link.iri, []).append(skeleton)
-        except EmbeddingFailed as e:
-            raise SliceError("Embedding", str(e))
-        record.plan = plan
-
-        # one ticket per involved domain
+    def _ticket(self, record: SliceRecord, request: SliceRequest, plan: EmbeddingPlan) -> list:
+        """One ticket per involved domain: its placements, its sides of the
+        border crossings, and its segments of every strand."""
         domain_placements: dict = {}
         for node in request.nodes:
-            p = plan.placements[node.iri]
-            domain_placements.setdefault(p.domain, []).append((node.iri, node.compute_class))
+            domain = plan.placements[node.iri].domain
+            domain_placements.setdefault(domain, []).append((node.iri, node.compute_class))
         domain_borders: dict = {}
         domain_segments: dict = {}
         for link in request.links:
-            for skeleton in skeletons.get(link.iri, ()):
-                branch_key = (link.iri, skeleton.to_node)
-                for crossing in skeleton.crossings:
+            realization = plan.realizations[link.iri]
+            for branch in realization.branches:
+                branch_key = (link.iri, branch.to_node)
+                for crossing in branch.crossings:
                     domain_borders.setdefault(crossing.domain_a, []).append(
                         (crossing.iface_a, crossing.bandwidth, crossing.label)
                     )
                     domain_borders.setdefault(crossing.domain_b, []).append(
                         (crossing.iface_b, crossing.bandwidth, crossing.label)
                     )
-                root = plan.realizations[link.iri].root_node
-                for index, hop in enumerate(skeleton.hops):
-                    from_node = root if hop.entry_iface is None else None
-                    to_node = skeleton.to_node if hop.exit_iface is None else None
+                for index, hop in enumerate(branch.hops):
+                    from_node = realization.root_node if hop.entry_iface is None else None
+                    to_node = branch.to_node if hop.exit_iface is None else None
                     domain_segments.setdefault(hop.domain, []).append(
                         (branch_key, index, hop, from_node, to_node, link.layer, link.bandwidth)
                     )
@@ -589,8 +559,11 @@ class Controller:
         except TicketError as e:
             raise SliceError("Ticketing", str(e))
         record.transition("Ticketed")
+        return tickets
 
-        # redeem at each AM; fill plan details from the results
+    def _redeem(self, record: SliceRecord, tickets: list, ams: dict) -> tuple:
+        """Redeem every ticket at its domain's AM. Returns the hosts per
+        request node and the detail path per (branch key, hop index)."""
         node_hosts: dict = {}
         branch_paths: dict = {}
         am_by_domain = {am.domain: am for am in ams.values()}
@@ -606,31 +579,25 @@ class Controller:
             self._log("redeem", f"{record.slice_id}/{ticket.domain.value}", "ok")
             node_hosts.update(placements)
             branch_paths.update(paths)
+        return node_hosts, branch_paths
 
+    def _assemble(
+        self, request: SliceRequest, plan: EmbeddingPlan, node_hosts: dict, branch_paths: dict
+    ) -> str:
+        """Fill the plan with what the AMs provisioned and serialize the
+        manifest, which must be homeomorphic to the request."""
         for node in request.nodes:
             p = plan.placements[node.iri]
             if node.iri not in node_hosts:
                 raise SliceError("Redeem", f"AM returned no host for {node.iri.value}")
-            host, concrete, address = node_hosts[node.iri]
-            p.host = host
-            p.compute_class = concrete
-            p.management_address = address
+            p.host, p.compute_class, p.management_address = node_hosts[node.iri]
         for link in request.links:
-            realization = plan.realizations[link.iri]
-            for skeleton in skeletons.get(link.iri, ()):
-                branch_key = (link.iri, skeleton.to_node)
-                branch = BranchPath(
-                    to_node=skeleton.to_node,
-                    domain_paths=[],
-                    crossings=list(skeleton.crossings),
-                )
-                for index, hop in enumerate(skeleton.hops):
-                    path = branch_paths.get((branch_key, index))
+            for branch in plan.realizations[link.iri].branches:
+                for index, hop in enumerate(branch.hops):
+                    path = branch_paths.get(((link.iri, branch.to_node), index))
                     if path is None:
                         raise SliceError("Redeem", "missing path expansion from AM")
                     branch.domain_paths.append((hop.domain, path))
-                realization.branches.append(branch)
-
         try:
             manifest = build_manifest(request, plan)
         except Exception as e:
@@ -656,27 +623,26 @@ class Controller:
             record.transition("Closed")
 
     def _log(self, kind: str, subject: str, outcome: str) -> None:
-        if self.world is not None:
-            self.world.log(self.controller_id, kind, subject, outcome)
+        self.log(self.controller_id, kind, subject, outcome)
 
 
 class World:
-    """Single-threaded driver: owns the actors, the clock, and the event log."""
+    """Single-threaded driver: owns the actors, the clock, and the event log.
 
-    def __init__(self, start: Optional[datetime] = None):
+    `schemas` are extension T-boxes applied to every substrate and request."""
+
+    def __init__(self, start: Optional[datetime] = None, schemas=()):
         self.clock = VirtualClock(start)
+        self.log = EventLog()
+        self.events = self.log.lines
         self.broker = Broker()
-        self.controller = Controller("controller", self.broker, self.clock, world=self)
+        self.controller = Controller("controller", self.broker, self.clock, self.log, schemas)
         self.ams: dict[str, AggregateManager] = {}
-        self.events: list[str] = []
-        self._seq = 0
-
-    def log(self, actor: str, kind: str, subject: str, outcome: str) -> None:
-        self._seq += 1
-        self.events.append(f"seq {self._seq} {actor} {kind} {subject} {outcome}")
 
     def add_substrate(self, substrate_text: str) -> AggregateManager:
-        am = AggregateManager(f"am-{len(self.ams) + 1}", substrate_text)
+        am = AggregateManager(
+            f"am-{len(self.ams) + 1}", substrate_text, self.controller.schemas
+        )
         self.ams[am.am_id] = am
         self.log(am.am_id, "delegate", am.domain.value, "ok")
         self.broker.register_delegation(am.delegate())

@@ -10,36 +10,33 @@ from __future__ import annotations
 
 import argparse
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 from . import embed as embed_mod
 from . import rules as rules_mod
 from .actors import World
 from .graphstore import (
-    Iri,
     Literal,
     Model,
     ParseError,
     Var,
-    entail,
     merge,
     parse_document,
     query_bgp,
     render_term,
+    resolve,
     serialize_document,
 )
 from .models import (
-    PlanIncomplete,
     RequestError,
     SubstrateError,
     build_delegation,
-    build_manifest,
     parse_datetime,
-    parse_request,
     parse_substrate,
 )
 from .pathquery import PathExprError, eval_path, parse_path_expr
-from .vocab import BASE_PREFIXES, builtin_schema, validate_conformance
+from .vocab import builtin_schema, close, validate_conformance
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -61,25 +58,9 @@ def _read_model(path: str) -> Model:
         raise CliInputError(f"{path}: {e}")
 
 
-def _merged(files, schemas) -> Model:
-    models = [builtin_schema()]
-    for path in schemas or ():
-        models.append(_read_model(path))
-    for path in files:
-        models.append(_read_model(path))
-    return merge(models)
-
-
-def _resolve(text: str, prefixes: dict) -> Iri:
-    if text.startswith("<") and text.endswith(">"):
-        return Iri(text[1:-1])
-    if ":" in text:
-        name, local = text.split(":", 1)
-        if name in prefixes:
-            return Iri(prefixes[name] + local)
-        if "://" in text or text.startswith("urn:"):
-            return Iri(text)
-    raise CliInputError(f"cannot resolve IRI {text!r}")
+def _documents(files, schemas) -> list:
+    """Extension schemas, then the named documents, parsed."""
+    return [_read_model(path) for path in [*(schemas or ()), *files]]
 
 
 def _load_rules(paths) -> list:
@@ -96,19 +77,23 @@ def _load_rules(paths) -> list:
     return out
 
 
-def cmd_validate(args) -> int:
-    merged = _merged(args.files, args.schema)
-    issues = validate_conformance(merged)
-    violations = rules_mod.validate(entail(merged), _load_rules(args.rules))
+def _print_findings(issues, violations) -> None:
     for issue in issues:
         print(f"ISSUE {issue.kind} {issue.subject.value} {issue.detail}")
     for v in violations:
         print(v)
+
+
+def cmd_validate(args) -> int:
+    docs = _documents(args.files, args.schema)
+    issues = validate_conformance(merge([builtin_schema(), *docs]))
+    violations = rules_mod.validate(close(*docs), _load_rules(args.rules))
+    _print_findings(issues, violations)
     return EXIT_SEMANTIC if issues or violations else EXIT_OK
 
 
 def cmd_entail(args) -> int:
-    closed = entail(_merged(args.files, args.schema))
+    closed = close(*_documents(args.files, args.schema))
     text = serialize_document(closed)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -132,7 +117,7 @@ def _parse_bgp(text: str, prefixes: dict) -> list:
         elif tok.startswith('"'):
             current.append(Literal(tok.strip('"')))
         else:
-            current.append(_resolve(tok, prefixes))
+            current.append(resolve(tok, prefixes))
         if len(current) == 3:
             patterns.append(current)
             current = []
@@ -142,10 +127,8 @@ def _parse_bgp(text: str, prefixes: dict) -> list:
 
 
 def cmd_query(args) -> int:
-    merged = _merged(args.files, args.schema)
-    closed = entail(merged)
-    prefixes = dict(BASE_PREFIXES)
-    prefixes.update(merged.prefixes)
+    closed = close(*_documents(args.files, args.schema))
+    prefixes = closed.prefixes
     if args.bgp:
         patterns = _parse_bgp(args.bgp, prefixes)
         if not patterns:
@@ -163,24 +146,22 @@ def cmd_query(args) -> int:
         expr = parse_path_expr(args.path_expr, prefixes)
     except PathExprError as e:
         raise CliInputError(str(e))
-    start = _resolve(args.start, prefixes)
+    start = resolve(args.start, prefixes)
     for node in sorted(eval_path(closed, start, expr), key=lambda n: n.value):
         print(node.value)
     return EXIT_OK
 
 
 def cmd_path(args) -> int:
-    merged = _merged(args.files, args.schema)
-    closed = entail(merged)
-    prefixes = dict(BASE_PREFIXES)
-    prefixes.update(merged.prefixes)
-    source = _resolve(getattr(args, "from"), prefixes)
-    dest = _resolve(args.to, prefixes)
+    closed = close(*_documents(args.files, args.schema))
+    prefixes = closed.prefixes
+    source = resolve(getattr(args, "from"), prefixes)
+    dest = resolve(args.to, prefixes)
     known = {t.subject for t in closed}
     if source not in known or dest not in known:
         missing = source if source not in known else dest
         raise CliInputError(f"unknown element {missing.value}")
-    layer = _resolve(args.layer, prefixes)
+    layer = resolve(args.layer, prefixes)
     preq = embed_mod.PathRequest(
         source, dest, layer, args.bandwidth, required_label=args.label
     )
@@ -199,7 +180,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_delegate(args) -> int:
-    closed = entail(_merged([args.file], args.schema))
+    closed = close(*_documents([args.file], args.schema))
     try:
         graph = parse_substrate(closed)
     except SubstrateError as e:
@@ -213,42 +194,31 @@ def cmd_delegate(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    """The provisioning protocol in-process: one AM per substrate, one broker,
+    one controller, one request. The clock starts at the earliest instant,
+    so the request's term is never in the past."""
     schemas = [_read_model(p) for p in (args.schema or ())]
-    request_raw = _read_model(args.request)
-    merged_req = merge([builtin_schema(), *schemas, request_raw])
-    issues = validate_conformance(merged_req)
-    closed_req = entail(merged_req)
-    violations = rules_mod.validate(closed_req, _load_rules(args.rules))
-    if issues or violations:
-        for issue in issues:
-            print(f"ISSUE {issue.kind} {issue.subject.value} {issue.detail}")
-        for v in violations:
-            print(v)
-        return EXIT_SEMANTIC
-    try:
-        request = parse_request(closed_req, source=request_raw)
-    except RequestError as e:
-        raise CliInputError(str(e))
-    states = {}
-    delegations = []
+    world = World(start=datetime.min.replace(tzinfo=timezone.utc), schemas=schemas)
+    world.controller.extra_rules.extend(_load_rules(args.rules))
     for path in args.substrates:
         try:
-            state = embed_mod.prepare_domain(_read_model(path), schemas)
-        except SubstrateError as e:
+            world.add_substrate(_read_fixture(Path(path)))
+        except (ParseError, SubstrateError) as e:
             raise CliInputError(f"{path}: {e}")
-        states[state.substrate.domain] = state
-        delegations.append(build_delegation(state.substrate))
-    try:
-        plan = embed_mod.embed_request(request, delegations, states, args.slice_id)
-    except embed_mod.EmbeddingFailed as e:
-        print(f"EMBEDDING FAILED {e}")
+    manifest = world.submit_request(args.slice_id, _read_fixture(Path(args.request)))
+    if manifest is None:
+        failure = world.controller.slices[args.slice_id].failure
+        if isinstance(failure.__cause__, (ParseError, RequestError, ValueError)):
+            raise CliInputError(f"{args.request}: {failure.detail}")
+        if failure.issues or failure.violations:
+            _print_findings(failure.issues, failure.violations)
+        else:
+            print(f"EMBEDDING FAILED {failure}")
         return EXIT_SEMANTIC
-    manifest = build_manifest(request, plan)
-    text = serialize_document(manifest)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(manifest, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(manifest)
     return EXIT_OK
 
 

@@ -2,13 +2,14 @@
 
 The pathfinder enumerates candidate shortest paths over device-level
 adjacency, validating each against label availability, bandwidth residuals
-and layer adaptation capabilities; failed candidates enter an exclusion set
-and the search continues with the next-shortest (k-shortest by exclusion).
+and layer adaptation capabilities; a failed candidate is skipped and the
+search continues with the next-shortest.
 
 The same engine serves both levels of the two-level embedding: the broker's
 abstract delegation graph (domain nodes, border interfaces, reachability
-flags) and a provider's detailed substrate (devices, switch matrices,
-adaptations).
+flags), routed by `embed_request`, and a provider's detailed substrate
+(devices, switch matrices, adaptations), expanded by `expand_domain_hop`
+when an aggregate manager redeems a ticket.
 
 Residual capacity lives in the model itself: availableBandwidth,
 availableLabelSet and availableUnits triples are rewritten by allocation,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import vocab
 from .graphstore import (
@@ -33,7 +34,7 @@ from .graphstore import (
     string,
 )
 from .models import DelegationView, SliceRequest, SubstrateGraph
-from .pathquery import HopWitness, Pred, Seq, adjacent, sub_graph
+from .pathquery import Pred, Seq, adjacent, sub_graph
 from .vocab import (
     AVAILABLE_BANDWIDTH,
     AVAILABLE_LABEL_SET,
@@ -134,28 +135,6 @@ class PathResult:
 
     def hop_count(self) -> int:
         return len(self.segments)
-
-
-class ExclusionSet:
-    """Hop sequences already found invalid in this search. Grows only."""
-
-    def __init__(self):
-        self._keys = set()
-
-    def add(self, key) -> None:
-        self._keys.add(key)
-
-    def __contains__(self, key) -> bool:
-        return key in self._keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
-def _chain_key(source: Iri, chain: tuple):
-    return (source.value,) + tuple(
-        (w.neighbor.value, tuple(v.value for v in w.via)) for w in chain
-    )
 
 
 def _candidate_paths(m: Model, source: Iri, dest: Iri):
@@ -347,30 +326,22 @@ def _validate_candidate(m: Model, source: Iri, chain: tuple, preq: PathRequest):
 def shortest_valid_path(m: Model, preq: PathRequest, limit: int = 10):
     """Minimal-hop feasible path, or None.
 
-    Candidates come out in (hop count, lexicographic) order; each failed
-    candidate is marked unavailable and the search re-runs. Gives up after
-    `limit` failed candidates or when the graph is exhausted.
+    Candidates come out in (hop count, lexicographic) order, each simple
+    path once; a failed candidate is skipped and the next one tried. Gives
+    up after `limit` failed candidates or when the graph is exhausted.
     """
-    exclusions = ExclusionSet()
+    failures = 0
     for chain in _candidate_paths(m, preq.source, preq.dest):
-        key = _chain_key(preq.source, chain)
-        if key in exclusions:
-            continue
         result = _validate_candidate(m, preq.source, chain, preq)
         if result is not None:
             return result
-        exclusions.add(key)
-        if len(exclusions) >= limit:
+        failures += 1
+        if failures >= limit:
             return None
     return None
 
 
 # -- residual state ---------------------------------------------------------------
-
-
-@dataclass
-class _Journal:
-    ops: list = field(default_factory=list)
 
 
 class DomainState:
@@ -384,16 +355,7 @@ class DomainState:
     def __init__(self, substrate: SubstrateGraph, model: Model):
         self.substrate = substrate
         self.model = model
-        self.active: dict[str, _Journal] = {}
-        self._originals = {}
-        for link in substrate.links:
-            self._originals[(link.iri, "bw")] = link.capacity
-            self._originals[(link.iri, "pool")] = link.label_pool
-        for b in substrate.borders:
-            self._originals[(b.iri, "bw")] = b.bandwidth
-            self._originals[(b.iri, "pool")] = b.label_pool
-        for p in substrate.pools:
-            self._originals[(p.node, p.provides, "units")] = p.units
+        self.active: dict[str, list] = {}  # token -> ops applied under it
         self._address_counter = 0
 
     # -- low-level triple rewrites
@@ -420,7 +382,7 @@ class DomainState:
 
     # -- allocation primitives; each applies or raises OverAllocation
 
-    def _apply(self, op, journal: Optional[_Journal]) -> None:
+    def _apply(self, op) -> None:
         kind = op[0]
         if kind == "bw":
             _, carrier, mbps = op
@@ -452,8 +414,6 @@ class DomainState:
             self._write_int(node, IN_USE_UNITS, self._read_int(node, IN_USE_UNITS) + n, keep_zero=False)
         else:
             raise ValueError(f"unknown op {op!r}")
-        if journal is not None:
-            journal.ops.append(op)
 
     def _revert(self, op) -> None:
         kind = op[0]
@@ -482,25 +442,25 @@ class DomainState:
 
     def apply_ops(self, token: str, ops) -> None:
         """Apply an op list atomically under a token; rolls back on failure."""
-        journal = self.active.setdefault(token, _Journal())
+        journal = self.active.setdefault(token, [])
         done = []
         try:
             for op in ops:
-                self._apply(op, None)
+                self._apply(op)
                 done.append(op)
         except OverAllocation:
             for op in reversed(done):
                 self._revert(op)
-            if not journal.ops:
+            if not journal:
                 self.active.pop(token, None)
             raise
-        journal.ops.extend(done)
+        journal.extend(done)
 
     def release_token(self, token: str) -> None:
         journal = self.active.pop(token, None)
         if journal is None:
             raise DoubleRelease(f"{self.substrate.domain.value}: token {token!r} not active")
-        for op in reversed(journal.ops):
+        for op in reversed(journal):
             self._revert(op)
 
     def has_token(self, token: str) -> bool:
@@ -510,22 +470,6 @@ class DomainState:
         self._address_counter += 1
         n = self._address_counter
         return f"10.103.{(n >> 8) & 255}.{n & 255}"
-
-    def pick_host(self, requested_class: Iri):
-        """First-fit pool (by node IRI) with free units providing a class
-        that entails the requested one. Returns (node, provides) or None.
-
-        Subclass checks run against the domain's own model, so provider
-        extension classes declared in the substrate document count."""
-        for pool in sorted(self.substrate.pools, key=lambda p: (p.node.value, p.provides.value)):
-            cls = pool.provides
-            if cls != requested_class and Triple(
-                cls, vocab.RDFS_SUBCLASS_OF, requested_class
-            ) not in self.model:
-                continue
-            if self._read_int(pool.node, AVAILABLE_UNITS) >= 1:
-                return pool.node, cls
-        return None
 
     def conservation_problems(self) -> list:
         """Violations of residual + in-use == original, empty when sound."""
@@ -550,14 +494,12 @@ class DomainState:
 
 
 def prepare_domain(raw: Model, extra_schemas: Sequence[Model] = ()) -> DomainState:
-    """DomainState for a raw substrate document: merge the schema (plus any
-    extension T-boxes), entail, and take the typed view. Conformance
+    """DomainState for a raw substrate document: close it with the schema
+    (plus any extension T-boxes) and take the typed view. Conformance
     checking is the caller's business."""
-    from .graphstore import entail, merge
     from .models import parse_substrate
-    from .vocab import builtin_schema
 
-    closed = entail(merge([builtin_schema(), *extra_schemas, raw]))
+    closed = vocab.close(*extra_schemas, raw)
     return DomainState(parse_substrate(closed), closed)
 
 
@@ -569,7 +511,6 @@ class Placement:
     node: Iri
     domain: Iri
     compute_class: Iri
-    units: int = 1
     host: Optional[Iri] = None
     management_address: Optional[str] = None
 
@@ -598,21 +539,14 @@ class DomainHop:
 
 
 @dataclass
-class BranchSkeleton:
-    """Delegation-level route of one link strand, before detail expansion."""
-
-    to_node: Iri
-    hops: list
-    crossings: list
-
-
-@dataclass
 class BranchPath:
-    """One realized root-to-member strand of a request link."""
+    """One root-to-member strand of a request link: its delegation-level
+    route, then the per-domain detail expansions that redeem fills in."""
 
     to_node: Iri
-    domain_paths: list  # (domain Iri, PathResult) in traversal order
-    crossings: list  # BorderCrossing between consecutive domain paths
+    hops: list  # DomainHop per traversed domain
+    crossings: list  # BorderCrossing between consecutive domains
+    domain_paths: list = field(default_factory=list)  # (domain Iri, PathResult)
 
     def hop_devices(self):
         """Intermediate (device, label) pairs along the stitched strand,
@@ -680,17 +614,11 @@ def bind_domains(
         for cls, units in view.units.items():
             free[(view.domain, cls)] = free.get((view.domain, cls), 0) + units
 
-    def usable_classes(requested: Iri):
-        out = []
-        for domain, cls in free:
-            if cls == requested or Triple(cls, vocab.RDFS_SUBCLASS_OF, requested) in schema:
-                out.append((domain, cls))
-        return sorted(out, key=lambda dc: (dc[0].value, dc[1].value))
-
     binding = {}
     for node in req.nodes:
         placed = False
-        for domain, cls in usable_classes(node.compute_class):
+        usable = [dc for dc in free if vocab.satisfies(schema, dc[1], node.compute_class)]
+        for domain, cls in sorted(usable, key=lambda dc: (dc[0].value, dc[1].value)):
             if node.in_domain is not None and domain != node.in_domain:
                 continue
             if free[(domain, cls)] >= 1:
@@ -703,14 +631,7 @@ def bind_domains(
     return binding
 
 
-# -- full embedding ----------------------------------------------------------------
-
-
-def _routing_model(delegations: Sequence[Model]) -> Model:
-    from .graphstore import entail, merge
-    from .vocab import builtin_schema
-
-    return entail(merge([builtin_schema(), *delegations]))
+# -- delegation-level embedding ----------------------------------------------------
 
 
 def _required_labels_per_domain(route: PathResult, broker_view: Model):
@@ -733,75 +654,39 @@ def _required_labels_per_domain(route: PathResult, broker_view: Model):
 
 def embed_request(
     req: SliceRequest,
-    delegations: Sequence[Model],
-    states: Mapping[Iri, DomainState],
+    views: Sequence[DelegationView],
+    routing: Optional[Model],
     slice_id: str,
-    limit: int = 10,
 ) -> EmbeddingPlan:
-    """Embed a validated request: bind nodes, route every link (inter-domain
-    over the merged delegation graph, then per-domain detail expansion), and
-    allocate everything atomically. On failure the residual state is exactly
-    what it was before the call."""
-    views = [_parse_delegation(dv) for dv in delegations]
-    broker_view = _routing_model(delegations) if delegations else None
-
+    """Delegation-level embedding of a validated request: bind every node to
+    a domain, then route every link strand over the broker's routing view.
+    Each strand's crossings are deducted from `routing` as they are taken,
+    so later strands of the request route around them. Hosts and per-domain
+    paths are left to the aggregate managers. Raises InsufficientResources
+    or EmbeddingFailed."""
+    binding = bind_domains(req, views, schema=routing)
     plan = EmbeddingPlan(slice_id)
-    token = f"plan:{slice_id}"
-    touched = []
-
-    def alloc(domain: Iri, ops) -> None:
-        state = states[domain]
-        state.apply_ops(token, ops)
-        if state not in touched:
-            touched.append(state)
-
-    def rollback() -> None:
-        for state in touched:
-            if state.has_token(token):
-                state.release_token(token)
-
-    try:
-        binding = bind_domains(req, views, schema=broker_view)
-    except InsufficientResources as e:
-        raise EmbeddingFailed(e.node, str(e)) from e
-
-    try:
-        for node in req.nodes:
-            domain = binding[node.iri]
-            state = states.get(domain)
-            if state is None:
-                raise EmbeddingFailed(node.iri, f"no substrate for domain {domain.value}")
-            picked = state.pick_host(node.compute_class)
-            if picked is None:
-                raise EmbeddingFailed(node.iri, "bound domain has no free units")
-            host, cls = picked
-            alloc(domain, [("units", host, 1)])
-            plan.placements[node.iri] = Placement(
-                node=node.iri,
-                domain=domain,
-                compute_class=cls,
-                host=host,
-                management_address=state.next_address(),
+    for node in req.nodes:
+        plan.placements[node.iri] = Placement(node.iri, binding[node.iri], node.compute_class)
+    for link in req.links:
+        root, others = link_members(req, link, plan.placements)
+        realization = LinkRealization(link=link.iri, root_node=root, branches=[])
+        for member in others:
+            branch = route_branch(
+                routing,
+                member,
+                plan.placements[root].domain,
+                plan.placements[member].domain,
+                link.layer,
+                link.bandwidth,
+                limit=10,
+                link=link.iri,
             )
-
-        for link in req.links:
-            realization = _realize_link(
-                req, link, plan, states, broker_view, alloc, limit
-            )
-            plan.realizations[link.iri] = realization
-    except EmbeddingFailed:
-        rollback()
-        raise
-    except OverAllocation as e:
-        rollback()
-        raise EmbeddingFailed(req.reservation, str(e)) from e
+            for crossing in branch.crossings:
+                deduct_crossing_from_view(routing, crossing)
+            realization.branches.append(branch)
+        plan.realizations[link.iri] = realization
     return plan
-
-
-def _parse_delegation(m: Model):
-    from .models import parse_delegation
-
-    return parse_delegation(m)
 
 
 def _owner_device(state: DomainState, border_iface: Iri) -> Optional[Iri]:
@@ -830,15 +715,11 @@ def route_branch(
     bandwidth: int,
     limit: int,
     link: Iri,
-) -> BranchSkeleton:
+) -> BranchPath:
     """Delegation-level route for one strand: the domains it traverses, the
     border interfaces it enters and leaves by, and the crossing labels."""
     if src_domain == dst_domain:
-        return BranchSkeleton(
-            to_node=to_node,
-            hops=[DomainHop(src_domain, None, None, None)],
-            crossings=[],
-        )
+        return BranchPath(to_node, [DomainHop(src_domain, None, None, None)], [])
     if broker_view is None:
         raise EmbeddingFailed(link, "no delegations available for inter-domain route")
     route = shortest_valid_path(
@@ -863,13 +744,14 @@ def route_branch(
         )
         for i, seg in enumerate(route.segments)
     ]
-    return BranchSkeleton(to_node=to_node, hops=hops, crossings=crossings)
+    return BranchPath(to_node, hops, crossings)
 
 
-def crossing_ops(crossing: BorderCrossing, iface: Iri) -> list:
-    ops = [("bw", iface, crossing.bandwidth)]
-    if crossing.label is not None:
-        ops.append(("label", iface, crossing.label))
+def border_ops(iface: Iri, bandwidth: int, label: Optional[int]) -> list:
+    """Allocation ops for one side of a border crossing."""
+    ops = [("bw", iface, bandwidth)]
+    if label is not None:
+        ops.append(("label", iface, label))
     return ops
 
 
@@ -921,39 +803,6 @@ def expand_domain_hop(
     return path
 
 
-def _realize_link(req, link, plan, states, broker_view, alloc, limit):
-    root, others = link_members(req, link, plan.placements)
-    realization = LinkRealization(link=link.iri, root_node=root, branches=[])
-    for member in others:
-        src = plan.placements[root]
-        dst = plan.placements[member]
-        skeleton = route_branch(
-            broker_view, member, src.domain, dst.domain, link.layer, link.bandwidth,
-            limit, link.iri,
-        )
-        for crossing in skeleton.crossings:
-            deduct_crossing_from_view(broker_view, crossing)
-        branch = BranchPath(to_node=member, domain_paths=[], crossings=list(skeleton.crossings))
-        for hop in skeleton.hops:
-            state = states.get(hop.domain)
-            if state is None:
-                raise EmbeddingFailed(link.iri, f"no substrate for domain {hop.domain.value}")
-            path = expand_domain_hop(
-                state, hop, link.layer, link.bandwidth, src.host, dst.host, limit, link.iri
-            )
-            if path.segments:
-                alloc(hop.domain, _path_ops(path))
-            branch.domain_paths.append((hop.domain, path))
-        for crossing in skeleton.crossings:
-            for domain, iface in (
-                (crossing.domain_a, crossing.iface_a),
-                (crossing.domain_b, crossing.iface_b),
-            ):
-                alloc(domain, crossing_ops(crossing, iface))
-        realization.branches.append(branch)
-    return realization
-
-
 def _trivial_path(device: Iri) -> PathResult:
     return PathResult(
         hops=(PathHop(device, None, None, None),),
@@ -963,7 +812,7 @@ def _trivial_path(device: Iri) -> PathResult:
     )
 
 
-def _path_ops(path: PathResult) -> list:
+def path_ops(path: PathResult) -> list:
     ops = []
     for seg in path.segments:
         for carrier in seg.carriers:
@@ -971,56 +820,3 @@ def _path_ops(path: PathResult) -> list:
             if seg.label is not None:
                 ops.append(("label", carrier, seg.label))
     return ops
-
-
-# -- plan-level allocate / release ---------------------------------------------------
-
-
-def plan_ops_by_domain(plan: EmbeddingPlan) -> dict:
-    """All allocation ops implied by a plan, grouped per domain."""
-    ops: dict[Iri, list] = {}
-
-    def add(domain, op):
-        ops.setdefault(domain, []).append(op)
-
-    for node_iri in sorted(plan.placements, key=lambda n: n.value):
-        p = plan.placements[node_iri]
-        if p.host is not None:
-            add(p.domain, ("units", p.host, p.units))
-    for link_iri in sorted(plan.realizations, key=lambda l: l.value):
-        r = plan.realizations[link_iri]
-        for branch in r.branches:
-            for domain, path in branch.domain_paths:
-                for op in _path_ops(path):
-                    add(domain, op)
-            for c in branch.crossings:
-                for domain, iface in ((c.domain_a, c.iface_a), (c.domain_b, c.iface_b)):
-                    add(domain, ("bw", iface, c.bandwidth))
-                    if c.label is not None:
-                        add(domain, ("label", iface, c.label))
-    return ops
-
-
-def allocate(states: Mapping[Iri, DomainState], plan: EmbeddingPlan) -> None:
-    """Apply a plan's reservations. All-or-nothing; raises OverAllocation."""
-    token = f"plan:{plan.slice_id}"
-    by_domain = plan_ops_by_domain(plan)
-    done = []
-    try:
-        for domain in sorted(by_domain, key=lambda d: d.value):
-            states[domain].apply_ops(token, by_domain[domain])
-            done.append(states[domain])
-    except OverAllocation:
-        for state in done:
-            state.release_token(token)
-        raise
-
-
-def release(states: Mapping[Iri, DomainState], plan: EmbeddingPlan) -> None:
-    """Undo a previously allocated plan exactly. Raises DoubleRelease."""
-    token = f"plan:{plan.slice_id}"
-    holders = [s for s in states.values() if s.has_token(token)]
-    if not holders:
-        raise DoubleRelease(f"plan {plan.slice_id!r} holds no allocations")
-    for state in holders:
-        state.release_token(token)

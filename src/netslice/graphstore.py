@@ -294,18 +294,6 @@ class Model:
         m.add_all(self._triples)
         return m
 
-    def resolve(self, text: str) -> Iri:
-        """Resolve ``<iri>``, ``prefix:local`` or a bare absolute IRI."""
-        if text.startswith("<") and text.endswith(">"):
-            return Iri(text[1:-1])
-        if ":" in text:
-            name, local = text.split(":", 1)
-            if name in self.prefixes:
-                return Iri(self.prefixes[name] + local)
-            if "://" in text or text.startswith("urn:"):
-                return Iri(text)
-        raise ValueError(f"cannot resolve {text!r}: unknown prefix")
-
 
 # -- text format ------------------------------------------------------------
 
@@ -452,6 +440,20 @@ def parse_document(text: str) -> Model:
     return m
 
 
+def resolve(text: str, prefixes: dict) -> Iri:
+    """Resolve ``<iri>``, ``prefix:local`` or a bare absolute IRI against a
+    prefix map. Raises ValueError; callers map it to their own error type."""
+    if text.startswith("<") and text.endswith(">"):
+        return Iri(text[1:-1])
+    if ":" in text:
+        name, local = text.split(":", 1)
+        if name in prefixes:
+            return Iri(prefixes[name] + local)
+        if "://" in text or text.startswith("urn:"):
+            return Iri(text)
+    raise ValueError(f"cannot resolve {text!r}: unknown prefix")
+
+
 def render_term(t: Term, prefixes: dict) -> str:
     """Render a term, compacting IRIs against the prefix map when safe."""
     if isinstance(t, Iri):
@@ -519,14 +521,16 @@ def merge(models: Sequence[Model]) -> Model:
 # domain/range typing. Applied to fixpoint; only ever adds triples.
 
 
-def entail(m: Model, budget: int = 1_000_000) -> Model:
+def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) -> Model:
     """Fixpoint closure of m under the fixed entailment profile.
 
     Monotone (result contains m) and idempotent. Raises
     ClosureBudgetExceeded when more than `budget` new triples get derived.
+    `closed` names a part of m that is already a fixpoint: its triples are
+    not re-processed, since every consequence drawn from them alone is in it.
     """
     out = m.copy()
-    agenda = deque(out)
+    agenda = deque(out if closed is None else (t for t in out if t not in closed))
     derived = 0
 
     def emit(s: Iri, p: Iri, o: Term) -> None:

@@ -485,18 +485,11 @@ class SliceRequest:
 
 
 def _minimal_compute_class(m: Model, types: set) -> Optional[Iri]:
-    compute = {
-        t
-        for t in types
-        if t == COMPUTE_ELEMENT
-        or Triple(t, vocab.RDFS_SUBCLASS_OF, COMPUTE_ELEMENT) in m
-    }
+    compute = {t for t in types if vocab.satisfies(m, t, COMPUTE_ELEMENT)}
     minimal = [
         t
         for t in compute
-        if not any(
-            other != t and Triple(other, vocab.RDFS_SUBCLASS_OF, t) in m for other in compute
-        )
+        if not any(other != t and vocab.satisfies(m, other, t) for other in compute)
     ]
     return sorted(minimal, key=lambda t: t.value)[0] if minimal else None
 
@@ -523,6 +516,10 @@ def parse_request(m: Model, source: Optional[Model] = None) -> SliceRequest:
     if duration <= 0:
         raise RequestError("term duration must be positive")
     term = Term(parse_datetime(begin_lit.lexical), duration)
+    try:
+        term.end
+    except OverflowError:
+        raise RequestError("term ends beyond the representable date range") from None
 
     nodes = []
     links = []

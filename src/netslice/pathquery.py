@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graphstore import Iri, Model
+from .graphstore import Iri, Model, resolve
 
 
 @dataclass(frozen=True)
@@ -225,16 +225,10 @@ def parse_path_expr(text: str, prefixes: dict) -> PathExpr:
             return inner
         if tok in ("|", "/", "*", "+", ")", "^"):
             raise PathExprError(f"unexpected {tok!r} in {text!r}")
-        if tok.startswith("<") and tok.endswith(">"):
-            return Pred(Iri(tok[1:-1]))
-        if ":" in tok:
-            name, local = tok.split(":", 1)
-            if name in prefixes:
-                return Pred(Iri(prefixes[name] + local))
-            if "://" in tok or tok.startswith("urn:"):
-                return Pred(Iri(tok))
-            raise PathExprError(f"unknown prefix {name!r} in {text!r}")
-        raise PathExprError(f"expected predicate, got {tok!r} in {text!r}")
+        try:
+            return Pred(resolve(tok, prefixes))
+        except ValueError as e:
+            raise PathExprError(f"{e} in {text!r}") from None
 
     expr = parse_alt()
     if pos[0] != len(tokens):

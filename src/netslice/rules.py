@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import vocab
-from .graphstore import Iri, Literal, Model, RDF_TYPE, Term, Var, term_key
+from .graphstore import Iri, Literal, Model, RDF_TYPE, Term, Var, resolve, term_key
 from .vocab import (
     BASE_PREFIXES,
     BROADCAST_CONNECTION,
@@ -142,15 +142,10 @@ def parse_ruleset(text: str, prefixes: Optional[dict] = None) -> list:
             return Var(tok[1:])
         if tok.startswith('"'):
             return Literal(_unescape(tok))
-        if tok.startswith("<") and tok.endswith(">"):
-            return Iri(tok[1:-1])
-        if ":" in tok:
-            name, local = tok.split(":", 1)
-            if name in prefixes:
-                return Iri(prefixes[name] + local)
-            if "://" in tok or tok.startswith("urn:"):
-                return Iri(tok)
-        raise RuleSyntaxError(f"cannot resolve term {tok!r}")
+        try:
+            return resolve(tok, prefixes)
+        except ValueError as e:
+            raise RuleSyntaxError(str(e)) from None
 
     while pos < len(tokens):
         take("violation")

@@ -31,6 +31,7 @@ from .graphstore import (
     XSD_NS,
     entail,
     int_value,
+    merge,
 )
 
 TOPO_NS = "http://geni-orca.renci.org/owl/topology.owl#"
@@ -296,6 +297,20 @@ def _entailed_schema_cached() -> Model:
 def entailed_schema() -> Model:
     """Shared read-only entailed T-box. Do not mutate the result."""
     return _entailed_schema_cached()
+
+
+def close(*docs: Model) -> Model:
+    """Entailed closure of the built-in T-box merged with docs. Equal to
+    entailing the merge of builtin_schema() and docs, but the cached closed
+    T-box is not re-entailed."""
+    schema = entailed_schema()
+    return entail(merge([schema, *docs]), closed=schema)
+
+
+def satisfies(m: Model, cls: Iri, requested: Iri) -> bool:
+    """True when instances of cls are instances of requested in the closed
+    model m (its own subclass axioms, provider extensions included)."""
+    return cls == requested or Triple(cls, RDFS_SUBCLASS_OF, requested) in m
 
 
 # -- label set literals ----------------------------------------------------------

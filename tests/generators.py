@@ -10,7 +10,21 @@ from __future__ import annotations
 import random
 
 from netslice import vocab
-from netslice.graphstore import Iri, Model, RDF_TYPE, Triple, entail, integer, merge, string
+from netslice.graphstore import (
+    Iri,
+    Model,
+    OWL_INVERSE_OF,
+    RDF_TYPE,
+    RDFS_DOMAIN,
+    RDFS_RANGE,
+    RDFS_SUBCLASS_OF,
+    RDFS_SUBPROPERTY_OF,
+    Triple,
+    entail,
+    integer,
+    merge,
+    string,
+)
 from netslice.vocab import (
     builtin_schema,
     ETHERNET_ELEMENT,
@@ -98,3 +112,33 @@ def instance_model(instance) -> Model:
 
 def instance_device_iri(name: str) -> Iri:
     return Iri("urn:gen/" + name)
+
+
+def random_schema_model(rng: random.Random, base: str = "urn:acc4/") -> Model:
+    """Random subclass, subproperty, domain, range and inverse axioms plus
+    typed and related instances: the entailment oracle's inputs."""
+    m = Model()
+    classes = [Iri(base + f"C{i}") for i in range(rng.randint(2, 30))]
+    props = [Iri(base + f"p{i}") for i in range(rng.randint(1, 15))]
+    insts = [Iri(base + f"x{i}") for i in range(rng.randint(1, 12))]
+    for c in classes:
+        if rng.random() < 0.6:
+            m.add(Triple(c, RDFS_SUBCLASS_OF, rng.choice(classes)))
+    for p in props:
+        r = rng.random()
+        if r < 0.3:
+            m.add(Triple(p, RDFS_SUBPROPERTY_OF, rng.choice(props)))
+        if 0.2 < r < 0.5:
+            m.add(Triple(p, RDFS_DOMAIN, rng.choice(classes)))
+        if 0.4 < r < 0.7:
+            m.add(Triple(p, RDFS_RANGE, rng.choice(classes)))
+        if r > 0.75:
+            m.add(Triple(p, OWL_INVERSE_OF, rng.choice(props)))
+    for x in insts:
+        if rng.random() < 0.85:
+            m.add(Triple(x, RDF_TYPE, rng.choice(classes)))
+        if rng.random() < 0.85:
+            m.add(Triple(x, rng.choice(props), rng.choice(insts)))
+        if rng.random() < 0.2:
+            m.add(Triple(x, rng.choice(props), integer(rng.randrange(5))))
+    return m

@@ -18,7 +18,6 @@ from netslice.graphstore import (
     Iri,
     Literal,
     Model,
-    RDF_TYPE,
     Triple,
     Var,
     entail,
@@ -34,7 +33,12 @@ from netslice.rules import Rule, builtin_ruleset, evaluate
 from netslice.vocab import builtin_schema
 
 from conftest import FIXTURES
-from generators import instance_device_iri, instance_model, random_layered_instance
+from generators import (
+    instance_device_iri,
+    instance_model,
+    random_layered_instance,
+    random_schema_model,
+)
 from oracles import all_rule_matches, naive_entail, oracle_best_hop_count
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
@@ -127,38 +131,8 @@ def test_criterion_3_pathfinding_oracle_equivalence():
 
 def test_criterion_4_entailment_oracle_equivalence():
     rng = random.Random(0xE17A11)
-    base = "urn:acc4/"
     for round_no in range(200):
-        m = Model()
-        classes = [Iri(base + f"C{i}") for i in range(rng.randint(2, 30))]
-        props = [Iri(base + f"p{i}") for i in range(rng.randint(1, 15))]
-        insts = [Iri(base + f"x{i}") for i in range(rng.randint(1, 12))]
-        for c in classes:
-            if rng.random() < 0.6:
-                m.add(Triple(c, vocab.RDFS_SUBCLASS_OF, rng.choice(classes)))
-        for p in props:
-            r = rng.random()
-            if r < 0.3:
-                m.add(
-                    Triple(
-                        p,
-                        Iri("http://www.w3.org/2000/01/rdf-schema#subPropertyOf"),
-                        rng.choice(props),
-                    )
-                )
-            if 0.2 < r < 0.5:
-                m.add(Triple(p, Iri("http://www.w3.org/2000/01/rdf-schema#domain"), rng.choice(classes)))
-            if 0.4 < r < 0.7:
-                m.add(Triple(p, Iri("http://www.w3.org/2000/01/rdf-schema#range"), rng.choice(classes)))
-            if r > 0.75:
-                m.add(Triple(p, vocab.OWL_INVERSE_OF, rng.choice(props)))
-        for x in insts:
-            if rng.random() < 0.85:
-                m.add(Triple(x, RDF_TYPE, rng.choice(classes)))
-            if rng.random() < 0.85:
-                m.add(Triple(x, rng.choice(props), rng.choice(insts)))
-            if rng.random() < 0.2:
-                m.add(Triple(x, rng.choice(props), integer(rng.randrange(5))))
+        m = random_schema_model(rng)
         closed = entail(m)
         assert set(closed) == naive_entail(m), f"round {round_no}"
         assert entail(closed) == closed, f"round {round_no}: not idempotent"

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from datetime import datetime, timezone
 
 import pytest
@@ -53,6 +55,19 @@ def test_pair_slice_lifecycle():
     assert world.controller.slices["demo1"].state == "Closed"
     assert world.serialized_states() == initial
     assert world.conservation_problems() == []
+
+
+def test_world_is_freed_without_the_cycle_collector():
+    # a one-shot World must not wait for the cyclic GC to give back its models
+    gc.disable()
+    try:
+        world = _pair_world()
+        assert world.submit_request("demo1", _fixture("request-pair.ndl")) is not None
+        ref = weakref.ref(world)
+        del world
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_broadcast_aba_fails_validation_with_exact_message():

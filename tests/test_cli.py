@@ -230,3 +230,117 @@ def test_run_bad_script_exits_two(tmp_path, capsys):
     script.write_text("frobnicate everything\n")
     code = main(["run", str(script)])
     assert code == 2
+
+
+PAIR_REQUEST = (FIXTURES / "request-pair.ndl").read_text()
+
+
+def _embed(capsys, tmp_path, request_text, *extra, substrates=(FIXTURES / "renci.ndl",)):
+    request = tmp_path / "request.ndl"
+    request.write_text(request_text)
+    return _run(capsys, "embed", *substrates, "--request", request, *extra)
+
+
+def test_embed_infeasible_request_exits_one(capsys, tmp_path):
+    oversized = PAIR_REQUEST.replace('req:bandwidth "1000"', 'req:bandwidth "99999"')
+    code, out, _ = _embed(capsys, tmp_path, oversized)
+    assert code == 1
+    assert out.startswith("EMBEDDING FAILED ")
+
+
+@pytest.mark.parametrize(
+    "substrate",
+    [
+        "<urn:a> <urn:p> .\n",  # syntax error
+        "@prefix topo: <http://geni-orca.renci.org/owl/topology.owl#> .\n"
+        "<urn:a> topo:inDomain <urn:x> .\n"
+        "<urn:b> topo:inDomain <urn:y> .\n",  # parses, but names two domains
+    ],
+)
+def test_embed_malformed_substrate_exits_two(capsys, tmp_path, substrate):
+    bad = tmp_path / "substrate.ndl"
+    bad.write_text(substrate)
+    code, out, err = _embed(capsys, tmp_path, PAIR_REQUEST, substrates=(bad,))
+    assert code == 2
+    assert out == ""
+    assert f"error: {bad}" in err
+
+
+@pytest.mark.parametrize(
+    "request_text",
+    [
+        "<urn:a> <urn:p> .\n",  # unparseable
+        PAIR_REQUEST.replace('"3600"^^xsd:integer', '"0"^^xsd:integer'),  # zero-length term
+    ],
+)
+def test_embed_bad_request_exits_two(capsys, tmp_path, request_text):
+    code, out, err = _embed(capsys, tmp_path, request_text)
+    assert code == 2
+    assert out == ""
+    assert "request.ndl" in err
+
+
+GPU_SCHEMA = """\
+@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .
+@prefix gpu: <urn:provider:gpu#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+gpu:GpuVM rdf:type owl:Class .
+gpu:GpuVM rdfs:subClassOf comp:VM .
+"""
+
+GPU_SUBSTRATE = """\
+@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .
+@prefix gpu: <urn:provider:gpu#> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix t: <urn:gpusite/> .
+@prefix topo: <http://geni-orca.renci.org/owl/topology.owl#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+t:dom rdf:type topo:NetworkDomain .
+t:host rdf:type topo:Device .
+t:host topo:inDomain t:dom .
+t:host topo:hasInterface t:host/if0 .
+t:host/if0 rdf:type topo:Interface .
+t:host comp:provisions gpu:GpuVM .
+t:host comp:availableUnits "2"^^xsd:integer .
+"""
+
+GPU_REQUEST = """\
+@prefix gpu: <urn:provider:gpu#> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix req: <http://geni-orca.renci.org/owl/request.owl#> .
+@prefix rq: <urn:req:gpu/> .
+@prefix time: <http://www.w3.org/2006/time#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+rq:Reservation/1 rdf:type req:Reservation .
+rq:Reservation/1 req:element rq:Node/1 .
+rq:Reservation/1 req:element rq:Node/2 .
+rq:Reservation/1 req:hasTerm rq:Term/1 .
+rq:Term/1 rdf:type time:Interval .
+rq:Term/1 time:hasBeginning "2026-01-01T00:00:00Z"^^xsd:dateTime .
+rq:Term/1 time:hasDurationSeconds "3600"^^xsd:integer .
+rq:Node/1 rdf:type gpu:GpuVM .
+rq:Node/2 rdf:type gpu:GpuVM .
+"""
+
+
+def test_embed_schema_supplies_provider_extension_class(capsys, tmp_path):
+    schema = tmp_path / "gpu-schema.ndl"
+    schema.write_text(GPU_SCHEMA)
+    substrate = tmp_path / "gpu-site.ndl"
+    substrate.write_text(GPU_SUBSTRATE)
+    # without the schema the requested class is unknown
+    code, out, _ = _embed(capsys, tmp_path, GPU_REQUEST, substrates=(substrate,))
+    assert code == 1
+    assert "ISSUE untyped-instance urn:req:gpu/Node/1" in out
+    code, out, _ = _embed(
+        capsys, tmp_path, GPU_REQUEST, "--schema", schema, "--slice-id", "g1",
+        substrates=(substrate,),
+    )
+    assert code == 0
+    from netslice.graphstore import Iri, parse_document
+
+    manifest = parse_document(out)
+    gpus = {vm.value for vm in manifest.typed(Iri("urn:provider:gpu#GpuVM"))}
+    assert {"urn:orca:slice:g1/vm/0", "urn:orca:slice:g1/vm/1"} <= gpus

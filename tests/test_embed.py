@@ -3,34 +3,26 @@ import random
 import pytest
 
 from netslice import vocab
+from netslice.actors import World
 from netslice.embed import (
-    DomainState,
     DoubleRelease,
-    EmbeddingFailed,
     InsufficientResources,
     OverAllocation,
     PathRequest,
-    allocate,
     bind_domains,
-    embed_request,
-    plan_ops_by_domain,
     prepare_domain,
-    release,
     shortest_valid_path,
 )
 from netslice.graphstore import (
     Iri,
-    Model,
     RDF_TYPE,
     Triple,
     entail,
-    integer,
     merge,
     parse_document,
     serialize_document,
-    string,
 )
-from netslice.models import build_delegation, parse_delegation, parse_request, parse_substrate
+from netslice.models import build_delegation, parse_delegation, parse_request
 from netslice.vocab import ETHERNET_ELEMENT, builtin_schema, render_label_set
 
 from conftest import FIXTURES
@@ -283,43 +275,47 @@ def test_bind_domains_no_cross_class_substitution():
 # -- allocation ---------------------------------------------------------------------
 
 
-def test_allocate_release_restores_bytes(renci_state):
-    before = serialize_document(renci_state.model)
-    req = _pair_request()
-    delegation = build_delegation(renci_state.substrate)
-    states = {renci_state.substrate.domain: renci_state}
-    plan = embed_request(req, [delegation], states, "s1")
-    assert renci_state.conservation_problems() == []
-    after_alloc = serialize_document(renci_state.model)
-    assert after_alloc != before
-    release(states, plan)
-    assert serialize_document(renci_state.model) == before
-    assert renci_state.conservation_problems() == []
+def _world(*fixtures):
+    world = World()
+    for name in fixtures:
+        world.add_substrate((FIXTURES / name).read_text())
+    return world
 
 
-def test_release_twice_is_double_release(renci_state):
-    req = _pair_request()
-    delegation = build_delegation(renci_state.substrate)
-    states = {renci_state.substrate.domain: renci_state}
-    plan = embed_request(req, [delegation], states, "s1")
-    release(states, plan)
+PAIR_REQUEST = (FIXTURES / "request-pair.ndl").read_text()
+
+
+def test_allocate_release_restores_bytes():
+    world = _world("renci.ndl")
+    before = world.serialized_states()
+    assert world.submit_request("s1", PAIR_REQUEST) is not None
+    assert world.conservation_problems() == []
+    assert world.serialized_states()["am-1"] != before["am-1"]
+    world.delete_slice("s1")
+    assert world.serialized_states() == before
+    assert world.conservation_problems() == []
+
+
+def test_release_twice_is_double_release():
+    world = _world("renci.ndl")
+    assert world.submit_request("s1", PAIR_REQUEST) is not None
+    state = world.ams["am-1"].state
+    state.release_token("slice:s1")
     with pytest.raises(DoubleRelease):
-        release(states, plan)
+        state.release_token("slice:s1")
 
 
-def test_released_plan_can_be_reallocated(renci_state):
-    req = _pair_request()
-    delegation = build_delegation(renci_state.substrate)
-    states = {renci_state.substrate.domain: renci_state}
-    before = serialize_document(renci_state.model)
-    plan = embed_request(req, [delegation], states, "s1")
-    allocated = serialize_document(renci_state.model)
-    release(states, plan)
-    allocate(states, plan)
-    assert serialize_document(renci_state.model) == allocated
-    assert renci_state.conservation_problems() == []
-    release(states, plan)
-    assert serialize_document(renci_state.model) == before
+def test_released_plan_can_be_reallocated():
+    world = _world("renci.ndl")
+    before = world.serialized_states()
+    assert world.submit_request("s1", PAIR_REQUEST) is not None
+    allocated = world.serialized_states()
+    world.delete_slice("s1")
+    assert world.submit_request("s2", PAIR_REQUEST) is not None
+    assert world.serialized_states() == allocated
+    assert world.conservation_problems() == []
+    world.delete_slice("s2")
+    assert world.serialized_states() == before
 
 
 def test_over_allocation_on_shared_link():
@@ -408,44 +404,36 @@ def test_random_plans_keep_conservation():
 # -- full embedding -------------------------------------------------------------------
 
 
-def test_embed_pair_on_single_domain(renci_state):
-    req = _pair_request()
-    delegation = build_delegation(renci_state.substrate)
-    states = {renci_state.substrate.domain: renci_state}
-    plan = embed_request(req, [delegation], states, "demo")
+def test_embed_pair_on_single_domain():
+    world = _world("renci.ndl")
+    assert world.submit_request("demo", PAIR_REQUEST) is not None
+    record = world.controller.slices["demo"]
+    plan = record.plan
     assert len(plan.placements) == 2
     hosts = {p.host for p in plan.placements.values()}
     assert hosts == {rnc("Server/A"), rnc("Server/B")}
     assert all(p.domain == rnc("Renci") for p in plan.placements.values())
-    realization = plan.realizations[req.links[0].iri]
+    realization = plan.realizations[record.request.links[0].iri]
     assert len(realization.branches) == 1
     devices = [d for d, _ in realization.branches[0].hop_devices()]
     assert devices == [rnc("Renci/6509")]
 
 
-def test_embed_failure_rolls_back(renci_state):
-    req = _pair_request()
+def test_embed_failure_rolls_back():
+    world = _world("renci.ndl")
+    before = world.serialized_states()
     # demand more bandwidth than any link carries
-    object.__setattr__(req.links[0], "bandwidth", 99999)
-    delegation = build_delegation(renci_state.substrate)
-    states = {renci_state.substrate.domain: renci_state}
-    before = serialize_document(renci_state.model)
-    with pytest.raises(EmbeddingFailed):
-        embed_request(req, [delegation], states, "demo")
-    assert serialize_document(renci_state.model) == before
-    assert renci_state.conservation_problems() == []
+    oversized = PAIR_REQUEST.replace('req:bandwidth "1000"', 'req:bandwidth "99999"')
+    assert world.submit_request("demo", oversized) is None
+    assert world.controller.slices["demo"].failure.step == "Redeem"
+    assert world.serialized_states() == before
+    assert world.conservation_problems() == []
 
 
-@pytest.fixture
-def ring_states():
-    states = {}
-    for name in ("ring-a.ndl", "ring-b.ndl", "ring-c.ndl"):
-        state = prepare_domain(parse_document((FIXTURES / name).read_text()))
-        states[state.substrate.domain] = state
-    return states
+RING = ("ring-a.ndl", "ring-b.ndl", "ring-c.ndl")
 
 
-def _ring_request(*domains):
+def _ring_request(*domains, bandwidth=100):
     site = {"a": "urn:orca:site:a/Domain", "b": "urn:orca:site:b/Domain", "c": "urn:orca:site:c/Domain"}
     lines = [
         "@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .",
@@ -463,7 +451,7 @@ def _ring_request(*domains):
         'rq:Term/1 time:hasDurationSeconds "3600"^^xsd:integer .',
         "rq:Link/1 rdf:type topo:NetworkConnection .",
         "rq:Link/1 topo:atLayer eth:EthernetNetworkElement .",
-        'rq:Link/1 req:bandwidth "100"^^xsd:integer .',
+        f'rq:Link/1 req:bandwidth "{bandwidth}"^^xsd:integer .',
     ]
     for i, d in enumerate(domains, start=1):
         lines += [
@@ -475,47 +463,48 @@ def _ring_request(*domains):
             f"rq:Link/1 topo:hasInterface rq:Node/{i}/if0 .",
         ]
     lines.append("rq:Reservation/1 req:element rq:Link/1 .")
-    raw = parse_document("\n".join(lines) + "\n")
-    return parse_request(entail(merge([builtin_schema(), raw])), source=raw)
+    return "\n".join(lines) + "\n"
 
 
-def test_embed_across_adjacent_ring_domains(ring_states):
-    req = _ring_request("a", "b")
-    delegations = [build_delegation(s.substrate) for s in ring_states.values()]
-    plan = embed_request(req, delegations, ring_states, "ring1")
-    realization = plan.realizations[req.links[0].iri]
-    branch = realization.branches[0]
+def _only_branch(world, slice_id):
+    record = world.controller.slices[slice_id]
+    return record.plan.realizations[record.request.links[0].iri].branches[0]
+
+
+def test_embed_across_adjacent_ring_domains():
+    world = _world(*RING)
+    before = world.serialized_states()
+    assert world.submit_request("ring1", _ring_request("a", "b")) is not None
+    branch = _only_branch(world, "ring1")
     assert len(branch.crossings) == 1  # adjacent domains: direct crossing
     assert {d.value for d, _ in branch.domain_paths} == {
         "urn:orca:site:a/Domain",
         "urn:orca:site:b/Domain",
     }
     # all domain states stay conserved
-    for state in ring_states.values():
-        assert state.conservation_problems() == []
-    release(ring_states, plan)
+    assert world.conservation_problems() == []
+    world.delete_slice("ring1")
+    assert world.serialized_states() == before
 
 
-def test_embed_label_continuity_across_ring(ring_states):
-    req = _ring_request("a", "c")
-    delegations = [build_delegation(s.substrate) for s in ring_states.values()]
-    plan = embed_request(req, delegations, ring_states, "ring2")
-    branch = plan.realizations[req.links[0].iri].branches[0]
+def test_embed_label_continuity_across_ring():
+    world = _world(*RING)
+    assert world.submit_request("ring2", _ring_request("a", "c")) is not None
+    branch = _only_branch(world, "ring2")
     assert len(branch.crossings) == 1  # a-c are adjacent too
     label = branch.crossings[0].label
     assert label == 140  # lowest common label on the a-c border pools
     for _, path in branch.domain_paths:
         for seg in path.segments:
             assert seg.label == label
-    release(ring_states, plan)
+    world.delete_slice("ring2")
+    assert world.conservation_problems() == []
 
 
-def test_embed_rejects_excessive_label_demand(ring_states):
-    req = _ring_request("a", "b")
-    object.__setattr__(req.links[0], "bandwidth", 7000)  # borders carry 5000
-    delegations = [build_delegation(s.substrate) for s in ring_states.values()]
-    before = {d: serialize_document(s.model) for d, s in ring_states.items()}
-    with pytest.raises(EmbeddingFailed):
-        embed_request(req, delegations, ring_states, "ring3")
-    for d, s in ring_states.items():
-        assert serialize_document(s.model) == before[d]
+def test_embed_rejects_excessive_label_demand():
+    world = _world(*RING)
+    before = world.serialized_states()
+    # borders carry 5000
+    assert world.submit_request("ring3", _ring_request("a", "b", bandwidth=7000)) is None
+    assert world.controller.slices["ring3"].failure.step == "Embedding"
+    assert world.serialized_states() == before

@@ -21,6 +21,7 @@ from netslice.graphstore import (
     query_bgp,
     serialize_document,
 )
+from generators import random_schema_model
 from oracles import bgp_by_assignment, naive_entail
 
 EX = "urn:ex/"
@@ -321,3 +322,19 @@ def test_query_fixture_interface():
     topo = "http://geni-orca.renci.org/owl/topology.owl#"
     got = query_bgp(m, [(Iri(rnc + "Server/A"), Iri(topo + "hasInterface"), Var("i"))])
     assert got == [{"i": Iri(rnc + "Server/A/f1/ethernet")}]
+
+
+def test_entail_with_closed_base_matches_naive_fixpoint():
+    # each random document split into a pre-closed base plus the rest: the
+    # base's triples are not re-processed, and the closure must not change
+    rng = random.Random(0xC105ED)
+    for round_no in range(100):
+        m = random_schema_model(rng)
+        expected = naive_entail(m)
+        for split in range(3):
+            base, rest = Model(), Model()
+            for t in m:
+                (base if rng.random() < 0.5 else rest).add(t)
+            closed_base = entail(base)
+            got = entail(merge([closed_base, rest]), closed=closed_base)
+            assert set(got) == expected, f"round {round_no}, split {split}"

@@ -1,7 +1,7 @@
 import pytest
 
 from netslice import vocab
-from netslice.embed import embed_request, prepare_domain
+from netslice.actors import World
 from netslice.graphstore import (
     Iri,
     Model,
@@ -202,16 +202,27 @@ def test_parse_request_missing_term_rejected():
         parse_request(_closed(raw))
 
 
+def test_parse_request_term_past_date_range_rejected():
+    text = (FIXTURES / "request-pair.ndl").read_text()
+    late = text.replace("2026-01-01T00:00:00Z", "9999-12-31T23:00:00Z")
+    with pytest.raises(RequestError, match="term"):
+        parse_request(_closed(parse_document(late)))
+
+
 # -- manifests -----------------------------------------------------------------------
 
 
+def _embedded(substrate_text, slice_id):
+    """(request, plan) of the pair request provisioned on one substrate."""
+    world = World()
+    world.add_substrate(substrate_text)
+    assert world.submit_request(slice_id, (FIXTURES / "request-pair.ndl").read_text())
+    record = world.controller.slices[slice_id]
+    return record.request, record.plan
+
+
 def _embedded_pair():
-    state = prepare_domain(_load("renci.ndl"))
-    raw = _load("request-pair.ndl")
-    req = parse_request(_closed(raw), source=raw)
-    delegation = build_delegation(state.substrate)
-    plan = embed_request(req, [delegation], {state.substrate.domain: state}, "demo1")
-    return req, plan
+    return _embedded((FIXTURES / "renci.ndl").read_text(), "demo1")
 
 
 def test_build_manifest_contains_request_and_links_back():
@@ -268,11 +279,8 @@ def test_homeomorphic_fails_on_rewired_vm():
 
 
 def test_homeomorphic_isomorphic_case_trivial_path():
-    # both VMs land on one host: the provisioned link has no hops at all
-    state = prepare_domain(_load("renci.ndl"))
-    raw = _load("request-pair.ndl")
-    req = parse_request(_closed(raw), source=raw)
-    # collapse the substrate to a single 2-unit host
+    # both VMs land on one host: the provisioned link has no hops at all;
+    # the substrate is a single 2-unit host
     text = (
         "@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .\n"
         "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
@@ -287,9 +295,7 @@ def test_homeomorphic_isomorphic_case_trivial_path():
         "t:host comp:provisions comp:VM .\n"
         't:host comp:availableUnits "2"^^xsd:integer .\n'
     )
-    solo = prepare_domain(parse_document(text))
-    delegation = build_delegation(solo.substrate)
-    plan = embed_request(req, [delegation], {solo.substrate.domain: solo}, "solo1")
+    req, plan = _embedded(text, "solo1")
     manifest = build_manifest(req, plan)
     assert manifest.typed(vocab.PATH_HOP) == []
     assert check_homeomorphic(req, manifest)

@@ -20,9 +20,11 @@ from netslice.graphstore import (
 from netslice.vocab import (
     AdaptationSpec,
     builtin_schema,
+    close,
     entailed_schema,
     parse_label_set,
     render_label_set,
+    satisfies,
     validate_conformance,
 )
 
@@ -158,3 +160,21 @@ def test_removing_triples_never_creates_domain_violations():
         reduced.remove(drop)
         for issue in _conformance_of(reduced):
             assert issue.kind != "domain-violation"
+
+
+def test_close_serializes_like_entailing_the_schema_merge():
+    paths = sorted(FIXTURES.glob("*.ndl")) + sorted((FIXTURES / "golden").glob("*.ndl"))
+    docs = [parse_document(p.read_text()) for p in paths]
+    for path, doc in zip(paths, docs):
+        expected = serialize_document(entail(merge([builtin_schema(), doc])))
+        assert serialize_document(close(doc)) == expected, path.name
+    expected = serialize_document(entail(merge([builtin_schema(), *docs])))
+    assert serialize_document(close(*docs)) == expected
+
+
+def test_satisfies_follows_subclass_closure():
+    schema = entailed_schema()
+    assert satisfies(schema, vocab.VM, vocab.VM)
+    assert satisfies(schema, vocab.VM, vocab.COMPUTE_ELEMENT)
+    assert not satisfies(schema, vocab.VM, vocab.BARE_METAL_CE)
+    assert not satisfies(schema, vocab.COMPUTE_ELEMENT, vocab.VM)
