@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -44,7 +44,9 @@ from .models import (
     check_homeomorphic,
     parse_delegation,
     parse_request,
+    parse_substrate,
     render_datetime,
+    residual_of,
 )
 from .vocab import builtin_schema, close, satisfies, validate_conformance
 
@@ -78,6 +80,17 @@ class SliceError(Exception):
         return f"{self.step}: {self.detail}"
 
 
+def _drop_frames(error: BaseException) -> None:
+    """Clear the tracebacks along a handled error's cause and context chain:
+    a slice record keeps its failure, and the frames would hold the World."""
+    pending = [error]
+    while pending:
+        e = pending.pop()
+        if e is not None and e.__traceback__ is not None:
+            e.__traceback__ = None
+            pending += (e.__cause__, e.__context__)
+
+
 class VirtualClock:
     def __init__(self, now: Optional[datetime] = None):
         self.now = now or datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -97,12 +110,6 @@ class Ticket:
     border_allocs: list  # (iface, bandwidth, label or None)
     segments: list  # (branch key, index, DomainHop, from_node, to_node, layer, bandwidth)
     term: Term
-
-    def units(self) -> dict:
-        out: dict = {}
-        for _, cls in self.placements:
-            out[cls] = out.get(cls, 0) + 1
-        return out
 
 
 @dataclass
@@ -153,10 +160,7 @@ class AggregateManager:
 
     def delegate(self) -> str:
         """Serialized delegation of the current residual substrate."""
-        from .models import parse_substrate
-
-        current = parse_substrate(self.state.model)
-        return serialize_document(build_delegation(current))
+        return serialize_document(build_delegation(parse_substrate(self.state.snapshot())))
 
     def _host_candidates(self, requested_class: Iri) -> list:
         """Pools able to provision the class, first-fit order. Subclass
@@ -256,7 +260,7 @@ class AggregateManager:
         )
 
     def serialized_state(self) -> str:
-        return serialize_document(self.state.model)
+        return serialize_document(self.state.snapshot())
 
 
 class Broker:
@@ -264,71 +268,59 @@ class Broker:
 
     def __init__(self, broker_id: str = "broker"):
         self.broker_id = broker_id
-        self.delegations: dict[Iri, Model] = {}
-        self.ledgers: dict[Iri, embed_mod.DomainState] = {}
+        self.ledgers: dict[Iri, DomainState] = {}  # delegation residual, by domain
         self.views: dict[Iri, DelegationView] = {}
         self.tickets: dict[str, Ticket] = {}
         self._ticket_counter = 0
+        self._routing: Optional[Model] = None  # closed merge of the ledger models
 
     def register_delegation(self, text: str) -> Iri:
-        raw = parse_document(text)
-        closed = close(raw)
-        view = parse_delegation(closed)
+        """Register (or replace) a domain's delegation. A replacement takes
+        over the outstanding tickets' ops, and is rejected when it cannot
+        hold them or drops a figure one of them draws on."""
+        closed = close(parse_document(text))
+        residual = residual_of(closed)
+        view = parse_delegation(closed, residual)
         domain = view.domain
-        outstanding = self._outstanding(domain)
-        if outstanding and not self._covers(view, outstanding):
-            raise DelegationRejected(
-                f"{domain.value}: re-delegation below outstanding commitments"
-            )
-        ledger = _DelegationLedger(view, closed)
-        if outstanding:
+        ledger = DomainState(None, closed, residual)
+        prior = self.ledgers.get(domain)
+        outstanding = prior.active if prior is not None else {}
+        for token in sorted(outstanding):
+            ops = outstanding[token]
             try:
-                ledger.replay(self.ledgers[domain])
+                lost = [op for op in ops if op[:2] not in residual]
+                if lost:
+                    raise OverAllocation(f"{lost[0][1].value}: no {lost[0][0]} figure delegated")
+                ledger.apply_ops(token, ops)
             except OverAllocation as e:
-                raise DelegationRejected(f"{domain.value}: {e}") from e
-        self.delegations[domain] = closed
+                raise DelegationRejected(
+                    f"{domain.value}: re-delegation below outstanding commitments: {e}"
+                ) from e
         self.ledgers[domain] = ledger
         self.views[domain] = view
+        self._routing = None
         return domain
 
-    def _outstanding(self, domain: Iri) -> dict:
-        ledger = self.ledgers.get(domain)
-        return dict(ledger.active) if ledger is not None else {}
-
-    def _covers(self, view: DelegationView, outstanding: dict) -> bool:
-        needed_units: dict = {}
-        needed_bw: dict = {}
-        needed_labels: dict = {}
-        for ops in outstanding.values():
-            for op in ops:
-                if op[0] == "units":
-                    needed_units[op[1]] = needed_units.get(op[1], 0) + op[2]
-                elif op[0] == "bw":
-                    needed_bw[op[1]] = needed_bw.get(op[1], 0) + op[2]
-                elif op[0] == "label":
-                    needed_labels.setdefault(op[1], set()).add(op[2])
-        pools = {view.pool_nodes.get(cls): units for cls, units in view.units.items()}
-        for node, units in needed_units.items():
-            if pools.get(node, 0) < units:
-                return False
-        borders = {b.iri: b for b in view.borders}
-        for iface, bw in needed_bw.items():
-            if iface not in borders or borders[iface].bandwidth < bw:
-                return False
-        for iface, labels in needed_labels.items():
-            if iface not in borders or not labels <= borders[iface].label_pool:
-                return False
-        return True
-
     def routing_view(self) -> Optional[Model]:
-        if not self.delegations:
-            return None
-        return close(*(self.ledgers[d].model for d in sorted(self.delegations, key=lambda d: d.value)))
+        """Closed merge of the registered delegations, rebuilt only after a
+        registration. Shared: callers must not mutate it."""
+        if self._routing is None and self.ledgers:
+            self._routing = close(
+                *(self.ledgers[d].model for d in sorted(self.ledgers, key=lambda d: d.value))
+            )
+        return self._routing
+
+    def scratch_free(self) -> dict:
+        """A copy of every ledger's free figures, for one create to deduct from."""
+        return {key: v for ledger in self.ledgers.values() for key, v in ledger.free.items()}
 
     def delegation_views(self) -> list:
+        """The registered views, with unit counts net of outstanding tickets."""
         views = []
         for domain in sorted(self.ledgers, key=lambda d: d.value):
-            views.append(parse_delegation(self.ledgers[domain].model))
+            view, used = self.views[domain], self.ledgers[domain].used
+            units = {c: n - used.get(("units", view.pool_nodes[c]), 0) for c, n in view.units.items()}
+            views.append(replace(view, units=units))
         return views
 
     def issue_ticket(
@@ -377,50 +369,17 @@ class Broker:
             ledger.release_token(token)
 
     def conservation_problems(self) -> list:
-        problems = []
-        for domain in sorted(self.ledgers, key=lambda d: d.value):
-            problems.extend(
-                f"{domain.value}: {p}" for p in self.ledgers[domain].conservation_problems()
-            )
-        return problems
+        return [
+            f"{domain.value}: {p}"
+            for domain in sorted(self.ledgers, key=lambda d: d.value)
+            for p in self.ledgers[domain].conservation_problems()
+        ]
 
     def serialized_state(self) -> str:
-        parts = []
-        for domain in sorted(self.ledgers, key=lambda d: d.value):
-            parts.append(serialize_document(self.ledgers[domain].model))
-        return "\n".join(parts)
-
-
-class _DelegationLedger(embed_mod.DomainState):
-    """Residual accounting over a delegation model: same triple-rewrite
-    machinery as a substrate state, with originals from the delegation."""
-
-    def __init__(self, view: DelegationView, model: Model):
-        super().__init__(None, model)
-        self._view = view
-
-    def replay(self, prior: "_DelegationLedger") -> None:
-        for token in sorted(prior.active):
-            self.apply_ops(token, list(prior.active[token]))
-
-    def conservation_problems(self) -> list:
-        problems = []
-        for b in self._view.borders:
-            avail = self._read_int(b.iri, embed_mod.AVAILABLE_BANDWIDTH)
-            used = self._read_int(b.iri, embed_mod.IN_USE_BANDWIDTH)
-            if avail + used != b.bandwidth or avail < 0 or used < 0:
-                problems.append(f"border bandwidth {b.iri.value}: {avail}+{used} != {b.bandwidth}")
-            free = self._read_pool(b.iri, embed_mod.AVAILABLE_LABEL_SET)
-            in_use = self._read_pool(b.iri, embed_mod.IN_USE_LABEL_SET)
-            if free | in_use != b.label_pool or free & in_use:
-                problems.append(f"border labels {b.iri.value}: partition broken")
-        for cls in sorted(self._view.units, key=lambda c: c.value):
-            node = self._view.pool_nodes[cls]
-            avail = self._read_int(node, embed_mod.AVAILABLE_UNITS)
-            used = self._read_int(node, embed_mod.IN_USE_UNITS)
-            if avail + used != self._view.units[cls] or avail < 0 or used < 0:
-                problems.append(f"units {node.value}: {avail}+{used} != {self._view.units[cls]}")
-        return problems
+        return "\n".join(
+            serialize_document(self.ledgers[d].snapshot())
+            for d in sorted(self.ledgers, key=lambda d: d.value)
+        )
 
 
 class EventLog:
@@ -473,6 +432,7 @@ class Controller:
                 request,
                 self.broker.delegation_views(),
                 self.broker.routing_view(),
+                self.broker.scratch_free(),
                 record.slice_id,
             )
         except InsufficientResources as e:
@@ -650,35 +610,27 @@ class World:
         return am
 
     def submit_request(self, slice_id: str, request_text: str) -> Optional[str]:
-        self.log(self.controller.controller_id, "slice-request", slice_id, "ok")
+        log = self.controller._log
+        log("slice-request", slice_id, "ok")
         try:
             manifest = self.controller.create_slice(slice_id, request_text, self.ams)
         except SliceError as e:
+            _drop_frames(e)
             for v in e.violations:
-                self.log(
-                    self.controller.controller_id,
-                    "violation",
-                    v.subject.value,
-                    f'"{v.message}"',
-                )
+                log("violation", v.subject.value, f'"{v.message}"')
             for issue in e.issues:
-                self.log(
-                    self.controller.controller_id,
-                    "issue",
-                    issue.subject.value,
-                    f'"{issue.kind}"',
-                )
-            self.log(self.controller.controller_id, "slice-failed", slice_id, f"fail:{e.step}")
-            self.log(self.controller.controller_id, "state", slice_id, "Closed")
+                log("issue", issue.subject.value, f'"{issue.kind}"')
+            log("slice-failed", slice_id, f"fail:{e.step}")
+            log("state", slice_id, "Closed")
             return None
-        self.log(self.controller.controller_id, "manifest", slice_id, "ok")
-        self.log(self.controller.controller_id, "state", slice_id, "Provisioned")
+        log("manifest", slice_id, "ok")
+        log("state", slice_id, "Provisioned")
         return manifest
 
     def delete_slice(self, slice_id: str) -> None:
         self.controller.delete_slice(slice_id, self.ams)
-        self.log(self.controller.controller_id, "delete", slice_id, "ok")
-        self.log(self.controller.controller_id, "state", slice_id, "Closed")
+        self.controller._log("delete", slice_id, "ok")
+        self.controller._log("state", slice_id, "Closed")
 
     def advance_time(self, to: datetime) -> None:
         self.clock.advance(to)
@@ -694,9 +646,7 @@ class World:
     def conservation_problems(self) -> list:
         problems = list(self.broker.conservation_problems())
         for am_id in sorted(self.ams):
-            problems.extend(
-                f"{am_id}: {p}" for p in self.ams[am_id].state.conservation_problems()
-            )
+            problems.extend(f"{am_id}: {p}" for p in self.ams[am_id].state.conservation_problems())
         return problems
 
     def serialized_states(self) -> dict:

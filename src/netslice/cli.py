@@ -49,11 +49,7 @@ class CliInputError(Exception):
 
 def _read_model(path: str) -> Model:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise CliInputError(f"{path}: {e}")
-    try:
-        return parse_document(text)
+        return parse_document(_read_fixture(path))
     except ParseError as e:
         raise CliInputError(f"{path}: {e}")
 
@@ -67,11 +63,7 @@ def _load_rules(paths) -> list:
     out = []
     for path in paths or ():
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
-            raise CliInputError(f"{path}: {e}")
-        try:
-            out.extend(rules_mod.parse_ruleset(text))
+            out.extend(rules_mod.parse_ruleset(_read_fixture(path)))
         except (rules_mod.RuleSyntaxError, rules_mod.UnsafeRule) as e:
             raise CliInputError(f"{path}: {e}")
     return out
@@ -92,14 +84,16 @@ def cmd_validate(args) -> int:
     return EXIT_SEMANTIC if issues or violations else EXIT_OK
 
 
-def cmd_entail(args) -> int:
-    closed = close(*_documents(args.files, args.schema))
-    text = serialize_document(closed)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+def _write_out(text: str, out) -> int:
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def cmd_entail(args) -> int:
+    return _write_out(serialize_document(close(*_documents(args.files, args.schema))), args.out)
 
 
 def _parse_bgp(text: str, prefixes: dict) -> list:
@@ -185,12 +179,7 @@ def cmd_delegate(args) -> int:
         graph = parse_substrate(closed)
     except SubstrateError as e:
         raise CliInputError(str(e))
-    text = serialize_document(build_delegation(graph))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_out(serialize_document(build_delegation(graph)), args.out)
 
 
 def cmd_embed(args) -> int:
@@ -203,7 +192,7 @@ def cmd_embed(args) -> int:
     for path in args.substrates:
         try:
             world.add_substrate(_read_fixture(Path(path)))
-        except (ParseError, SubstrateError) as e:
+        except (ParseError, SubstrateError, ValueError) as e:
             raise CliInputError(f"{path}: {e}")
     manifest = world.submit_request(args.slice_id, _read_fixture(Path(args.request)))
     if manifest is None:
@@ -215,11 +204,7 @@ def cmd_embed(args) -> int:
         else:
             print(f"EMBEDDING FAILED {failure}")
         return EXIT_SEMANTIC
-    if args.out:
-        Path(args.out).write_text(manifest, encoding="utf-8")
-    else:
-        sys.stdout.write(manifest)
-    return EXIT_OK
+    return _write_out(manifest, args.out)
 
 
 # -- scenario runner -------------------------------------------------------------
@@ -343,9 +328,9 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
     return EXIT_SEMANTIC if failures else EXIT_OK
 
 
-def _read_fixture(path: Path) -> str:
+def _read_fixture(path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliInputError(f"{path}: {e}")
 

@@ -11,10 +11,12 @@ flags), routed by `embed_request`, and a provider's detailed substrate
 (devices, switch matrices, adaptations), expanded by `expand_domain_hop`
 when an aggregate manager redeems a ticket.
 
-Residual capacity lives in the model itself: availableBandwidth,
-availableLabelSet and availableUnits triples are rewritten by allocation,
-with matching inUse* facts, so a path search over a model always sees
-current state.
+Residual capacity is typed data, never rewritten triples: a mapping keyed
+like allocation ops, ("bw" | "label" | "units", subject), holds what is
+free. The path search reads one beside the model; a DomainState keeps one
+per domain, and the broker deducts a request's own crossings from a
+scratch copy of its ledgers'. Only `DomainState.snapshot()` writes residual
+figures back into a model, for serializing and delegating.
 """
 
 from __future__ import annotations
@@ -24,32 +26,17 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import vocab
-from .graphstore import (
-    Iri,
-    Literal,
-    Model,
-    Triple,
-    int_value,
-    integer,
-    string,
-)
-from .models import DelegationView, SliceRequest, SubstrateGraph
+from .graphstore import Iri, Literal, Model, Triple, int_value, integer, string
+from .models import RESIDUAL_PROPERTIES, DelegationView, SliceRequest, SubstrateGraph, residual_of
 from .pathquery import Pred, Seq, adjacent, sub_graph
 from .vocab import (
-    AVAILABLE_BANDWIDTH,
-    AVAILABLE_LABEL_SET,
-    AVAILABLE_UNITS,
     AT_LAYER,
-    IN_USE_BANDWIDTH,
-    IN_USE_LABEL_SET,
-    IN_USE_UNITS,
     INTERNALLY_REACHABLE,
     LABEL_TRANSLATOR,
     LAYERS,
     NETWORK_CONNECTION,
     NETWORK_DOMAIN,
     entailed_schema,
-    parse_label_set,
     render_label_set,
 )
 
@@ -197,22 +184,14 @@ def _link_between(m: Model, a: Iri, b: Iri) -> Optional[Iri]:
     return candidates[0] if candidates else None
 
 
-def _carrier_bandwidth(m: Model, carriers) -> int:
-    values = []
-    for c in carriers:
-        v = int_value(m.value(c, AVAILABLE_BANDWIDTH))
-        values.append(v if v is not None else 0)
-    return min(values) if values else 0
+def _carrier_bandwidth(free: dict, carriers) -> int:
+    return min((free.get(("bw", c), 0) for c in carriers), default=0)
 
 
-def _carrier_pool(m: Model, carriers) -> frozenset:
-    pools = []
-    for c in carriers:
-        lit = m.value(c, AVAILABLE_LABEL_SET)
-        pools.append(parse_label_set(lit.lexical) if isinstance(lit, Literal) else frozenset())
-    out = pools[0]
-    for p in pools[1:]:
-        out &= p
+def _carrier_pool(free: dict, carriers) -> frozenset:
+    out = free.get(("label", carriers[0]), frozenset())
+    for c in carriers[1:]:
+        out &= free.get(("label", c), frozenset())
     return out
 
 
@@ -232,7 +211,7 @@ def _segment_of(m: Model, a_iface: Iri, b_iface: Iri, fallback_layer: Iri):
     return (a_iface, b_iface), (layers.pop() if layers else fallback_layer)
 
 
-def _validate_candidate(m: Model, source: Iri, chain: tuple, preq: PathRequest):
+def _validate_candidate(m: Model, free: dict, source: Iri, chain: tuple, preq: PathRequest):
     """Check one candidate path. Returns a PathResult or None."""
     elements = [source] + [w.neighbor for w in chain]
 
@@ -242,7 +221,7 @@ def _validate_candidate(m: Model, source: Iri, chain: tuple, preq: PathRequest):
         carriers, layer = _segment_of(m, a_iface, b_iface, preq.layer)
         if carriers is None:
             return None
-        if _carrier_bandwidth(m, carriers) < preq.bandwidth:
+        if _carrier_bandwidth(free, carriers) < preq.bandwidth:
             return None
         segments.append([a_iface, b_iface, layer, carriers, None])
 
@@ -297,7 +276,7 @@ def _validate_candidate(m: Model, source: Iri, chain: tuple, preq: PathRequest):
     for scope in scopes:
         common = None
         for i in scope:
-            pool = _carrier_pool(m, segments[i][3])
+            pool = _carrier_pool(free, segments[i][3])
             common = pool if common is None else (common & pool)
         if preq.required_label is not None:
             if preq.required_label not in (common or ()):
@@ -323,16 +302,20 @@ def _validate_candidate(m: Model, source: Iri, chain: tuple, preq: PathRequest):
     )
 
 
-def shortest_valid_path(m: Model, preq: PathRequest, limit: int = 10):
+def shortest_valid_path(m: Model, preq: PathRequest, limit: int = 10, free: Optional[dict] = None):
     """Minimal-hop feasible path, or None.
 
     Candidates come out in (hop count, lexicographic) order, each simple
     path once; a failed candidate is skipped and the next one tried. Gives
     up after `limit` failed candidates or when the graph is exhausted.
+    Bandwidth and labels are checked against `free` (see the module
+    docstring), by default the figures m states.
     """
+    if free is None:
+        free = residual_of(m)
     failures = 0
     for chain in _candidate_paths(m, preq.source, preq.dest):
-        result = _validate_candidate(m, preq.source, chain, preq)
+        result = _validate_candidate(m, free, preq.source, chain, preq)
         if result is not None:
             return result
         failures += 1
@@ -344,101 +327,55 @@ def shortest_valid_path(m: Model, preq: PathRequest, limit: int = 10):
 # -- residual state ---------------------------------------------------------------
 
 
-class DomainState:
-    """One domain's substrate plus its live residual state.
+def _literal(kind: str, value) -> Literal:
+    return string(render_label_set(value)) if kind == "label" else integer(value)
 
-    The model is the source of truth; allocation rewrites available* triples
-    and maintains matching inUse* facts so that a released state serializes
-    byte-identically to the original.
+
+class DomainState:
+    """One domain's substrate (or, at the broker, one delegation ledger) plus
+    its residual state.
+
+    The model is the document and is never rewritten. Residual state lives
+    in three mappings keyed like allocation ops: `original` (the figures the
+    document states), `free` and `used` (only entries in use), with
+    free + used == original throughout. `snapshot()` projects them back to
+    triples so that a released state serializes byte-identically to the
+    document.
     """
 
-    def __init__(self, substrate: SubstrateGraph, model: Model):
+    def __init__(self, substrate: Optional[SubstrateGraph], model: Model, original=None):
         self.substrate = substrate
         self.model = model
+        self.original: dict = residual_of(model) if original is None else original
+        self.free: dict = dict(self.original)
+        self.used: dict = {}
         self.active: dict[str, list] = {}  # token -> ops applied under it
         self._address_counter = 0
 
-    # -- low-level triple rewrites
-
-    def _read_int(self, subject: Iri, prop: Iri) -> int:
-        v = int_value(self.model.value(subject, prop))
-        return v if v is not None else 0
-
-    def _write_int(self, subject: Iri, prop: Iri, value: int, keep_zero: bool) -> None:
-        for t in list(self.model.match(s=subject, p=prop)):
-            self.model.remove(t)
-        if value != 0 or keep_zero:
-            self.model.add(Triple(subject, prop, integer(value)))
-
-    def _read_pool(self, subject: Iri, prop: Iri) -> frozenset:
-        lit = self.model.value(subject, prop)
-        return parse_label_set(lit.lexical) if isinstance(lit, Literal) else frozenset()
-
-    def _write_pool(self, subject: Iri, prop: Iri, values: frozenset) -> None:
-        for t in list(self.model.match(s=subject, p=prop)):
-            self.model.remove(t)
-        if values:
-            self.model.add(Triple(subject, prop, string(render_label_set(values))))
-
-    # -- allocation primitives; each applies or raises OverAllocation
-
-    def _apply(self, op) -> None:
-        kind = op[0]
-        if kind == "bw":
-            _, carrier, mbps = op
-            avail = self._read_int(carrier, AVAILABLE_BANDWIDTH)
-            if mbps > avail:
-                raise OverAllocation(
-                    f"{carrier.value}: {mbps} Mbps requested, {avail} available"
-                )
-            self._write_int(carrier, AVAILABLE_BANDWIDTH, avail - mbps, keep_zero=True)
-            self._write_int(
-                carrier, IN_USE_BANDWIDTH, self._read_int(carrier, IN_USE_BANDWIDTH) + mbps,
-                keep_zero=False,
-            )
-        elif kind == "label":
-            _, carrier, label = op
-            avail = self._read_pool(carrier, AVAILABLE_LABEL_SET)
-            if label not in avail:
-                raise OverAllocation(f"{carrier.value}: label {label} not available")
-            self._write_pool(carrier, AVAILABLE_LABEL_SET, avail - {label})
-            self._write_pool(
-                carrier, IN_USE_LABEL_SET, self._read_pool(carrier, IN_USE_LABEL_SET) | {label}
-            )
-        elif kind == "units":
-            _, node, n = op
-            avail = self._read_int(node, AVAILABLE_UNITS)
-            if n > avail:
-                raise OverAllocation(f"{node.value}: {n} units requested, {avail} available")
-            self._write_int(node, AVAILABLE_UNITS, avail - n, keep_zero=True)
-            self._write_int(node, IN_USE_UNITS, self._read_int(node, IN_USE_UNITS) + n, keep_zero=False)
-        else:
+    def _step(self, op, sign: int) -> None:
+        """Apply (sign 1) or revert (sign -1) one op; applying raises
+        OverAllocation when the op does not fit."""
+        kind, subject, amount = op
+        if kind not in RESIDUAL_PROPERTIES:
             raise ValueError(f"unknown op {op!r}")
-
-    def _revert(self, op) -> None:
-        kind = op[0]
-        if kind == "bw":
-            _, carrier, mbps = op
-            self._write_int(
-                carrier, AVAILABLE_BANDWIDTH, self._read_int(carrier, AVAILABLE_BANDWIDTH) + mbps,
-                keep_zero=True,
-            )
-            self._write_int(
-                carrier, IN_USE_BANDWIDTH, self._read_int(carrier, IN_USE_BANDWIDTH) - mbps,
-                keep_zero=False,
-            )
-        elif kind == "label":
-            _, carrier, label = op
-            self._write_pool(
-                carrier, AVAILABLE_LABEL_SET, self._read_pool(carrier, AVAILABLE_LABEL_SET) | {label}
-            )
-            self._write_pool(
-                carrier, IN_USE_LABEL_SET, self._read_pool(carrier, IN_USE_LABEL_SET) - {label}
-            )
-        elif kind == "units":
-            _, node, n = op
-            self._write_int(node, AVAILABLE_UNITS, self._read_int(node, AVAILABLE_UNITS) + n, keep_zero=True)
-            self._write_int(node, IN_USE_UNITS, self._read_int(node, IN_USE_UNITS) - n, keep_zero=False)
+        key = (kind, subject)
+        if kind == "label":
+            free = self.free.get(key, frozenset())
+            if sign > 0 and amount not in free:
+                raise OverAllocation(f"{subject.value}: label {amount} not available")
+            one = frozenset((amount,))
+            used = self.used.get(key, frozenset())
+            free, used = (free - one, used | one) if sign > 0 else (free | one, used - one)
+        else:
+            free, unit = self.free.get(key, 0), "Mbps" if kind == "bw" else "units"
+            if sign > 0 and amount > free:
+                raise OverAllocation(f"{subject.value}: {amount} {unit} requested, {free} available")
+            free, used = free - sign * amount, self.used.get(key, 0) + sign * amount
+        if used:
+            self.free[key], self.used[key] = free, used
+        else:  # all returned: share the document's figure again
+            self.used.pop(key, None)
+            self.free[key] = self.original.get(key, free)
 
     def apply_ops(self, token: str, ops) -> None:
         """Apply an op list atomically under a token; rolls back on failure."""
@@ -446,11 +383,11 @@ class DomainState:
         done = []
         try:
             for op in ops:
-                self._apply(op)
+                self._step(op, 1)
                 done.append(op)
         except OverAllocation:
             for op in reversed(done):
-                self._revert(op)
+                self._step(op, -1)
             if not journal:
                 self.active.pop(token, None)
             raise
@@ -459,9 +396,10 @@ class DomainState:
     def release_token(self, token: str) -> None:
         journal = self.active.pop(token, None)
         if journal is None:
-            raise DoubleRelease(f"{self.substrate.domain.value}: token {token!r} not active")
+            owner = self.substrate.domain.value if self.substrate is not None else "ledger"
+            raise DoubleRelease(f"{owner}: token {token!r} not active")
         for op in reversed(journal):
-            self._revert(op)
+            self._step(op, -1)
 
     def has_token(self, token: str) -> bool:
         return token in self.active
@@ -471,25 +409,46 @@ class DomainState:
         n = self._address_counter
         return f"10.103.{(n >> 8) & 255}.{n & 255}"
 
+    def snapshot(self) -> Model:
+        """The model with the residual written back for every figure in
+        use: available figures (an empty label set dropped) and in-use ones.
+        With nothing in use this is the model itself, which callers must
+        not mutate."""
+        if not self.used:
+            return self.model
+        m = self.model.copy()
+        for (kind, subject), used in self.used.items():
+            available, in_use = RESIDUAL_PROPERTIES[kind]
+            for prop in (available, in_use):
+                for t in list(m.match(s=subject, p=prop)):
+                    m.remove(t)
+            free = self.free[(kind, subject)]
+            if kind != "label" or free:  # an exhausted label set is dropped
+                m.add(Triple(subject, available, _literal(kind, free)))
+            m.add(Triple(subject, in_use, _literal(kind, used)))
+        return m
+
     def conservation_problems(self) -> list:
-        """Violations of residual + in-use == original, empty when sound."""
+        """Violations of free + used == original, empty when sound. A figure
+        out of use whose free entry is still the document's own object holds
+        unless that figure is negative, so only the others are compared."""
         problems = []
-        carriers = [(l.iri, l.capacity, l.label_pool) for l in self.substrate.links]
-        carriers += [(b.iri, b.bandwidth, b.label_pool) for b in self.substrate.borders]
-        for subject, capacity, pool in sorted(carriers, key=lambda c: c[0].value):
-            avail = self._read_int(subject, AVAILABLE_BANDWIDTH)
-            used = self._read_int(subject, IN_USE_BANDWIDTH)
-            if avail + used != capacity or avail < 0 or used < 0:
-                problems.append(f"bandwidth {subject.value}: {avail}+{used} != {capacity}")
-            free = self._read_pool(subject, AVAILABLE_LABEL_SET)
-            in_use = self._read_pool(subject, IN_USE_LABEL_SET)
-            if free | in_use != pool or free & in_use:
-                problems.append(f"labels {subject.value}: partition of {sorted(pool)} broken")
-        for p in sorted(self.substrate.pools, key=lambda p: (p.node.value, p.provides.value)):
-            avail = self._read_int(p.node, AVAILABLE_UNITS)
-            used = self._read_int(p.node, IN_USE_UNITS)
-            if avail + used != p.units or avail < 0 or used < 0:
-                problems.append(f"units {p.node.value}: {avail}+{used} != {p.units}")
+        original = self.original
+        keys = {
+            key for key, free in self.free.items()
+            if free is not original.get(key) or (key[0] != "label" and free < 0)
+        }
+        keys.update(self.used, (key for key in original if key not in self.free))
+        for kind, subject in sorted(keys, key=lambda k: (k[1].value, k[0])):
+            zero = frozenset() if kind == "label" else 0
+            orig, free, used = (
+                d.get((kind, subject), zero) for d in (self.original, self.free, self.used)
+            )
+            if kind == "label":
+                if free | used != orig or free & used:
+                    problems.append(f"labels {subject.value}: partition of {sorted(orig)} broken")
+            elif free + used != orig or free < 0 or used < 0:
+                problems.append(f"{kind} {subject.value}: {free}+{used} != {orig}")
         return problems
 
 
@@ -500,7 +459,8 @@ def prepare_domain(raw: Model, extra_schemas: Sequence[Model] = ()) -> DomainSta
     from .models import parse_substrate
 
     closed = vocab.close(*extra_schemas, raw)
-    return DomainState(parse_substrate(closed), closed)
+    residual = residual_of(closed)
+    return DomainState(parse_substrate(closed, residual), closed, residual)
 
 
 # -- embedding plan ----------------------------------------------------------------
@@ -656,14 +616,16 @@ def embed_request(
     req: SliceRequest,
     views: Sequence[DelegationView],
     routing: Optional[Model],
+    free: dict,
     slice_id: str,
 ) -> EmbeddingPlan:
     """Delegation-level embedding of a validated request: bind every node to
-    a domain, then route every link strand over the broker's routing view.
-    Each strand's crossings are deducted from `routing` as they are taken,
-    so later strands of the request route around them. Hosts and per-domain
-    paths are left to the aggregate managers. Raises InsufficientResources
-    or EmbeddingFailed."""
+    a domain, then route every link strand over the broker's routing view
+    and the delegations' free figures. Each strand's crossings are deducted
+    from `free`, a scratch copy the caller hands over, so later strands of
+    the request route around them. Hosts and per-domain paths are left to
+    the aggregate managers. Raises InsufficientResources or
+    EmbeddingFailed."""
     binding = bind_domains(req, views, schema=routing)
     plan = EmbeddingPlan(slice_id)
     for node in req.nodes:
@@ -674,6 +636,7 @@ def embed_request(
         for member in others:
             branch = route_branch(
                 routing,
+                free,
                 member,
                 plan.placements[root].domain,
                 plan.placements[member].domain,
@@ -683,7 +646,7 @@ def embed_request(
                 link=link.iri,
             )
             for crossing in branch.crossings:
-                deduct_crossing_from_view(routing, crossing)
+                deduct_crossing_from_view(free, crossing)
             realization.branches.append(branch)
         plan.realizations[link.iri] = realization
     return plan
@@ -708,6 +671,7 @@ def link_members(req, link, placements) -> tuple:
 
 def route_branch(
     broker_view: Optional[Model],
+    free: dict,
     to_node: Iri,
     src_domain: Iri,
     dst_domain: Iri,
@@ -723,7 +687,7 @@ def route_branch(
     if broker_view is None:
         raise EmbeddingFailed(link, "no delegations available for inter-domain route")
     route = shortest_valid_path(
-        broker_view, PathRequest(src_domain, dst_domain, layer, bandwidth), limit=limit
+        broker_view, PathRequest(src_domain, dst_domain, layer, bandwidth), limit, free
     )
     if route is None:
         raise EmbeddingFailed(link, "no inter-domain route")
@@ -755,22 +719,15 @@ def border_ops(iface: Iri, bandwidth: int, label: Optional[int]) -> list:
     return ops
 
 
-def deduct_crossing_from_view(view: Model, crossing: BorderCrossing) -> None:
-    """Tentative accounting on a routing view: later strands of the same
-    request must not resell the label or bandwidth this crossing took."""
+def deduct_crossing_from_view(free: dict, crossing: BorderCrossing) -> None:
+    """Tentative accounting on a request's scratch free figures: later
+    strands of the same request must not resell the label or bandwidth this
+    crossing took."""
     for iface in (crossing.iface_a, crossing.iface_b):
-        avail = int_value(view.value(iface, AVAILABLE_BANDWIDTH)) or 0
-        for t in list(view.match(s=iface, p=AVAILABLE_BANDWIDTH)):
-            view.remove(t)
-        view.add(Triple(iface, AVAILABLE_BANDWIDTH, integer(avail - crossing.bandwidth)))
+        free[("bw", iface)] = free.get(("bw", iface), 0) - crossing.bandwidth
         if crossing.label is not None:
-            lit = view.value(iface, AVAILABLE_LABEL_SET)
-            pool = parse_label_set(lit.lexical) if isinstance(lit, Literal) else frozenset()
-            for t in list(view.match(s=iface, p=AVAILABLE_LABEL_SET)):
-                view.remove(t)
-            remaining = pool - {crossing.label}
-            if remaining:
-                view.add(Triple(iface, AVAILABLE_LABEL_SET, string(render_label_set(remaining))))
+            key = ("label", iface)
+            free[key] = free.get(key, frozenset()) - {crossing.label}
 
 
 def expand_domain_hop(
@@ -794,7 +751,8 @@ def expand_domain_hop(
     path = shortest_valid_path(
         state.model,
         PathRequest(entry, exit_, layer, bandwidth, hop.required_label),
-        limit=limit,
+        limit,
+        state.free,
     )
     if path is None:
         raise EmbeddingFailed(

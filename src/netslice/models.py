@@ -21,7 +21,6 @@ from .graphstore import (
     Model,
     RDF_TYPE,
     Triple,
-    XSD_DATETIME,
     int_value,
     integer,
     string,
@@ -51,9 +50,11 @@ from .vocab import (
     ALLOCATED_LABEL,
     HOSTED_ON,
     IN_DOMAIN,
+    IN_USE_BANDWIDTH,
+    IN_USE_LABEL_SET,
+    IN_USE_UNITS,
     INTERFACE_OF,
     INTERNALLY_REACHABLE,
-    INTERVAL,
     LABEL_TRANSLATOR,
     LAYERS,
     LINKED_TO,
@@ -88,6 +89,14 @@ class PlanIncomplete(Exception):
     pass
 
 
+class LabelSetError(ValueError):
+    """A malformed label-set literal, named by the subject that states it."""
+
+    def __init__(self, subject: Iri, lexical: str, reason: str):
+        self.subject = subject
+        super().__init__(f"{subject.value}: unparseable label set {lexical!r}: {reason}")
+
+
 def parse_datetime(lexical: str) -> datetime:
     """Strict ISO 8601 UTC instant: YYYY-MM-DDTHH:MM:SSZ."""
     try:
@@ -101,8 +110,38 @@ def render_datetime(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def datetime_literal(dt: datetime) -> Literal:
-    return Literal(render_datetime(dt), XSD_DATETIME)
+# (available property, in-use property) per allocation op kind
+RESIDUAL_PROPERTIES = {
+    "bw": (AVAILABLE_BANDWIDTH, IN_USE_BANDWIDTH),
+    "label": (AVAILABLE_LABEL_SET, IN_USE_LABEL_SET),
+    "units": (AVAILABLE_UNITS, IN_USE_UNITS),
+}
+
+
+def residual_of(m: Model) -> dict:
+    """The residual figures m states, keyed like allocation ops:
+    ("bw" | "label" | "units", subject) -> int, or frozenset of labels.
+
+    A figure that is not an integer is left out, so it reads as 0. Equal
+    label-set literals share one frozenset. Raises LabelSetError on a
+    malformed label set."""
+    out = {}
+    pools: dict[str, frozenset] = {}
+    for kind, (prop, _) in RESIDUAL_PROPERTIES.items():
+        for subject in dict.fromkeys(t.subject for t in m.match(p=prop)):
+            lit = m.value(subject, prop)
+            if kind != "label":
+                n = int_value(lit)
+                if n is not None:
+                    out[(kind, subject)] = n
+            elif isinstance(lit, Literal):
+                if lit.lexical not in pools:
+                    try:
+                        pools[lit.lexical] = parse_label_set(lit.lexical)
+                    except ValueError as e:
+                        raise LabelSetError(subject, lit.lexical, str(e)) from None
+                out[(kind, subject)] = pools[lit.lexical]
+    return out
 
 
 # -- substrate ------------------------------------------------------------------
@@ -163,8 +202,11 @@ def _interface_owner(m: Model, iface: Iri, candidates: set) -> list:
     return [o for o in m.objects(iface, vocab.INTERFACE_OF) if o in candidates]
 
 
-def parse_substrate(m: Model) -> SubstrateGraph:
-    """Typed view of an entailed, conformance-clean substrate advertisement."""
+def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph:
+    """Typed view of an entailed, conformance-clean substrate advertisement.
+    `residual` is residual_of(m), when the caller already has it."""
+    if residual is None:
+        residual = residual_of(m)
     problems = []
     domains = m.typed(NETWORK_DOMAIN)
     if len(domains) != 1:
@@ -209,10 +251,10 @@ def parse_substrate(m: Model) -> SubstrateGraph:
     for node in sorted({t.subject for t in m.match(p=PROVISIONS)}, key=lambda s: s.value):
         if m.value(node, IN_DOMAIN) != domain:
             continue
-        units = int_value(m.value(node, AVAILABLE_UNITS))
+        units = residual.get(("units", node), 0)
         for cls in m.objects(node, PROVISIONS):
             if isinstance(cls, Iri):
-                pools.append(ComputePool(node=node, provides=cls, units=units or 0))
+                pools.append(ComputePool(node=node, provides=cls, units=units))
     attach_points = device_iris | {p.node for p in pools}
 
     links = []
@@ -240,19 +282,16 @@ def parse_substrate(m: Model) -> SubstrateGraph:
         if not isinstance(layer, Iri):
             problems.append(f"link {link.value} has no atLayer")
             continue
-        capacity = int_value(m.value(link, AVAILABLE_BANDWIDTH))
+        capacity = residual.get(("bw", link))
         if capacity is None or capacity < 0:
             problems.append(f"link {link.value} has no non-negative availableBandwidth")
             capacity = 0
-        pool_lit = m.value(link, AVAILABLE_LABEL_SET)
-        pool = frozenset()
-        if isinstance(pool_lit, Literal):
-            pool = parse_label_set(pool_lit.lexical)
-            spec = LAYERS.get(layer)
-            if spec is not None and spec.pooled:
-                bad = [v for v in pool if not spec.value_in_domain(v)]
-                if bad:
-                    problems.append(f"link {link.value} label pool exceeds layer domain: {bad}")
+        pool = residual.get(("label", link), frozenset())
+        spec = LAYERS.get(layer)
+        if spec is not None and spec.pooled:
+            bad = [v for v in pool if not spec.value_in_domain(v)]
+            if bad:
+                problems.append(f"link {link.value} label pool exceeds layer domain: {bad}")
         links.append(SubstrateLink(link, (a, b), layer, capacity, pool))
     links.sort(key=lambda l: l.iri.value)
 
@@ -271,23 +310,18 @@ def parse_substrate(m: Model) -> SubstrateGraph:
         remotes = [
             r for r in m.objects(bif, LINKED_TO) if isinstance(r, Iri) and r not in local_ifaces
         ]
-        pool_lit = m.value(bif, AVAILABLE_LABEL_SET)
         borders.append(
             BorderInterface(
                 iri=bif,
                 owner=owners[0],
                 layer=layer if isinstance(layer, Iri) else None,
-                bandwidth=int_value(m.value(bif, AVAILABLE_BANDWIDTH)) or 0,
-                label_pool=parse_label_set(pool_lit.lexical)
-                if isinstance(pool_lit, Literal)
-                else frozenset(),
+                bandwidth=residual.get(("bw", bif), 0),
+                label_pool=residual.get(("label", bif), frozenset()),
                 remote=remotes[0] if remotes else None,
             )
         )
     borders.sort(key=lambda b: b.iri.value)
 
-    # Interfaces of devices must not dangle from unknown elements; every
-    # non-border device interface should terminate a link or be spare.
     if problems:
         raise SubstrateError(sorted(problems))
 
@@ -386,14 +420,17 @@ class DelegationView:
     label_translator: bool
 
 
-def parse_delegation(m: Model) -> DelegationView:
+def parse_delegation(m: Model, residual: Optional[dict] = None) -> DelegationView:
+    """Typed view of a closed delegation. `residual` is residual_of(m),
+    when the caller already has it."""
+    if residual is None:
+        residual = residual_of(m)
     domains = m.typed(NETWORK_DOMAIN)
     if len(domains) != 1:
         raise SubstrateError([f"delegation must describe exactly one domain, got {len(domains)}"])
     domain = domains[0]
     borders = []
     for bif in m.objects(domain, HAS_INTERFACE):
-        pool_lit = m.value(bif, AVAILABLE_LABEL_SET)
         layer = m.value(bif, AT_LAYER)
         remotes = [r for r in m.objects(bif, LINKED_TO) if isinstance(r, Iri)]
         borders.append(
@@ -401,10 +438,8 @@ def parse_delegation(m: Model) -> DelegationView:
                 iri=bif,
                 owner=domain,
                 layer=layer if isinstance(layer, Iri) else None,
-                bandwidth=int_value(m.value(bif, AVAILABLE_BANDWIDTH)) or 0,
-                label_pool=parse_label_set(pool_lit.lexical)
-                if isinstance(pool_lit, Literal)
-                else frozenset(),
+                bandwidth=residual.get(("bw", bif), 0),
+                label_pool=residual.get(("label", bif), frozenset()),
                 remote=remotes[0] if remotes else None,
             )
         )
@@ -414,7 +449,7 @@ def parse_delegation(m: Model) -> DelegationView:
     for node in m.subjects(IN_DOMAIN, domain):
         for cls in m.objects(node, PROVISIONS):
             if isinstance(cls, Iri):
-                units[cls] = units.get(cls, 0) + (int_value(m.value(node, AVAILABLE_UNITS)) or 0)
+                units[cls] = units.get(cls, 0) + residual.get(("units", node), 0)
                 pool_nodes[cls] = node
     reachable = set()
     for t in m.match(p=INTERNALLY_REACHABLE):

@@ -30,7 +30,6 @@ from .graphstore import (
     Triple,
     XSD_NS,
     entail,
-    int_value,
     merge,
 )
 
@@ -319,14 +318,18 @@ def satisfies(m: Model, cls: Iri, requested: Iri) -> bool:
 
 
 def parse_label_set(lexical: str) -> frozenset:
+    """Labels of a label-set literal. Raises ValueError on a malformed part
+    or a reversed span."""
     if not lexical:
         return frozenset()
     out = set()
     for part in lexical.split(","):
         part = part.strip()
         if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.update(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"reversed span {part!r}")
+            out.update(range(lo, hi + 1))
         else:
             out.add(int(part))
     return frozenset(out)

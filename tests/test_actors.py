@@ -6,10 +6,10 @@ import pytest
 
 from netslice import vocab
 from netslice.actors import RedeemError, SliceError, World
-from netslice.graphstore import Iri, parse_document
+from netslice.graphstore import Iri, parse_document, serialize_document
 from netslice.models import check_homeomorphic, parse_request
 from netslice.graphstore import entail, merge
-from netslice.vocab import builtin_schema
+from netslice.vocab import builtin_schema, close
 
 from conftest import FIXTURES
 
@@ -65,6 +65,26 @@ def test_world_is_freed_without_the_cycle_collector():
         assert world.submit_request("demo1", _fixture("request-pair.ndl")) is not None
         ref = weakref.ref(world)
         del world
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_world_with_refused_slices_is_freed_without_the_cycle_collector():
+    # a refused slice's record keeps its failure and the failure's cause, but
+    # not the frames that raised them: those hold the World in a cycle
+    gc.disable()
+    try:
+        world = World()
+        world.add_substrate(THREE_UNIT_SUBSTRATE)
+        assert world.submit_request("s1", _two_vm_request("one")) is not None
+        assert world.submit_request("s2", _two_vm_request("two")) is None
+        assert world.submit_request("s3", "not a document {") is None
+        failures = [world.controller.slices[s].failure for s in ("s2", "s3")]
+        assert [f.step for f in failures] == ["Binding", "Validation"]
+        assert failures[1].__cause__ is not None
+        ref = weakref.ref(world)
+        del world, failures
         assert ref() is None
     finally:
         gc.enable()
@@ -305,6 +325,49 @@ def test_rejects_redelegation_below_commitments():
         world.broker.register_delegation(am.delegate())
     world.delete_slice("demo1")
     world.broker.register_delegation(am.delegate())  # fine once released
+
+
+def test_redelegation_dropping_a_ticketed_border_is_rejected():
+    from netslice.actors import DelegationRejected
+    from netslice.models import Term
+
+    world = World()
+    for name in ("ring-a.ndl", "ring-b.ndl", "ring-c.ndl"):
+        world.add_substrate(_fixture(name))
+    am = world.ams["am-1"]
+    to_b = Iri("urn:orca:site:a/Switch/toB")
+    # a zero-bandwidth, unlabelled crossing still commits the interface
+    ticket = world.broker.issue_ticket(
+        "s0", am.domain, [], [(to_b, 0, None)], [], Term(_utc(2026, 1, 1), 3600)
+    )
+    without_b = "".join(
+        line for line in am.delegate().splitlines(keepends=True) if to_b.value not in line
+    )
+    with pytest.raises(DelegationRejected):
+        world.broker.register_delegation(without_b)
+    world.broker.refund(ticket.ticket_id)
+    world.broker.register_delegation(without_b)
+
+
+def test_routing_view_is_kept_until_a_registration():
+    world = World()
+    world.add_substrate(ADVERSARIAL_X)
+    world.add_substrate(
+        ADVERSARIAL_Y.replace('availableLabelSet "200"', 'availableLabelSet "100"')
+    )
+    view = world.broker.routing_view()
+    text = serialize_document(view)
+    assert world.submit_request("ok", _cross_domain_request()) is not None
+    too_wide = _cross_domain_request().replace('req:bandwidth "100"', 'req:bandwidth "9999"')
+    assert world.submit_request("wide", too_wide) is None
+    assert world.broker.routing_view() is view
+    assert serialize_document(view) == text
+    world.add_substrate(_fixture("ring-a.ndl"))
+    rebuilt = world.broker.routing_view()
+    assert rebuilt is not view and rebuilt is world.broker.routing_view()
+    ledgers = world.broker.ledgers
+    assert rebuilt == close(*(ledgers[d].model for d in sorted(ledgers, key=lambda d: d.value)))
+    assert Iri("urn:orca:site:a/Domain") in rebuilt.typed(vocab.NETWORK_DOMAIN)
 
 
 def test_three_delegations_merge_into_ring_graph():

@@ -344,3 +344,20 @@ def test_embed_schema_supplies_provider_extension_class(capsys, tmp_path):
     manifest = parse_document(out)
     gpus = {vm.value for vm in manifest.typed(Iri("urn:provider:gpu#GpuVM"))}
     assert {"urn:orca:slice:g1/vm/0", "urn:orca:slice:g1/vm/1"} <= gpus
+
+
+@pytest.mark.parametrize("lexical", ["160-140", "14x"])
+def test_malformed_label_set_exits_two_naming_the_subject(capsys, tmp_path, lexical):
+    bad = tmp_path / "ring-a.ndl"
+    bad.write_text((FIXTURES / "ring-a.ndl").read_text().replace('"140-160"', f'"{lexical}"'))
+    code, out, err = _run(
+        capsys, "path", bad, "--from", "<urn:orca:site:a/Host>", "--to", "<urn:orca:site:a/Switch>"
+    )
+    assert (code, out) == (2, "")
+    assert "urn:orca:site:a/Switch/toC" in err and "unparseable label set" in err
+    code, out, err = _embed(capsys, tmp_path, PAIR_REQUEST, substrates=(bad,))
+    assert (code, out) == (2, "")
+    assert f"error: {bad}" in err and "urn:orca:site:a/Switch/toC" in err
+    code, out, _ = _run(capsys, "validate", bad)
+    assert code == 1
+    assert f"unparseable label set '{lexical}'" in out

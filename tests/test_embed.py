@@ -5,6 +5,7 @@ import pytest
 from netslice import vocab
 from netslice.actors import World
 from netslice.embed import (
+    DomainState,
     DoubleRelease,
     InsufficientResources,
     OverAllocation,
@@ -15,6 +16,7 @@ from netslice.embed import (
 )
 from netslice.graphstore import (
     Iri,
+    Model,
     RDF_TYPE,
     Triple,
     entail,
@@ -22,7 +24,7 @@ from netslice.graphstore import (
     parse_document,
     serialize_document,
 )
-from netslice.models import build_delegation, parse_delegation, parse_request
+from netslice.models import build_delegation, parse_delegation, parse_request, residual_of
 from netslice.vocab import ETHERNET_ELEMENT, builtin_schema, render_label_set
 
 from conftest import FIXTURES
@@ -331,14 +333,53 @@ def test_over_allocation_on_shared_link():
     assert state.conservation_problems() == []
 
 
+def test_conservation_reports_broken_records():
+    # a figure out of use is skipped only while free holds the document's
+    # own object; every other departure from free + used == original shows
+    text = _mini_substrate([("l0", "a", "b", 1000, {5, 6}), ("l1", "a", "b", 1000, {7})])
+    link, other = Iri("urn:mini/l0"), Iri("urn:mini/l1")
+    corruptions = [
+        lambda s: s.free.__setitem__(("bw", link), 999),
+        lambda s: s.free.__setitem__(("label", link), frozenset({5, 9})),
+        lambda s: s.free.pop(("bw", other)),
+        lambda s: s.used.__setitem__(("bw", link), 10),
+    ]
+    for corrupt in corruptions:
+        state = prepare_domain(parse_document(text))
+        assert state.conservation_problems() == []
+        corrupt(state)
+        assert state.conservation_problems() != []
+    # a ledger's figures are not checked by parse_substrate
+    negative = DomainState(None, parse_document(_mini_substrate([("l0", "a", "b", -1, {5})])))
+    assert negative.conservation_problems() != []
+
+
 def test_failed_op_list_rolls_back_partial_work():
-    text = _mini_substrate([("l0", "a", "b", 1000, {5})])
+    text = _mini_substrate([("l0", "a", "b", 1000, {5, 6})])
     state = prepare_domain(parse_document(text))
-    before = serialize_document(state.model)
     link = Iri("urn:mini/l0")
+    state.apply_ops("p0", [("bw", link, 100), ("label", link, 6)])
+    before = serialize_document(state.snapshot())
     with pytest.raises(OverAllocation):
-        state.apply_ops("p1", [("bw", link, 600), ("label", link, 99)])
-    assert serialize_document(state.model) == before
+        state.apply_ops("p1", [("bw", link, 600), ("label", link, 5), ("label", link, 99)])
+    assert serialize_document(state.snapshot()) == before
+    assert not state.has_token("p1")
+    state.release_token("p0")
+    assert serialize_document(state.snapshot()) == serialize_document(state.model)
+
+
+def test_projection_writes_the_literal_forms_of_allocation():
+    state = prepare_domain(parse_document(_mini_substrate([("l0", "a", "b", 1000, {5})])))
+    link = Iri("urn:mini/l0")
+    state.apply_ops("p", [("bw", link, 1000), ("label", link, 5)])
+    lines = serialize_document(state.snapshot()).splitlines()
+    residual = [l for l in lines if l.startswith("t:l0 ") and ("available" in l or "inUse" in l)]
+    # an exhausted label set is dropped; a zero bandwidth is kept
+    assert residual == [
+        't:l0 topo:availableBandwidth "0"^^xsd:integer .',
+        't:l0 topo:inUseBandwidth "1000"^^xsd:integer .',
+        't:l0 topo:inUseLabelSet "5" .',
+    ]
 
 
 def test_random_plans_keep_conservation():
@@ -351,8 +392,8 @@ def test_random_plans_keep_conservation():
         [(name, *ends, capacities[name], pools[name]) for name, ends in
          [("l0", ("a", "b")), ("l1", ("b", "c")), ("l2", ("a", "c"))]]
     )
+    baseline = serialize_document(prepare_domain(parse_document(text)).model)
     state = prepare_domain(parse_document(text))
-    baseline = serialize_document(state.model)
     expected_bw = dict(capacities)
     expected_pool = {k: set(v) for k, v in pools.items()}
     active = {}
@@ -390,15 +431,54 @@ def test_random_plans_keep_conservation():
                         expected_pool[name].discard(arg)
             except OverAllocation:
                 assert not fits, f"step {step}: engine rejected what bookkeeping allows"
-        # the engine's residual view must match the oracle's books exactly
+        # the engine's residual, read back through its serialized
+        # projection, must match the oracle's books exactly
+        projected = residual_of(parse_document(serialize_document(state.snapshot())))
         for name in capacities:
             link = Iri(f"urn:mini/{name}")
-            assert state._read_int(link, vocab.AVAILABLE_BANDWIDTH) == expected_bw[name]
-            assert state._read_pool(link, vocab.AVAILABLE_LABEL_SET) == expected_pool[name]
+            assert projected[("bw", link)] == expected_bw[name]
+            assert projected.get(("label", link), frozenset()) == expected_pool[name]
         assert state.conservation_problems() == []
     for token in sorted(active):
         state.release_token(token)
-    assert serialize_document(state.model) == baseline
+    assert serialize_document(state.snapshot()) == baseline
+
+
+@pytest.mark.parametrize("fixture", ["renci.ndl", "ring-a.ndl"])
+def test_projection_after_random_ops_and_release_is_the_document(fixture):
+    text = (FIXTURES / fixture).read_text()
+    document = serialize_document(prepare_domain(parse_document(text)).model)
+    state = prepare_domain(parse_document(text))
+    keys = sorted(state.original, key=lambda k: (k[1].value, k[0]))
+    rng = random.Random(fixture)
+    for step in range(200):
+        if state.active and rng.random() < 0.4:
+            state.release_token(rng.choice(sorted(state.active)))
+        else:
+            ops = []
+            for kind, subject in rng.sample(keys, min(3, len(keys))):
+                original = state.original[(kind, subject)]
+                if kind == "label":
+                    if original:
+                        ops.append((kind, subject, rng.choice(sorted(original))))
+                else:
+                    ops.append((kind, subject, rng.randint(0, max(original, 0) // 3)))
+            try:
+                state.apply_ops(f"t{step}", ops)
+            except OverAllocation:
+                pass
+        assert state.conservation_problems() == []
+        projected = residual_of(parse_document(serialize_document(state.snapshot())))
+        assert projected == {k: v for k, v in state.free.items() if v != frozenset()}
+    for token in sorted(state.active):
+        state.release_token(token)
+    assert state.used == {}
+    assert serialize_document(state.snapshot()) == document
+
+
+def test_double_release_on_a_ledger_is_double_release():
+    with pytest.raises(DoubleRelease):
+        DomainState(None, Model()).release_token("x")
 
 
 # -- full embedding -------------------------------------------------------------------

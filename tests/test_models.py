@@ -11,8 +11,10 @@ from netslice.graphstore import (
     merge,
     parse_document,
     serialize_document,
+    string,
 )
 from netslice.models import (
+    LabelSetError,
     PlanIncomplete,
     RequestError,
     SubstrateError,
@@ -22,6 +24,7 @@ from netslice.models import (
     parse_delegation,
     parse_request,
     parse_substrate,
+    residual_of,
 )
 from netslice.vocab import builtin_schema, validate_conformance
 
@@ -98,6 +101,36 @@ def test_build_delegation_borders_and_units():
         (Iri("urn:orca:site:a/Switch/toB"), Iri("urn:orca:site:a/Switch/toC"))
     )
     assert pair in view.reachable
+
+
+def test_residual_of_reads_the_stated_figures():
+    m = _closed(_load("ring-a.ndl"))
+    residual = residual_of(m)
+    to_b, to_c = Iri("urn:orca:site:a/Switch/toB"), Iri("urn:orca:site:a/Switch/toC")
+    assert residual[("bw", to_b)] == 5000
+    assert residual[("label", to_b)] == frozenset(range(100, 151))
+    assert residual[("label", to_c)] == frozenset(range(140, 161))
+    graph = parse_substrate(m, residual)
+    assert [l.capacity for l in graph.links] == [residual[("bw", l.iri)] for l in graph.links]
+    # a figure that is not an integer is left out, so it reads as 0
+    m.add(Triple(to_c, vocab.AVAILABLE_UNITS, string("many")))
+    assert ("units", to_c) not in residual_of(m)
+
+
+def test_residual_of_shares_equal_label_sets():
+    text = (FIXTURES / "ring-a.ndl").read_text().replace('"140-160"', '"100-150"')
+    residual = residual_of(parse_document(text))
+    to_b = residual[("label", Iri("urn:orca:site:a/Switch/toB"))]
+    assert to_b is residual[("label", Iri("urn:orca:site:a/Switch/toC"))]
+
+
+@pytest.mark.parametrize("lexical", ["160-140", "14x"])
+def test_malformed_label_set_names_its_subject(lexical):
+    text = (FIXTURES / "ring-a.ndl").read_text().replace('"140-160"', f'"{lexical}"')
+    with pytest.raises(LabelSetError, match="urn:orca:site:a/Switch/toC") as err:
+        World().add_substrate(text)
+    assert isinstance(err.value, ValueError)
+    assert err.value.subject == Iri("urn:orca:site:a/Switch/toC")
 
 
 def test_delegation_hides_devices(renci_graph):

@@ -31,6 +31,8 @@ from netslice.vocab import (
 from conftest import FIXTURES
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def test_subclasses_of_classified_compute_element():
@@ -79,6 +81,19 @@ def test_label_set_roundtrip():
     assert render_label_set({9, 2, 3, 4}) == "2-4,9"
     assert render_label_set(parse_label_set("100-110")) == "100-110"
     assert render_label_set([]) == ""
+
+
+@pytest.mark.parametrize("lexical", ["9-3", "5,,6", "2-x", "-4", "1-2-3"])
+def test_label_set_rejects_malformed_literals(lexical):
+    with pytest.raises(ValueError):
+        parse_label_set(lexical)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.frozensets(st.integers(min_value=0, max_value=5000), max_size=60))
+def test_label_set_render_parse_roundtrip(labels):
+    # the residual projection's byte-identity rests on this
+    assert parse_label_set(render_label_set(labels)) == labels
 
 
 def test_adaptation_spec_invariants():
