@@ -32,7 +32,7 @@ from .embed import (
     path_ops,
     prepare_domain,
 )
-from .graphstore import Iri, Model, ParseError, merge, parse_document, serialize_document
+from .graphstore import Iri, Model, ParseError, parse_document, serialize_document
 from .graphstore import entail  # noqa: F401 -- perfbench's tracer test checks this binding
 from .models import (
     DelegationView,
@@ -48,7 +48,7 @@ from .models import (
     render_datetime,
     residual_of,
 )
-from .vocab import builtin_schema, close, satisfies, validate_conformance
+from .vocab import close, satisfies, validate_conformance
 
 
 class UnknownSlice(Exception):
@@ -452,7 +452,7 @@ class Controller:
             raw = parse_document(request_text)
         except ParseError as e:
             raise SliceError("Validation", f"unparseable request: {e}") from e
-        issues = validate_conformance(merge([builtin_schema(), *self.schemas, raw]))
+        issues = validate_conformance(*self.schemas, raw)
         if issues:
             raise SliceError("Validation", f"{len(issues)} conformance issues", issues=issues)
         closed = close(*self.schemas, raw)

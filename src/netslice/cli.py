@@ -21,7 +21,6 @@ from .graphstore import (
     Model,
     ParseError,
     Var,
-    merge,
     parse_document,
     query_bgp,
     render_term,
@@ -36,7 +35,7 @@ from .models import (
     parse_substrate,
 )
 from .pathquery import PathExprError, eval_path, parse_path_expr
-from .vocab import builtin_schema, close, validate_conformance
+from .vocab import close, validate_conformance
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -78,7 +77,7 @@ def _print_findings(issues, violations) -> None:
 
 def cmd_validate(args) -> int:
     docs = _documents(args.files, args.schema)
-    issues = validate_conformance(merge([builtin_schema(), *docs]))
+    issues = validate_conformance(*docs)
     violations = rules_mod.validate(close(*docs), _load_rules(args.rules))
     _print_findings(issues, violations)
     return EXIT_SEMANTIC if issues or violations else EXIT_OK

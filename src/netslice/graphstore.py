@@ -151,21 +151,20 @@ class ClosureBudgetExceeded(Exception):
 
 
 class Model:
-    """A set of triples with a prefix map and SPO/POS/OSP indexes.
+    """A set of triples with a prefix map and SPO/POS indexes.
 
     Set semantics: re-adding a triple is a no-op. Equality compares triple
     sets only; the prefix map is presentation. Mutation happens only through
     add/remove; readers may share a model freely.
     """
 
-    __slots__ = ("prefixes", "_triples", "_spo", "_pos", "_osp")
+    __slots__ = ("prefixes", "_triples", "_spo", "_pos")
 
     def __init__(self, prefixes: Optional[dict] = None):
         self.prefixes: dict[str, str] = dict(prefixes or {})
         self._triples: dict[Triple, None] = {}
         self._spo: dict[Iri, dict[Iri, dict[Term, None]]] = {}
         self._pos: dict[Iri, dict[Term, dict[Iri, None]]] = {}
-        self._osp: dict[Term, dict[Iri, dict[Iri, None]]] = {}
 
     # -- mutation ---------------------------------------------------------
 
@@ -180,7 +179,6 @@ class Model:
         s, p, o = t.subject, t.predicate, t.object
         self._spo.setdefault(s, {}).setdefault(p, {})[o] = None
         self._pos.setdefault(p, {}).setdefault(o, {})[s] = None
-        self._osp.setdefault(o, {}).setdefault(s, {})[p] = None
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -205,11 +203,6 @@ class Model:
             del self._pos[p][o]
             if not self._pos[p]:
                 del self._pos[p]
-        del self._osp[o][s][p]
-        if not self._osp[o][s]:
-            del self._osp[o][s]
-            if not self._osp[o]:
-                del self._osp[o]
         return True
 
     # -- access -----------------------------------------------------------
@@ -253,8 +246,9 @@ class Model:
             for subj in self._pos.get(p, {}).get(o, ()):
                 yield Triple(subj, p, o)
         elif s is not None and o is not None:
-            for pred in self._osp.get(o, {}).get(s, ()):
-                yield Triple(s, pred, o)
+            for pred, objs in self._spo.get(s, {}).items():
+                if o in objs:
+                    yield Triple(s, pred, o)
         elif s is not None:
             for pred, objs in self._spo.get(s, {}).items():
                 for obj in objs:
@@ -264,8 +258,8 @@ class Model:
                 for subj in subjs:
                     yield Triple(subj, p, obj)
         elif o is not None:
-            for subj, preds in self._osp.get(o, {}).items():
-                for pred in preds:
+            for pred, by_object in self._pos.items():
+                for subj in by_object.get(o, ()):
                     yield Triple(subj, pred, o)
         else:
             yield from self._triples
@@ -293,9 +287,9 @@ class Model:
         """An independent copy, index by index: far fewer hashes than re-adding."""
         m = Model(self.prefixes)
         m._triples = dict(self._triples)
-        m._spo, m._pos, m._osp = (
+        m._spo, m._pos = (
             {a: {b: dict(c) for b, c in bs.items()} for a, bs in index.items()}
-            for index in (self._spo, self._pos, self._osp)
+            for index in (self._spo, self._pos)
         )
         return m
 
@@ -507,9 +501,13 @@ def serialize_document(m: Model) -> str:
 
 
 def merge(models: Sequence[Model]) -> Model:
-    """Union of triple sets. Prefix conflicts: the later model wins, with a warning."""
-    out = Model()
-    for m in models:
+    """Union of triple sets. Prefix conflicts: the later model wins, with a warning.
+
+    The result starts as a copy of the first model."""
+    if not models:
+        return Model()
+    out = models[0].copy()
+    for m in models[1:]:
         for name, iri in m.prefixes.items():
             old = out.prefixes.get(name)
             if old is not None and old != iri:
@@ -531,11 +529,13 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
 
     Monotone (result contains m) and idempotent. Raises
     ClosureBudgetExceeded when more than `budget` new triples get derived.
-    `closed` names a part of m that is already a fixpoint: its triples are
-    not re-processed, since every consequence drawn from them alone is in it.
+    With `closed`, a model that is already a fixpoint, the result is the
+    closure of merge([closed, m]): it starts from a copy of `closed` and
+    only m's triples outside it are processed, since every consequence drawn
+    from `closed` alone is in it already. m may or may not contain `closed`.
     """
-    out = m.copy()
-    agenda = deque(out if closed is None else (t for t in out if t not in closed))
+    out = m.copy() if closed is None else merge([closed, m])
+    agenda = deque(out if closed is None else (t for t in m if t not in closed))
     derived = 0
 
     def emit(s: Iri, p: Iri, o: Term) -> None:

@@ -583,6 +583,9 @@ def parse_request(m: Model, source: Optional[Model] = None) -> SliceRequest:
             layer = m.value(element, AT_LAYER)
             if not isinstance(layer, Iri):
                 raise RequestError(f"link {element.value} has no atLayer")
+            bandwidth = int_value(m.value(element, REQUESTED_BANDWIDTH)) or 0
+            if bandwidth < 0:
+                raise RequestError(f"link {element.value} requests negative bandwidth {bandwidth}")
             links.append(
                 RequestLink(
                     iri=element,
@@ -593,7 +596,7 @@ def parse_request(m: Model, source: Optional[Model] = None) -> SliceRequest:
                         )
                     ),
                     layer=layer,
-                    bandwidth=int_value(m.value(element, REQUESTED_BANDWIDTH)) or 0,
+                    bandwidth=bandwidth,
                     broadcast=BROADCAST_CONNECTION in types,
                 )
             )

@@ -253,7 +253,11 @@ def evaluate(m: Model, rules: Sequence[Rule], budget: int = 200_000) -> list:
                         if produced > budget:
                             raise EvaluationBudgetExceeded(produced, budget)
             rows = next_rows
-        rows = _final_builtin_filter(rule, rows)
+        # Builtins are re-checked once all pattern atoms are joined, because a
+        # builtin written before the binding atom must still constrain the
+        # result. By then every builtin variable is bound (_checked).
+        builtins = [a for a in rule.body if isinstance(a, BuiltinAtom)]
+        rows = [b for b in rows if all(_builtin_ok(a, b) for a in builtins)]
         for binding in sorted(
             rows, key=lambda b: tuple(term_key(v) for _, v in sorted(b.items()))
         ):
@@ -278,28 +282,6 @@ def _builtin_ok(atom: BuiltinAtom, binding: dict) -> bool:
     return (left != right) if atom.negated else (left == right)
 
 
-# Builtins are re-checked once all pattern atoms are joined, because a
-# builtin written before the binding atom must still constrain the result.
-
-
-def _final_builtin_filter(rule: Rule, rows):
-    out = []
-    for binding in rows:
-        if all(
-            _ground_builtin(a, binding) for a in rule.body if isinstance(a, BuiltinAtom)
-        ):
-            out.append(binding)
-    return out
-
-
-def _ground_builtin(atom: BuiltinAtom, binding: dict) -> bool:
-    left = binding.get(atom.left.name) if isinstance(atom.left, Var) else atom.left
-    right = binding.get(atom.right.name) if isinstance(atom.right, Var) else atom.right
-    if left is None or right is None:
-        return False
-    return (left != right) if atom.negated else (left == right)
-
-
 # -- built-in ruleset ------------------------------------------------------------
 
 
@@ -320,8 +302,12 @@ violation("Domains in broadcast link can't be repeated", ?X) <-
 """
 
 
+_BUILTIN_RULES = tuple(parse_ruleset(BROADCAST_DOMAIN_RULE))
+
+
 def builtin_ruleset() -> list:
-    return parse_ruleset(BROADCAST_DOMAIN_RULE)
+    """The built-in rules, parsed once at import."""
+    return list(_BUILTIN_RULES)
 
 
 MSG_BROADCAST_TOO_FEW = "Broadcast link must have at least 3 interfaces"
@@ -356,7 +342,7 @@ def structural_violations(m: Model) -> list:
 
 def validate(m: Model, extra_rules: Sequence[Rule] = ()) -> list:
     """Built-in ruleset plus structural checks plus caller-supplied rules."""
-    violations = evaluate(m, builtin_ruleset() + list(extra_rules))
+    violations = evaluate(m, [*_BUILTIN_RULES, *extra_rules])
     violations.extend(structural_violations(m))
     violations.sort(key=lambda v: (v.message, v.subject.value))
     unique = {}

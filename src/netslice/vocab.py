@@ -289,21 +289,17 @@ def builtin_schema() -> Model:
 
 
 @lru_cache(maxsize=1)
-def _entailed_schema_cached() -> Model:
+def entailed_schema() -> Model:
+    """Shared read-only entailed T-box, built once per process. Do not
+    mutate the result."""
     return entail(builtin_schema())
 
 
-def entailed_schema() -> Model:
-    """Shared read-only entailed T-box. Do not mutate the result."""
-    return _entailed_schema_cached()
-
-
 def close(*docs: Model) -> Model:
-    """Entailed closure of the built-in T-box merged with docs. Equal to
-    entailing the merge of builtin_schema() and docs, but the cached closed
-    T-box is not re-entailed."""
-    schema = entailed_schema()
-    return entail(merge([schema, *docs]), closed=schema)
+    """Entailed closure of the built-in T-box merged with docs: equal to
+    entailing merge([builtin_schema(), *docs]), but only the documents' own
+    triples are processed against the cached closed T-box."""
+    return entail(merge(docs), closed=entailed_schema())
 
 
 def satisfies(m: Model, cls: Iri, requested: Iri) -> bool:
@@ -376,37 +372,49 @@ _SCHEMA_PREDICATES = {
 _SCHEMA_TYPES = {OWL_CLASS, OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY}
 
 
-def _asserted_type_closure(m: Model) -> Model:
-    """Closure of m without the domain/range typing rules.
+def _without_domain_range(m: Model) -> Model:
+    out = m.copy()
+    for t in list(out.match(p=RDFS_DOMAIN)) + list(out.match(p=RDFS_RANGE)):
+        out.remove(t)
+    return out
 
-    Entailment's domain/range rules would repair the very type gaps the
-    conformance checker is meant to flag, so typing questions are answered
-    against a closure of asserted types only (subclass, subproperty and
-    inverse rules still apply).
+
+@lru_cache(maxsize=1)
+def _asserted_schema() -> Model:
+    """Closure of the built-in T-box without its domain/range axioms,
+    built once per process. Do not mutate the result."""
+    return entail(_without_domain_range(builtin_schema()))
+
+
+def validate_conformance(*docs: Model) -> list:
+    """Schema conformance issues for documents checked against the
+    built-in T-box, which the documents may or may not include.
+
+    Checks run over the documents' asserted triples. Entailment's
+    domain/range rules would repair the very type gaps the checker is meant
+    to flag, so typing questions consult the closure of the documents
+    without their domain/range axioms, closed onto the cached T-box closure
+    that omits them too (subclass, subproperty and inverse rules still
+    apply). When a property has several declared domains, the first in the
+    merge of the T-box and the documents counts. Issues are data, not
+    errors: instances without a known class, property domain violations,
+    label values outside their layer's domain, and interfaces attached to
+    nothing.
     """
-    stripped = m.copy()
-    for t in list(stripped.match(p=RDFS_DOMAIN)) + list(stripped.match(p=RDFS_RANGE)):
-        stripped.remove(t)
-    return entail(stripped)
-
-
-def validate_conformance(m: Model) -> list:
-    """Schema conformance issues for a model merged with its T-box.
-
-    Checks run over the asserted triples of m; typing questions consult a
-    closure that deliberately omits domain/range inference. Issues are
-    data, not errors: instances without a known class, property domain
-    violations, label values outside their layer's domain, and interfaces
-    attached to nothing.
-    """
-    closed = _asserted_type_closure(m)
+    m = merge(docs)
+    closed = entail(_without_domain_range(m), closed=_asserted_schema())
     issues = []
     known_classes = set(closed.typed(OWL_CLASS))
+    # a merged model's POS index decides which declared domain comes first
+    domains = Model()
+    domains.add_all(entailed_schema().match(p=RDFS_DOMAIN))
+    domains.add_all(m.match(p=RDFS_DOMAIN))
     declared_domains = {}
-    for t in m.match(p=RDFS_DOMAIN):
+    for t in domains.match(p=RDFS_DOMAIN):
         if isinstance(t.object, Iri):
             declared_domains.setdefault(t.subject, t.object)
 
+    # the T-box's own subjects are all schema entities, which are skipped
     subjects = sorted({t.subject for t in m}, key=lambda s: s.value)
     for s in subjects:
         types = closed.types(s)

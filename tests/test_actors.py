@@ -57,6 +57,19 @@ def test_pair_slice_lifecycle():
     assert world.conservation_problems() == []
 
 
+def test_negative_bandwidth_fails_validation_and_holds_nothing():
+    world = _pair_world()
+    before = world.serialized_states()
+    request = _fixture("request-pair.ndl").replace('"1000"', '"-5"')
+    assert world.submit_request("neg1", request) is None
+    record = world.controller.slices["neg1"]
+    assert record.state == "Closed"
+    assert record.failure.step == "Validation"
+    assert "negative bandwidth" in record.failure.detail
+    assert world.serialized_states() == before
+    assert world.conservation_problems() == []
+
+
 def test_world_is_freed_without_the_cycle_collector():
     # a one-shot World must not wait for the cyclic GC to give back its models
     gc.disable()

@@ -271,6 +271,7 @@ def test_embed_malformed_substrate_exits_two(capsys, tmp_path, substrate):
     [
         "<urn:a> <urn:p> .\n",  # unparseable
         PAIR_REQUEST.replace('"3600"^^xsd:integer', '"0"^^xsd:integer'),  # zero-length term
+        PAIR_REQUEST.replace('"1000"^^xsd:integer', '"-5"^^xsd:integer'),  # negative bandwidth
     ],
 )
 def test_embed_bad_request_exits_two(capsys, tmp_path, request_text):

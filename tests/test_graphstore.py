@@ -327,6 +327,7 @@ def test_query_fixture_interface():
 def test_entail_with_closed_base_matches_naive_fixpoint():
     # each random document split into a pre-closed base plus the rest: the
     # base's triples are not re-processed, and the closure must not change
+    # whether or not the entailed model already contains the base
     rng = random.Random(0xC105ED)
     for round_no in range(100):
         m = random_schema_model(rng)
@@ -338,3 +339,5 @@ def test_entail_with_closed_base_matches_naive_fixpoint():
             closed_base = entail(base)
             got = entail(merge([closed_base, rest]), closed=closed_base)
             assert set(got) == expected, f"round {round_no}, split {split}"
+            got = entail(rest, closed=closed_base)
+            assert set(got) == expected, f"round {round_no}, split {split}, base outside"

@@ -1,3 +1,5 @@
+import random
+
 from netslice import vocab
 from netslice.graphstore import (
     Iri,
@@ -29,6 +31,7 @@ from netslice.vocab import (
 )
 
 from conftest import FIXTURES
+from generators import random_schema_model
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +178,74 @@ def test_removing_triples_never_creates_domain_violations():
         reduced.remove(drop)
         for issue in _conformance_of(reduced):
             assert issue.kind != "domain-violation"
+
+
+_HEADER = """\
+@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .
+@prefix eth: <http://geni-orca.renci.org/owl/ethernet.owl#> .
+@prefix mani: <http://geni-orca.renci.org/owl/manifest.owl#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix topo: <http://geni-orca.renci.org/owl/topology.owl#> .
+"""
+
+
+def test_redeclared_builtin_domain_counts_in_merge_order():
+    # Of several domains declared for one property, the first in the merge
+    # of the T-box and the document counts: the one whose class the T-box
+    # declares as a domain earlier, whichever side declared it.
+    doc = parse_document(
+        _HEADER
+        + """\
+topo:hasSwitchMatrix rdfs:domain topo:NetworkElement .
+topo:hasInterface rdfs:domain topo:Device .
+topo:labelValue rdfs:domain comp:ComputeElement .
+<urn:x/vm> rdf:type comp:VM .
+<urn:x/vm> topo:hasSwitchMatrix <urn:x/m> .
+<urn:x/vm> topo:hasInterface <urn:x/vm/if> .
+<urn:x/vm/if> rdf:type topo:Interface .
+<urn:x/vm/if> topo:interfaceOf <urn:x/vm> .
+<urn:x/vlan> rdf:type eth:VLAN .
+<urn:x/vlan> topo:labelValue "7" .
+"""
+    )
+    expected = [
+        "domain-violation urn:x/vlan: labelValue requires ComputeElement, subject types exclude it"
+    ]
+    assert [str(i) for i in validate_conformance(doc)] == expected
+    assert [str(i) for i in _conformance_of(doc)] == expected
+
+
+def test_extension_schema_subclassing_a_builtin_class():
+    schema = parse_document(
+        _HEADER + "<urn:gpu#GpuVM> rdf:type owl:Class .\n<urn:gpu#GpuVM> rdfs:subClassOf comp:VM .\n"
+    )
+    doc = parse_document(
+        _HEADER
+        + """\
+<urn:x/g> rdf:type <urn:gpu#GpuVM> .
+<urn:x/g> comp:diskImage "img" .
+<urn:x/g> mani:hopIndex "1" .
+<urn:x/g> topo:hasInterface <urn:x/g/if> .
+<urn:x/g/if> rdf:type topo:Interface .
+<urn:x/d> rdf:type <urn:gpu#Other> .
+"""
+    )
+    expected = [
+        "domain-violation urn:x/g: hopIndex requires PathHop, subject types exclude it",
+        "untyped-instance urn:x/d: no rdf:type naming a known class",
+    ]
+    assert [str(i) for i in validate_conformance(schema, doc)] == expected
+    assert [str(i) for i in validate_conformance(merge([builtin_schema(), schema, doc]))] == expected
+
+
+def test_conformance_of_documents_matches_the_schema_merge():
+    rng = random.Random(0xC0F0)
+    for round_no in range(40):
+        docs = [random_schema_model(rng) for _ in range(rng.randint(1, 3))]
+        expected = validate_conformance(merge([builtin_schema(), *docs]))
+        assert validate_conformance(*docs) == expected, f"round {round_no}"
 
 
 def test_close_serializes_like_entailing_the_schema_merge():
