@@ -1,9 +1,15 @@
 """Constrained pathfinding and request embedding.
 
-The pathfinder enumerates candidate shortest paths over device-level
-adjacency, validating each against label availability, bandwidth residuals
-and layer adaptation capabilities; a failed candidate is skipped and the
-search continues with the next-shortest.
+The pathfinder yields candidate simple paths over device-level adjacency
+in (hop count, lexicographic hop sequence) order and validates each against
+label availability, bandwidth residuals and layer adaptation capabilities;
+a failed candidate is skipped and the search continues with the next one.
+Each search compiles the adjacency reachable from its source once and
+orders its queue by an A* bound (Hart, Nilsson & Raphael 1968): hops so far
+plus the hop distance still to go. The bound is consistent and a prefix
+sorts before its extensions, so candidates come out in the same order as
+plain best-first enumeration, without expanding prefixes that can no
+longer reach the destination.
 
 The same engine serves both levels of the two-level embedding: the broker's
 abstract delegation graph (domain nodes, border interfaces, reachability
@@ -127,20 +133,54 @@ class PathResult:
 def _candidate_paths(m: Model, source: Iri, dest: Iri):
     """Simple paths from source to dest as HopWitness chains, in order of
     (hop count, lexicographic hop sequence). Parallel links yield distinct
-    candidates."""
-    heap = [(0, (), ())]
+    candidates.
+
+    The device graph reachable from source is compiled once, one
+    `adjacent` call per node, and `togo` holds each node's hop distance to
+    dest, ignoring simplicity. A prefix is queued under (hops so far +
+    togo of its last node, its key); one that can no longer reach dest is
+    dropped. `togo[u] <= 1 + togo[v]` on every step u -> v (the bound is
+    consistent), so an extension's bound is never below its prefix's, and
+    a prefix's key sorts before every extension of it: entries pop in
+    increasing (bound, key) order. A complete path's bound is its hop
+    count, and every prefix of a path to dest is kept, so the paths come
+    out in exactly the order of plain best-first enumeration by (hop
+    count, key), and all of them come out.
+    """
+    steps, todo = {}, [source]
+    while todo:
+        node = todo.pop()
+        if node in steps:
+            continue
+        witnesses = [] if node == dest else adjacent(m, node, DEVICE_ADJACENCY)
+        steps[node] = [((w.neighbor.value, tuple(v.value for v in w.via)), w) for w in witnesses]
+        todo.extend(w.neighbor for w in witnesses)
+    preds = {}
+    for node, out in steps.items():
+        for _, w in out:
+            preds.setdefault(w.neighbor, []).append(node)
+    togo = {dest: 0} if dest in steps else {}
+    queue = list(togo)
+    for node in queue:
+        for p in preds.get(node, ()):
+            if p not in togo:
+                togo[p] = togo[node] + 1
+                queue.append(p)
+    if source not in togo:
+        return
+    heap = [(togo[source], (), ())]
     while heap:
-        length, key, chain = heapq.heappop(heap)
+        _, key, chain = heapq.heappop(heap)
         last = chain[-1].neighbor if chain else source
         if last == dest:
             yield chain
             continue
         visited = {source} | {w.neighbor for w in chain}
-        for w in adjacent(m, last, DEVICE_ADJACENCY):
-            if w.neighbor in visited:
+        for step_key, w in steps[last]:
+            if w.neighbor in visited or w.neighbor not in togo:
                 continue
-            step_key = (w.neighbor.value, tuple(v.value for v in w.via))
-            heapq.heappush(heap, (length + 1, key + (step_key,), chain + (w,)))
+            bound = len(chain) + 1 + togo[w.neighbor]
+            heapq.heappush(heap, (bound, key + (step_key,), chain + (w,)))
 
 
 def _device_layer(m: Model, device: Iri) -> Optional[Iri]:
@@ -311,6 +351,8 @@ def shortest_valid_path(m: Model, preq: PathRequest, limit: int = 10, free: Opti
     Bandwidth and labels are checked against `free` (see the module
     docstring), by default the figures m states.
     """
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
     if free is None:
         free = residual_of(m)
     failures = 0

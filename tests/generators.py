@@ -3,6 +3,10 @@
 Each generated substrate comes in two forms: a plain-python description
 (dicts and tuples, used by the independent oracles) and the semantic model
 the engine actually runs on. The oracle side never reads the model.
+
+`federation_world` builds the ring-with-chords federation of the scale
+criteria: one substrate per domain, bordering its two ring neighbours and
+the domain half-way round.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import random
 
 from netslice import vocab
+from netslice.actors import World
 from netslice.graphstore import (
     Iri,
     Model,
@@ -142,3 +147,82 @@ def random_schema_model(rng: random.Random, base: str = "urn:acc4/") -> Model:
         if rng.random() < 0.2:
             m.add(Triple(x, rng.choice(props), integer(rng.randrange(5))))
     return m
+
+
+def federation_substrate(site, n_hosts, units, neighbors, pool="100-150"):
+    """One domain: n_hosts hosts behind two switches, borders per neighbor."""
+    s = f"urn:fed:{site}/"
+    lines = [
+        "@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .",
+        "@prefix eth: <http://geni-orca.renci.org/owl/ethernet.owl#> .",
+        "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .",
+        f"@prefix s: <{s}> .",
+        "@prefix topo: <http://geni-orca.renci.org/owl/topology.owl#> .",
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .",
+        "s:dom rdf:type topo:NetworkDomain .",
+    ]
+    for sw in ("sw0", "sw1"):
+        lines += [
+            f"s:{sw} rdf:type topo:Device .",
+            f"s:{sw} topo:inDomain s:dom .",
+            f"s:{sw} topo:hasSwitchMatrix s:{sw}/matrix .",
+            f"s:{sw}/matrix rdf:type eth:EthernetNetworkElement .",
+        ]
+    for pair in range(2):
+        lines += [
+            f"s:sw0 topo:hasInterface s:sw0/x{pair} .",
+            f"s:sw1 topo:hasInterface s:sw1/x{pair} .",
+            f"s:sw0/x{pair} rdf:type topo:Interface .",
+            f"s:sw1/x{pair} rdf:type topo:Interface .",
+            f"s:sw0/x{pair} topo:linkedTo s:sw1/x{pair} .",
+            f"s:xlink{pair} rdf:type topo:NetworkConnection .",
+            f"s:xlink{pair} topo:hasEndpoint s:sw0/x{pair} .",
+            f"s:xlink{pair} topo:hasEndpoint s:sw1/x{pair} .",
+            "s:xlink%d topo:atLayer eth:EthernetNetworkElement ." % pair,
+            f's:xlink{pair} topo:availableBandwidth "10000"^^xsd:integer .',
+            f's:xlink{pair} topo:availableLabelSet "100-199" .',
+        ]
+    for h in range(n_hosts):
+        lines += [
+            f"s:host{h} rdf:type topo:Device .",
+            f"s:host{h} topo:inDomain s:dom .",
+            f"s:host{h} comp:provisions comp:VM .",
+            f's:host{h} comp:availableUnits "{units}"^^xsd:integer .',
+        ]
+        for tag, sw in (("a", "sw0"), ("b", "sw1")):  # dual-homed hosts
+            lines += [
+                f"s:host{h} topo:hasInterface s:host{h}/if{tag} .",
+                f"s:host{h}/if{tag} rdf:type topo:Interface .",
+                f"s:host{h}/if{tag} topo:linkedTo s:{sw}/h{h} .",
+                f"s:{sw} topo:hasInterface s:{sw}/h{h} .",
+                f"s:{sw}/h{h} rdf:type topo:Interface .",
+                f"s:hlink{h}{tag} rdf:type topo:NetworkConnection .",
+                f"s:hlink{h}{tag} topo:hasEndpoint s:host{h}/if{tag} .",
+                f"s:hlink{h}{tag} topo:hasEndpoint s:{sw}/h{h} .",
+                f"s:hlink{h}{tag} topo:atLayer eth:EthernetNetworkElement .",
+                f's:hlink{h}{tag} topo:availableBandwidth "10000"^^xsd:integer .',
+                f's:hlink{h}{tag} topo:availableLabelSet "100-199" .',
+            ]
+    for other in neighbors:
+        sw = "sw0"
+        lines += [
+            f"s:{sw} topo:hasInterface s:{sw}/to-{other} .",
+            f"s:{sw}/to-{other} rdf:type topo:BorderInterface .",
+            f"s:{sw}/to-{other} topo:atLayer eth:EthernetNetworkElement .",
+            f's:{sw}/to-{other} topo:availableBandwidth "5000"^^xsd:integer .',
+            f's:{sw}/to-{other} topo:availableLabelSet "{pool}" .',
+            f"s:{sw}/to-{other} topo:linkedTo <urn:fed:{other}/sw0/to-{site}> .",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def federation_world(n_domains, n_hosts, units):
+    world = World()
+    sites = [f"d{i:02d}" for i in range(n_domains)]
+    for i, site in enumerate(sites):
+        neighbors = [sites[(i - 1) % n_domains], sites[(i + 1) % n_domains]]
+        chord = sites[(i + n_domains // 2) % n_domains]
+        if chord not in neighbors and chord != site:
+            neighbors.append(chord)
+        world.add_substrate(federation_substrate(site, n_hosts, units, sorted(set(neighbors))))
+    return world, sites

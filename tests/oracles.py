@@ -7,9 +7,11 @@ exhaustive enumeration instead of search. Keep them dumb.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 
+from netslice.embed import DEVICE_ADJACENCY
 from netslice.graphstore import (
     Iri,
     Literal,
@@ -24,6 +26,7 @@ from netslice.graphstore import (
     Var,
     term_key,
 )
+from netslice.pathquery import adjacent
 
 
 def naive_entail(m: Model) -> set:
@@ -266,6 +269,26 @@ def all_rule_matches(m: Model, rule) -> list:
 
     recurse(0, {})
     return results
+
+
+def best_first_simple_paths(m: Model, source: Iri, dest: Iri):
+    """Reference candidate order: every simple path from source to dest as a
+    HopWitness chain, popped best-first by (hop count, lexicographic hop
+    sequence), re-deriving adjacency on every pop. Parallel links yield
+    distinct candidates."""
+    heap = [(0, (), ())]
+    while heap:
+        length, key, chain = heapq.heappop(heap)
+        last = chain[-1].neighbor if chain else source
+        if last == dest:
+            yield chain
+            continue
+        visited = {source} | {w.neighbor for w in chain}
+        for w in adjacent(m, last, DEVICE_ADJACENCY):
+            if w.neighbor in visited:
+                continue
+            step_key = (w.neighbor.value, tuple(v.value for v in w.via))
+            heapq.heappush(heap, (length + 1, key + (step_key,), chain + (w,)))
 
 
 def feasible_simple_paths(instance, source, dest, bandwidth, required_label, request_layer):

@@ -34,6 +34,7 @@ from netslice.vocab import builtin_schema
 
 from conftest import FIXTURES
 from generators import (
+    federation_world,
     instance_device_iri,
     instance_model,
     random_layered_instance,
@@ -161,85 +162,6 @@ def test_criterion_5_datalog_oracle_equivalence():
 # -- randomized federation scenario (criteria 6 and 8) -----------------------------
 
 
-def _federation_substrate(site, n_hosts, units, neighbors, pool="100-150"):
-    """One domain: n_hosts hosts behind two switches, borders per neighbor."""
-    s = f"urn:fed:{site}/"
-    lines = [
-        "@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .",
-        "@prefix eth: <http://geni-orca.renci.org/owl/ethernet.owl#> .",
-        "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .",
-        f"@prefix s: <{s}> .",
-        "@prefix topo: <http://geni-orca.renci.org/owl/topology.owl#> .",
-        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .",
-        "s:dom rdf:type topo:NetworkDomain .",
-    ]
-    for sw in ("sw0", "sw1"):
-        lines += [
-            f"s:{sw} rdf:type topo:Device .",
-            f"s:{sw} topo:inDomain s:dom .",
-            f"s:{sw} topo:hasSwitchMatrix s:{sw}/matrix .",
-            f"s:{sw}/matrix rdf:type eth:EthernetNetworkElement .",
-        ]
-    for pair in range(2):
-        lines += [
-            f"s:sw0 topo:hasInterface s:sw0/x{pair} .",
-            f"s:sw1 topo:hasInterface s:sw1/x{pair} .",
-            f"s:sw0/x{pair} rdf:type topo:Interface .",
-            f"s:sw1/x{pair} rdf:type topo:Interface .",
-            f"s:sw0/x{pair} topo:linkedTo s:sw1/x{pair} .",
-            f"s:xlink{pair} rdf:type topo:NetworkConnection .",
-            f"s:xlink{pair} topo:hasEndpoint s:sw0/x{pair} .",
-            f"s:xlink{pair} topo:hasEndpoint s:sw1/x{pair} .",
-            "s:xlink%d topo:atLayer eth:EthernetNetworkElement ." % pair,
-            f's:xlink{pair} topo:availableBandwidth "10000"^^xsd:integer .',
-            f's:xlink{pair} topo:availableLabelSet "100-199" .',
-        ]
-    for h in range(n_hosts):
-        lines += [
-            f"s:host{h} rdf:type topo:Device .",
-            f"s:host{h} topo:inDomain s:dom .",
-            f"s:host{h} comp:provisions comp:VM .",
-            f's:host{h} comp:availableUnits "{units}"^^xsd:integer .',
-        ]
-        for tag, sw in (("a", "sw0"), ("b", "sw1")):  # dual-homed hosts
-            lines += [
-                f"s:host{h} topo:hasInterface s:host{h}/if{tag} .",
-                f"s:host{h}/if{tag} rdf:type topo:Interface .",
-                f"s:host{h}/if{tag} topo:linkedTo s:{sw}/h{h} .",
-                f"s:{sw} topo:hasInterface s:{sw}/h{h} .",
-                f"s:{sw}/h{h} rdf:type topo:Interface .",
-                f"s:hlink{h}{tag} rdf:type topo:NetworkConnection .",
-                f"s:hlink{h}{tag} topo:hasEndpoint s:host{h}/if{tag} .",
-                f"s:hlink{h}{tag} topo:hasEndpoint s:{sw}/h{h} .",
-                f"s:hlink{h}{tag} topo:atLayer eth:EthernetNetworkElement .",
-                f's:hlink{h}{tag} topo:availableBandwidth "10000"^^xsd:integer .',
-                f's:hlink{h}{tag} topo:availableLabelSet "100-199" .',
-            ]
-    for other in neighbors:
-        sw = "sw0"
-        lines += [
-            f"s:{sw} topo:hasInterface s:{sw}/to-{other} .",
-            f"s:{sw}/to-{other} rdf:type topo:BorderInterface .",
-            f"s:{sw}/to-{other} topo:atLayer eth:EthernetNetworkElement .",
-            f's:{sw}/to-{other} topo:availableBandwidth "5000"^^xsd:integer .',
-            f's:{sw}/to-{other} topo:availableLabelSet "{pool}" .',
-            f"s:{sw}/to-{other} topo:linkedTo <urn:fed:{other}/sw0/to-{site}> .",
-        ]
-    return "\n".join(lines) + "\n"
-
-
-def _federation_world(n_domains, n_hosts, units):
-    world = World()
-    sites = [f"d{i:02d}" for i in range(n_domains)]
-    for i, site in enumerate(sites):
-        neighbors = [sites[(i - 1) % n_domains], sites[(i + 1) % n_domains]]
-        chord = sites[(i + n_domains // 2) % n_domains]
-        if chord not in neighbors and chord != site:
-            neighbors.append(chord)
-        world.add_substrate(_federation_substrate(site, n_hosts, units, sorted(set(neighbors))))
-    return world, sites
-
-
 def _request_text(tag, members, bandwidth=100, broadcast=False, term_begin="2026-01-01T00:00:00Z"):
     """members: list of (node ordinal, site or None)."""
     kind = "topo:BroadcastConnection" if broadcast else "topo:NetworkConnection"
@@ -279,7 +201,7 @@ def test_criterion_6_conservation_and_atomicity():
     from datetime import timedelta
 
     rng = random.Random(0x5EED)
-    world, sites = _federation_world(4, 4, 2)
+    world, sites = federation_world(4, 4, 2)
     active = []
     counter = 0
     events = 0
@@ -354,7 +276,7 @@ def test_criterion_7_scenario_determinism(tmp_path, monkeypatch):
 def test_criterion_8_scale_smoke():
     started = time.monotonic()
     rng = random.Random(0x5CA1E)
-    world, sites = _federation_world(20, 8, 4)
+    world, sites = federation_world(20, 8, 4)
     assert len(world.ams) == 20
     devices = sum(len(am.state.substrate.devices) for am in world.ams.values())
     assert devices == 200

@@ -122,6 +122,25 @@ def test_path_no_path_exits_one(capsys):
     assert "NO PATH" in out
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_path_limit_below_one_exits_two(capsys, limit):
+    code, out, err = _run(
+        capsys,
+        "path",
+        FIXTURES / "renci.ndl",
+        "--from",
+        "<http://geni-orca.renci.org/sites/renci/Server/A>",
+        "--to",
+        "<http://geni-orca.renci.org/sites/renci/Server/B>",
+        "--bandwidth",
+        "1000",
+        "--limit",
+        limit,
+    )
+    assert (code, out) == (2, "")
+    assert "limit must be at least 1" in err
+
+
 def test_path_detours_around_label_exhaustion(capsys):
     # direct a-c border only offers 140-160; label 120 forces the b detour
     code, out, _ = _run(

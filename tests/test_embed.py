@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from netslice import vocab
+from netslice import embed, vocab
 from netslice.actors import World
 from netslice.embed import (
     DomainState,
@@ -25,11 +26,17 @@ from netslice.graphstore import (
     serialize_document,
 )
 from netslice.models import build_delegation, parse_delegation, parse_request, residual_of
+from netslice.pathquery import adjacent
 from netslice.vocab import ETHERNET_ELEMENT, builtin_schema, render_label_set
 
 from conftest import FIXTURES
-from generators import instance_device_iri, instance_model, random_layered_instance
-from oracles import oracle_best_hop_count
+from generators import (
+    federation_world,
+    instance_device_iri,
+    instance_model,
+    random_layered_instance,
+)
+from oracles import best_first_simple_paths, oracle_best_hop_count
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
 
@@ -148,6 +155,13 @@ def test_attempt_limit_returns_none():
     assert shortest_valid_path(state.model, preq, limit=1) is None
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_limit_below_one_is_rejected(renci_state, limit):
+    preq = PathRequest(rnc("Server/A"), rnc("Server/B"), ETHERNET_ELEMENT, 1000)
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        shortest_valid_path(renci_state.model, preq, limit=limit)
+
+
 def _oracle_revalidates(instance, result, source, bandwidth, required):
     """The oracle's own feasibility predicate, applied to the exact path the
     engine returned."""
@@ -199,6 +213,80 @@ def test_pathfinding_matches_exhaustive_oracle():
                 f"round {round_no}: returned path fails independent re-validation"
             )
     assert misses <= 4  # limit-induced misses stay rare
+
+
+def _first_candidates(m, source, dest, n=100):
+    got = list(itertools.islice(embed._candidate_paths(m, source, dest), n))
+    want = list(itertools.islice(best_first_simple_paths(m, source, dest), n))
+    return got, want
+
+
+def test_candidate_order_matches_best_first_reference_on_random_instances():
+    rng = random.Random(0xA57A)
+    with_parallel_links = 0
+    for round_no in range(300):
+        instance = random_layered_instance(rng, max_devices=12, max_links=20)
+        ends = [frozenset(link["ends"]) for link in instance["links"]]
+        with_parallel_links += len(set(ends)) < len(ends)
+        source, dest = rng.sample(sorted(instance["devices"]), 2)
+        got, want = _first_candidates(
+            instance_model(instance), instance_device_iri(source), instance_device_iri(dest)
+        )
+        assert got == want, f"round {round_no}: candidate order differs"
+    assert with_parallel_links >= 100
+
+
+def _domain(site):
+    return Iri(f"urn:fed:{site}/dom")
+
+
+def test_candidate_order_matches_best_first_reference_on_a_federation():
+    world, sites = federation_world(12, 1, 1)
+    view = world.broker.routing_view()
+    compared = 0
+    for a, b in itertools.permutations(sites, 2):
+        got, want = _first_candidates(view, _domain(a), _domain(b))
+        assert got == want, f"{a} -> {b}: candidate order differs"
+        compared += len(got)
+    assert compared > 132 * 10
+
+
+@pytest.fixture(scope="module")
+def wide_ring():
+    world, sites = federation_world(64, 1, 1)
+    return world.broker.routing_view(), [_domain(site) for site in sites]
+
+
+def _count_adjacent(monkeypatch, bound):
+    calls = []
+
+    def counted(m, node, conn):
+        calls.append(node)
+        if len(calls) > bound:
+            raise AssertionError(f"more than {bound} adjacent calls in one search")
+        return adjacent(m, node, conn)
+
+    monkeypatch.setattr(embed, "adjacent", counted)
+    return calls
+
+
+def test_long_route_expands_each_domain_at_most_once(wide_ring, monkeypatch):
+    view, domains = wide_ring
+    calls = _count_adjacent(monkeypatch, len(domains))
+    preq = PathRequest(domains[0], domains[16], ETHERNET_ELEMENT, 100)
+    route = shortest_valid_path(view, preq)
+    assert route is not None and route.hop_count() >= 16
+    assert len(calls) == len(set(calls))
+
+
+def test_unreachable_destination_expands_each_domain_at_most_once(wide_ring, monkeypatch):
+    view, domains = wide_ring
+    island = Iri("urn:fed:island/dom")
+    m = view.copy()
+    m.add(Triple(island, RDF_TYPE, vocab.NETWORK_DOMAIN))
+    calls = _count_adjacent(monkeypatch, len(domains))
+    assert shortest_valid_path(m, PathRequest(domains[0], island, ETHERNET_ELEMENT, 100)) is None
+    assert len(calls) == len(set(calls))
 
 
 # -- domain binding ------------------------------------------------------------------
