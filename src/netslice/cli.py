@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import embed as embed_mod
 from . import rules as rules_mod
-from .actors import World
+from .actors import UnknownSlice, World
 from .graphstore import (
     Literal,
     Model,
@@ -279,7 +279,10 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
     last_slice = None
     for lineno, verb, args in commands:
         if verb == "load-substrate":
-            world.add_substrate(_read_fixture(script.parent / args[0]))
+            try:
+                world.add_substrate(_read_fixture(script.parent / args[0]))
+            except (ParseError, SubstrateError, ValueError) as e:
+                raise ScenarioError(f"line {lineno}: {args[0]}: {e}")
         elif verb == "load-rules":
             text = _read_fixture(script.parent / args[0])
             try:
@@ -290,7 +293,10 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
             last_slice = args[2]
             world.submit_request(args[2], _read_fixture(script.parent / args[0]))
         elif verb == "delete-slice":
-            world.delete_slice(args[0])
+            try:
+                world.delete_slice(args[0])
+            except UnknownSlice:
+                raise ScenarioError(f"line {lineno}: unknown slice {args[0]!r}")
         elif verb == "advance-time":
             try:
                 world.advance_time(parse_datetime(args[0]))

@@ -4,7 +4,10 @@ The pathfinder yields candidate simple paths over device-level adjacency
 in (hop count, lexicographic hop sequence) order and validates each against
 label availability, bandwidth residuals and layer adaptation capabilities;
 a failed candidate is skipped and the search continues with the next one.
-Each search compiles the adjacency reachable from its source once and
+The search reads a topology compiled once per model state and kept on the
+model until its triples change (`Model.derived`): every device's adjacency
+with its step keys, each step's carriers and layer, device layers,
+adaptations, domain and translator flags and internallyReachable pairs. It
 orders its queue by an A* bound (Hart, Nilsson & Raphael 1968): hops so far
 plus the hop distance still to go. The bound is consistent and a prefix
 sorts before its extensions, so candidates come out in the same order as
@@ -29,12 +32,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import vocab
 from .graphstore import Iri, Literal, Model, Triple, int_value, integer, string
 from .models import RESIDUAL_PROPERTIES, DelegationView, SliceRequest, SubstrateGraph, residual_of
-from .pathquery import Pred, Seq, adjacent, sub_graph
+from .pathquery import HopWitness, Pred, Seq, adjacent, sub_graph
 from .vocab import (
     AT_LAYER,
     INTERNALLY_REACHABLE,
@@ -130,39 +133,75 @@ class PathResult:
         return len(self.segments)
 
 
-def _candidate_paths(m: Model, source: Iri, dest: Iri):
-    """Simple paths from source to dest as HopWitness chains, in order of
-    (hop count, lexicographic hop sequence). Parallel links yield distinct
+class _Step(NamedTuple):
+    """One compiled adjacency step: its witness, its place in the candidate
+    order, and the carriers and layer of what it crosses (`_segment_of`)."""
+
+    key: tuple  # (neighbour IRI, via IRIs) as text
+    witness: HopWitness
+    carriers: Optional[tuple]  # None: the crossing layers disagree
+    layer: Optional[Iri]  # None: the request's layer
+
+
+class _Topology(NamedTuple):
+    """What the search reads of a model, derived once per model state by
+    `_compile`. It holds no reference to the model."""
+
+    steps: dict  # node -> [_Step] in key order, for every subject of hasInterface
+    preds: dict  # node -> nodes with a step to it
+    layers: dict  # element -> its switching layer, or None
+    adaptations: frozenset  # (device, {client, server}) with capacity >= 1
+    domains: frozenset
+    translators: frozenset
+    reachable: frozenset  # {a, b} per internallyReachable triple
+
+
+def _compile(m: Model) -> _Topology:
+    """The search topology of m, for `m.derived(_compile)`."""
+    steps, preds = {}, {}
+    for node in dict.fromkeys(t.subject for t in m.match(p=vocab.HAS_INTERFACE)):
+        out = steps[node] = []
+        for w in adjacent(m, node, DEVICE_ADJACENCY):
+            key = (w.neighbor.value, tuple(v.value for v in w.via))
+            out.append(_Step(key, w, *_segment_of(m, *w.via)))
+            preds.setdefault(w.neighbor, []).append(node)
+    adaptations = set()
+    for t in m.match(p=vocab.HAS_ADAPTATION):
+        client = m.value(t.object, vocab.ADAPTATION_CLIENT)
+        server = m.value(t.object, vocab.ADAPTATION_SERVER)
+        cap = int_value(m.value(t.object, vocab.ADAPTATION_CAPACITY)) or 1
+        if isinstance(client, Iri) and isinstance(server, Iri) and cap >= 1:
+            adaptations.add((t.subject, frozenset((client, server))))
+    layers = {node: _device_layer(m, node) for node in (*steps, *preds)}
+    reachable = (frozenset((t.subject, t.object)) for t in m.match(p=INTERNALLY_REACHABLE))
+    return _Topology(
+        steps, preds, layers, frozenset(adaptations), frozenset(m.typed(NETWORK_DOMAIN)),
+        frozenset(m.typed(LABEL_TRANSLATOR)), frozenset(reachable),
+    )
+
+
+def _candidate_paths(topo: _Topology, source: Iri, dest: Iri):
+    """Simple paths from source to dest as _Step chains, in order of (hop
+    count, lexicographic hop sequence). Parallel links yield distinct
     candidates.
 
-    The device graph reachable from source is compiled once, one
-    `adjacent` call per node, and `togo` holds each node's hop distance to
-    dest, ignoring simplicity. A prefix is queued under (hops so far +
-    togo of its last node, its key); one that can no longer reach dest is
-    dropped. `togo[u] <= 1 + togo[v]` on every step u -> v (the bound is
-    consistent), so an extension's bound is never below its prefix's, and
-    a prefix's key sorts before every extension of it: entries pop in
-    increasing (bound, key) order. A complete path's bound is its hop
-    count, and every prefix of a path to dest is kept, so the paths come
-    out in exactly the order of plain best-first enumeration by (hop
-    count, key), and all of them come out.
+    `togo` holds each node's hop distance to dest over the compiled steps,
+    ignoring simplicity, by a reverse BFS. The topology covers the whole
+    model, not just what source reaches, but a shortest walk from a node
+    source reaches stays among such nodes, so their `togo` is the same. A
+    prefix is queued under (hops so far + togo of its last node, its key);
+    one that can no longer reach dest is dropped. `togo[u] <= 1 + togo[v]`
+    on every step u -> v (the bound is consistent), so an extension's bound
+    is never below its prefix's, and a prefix's key sorts before every
+    extension of it: entries pop in increasing (bound, key) order. A
+    complete path's bound is its hop count, and every prefix of a path to
+    dest is kept, so the paths come out in exactly the order of plain
+    best-first enumeration by (hop count, key), and all of them come out.
     """
-    steps, todo = {}, [source]
-    while todo:
-        node = todo.pop()
-        if node in steps:
-            continue
-        witnesses = [] if node == dest else adjacent(m, node, DEVICE_ADJACENCY)
-        steps[node] = [((w.neighbor.value, tuple(v.value for v in w.via)), w) for w in witnesses]
-        todo.extend(w.neighbor for w in witnesses)
-    preds = {}
-    for node, out in steps.items():
-        for _, w in out:
-            preds.setdefault(w.neighbor, []).append(node)
-    togo = {dest: 0} if dest in steps else {}
-    queue = list(togo)
+    togo = {dest: 0}
+    queue = [dest]
     for node in queue:
-        for p in preds.get(node, ()):
+        for p in topo.preds.get(node, ()):
             if p not in togo:
                 togo[p] = togo[node] + 1
                 queue.append(p)
@@ -171,16 +210,17 @@ def _candidate_paths(m: Model, source: Iri, dest: Iri):
     heap = [(togo[source], (), ())]
     while heap:
         _, key, chain = heapq.heappop(heap)
-        last = chain[-1].neighbor if chain else source
+        last = chain[-1].witness.neighbor if chain else source
         if last == dest:
             yield chain
             continue
-        visited = {source} | {w.neighbor for w in chain}
-        for step_key, w in steps[last]:
-            if w.neighbor in visited or w.neighbor not in togo:
+        visited = {source} | {s.witness.neighbor for s in chain}
+        for step in topo.steps[last]:
+            neighbor = step.witness.neighbor
+            if neighbor in visited or neighbor not in togo:
                 continue
-            bound = len(chain) + 1 + togo[w.neighbor]
-            heapq.heappush(heap, (bound, key + (step_key,), chain + (w,)))
+            bound = len(chain) + 1 + togo[neighbor]
+            heapq.heappush(heap, (bound, key + (step.key,), chain + (step,)))
 
 
 def _device_layer(m: Model, device: Iri) -> Optional[Iri]:
@@ -195,75 +235,37 @@ def _device_layer(m: Model, device: Iri) -> Optional[Iri]:
     return None
 
 
-def _device_adaptations(m: Model, device: Iri) -> list:
-    specs = []
-    for a in m.objects(device, vocab.HAS_ADAPTATION):
-        if not isinstance(a, Iri):
-            continue
-        client = m.value(a, vocab.ADAPTATION_CLIENT)
-        server = m.value(a, vocab.ADAPTATION_SERVER)
-        cap = int_value(m.value(a, vocab.ADAPTATION_CAPACITY)) or 1
-        if isinstance(client, Iri) and isinstance(server, Iri):
-            specs.append((client, server, cap))
-    return specs
-
-
-def _has_adaptation(m: Model, device: Iri, layer_a: Iri, layer_b: Iri) -> bool:
-    for client, server, cap in _device_adaptations(m, device):
-        if {client, server} == {layer_a, layer_b} and cap >= 1:
-            return True
-    return False
-
-
-def _link_between(m: Model, a: Iri, b: Iri) -> Optional[Iri]:
-    candidates = [
-        link
-        for link in m.subjects(vocab.HAS_ENDPOINT, a)
-        if NETWORK_CONNECTION in m.types(link) and b in m.objects(link, vocab.HAS_ENDPOINT)
-    ]
-    return candidates[0] if candidates else None
-
-
 def _carrier_bandwidth(free: dict, carriers) -> int:
     return min((free.get(("bw", c), 0) for c in carriers), default=0)
 
 
 def _carrier_pool(free: dict, carriers) -> frozenset:
-    out = free.get(("label", carriers[0]), frozenset())
-    for c in carriers[1:]:
-        out &= free.get(("label", c), frozenset())
-    return out
+    return frozenset.intersection(*(free.get(("label", c), frozenset()) for c in carriers))
 
 
-def _segment_of(m: Model, a_iface: Iri, b_iface: Iri, fallback_layer: Iri):
-    """Resolve the resource carriers and layer for one interface pair."""
-    link = _link_between(m, a_iface, b_iface)
-    if link is not None:
-        layer = m.value(link, AT_LAYER)
-        return (link,), layer if isinstance(layer, Iri) else fallback_layer
-    layers = set()
-    for iface in (a_iface, b_iface):
-        lv = m.value(iface, AT_LAYER)
-        if isinstance(lv, Iri):
-            layers.add(lv)
+def _segment_of(m: Model, a_iface: Iri, b_iface: Iri):
+    """The resource carriers and layer of one interface pair: (None, None)
+    when the crossing layers disagree, a None layer when none is stated."""
+    for link in m.subjects(vocab.HAS_ENDPOINT, a_iface):
+        if NETWORK_CONNECTION in m.types(link) and b_iface in m.objects(link, vocab.HAS_ENDPOINT):
+            layer = m.value(link, AT_LAYER)
+            return (link,), layer if isinstance(layer, Iri) else None
+    layers = {lv for lv in (m.value(i, AT_LAYER) for i in (a_iface, b_iface)) if isinstance(lv, Iri)}
     if len(layers) > 1:
         return None, None  # disagreeing crossing layers: unusable
-    return (a_iface, b_iface), (layers.pop() if layers else fallback_layer)
+    return (a_iface, b_iface), (layers.pop() if layers else None)
 
 
-def _validate_candidate(m: Model, free: dict, source: Iri, chain: tuple, preq: PathRequest):
+def _validate_candidate(topo: _Topology, free: dict, source: Iri, chain: tuple, preq: PathRequest):
     """Check one candidate path. Returns a PathResult or None."""
-    elements = [source] + [w.neighbor for w in chain]
+    witnesses = [s.witness for s in chain]
+    elements = [source] + [w.neighbor for w in witnesses]
 
     segments = []
-    for w in chain:
-        a_iface, b_iface = w.via
-        carriers, layer = _segment_of(m, a_iface, b_iface, preq.layer)
-        if carriers is None:
+    for step in chain:
+        if step.carriers is None or _carrier_bandwidth(free, step.carriers) < preq.bandwidth:
             return None
-        if _carrier_bandwidth(free, carriers) < preq.bandwidth:
-            return None
-        segments.append([a_iface, b_iface, layer, carriers, None])
+        segments.append([*step.witness.via, step.layer or preq.layer, step.carriers, None])
 
     # layer transitions: at every element boundary, the two incident layers
     # must either agree or be bridged by an adaptation on that element.
@@ -275,23 +277,18 @@ def _validate_candidate(m: Model, free: dict, source: Iri, chain: tuple, preq: P
     )
     for i, element in enumerate(elements):
         lin, lout = boundary_layers[i]
-        is_domain = NETWORK_DOMAIN in m.types(element)
+        is_domain = element in topo.domains
         intermediate = 0 < i < len(elements) - 1
         if lin != lout:
-            if is_domain or not _has_adaptation(m, element, lin, lout):
+            if is_domain or (element, frozenset((lin, lout))) not in topo.adaptations:
                 return None
         elif intermediate:
             if is_domain:
-                in_if = chain[i - 1].via[1]
-                out_if = chain[i].via[0]
-                if (
-                    Triple(in_if, INTERNALLY_REACHABLE, out_if) not in m
-                    and Triple(out_if, INTERNALLY_REACHABLE, in_if) not in m
-                ):
+                crossing = frozenset((witnesses[i - 1].via[1], witnesses[i].via[0]))
+                if crossing not in topo.reachable:
                     return None
-            else:
-                if _device_layer(m, element) != lin:
-                    return None
+            elif topo.layers[element] != lin:
+                return None
 
     # label continuity: maximal runs of same-layer pooled segments, split
     # where a translator-capable element sits between two segments.
@@ -307,7 +304,7 @@ def _validate_candidate(m: Model, free: dict, source: Iri, chain: tuple, preq: P
             continue
         if current:
             joint = elements[i]  # element between segment i-1 and i
-            if LABEL_TRANSLATOR in m.types(joint) or segments[current[-1]][2] != seg[2]:
+            if joint in topo.translators or segments[current[-1]][2] != seg[2]:
                 scopes.append(current)
                 current = []
         current.append(i)
@@ -331,14 +328,14 @@ def _validate_candidate(m: Model, free: dict, source: Iri, chain: tuple, preq: P
 
     hops = []
     for i, element in enumerate(elements):
-        ingress = chain[i - 1].via[1] if i > 0 else None
-        egress = chain[i].via[0] if i < len(chain) else None
-        hops.append(PathHop(element, ingress, egress, _device_layer(m, element)))
+        ingress = witnesses[i - 1].via[1] if i > 0 else None
+        egress = witnesses[i].via[0] if i < len(chain) else None
+        hops.append(PathHop(element, ingress, egress, topo.layers[element]))
     return PathResult(
         hops=tuple(hops),
         segments=tuple(PathSegment(*seg) for seg in segments),
         consumed_bandwidth=preq.bandwidth,
-        internal_elements=tuple(sub_graph(m, list(chain))),
+        internal_elements=tuple(sub_graph(witnesses)),
     )
 
 
@@ -355,9 +352,10 @@ def shortest_valid_path(m: Model, preq: PathRequest, limit: int = 10, free: Opti
         raise ValueError("limit must be at least 1")
     if free is None:
         free = residual_of(m)
+    topo = m.derived(_compile)
     failures = 0
-    for chain in _candidate_paths(m, preq.source, preq.dest):
-        result = _validate_candidate(m, free, preq.source, chain, preq)
+    for chain in _candidate_paths(topo, preq.source, preq.dest):
+        result = _validate_candidate(topo, free, preq.source, chain, preq)
         if result is not None:
             return result
         failures += 1
@@ -640,6 +638,7 @@ def _required_labels_per_domain(route: PathResult, broker_view: Model):
     """For each domain hop of an inter-domain route, the label its internal
     expansion must carry (None when the domain translates labels or the
     crossings are unlabelled)."""
+    translators = broker_view.derived(_compile).translators
     required = []
     for i, hop in enumerate(route.hops):
         labels = set()
@@ -647,7 +646,7 @@ def _required_labels_per_domain(route: PathResult, broker_view: Model):
             labels.add(route.segments[i - 1].label)
         if i < len(route.segments) and route.segments[i].label is not None:
             labels.add(route.segments[i].label)
-        if LABEL_TRANSLATOR in broker_view.types(hop.element) or not labels:
+        if hop.element in translators or not labels:
             required.append(None)
         else:
             required.append(min(labels))

@@ -155,16 +155,18 @@ class Model:
 
     Set semantics: re-adding a triple is a no-op. Equality compares triple
     sets only; the prefix map is presentation. Mutation happens only through
-    add/remove; readers may share a model freely.
+    add/remove; readers may share a model freely, and what they derive from
+    it through `derived` is kept until its triples change.
     """
 
-    __slots__ = ("prefixes", "_triples", "_spo", "_pos")
+    __slots__ = ("prefixes", "_triples", "_spo", "_pos", "_derived")
 
     def __init__(self, prefixes: Optional[dict] = None):
         self.prefixes: dict[str, str] = dict(prefixes or {})
         self._triples: dict[Triple, None] = {}
         self._spo: dict[Iri, dict[Iri, dict[Term, None]]] = {}
         self._pos: dict[Iri, dict[Term, dict[Iri, None]]] = {}
+        self._derived: dict = {}  # build function -> build(self)
 
     # -- mutation ---------------------------------------------------------
 
@@ -175,6 +177,7 @@ class Model:
         """Insert a triple. Returns False if it was already present."""
         if t in self._triples:
             return False
+        self._derived.clear()
         self._triples[t] = None
         s, p, o = t.subject, t.predicate, t.object
         self._spo.setdefault(s, {}).setdefault(p, {})[o] = None
@@ -191,6 +194,7 @@ class Model:
     def remove(self, t: Triple) -> bool:
         if t not in self._triples:
             return False
+        self._derived.clear()
         del self._triples[t]
         s, p, o = t.subject, t.predicate, t.object
         del self._spo[s][p][o]
@@ -283,8 +287,16 @@ class Model:
     def types(self, s: Iri) -> set:
         return {o for o in self._spo.get(s, {}).get(RDF_TYPE, ()) if isinstance(o, Iri)}
 
+    def derived(self, build):
+        """`build(self)`, kept until `add` or `remove` changes the triples.
+        The result must not refer back to the model (no reference cycle)."""
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
+
     def copy(self) -> "Model":
-        """An independent copy, index by index: far fewer hashes than re-adding."""
+        """An independent copy, index by index: far fewer hashes than re-adding.
+        Nothing derived is shared: the copy derives afresh."""
         m = Model(self.prefixes)
         m._triples = dict(self._triples)
         m._spo, m._pos = (

@@ -410,14 +410,12 @@ def _connected(adjacency, a, b) -> bool:
 
 @dataclass(frozen=True)
 class DelegationView:
-    """Typed view of one registered delegation."""
+    """What binding and ticketing read of one registered delegation. The
+    broker routes over the closed delegation models themselves."""
 
     domain: Iri
-    borders: tuple  # BorderInterface, owner == domain
     units: dict  # compute class -> available units
     pool_nodes: dict  # compute class -> pool node IRI
-    reachable: frozenset  # frozenset pairs of border interface IRIs
-    label_translator: bool
 
 
 def parse_delegation(m: Model, residual: Optional[dict] = None) -> DelegationView:
@@ -429,21 +427,6 @@ def parse_delegation(m: Model, residual: Optional[dict] = None) -> DelegationVie
     if len(domains) != 1:
         raise SubstrateError([f"delegation must describe exactly one domain, got {len(domains)}"])
     domain = domains[0]
-    borders = []
-    for bif in m.objects(domain, HAS_INTERFACE):
-        layer = m.value(bif, AT_LAYER)
-        remotes = [r for r in m.objects(bif, LINKED_TO) if isinstance(r, Iri)]
-        borders.append(
-            BorderInterface(
-                iri=bif,
-                owner=domain,
-                layer=layer if isinstance(layer, Iri) else None,
-                bandwidth=residual.get(("bw", bif), 0),
-                label_pool=residual.get(("label", bif), frozenset()),
-                remote=remotes[0] if remotes else None,
-            )
-        )
-    borders.sort(key=lambda b: b.iri.value)
     units = {}
     pool_nodes = {}
     for node in m.subjects(IN_DOMAIN, domain):
@@ -451,18 +434,7 @@ def parse_delegation(m: Model, residual: Optional[dict] = None) -> DelegationVie
             if isinstance(cls, Iri):
                 units[cls] = units.get(cls, 0) + residual.get(("units", node), 0)
                 pool_nodes[cls] = node
-    reachable = set()
-    for t in m.match(p=INTERNALLY_REACHABLE):
-        if isinstance(t.object, Iri):
-            reachable.add(frozenset((t.subject, t.object)))
-    return DelegationView(
-        domain=domain,
-        borders=tuple(borders),
-        units=units,
-        pool_nodes=pool_nodes,
-        reachable=frozenset(reachable),
-        label_translator=LABEL_TRANSLATOR in m.types(domain),
-    )
+    return DelegationView(domain=domain, units=units, pool_nodes=pool_nodes)
 
 
 # -- slice request ----------------------------------------------------------------

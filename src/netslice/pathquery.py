@@ -155,7 +155,7 @@ def adjacent(m: Model, node: Iri, conn: PathExpr) -> list:
     return sorted(witnesses, key=lambda h: (h.neighbor.value, tuple(v.value for v in h.via)))
 
 
-def sub_graph(m: Model, witness_chain: list) -> list:
+def sub_graph(witness_chain: list) -> list:
     """All endpoints and via elements of a contiguous hop chain, in walk
     order, with consecutive duplicates removed."""
     out: list[Iri] = []

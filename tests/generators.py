@@ -27,11 +27,9 @@ from netslice.graphstore import (
     Triple,
     entail,
     integer,
-    merge,
     string,
 )
 from netslice.vocab import (
-    builtin_schema,
     ETHERNET_ELEMENT,
     IP_ELEMENT,
     render_label_set,
@@ -112,7 +110,7 @@ def instance_model(instance) -> Model:
         m.add(Triple(link_iri, vocab.AVAILABLE_BANDWIDTH, integer(link["capacity"])))
         if link["pool"]:
             m.add(Triple(link_iri, vocab.AVAILABLE_LABEL_SET, string(render_label_set(link["pool"]))))
-    return entail(merge([builtin_schema(), m]))
+    return vocab.close(m)
 
 
 def instance_device_iri(name: str) -> Iri:

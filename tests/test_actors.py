@@ -8,8 +8,7 @@ from netslice import vocab
 from netslice.actors import RedeemError, SliceError, World
 from netslice.graphstore import Iri, parse_document, serialize_document
 from netslice.models import check_homeomorphic, parse_request
-from netslice.graphstore import entail, merge
-from netslice.vocab import builtin_schema, close
+from netslice.vocab import close
 
 from conftest import FIXTURES
 
@@ -46,7 +45,7 @@ def test_pair_slice_lifecycle():
         "http://geni-orca.renci.org/sites/renci/Renci/6509"
     )
     raw = parse_document(_fixture("request-pair.ndl"))
-    req = parse_request(entail(merge([builtin_schema(), raw])), source=raw)
+    req = parse_request(close(raw), source=raw)
     for t in raw:
         assert t in manifest
     assert check_homeomorphic(req, manifest)
@@ -125,7 +124,7 @@ def test_broadcast_abc_provisions_star():
     assert manifest_text is not None
     manifest = parse_document(manifest_text)
     raw = parse_document(_fixture("broadcast-good.ndl"))
-    req = parse_request(entail(merge([builtin_schema(), raw])), source=raw)
+    req = parse_request(close(raw), source=raw)
     assert check_homeomorphic(req, manifest)
     assert world.conservation_problems() == []
     world.delete_slice("good1")

@@ -251,6 +251,28 @@ def test_run_bad_script_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_invalid_substrate_exits_two_naming_the_line(tmp_path, capsys):
+    text = (FIXTURES / "renci.ndl").read_text()
+    for link in ("Link/A", "Link/B"):
+        text = text.replace(f"rnc:{link} topo:atLayer eth:EthernetNetworkElement .\n", "")
+    (tmp_path / "bad.ndl").write_text(text)
+    script = tmp_path / "bad.scn"
+    script.write_text("# a substrate whose links state no layer\nload-substrate bad.ndl\n")
+    code, out, err = _run(capsys, "run", script)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2: bad.ndl: ")
+
+
+def test_run_delete_of_unknown_slice_exits_two_naming_the_line(tmp_path, capsys):
+    script = tmp_path / "bad.scn"
+    script.write_text(f"load-substrate {FIXTURES}/renci.ndl\ndelete-slice nosuch\n")
+    code, out, err = _run(capsys, "run", script)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: unknown slice 'nosuch'\n"
+
+
 PAIR_REQUEST = (FIXTURES / "request-pair.ndl").read_text()
 
 

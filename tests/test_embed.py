@@ -20,14 +20,14 @@ from netslice.graphstore import (
     Model,
     RDF_TYPE,
     Triple,
-    entail,
-    merge,
+    integer,
     parse_document,
     serialize_document,
+    string,
 )
 from netslice.models import build_delegation, parse_delegation, parse_request, residual_of
 from netslice.pathquery import adjacent
-from netslice.vocab import ETHERNET_ELEMENT, builtin_schema, render_label_set
+from netslice.vocab import ETHERNET_ELEMENT, render_label_set
 
 from conftest import FIXTURES
 from generators import (
@@ -216,7 +216,8 @@ def test_pathfinding_matches_exhaustive_oracle():
 
 
 def _first_candidates(m, source, dest, n=100):
-    got = list(itertools.islice(embed._candidate_paths(m, source, dest), n))
+    chains = embed._candidate_paths(m.derived(embed._compile), source, dest)
+    got = [tuple(step.witness for step in chain) for chain in itertools.islice(chains, n)]
     want = list(itertools.islice(best_first_simple_paths(m, source, dest), n))
     return got, want
 
@@ -263,7 +264,7 @@ def _count_adjacent(monkeypatch, bound):
     def counted(m, node, conn):
         calls.append(node)
         if len(calls) > bound:
-            raise AssertionError(f"more than {bound} adjacent calls in one search")
+            raise AssertionError(f"more than {bound} adjacent calls in one compile")
         return adjacent(m, node, conn)
 
     monkeypatch.setattr(embed, "adjacent", counted)
@@ -272,11 +273,15 @@ def _count_adjacent(monkeypatch, bound):
 
 def test_long_route_expands_each_domain_at_most_once(wide_ring, monkeypatch):
     view, domains = wide_ring
+    m = view.copy()
     calls = _count_adjacent(monkeypatch, len(domains))
     preq = PathRequest(domains[0], domains[16], ETHERNET_ELEMENT, 100)
-    route = shortest_valid_path(view, preq)
+    route = shortest_valid_path(m, preq)
     assert route is not None and route.hop_count() >= 16
     assert len(calls) == len(set(calls))
+    calls.clear()
+    assert shortest_valid_path(m, preq) == route
+    assert calls == []  # the same model state is compiled once
 
 
 def test_unreachable_destination_expands_each_domain_at_most_once(wide_ring, monkeypatch):
@@ -285,10 +290,48 @@ def test_unreachable_destination_expands_each_domain_at_most_once(wide_ring, mon
     m = view.copy()
     m.add(Triple(island, RDF_TYPE, vocab.NETWORK_DOMAIN))
     calls = _count_adjacent(monkeypatch, len(domains))
-    assert shortest_valid_path(m, PathRequest(domains[0], island, ETHERNET_ELEMENT, 100)) is None
+    preq = PathRequest(domains[0], island, ETHERNET_ELEMENT, 100)
+    assert shortest_valid_path(m, preq) is None
     assert len(calls) == len(set(calls))
+    calls.clear()
+    assert shortest_valid_path(m, preq) is None
+    assert calls == []
 
 
+def _crossing(a: Iri, b: Iri, name: str) -> list:
+    """Triples of one more border crossing between domains a and b, as a
+    closed routing view states it."""
+    ia, ib = Iri(f"{a.value}/{name}"), Iri(f"{b.value}/{name}")
+    triples = [
+        Triple(ia, vocab.LINKED_TO, ib),
+        Triple(ib, vocab.LINKED_TO, ia),
+    ]
+    for domain, iface in ((a, ia), (b, ib)):
+        triples += [
+            Triple(domain, vocab.HAS_INTERFACE, iface),
+            Triple(iface, vocab.INTERFACE_OF, domain),
+            Triple(iface, vocab.AT_LAYER, ETHERNET_ELEMENT),
+            Triple(iface, vocab.AVAILABLE_BANDWIDTH, integer(5000)),
+            Triple(iface, vocab.AVAILABLE_LABEL_SET, string("100-110")),
+        ]
+    return triples
+
+
+def test_compiled_topology_is_dropped_when_the_model_changes(wide_ring):
+    view, domains = wide_ring
+    m = view.copy()
+    preq = PathRequest(domains[0], domains[16], ETHERNET_ELEMENT, 100)
+    assert shortest_valid_path(m, preq).hop_count() >= 16
+    shortcut = _crossing(domains[0], domains[16], "shortcut")
+    branched = m.copy()
+    for t in shortcut:
+        m.add(t)
+    assert shortest_valid_path(m, preq).hop_count() == 1
+    # a copy taken before the shortcut keeps the long route and compiles its own
+    assert shortest_valid_path(branched, preq).hop_count() >= 16
+    assert branched.derived(embed._compile) is not m.derived(embed._compile)
+    m.remove(shortcut[0])
+    assert shortest_valid_path(m, preq).hop_count() >= 16
 # -- domain binding ------------------------------------------------------------------
 
 
@@ -301,7 +344,7 @@ def _delegations_for(*texts):
 
 
 def _view(m):
-    return parse_delegation(entail(merge([builtin_schema(), m])))
+    return parse_delegation(vocab.close(m))
 
 
 def _two_domains(units_a=1, units_b=1, cls="VM"):
@@ -331,7 +374,7 @@ def _two_domains(units_a=1, units_b=1, cls="VM"):
 
 def _pair_request():
     raw = parse_document((FIXTURES / "request-pair.ndl").read_text())
-    closed = entail(merge([builtin_schema(), raw]))
+    closed = vocab.close(raw)
     return parse_request(closed, source=raw)
 
 

@@ -125,6 +125,28 @@ def test_set_semantics_on_re_add():
     assert len(m) == 1
 
 
+def test_derived_is_kept_until_the_triples_change():
+    builds = []
+
+    def count(m):
+        builds.append(len(m))
+        return len(m)
+
+    m = Model()
+    m.add(t("a", "p", "b"))
+    assert m.derived(count) == m.derived(count) == 1
+    assert builds == [1]
+    m.add(t("a", "p", "b"))  # already present: nothing changed
+    assert m.derived(count) == 1 and builds == [1]
+    m.add(t("a", "p", "c"))
+    assert m.derived(count) == 2 and builds == [1, 2]
+    copied = m.copy()
+    m.remove(t("a", "p", "b"))
+    m.remove(t("a", "p", "b"))
+    assert m.derived(count) == 1 and builds == [1, 2, 1]
+    assert copied.derived(count) == 2 and builds == [1, 2, 1, 2]
+
+
 def test_indexes_agree_with_full_rescan():
     rng = random.Random(3)
     m = Model()

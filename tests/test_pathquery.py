@@ -137,12 +137,11 @@ def test_adjacent_parallel_links_yield_two_witnesses():
 
 def test_sub_graph_single_hop():
     w = HopWitness(ex("ServerA"), ex("switch"), (ex("ServerA.if"), ex("switch.if")))
-    m = Model()
-    assert sub_graph(m, [w]) == [ex("ServerA"), ex("ServerA.if"), ex("switch.if"), ex("switch")]
+    assert sub_graph([w]) == [ex("ServerA"), ex("ServerA.if"), ex("switch.if"), ex("switch")]
 
 
 def test_sub_graph_empty_chain():
-    assert sub_graph(Model(), []) == []
+    assert sub_graph([]) == []
 
 
 def test_sub_graph_three_hop_line(line_graph):
@@ -150,7 +149,7 @@ def test_sub_graph_three_hop_line(line_graph):
     for node, nxt in [("a", "b"), ("b", "c"), ("c", "d")]:
         w = [x for x in adjacent(line_graph, ex(node), CONN) if x.neighbor == ex(nxt)]
         chain.extend(w)
-    elements = sub_graph(line_graph, chain)
+    elements = sub_graph(chain)
     assert elements[0] == ex("a")
     assert elements[-1] == ex("d")
     assert len(elements) == 10  # 4 devices + 6 interfaces, no consecutive dups

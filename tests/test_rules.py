@@ -9,8 +9,6 @@ from netslice.graphstore import (
     RDF_TYPE,
     Triple,
     Var,
-    entail,
-    merge,
     parse_document,
 )
 from netslice.rules import (
@@ -28,7 +26,6 @@ from netslice.rules import (
     structural_violations,
     validate,
 )
-from netslice.vocab import builtin_schema
 
 from conftest import FIXTURES
 from oracles import all_rule_matches
@@ -37,7 +34,7 @@ BCAST_MSG = "Domains in broadcast link can't be repeated"
 
 
 def _closed(raw):
-    return entail(merge([builtin_schema(), raw]))
+    return vocab.close(raw)
 
 
 def _load(name):
