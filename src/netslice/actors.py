@@ -32,7 +32,14 @@ from .embed import (
     path_ops,
     prepare_domain,
 )
-from .graphstore import Iri, Model, ParseError, parse_document, serialize_document
+from .graphstore import (
+    ClosureBudgetExceeded,
+    Iri,
+    Model,
+    ParseError,
+    parse_document,
+    serialize_document,
+)
 from .graphstore import entail  # noqa: F401 -- perfbench's tracer test checks this binding
 from .models import (
     DelegationView,
@@ -446,17 +453,21 @@ class Controller:
 
     def _validate(self, record: SliceRecord, request_text: str) -> SliceRequest:
         """Conformance, then rule violations against the closure, then the
-        typed view. Unparseable and malformed requests fail with the parse
-        error as the SliceError's cause."""
+        typed view. Unparseable and malformed requests, and requests whose
+        closure or rule joins exceed their budgets, fail with that error as
+        the SliceError's cause."""
         try:
             raw = parse_document(request_text)
         except ParseError as e:
             raise SliceError("Validation", f"unparseable request: {e}") from e
-        issues = validate_conformance(*self.schemas, raw)
-        if issues:
-            raise SliceError("Validation", f"{len(issues)} conformance issues", issues=issues)
-        closed = close(*self.schemas, raw)
-        violations = rules_mod.validate(closed, self.extra_rules)
+        try:
+            issues = validate_conformance(*self.schemas, raw)
+            if issues:
+                raise SliceError("Validation", f"{len(issues)} conformance issues", issues=issues)
+            closed = close(*self.schemas, raw)
+            violations = rules_mod.validate(closed, self.extra_rules)
+        except (ClosureBudgetExceeded, rules_mod.EvaluationBudgetExceeded) as e:
+            raise SliceError("Validation", str(e)) from e
         if violations:
             raise SliceError(
                 "Validation", f"{len(violations)} rule violations", violations=violations

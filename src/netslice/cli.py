@@ -17,6 +17,7 @@ from . import embed as embed_mod
 from . import rules as rules_mod
 from .actors import UnknownSlice, World
 from .graphstore import (
+    ClosureBudgetExceeded,
     Literal,
     Model,
     ParseError,
@@ -40,6 +41,9 @@ from .vocab import close, validate_conformance
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
+
+# Inputs too large to close or join within their budgets are input errors.
+BUDGET_ERRORS = (ClosureBudgetExceeded, rules_mod.EvaluationBudgetExceeded)
 
 
 class CliInputError(Exception):
@@ -196,7 +200,7 @@ def cmd_embed(args) -> int:
     manifest = world.submit_request(args.slice_id, _read_fixture(Path(args.request)))
     if manifest is None:
         failure = world.controller.slices[args.slice_id].failure
-        if isinstance(failure.__cause__, (ParseError, RequestError, ValueError)):
+        if isinstance(failure.__cause__, (ParseError, RequestError, ValueError, *BUDGET_ERRORS)):
             raise CliInputError(f"{args.request}: {failure.detail}")
         if failure.issues or failure.violations:
             _print_findings(failure.issues, failure.violations)
@@ -408,7 +412,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliInputError, ScenarioError, ParseError, ValueError) as e:
+    except (CliInputError, ScenarioError, ParseError, ValueError, *BUDGET_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

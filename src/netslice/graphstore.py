@@ -4,15 +4,21 @@ basic graph pattern queries, and a fixed forward-chaining entailment profile.
 The document format is deliberately small: ``@prefix`` headers, one triple
 per line, IRIs, CURIEs, and typed literals. Canonical serialization sorts
 prefixes and triples so model files are diffable and byte-stable.
+
+Terms are interned: `Iri` and `Literal` keep one live instance per value in
+a weak table, so every index touch hashes and compares them by identity, and
+a value's entry goes when its last user does. A `Triple` is a named tuple of
+terms, hashed and compared as a tuple.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 log = logging.getLogger(__name__)
 
@@ -27,17 +33,26 @@ _SAFE_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_/.-]*$")
 _PREFIX_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$|^$")
 
 
-@dataclass(frozen=True)
+def _immutable(term, name, *value):
+    raise AttributeError(f"cannot change {name!r} of an interned term")
+
+
 class Iri:
-    """An absolute IRI. Compared by exact byte equality."""
+    """An absolute IRI, interned: one live instance per value, so equality
+    and hashing are identity. Validated once, when the value is first seen."""
 
-    value: str
+    __slots__ = ("value", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if not self.value:
-            raise ValueError("empty IRI")
-        if _WS_RE.search(self.value):
-            raise ValueError(f"IRI contains whitespace: {self.value!r}")
+    def __new__(cls, value: str) -> "Iri":
+        self = _IRIS.get(value)
+        if self is None:
+            if not value:
+                raise ValueError("empty IRI")
+            if _WS_RE.search(value):
+                raise ValueError(f"IRI contains whitespace: {value!r}")
+            self = _IRIS[value] = object.__new__(cls)
+            object.__setattr__(self, "value", value)
+        return self
 
     def local(self) -> str:
         """Fragment or final path segment, for messages and display."""
@@ -50,35 +65,56 @@ class Iri:
     def __repr__(self) -> str:
         return f"<{self.value}>"
 
+    def __reduce__(self):
+        return (Iri, (self.value,))
+
+    __setattr__ = __delattr__ = _immutable
+
+
+# Weak, so that a long-lived process keeps only the terms its models still hold.
+_IRIS: "weakref.WeakValueDictionary[str, Iri]" = weakref.WeakValueDictionary()
+_LITERALS: "weakref.WeakValueDictionary[tuple, Literal]" = weakref.WeakValueDictionary()
 
 XSD_STRING = Iri(XSD_NS + "string")
 XSD_INTEGER = Iri(XSD_NS + "integer")
 XSD_DATETIME = Iri(XSD_NS + "dateTime")
 
 
-@dataclass(frozen=True)
 class Literal:
-    """A literal value: lexical form plus datatype IRI.
+    """A literal value: lexical form plus datatype IRI, interned like Iri on
+    the pair.
 
     Plain quoted strings carry xsd:string. Only xsd:string, xsd:integer and
     xsd:dateTime get interpreted anywhere; other datatypes pass through
     opaquely.
     """
 
-    lexical: str
-    datatype: Iri = XSD_STRING
+    __slots__ = ("lexical", "datatype", "__weakref__")
+
+    def __new__(cls, lexical: str, datatype: Iri = XSD_STRING) -> "Literal":
+        key = (lexical, datatype)
+        self = _LITERALS.get(key)
+        if self is None:
+            self = _LITERALS[key] = object.__new__(cls)
+            object.__setattr__(self, "lexical", lexical)
+            object.__setattr__(self, "datatype", datatype)
+        return self
 
     def __repr__(self) -> str:
         if self.datatype == XSD_STRING:
             return f'"{self.lexical}"'
         return f'"{self.lexical}"^^<{self.datatype.value}>'
 
+    def __reduce__(self):
+        return (Literal, (self.lexical, self.datatype))
+
+    __setattr__ = __delattr__ = _immutable
+
 
 Term = Union[Iri, Literal]
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     subject: Iri
     predicate: Iri
     object: Term
@@ -179,7 +215,7 @@ class Model:
             return False
         self._derived.clear()
         self._triples[t] = None
-        s, p, o = t.subject, t.predicate, t.object
+        s, p, o = t
         self._spo.setdefault(s, {}).setdefault(p, {})[o] = None
         self._pos.setdefault(p, {}).setdefault(o, {})[s] = None
         return True
@@ -499,15 +535,11 @@ def serialize_document(m: Model) -> str:
     parse_document(serialize_document(m)) reproduces m exactly; serializing
     again yields identical bytes.
     """
-    lines = [f"@prefix {name}: <{iri}> ." for name, iri in sorted(m.prefixes.items())]
-    rendered = sorted(
-        (
-            render_term(t.subject, m.prefixes),
-            render_term(t.predicate, m.prefixes),
-            render_term(t.object, m.prefixes),
-        )
-        for t in m
-    )
+    prefixes = m.prefixes
+    lines = [f"@prefix {name}: <{iri}> ." for name, iri in sorted(prefixes.items())]
+    # each distinct term is rendered once
+    text = {term: render_term(term, prefixes) for term in {x for t in m for x in t}}
+    rendered = sorted((text[s], text[p], text[o]) for s, p, o in m)
     lines.extend(f"{s} {p} {o} ." for s, p, o in rendered)
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from netslice import vocab
+from netslice import graphstore, rules, vocab
 from netslice.actors import RedeemError, SliceError, World
 from netslice.graphstore import Iri, parse_document, serialize_document
 from netslice.models import check_homeomorphic, parse_request
@@ -65,6 +65,31 @@ def test_negative_bandwidth_fails_validation_and_holds_nothing():
     assert record.state == "Closed"
     assert record.failure.step == "Validation"
     assert "negative bandwidth" in record.failure.detail
+    assert world.serialized_states() == before
+    assert world.conservation_problems() == []
+
+
+CROSS_JOIN_RULE = 'violation("m", ?X) <- (?X rdf:type ?A), (?Y rdf:type ?B) .'
+
+
+@pytest.mark.parametrize(
+    "budgeted, defaults, extra_rules",
+    [(graphstore.entail, (5, None), ""), (rules.evaluate, (5,), CROSS_JOIN_RULE)],
+    ids=["closure", "rule-join"],
+)
+def test_exceeded_budget_fails_validation_and_holds_nothing(
+    monkeypatch, budgeted, defaults, extra_rules
+):
+    world = _pair_world()
+    world.controller.extra_rules.extend(rules.parse_ruleset(extra_rules))
+    before = world.serialized_states()
+    monkeypatch.setattr(budgeted, "__defaults__", defaults)
+    assert world.submit_request("big1", _fixture("request-pair.ndl")) is None
+    record = world.controller.slices["big1"]
+    assert record.state == "Closed"
+    assert record.failure.step == "Validation"
+    assert "(cap 5)" in record.failure.detail
+    assert world.events[-2].endswith("slice-failed big1 fail:Validation")
     assert world.serialized_states() == before
     assert world.conservation_problems() == []
 

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from netslice import graphstore, rules
 from netslice.cli import main, run_scenario
 
 from conftest import FIXTURES
@@ -403,3 +404,37 @@ def test_malformed_label_set_exits_two_naming_the_subject(capsys, tmp_path, lexi
     code, out, _ = _run(capsys, "validate", bad)
     assert code == 1
     assert f"unparseable label set '{lexical}'" in out
+
+
+_PATH_ARGS = (
+    "path",
+    FIXTURES / "renci.ndl",
+    "--from",
+    "<http://geni-orca.renci.org/sites/renci/Server/A>",
+    "--to",
+    "<http://geni-orca.renci.org/sites/renci/Server/B>",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_PATH_ARGS, ("validate", FIXTURES / "request-pair.ndl"), ("entail", FIXTURES / "renci.ndl")],
+    ids=["path", "validate", "entail"],
+)
+def test_exceeded_closure_budget_exits_two(capsys, monkeypatch, argv):
+    monkeypatch.setattr(graphstore.entail, "__defaults__", (5, None))
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: entailment produced") and "(cap 5)" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("validate",), ("embed", FIXTURES / "renci.ndl", "--request")], ids=["validate", "embed"]
+)
+def test_exceeded_rule_join_budget_exits_two(capsys, monkeypatch, tmp_path, argv):
+    cross_join = tmp_path / "cross.rules"
+    cross_join.write_text('violation("m", ?X) <- (?X rdf:type ?A), (?Y rdf:type ?B) .\n')
+    monkeypatch.setattr(rules.evaluate, "__defaults__", (5,))
+    code, out, err = _run(capsys, *argv, FIXTURES / "request-pair.ndl", "--rules", cross_join)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "rule join produced" in err and "(cap 5)" in err

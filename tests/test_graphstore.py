@@ -1,7 +1,12 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
+from netslice import graphstore
 from netslice.graphstore import (
     ClosureBudgetExceeded,
     Iri,
@@ -33,6 +38,64 @@ def ex(name):
 
 def t(s, p, o):
     return Triple(ex(s), ex(p), o if isinstance(o, Literal) else ex(o))
+
+
+def test_equal_terms_are_one_object():
+    assert Iri(EX + "a") is ex("a")
+    assert Literal("5", XSD_INTEGER) is integer(5)
+    assert Literal("x") is Literal("x", Iri("http://www.w3.org/2001/XMLSchema#string"))
+    assert Literal("5", XSD_INTEGER) is not Literal("5")
+    assert Literal("5", XSD_INTEGER) != Literal("5")
+    assert ex("a") != Literal(EX + "a")
+
+
+def test_terms_are_immutable():
+    a, five = ex("a"), integer(5)
+    with pytest.raises(AttributeError):
+        a.value = EX + "b"
+    with pytest.raises(AttributeError):
+        five.lexical = "6"
+    with pytest.raises(AttributeError):
+        del five.datatype
+    assert (a.value, five.lexical) == (EX + "a", "5")
+
+
+@pytest.mark.parametrize("term", [ex("a"), integer(5), Literal("x y")], ids=repr)
+def test_copies_and_pickles_return_the_interned_term(term):
+    assert copy.copy(term) is term
+    assert copy.deepcopy(term) is term
+    assert pickle.loads(pickle.dumps(term)) is term
+    triple = Triple(ex("s"), ex("p"), term)
+    assert pickle.loads(pickle.dumps(triple)) == triple
+    assert copy.deepcopy(triple).object is term
+
+
+@pytest.mark.parametrize("bad", ["", "urn:a b", "urn:a\tb"])
+def test_invalid_iri_raises_and_is_not_interned(bad):
+    with pytest.raises(ValueError):
+        Iri(bad)
+    assert bad not in graphstore._IRIS
+
+
+def test_unused_terms_leave_the_intern_table():
+    value = EX + f"collectable/{random.random()}"
+    iri_ref = weakref.ref(Iri(value))
+    literal_ref = weakref.ref(Literal(value, ex("type")))
+    gc.collect()
+    assert iri_ref() is None and literal_ref() is None
+    assert value not in graphstore._IRIS
+    assert (value, ex("type")) not in graphstore._LITERALS
+
+
+def test_triples_of_equal_terms_are_equal_and_hash_equal():
+    a = Triple(ex("s"), ex("p"), Literal("5", XSD_INTEGER))
+    b = Triple(Iri(EX + "s"), Iri(EX + "p"), integer(5))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert repr(a) == (
+        'Triple(subject=<urn:ex/s>, predicate=<urn:ex/p>, '
+        'object="5"^^<http://www.w3.org/2001/XMLSchema#integer>)'
+    )
 
 
 def test_parse_single_statement():
