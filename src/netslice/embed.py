@@ -36,7 +36,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import vocab
 from .graphstore import Iri, Literal, Model, Triple, int_value, integer, string
-from .models import RESIDUAL_PROPERTIES, DelegationView, SliceRequest, SubstrateGraph, residual_of
+from .models import (
+    RESIDUAL_PROPERTIES, DelegationView, SliceRequest, SubstrateGraph, parse_substrate, residual_of,
+)
 from .pathquery import HopWitness, Pred, Seq, adjacent, sub_graph
 from .vocab import (
     AT_LAYER,
@@ -496,8 +498,6 @@ def prepare_domain(raw: Model, extra_schemas: Sequence[Model] = ()) -> DomainSta
     """DomainState for a raw substrate document: close it with the schema
     (plus any extension T-boxes) and take the typed view. Conformance
     checking is the caller's business."""
-    from .models import parse_substrate
-
     closed = vocab.close(*extra_schemas, raw)
     residual = residual_of(closed)
     return DomainState(parse_substrate(closed, residual), closed, residual)

@@ -26,7 +26,6 @@ from .graphstore import (
     string,
 )
 from .vocab import (
-    AdaptationSpec,
     AT_LAYER,
     AVAILABLE_BANDWIDTH,
     AVAILABLE_LABEL_SET,
@@ -42,7 +41,6 @@ from .vocab import (
     HAS_BEGINNING,
     HAS_DURATION_SECONDS,
     HAS_INTERFACE,
-    HAS_SWITCH_MATRIX,
     HAS_TERM,
     HOP_DEVICE,
     HOP_INDEX,
@@ -151,9 +149,7 @@ def residual_of(m: Model) -> dict:
 class SubstrateDevice:
     iri: Iri
     interfaces: tuple
-    layer: Optional[Iri]  # switch-matrix layer marker, None for pure hosts
-    adaptations: tuple = ()
-    label_translator: bool = False
+    label_translator: bool
 
 
 @dataclass(frozen=True)
@@ -191,20 +187,27 @@ class SubstrateGraph:
     borders: tuple
     class_axioms: tuple = ()  # subclass triples for provider-defined pool classes
 
-    def device(self, iri: Iri) -> Optional[SubstrateDevice]:
-        for d in self.devices:
-            if d.iri == iri:
-                return d
-        return None
-
 
 def _interface_owner(m: Model, iface: Iri, candidates: set) -> list:
     return [o for o in m.objects(iface, vocab.INTERFACE_OF) if o in candidates]
 
 
+def _pool_problems(kind: str, subject: Iri, layer, pool: frozenset):
+    """The problem of a label pool outside its pooled layer's domain, if any."""
+    spec = LAYERS.get(layer)
+    if spec is not None and spec.pooled and not spec.pool_in_domain(pool):
+        domain = f"{spec.min_label}-{spec.max_label}"
+        yield f"{kind} {subject.value} label pool exceeds layer domain {domain}"
+
+
 def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph:
-    """Typed view of an entailed, conformance-clean substrate advertisement.
-    `residual` is residual_of(m), when the caller already has it."""
+    """Typed view of an entailed substrate advertisement: the domain's
+    devices, links, compute pools and border interfaces. `residual` is
+    residual_of(m), when the caller already has it.
+
+    Raises SubstrateError listing every problem found in the links,
+    borders, label pools and adaptations. Adaptations are checked but not
+    kept: the search reads them, and device layers, from the model."""
     if residual is None:
         residual = residual_of(m)
     problems = []
@@ -214,38 +217,28 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
     domain = domains[0]
 
     devices = []
-    device_iris = set()
     for d in m.typed(DEVICE):
         if m.value(d, IN_DOMAIN) != domain:
             continue
-        layer = None
-        direct = m.value(d, AT_LAYER)
-        if isinstance(direct, Iri):
-            layer = direct
-        for matrix in m.objects(d, HAS_SWITCH_MATRIX):
-            for t in m.types(matrix):
-                if t in LAYERS:
-                    layer = t
-        adaptations = []
         for a in m.objects(d, HAS_ADAPTATION):
             client = m.value(a, vocab.ADAPTATION_CLIENT)
             server = m.value(a, vocab.ADAPTATION_SERVER)
-            cap = int_value(m.value(a, vocab.ADAPTATION_CAPACITY))
             if not isinstance(client, Iri) or not isinstance(server, Iri):
                 problems.append(f"adaptation {a.value} missing client or server layer")
-                continue
-            adaptations.append(AdaptationSpec(client, server, cap if cap else 1))
+            elif client == server:
+                problems.append(f"adaptation {a.value} client and server layers must differ")
+            # no capacity, or 0, reads as 1, as in the search
+            if (int_value(m.value(a, vocab.ADAPTATION_CAPACITY)) or 0) < 0:
+                problems.append(f"adaptation {a.value} capacity must not be negative")
         devices.append(
             SubstrateDevice(
                 iri=d,
                 interfaces=tuple(o for o in m.objects(d, HAS_INTERFACE) if isinstance(o, Iri)),
-                layer=layer,
-                adaptations=tuple(adaptations),
                 label_translator=LABEL_TRANSLATOR in m.types(d),
             )
         )
-        device_iris.add(d)
     devices.sort(key=lambda d: d.iri.value)
+    device_iris = {d.iri for d in devices}
 
     pools = []
     for node in sorted({t.subject for t in m.match(p=PROVISIONS)}, key=lambda s: s.value):
@@ -287,11 +280,7 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
             problems.append(f"link {link.value} has no non-negative availableBandwidth")
             capacity = 0
         pool = residual.get(("label", link), frozenset())
-        spec = LAYERS.get(layer)
-        if spec is not None and spec.pooled:
-            bad = [v for v in pool if not spec.value_in_domain(v)]
-            if bad:
-                problems.append(f"link {link.value} label pool exceeds layer domain: {bad}")
+        problems.extend(_pool_problems("link", link, layer, pool))
         links.append(SubstrateLink(link, (a, b), layer, capacity, pool))
     links.sort(key=lambda l: l.iri.value)
 
@@ -307,6 +296,8 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
             problems.append(f"border interface {bif.value} has {len(owners)} owners, expected 1")
             continue
         layer = m.value(bif, AT_LAYER)
+        pool = residual.get(("label", bif), frozenset())
+        problems.extend(_pool_problems("border interface", bif, layer, pool))
         remotes = [
             r for r in m.objects(bif, LINKED_TO) if isinstance(r, Iri) and r not in local_ifaces
         ]
@@ -316,7 +307,7 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
                 owner=owners[0],
                 layer=layer if isinstance(layer, Iri) else None,
                 bandwidth=residual.get(("bw", bif), 0),
-                label_pool=residual.get(("label", bif), frozenset()),
+                label_pool=pool,
                 remote=remotes[0] if remotes else None,
             )
         )
@@ -327,9 +318,7 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
 
     # provider-defined compute subclasses travel with the substrate so the
     # delegation (and the broker's binding) can see them
-    from .vocab import entailed_schema
-
-    builtin = entailed_schema()
+    builtin = vocab.entailed_schema()
     axioms = []
     for p in pools:
         if builtin.types(p.provides):
@@ -347,7 +336,8 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
 def build_delegation(s: SubstrateGraph) -> Model:
     """Compress a substrate into the abstract delegation advertised to a broker:
     one domain node, its border interfaces, aggregate compute units, and
-    border-pair internal reachability."""
+    border-pair internal reachability: two borders are reachable when
+    substrate links join their owners, from one labelling of components."""
     m = Model(dict(vocab.BASE_PREFIXES))
     m.add(Triple(s.domain, RDF_TYPE, NETWORK_DOMAIN))
     for b in s.borders:
@@ -360,23 +350,26 @@ def build_delegation(s: SubstrateGraph) -> Model:
             m.add(Triple(b.iri, AVAILABLE_LABEL_SET, string(render_label_set(b.label_pool))))
         if b.remote is not None:
             m.add(Triple(b.iri, LINKED_TO, b.remote))
-    # internal reachability between borders, via the device graph
-    adjacency = {}
-    owner_of = {}
-    for d in s.devices:
-        for i in d.interfaces:
-            owner_of[i] = d.iri
+    # internal reachability between borders: a union-find root per owner
+    root = {}
+
+    def find(x):
+        while root.get(x, x) != x:
+            root[x] = root.get(root[x], root[x])  # path halving
+            x = root[x]
+        return x
+
+    owner_of = {i: d.iri for d in s.devices for i in d.interfaces}
     for p in s.pools:
         owner_of.setdefault(p.node, p.node)
     for link in s.links:
         a, b = link.interfaces
         da, db = owner_of.get(a), owner_of.get(b)
         if da and db:
-            adjacency.setdefault(da, set()).add(db)
-            adjacency.setdefault(db, set()).add(da)
+            root[find(da)] = find(db)
     for i, b1 in enumerate(s.borders):
         for b2 in s.borders[i + 1 :]:
-            if _connected(adjacency, b1.owner, b2.owner):
+            if find(b1.owner) == find(b2.owner):
                 m.add(Triple(b1.iri, INTERNALLY_REACHABLE, b2.iri))
     totals = {}
     for p in s.pools:
@@ -391,21 +384,6 @@ def build_delegation(s: SubstrateGraph) -> Model:
         m.add(Triple(s.domain, RDF_TYPE, LABEL_TRANSLATOR))
     m.add_all(s.class_axioms)
     return m
-
-
-def _connected(adjacency, a, b) -> bool:
-    if a == b:
-        return True
-    seen = {a}
-    stack = [a]
-    while stack:
-        for nxt in adjacency.get(stack.pop(), ()):
-            if nxt == b:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
 
 
 @dataclass(frozen=True)

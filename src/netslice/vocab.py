@@ -1,5 +1,5 @@
 """Built-in vocabulary: the topology/compute/request/manifest T-box,
-layer and adaptation descriptors, and schema conformance checking.
+layer descriptors, and schema conformance checking.
 
 The full published ontology tree is reduced here to the classes and
 properties the embedding and validation algorithms actually touch.
@@ -227,25 +227,12 @@ class LayerSpec:
             v = int(lexical)
         except ValueError:
             return False
-        return self.min_label <= v <= self.max_label
+        return self.pool_in_domain((v,))
 
-    def value_in_domain(self, v: int) -> bool:
-        return self.min_label is not None and self.min_label <= v <= self.max_label
-
-
-@dataclass(frozen=True)
-class AdaptationSpec:
-    """Multiplexing of client-layer connections onto a server-layer one."""
-
-    client_layer: Iri
-    server_layer: Iri
-    capacity: int = 1
-
-    def __post_init__(self):
-        if self.client_layer == self.server_layer:
-            raise ValueError("adaptation client and server layers must differ")
-        if self.capacity < 1:
-            raise ValueError("adaptation capacity must be >= 1")
+    def pool_in_domain(self, pool) -> bool:
+        """True when every label of a pool lies in this integer-labelled
+        layer's label domain; an empty pool passes."""
+        return not pool or (self.min_label <= min(pool) and max(pool) <= self.max_label)
 
 
 ETHERNET_LAYER = LayerSpec(
@@ -469,7 +456,7 @@ def validate_conformance(*docs: Model) -> list:
                                     "label-out-of-range", s, f"unparseable label set {lit.lexical!r}"
                                 )
                             )
-                        elif any(not spec.value_in_domain(v) for v in pool):
+                        elif not spec.pool_in_domain(pool):
                             issues.append(
                                 ConformanceIssue(
                                     "label-out-of-range",

@@ -406,6 +406,20 @@ def test_malformed_label_set_exits_two_naming_the_subject(capsys, tmp_path, lexi
     assert f"unparseable label set '{lexical}'" in out
 
 
+def test_border_pool_outside_layer_domain_exits_two(capsys, tmp_path):
+    bad = tmp_path / "ring-a.ndl"
+    bad.write_text((FIXTURES / "ring-a.ndl").read_text().replace('"100-150"', '"0-150"'))
+    problem = "border interface urn:orca:site:a/Switch/toB label pool exceeds layer domain 2-4094"
+    code, out, err = _run(capsys, "delegate", bad)
+    assert (code, out, err) == (2, "", f"error: {problem}\n")
+    code, out, err = _embed(capsys, tmp_path, PAIR_REQUEST, substrates=(bad,))
+    assert (code, out, err) == (2, "", f"error: {bad}: {problem}\n")
+    script = tmp_path / "ring.scn"
+    script.write_text("load-substrate ring-a.ndl\n")
+    code, out, err = _run(capsys, "run", script)
+    assert (code, out, err) == (2, "", f"error: line 1: ring-a.ndl: {problem}\n")
+
+
 _PATH_ARGS = (
     "path",
     FIXTURES / "renci.ndl",

@@ -1,12 +1,13 @@
 import pytest
 
-from netslice import vocab
+from netslice import embed, vocab
 from netslice.actors import World
 from netslice.graphstore import (
     Iri,
     Model,
     RDF_TYPE,
     Triple,
+    integer,
     merge,
     parse_document,
     serialize_document,
@@ -60,8 +61,9 @@ def test_parse_substrate_devices_links_layer(renci_graph):
     assert all(l.layer == vocab.ETHERNET_ELEMENT for l in renci_graph.links)
     assert all(l.capacity == 10000 for l in renci_graph.links)
     assert all(l.label_pool == frozenset(range(100, 111)) for l in renci_graph.links)
-    switch = renci_graph.device(rnc("Renci/6509"))
-    assert switch.layer == vocab.ETHERNET_ELEMENT
+    # the search, not the view, reads a device's switching layer
+    topology = _closed(_load("renci.ndl")).derived(embed._compile)
+    assert topology.layers[rnc("Renci/6509")] == vocab.ETHERNET_ELEMENT
     assert {(p.node, p.provides, p.units) for p in renci_graph.pools} == {
         (rnc("Server/A"), vocab.VM, 1),
         (rnc("Server/B"), vocab.VM, 1),
@@ -73,6 +75,80 @@ def test_parse_substrate_dangling_interface_rejected():
     raw.remove(Triple(rnc("Server/A"), vocab.HAS_INTERFACE, rnc("Server/A/f1/ethernet")))
     with pytest.raises(SubstrateError, match="belongs to 0 elements"):
         parse_substrate(_closed(raw))
+
+
+ADAPTATION = rnc("Renci/6509/adaptation")
+
+
+@pytest.mark.parametrize(
+    "server, capacity, problem",
+    [
+        (vocab.IP_ELEMENT, 4, None),
+        (vocab.IP_ELEMENT, 0, None),  # no capacity, or 0, reads as 1
+        (vocab.IP_ELEMENT, None, None),
+        (vocab.ETHERNET_ELEMENT, 1, "client and server layers must differ"),
+        (vocab.IP_ELEMENT, -1, "capacity must not be negative"),
+        (None, 1, "missing client or server layer"),
+    ],
+)
+def test_parse_substrate_checks_adaptations(server, capacity, problem):
+    raw = _load("renci.ndl")
+    raw.add(Triple(rnc("Renci/6509"), vocab.HAS_ADAPTATION, ADAPTATION))
+    raw.add(Triple(ADAPTATION, vocab.ADAPTATION_CLIENT, vocab.ETHERNET_ELEMENT))
+    if server is not None:
+        raw.add(Triple(ADAPTATION, vocab.ADAPTATION_SERVER, server))
+    if capacity is not None:
+        raw.add(Triple(ADAPTATION, vocab.ADAPTATION_CAPACITY, integer(capacity)))
+    m = _closed(raw)
+    if problem is not None:
+        with pytest.raises(SubstrateError) as err:
+            parse_substrate(m)
+        assert err.value.problems == [f"adaptation {ADAPTATION.value} {problem}"]
+        return
+    parse_substrate(m)
+    layers = frozenset((vocab.ETHERNET_ELEMENT, server))
+    assert (rnc("Renci/6509"), layers) in m.derived(embed._compile).adaptations
+
+
+RING_A = (FIXTURES / "ring-a.ndl").read_text()
+LINK_POOL, BORDER_POOL = '"100-199"', '"100-150"'  # sa:Link/host, sa:Switch/toB
+
+
+@pytest.mark.parametrize(
+    "lexical, in_domain",
+    [("2-4094", True), ("", True), ("1-4094", False), ("2-4095", False), ("0-150", False)],
+)
+@pytest.mark.parametrize(
+    "pool, subject",
+    [
+        (LINK_POOL, "link urn:orca:site:a/Link/host"),
+        (BORDER_POOL, "border interface urn:orca:site:a/Switch/toB"),
+    ],
+)
+def test_label_pools_are_checked_against_their_layer_domain(pool, subject, lexical, in_domain):
+    raw = parse_document(RING_A.replace(pool, f'"{lexical}"'))
+    issues = [i for i in validate_conformance(raw) if i.kind == "label-out-of-range"]
+    assert (issues == []) == in_domain
+    if in_domain:
+        parse_substrate(_closed(raw))
+        return
+    with pytest.raises(SubstrateError) as err:
+        parse_substrate(_closed(raw))
+    assert err.value.problems == [f"{subject} label pool exceeds layer domain 2-4094"]
+
+
+def test_label_pool_problem_names_the_domain_not_the_labels():
+    raw = parse_document(RING_A.replace(LINK_POOL, '"2-2000000"'))
+    with pytest.raises(SubstrateError, match="exceeds layer domain 2-4094") as err:
+        parse_substrate(_closed(raw))
+    assert len(str(err.value)) < 200
+
+
+def test_world_refuses_a_border_pool_outside_its_layer_domain():
+    world = World()
+    with pytest.raises(SubstrateError, match="urn:orca:site:a/Switch/toB"):
+        world.add_substrate(RING_A.replace(BORDER_POOL, '"0-150"'))
+    assert world.ams == {}
 
 
 def test_parse_ring_substrates_have_two_borders_each():
@@ -103,6 +179,21 @@ def test_build_delegation_borders_and_units():
         Triple(to_b, vocab.INTERNALLY_REACHABLE, to_c) in closed
         or Triple(to_c, vocab.INTERNALLY_REACHABLE, to_b) in closed
     )
+
+
+@pytest.mark.parametrize("linked", [False, True])
+def test_borders_are_reachable_only_through_substrate_links(linked):
+    # toC moves onto the host, so only the host link joins the two owners
+    text = RING_A.replace(
+        "sa:Switch topo:hasInterface sa:Switch/toC", "sa:Host topo:hasInterface sa:Switch/toC"
+    )
+    lines = text.splitlines(True)
+    text = "".join(l for l in lines if linked or not l.startswith("sa:Link/host"))
+    graph = parse_substrate(_closed(parse_document(text)))
+    to_b, to_c = (b.iri for b in graph.borders)
+    assert [b.owner.local() for b in graph.borders] == ["Switch", "Host"]
+    reachable = list(build_delegation(graph).match(p=vocab.INTERNALLY_REACHABLE))
+    assert reachable == ([Triple(to_b, vocab.INTERNALLY_REACHABLE, to_c)] if linked else [])
 
 
 def test_residual_of_reads_the_stated_figures():

@@ -20,7 +20,6 @@ from netslice.graphstore import (
     serialize_document,
 )
 from netslice.vocab import (
-    AdaptationSpec,
     builtin_schema,
     close,
     entailed_schema,
@@ -97,15 +96,6 @@ def test_label_set_rejects_malformed_literals(lexical):
 def test_label_set_render_parse_roundtrip(labels):
     # the residual projection's byte-identity rests on this
     assert parse_label_set(render_label_set(labels)) == labels
-
-
-def test_adaptation_spec_invariants():
-    spec = AdaptationSpec(vocab.IP_ELEMENT, vocab.ETHERNET_ELEMENT, 4)
-    assert spec.capacity == 4
-    with pytest.raises(ValueError):
-        AdaptationSpec(vocab.ETHERNET_ELEMENT, vocab.ETHERNET_ELEMENT, 1)
-    with pytest.raises(ValueError):
-        AdaptationSpec(vocab.IP_ELEMENT, vocab.ETHERNET_ELEMENT, 0)
 
 
 def _conformance_of(model: Model):
