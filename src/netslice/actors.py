@@ -45,6 +45,7 @@ from .models import (
     DelegationView,
     RequestError,
     SliceRequest,
+    SubstrateError,
     Term,
     build_delegation,
     build_manifest,
@@ -611,9 +612,17 @@ class World:
         self.ams: dict[str, AggregateManager] = {}
 
     def add_substrate(self, substrate_text: str) -> AggregateManager:
+        """Start an AM for a substrate and register its delegation. Raises
+        SubstrateError, with nothing added or logged, for a domain that
+        already has an AM: tickets are redeemed at one AM per domain."""
         am = AggregateManager(
             f"am-{len(self.ams) + 1}", substrate_text, self.controller.schemas
         )
+        for other in self.ams.values():
+            if other.domain == am.domain:
+                raise SubstrateError(
+                    [f"domain {am.domain.value} already has aggregate manager {other.am_id}"]
+                )
         self.ams[am.am_id] = am
         self.log(am.am_id, "delegate", am.domain.value, "ok")
         self.broker.register_delegation(am.delegate())

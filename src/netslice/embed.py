@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 from typing import NamedTuple, Optional, Sequence
 
 from . import vocab
@@ -47,6 +49,7 @@ from .vocab import (
     LAYERS,
     NETWORK_CONNECTION,
     NETWORK_DOMAIN,
+    NO_LABELS,
     entailed_schema,
     render_label_set,
 )
@@ -241,10 +244,6 @@ def _carrier_bandwidth(free: dict, carriers) -> int:
     return min((free.get(("bw", c), 0) for c in carriers), default=0)
 
 
-def _carrier_pool(free: dict, carriers) -> frozenset:
-    return frozenset.intersection(*(free.get(("label", c), frozenset()) for c in carriers))
-
-
 def _segment_of(m: Model, a_iface: Iri, b_iface: Iri):
     """The resource carriers and layer of one interface pair: (None, None)
     when the crossing layers disagree, a None layer when none is stated."""
@@ -313,18 +312,16 @@ def _validate_candidate(topo: _Topology, free: dict, source: Iri, chain: tuple, 
     if current:
         scopes.append(current)
     for scope in scopes:
-        common = None
-        for i in scope:
-            pool = _carrier_pool(free, segments[i][3])
-            common = pool if common is None else (common & pool)
-        if preq.required_label is not None:
-            if preq.required_label not in (common or ()):
-                return None
-            chosen = preq.required_label
-        else:
+        pools = [free.get(("label", c), NO_LABELS) for i in scope for c in segments[i][3]]
+        if preq.required_label is None:
+            common = reduce(and_, pools)
             if not common:
                 return None
-            chosen = min(common)
+            chosen = common.lowest()
+        elif all(preq.required_label in pool for pool in pools):
+            chosen = preq.required_label
+        else:
+            return None
         for i in scope:
             segments[i][4] = chosen
 
@@ -380,7 +377,10 @@ class DomainState:
     The model is the document and is never rewritten. Residual state lives
     in three mappings keyed like allocation ops: `original` (the figures the
     document states), `free` and `used` (only entries in use), with
-    free + used == original throughout. `snapshot()` projects them back to
+    free + used == original throughout: a sum of integers for bandwidth and
+    units, a disjoint union of LabelSets for a label pool, so taking or
+    returning a label costs the same on a 4,093-label pool as on a
+    one-label one. `snapshot()` projects them back to
     triples so that a released state serializes byte-identically to the
     document.
     """
@@ -402,12 +402,15 @@ class DomainState:
             raise ValueError(f"unknown op {op!r}")
         key = (kind, subject)
         if kind == "label":
-            free = self.free.get(key, frozenset())
-            if sign > 0 and amount not in free:
-                raise OverAllocation(f"{subject.value}: label {amount} not available")
-            one = frozenset((amount,))
-            used = self.used.get(key, frozenset())
-            free, used = (free - one, used | one) if sign > 0 else (free | one, used - one)
+            free, used = self.free.get(key, NO_LABELS), self.used.get(key, NO_LABELS)
+            if sign > 0:
+                if amount not in free:
+                    raise OverAllocation(f"{subject.value}: label {amount} not available")
+                free, used = free.take(amount), used.put(amount)
+            else:
+                used = used.take(amount)
+                if used or key not in self.original:  # else the document's figure comes back below
+                    free = free.put(amount)
         else:
             free, unit = self.free.get(key, 0), "Mbps" if kind == "bw" else "units"
             if sign > 0 and amount > free:
@@ -482,13 +485,13 @@ class DomainState:
         }
         keys.update(self.used, (key for key in original if key not in self.free))
         for kind, subject in sorted(keys, key=lambda k: (k[1].value, k[0])):
-            zero = frozenset() if kind == "label" else 0
+            zero = NO_LABELS if kind == "label" else 0
             orig, free, used = (
                 d.get((kind, subject), zero) for d in (self.original, self.free, self.used)
             )
             if kind == "label":
                 if free | used != orig or free & used:
-                    problems.append(f"labels {subject.value}: partition of {sorted(orig)} broken")
+                    problems.append(f"labels {subject.value}: partition of {str(orig)!r} broken")
             elif free + used != orig or free < 0 or used < 0:
                 problems.append(f"{kind} {subject.value}: {free}+{used} != {orig}")
         return problems
@@ -768,7 +771,7 @@ def deduct_crossing_from_view(free: dict, crossing: BorderCrossing) -> None:
         free[("bw", iface)] = free.get(("bw", iface), 0) - crossing.bandwidth
         if crossing.label is not None:
             key = ("label", iface)
-            free[key] = free.get(key, frozenset()) - {crossing.label}
+            free[key] = free.get(key, NO_LABELS).take(crossing.label)
 
 
 def expand_domain_hop(

@@ -66,6 +66,8 @@ from .vocab import (
     RESERVATION,
     REQUESTED_BANDWIDTH,
     SERVER_CLOUD,
+    LabelSet,
+    NO_LABELS,
     parse_label_set,
     render_label_set,
 )
@@ -118,13 +120,14 @@ RESIDUAL_PROPERTIES = {
 
 def residual_of(m: Model) -> dict:
     """The residual figures m states, keyed like allocation ops:
-    ("bw" | "label" | "units", subject) -> int, or frozenset of labels.
+    ("bw" | "label" | "units", subject) -> int, or the LabelSet of a label
+    pool.
 
     A figure that is not an integer is left out, so it reads as 0. Equal
-    label-set literals share one frozenset. Raises LabelSetError on a
+    label-set literals share one LabelSet. Raises LabelSetError on a
     malformed label set."""
     out = {}
-    pools: dict[str, frozenset] = {}
+    pools: dict[str, LabelSet] = {}
     for kind, (prop, _) in RESIDUAL_PROPERTIES.items():
         for subject in dict.fromkeys(t.subject for t in m.match(p=prop)):
             lit = m.value(subject, prop)
@@ -158,7 +161,7 @@ class SubstrateLink:
     interfaces: tuple  # exactly two, sorted by IRI
     layer: Iri
     capacity: int
-    label_pool: frozenset
+    label_pool: LabelSet  # the labels the document states free
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ class BorderInterface:
     owner: Iri  # internal device owning the interface
     layer: Optional[Iri]
     bandwidth: int
-    label_pool: frozenset
+    label_pool: LabelSet  # the labels the document states free
     remote: Optional[Iri]  # the peer border interface in another domain
 
 
@@ -192,7 +195,7 @@ def _interface_owner(m: Model, iface: Iri, candidates: set) -> list:
     return [o for o in m.objects(iface, vocab.INTERFACE_OF) if o in candidates]
 
 
-def _pool_problems(kind: str, subject: Iri, layer, pool: frozenset):
+def _pool_problems(kind: str, subject: Iri, layer, pool: LabelSet):
     """The problem of a label pool outside its pooled layer's domain, if any."""
     spec = LAYERS.get(layer)
     if spec is not None and spec.pooled and not spec.pool_in_domain(pool):
@@ -279,7 +282,7 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
         if capacity is None or capacity < 0:
             problems.append(f"link {link.value} has no non-negative availableBandwidth")
             capacity = 0
-        pool = residual.get(("label", link), frozenset())
+        pool = residual.get(("label", link), NO_LABELS)
         problems.extend(_pool_problems("link", link, layer, pool))
         links.append(SubstrateLink(link, (a, b), layer, capacity, pool))
     links.sort(key=lambda l: l.iri.value)
@@ -296,7 +299,7 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
             problems.append(f"border interface {bif.value} has {len(owners)} owners, expected 1")
             continue
         layer = m.value(bif, AT_LAYER)
-        pool = residual.get(("label", bif), frozenset())
+        pool = residual.get(("label", bif), NO_LABELS)
         problems.extend(_pool_problems("border interface", bif, layer, pool))
         remotes = [
             r for r in m.objects(bif, LINKED_TO) if isinstance(r, Iri) and r not in local_ifaces

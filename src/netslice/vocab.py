@@ -9,6 +9,7 @@ Providers can layer extension schema files on top (CLI --schema).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -227,12 +228,12 @@ class LayerSpec:
             v = int(lexical)
         except ValueError:
             return False
-        return self.pool_in_domain((v,))
+        return self.pool_in_domain(LabelSet((v,)))
 
-    def pool_in_domain(self, pool) -> bool:
+    def pool_in_domain(self, pool: LabelSet) -> bool:
         """True when every label of a pool lies in this integer-labelled
         layer's label domain; an empty pool passes."""
-        return not pool or (self.min_label <= min(pool) and max(pool) <= self.max_label)
+        return not pool or (self.min_label <= pool.lowest() and pool.highest() <= self.max_label)
 
 
 ETHERNET_LAYER = LayerSpec(
@@ -295,43 +296,194 @@ def satisfies(m: Model, cls: Iri, requested: Iri) -> bool:
     return cls == requested or Triple(cls, RDFS_SUBCLASS_OF, requested) in m
 
 
-# -- label set literals ----------------------------------------------------------
+# -- label sets ------------------------------------------------------------------
 
-# Compact canonical form for integer label pools: "2-10,15,20-30".
+# Label pools are sets of integer labels held as inclusive spans, the way
+# GMPLS Label Set objects encode them (RFC 3471). Their literal form is the
+# canonical span list: "2-10,15,20-30".
 
 
-def parse_label_set(lexical: str) -> frozenset:
-    """Labels of a label-set literal. Raises ValueError on a malformed part
-    or a reversed span."""
+class LabelSet:
+    """An immutable set of integer labels held as sorted, disjoint,
+    non-adjacent spans.
+
+    The spans are one flat tuple of half-open bounds, (lo0, hi0 + 1, lo1,
+    hi1 + 1, ...), strictly increasing, so equal sets have equal bounds and
+    a label is a member exactly when an odd number of bounds are at or
+    below it. Membership and taking or returning one label cost a bisect
+    and a copy of the bounds, and `&`, `|` and `-` one merge of the two
+    bound lists: all grow with the number of spans, not of labels.
+    """
+
+    __slots__ = ("_bounds",)
+
+    def __init__(self, labels=()):
+        """The set of an iterable of integer labels."""
+        self._bounds = _canonical((v, v) for v in labels)
+
+    def lowest(self) -> int:
+        """The lowest label; raises IndexError on an empty set."""
+        return self._bounds[0]
+
+    def highest(self) -> int:
+        """The highest label; raises IndexError on an empty set."""
+        return self._bounds[-1] - 1
+
+    # take and put flip one label's membership: the symmetric difference of
+    # the bounds with (label, label + 1). Each of the two goes in where it is
+    # not a bound and out where it is, which splits a span or joins two.
+
+    def take(self, label: int) -> LabelSet:
+        """This set without `label`."""
+        b = self._bounds
+        i = bisect_right(b, label)
+        if not i & 1:
+            return self
+        s = _new(LabelSet)
+        s._bounds = (b[: i - 1] if b[i - 1] == label else b[:i] + (label,)) + (
+            b[i + 1 :] if b[i] == label + 1 else (label + 1,) + b[i:]
+        )
+        return s
+
+    def put(self, label: int) -> LabelSet:
+        """This set with `label`."""
+        b = self._bounds
+        i = bisect_right(b, label)
+        if i & 1:
+            return self
+        s = _new(LabelSet)
+        s._bounds = (b[: i - 1] if i and b[i - 1] == label else b[:i] + (label,)) + (
+            b[i + 1 :] if i < len(b) and b[i] == label + 1 else (label + 1,) + b[i:]
+        )
+        return s
+
+    def __contains__(self, label) -> bool:
+        return bisect_right(self._bounds, label) & 1 == 1
+
+    def __iter__(self):
+        b = self._bounds
+        for i in range(0, len(b), 2):
+            yield from range(b[i], b[i + 1])
+
+    def __len__(self) -> int:
+        b = self._bounds
+        return sum(b[1::2]) - sum(b[::2])
+
+    def __bool__(self) -> bool:
+        return bool(self._bounds)
+
+    def __and__(self, other: LabelSet) -> LabelSet:
+        if not isinstance(other, LabelSet):
+            return NotImplemented
+        if self is other:  # equal literals share one set (models.residual_of)
+            return self
+        return _from_bounds(_merge(self._bounds, other._bounds, (False, False, False, True)))
+
+    def __or__(self, other: LabelSet) -> LabelSet:
+        if not isinstance(other, LabelSet):
+            return NotImplemented
+        return _from_bounds(_merge(self._bounds, other._bounds, (False, True, True, True)))
+
+    def __sub__(self, other: LabelSet) -> LabelSet:
+        if not isinstance(other, LabelSet):
+            return NotImplemented
+        return _from_bounds(_merge(self._bounds, other._bounds, (False, False, True, False)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LabelSet):
+            return NotImplemented
+        return self._bounds == other._bounds
+
+    def __hash__(self) -> int:
+        return hash(self._bounds)
+
+    def __str__(self) -> str:
+        """The canonical label-set literal."""
+        b = self._bounds
+        return ",".join(
+            str(b[i]) if b[i] + 1 == b[i + 1] else f"{b[i]}-{b[i + 1] - 1}"
+            for i in range(0, len(b), 2)
+        )
+
+    def __repr__(self) -> str:
+        return f"parse_label_set({str(self)!r})"
+
+
+_new = object.__new__
+
+
+def _from_bounds(bounds: tuple) -> LabelSet:
+    s = _new(LabelSet)
+    s._bounds = bounds
+    return s
+
+
+def _canonical(spans) -> tuple:
+    """Half-open bounds of the union of inclusive (lo, hi) spans, lo <= hi,
+    in any order, overlapping or not."""
+    bounds = []
+    for lo, hi in sorted(spans):
+        if bounds and lo <= bounds[-1]:
+            bounds[-1] = max(bounds[-1], hi + 1)
+        else:
+            bounds += (lo, hi + 1)
+    return tuple(bounds)
+
+
+def _merge(a: tuple, b: tuple, keep: tuple) -> tuple:
+    """Bounds of a set operation over two bound tuples, in one ordered
+    sweep. `keep[2 * in_a + in_b]` says whether a label inside a (or not)
+    and inside b (or not) belongs to the result; a bound goes out wherever
+    that answer changes, which keeps the result canonical."""
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    inside = False
+    while i < na or j < nb:
+        if j == nb or (i < na and a[i] < b[j]):
+            x = a[i]
+            i += 1
+        elif i == na or b[j] < a[i]:
+            x = b[j]
+            j += 1
+        else:
+            x = a[i]
+            i += 1
+            j += 1
+        now = keep[(i & 1) << 1 | (j & 1)]
+        if now is not inside:
+            out.append(x)
+            inside = now
+    return tuple(out)
+
+
+NO_LABELS = LabelSet()
+
+
+def parse_label_set(lexical: str) -> LabelSet:
+    """Labels of a label-set literal, built from its spans without
+    expanding them. Raises ValueError on a malformed part or a reversed
+    span."""
     if not lexical:
-        return frozenset()
-    out = set()
+        return NO_LABELS
+    spans = []
     for part in lexical.split(","):
         part = part.strip()
         if "-" in part:
             lo, hi = (int(v) for v in part.split("-", 1))
             if lo > hi:
                 raise ValueError(f"reversed span {part!r}")
-            out.update(range(lo, hi + 1))
+            spans.append((lo, hi))
         else:
-            out.add(int(part))
-    return frozenset(out)
+            v = int(part)
+            spans.append((v, v))
+    return _from_bounds(_canonical(spans))
 
 
 def render_label_set(values) -> str:
-    vals = sorted(values)
-    if not vals:
-        return ""
-    spans = []
-    start = prev = vals[0]
-    for v in vals[1:]:
-        if v == prev + 1:
-            prev = v
-            continue
-        spans.append((start, prev))
-        start = prev = v
-    spans.append((start, prev))
-    return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+    """The canonical literal of a LabelSet or of any iterable of integer
+    labels, duplicates and order notwithstanding."""
+    return str(values if isinstance(values, LabelSet) else LabelSet(values))
 
 
 # -- conformance -----------------------------------------------------------------

@@ -1,6 +1,3 @@
-import sys
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"

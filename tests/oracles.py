@@ -372,3 +372,38 @@ def feasible_simple_paths(instance, source, dest, bandwidth, required_label, req
 def oracle_best_hop_count(instance, source, dest, bandwidth, required_label, request_layer):
     feas = feasible_simple_paths(instance, source, dest, bandwidth, required_label, request_layer)
     return min((h for h, _ in feas), default=None)
+
+
+def reference_parse_label_set(lexical: str) -> frozenset:
+    """Labels of a label-set literal, expanded one by one into a frozenset.
+    Raises ValueError on a malformed part or a reversed span."""
+    if not lexical:
+        return frozenset()
+    out = set()
+    for part in lexical.split(","):
+        part = part.strip()
+        if "-" in part:
+            lo, hi = (int(v) for v in part.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"reversed span {part!r}")
+            out.update(range(lo, hi + 1))
+        else:
+            out.add(int(part))
+    return frozenset(out)
+
+
+def reference_render_label_set(labels: frozenset) -> str:
+    """Canonical literal of a set of labels, by walking it in order."""
+    vals = sorted(labels)
+    if not vals:
+        return ""
+    spans = []
+    start = prev = vals[0]
+    for v in vals[1:]:
+        if v == prev + 1:
+            prev = v
+            continue
+        spans.append((start, prev))
+        start = prev = v
+    spans.append((start, prev))
+    return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)

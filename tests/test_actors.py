@@ -7,7 +7,7 @@ import pytest
 from netslice import graphstore, rules, vocab
 from netslice.actors import RedeemError, SliceError, World
 from netslice.graphstore import Iri, parse_document, serialize_document
-from netslice.models import check_homeomorphic, parse_request
+from netslice.models import SubstrateError, check_homeomorphic, parse_request
 from netslice.vocab import close
 
 from conftest import FIXTURES
@@ -54,6 +54,17 @@ def test_pair_slice_lifecycle():
     assert world.controller.slices["demo1"].state == "Closed"
     assert world.serialized_states() == initial
     assert world.conservation_problems() == []
+
+
+def test_second_substrate_for_a_domain_is_refused_before_any_change():
+    world = _pair_world()
+    before = (list(world.ams), list(world.events), world.broker.serialized_state())
+    with pytest.raises(SubstrateError, match="http://geni-orca.renci.org/sites/renci/Renci"):
+        world.add_substrate(_fixture("renci.ndl"))
+    assert (list(world.ams), list(world.events), world.broker.serialized_state()) == before
+    # the domain's delegation can still be replaced through the broker
+    world.broker.register_delegation(world.ams["am-1"].delegate())
+    assert world.submit_request("s1", _fixture("request-pair.ndl")) is not None
 
 
 def test_negative_bandwidth_fails_validation_and_holds_nothing():

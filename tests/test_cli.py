@@ -265,6 +265,17 @@ def test_run_invalid_substrate_exits_two_naming_the_line(tmp_path, capsys):
     assert err.startswith("error: line 2: bad.ndl: ")
 
 
+def test_run_second_substrate_for_a_domain_exits_two_naming_the_line(tmp_path, capsys):
+    script = tmp_path / "twice.scn"
+    script.write_text(
+        f"load-substrate {FIXTURES}/renci.ndl\nload-substrate {FIXTURES}/renci.ndl\n"
+    )
+    code, out, err = _run(capsys, "run", script)
+    assert code == 2
+    assert err.startswith(f"error: line 2: {FIXTURES}/renci.ndl: ")
+    assert "http://geni-orca.renci.org/sites/renci/Renci already has aggregate manager am-1" in err
+
+
 def test_run_delete_of_unknown_slice_exits_two_naming_the_line(tmp_path, capsys):
     script = tmp_path / "bad.scn"
     script.write_text(f"load-substrate {FIXTURES}/renci.ndl\ndelete-slice nosuch\n")

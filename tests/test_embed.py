@@ -27,7 +27,7 @@ from netslice.graphstore import (
 )
 from netslice.models import build_delegation, parse_delegation, parse_request, residual_of
 from netslice.pathquery import adjacent
-from netslice.vocab import ETHERNET_ELEMENT, render_label_set
+from netslice.vocab import ETHERNET_ELEMENT, NO_LABELS, LabelSet, render_label_set
 
 from conftest import FIXTURES
 from generators import (
@@ -471,7 +471,7 @@ def test_conservation_reports_broken_records():
     link, other = Iri("urn:mini/l0"), Iri("urn:mini/l1")
     corruptions = [
         lambda s: s.free.__setitem__(("bw", link), 999),
-        lambda s: s.free.__setitem__(("label", link), frozenset({5, 9})),
+        lambda s: s.free.__setitem__(("label", link), LabelSet({5, 9})),
         lambda s: s.free.pop(("bw", other)),
         lambda s: s.used.__setitem__(("bw", link), 10),
     ]
@@ -568,7 +568,7 @@ def test_random_plans_keep_conservation():
         for name in capacities:
             link = Iri(f"urn:mini/{name}")
             assert projected[("bw", link)] == expected_bw[name]
-            assert projected.get(("label", link), frozenset()) == expected_pool[name]
+            assert set(projected.get(("label", link), NO_LABELS)) == expected_pool[name]
         assert state.conservation_problems() == []
     for token in sorted(active):
         state.release_token(token)
@@ -600,7 +600,7 @@ def test_projection_after_random_ops_and_release_is_the_document(fixture):
                 pass
         assert state.conservation_problems() == []
         projected = residual_of(parse_document(serialize_document(state.snapshot())))
-        assert projected == {k: v for k, v in state.free.items() if v != frozenset()}
+        assert projected == {k: v for k, v in state.free.items() if v != NO_LABELS}
     for token in sorted(state.active):
         state.release_token(token)
     assert state.used == {}

@@ -26,7 +26,7 @@ from netslice.models import (
     parse_substrate,
     residual_of,
 )
-from netslice.vocab import builtin_schema, validate_conformance
+from netslice.vocab import LabelSet, builtin_schema, validate_conformance
 
 from conftest import FIXTURES
 
@@ -60,7 +60,7 @@ def test_parse_substrate_devices_links_layer(renci_graph):
     assert len(renci_graph.links) == 2
     assert all(l.layer == vocab.ETHERNET_ELEMENT for l in renci_graph.links)
     assert all(l.capacity == 10000 for l in renci_graph.links)
-    assert all(l.label_pool == frozenset(range(100, 111)) for l in renci_graph.links)
+    assert all(l.label_pool == LabelSet(range(100, 111)) for l in renci_graph.links)
     # the search, not the view, reads a device's switching layer
     topology = _closed(_load("renci.ndl")).derived(embed._compile)
     assert topology.layers[rnc("Renci/6509")] == vocab.ETHERNET_ELEMENT
@@ -116,7 +116,14 @@ LINK_POOL, BORDER_POOL = '"100-199"', '"100-150"'  # sa:Link/host, sa:Switch/toB
 
 @pytest.mark.parametrize(
     "lexical, in_domain",
-    [("2-4094", True), ("", True), ("1-4094", False), ("2-4095", False), ("0-150", False)],
+    [
+        ("2-4094", True),
+        ("", True),
+        ("1-4094", False),
+        ("2-4095", False),
+        ("0-150", False),
+        ("2-2000000", False),
+    ],
 )
 @pytest.mark.parametrize(
     "pool, subject",
@@ -144,10 +151,17 @@ def test_label_pool_problem_names_the_domain_not_the_labels():
     assert len(str(err.value)) < 200
 
 
-def test_world_refuses_a_border_pool_outside_its_layer_domain():
+@pytest.mark.parametrize(
+    "pool, lexical, subject",
+    [
+        (BORDER_POOL, "0-150", "urn:orca:site:a/Switch/toB"),
+        (LINK_POOL, "2-2000000", "urn:orca:site:a/Link/host"),
+    ],
+)
+def test_world_refuses_a_pool_outside_its_layer_domain(pool, lexical, subject):
     world = World()
-    with pytest.raises(SubstrateError, match="urn:orca:site:a/Switch/toB"):
-        world.add_substrate(RING_A.replace(BORDER_POOL, '"0-150"'))
+    with pytest.raises(SubstrateError, match=subject):
+        world.add_substrate(RING_A.replace(pool, f'"{lexical}"'))
     assert world.ams == {}
 
 
@@ -201,8 +215,8 @@ def test_residual_of_reads_the_stated_figures():
     residual = residual_of(m)
     to_b, to_c = Iri("urn:orca:site:a/Switch/toB"), Iri("urn:orca:site:a/Switch/toC")
     assert residual[("bw", to_b)] == 5000
-    assert residual[("label", to_b)] == frozenset(range(100, 151))
-    assert residual[("label", to_c)] == frozenset(range(140, 161))
+    assert residual[("label", to_b)] == LabelSet(range(100, 151))
+    assert residual[("label", to_c)] == LabelSet(range(140, 161))
     graph = parse_substrate(m, residual)
     assert [l.capacity for l in graph.links] == [residual[("bw", l.iri)] for l in graph.links]
     # a figure that is not an integer is left out, so it reads as 0

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 from netslice import vocab
 from netslice.graphstore import (
@@ -20,6 +22,7 @@ from netslice.graphstore import (
     serialize_document,
 )
 from netslice.vocab import (
+    LabelSet,
     builtin_schema,
     close,
     entailed_schema,
@@ -31,6 +34,7 @@ from netslice.vocab import (
 
 from conftest import FIXTURES
 from generators import random_schema_model
+from oracles import reference_parse_label_set, reference_render_label_set
 
 import pytest
 from hypothesis import given, settings
@@ -77,12 +81,18 @@ def test_schema_serialization_is_stable(tmp_path):
 
 
 def test_label_set_roundtrip():
-    assert parse_label_set("") == frozenset()
-    assert parse_label_set("5") == frozenset({5})
-    assert parse_label_set("2-4,9") == frozenset({2, 3, 4, 9})
+    assert parse_label_set("") == LabelSet()
+    assert parse_label_set("5") == LabelSet({5})
+    assert parse_label_set("2-4,9") == LabelSet({2, 3, 4, 9})
+    assert parse_label_set("9,3-4,2-3") == parse_label_set("2-4,9")
     assert render_label_set({9, 2, 3, 4}) == "2-4,9"
     assert render_label_set(parse_label_set("100-110")) == "100-110"
     assert render_label_set([]) == ""
+
+
+@pytest.mark.parametrize("labels, text", [([2, 2, 3], "2-3"), ([5, 3, 3, 4], "3-5")])
+def test_render_label_set_is_canonical_with_duplicates(labels, text):
+    assert render_label_set(labels) == text
 
 
 @pytest.mark.parametrize("lexical", ["9-3", "5,,6", "2-x", "-4", "1-2-3"])
@@ -91,11 +101,75 @@ def test_label_set_rejects_malformed_literals(lexical):
         parse_label_set(lexical)
 
 
+def test_parse_label_set_of_a_huge_span_is_bounded():
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        pool = parse_label_set("2-2000000")
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 1_000_000
+    assert (len(pool), pool.lowest(), pool.highest()) == (1999999, 2, 2000000)
+
+
+# label sets built from a few runs, so that spans touch, overlap and split
+_label_sets = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=120), st.integers(min_value=1, max_value=12)),
+    max_size=8,
+).map(lambda runs: frozenset(v for lo, n in runs for v in range(lo, lo + n)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.frozensets(st.integers(min_value=0, max_value=5000), max_size=60))
+@given(st.one_of(st.frozensets(st.integers(min_value=0, max_value=5000), max_size=60), _label_sets))
 def test_label_set_render_parse_roundtrip(labels):
     # the residual projection's byte-identity rests on this
-    assert parse_label_set(render_label_set(labels)) == labels
+    text = render_label_set(labels)
+    assert text == reference_render_label_set(labels)
+    assert parse_label_set(text) == LabelSet(labels)
+    assert str(parse_label_set(text)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=200), st.integers(0, 20)), max_size=6))
+def test_parse_label_set_agrees_with_the_reference_on_unordered_spans(runs):
+    lexical = ",".join(str(lo) if n == 0 else f"{lo}-{lo + n}" for lo, n in runs)
+    want = reference_parse_label_set(lexical)
+    got = parse_label_set(lexical)
+    assert set(got) == want
+    assert got == LabelSet(want)
+    assert str(got) == reference_render_label_set(want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_label_sets, _label_sets, st.integers(min_value=-1, max_value=135))
+def test_label_set_agrees_with_frozensets(a, b, label):
+    sa, sb = LabelSet(a), LabelSet(b)
+    assert list(sa) == sorted(a)
+    assert (label in sa) == (label in a)
+    assert (len(sa), bool(sa)) == (len(a), bool(a))
+    if a:
+        assert (sa.lowest(), sa.highest()) == (min(a), max(a))
+    # every result is canonical: equal to the set built afresh, and so
+    # rendered as the reference renders the equal frozenset
+    results = [
+        (sa.take(label), a - {label}),
+        (sa.put(label), a | {label}),
+        (sa & sb, a & b),
+        (sa | sb, a | b),
+        (sa - sb, a - b),
+    ]
+    for got, want in results:
+        assert set(got) == want
+        assert got == LabelSet(want)
+        assert str(got) == reference_render_label_set(want)
+    assert (sa == sb) == (a == b)
+    again = parse_label_set(",".join(reversed(str(sa).split(","))))
+    assert again == sa and hash(again) == hash(sa)
+    if a == b:
+        assert hash(sa) == hash(sb)
 
 
 def _conformance_of(model: Model):
