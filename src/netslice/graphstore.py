@@ -30,7 +30,8 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 _WS_RE = re.compile(r"\s")
 # Locals that survive a CURIE round trip without quoting.
 _SAFE_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_/.-]*$")
-_PREFIX_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$|^$")
+_PREFIX_NAME = r"[A-Za-z][A-Za-z0-9_.-]*"
+_PREFIX_NAME_RE = re.compile(rf"^{_PREFIX_NAME}$|^$")
 
 
 def _immutable(term, name, *value):
@@ -344,6 +345,137 @@ class Model:
 
 # -- text format ------------------------------------------------------------
 
+# One NDL-Lite line, blank or holding an @prefix declaration or an "S P O ."
+# statement, and then at most a comment. Whitespace is space, tab or CR. A
+# term is an <iri>, a prefix:local CURIE or, as an object only, a quoted
+# literal with an optional ^^datatype. An IRI or a literal ends where it
+# closes, so the next token may follow at once; a CURIE runs to the next
+# whitespace; a dot ends a statement only before whitespace, '#' or the end.
+_CURIE = rf"(?:{_PREFIX_NAME})?:[^ \t\r]*(?![^ \t\r])"
+_TERM = rf"<[^>]*>|{_CURIE}"
+_LINE_RE = re.compile(
+    rf"""(?:[ \t\r]*
+        (?:@prefix[ \t\r]+({_PREFIX_NAME}|):[ \t\r]+<([^>]*)>
+          | ({_TERM})[ \t\r]*({_TERM})[ \t\r]*
+            ({_TERM}|"((?:[^"\\]|\\[\\"ntr])*)"(?:\^\^({_TERM}))?)
+        )[ \t\r]*\.
+    )?[ \t\r]*(?:\#.*)?""",
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+
+
+def _iri_term(token: str, prefixes: dict) -> Iri:
+    """The IRI of an <iri> or CURIE token. KeyError on an undeclared prefix,
+    ValueError on a malformed IRI."""
+    if token[0] == "<":
+        return Iri(token[1:-1])
+    name, local = token.split(":", 1)
+    return Iri(prefixes[name] + local)
+
+
+def parse_document(text: str) -> Model:
+    """Parse an NDL-Lite document into a Model.
+
+    Each line is accepted by one pattern, and each distinct term token is
+    resolved once per prefix map. Raises ParseError with line/column on
+    malformed lines, undeclared prefixes, or a literal in subject or
+    predicate position, and ValueError when a declared namespace or a
+    datatype makes an IRI malformed (empty or holding whitespace).
+    """
+    m = Model()
+    prefixes = m.prefixes
+    terms: dict = {}  # token -> term under the current prefix map
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        match = _LINE_RE.fullmatch(line)
+        if match is None:
+            _explain(line, lineno, prefixes)
+        name, namespace, s, p, o, lexical, datatype = match.groups()
+        if s is None:
+            if namespace is not None:
+                prefixes[name] = namespace
+                terms.clear()
+            continue
+        try:
+            subject = terms.get(s) or terms.setdefault(s, _iri_term(s, prefixes))
+            predicate = terms.get(p) or terms.setdefault(p, _iri_term(p, prefixes))
+            obj = terms.get(o)
+            if obj is None:
+                if lexical is None:
+                    obj = _iri_term(o, prefixes)
+                else:
+                    if "\\" in lexical:
+                        lexical = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lexical)
+                    dt = XSD_STRING if datatype is None else _iri_term(datatype, prefixes)
+                    obj = Literal(lexical, dt)
+                terms[o] = obj
+        except (KeyError, ValueError):
+            _explain(line, lineno, prefixes)
+        m.add(Triple(subject, predicate, obj))
+    return m
+
+
+def _explain(line: str, lineno: int, prefixes: dict):
+    """Raise the first fault in a line that the line pattern rejects or
+    whose terms do not resolve, found by scanning it token by token: a
+    ParseError naming it, or the ValueError of a malformed IRI built from a
+    CURIE or written as a datatype."""
+    tokens = _scan_line(line, lineno)
+    if tokens and tokens[0][0] == "word" and tokens[0][1] == "@prefix":
+        if (
+            len(tokens) != 4
+            or tokens[1][0] != "word"
+            or not tokens[1][1].endswith(":")
+            or tokens[2][0] != "iri"
+            or tokens[3][0] != "dot"
+        ):
+            raise ParseError(lineno, tokens[0][2], "malformed @prefix declaration")
+        name = tokens[1][1][:-1]
+        if not _PREFIX_NAME_RE.match(name):
+            raise ParseError(lineno, tokens[1][2], f"bad prefix name {name!r}")
+    elif len(tokens) != 4 or tokens[3][0] != "dot":
+        raise ParseError(
+            lineno,
+            tokens[-1][2],
+            "expected 'S P O .' (terms and terminating dot separated by spaces)",
+        )
+    else:
+        _check_terms(tokens, prefixes, lineno)
+    raise AssertionError(f"line {lineno}: the scanner accepts what the line pattern rejects")
+
+
+def _check_terms(tokens: list, prefixes: dict, lineno: int) -> None:
+    """Raise the fault of the first term of a statement that does not
+    resolve, in the order the terms are written."""
+    for pos, (kind, value, col, datatype) in enumerate(tokens[:3]):
+        if kind == "iri":
+            try:
+                Iri(value)
+            except ValueError as e:
+                raise ParseError(lineno, col, str(e)) from None
+        elif kind == "word":
+            _resolve_word(value, prefixes, lineno, col)
+        elif kind == "literal":
+            if pos < 2:
+                where = "subject" if pos == 0 else "predicate"
+                raise ParseError(lineno, col, f"literal not allowed in {where} position")
+            if datatype is not None and datatype[0] == "iri":
+                Iri(datatype[1])
+            elif datatype is not None:
+                _resolve_word(datatype[1], prefixes, lineno, col)
+        else:
+            raise ParseError(lineno, col, f"unexpected {kind!r} token")
+
+
+def _resolve_word(word: str, prefixes: dict, lineno: int, col: int) -> Iri:
+    if ":" not in word:
+        raise ParseError(lineno, col, f"expected IRI, CURIE or literal, got {word!r}")
+    name, local = word.split(":", 1)
+    if name not in prefixes:
+        raise ParseError(lineno, col, f"undeclared prefix {name!r}")
+    return Iri(prefixes[name] + local)
+
 
 def _scan_line(text: str, lineno: int) -> list:
     """Tokenize one line. Tokens are (kind, value, col, datatype_spec)."""
@@ -397,9 +529,6 @@ def _scan_line(text: str, lineno: int) -> list:
     return tokens
 
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-
-
 def _scan_string(text: str, i: int, lineno: int):
     """Scan a quoted string starting at text[i] == '"'. Returns (lexical, next_i)."""
     col = i + 1
@@ -419,72 +548,6 @@ def _scan_string(text: str, i: int, lineno: int):
             out.append(c)
             i += 1
     raise ParseError(lineno, col, "unterminated string literal")
-
-
-def parse_document(text: str) -> Model:
-    """Parse an NDL-Lite document into a Model.
-
-    Raises ParseError with line/column on malformed lines, undeclared
-    prefixes, or a literal in subject or predicate position.
-    """
-    m = Model()
-
-    def resolve_word(word: str, lineno: int, col: int) -> Iri:
-        if ":" not in word:
-            raise ParseError(lineno, col, f"expected IRI, CURIE or literal, got {word!r}")
-        name, local = word.split(":", 1)
-        if name not in m.prefixes:
-            raise ParseError(lineno, col, f"undeclared prefix {name!r}")
-        return Iri(m.prefixes[name] + local)
-
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        tokens = _scan_line(line, lineno)
-        if not tokens:
-            continue
-        if tokens[0][0] == "word" and tokens[0][1] == "@prefix":
-            if (
-                len(tokens) != 4
-                or tokens[1][0] != "word"
-                or not tokens[1][1].endswith(":")
-                or tokens[2][0] != "iri"
-                or tokens[3][0] != "dot"
-            ):
-                raise ParseError(lineno, tokens[0][2], "malformed @prefix declaration")
-            name = tokens[1][1][:-1]
-            if not _PREFIX_NAME_RE.match(name):
-                raise ParseError(lineno, tokens[1][2], f"bad prefix name {name!r}")
-            m.declare(name, tokens[2][1])
-            continue
-        if len(tokens) != 4 or tokens[3][0] != "dot":
-            raise ParseError(
-                lineno,
-                tokens[-1][2],
-                "expected 'S P O .' (terms and terminating dot separated by spaces)",
-            )
-        terms = []
-        for pos, (kind, value, col, dt_spec) in enumerate(tokens[:3]):
-            if kind == "iri":
-                try:
-                    terms.append(Iri(value))
-                except ValueError as e:
-                    raise ParseError(lineno, col, str(e)) from None
-            elif kind == "word":
-                terms.append(resolve_word(value, lineno, col))
-            elif kind == "literal":
-                if pos == 0:
-                    raise ParseError(lineno, col, "literal not allowed in subject position")
-                if pos == 1:
-                    raise ParseError(lineno, col, "literal not allowed in predicate position")
-                if dt_spec is None:
-                    terms.append(Literal(value))
-                elif dt_spec[0] == "iri":
-                    terms.append(Literal(value, Iri(dt_spec[1])))
-                else:
-                    terms.append(Literal(value, resolve_word(dt_spec[1], lineno, col)))
-            else:
-                raise ParseError(lineno, col, f"unexpected {kind!r} token")
-        m.add(Triple(terms[0], terms[1], terms[2]))
-    return m
 
 
 def resolve(text: str, prefixes: dict) -> Iri:
@@ -567,6 +630,9 @@ def merge(models: Sequence[Model]) -> Model:
 # subproperty transitivity and propagation, inverse-property symmetry,
 # domain/range typing. Applied to fixpoint; only ever adds triples.
 
+# The schema relations whose targets drive the rules for a predicate.
+_PROPERTY_RELATIONS = (RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF)
+
 
 def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) -> Model:
     """Fixpoint closure of m under the fixed entailment profile.
@@ -580,36 +646,56 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
     """
     out = m.copy() if closed is None else merge([closed, m])
     agenda = deque(out if closed is None else (t for t in m if t not in closed))
+    known = out._triples
     derived = 0
+    # Schema lookups, kept for this fixpoint only: each class's IRI
+    # superclasses, and each predicate's IRI sub-property, domain, range and
+    # inverse targets. Adding (x, relation, ·) drops x's entry.
+    supers: dict = {}
+    rules: dict = {}
+
+    def iri_objects(x: Term, relation: Iri) -> tuple:
+        return tuple(o for o in out.objects(x, relation) if isinstance(o, Iri))
+
+    def superclasses(c: Iri) -> tuple:
+        found = supers[c] = iri_objects(c, RDFS_SUBCLASS_OF)
+        return found
+
+    def rule_of(p: Iri) -> tuple:
+        found = rules[p] = tuple(iri_objects(p, r) for r in _PROPERTY_RELATIONS)
+        return found
 
     def emit(s: Iri, p: Iri, o: Term) -> None:
         nonlocal derived
+        if (s, p, o) in known:
+            return
         t = Triple(s, p, o)
-        if out.add(t):
-            derived += 1
-            if derived > budget:
-                raise ClosureBudgetExceeded(derived, budget)
-            agenda.append(t)
+        out.add(t)
+        if p in _PROPERTY_RELATIONS:
+            rules.pop(s, None)
+        elif p == RDFS_SUBCLASS_OF:
+            supers.pop(s, None)
+        derived += 1
+        if derived > budget:
+            raise ClosureBudgetExceeded(derived, budget)
+        agenda.append(t)
 
     while agenda:
         t = agenda.popleft()
-        s, p, o = t.subject, t.predicate, t.object
+        s, p, o = t
         if p == RDFS_SUBCLASS_OF and isinstance(o, Iri):
-            for sup in out.objects(o, RDFS_SUBCLASS_OF):
-                if isinstance(sup, Iri):
-                    emit(s, RDFS_SUBCLASS_OF, sup)
+            for sup in supers[o] if o in supers else superclasses(o):
+                emit(s, RDFS_SUBCLASS_OF, sup)
             for sub in out.subjects(RDFS_SUBCLASS_OF, s):
                 emit(sub, RDFS_SUBCLASS_OF, o)
             for inst in out.subjects(RDF_TYPE, s):
                 emit(inst, RDF_TYPE, o)
         elif p == RDF_TYPE and isinstance(o, Iri):
-            for sup in out.objects(o, RDFS_SUBCLASS_OF):
-                if isinstance(sup, Iri):
-                    emit(s, RDF_TYPE, sup)
+            for sup in supers[o] if o in supers else superclasses(o):
+                emit(s, RDF_TYPE, sup)
         elif p == RDFS_SUBPROPERTY_OF and isinstance(o, Iri):
-            for sup in out.objects(o, RDFS_SUBPROPERTY_OF):
-                if isinstance(sup, Iri):
-                    emit(s, RDFS_SUBPROPERTY_OF, sup)
+            for sup in iri_objects(o, RDFS_SUBPROPERTY_OF):
+                emit(s, RDFS_SUBPROPERTY_OF, sup)
             for sub in out.subjects(RDFS_SUBPROPERTY_OF, s):
                 emit(sub, RDFS_SUBPROPERTY_OF, o)
             for inst in list(out.match(p=s)):
@@ -628,19 +714,20 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
                     emit(inst.object, o, inst.subject)
         # Property-driven rules for the triple itself (covers instance
         # triples arriving after their schema declarations).
-        for sup in out.objects(p, RDFS_SUBPROPERTY_OF):
-            if isinstance(sup, Iri):
-                emit(s, sup, o)
-        for cls in out.objects(p, RDFS_DOMAIN):
-            if isinstance(cls, Iri):
-                emit(s, RDF_TYPE, cls)
-        for cls in out.objects(p, RDFS_RANGE):
-            if isinstance(cls, Iri) and isinstance(o, Iri):
-                emit(o, RDF_TYPE, cls)
+        sub_properties, domains, ranges, inverses = rules[p] if p in rules else rule_of(p)
+        for sup in sub_properties:
+            emit(s, sup, o)
+        if p not in rules:
+            # those emissions gave p new schema; the domain and range loops
+            # below emit only rdf:type triples, which change no rule
+            _, domains, ranges, inverses = rule_of(p)
+        for cls in domains:
+            emit(s, RDF_TYPE, cls)
         if isinstance(o, Iri):
-            for inv in out.objects(p, OWL_INVERSE_OF):
-                if isinstance(inv, Iri):
-                    emit(o, inv, s)
+            for cls in ranges:
+                emit(o, RDF_TYPE, cls)
+            for inv in inverses:
+                emit(o, inv, s)
     return out
 
 

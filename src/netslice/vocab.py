@@ -224,9 +224,11 @@ class LayerSpec:
     def label_ok(self, lexical: str) -> bool:
         if self.address_pattern is not None:
             return re.fullmatch(self.address_pattern, lexical) is not None
+        if not (lexical.isascii() and lexical.isdigit()):
+            return False
         try:
             v = int(lexical)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             return False
         return self.pool_in_domain(LabelSet((v,)))
 
@@ -286,8 +288,9 @@ def entailed_schema() -> Model:
 def close(*docs: Model) -> Model:
     """Entailed closure of the built-in T-box merged with docs: equal to
     entailing merge([builtin_schema(), *docs]), but only the documents' own
-    triples are processed against the cached closed T-box."""
-    return entail(merge(docs), closed=entailed_schema())
+    triples are processed against the cached closed T-box. A single
+    document is read as it is: entail copies it into the closure."""
+    return entail(docs[0] if len(docs) == 1 else merge(docs), closed=entailed_schema())
 
 
 def satisfies(m: Model, cls: Iri, requested: Iri) -> bool:
@@ -460,23 +463,27 @@ def _merge(a: tuple, b: tuple, keep: tuple) -> tuple:
 NO_LABELS = LabelSet()
 
 
+# One part of a label-set literal, "N" or "N-M", in ASCII digits only.
+_LABEL_SPAN_RE = re.compile(r"([0-9]+)(?:-([0-9]+))?")
+
+
 def parse_label_set(lexical: str) -> LabelSet:
     """Labels of a label-set literal, built from its spans without
-    expanding them. Raises ValueError on a malformed part or a reversed
-    span."""
+    expanding them. Raises ValueError on a malformed part (anything but
+    "N" or "N-M" in ASCII digits: no sign, space or underscore) or a
+    reversed span."""
     if not lexical:
         return NO_LABELS
     spans = []
     for part in lexical.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = (int(v) for v in part.split("-", 1))
-            if lo > hi:
-                raise ValueError(f"reversed span {part!r}")
-            spans.append((lo, hi))
-        else:
-            v = int(part)
-            spans.append((v, v))
+        match = _LABEL_SPAN_RE.fullmatch(part)
+        if match is None:
+            raise ValueError(f"malformed part {part!r}: expected N or N-M")
+        lo = int(match[1])
+        hi = lo if match[2] is None else int(match[2])
+        if lo > hi:
+            raise ValueError(f"reversed span {part!r}")
+        spans.append((lo, hi))
     return _from_bounds(_canonical(spans))
 
 

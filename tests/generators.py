@@ -117,9 +117,17 @@ def instance_device_iri(name: str) -> Iri:
     return Iri("urn:gen/" + name)
 
 
+# Schema relations a random property may specialise, so that a triple using
+# that property states a schema axiom.
+_SCHEMA_RELATIONS = [RDFS_DOMAIN, RDFS_RANGE, RDFS_SUBPROPERTY_OF, OWL_INVERSE_OF, RDFS_SUBCLASS_OF]
+
+
 def random_schema_model(rng: random.Random, base: str = "urn:acc4/") -> Model:
     """Random subclass, subproperty, domain, range and inverse axioms plus
-    typed and related instances: the entailment oracle's inputs."""
+    typed and related instances: the entailment oracle's inputs. Some
+    properties are sub-properties of a schema relation, and some triples
+    relate properties to classes or properties, so schema triples get
+    derived while the closure runs."""
     m = Model()
     classes = [Iri(base + f"C{i}") for i in range(rng.randint(2, 30))]
     props = [Iri(base + f"p{i}") for i in range(rng.randint(1, 15))]
@@ -144,6 +152,11 @@ def random_schema_model(rng: random.Random, base: str = "urn:acc4/") -> Model:
             m.add(Triple(x, rng.choice(props), rng.choice(insts)))
         if rng.random() < 0.2:
             m.add(Triple(x, rng.choice(props), integer(rng.randrange(5))))
+    for p in props:
+        if rng.random() < 0.15:
+            m.add(Triple(p, RDFS_SUBPROPERTY_OF, rng.choice(_SCHEMA_RELATIONS)))
+        if rng.random() < 0.25:
+            m.add(Triple(rng.choice(props + classes), p, rng.choice(classes + props)))
     return m
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from collections import deque
 
 from netslice.embed import DEVICE_ADJACENCY
@@ -17,6 +18,7 @@ from netslice.graphstore import (
     Literal,
     Model,
     OWL_INVERSE_OF,
+    ParseError,
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_RANGE,
@@ -407,3 +409,146 @@ def reference_render_label_set(labels: frozenset) -> str:
         start = prev = v
     spans.append((start, prev))
     return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
+_REFERENCE_PREFIX_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$|^$")
+
+
+def _reference_scan_line(text: str, lineno: int) -> list:
+    """Tokenize one line. Tokens are (kind, value, col, datatype_spec)."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r":
+            i += 1
+            continue
+        col = i + 1
+        if c == "#":
+            break
+        if c == "<":
+            j = text.find(">", i + 1)
+            if j < 0:
+                raise ParseError(lineno, col, "unterminated IRI reference")
+            value = text[i + 1 : j]
+            tokens.append(("iri", value, col, None))
+            i = j + 1
+        elif c == '"':
+            lex, i = _reference_scan_string(text, i, lineno)
+            dt_spec = None
+            if text[i : i + 2] == "^^":
+                i += 2
+                if i < n and text[i] == "<":
+                    j = text.find(">", i + 1)
+                    if j < 0:
+                        raise ParseError(lineno, i + 1, "unterminated datatype IRI")
+                    dt_spec = ("iri", text[i + 1 : j])
+                    i = j + 1
+                else:
+                    j = i
+                    while j < n and text[j] not in " \t\r":
+                        j += 1
+                    if j == i:
+                        raise ParseError(lineno, i + 1, "missing datatype after ^^")
+                    dt_spec = ("word", text[i:j])
+                    i = j
+            tokens.append(("literal", lex, col, dt_spec))
+        elif c == "." and (i + 1 == n or text[i + 1] in " \t\r#"):
+            tokens.append(("dot", ".", col, None))
+            i += 1
+        else:
+            j = i
+            while j < n and text[j] not in " \t\r":
+                j += 1
+            tokens.append(("word", text[i:j], col, None))
+            i = j
+    return tokens
+
+
+_REFERENCE_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+
+
+def _reference_scan_string(text: str, i: int, lineno: int):
+    """Scan a quoted string starting at text[i] == '"'. Returns (lexical, next_i)."""
+    col = i + 1
+    out = []
+    i += 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\\":
+            if i + 1 >= n or text[i + 1] not in _REFERENCE_ESCAPES:
+                raise ParseError(lineno, i + 1, "bad escape in string literal")
+            out.append(_REFERENCE_ESCAPES[text[i + 1]])
+            i += 2
+        elif c == '"':
+            return "".join(out), i + 1
+        else:
+            out.append(c)
+            i += 1
+    raise ParseError(lineno, col, "unterminated string literal")
+
+
+def reference_parse_document(text: str) -> Model:
+    """An NDL-Lite document parsed line by line with a character scanner:
+    the parser the line pattern replaced. Same Model, same ParseError (line,
+    column and message) and the same ValueError on a malformed IRI."""
+    m = Model()
+
+    def resolve_word(word: str, lineno: int, col: int) -> Iri:
+        if ":" not in word:
+            raise ParseError(lineno, col, f"expected IRI, CURIE or literal, got {word!r}")
+        name, local = word.split(":", 1)
+        if name not in m.prefixes:
+            raise ParseError(lineno, col, f"undeclared prefix {name!r}")
+        return Iri(m.prefixes[name] + local)
+
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = _reference_scan_line(line, lineno)
+        if not tokens:
+            continue
+        if tokens[0][0] == "word" and tokens[0][1] == "@prefix":
+            if (
+                len(tokens) != 4
+                or tokens[1][0] != "word"
+                or not tokens[1][1].endswith(":")
+                or tokens[2][0] != "iri"
+                or tokens[3][0] != "dot"
+            ):
+                raise ParseError(lineno, tokens[0][2], "malformed @prefix declaration")
+            name = tokens[1][1][:-1]
+            if not _REFERENCE_PREFIX_NAME_RE.match(name):
+                raise ParseError(lineno, tokens[1][2], f"bad prefix name {name!r}")
+            m.declare(name, tokens[2][1])
+            continue
+        if len(tokens) != 4 or tokens[3][0] != "dot":
+            raise ParseError(
+                lineno,
+                tokens[-1][2],
+                "expected 'S P O .' (terms and terminating dot separated by spaces)",
+            )
+        terms = []
+        for pos, (kind, value, col, dt_spec) in enumerate(tokens[:3]):
+            if kind == "iri":
+                try:
+                    terms.append(Iri(value))
+                except ValueError as e:
+                    raise ParseError(lineno, col, str(e)) from None
+            elif kind == "word":
+                terms.append(resolve_word(value, lineno, col))
+            elif kind == "literal":
+                if pos == 0:
+                    raise ParseError(lineno, col, "literal not allowed in subject position")
+                if pos == 1:
+                    raise ParseError(lineno, col, "literal not allowed in predicate position")
+                if dt_spec is None:
+                    terms.append(Literal(value))
+                elif dt_spec[0] == "iri":
+                    terms.append(Literal(value, Iri(dt_spec[1])))
+                else:
+                    terms.append(Literal(value, resolve_word(dt_spec[1], lineno, col)))
+            else:
+                raise ParseError(lineno, col, f"unexpected {kind!r} token")
+        m.add(Triple(terms[0], terms[1], terms[2]))
+    return m

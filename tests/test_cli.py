@@ -1,12 +1,16 @@
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import netslice
 from netslice import graphstore, rules
 from netslice.cli import main, run_scenario
 
-from conftest import FIXTURES
+from conftest import FIXTURES, LOOSE_LABEL_SETS
 
 
 def _run(capsys, *argv):
@@ -400,7 +404,7 @@ def test_embed_schema_supplies_provider_extension_class(capsys, tmp_path):
     assert {"urn:orca:slice:g1/vm/0", "urn:orca:slice:g1/vm/1"} <= gpus
 
 
-@pytest.mark.parametrize("lexical", ["160-140", "14x"])
+@pytest.mark.parametrize("lexical", ["160-140", "14x", *LOOSE_LABEL_SETS])
 def test_malformed_label_set_exits_two_naming_the_subject(capsys, tmp_path, lexical):
     bad = tmp_path / "ring-a.ndl"
     bad.write_text((FIXTURES / "ring-a.ndl").read_text().replace('"140-160"', f'"{lexical}"'))
@@ -412,6 +416,9 @@ def test_malformed_label_set_exits_two_naming_the_subject(capsys, tmp_path, lexi
     code, out, err = _embed(capsys, tmp_path, PAIR_REQUEST, substrates=(bad,))
     assert (code, out) == (2, "")
     assert f"error: {bad}" in err and "urn:orca:site:a/Switch/toC" in err
+    code, out, err = _run(capsys, "delegate", bad)
+    assert (code, out) == (2, "")
+    assert "urn:orca:site:a/Switch/toC" in err and "unparseable label set" in err
     code, out, _ = _run(capsys, "validate", bad)
     assert code == 1
     assert f"unparseable label set '{lexical}'" in out
@@ -463,3 +470,31 @@ def test_exceeded_rule_join_budget_exits_two(capsys, monkeypatch, tmp_path, argv
     code, out, err = _run(capsys, *argv, FIXTURES / "request-pair.ndl", "--rules", cross_join)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "rule join produced" in err and "(cap 5)" in err
+
+
+def _python_m_netslice(*argv):
+    """`python -m netslice` in a fresh interpreter, importing the package
+    from this checkout's src/."""
+    src = str(Path(netslice.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "netslice", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_python_m_netslice_runs_the_cli():
+    done = _python_m_netslice("validate", FIXTURES / "request-pair.ndl")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+def test_python_m_netslice_exits_two_on_a_malformed_file(tmp_path):
+    bad = tmp_path / "bad.ndl"
+    bad.write_text("<urn:a> <urn:p> .\n")
+    done = _python_m_netslice("validate", bad)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"error: {bad}: line 1, col 17: "
+        "expected 'S P O .' (terms and terminating dot separated by spaces)\n"
+    )

@@ -5,6 +5,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netslice import graphstore
 from netslice.graphstore import (
@@ -15,7 +17,10 @@ from netslice.graphstore import (
     OWL_INVERSE_OF,
     ParseError,
     RDF_TYPE,
+    RDFS_DOMAIN,
+    RDFS_RANGE,
     RDFS_SUBCLASS_OF,
+    RDFS_SUBPROPERTY_OF,
     Triple,
     Var,
     XSD_INTEGER,
@@ -27,7 +32,7 @@ from netslice.graphstore import (
     serialize_document,
 )
 from generators import random_schema_model
-from oracles import bgp_by_assignment, naive_entail
+from oracles import bgp_by_assignment, naive_entail, reference_parse_document
 
 EX = "urn:ex/"
 
@@ -288,44 +293,52 @@ def test_entail_inverse_property():
 
 
 def test_entail_monotone_and_idempotent():
-    m = _random_schema_model(random.Random(11))
+    m = random_schema_model(random.Random(11))
     closed = entail(m)
     assert set(m) <= set(closed)
     assert entail(closed) == closed
 
 
-def _random_schema_model(rng, n_classes=8, n_props=4, n_inst=10):
-    m = Model()
-    classes = [ex(f"C{i}") for i in range(n_classes)]
-    props = [ex(f"prop{i}") for i in range(n_props)]
-    insts = [ex(f"i{i}") for i in range(n_inst)]
-    for c in classes:
-        if rng.random() < 0.7:
-            m.add(Triple(c, RDFS_SUBCLASS_OF, rng.choice(classes)))
-    for p in props:
-        if rng.random() < 0.5:
-            m.add(Triple(p, Iri("http://www.w3.org/2000/01/rdf-schema#subPropertyOf"), rng.choice(props)))
-        if rng.random() < 0.4:
-            m.add(Triple(p, Iri("http://www.w3.org/2000/01/rdf-schema#domain"), rng.choice(classes)))
-        if rng.random() < 0.4:
-            m.add(Triple(p, Iri("http://www.w3.org/2000/01/rdf-schema#range"), rng.choice(classes)))
-        if rng.random() < 0.3:
-            m.add(Triple(p, OWL_INVERSE_OF, rng.choice(props)))
-    for x in insts:
-        if rng.random() < 0.8:
-            m.add(Triple(x, RDF_TYPE, rng.choice(classes)))
-        if rng.random() < 0.8:
-            m.add(Triple(x, rng.choice(props), rng.choice(insts)))
-        if rng.random() < 0.2:
-            m.add(Triple(x, rng.choice(props), integer(rng.randrange(10))))
-    return m
-
-
 def test_entail_matches_naive_fixpoint_oracle():
     rng = random.Random(20260808)
     for _ in range(25):
-        m = _random_schema_model(rng)
+        m = random_schema_model(rng)
         assert set(entail(m)) == naive_entail(m)
+
+
+def test_entail_sees_schema_triples_derived_mid_fixpoint():
+    # q's domain and range are derived from axioms stated through
+    # sub-properties of rdfs:domain and rdfs:range, after q's first use has
+    # been processed; r's triples reach q through rdfs:subPropertyOf later
+    m = Model()
+    m.add(t("x", "q", "y"))
+    m.add(Triple(ex("dom"), RDFS_SUBPROPERTY_OF, RDFS_DOMAIN))
+    m.add(Triple(ex("rng"), RDFS_SUBPROPERTY_OF, RDFS_RANGE))
+    m.add(t("q", "dom", "C"))
+    m.add(t("q", "rng", "D"))
+    m.add(t("z", "r", "w"))
+    m.add(t("r", "sub", "q"))
+    m.add(Triple(ex("sub"), RDFS_SUBPROPERTY_OF, RDFS_SUBPROPERTY_OF))
+    closed = entail(m)
+    for inst, cls in [("x", "C"), ("y", "D"), ("z", "C"), ("w", "D")]:
+        assert Triple(ex(inst), RDF_TYPE, ex(cls)) in closed
+    assert set(closed) == naive_entail(m)
+
+
+def test_entail_budget_raises_exactly_past_the_derived_count():
+    rng = random.Random(0xB0D6E7)
+    for round_no in range(60):
+        m = random_schema_model(rng)
+        derived = len(naive_entail(m)) - len(m)
+        for budget in {0, derived - 1, derived, derived + 1, rng.randrange(derived + 2)}:
+            if budget < 0:
+                continue
+            if derived > budget:
+                with pytest.raises(ClosureBudgetExceeded) as err:
+                    entail(m, budget=budget)
+                assert (err.value.derived, err.value.cap) == (budget + 1, budget)
+            else:
+                assert len(entail(m, budget=budget)) - len(m) == derived, f"round {round_no}"
 
 
 def test_entail_budget():
@@ -426,3 +439,169 @@ def test_entail_with_closed_base_matches_naive_fixpoint():
             assert set(got) == expected, f"round {round_no}, split {split}"
             got = entail(rest, closed=closed_base)
             assert set(got) == expected, f"round {round_no}, split {split}, base outside"
+
+
+# -- the line pattern against the character scanner ---------------------------
+
+
+def _parse_outcome(parse, text):
+    """What a parser makes of a document: its triples in insertion order and
+    its prefix map, or the error it raises."""
+    try:
+        m = parse(text)
+    except ParseError as e:
+        return ("ParseError", e.line, e.col, e.reason)
+    except ValueError as e:
+        return ("ValueError", str(e))
+    return ("ok", list(m), list(m.prefixes.items()))
+
+
+_ODD_DOCUMENT = "\n".join([
+    "@prefix e: <urn:e/> .",
+    "@prefix : <urn:empty/> .",
+    "<urn:a><urn:b><urn:c>.",
+    "e:a e:p e:b .#comment",
+    "\te:a\te:p\t:b\t.\r",
+    '<urn:a> e:p "tab\\there \\"quoted\\" back\\\\slash\\n" .',
+    '<urn:a> e:p "5"^^<http://www.w3.org/2001/XMLSchema#integer>.',
+    '<urn:a> e:p "5"^^e:int .',
+    "@prefix e: <urn:other/> .",
+    "e:a :p e:b . # e: is redeclared",
+])
+
+
+def test_parse_accepts_odd_but_valid_spellings():
+    m = parse_document(_ODD_DOCUMENT)
+    a, b, c = Iri("urn:a"), Iri("urn:b"), Iri("urn:c")
+    p = Iri("urn:e/p")
+    assert list(m) == [
+        Triple(a, b, c),
+        Triple(Iri("urn:e/a"), p, Iri("urn:e/b")),
+        Triple(Iri("urn:e/a"), p, Iri("urn:empty/b")),
+        Triple(a, p, Literal('tab\there "quoted" back\\slash\n')),
+        Triple(a, p, integer(5)),
+        Triple(a, p, Literal("5", Iri("urn:e/int"))),
+        Triple(Iri("urn:other/a"), Iri("urn:empty/p"), Iri("urn:other/b")),
+    ]
+    assert m.prefixes == {"e": "urn:other/", "": "urn:empty/"}
+    assert _parse_outcome(parse_document, _ODD_DOCUMENT) == _parse_outcome(
+        reference_parse_document, _ODD_DOCUMENT
+    )
+
+
+# Declared prefix names, one that is never declared, and malformed ones.
+_PREFIX_NAMES = ["e", "", "x.y-1", "zz"]
+_iri = st.text(alphabet='ab:/#."<@ \x0c', max_size=5).map(lambda v: f"<{v}>")
+_curie = st.builds(
+    "{}:{}".format,
+    st.sampled_from(_PREFIX_NAMES),
+    st.text(alphabet='ab.#:"<>/_^\\', max_size=4),
+)
+_term = st.one_of(_iri, _curie)
+_literal = st.builds(
+    lambda raw, datatype: '"' + graphstore.render_term(Literal(raw), {})[1:-1] + '"' + datatype,
+    st.text(alphabet='ab \t\r\n#<>."\\', max_size=6),
+    st.one_of(st.just(""), _term.map("^^{}".format)),
+)
+_gap = st.sampled_from(["", " ", "\t", "\r", "  ", " \t"])
+_statement = st.builds(
+    "{}{}{}{}{}{}{}".format,
+    _gap,
+    st.one_of(_term, _term, _literal),
+    _gap,
+    st.one_of(_term, _term, _literal),
+    _gap,
+    st.one_of(_term, _literal),
+    st.sampled_from([" .", ".", " . # c", ".#c", "\t.\r", " .\t#x y", ". ", " .x", ""]),
+)
+_prefix_line = st.builds(
+    "{}@prefix{}{}:{}<{}>{}".format,
+    _gap,
+    st.sampled_from([" ", "\t", ""]),
+    st.sampled_from(["e", "", "x.y-1", "1a", "a:b", ".x"]),
+    st.sampled_from([" ", "\t", ""]),
+    st.sampled_from(["urn:e/", "", "urn:a b/", "http://x#"]),
+    st.sampled_from([" .", ".", " .#c", " . x", ""]),
+)
+_blank = st.sampled_from(["", "# c", "  \t", "\r", "#"])
+
+
+@st.composite
+def _valid_statement(draw):
+    """A statement the grammar accepts, in any of its spellings: a token
+    after a CURIE needs whitespace before it, one after an IRI or a
+    literal does not."""
+    line = draw(_gap)
+    after_curie = False
+    for position in ("subject", "predicate", "object", "dot"):
+        line += draw(st.sampled_from([" ", "\t", "\r", " \t "]) if after_curie else _gap)
+        if position == "dot":
+            break
+        kind = draw(st.sampled_from(["iri", "curie", "literal"][: 3 if position == "object" else 2]))
+        if kind == "literal":
+            raw = draw(st.text(alphabet='ab \t\r\n#<>."\\^', max_size=6))
+            line += graphstore.render_term(Literal(raw), {})
+            kind = draw(st.sampled_from(["", "iri", "curie"]))
+            line += "^^" if kind else ""
+        if kind == "iri":
+            line += "<" + draw(st.text(alphabet='ab:/#."<@^', min_size=1, max_size=5)) + ">"
+        elif kind == "curie":
+            line += draw(st.sampled_from(["e", "", "x.y-1"])) + ":"
+            line += draw(st.text(alphabet='ab.#:"<>/_^\\', max_size=4))
+        after_curie = kind == "curie"
+    return line + "." + draw(st.sampled_from(["", " ", "#c", " # c", "\t\r"]))
+
+
+_valid_prefix_line = st.builds(
+    "{}@prefix{}{}:{}<{}>{}.{}".format,
+    _gap,
+    st.sampled_from([" ", "\t", " \r"]),
+    st.sampled_from(["e", "", "x.y-1"]),
+    st.sampled_from([" ", "\t", " \r"]),
+    st.sampled_from(["urn:e/", "", "http://x#"]),
+    _gap,
+    st.sampled_from(["", " ", "#c", " # c"]),
+)
+_valid_documents = st.lists(
+    st.one_of(_valid_statement(), _valid_statement(), _valid_statement(), _valid_prefix_line, _blank),
+    max_size=10,
+).map(lambda lines: "\n".join(["@prefix e: <urn:e/> .", "@prefix : <urn:empty/> .",
+                                "@prefix x.y-1: <urn:x/> .", *lines]))
+_documents = st.one_of(
+    _valid_documents,
+    st.lists(st.one_of(_statement, _statement, _prefix_line, _blank, st.just(" . ")), max_size=8).map(
+        lambda lines: "\n".join(["@prefix e: <urn:e/> .", "@prefix : <urn:empty/> .", *lines])
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+@example(_ODD_DOCUMENT)
+def test_parse_matches_the_reference_scanner(text):
+    assert _parse_outcome(parse_document, text) == _parse_outcome(reference_parse_document, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _documents,
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0),
+            st.sampled_from(["delete", "insert", "double"]),
+            st.sampled_from(list('<>"\\.#: \t\r^@a\x0c')),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_parse_matches_the_reference_scanner_on_mutated_lines(text, edits):
+    for at, edit, char in edits:
+        at %= len(text) + 1
+        if edit == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif edit == "insert":
+            text = text[:at] + char + text[at:]
+        else:
+            text = text[:at] + text[at : at + 1] * 2 + text[at + 1 :]
+    assert _parse_outcome(parse_document, text) == _parse_outcome(reference_parse_document, text)

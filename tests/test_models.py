@@ -28,7 +28,7 @@ from netslice.models import (
 )
 from netslice.vocab import LabelSet, builtin_schema, validate_conformance
 
-from conftest import FIXTURES
+from conftest import FIXTURES, LOOSE_LABEL_SETS
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
 
@@ -231,7 +231,7 @@ def test_residual_of_shares_equal_label_sets():
     assert to_b is residual[("label", Iri("urn:orca:site:a/Switch/toC"))]
 
 
-@pytest.mark.parametrize("lexical", ["160-140", "14x"])
+@pytest.mark.parametrize("lexical", ["160-140", "14x", *LOOSE_LABEL_SETS])
 def test_malformed_label_set_names_its_subject(lexical):
     text = (FIXTURES / "ring-a.ndl").read_text().replace('"140-160"', f'"{lexical}"')
     with pytest.raises(LabelSetError, match="urn:orca:site:a/Switch/toC") as err:

@@ -32,7 +32,7 @@ from netslice.vocab import (
     validate_conformance,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, LOOSE_LABEL_SETS
 from generators import random_schema_model
 from oracles import reference_parse_label_set, reference_render_label_set
 
@@ -95,10 +95,22 @@ def test_render_label_set_is_canonical_with_duplicates(labels, text):
     assert render_label_set(labels) == text
 
 
-@pytest.mark.parametrize("lexical", ["9-3", "5,,6", "2-x", "-4", "1-2-3"])
+@pytest.mark.parametrize(
+    "lexical",
+    ["9-3", "5,,6", "2-x", "-4", "1-2-3", *LOOSE_LABEL_SETS, pytest.param("9" * 5000, id="5000-digits")],
+)
 def test_label_set_rejects_malformed_literals(lexical):
     with pytest.raises(ValueError):
         parse_label_set(lexical)
+
+
+@pytest.mark.parametrize(
+    "lexical",
+    ["+5", "1_000", " 7 ", "7 ", "\u0663", "\uff15", "5-7", pytest.param("9" * 5000, id="5000-digits")],
+)
+def test_label_value_takes_ascii_digits_only(lexical):
+    assert not vocab.ETHERNET_LAYER.label_ok(lexical)
+    assert vocab.ETHERNET_LAYER.label_ok("7") and vocab.ETHERNET_LAYER.label_ok("1000")
 
 
 def test_parse_label_set_of_a_huge_span_is_bounded():
