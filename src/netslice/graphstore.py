@@ -192,11 +192,11 @@ class Model:
 
     Set semantics: re-adding a triple is a no-op. Equality compares triple
     sets only; the prefix map is presentation. Mutation happens only through
-    add/remove; readers may share a model freely, and what they derive from
-    it through `derived` is kept until its triples change.
+    add/remove, until `freeze`; readers may share a model freely, and what
+    they derive from it through `derived` is kept until its triples change.
     """
 
-    __slots__ = ("prefixes", "_triples", "_spo", "_pos", "_derived")
+    __slots__ = ("prefixes", "_triples", "_spo", "_pos", "_derived", "_frozen", "_base")
 
     def __init__(self, prefixes: Optional[dict] = None):
         self.prefixes: dict[str, str] = dict(prefixes or {})
@@ -204,46 +204,55 @@ class Model:
         self._spo: dict[Iri, dict[Iri, dict[Term, None]]] = {}
         self._pos: dict[Iri, dict[Term, dict[Iri, None]]] = {}
         self._derived: dict = {}  # build function -> build(self)
+        self._frozen = False
+        self._base: Optional[Model] = None  # frozen model whose inner dicts these may be
 
     # -- mutation ---------------------------------------------------------
 
     def declare(self, name: str, iri: str) -> None:
         self.prefixes[name] = iri
 
+    def freeze(self) -> "Model":
+        """Make every later add or remove raise TypeError; returns the model."""
+        self._frozen = True
+        return self
+
     def add(self, t: Triple) -> bool:
         """Insert a triple. Returns False if it was already present."""
+        if self._frozen:
+            raise TypeError("cannot add to a frozen model")
         if t in self._triples:
             return False
         self._derived.clear()
         self._triples[t] = None
         s, p, o = t
-        self._spo.setdefault(s, {}).setdefault(p, {})[o] = None
-        self._pos.setdefault(p, {}).setdefault(o, {})[s] = None
+        if self._base is None:
+            self._spo.setdefault(s, {}).setdefault(p, {})[o] = None
+            self._pos.setdefault(p, {}).setdefault(o, {})[s] = None
+        else:
+            _own(self._spo, self._base._spo, s, p)[o] = None
+            _own(self._pos, self._base._pos, p, o)[s] = None
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        n = 0
-        for t in triples:
-            if self.add(t):
-                n += 1
-        return n
+        return sum(1 for t in triples if self.add(t))
 
     def remove(self, t: Triple) -> bool:
+        if self._frozen:
+            raise TypeError("cannot remove from a frozen model")
         if t not in self._triples:
             return False
         self._derived.clear()
         del self._triples[t]
-        s, p, o = t.subject, t.predicate, t.object
-        del self._spo[s][p][o]
-        if not self._spo[s][p]:
-            del self._spo[s][p]
-            if not self._spo[s]:
-                del self._spo[s]
-        del self._pos[p][o][s]
-        if not self._pos[p][o]:
-            del self._pos[p][o]
-            if not self._pos[p]:
-                del self._pos[p]
+        s, p, o = t
+        spo, pos = ({}, {}) if self._base is None else (self._base._spo, self._base._pos)
+        for index, shared, (a, b, c) in ((self._spo, spo, t), (self._pos, pos, (p, o, s))):
+            leaf = _own(index, shared, a, b)
+            del leaf[c]
+            if not leaf:
+                del index[a][b]
+                if not index[a]:
+                    del index[a]
         return True
 
     # -- access -----------------------------------------------------------
@@ -261,10 +270,6 @@ class Model:
         if not isinstance(other, Model):
             return NotImplemented
         return self._triples.keys() == other._triples.keys()
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # mutable
 
@@ -332,15 +337,38 @@ class Model:
         return self._derived[build]
 
     def copy(self) -> "Model":
-        """An independent copy, index by index: far fewer hashes than re-adding.
+        """An independent copy. A frozen model's copy shares its inner index
+        dicts, and copies one only when a write first touches it; any other
+        model is copied index by index, far fewer hashes than re-adding.
         Nothing derived is shared: the copy derives afresh."""
         m = Model(self.prefixes)
         m._triples = dict(self._triples)
-        m._spo, m._pos = (
-            {a: {b: dict(c) for b, c in bs.items()} for a, bs in index.items()}
-            for index in (self._spo, self._pos)
-        )
+        if self._frozen:
+            m._base = self
+            m._spo, m._pos = dict(self._spo), dict(self._pos)
+        else:
+            m._spo, m._pos = (
+                {a: {b: dict(c) for b, c in bs.items()} for a, bs in index.items()}
+                for index in (self._spo, self._pos)
+            )
         return m
+
+
+def _own(index: dict, shared: dict, a, b) -> dict:
+    """index[a][b], created where missing and copied first, level by level,
+    where it is still the dict that the frozen base's index `shared` holds."""
+    level = index.get(a)
+    base_level = shared.get(a)
+    if level is None:
+        level = index[a] = {}
+    elif level is base_level:
+        level = index[a] = dict(level)
+    leaf = level.get(b)
+    if leaf is None:
+        leaf = level[b] = {}
+    elif base_level is not None and leaf is base_level.get(b):
+        leaf = level[b] = dict(leaf)
+    return leaf
 
 
 # -- text format ------------------------------------------------------------
@@ -566,20 +594,24 @@ def resolve(text: str, prefixes: dict) -> Iri:
 
 def render_term(t: Term, prefixes: dict) -> str:
     """Render a term, compacting IRIs against the prefix map when safe."""
+    return _render(t, _namespaces(prefixes))
+
+
+def _namespaces(prefixes: dict) -> list:
+    """(namespace, name) pairs in the order they compete to compact an IRI:
+    the longest namespace wins, and ties break on prefix name."""
+    return sorted(((ns, name) for name, ns in prefixes.items()), key=lambda x: (-len(x[0]), x[1]))
+
+
+def _render(t: Term, namespaces: list) -> str:
     if isinstance(t, Iri):
-        best = None
-        for name, ns in prefixes.items():
-            if t.value.startswith(ns):
-                local = t.value[len(ns) :]
-                if local and not (_SAFE_LOCAL_RE.match(local) and not local.endswith(".")):
-                    continue
-                cand = (len(ns), name)
-                # Longest namespace wins; ties break on prefix name.
-                if best is None or cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                    best = (cand[0], name, local)
-        if best is not None:
-            return f"{best[1]}:{best[2]}"
-        return f"<{t.value}>"
+        v = t.value
+        for ns, name in namespaces:
+            if v.startswith(ns):
+                local = v[len(ns) :]
+                if not local or (_SAFE_LOCAL_RE.match(local) and not local.endswith(".")):
+                    return f"{name}:{local}"
+        return f"<{v}>"
     lex = (
         t.lexical.replace("\\", "\\\\")
         .replace('"', '\\"')
@@ -589,7 +621,7 @@ def render_term(t: Term, prefixes: dict) -> str:
     )
     if t.datatype == XSD_STRING:
         return f'"{lex}"'
-    return f'"{lex}"^^{render_term(t.datatype, prefixes)}'
+    return f'"{lex}"^^{_render(t.datatype, namespaces)}'
 
 
 def serialize_document(m: Model) -> str:
@@ -601,7 +633,8 @@ def serialize_document(m: Model) -> str:
     prefixes = m.prefixes
     lines = [f"@prefix {name}: <{iri}> ." for name, iri in sorted(prefixes.items())]
     # each distinct term is rendered once
-    text = {term: render_term(term, prefixes) for term in {x for t in m for x in t}}
+    namespaces = _namespaces(prefixes)
+    text = {term: _render(term, namespaces) for term in {x for t in m for x in t}}
     rendered = sorted((text[s], text[p], text[o]) for s, p, o in m)
     lines.extend(f"{s} {p} {o} ." for s, p, o in rendered)
     return "\n".join(lines) + ("\n" if lines else "")
@@ -634,35 +667,57 @@ def merge(models: Sequence[Model]) -> Model:
 _PROPERTY_RELATIONS = (RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF)
 
 
+def _iri_objects(m: Model, x: Term, relation: Iri) -> tuple:
+    return tuple(o for o in m.objects(x, relation) if isinstance(o, Iri))
+
+
+def _schema_lookups(m: Model) -> tuple:
+    """The schema lookups of a closed base, for `m.derived`: the IRI
+    superclasses and the rule targets of each of m's subjects and predicates."""
+    names = {*m._spo, *m._pos}
+    return (
+        {x: _iri_objects(m, x, RDFS_SUBCLASS_OF) for x in names},
+        {x: tuple(_iri_objects(m, x, r) for r in _PROPERTY_RELATIONS) for x in names},
+    )
+
+
 def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) -> Model:
     """Fixpoint closure of m under the fixed entailment profile.
 
     Monotone (result contains m) and idempotent. Raises
     ClosureBudgetExceeded when more than `budget` new triples get derived.
     With `closed`, a model that is already a fixpoint, the result is the
-    closure of merge([closed, m]): it starts from a copy of `closed` and
-    only m's triples outside it are processed, since every consequence drawn
-    from `closed` alone is in it already. m may or may not contain `closed`.
+    closure of merge([closed, m]): it starts from a copy of `closed` (which
+    shares its index dicts when `closed` is frozen) and only m's triples
+    outside it are processed, since every consequence drawn from `closed`
+    alone is in it already. m may or may not contain `closed`.
+
+    Schema lookups (each class's IRI superclasses, each predicate's IRI
+    sub-property, domain, range and inverse targets) start empty, or as
+    `closed`'s, derived once per state of it, less the IRIs that m's own
+    triples add schema about; adding (x, relation, ·) drops x's entry.
     """
-    out = m.copy() if closed is None else merge([closed, m])
-    agenda = deque(out if closed is None else (t for t in m if t not in closed))
+    if closed is None:
+        out, supers, rules = m.copy(), {}, {}
+        agenda = deque(out)
+    else:
+        out = merge([closed, m])
+        agenda = deque(t for t in m if t not in closed)
+        supers, rules = map(dict, closed.derived(_schema_lookups))
+        for s, p, _ in agenda:
+            if p in _PROPERTY_RELATIONS:
+                rules.pop(s, None)
+            elif p == RDFS_SUBCLASS_OF:
+                supers.pop(s, None)
     known = out._triples
     derived = 0
-    # Schema lookups, kept for this fixpoint only: each class's IRI
-    # superclasses, and each predicate's IRI sub-property, domain, range and
-    # inverse targets. Adding (x, relation, ·) drops x's entry.
-    supers: dict = {}
-    rules: dict = {}
-
-    def iri_objects(x: Term, relation: Iri) -> tuple:
-        return tuple(o for o in out.objects(x, relation) if isinstance(o, Iri))
 
     def superclasses(c: Iri) -> tuple:
-        found = supers[c] = iri_objects(c, RDFS_SUBCLASS_OF)
+        found = supers[c] = _iri_objects(out, c, RDFS_SUBCLASS_OF)
         return found
 
     def rule_of(p: Iri) -> tuple:
-        found = rules[p] = tuple(iri_objects(p, r) for r in _PROPERTY_RELATIONS)
+        found = rules[p] = tuple(_iri_objects(out, p, r) for r in _PROPERTY_RELATIONS)
         return found
 
     def emit(s: Iri, p: Iri, o: Term) -> None:
@@ -694,7 +749,7 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
             for sup in supers[o] if o in supers else superclasses(o):
                 emit(s, RDF_TYPE, sup)
         elif p == RDFS_SUBPROPERTY_OF and isinstance(o, Iri):
-            for sup in iri_objects(o, RDFS_SUBPROPERTY_OF):
+            for sup in _iri_objects(out, o, RDFS_SUBPROPERTY_OF):
                 emit(s, RDFS_SUBPROPERTY_OF, sup)
             for sub in out.subjects(RDFS_SUBPROPERTY_OF, s):
                 emit(sub, RDFS_SUBPROPERTY_OF, o)

@@ -28,6 +28,7 @@ from .graphstore import (
     RDFS_NS,
     RDFS_RANGE,
     RDFS_SUBCLASS_OF,
+    RDFS_SUBPROPERTY_OF,
     Triple,
     XSD_NS,
     entail,
@@ -245,10 +246,11 @@ ETHERNET_LAYER = LayerSpec(
     max_label=4094,
     pooled=True,
 )
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|[01]?[0-9]?[0-9])"  # 0-255 in ASCII digits
 IP4_LAYER = LayerSpec(
     layer=IP_ELEMENT,
     label_class=IP_ADDRESS,
-    address_pattern=r"(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})",
+    address_pattern=rf"{_OCTET}(?:\.{_OCTET}){{3}}",
 )
 
 LAYERS = {spec.layer: spec for spec in (ETHERNET_LAYER, IP4_LAYER)}
@@ -263,7 +265,7 @@ def builtin_schema() -> Model:
         m.add(Triple(sub, RDFS_SUBCLASS_OF, sup))
         classes.add(sub)
         classes.add(sup)
-    for c in classes:
+    for c in sorted(classes, key=lambda c: c.value):
         m.add(Triple(c, RDF_TYPE, OWL_CLASS))
     for prop, (dom, rng) in _OBJECT_PROPERTIES.items():
         m.add(Triple(prop, RDF_TYPE, OWL_OBJECT_PROPERTY))
@@ -280,16 +282,15 @@ def builtin_schema() -> Model:
 
 @lru_cache(maxsize=1)
 def entailed_schema() -> Model:
-    """Shared read-only entailed T-box, built once per process. Do not
-    mutate the result."""
-    return entail(builtin_schema())
+    """Shared entailed T-box, built once per process and frozen."""
+    return entail(builtin_schema()).freeze()
 
 
 def close(*docs: Model) -> Model:
     """Entailed closure of the built-in T-box merged with docs: equal to
     entailing merge([builtin_schema(), *docs]), but only the documents' own
-    triples are processed against the cached closed T-box. A single
-    document is read as it is: entail copies it into the closure."""
+    triples are processed against the cached, frozen T-box closure. A single
+    document is read as it is, and the closure is copied on write."""
     return entail(docs[0] if len(docs) == 1 else merge(docs), closed=entailed_schema())
 
 
@@ -507,20 +508,17 @@ class ConformanceIssue:
 
 
 _SCHEMA_PREDICATES = {
-    RDF_TYPE,
-    RDFS_SUBCLASS_OF,
-    Iri(RDFS_NS + "subPropertyOf"),
-    RDFS_DOMAIN,
-    RDFS_RANGE,
-    OWL_INVERSE_OF,
+    RDF_TYPE, RDFS_SUBCLASS_OF, RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF
 }
 
 _SCHEMA_TYPES = {OWL_CLASS, OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY}
 
 
 def _without_domain_range(m: Model) -> Model:
-    out = m.copy()
-    for t in list(out.match(p=RDFS_DOMAIN)) + list(out.match(p=RDFS_RANGE)):
+    """m without its domain and range axioms: m itself when it has none."""
+    axioms = [*m.match(p=RDFS_DOMAIN), *m.match(p=RDFS_RANGE)]
+    out = m.copy() if axioms else m
+    for t in axioms:
         out.remove(t)
     return out
 
@@ -528,8 +526,21 @@ def _without_domain_range(m: Model) -> Model:
 @lru_cache(maxsize=1)
 def _asserted_schema() -> Model:
     """Closure of the built-in T-box without its domain/range axioms,
-    built once per process. Do not mutate the result."""
-    return entail(_without_domain_range(builtin_schema()))
+    built once per process and frozen."""
+    return entail(_without_domain_range(builtin_schema())).freeze()
+
+
+def _declared_domains(*models: Model) -> dict:
+    """Each property's first declared IRI domain in the merge of models, in
+    the order the merged model's POS index lists them."""
+    merged = Model()
+    for m in models:
+        merged.add_all(m.match(p=RDFS_DOMAIN))
+    declared: dict = {}
+    for s, _, o in merged.match(p=RDFS_DOMAIN):
+        if isinstance(o, Iri):
+            declared.setdefault(s, o)
+    return declared
 
 
 def validate_conformance(*docs: Model) -> list:
@@ -547,93 +558,57 @@ def validate_conformance(*docs: Model) -> list:
     label values outside their layer's domain, and interfaces attached to
     nothing.
     """
-    m = merge(docs)
+    m = docs[0] if len(docs) == 1 else merge(docs)
     closed = entail(_without_domain_range(m), closed=_asserted_schema())
     issues = []
-    known_classes = set(closed.typed(OWL_CLASS))
-    # a merged model's POS index decides which declared domain comes first
-    domains = Model()
-    domains.add_all(entailed_schema().match(p=RDFS_DOMAIN))
-    domains.add_all(m.match(p=RDFS_DOMAIN))
-    declared_domains = {}
-    for t in domains.match(p=RDFS_DOMAIN):
-        if isinstance(t.object, Iri):
-            declared_domains.setdefault(t.subject, t.object)
+
+    def report(kind: str, s: Iri, detail: str) -> None:
+        issues.append(ConformanceIssue(kind, s, detail))
+
+    # the T-box's table is derived once; documents' own domains merge after it
+    schema = entailed_schema()
+    if any(m.match(p=RDFS_DOMAIN)):
+        declared_domains = _declared_domains(schema, m)
+    else:
+        declared_domains = schema.derived(_declared_domains)
 
     # the T-box's own subjects are all schema entities, which are skipped
-    subjects = sorted({t.subject for t in m}, key=lambda s: s.value)
-    for s in subjects:
+    for s in sorted({t.subject for t in m}, key=lambda s: s.value):
         types = closed.types(s)
         if types & _SCHEMA_TYPES:
             continue  # schema entity
-        known = types & known_classes
-        if not known:
-            issues.append(
-                ConformanceIssue("untyped-instance", s, "no rdf:type naming a known class")
-            )
+        if not any(Triple(c, RDF_TYPE, OWL_CLASS) in closed for c in types):
+            report("untyped-instance", s, "no rdf:type naming a known class")
             continue
-        for t in m.match(s=s):
-            p = t.predicate
-            if p in _SCHEMA_PREDICATES:
-                continue
+        for _, p, _ in m.match(s=s):
             dom = declared_domains.get(p)
-            if dom is not None and dom != RDFS_CLASS and dom not in types:
-                issues.append(
-                    ConformanceIssue(
-                        "domain-violation",
-                        s,
-                        f"{p.local()} requires {dom.local()}, subject types exclude it",
-                    )
-                )
+            if p in _SCHEMA_PREDICATES or dom in (None, RDFS_CLASS) or dom in types:
+                continue
+            detail = f"{p.local()} requires {dom.local()}, subject types exclude it"
+            report("domain-violation", s, detail)
         # label entities: value must sit inside the layer's label domain
         for label_class, spec in _LABEL_CLASS_LAYER.items():
             if label_class in types:
                 for v in m.objects(s, LABEL_VALUE):
                     if isinstance(v, Literal) and not spec.label_ok(v.lexical):
-                        issues.append(
-                            ConformanceIssue(
-                                "label-out-of-range",
-                                s,
-                                f"labelValue {v.lexical!r} outside {label_class.local()} domain",
-                            )
-                        )
+                        detail = f"labelValue {v.lexical!r} outside {label_class.local()} domain"
+                        report("label-out-of-range", s, detail)
         # pooled label sets on links and border interfaces
-        layer = m.value(s, AT_LAYER)
-        if isinstance(layer, Iri) and layer in LAYERS:
-            spec = LAYERS[layer]
-            if spec.pooled:
-                for prop in (AVAILABLE_LABEL_SET, IN_USE_LABEL_SET):
-                    lit = m.value(s, prop)
-                    if isinstance(lit, Literal):
-                        try:
-                            pool = parse_label_set(lit.lexical)
-                        except ValueError:
-                            pool = None
-                        if pool is None:
-                            issues.append(
-                                ConformanceIssue(
-                                    "label-out-of-range", s, f"unparseable label set {lit.lexical!r}"
-                                )
-                            )
-                        elif not spec.pool_in_domain(pool):
-                            issues.append(
-                                ConformanceIssue(
-                                    "label-out-of-range",
-                                    s,
-                                    f"label set {lit.lexical!r} exceeds layer domain",
-                                )
-                            )
+        spec = LAYERS.get(m.value(s, AT_LAYER))
+        if spec is not None and spec.pooled:
+            for prop in (AVAILABLE_LABEL_SET, IN_USE_LABEL_SET):
+                lit = m.value(s, prop)
+                if not isinstance(lit, Literal):
+                    continue
+                try:
+                    pool = parse_label_set(lit.lexical)
+                except ValueError:
+                    report("label-out-of-range", s, f"unparseable label set {lit.lexical!r}")
+                    continue
+                if not spec.pool_in_domain(pool):
+                    detail = f"label set {lit.lexical!r} exceeds layer domain"
+                    report("label-out-of-range", s, detail)
         if INTERFACE in types and not closed.objects(s, INTERFACE_OF):
-            issues.append(
-                ConformanceIssue("dangling-interface", s, "interface attached to no element")
-            )
-    issues.sort(key=lambda i: (i.kind, i.subject.value, i.detail))
-    # collapse duplicates from repeated property uses
-    seen = set()
-    out = []
-    for i in issues:
-        key = (i.kind, i.subject, i.detail)
-        if key not in seen:
-            seen.add(key)
-            out.append(i)
-    return out
+            report("dangling-interface", s, "interface attached to no element")
+    # repeated property uses give equal issues, which collapse
+    return sorted(set(issues), key=lambda i: (i.kind, i.subject.value, i.detail))

@@ -552,3 +552,21 @@ def reference_parse_document(text: str) -> Model:
                 raise ParseError(lineno, col, f"unexpected {kind!r} token")
         m.add(Triple(terms[0], terms[1], terms[2]))
     return m
+
+
+_SAFE_LOCAL = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_/.-]*$")
+
+
+def reference_render_iri(value: str, prefixes: dict) -> str:
+    """An IRI compacted against a prefix map by scoring every namespace that
+    prefixes it with a safe local part: the longest wins, ties break on the
+    prefix name; no such namespace leaves it in angle brackets."""
+    best = None
+    for name, ns in prefixes.items():
+        if value.startswith(ns):
+            local = value[len(ns) :]
+            if local and not (_SAFE_LOCAL.match(local) and not local.endswith(".")):
+                continue
+            if best is None or len(ns) > best[0] or (len(ns) == best[0] and name < best[1]):
+                best = (len(ns), name, local)
+    return f"<{value}>" if best is None else f"{best[1]}:{best[2]}"

@@ -32,7 +32,12 @@ from netslice.graphstore import (
     serialize_document,
 )
 from generators import random_schema_model
-from oracles import bgp_by_assignment, naive_entail, reference_parse_document
+from oracles import (
+    bgp_by_assignment,
+    naive_entail,
+    reference_parse_document,
+    reference_render_iri,
+)
 
 EX = "urn:ex/"
 
@@ -183,6 +188,18 @@ def test_serialization_invariant_under_insertion_order():
         m = Model({"e": EX})
         m.add_all(shuffled)
         assert serialize_document(m) == expected
+
+
+def test_render_term_compacts_like_the_reference():
+    # overlapping and equal namespaces, empty and unsafe locals
+    rng = random.Random(0x5E7)
+    spaces = ["urn:a/", "urn:a/b", "urn:a/b/", "urn:a/b/c.", "urn:", "urn:a/b/c/d#", "urn:z#"]
+    pieces = ["", "b", "/", "c", ".", "d#", "x-y", "e", "~", "0"]
+    for _ in range(2000):
+        names = [rng.choice("pqrs") + rng.choice(["", "1"]) for _ in range(4)]
+        prefixes = {name: rng.choice(spaces) for name in names}
+        value = rng.choice(spaces) + "".join(rng.choice(pieces) for _ in range(rng.randrange(4)))
+        assert graphstore.render_term(Iri(value), prefixes) == reference_render_iri(value, prefixes)
 
 
 def test_set_semantics_on_re_add():
@@ -422,10 +439,53 @@ def test_query_fixture_interface():
     assert got == [{"i": Iri(rnc + "Server/A/f1/ethernet")}]
 
 
+def _index_answers(m):
+    """What m answers, in order: its triples, and the matches of each of its
+    subjects, predicates and (predicate, object) pairs."""
+    return (
+        list(m),
+        [list(m.match(s=x)) for x in {t.subject: None for t in m}],
+        [list(m.match(p=x)) for x in {t.predicate: None for t in m}],
+        [list(m.match(p=t.predicate, o=t.object)) for t in m],
+    )
+
+
+def _names(m, kind):
+    """m's IRIs of one kind of random_schema_model ("C" classes, "p"
+    properties, "x" instances), sorted; the first of each kind if m has none."""
+    head = "urn:acc4/" + kind
+    found = {x for t in m for x in t if isinstance(x, Iri) and x.value.startswith(head)}
+    return sorted(found, key=lambda x: x.value) or [Iri(f"urn:acc4/{kind}0")]
+
+
+def _schema_document(rng, m):
+    """A document that adds schema about m's classes and properties: a
+    subclass of a class, a new superclass for one, a sub-property and a new
+    super-property of a property, and a new domain, range or inverse for
+    one, each with an instance triple that uses it, in a random selection."""
+    classes, props, insts = _names(m, "C"), _names(m, "p"), _names(m, "x")
+    new = [Iri(f"urn:doc/n{i}") for i in range(4)]
+    c, p, x, y = rng.choice(classes), rng.choice(props), rng.choice(insts), rng.choice(insts)
+    forms = [
+        [(new[0], RDFS_SUBCLASS_OF, c), (new[1], RDF_TYPE, new[0])],
+        [(c, RDFS_SUBCLASS_OF, new[0]), (new[0], RDFS_SUBCLASS_OF, rng.choice(classes))],
+        [(new[2], RDFS_SUBPROPERTY_OF, p), (x, new[2], y)],
+        [(p, RDFS_SUBPROPERTY_OF, new[3]), (new[3], RDFS_DOMAIN, rng.choice(classes))],
+        [(p, RDFS_DOMAIN, rng.choice(classes)), (x, p, y)],
+        [(p, RDFS_RANGE, rng.choice(classes + new[:1])), (y, p, x)],
+        [(p, OWL_INVERSE_OF, rng.choice(props + new[2:])), (x, p, y)],
+    ]
+    doc = Model()
+    for form in rng.sample(forms, rng.randint(1, len(forms))):
+        doc.add_all(Triple(*t) for t in form)
+    return doc
+
+
 def test_entail_with_closed_base_matches_naive_fixpoint():
     # each random document split into a pre-closed base plus the rest: the
     # base's triples are not re-processed, and the closure must not change
-    # whether or not the entailed model already contains the base
+    # whether or not the entailed model already contains the base, or
+    # whether the base is frozen, which leaves it as it was
     rng = random.Random(0xC105ED)
     for round_no in range(100):
         m = random_schema_model(rng)
@@ -434,11 +494,70 @@ def test_entail_with_closed_base_matches_naive_fixpoint():
             base, rest = Model(), Model()
             for t in m:
                 (base if rng.random() < 0.5 else rest).add(t)
-            closed_base = entail(base)
-            got = entail(merge([closed_base, rest]), closed=closed_base)
-            assert set(got) == expected, f"round {round_no}, split {split}"
-            got = entail(rest, closed=closed_base)
-            assert set(got) == expected, f"round {round_no}, split {split}, base outside"
+            for closed_base in (entail(base), entail(base).freeze()):
+                before = _index_answers(closed_base)
+                got = entail(merge([closed_base, rest]), closed=closed_base)
+                assert set(got) == expected, f"round {round_no}, split {split}"
+                got = entail(rest, closed=closed_base)
+                assert set(got) == expected, f"round {round_no}, split {split}, base outside"
+                assert _index_answers(closed_base) == before, f"round {round_no}, split {split}"
+        if round_no % 2:
+            continue
+        # a document that adds schema about the base's own IRIs, which
+        # drops the base's schema lookups for them
+        frozen = entail(m).freeze()
+        before = _index_answers(frozen)
+        doc = _schema_document(rng, m)
+        expected = naive_entail(merge([m, doc]))
+        assert set(entail(doc, closed=frozen)) == expected, f"round {round_no}, document"
+        assert set(entail(merge([frozen, doc]), closed=frozen)) == expected
+        assert _index_answers(frozen) == before, f"round {round_no}, document"
+
+
+def _answers(m, terms):
+    """m's answer to every match shape over the given terms, sorted."""
+    shapes = [None, *terms]
+    return {
+        (s, p, o): sorted(m.match(s, p, o), key=str)
+        for s in shapes
+        for p in shapes
+        for o in shapes
+    }
+
+
+def test_copy_of_a_frozen_model_changes_only_itself():
+    # seeded add/remove runs on a copy of a frozen model, and on a copy of
+    # that copy once frozen in turn, against models built triple by triple
+    rng = random.Random(0xC0B1)
+    pool = [t(f"s{i}", f"p{j}", f"s{k}") for i in range(4) for j in range(3) for k in range(4)]
+    pool += [t(f"s{i}", "p0", integer(i % 2)) for i in range(4)]
+    terms = [ex(f"s{i}") for i in range(4)] + [ex(f"p{j}") for j in range(3)] + [integer(0)]
+    for round_no in range(30):
+        base = Model()
+        base.add_all(rng.sample(pool, rng.randrange(len(pool))))
+        for trip in rng.sample(list(base), len(base) // 4):
+            base.remove(trip)
+        frozen = [base.freeze()]
+        before = [(list(base), _answers(base, terms))]
+        with pytest.raises(TypeError):
+            base.add(rng.choice(pool))
+        with pytest.raises(TypeError):
+            base.remove(rng.choice(pool))
+        copied, reference = base.copy(), Model()
+        for trip in base:
+            reference.add(trip)
+        for step in range(120):
+            if step == 60:
+                frozen.append(copied.freeze())
+                before.append((list(copied), _answers(copied, terms)))
+                copied = copied.copy()
+            trip = rng.choice(pool)
+            op = rng.choice(("add", "remove"))
+            assert getattr(copied, op)(trip) == getattr(reference, op)(trip)
+        assert copied == reference and len(copied) == len(reference)
+        assert _answers(copied, terms) == _answers(reference, terms), f"round {round_no}"
+        for model, (triples, answers) in zip(frozen, before):
+            assert list(model) == triples and _answers(model, terms) == answers, f"round {round_no}"
 
 
 # -- the line pattern against the character scanner ---------------------------

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
+import netslice
 from netslice import vocab
 from netslice.graphstore import (
     Iri,
@@ -78,6 +83,52 @@ def test_schema_serialization_is_stable(tmp_path):
     golden = FIXTURES / "golden" / "schema.ndl"
     text = serialize_document(builtin_schema())
     assert golden.read_text() == text
+
+
+# Lists the T-box closure after interning `argv[1]` other IRIs first, which
+# moves the addresses (and so the identity hashes) of the T-box's terms.
+_LIST_TBOX = """
+import sys
+from netslice.graphstore import Iri
+padding = [Iri(f"urn:pad/{i}") for i in range(int(sys.argv[1]))]
+from netslice.vocab import entailed_schema
+print(list(entailed_schema()))
+"""
+
+
+def test_entailed_schema_lists_in_the_same_order_in_every_interpreter():
+    src = str(Path(netslice.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    listings = [
+        subprocess.run(
+            [sys.executable, "-c", _LIST_TBOX, str(padding)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for padding in (0, 7)
+    ]
+    assert listings[0] == listings[1] != ""
+
+
+@pytest.mark.parametrize(
+    "lexical, ok",
+    [
+        ("999.1.1.1", False),
+        ("256.0.0.1", False),
+        ("\u0661\u0662.1.1.1", False),
+        ("0.0.0.0", True),
+        ("10.0.0.1", True),
+        ("255.255.255.255", True),
+    ],
+)
+def test_ip4_label_takes_four_ascii_octets_of_0_to_255(lexical, ok):
+    assert vocab.IP4_LAYER.label_ok(lexical) is ok
+    m = Model(dict(vocab.BASE_PREFIXES))
+    label = Iri("urn:x/address")
+    m.add(Triple(label, RDF_TYPE, vocab.IP_ADDRESS))
+    m.add(Triple(label, vocab.LABEL_VALUE, Literal(lexical)))
+    expected = [] if ok else [("label-out-of-range", label)]
+    assert [(i.kind, i.subject) for i in _conformance_of(m)] == expected
 
 
 def test_label_set_roundtrip():
