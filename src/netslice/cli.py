@@ -9,6 +9,7 @@ codes are a stable contract: 0 clean, 1 semantic or expectation failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,15 +19,16 @@ from . import rules as rules_mod
 from .actors import UnknownSlice, World
 from .graphstore import (
     ClosureBudgetExceeded,
-    Literal,
+    EvaluationBudgetExceeded,
     Model,
     ParseError,
-    Var,
+    lex,
     parse_document,
     query_bgp,
     render_term,
     resolve,
     serialize_document,
+    token_term,
 )
 from .models import (
     RequestError,
@@ -35,7 +37,7 @@ from .models import (
     parse_datetime,
     parse_substrate,
 )
-from .pathquery import PathExprError, eval_path, parse_path_expr
+from .pathquery import eval_path, parse_path_expr
 from .vocab import close, validate_conformance
 
 EXIT_OK = 0
@@ -43,7 +45,7 @@ EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
 # Inputs too large to close or join within their budgets are input errors.
-BUDGET_ERRORS = (ClosureBudgetExceeded, rules_mod.EvaluationBudgetExceeded)
+BUDGET_ERRORS = (ClosureBudgetExceeded, EvaluationBudgetExceeded)
 
 
 class CliInputError(Exception):
@@ -100,27 +102,25 @@ def cmd_entail(args) -> int:
 
 
 def _parse_bgp(text: str, prefixes: dict) -> list:
-    tokens = text.replace("\n", " ").split()
-    patterns = []
-    current = []
-    for tok in tokens:
-        if tok == ".":
-            if current:
-                patterns.append(current)
+    """Triple patterns: terms three at a time, each pattern optionally
+    followed by a '.'."""
+    patterns, current = [], []
+    try:
+        for token in lex(text, "."):
+            if token.kind == "mark" and current:
+                raise CliInputError(f"--bgp: line {token.line}, col {token.col}: incomplete pattern")
+            if token.kind != "mark":
+                current.append(token_term(token, prefixes))
+            if len(current) == 3:
+                patterns.append(tuple(current))
                 current = []
-            continue
-        if tok.startswith("?"):
-            current.append(Var(tok[1:]))
-        elif tok.startswith('"'):
-            current.append(Literal(tok.strip('"')))
-        else:
-            current.append(resolve(tok, prefixes))
-        if len(current) == 3:
-            patterns.append(current)
-            current = []
+    except (ParseError, ValueError) as e:
+        raise CliInputError(f"--bgp: {e}") from None
     if current:
-        raise CliInputError(f"incomplete triple pattern: {current!r}")
-    return [tuple(p) for p in patterns]
+        raise CliInputError(f"--bgp: incomplete triple pattern: {current!r}")
+    if not patterns:
+        raise CliInputError("--bgp: empty pattern")
+    return patterns
 
 
 def cmd_query(args) -> int:
@@ -128,21 +128,12 @@ def cmd_query(args) -> int:
     prefixes = closed.prefixes
     if args.bgp:
         patterns = _parse_bgp(args.bgp, prefixes)
-        if not patterns:
-            raise CliInputError("empty pattern")
         for binding in query_bgp(closed, patterns):
-            parts = [
-                f"?{name}={render_term(binding[name], prefixes)}"
-                for name in sorted(binding)
-            ]
-            print(" ".join(parts))
+            print(" ".join(f"?{n}={render_term(binding[n], prefixes)}" for n in sorted(binding)))
         return EXIT_OK
     if not args.path_expr or not args.start:
         raise CliInputError("query needs --bgp, or --path-expr with --from")
-    try:
-        expr = parse_path_expr(args.path_expr, prefixes)
-    except PathExprError as e:
-        raise CliInputError(str(e))
+    expr = parse_path_expr(args.path_expr, prefixes)  # a PathExprError is a ValueError
     start = resolve(args.start, prefixes)
     for node in sorted(eval_path(closed, start, expr), key=lambda n: n.value):
         print(node.value)
@@ -217,55 +208,37 @@ class ScenarioError(Exception):
     pass
 
 
+_SCENARIO_SHAPES = {  # the words on a command's line, its verb included
+    "load-substrate": 2,
+    "load-rules": 2,
+    "submit-request": 4,
+    "delete-slice": 2,
+    "advance-time": 2,
+    "expect-violation": 2,
+    "expect-state": 3,
+    "dump-manifest": 3,
+}
+
+
 def _parse_scenario(text: str) -> list:
-    """Commands as (lineno, verb, args). Raises ScenarioError on bad syntax."""
+    """Commands as (lineno, verb, args), one a line, whose words and quoted
+    strings `lex` reads. Raises ScenarioError on bad syntax."""
+    try:
+        tokens = lex(text)
+    except ParseError as e:
+        raise ScenarioError(str(e)) from None
     commands = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = _split_scenario_line(body, lineno)
+    for lineno, line in itertools.groupby(tokens, key=lambda token: token.line):
+        parts = [token.value if token.kind == "literal" else token.text for token in line]
         verb = parts[0]
-        shapes = {
-            "load-substrate": 2,
-            "load-rules": 2,
-            "submit-request": 4,
-            "delete-slice": 2,
-            "advance-time": 2,
-            "expect-violation": 2,
-            "expect-state": 3,
-            "dump-manifest": 3,
-        }
-        if verb not in shapes:
+        if verb not in _SCENARIO_SHAPES:
             raise ScenarioError(f"line {lineno}: unknown command {verb!r}")
-        if len(parts) != shapes[verb]:
-            raise ScenarioError(f"line {lineno}: {verb} takes {shapes[verb] - 1} arguments")
+        if len(parts) != _SCENARIO_SHAPES[verb]:
+            raise ScenarioError(f"line {lineno}: {verb} takes {_SCENARIO_SHAPES[verb] - 1} arguments")
         if verb == "submit-request" and parts[2] != "as":
             raise ScenarioError(f"line {lineno}: expected 'submit-request <file> as <sliceId>'")
         commands.append((lineno, verb, parts[1:]))
     return commands
-
-
-def _split_scenario_line(body: str, lineno: int) -> list:
-    parts = []
-    i = 0
-    while i < len(body):
-        if body[i].isspace():
-            i += 1
-            continue
-        if body[i] == '"':
-            j = body.find('"', i + 1)
-            if j < 0:
-                raise ScenarioError(f"line {lineno}: unterminated quote")
-            parts.append(body[i + 1 : j])
-            i = j + 1
-        else:
-            j = i
-            while j < len(body) and not body[j].isspace():
-                j += 1
-            parts.append(body[i:j])
-            i = j
-    return parts
 
 
 def run_scenario(script_path: str, out=sys.stdout) -> int:

@@ -17,7 +17,7 @@ import logging
 import re
 import weakref
 from collections import deque
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 log = logging.getLogger(__name__)
@@ -121,15 +121,13 @@ class Triple(NamedTuple):
     object: Term
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """Query variable, written ``?name`` in pattern text."""
 
     name: str
 
 
 PatternTerm = Union[Iri, Literal, Var]
-TriplePattern = tuple
 
 
 RDF_TYPE = Iri(RDF_NS + "type")
@@ -446,54 +444,45 @@ def parse_document(text: str) -> Model:
 
 def _explain(line: str, lineno: int, prefixes: dict):
     """Raise the first fault in a line that the line pattern rejects or
-    whose terms do not resolve, found by scanning it token by token: a
+    whose terms do not resolve, found by lexing it token by token: a
     ParseError naming it, or the ValueError of a malformed IRI built from a
     CURIE or written as a datatype."""
-    tokens = _scan_line(line, lineno)
-    if tokens and tokens[0][0] == "word" and tokens[0][1] == "@prefix":
-        if (
-            len(tokens) != 4
-            or tokens[1][0] != "word"
-            or not tokens[1][1].endswith(":")
-            or tokens[2][0] != "iri"
-            or tokens[3][0] != "dot"
-        ):
-            raise ParseError(lineno, tokens[0][2], "malformed @prefix declaration")
-        name = tokens[1][1][:-1]
+    tokens = lex(line, ".", lineno)
+    kinds = [token.kind for token in tokens]
+    if kinds[0] == "word" and tokens[0].value == "@prefix":
+        if kinds != ["word", "word", "iri", "mark"] or not tokens[1].value.endswith(":"):
+            raise ParseError(lineno, tokens[0].col, "malformed @prefix declaration")
+        name = tokens[1].value[:-1]
         if not _PREFIX_NAME_RE.match(name):
-            raise ParseError(lineno, tokens[1][2], f"bad prefix name {name!r}")
-    elif len(tokens) != 4 or tokens[3][0] != "dot":
-        raise ParseError(
-            lineno,
-            tokens[-1][2],
-            "expected 'S P O .' (terms and terminating dot separated by spaces)",
-        )
+            raise ParseError(lineno, tokens[1].col, f"bad prefix name {name!r}")
+    elif len(tokens) != 4 or kinds[3] != "mark":
+        reason = "expected 'S P O .' (terms and terminating dot separated by spaces)"
+        raise ParseError(lineno, tokens[-1].col, reason)
     else:
-        _check_terms(tokens, prefixes, lineno)
-    raise AssertionError(f"line {lineno}: the scanner accepts what the line pattern rejects")
+        for pos, token in enumerate(tokens[:3]):
+            _check_term(token, pos, prefixes)
+    raise AssertionError(f"line {lineno}: the lexer accepts what the line pattern rejects")
 
 
-def _check_terms(tokens: list, prefixes: dict, lineno: int) -> None:
-    """Raise the fault of the first term of a statement that does not
-    resolve, in the order the terms are written."""
-    for pos, (kind, value, col, datatype) in enumerate(tokens[:3]):
-        if kind == "iri":
-            try:
-                Iri(value)
-            except ValueError as e:
-                raise ParseError(lineno, col, str(e)) from None
-        elif kind == "word":
-            _resolve_word(value, prefixes, lineno, col)
-        elif kind == "literal":
-            if pos < 2:
-                where = "subject" if pos == 0 else "predicate"
-                raise ParseError(lineno, col, f"literal not allowed in {where} position")
-            if datatype is not None and datatype[0] == "iri":
-                Iri(datatype[1])
-            elif datatype is not None:
-                _resolve_word(datatype[1], prefixes, lineno, col)
-        else:
-            raise ParseError(lineno, col, f"unexpected {kind!r} token")
+def _check_term(token: "Token", pos: int, prefixes: dict) -> None:
+    """Raise the fault of a statement's term at position pos, if it has one."""
+    line, col, datatype = token.line, token.col, token.datatype or ""
+    if token.kind == "iri":
+        try:
+            Iri(token.value)
+        except ValueError as e:
+            raise ParseError(line, col, str(e)) from None
+    elif token.kind in ("word", "var"):
+        _resolve_word(token.text, prefixes, line, col)
+    elif token.kind == "mark":
+        raise ParseError(line, col, "unexpected 'dot' token")
+    elif pos < 2:
+        where = "subject" if pos == 0 else "predicate"
+        raise ParseError(line, col, f"literal not allowed in {where} position")
+    elif datatype.startswith("<"):
+        Iri(datatype[1:-1])
+    elif datatype:
+        _resolve_word(datatype, prefixes, line, col)
 
 
 def _resolve_word(word: str, prefixes: dict, lineno: int, col: int) -> Iri:
@@ -505,77 +494,113 @@ def _resolve_word(word: str, prefixes: dict, lineno: int, col: int) -> Iri:
     return Iri(prefixes[name] + local)
 
 
-def _scan_line(text: str, lineno: int) -> list:
-    """Tokenize one line. Tokens are (kind, value, col, datatype_spec)."""
+# -- terms: one grammar for documents, rules, BGPs, paths and scenarios -------
+
+
+class Token(NamedTuple):
+    """A term or punctuation mark that `lex` read, at its 1-based line and
+    column. `kind` is "iri", "literal", "var", "word" or "mark"; `value` is
+    the IRI, the lexical form (escapes read), the variable's name or the
+    text; `datatype` is the text of a literal's ^^ term, <iri> or word."""
+
+    kind: str
+    value: str
+    line: int
+    col: int
+    text: str
+    datatype: Optional[str] = None
+
+
+_VAR_RE = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
+_STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)(")?')
+
+
+def lex(text: str, marks: Sequence[str] = (), line: int = 1) -> list:
+    """The tokens of text, whose first line is numbered `line`.
+
+    Space, tab, CR and newline separate tokens; a '#' where a token would
+    start comments out the rest of its line. A token is one of the caller's
+    `marks` (the longest that fits; "." only before whitespace, '#' or the
+    line's end), an <iri>, a quoted literal (escapes \\\\ \\" \\n \\t \\r) with
+    an optional ^^<iri> or ^^word datatype, or a word, which ends at
+    whitespace or at a mark other than "."; `?name` is a variable. Raises
+    ParseError at an unclosed IRI or literal, a bad escape or a missing
+    datatype."""
+    marks = sorted(marks, key=len, reverse=True)
+    stops = "".join(mark[0] for mark in marks if mark != ".")
+    word_re = re.compile(f"[^ \\t\\r{re.escape(stops)}]*")
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r":
-            i += 1
-            continue
-        col = i + 1
-        if c == "#":
-            break
-        if c == "<":
-            j = text.find(">", i + 1)
-            if j < 0:
-                raise ParseError(lineno, col, "unterminated IRI reference")
-            value = text[i + 1 : j]
-            tokens.append(("iri", value, col, None))
-            i = j + 1
-        elif c == '"':
-            lex, i = _scan_string(text, i, lineno)
-            dt_spec = None
-            if text[i : i + 2] == "^^":
-                i += 2
-                if i < n and text[i] == "<":
-                    j = text.find(">", i + 1)
-                    if j < 0:
-                        raise ParseError(lineno, i + 1, "unterminated datatype IRI")
-                    dt_spec = ("iri", text[i + 1 : j])
-                    i = j + 1
-                else:
-                    j = i
-                    while j < n and text[j] not in " \t\r":
-                        j += 1
-                    if j == i:
-                        raise ParseError(lineno, i + 1, "missing datatype after ^^")
-                    dt_spec = ("word", text[i:j])
-                    i = j
-            tokens.append(("literal", lex, col, dt_spec))
-        elif c == "." and (i + 1 == n or text[i + 1] in " \t\r#"):
-            tokens.append(("dot", ".", col, None))
-            i += 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r":
-                j += 1
-            tokens.append(("word", text[i:j], col, None))
+    for lineno, row in enumerate(text.split("\n"), start=line):
+        i = 0
+        while i < len(row):
+            c = row[i]
+            if c in " \t\r":
+                i += 1
+                continue
+            if c == "#":
+                break
+            mark = next((m for m in marks if row.startswith(m, i)), None)
+            if mark == "." and row[i + 1 : i + 2] not in ("", " ", "\t", "\r", "#"):
+                mark = None
+            datatype = None
+            if mark is not None:
+                kind, value, j = "mark", mark, i + len(mark)
+            elif c == "<":
+                j = _iri_end(row, i, lineno, "unterminated IRI reference")
+                kind, value = "iri", row[i + 1 : j - 1]
+            elif c == '"':
+                kind, (j, value) = "literal", _string(row, i, lineno)
+                if row.startswith("^^", j):  # an <iri> or a word
+                    start = j + 2
+                    if row.startswith("<", start):
+                        j = _iri_end(row, start, lineno, "unterminated datatype IRI")
+                    elif (j := word_re.match(row, start).end()) == start:
+                        raise ParseError(lineno, start + 1, "missing datatype after ^^")
+                    datatype = row[start:j]
+            else:
+                j = word_re.match(row, i).end()
+                var = _VAR_RE.fullmatch(row, i, j)
+                kind, value = ("var", var[1]) if var else ("word", row[i:j])
+            tokens.append(Token(kind, value, lineno, i + 1, row[i:j], datatype))
             i = j
     return tokens
 
 
-def _scan_string(text: str, i: int, lineno: int):
-    """Scan a quoted string starting at text[i] == '"'. Returns (lexical, next_i)."""
-    col = i + 1
-    out = []
-    i += 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\\":
-            if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                raise ParseError(lineno, i + 1, "bad escape in string literal")
-            out.append(_ESCAPES[text[i + 1]])
-            i += 2
-        elif c == '"':
-            return "".join(out), i + 1
-        else:
-            out.append(c)
-            i += 1
-    raise ParseError(lineno, col, "unterminated string literal")
+def _iri_end(row: str, i: int, lineno: int, reason: str) -> int:
+    """The end of the <iri> that opens at row[i]."""
+    j = row.find(">", i + 1)
+    if j < 0:
+        raise ParseError(lineno, i + 1, reason)
+    return j + 1
+
+
+def _string(row: str, i: int, lineno: int) -> tuple:
+    """(end, lexical form) of the quoted literal that opens at row[i]."""
+    match = _STRING_RE.match(row, i)
+    body = match[1]
+    for escape in _ESCAPE_RE.finditer(body):
+        if escape[1] not in _ESCAPES:
+            raise ParseError(lineno, i + 2 + escape.start(), "bad escape in string literal")
+    if match[2] is None:
+        if match.end() < len(row):  # a backslash ends the line
+            raise ParseError(lineno, match.end() + 1, "bad escape in string literal")
+        raise ParseError(lineno, i + 1, "unterminated string literal")
+    return match.end(), _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], body)
+
+
+def token_term(token: Token, prefixes: dict) -> PatternTerm:
+    """The Var, Iri (words read by `resolve`) or Literal a token writes.
+    Raises ValueError for a mark or a word that does not resolve."""
+    if token.kind == "var":
+        return Var(token.value)
+    if token.kind == "iri":
+        return Iri(token.value)
+    if token.kind == "word":
+        return resolve(token.value, prefixes)
+    if token.kind == "literal":
+        datatype = XSD_STRING if token.datatype is None else resolve(token.datatype, prefixes)
+        return Literal(token.value, datatype)
+    raise ValueError(f"expected a term, got {token.text!r}")
 
 
 def resolve(text: str, prefixes: dict) -> Iri:
@@ -788,44 +813,88 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
 
 # -- basic graph patterns ------------------------------------------------------
 
+ROW_BUDGET = 200_000  # rows a rule or query join may match: no cross product runs
 
-def query_bgp(m: Model, patterns: Sequence[TriplePattern]) -> list:
-    """All variable bindings under which every pattern is a triple of m.
 
-    Patterns are (s, p, o) tuples mixing concrete terms and Var. Returns a
-    deterministically ordered list of dicts mapping variable name to Term.
-    """
-    if not patterns:
-        raise ValueError("empty pattern list")
-    solutions: list[dict] = [{}]
-    for pat in patterns:
-        if len(pat) != 3:
-            raise ValueError(f"pattern must have 3 positions: {pat!r}")
-        next_solutions = []
-        for binding in solutions:
-            bound = [
-                binding.get(x.name) if isinstance(x, Var) else x for x in pat
-            ]
-            if isinstance(bound[0], Literal) or isinstance(bound[1], Literal):
-                continue  # literals can never occupy subject/predicate
-            for t in m.match(bound[0], bound[1], bound[2]):
-                new = dict(binding)
-                ok = True
-                for x, val in zip(pat, (t.subject, t.predicate, t.object)):
-                    if isinstance(x, Var):
-                        prev = new.get(x.name)
-                        if prev is None:
-                            new[x.name] = val
-                        elif prev != val:
-                            ok = False
-                            break
-                if ok:
-                    next_solutions.append(new)
-        solutions = next_solutions
-    names = sorted({x.name for pat in patterns for x in pat if isinstance(x, Var)})
-    seen = {}
-    for b in solutions:
-        key = tuple(term_key(b[n]) for n in names)
-        if key not in seen:
-            seen[key] = b
-    return [seen[k] for k in sorted(seen)]
+class EvaluationBudgetExceeded(Exception):
+    """A pattern join matched more rows than its budget allows."""
+
+    def __init__(self, rows: int, cap: int):
+        super().__init__(f"rule join produced {rows} rows (cap {cap})")
+
+
+def query_bgp(
+    m: Model, patterns: Sequence, filters: Sequence = (), budget: int = ROW_BUDGET
+) -> list:
+    """Every binding of the variables under which each (s, p, o) tuple of
+    terms and Vars is a triple of m and each (left, right, negated) filter
+    holds (left == right, or != when negated), as a dict from name to term,
+    deduplicated and sorted by the terms in name order. Rules and
+    `netslice query --bgp` both run on it.
+
+    The pattern with the most bound positions goes next, ties in written
+    order (selectivity-ordered BGP joins, Stocker et al., WWW 2008), and a
+    filter applies as soon as its variables are bound. Raises ValueError on
+    a malformed pattern list or a filter variable no pattern binds, and
+    EvaluationBudgetExceeded past `budget` matched rows."""
+    steps, names = _join_plan(tuple(patterns), tuple(filters))
+    rows: list = [{}]
+    produced = 0
+    for ((sn, sc), (pn, pc), (on, oc)), fresh, same, checks in steps:
+        next_rows = []
+        for row in rows:
+            s, p, o = row.get(sn, sc), row.get(pn, pc), row.get(on, oc)
+            if isinstance(s, Literal) or isinstance(p, Literal):
+                continue  # literals never occupy subject or predicate
+            for t in m.match(s, p, o):
+                if same and any(t[a] is not t[b] for a, b in same):
+                    continue  # a variable repeated within the pattern
+                produced += 1
+                if produced > budget:
+                    raise EvaluationBudgetExceeded(produced, budget)
+                new = dict(row)
+                for k, name in fresh:
+                    new[name] = t[k]
+                # interned terms are equal exactly when identical
+                if all((new.get(*a) is new.get(*b)) != negated for a, b, negated in checks):
+                    next_rows.append(new)
+        rows = next_rows
+    unique = {tuple(term_key(row[name]) for name in names): row for row in rows}
+    return [unique[key] for key in sorted(unique)]
+
+
+@lru_cache(maxsize=256)
+def _join_plan(patterns: tuple, filters: tuple) -> tuple:
+    """The join's steps and the sorted variable names. A step reads each of
+    its pattern's positions, and its filters' sides, as row.get(name, term):
+    a variable by its name, a constant (name None) as the term. It binds
+    the `fresh` variables at their first positions, requires the `same`
+    pairs of positions to hold one term, then tests the filters whose
+    variables it completes."""
+    if not patterns or any(len(pattern) != 3 for pattern in patterns):
+        raise ValueError(f"expected one or more (s, p, o) patterns, got {patterns!r}")
+    left, pending, bound, steps = list(patterns), list(filters), set(), []
+
+    def ground(x) -> bool:
+        return not isinstance(x, Var) or x.name in bound
+
+    def lookup(x) -> tuple:
+        return (x.name, None) if isinstance(x, Var) else (None, x)
+
+    while left:
+        pattern = left.pop(max(range(len(left)), key=lambda k: sum(map(ground, left[k]))))
+        fresh, same = {}, []
+        for k, x in enumerate(pattern):
+            if not ground(x) and x.name in fresh:
+                same.append((fresh[x.name], k))
+            elif not ground(x):
+                fresh[x.name] = k
+        bound.update(fresh)
+        ready = [f for f in pending if ground(f[0]) and ground(f[1])]
+        pending = [f for f in pending if f not in ready]
+        checks = tuple((lookup(a), lookup(b), negated) for a, b, negated in ready)
+        fresh = tuple((k, name) for name, k in fresh.items())
+        steps.append((tuple(map(lookup, pattern)), fresh, same, checks))
+    if pending:
+        raise ValueError(f"filter variable bound by no pattern: {pending[0]!r}")
+    return tuple(steps), sorted(bound)

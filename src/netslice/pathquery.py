@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graphstore import Iri, Model, resolve
+from .graphstore import Iri, Model, ParseError, lex, token_term
 
 
 @dataclass(frozen=True)
@@ -24,28 +24,25 @@ class Inverse:
     expr: "PathExpr"
 
 
-@dataclass(frozen=True)
-class Seq:
-    parts: tuple
+class _Parts:
+    """A path expression over two or more parts, given one by one or as a tuple."""
 
     def __init__(self, *parts):
         if len(parts) == 1 and isinstance(parts[0], tuple):
             parts = parts[0]
         if len(parts) < 2:
-            raise ValueError("Seq needs at least 2 children")
+            raise ValueError(f"{type(self).__name__} needs at least 2 children")
         object.__setattr__(self, "parts", tuple(parts))
 
 
-@dataclass(frozen=True)
-class Alt:
+@dataclass(frozen=True, init=False)
+class Seq(_Parts):
     parts: tuple
 
-    def __init__(self, *parts):
-        if len(parts) == 1 and isinstance(parts[0], tuple):
-            parts = parts[0]
-        if len(parts) < 2:
-            raise ValueError("Alt needs at least 2 children")
-        object.__setattr__(self, "parts", tuple(parts))
+
+@dataclass(frozen=True, init=False)
+class Alt(_Parts):
+    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -177,36 +174,34 @@ def parse_path_expr(text: str, prefixes: dict) -> PathExpr:
     """Parse `p`, `^p`, `a/b`, `a|b`, `p*`, `p+`, parentheses.
 
     Predicate names are CURIEs resolved against the supplied prefix map, or
-    `<iri>` references.
+    `<iri>` references, read by `graphstore.lex`.
     """
-    tokens = _lex_path(text)
-    pos = [0]
+    try:
+        tokens = lex(text, "()|/*+^")
+    except ParseError as e:
+        raise PathExprError(f"{e} in {text!r}") from None
+    pos = 0
 
     def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+        """The text of the token at pos, or None at the end."""
+        return tokens[pos].text if pos < len(tokens) else None
 
-    def take(expected=None):
-        tok = peek()
-        if tok is None:
+    def take():
+        nonlocal pos
+        if pos == len(tokens):
             raise PathExprError(f"unexpected end of path expression: {text!r}")
-        if expected is not None and tok != expected:
-            raise PathExprError(f"expected {expected!r}, got {tok!r} in {text!r}")
-        pos[0] += 1
-        return tok
+        pos += 1
+        return tokens[pos - 1]
 
     def parse_alt():
-        parts = [parse_seq()]
-        while peek() == "|":
-            take()
-            parts.append(parse_seq())
-        return parts[0] if len(parts) == 1 else Alt(*parts)
+        return joined("|", Alt, lambda: joined("/", Seq, parse_unary))
 
-    def parse_seq():
-        parts = [parse_unary()]
-        while peek() == "/":
+    def joined(separator, cls, parse_part):
+        parts = [parse_part()]
+        while peek() == separator:
             take()
-            parts.append(parse_unary())
-        return parts[0] if len(parts) == 1 else Seq(*parts)
+            parts.append(parse_part())
+        return parts[0] if len(parts) == 1 else cls(*parts)
 
     def parse_unary():
         if peek() == "^":
@@ -214,48 +209,25 @@ def parse_path_expr(text: str, prefixes: dict) -> PathExpr:
             return Inverse(parse_unary())
         expr = parse_atom()
         while peek() in ("*", "+"):
-            expr = Star(expr) if take() == "*" else Plus(expr)
+            expr = Star(expr) if take().text == "*" else Plus(expr)
         return expr
 
     def parse_atom():
-        tok = take()
-        if tok == "(":
+        token = take()
+        if token.text == "(":
             inner = parse_alt()
-            take(")")
+            if peek() != ")":
+                raise PathExprError(f"expected ')' in {text!r}")
+            take()
             return inner
-        if tok in ("|", "/", "*", "+", ")", "^"):
-            raise PathExprError(f"unexpected {tok!r} in {text!r}")
+        if token.kind not in ("iri", "word"):
+            raise PathExprError(f"unexpected {token.text!r} at col {token.col} in {text!r}")
         try:
-            return Pred(resolve(tok, prefixes))
+            return Pred(token_term(token, prefixes))
         except ValueError as e:
             raise PathExprError(f"{e} in {text!r}") from None
 
     expr = parse_alt()
-    if pos[0] != len(tokens):
-        raise PathExprError(f"trailing input after position {pos[0]} in {text!r}")
+    if pos != len(tokens):
+        raise PathExprError(f"trailing input at col {tokens[pos].col} in {text!r}")
     return expr
-
-
-def _lex_path(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()|/*+^":
-            tokens.append(c)
-            i += 1
-        elif c == "<":
-            j = text.find(">", i)
-            if j < 0:
-                raise PathExprError(f"unterminated <iri> in {text!r}")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()|/*+^":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens

@@ -12,12 +12,13 @@ are implemented procedurally but report through the same Violation type.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import vocab
-from .graphstore import Iri, Literal, Model, RDF_TYPE, Term, Var, resolve, term_key
+from .graphstore import EvaluationBudgetExceeded  # noqa: F401 -- re-exported for callers
+from .graphstore import ROW_BUDGET, RDF_TYPE, Iri, Literal, Model, ParseError, Term, Var
+from .graphstore import lex, query_bgp, token_term
 from .vocab import (
     BASE_PREFIXES,
     BROADCAST_CONNECTION,
@@ -36,20 +37,13 @@ class UnsafeRule(Exception):
     pass
 
 
-class EvaluationBudgetExceeded(Exception):
-    def __init__(self, rows: int, cap: int):
-        super().__init__(f"rule join produced {rows} rows (cap {cap})")
-
-
-@dataclass(frozen=True)
-class PatternAtom:
+class PatternAtom(NamedTuple):
     s: Union[Var, Iri]
     p: Iri
     o: Union[Var, Term]
 
 
-@dataclass(frozen=True)
-class BuiltinAtom:
+class BuiltinAtom(NamedTuple):
     left: Union[Var, Term]
     right: Union[Var, Term]
     negated: bool  # True for notEqual
@@ -75,126 +69,86 @@ class Violation:
         return f'VIOLATION {self.message} {self.subject.value}'
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    \s*(
-        "(?:[^"\\]|\\.)*"      # quoted string
-      | <[^>\s]*>              # iri ref
-      | \?[A-Za-z_][A-Za-z0-9_]*  # variable
-      | <-                     # arrow
-      | [(),.]                 # punctuation
-      | [^\s(),.]+             # bare word / curie
-    )
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    for line in text.split("\n"):
-        body = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(body):
-            m = _TOKEN_RE.match(body, pos)
-            if not m or not m.group(1):
-                if body[pos:].strip():
-                    raise RuleSyntaxError(f"cannot tokenize {body[pos:].strip()!r}")
-                break
-            tokens.append(m.group(1))
-            pos = m.end()
-    return tokens
-
-
-def _unescape(s: str) -> str:
-    return s[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-
-
 def parse_ruleset(text: str, prefixes: Optional[dict] = None) -> list:
     """Parse rules of the form::
 
         violation("message", ?X) <- (?X topo:hasInterface ?I), equal(?A, ?B), ... .
 
-    CURIEs resolve against the supplied prefix map (built-in namespaces by
-    default). Raises RuleSyntaxError on malformed input and UnsafeRule when
-    a head or builtin variable is not bound by a pattern atom.
+    Terms are read by `graphstore.lex`, as in documents, and CURIEs resolve
+    against the supplied prefix map (built-in namespaces by default).
+    Raises RuleSyntaxError, naming the line and column, on malformed input
+    and UnsafeRule when a head or builtin variable is not bound by a
+    pattern atom.
     """
     prefixes = dict(BASE_PREFIXES if prefixes is None else prefixes)
-    tokens = _tokenize(text)
-    rules = []
-    pos = 0
+    try:
+        tokens = lex(text, ("(", ")", ",", ".", "<-"))
+    except ParseError as e:
+        raise RuleSyntaxError(str(e)) from None
+    rules, pos = [], 0
 
-    def take(expected=None):
+    def fail(token, reason):
+        return RuleSyntaxError(f"line {token.line}, col {token.col}: {reason}")
+
+    def take(expected=None, kind=None, reason=None):
+        """The next token, which must read `expected` or be of `kind`."""
         nonlocal pos
         if pos >= len(tokens):
             raise RuleSyntaxError("unexpected end of rule text")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise RuleSyntaxError(f"expected {expected!r}, got {tok!r}")
+        token = tokens[pos]
+        if expected is not None and token.text != expected:
+            raise fail(token, f"expected {expected!r}, got {token.text!r}")
+        if kind is not None and token.kind != kind:
+            raise fail(token, reason)
         pos += 1
-        return tok
+        return token
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def term(tok) -> Union[Var, Term]:
-        if tok.startswith("?"):
-            return Var(tok[1:])
-        if tok.startswith('"'):
-            return Literal(_unescape(tok))
+    def term(token) -> Union[Var, Term]:
         try:
-            return resolve(tok, prefixes)
+            return token_term(token, prefixes)
         except ValueError as e:
-            raise RuleSyntaxError(str(e)) from None
+            raise fail(token, str(e)) from None
 
     while pos < len(tokens):
         take("violation")
         take("(")
-        msg_tok = take()
-        if not msg_tok.startswith('"'):
-            raise RuleSyntaxError("violation message must be a quoted string")
-        message = _unescape(msg_tok)
+        message = take(kind="literal", reason="violation message must be a quoted string").value
         take(",")
-        subj_tok = take()
-        if not subj_tok.startswith("?"):
-            raise RuleSyntaxError("violation subject must be a variable")
-        subject = Var(subj_tok[1:])
+        subject = Var(take(kind="var", reason="violation subject must be a variable").value)
         take(")")
         take("<-")
         body = []
         while True:
-            tok = take()
-            if tok == "(":
-                s = term(take())
-                p = term(take())
-                o = term(take())
+            token = take()
+            if token.text == "(":
+                s, p, o = term(take()), term(take()), term(take())
                 take(")")
                 if isinstance(p, Var):
-                    raise RuleSyntaxError("predicate position must be ground")
+                    raise fail(token, "predicate position must be ground")
                 if isinstance(s, Literal) or isinstance(p, Literal):
-                    raise RuleSyntaxError("literal in subject or predicate position")
+                    raise fail(token, "literal in subject or predicate position")
                 body.append(PatternAtom(s, p, o))
-            elif tok in ("equal", "notEqual"):
+            elif token.text in ("equal", "notEqual"):
                 take("(")
                 left = term(take())
                 take(",")
                 right = term(take())
                 take(")")
-                body.append(BuiltinAtom(left, right, negated=(tok == "notEqual")))
+                body.append(BuiltinAtom(left, right, negated=(token.text == "notEqual")))
             else:
                 # class-membership sugar: Class(?X)
-                cls = term(tok)
+                cls = term(token)
                 if not isinstance(cls, Iri):
-                    raise RuleSyntaxError(f"expected an atom, got {tok!r}")
+                    raise fail(token, f"expected an atom, got {token.text!r}")
                 take("(")
                 inst = term(take())
                 take(")")
                 body.append(PatternAtom(inst, RDF_TYPE, cls))
-            nxt = take()
-            if nxt == ".":
+            token = take()
+            if token.text == ".":
                 break
-            if nxt != ",":
-                raise RuleSyntaxError(f"expected ',' or '.', got {nxt!r}")
+            if token.text != ",":
+                raise fail(token, f"expected ',' or '.', got {token.text!r}")
         rules.append(_checked(Rule(message, subject, tuple(body))))
     return rules
 
@@ -215,71 +169,30 @@ def _checked(rule: Rule) -> Rule:
     return rule
 
 
-def evaluate(m: Model, rules: Sequence[Rule], budget: int = 200_000) -> list:
-    """All violations derivable from the rules against m.
+def evaluate(m: Model, rules: Sequence[Rule], budget: int = ROW_BUDGET) -> list:
+    """All violations derivable from the rules against m, each rule's body
+    joined by `graphstore.query_bgp` within `budget` rows.
 
     m should be entailed so type atoms see subclass instances. Duplicate
     (message, subject) pairs collapse to the first binding in deterministic
     order; results sort by (message, subject).
     """
-    found = {}
+    found = []
     for rule in rules:
-        rows = [{}]
-        produced = 0
-        for atom in rule.body:
-            if isinstance(atom, BuiltinAtom):
-                rows = [b for b in rows if _builtin_ok(atom, b)]
-                continue
-            next_rows = []
-            for binding in rows:
-                s = binding.get(atom.s.name) if isinstance(atom.s, Var) else atom.s
-                o = binding.get(atom.o.name) if isinstance(atom.o, Var) else atom.o
-                if isinstance(s, Literal):
-                    continue
-                for t in m.match(s if isinstance(s, Iri) else None, atom.p, o):
-                    new = dict(binding)
-                    ok = True
-                    for x, val in ((atom.s, t.subject), (atom.o, t.object)):
-                        if isinstance(x, Var):
-                            prev = new.get(x.name)
-                            if prev is None:
-                                new[x.name] = val
-                            elif prev != val:
-                                ok = False
-                                break
-                    if ok:
-                        next_rows.append(new)
-                        produced += 1
-                        if produced > budget:
-                            raise EvaluationBudgetExceeded(produced, budget)
-            rows = next_rows
-        # Builtins are re-checked once all pattern atoms are joined, because a
-        # builtin written before the binding atom must still constrain the
-        # result. By then every builtin variable is bound (_checked).
         builtins = [a for a in rule.body if isinstance(a, BuiltinAtom)]
-        rows = [b for b in rows if all(_builtin_ok(a, b) for a in builtins)]
-        for binding in sorted(
-            rows, key=lambda b: tuple(term_key(v) for _, v in sorted(b.items()))
-        ):
+        for binding in query_bgp(m, rule.pattern_atoms(), builtins, budget):
             subject = binding[rule.subject.name]
-            if not isinstance(subject, Iri):
-                continue
-            key = (rule.message, subject)
-            if key not in found:
-                found[key] = Violation(
-                    rule.message,
-                    subject,
-                    tuple(sorted(binding.items())),
-                )
-    return [found[k] for k in sorted(found, key=lambda k: (k[0], k[1].value))]
+            if isinstance(subject, Iri):
+                found.append(Violation(rule.message, subject, tuple(sorted(binding.items()))))
+    return _first_of_each(found)
 
 
-def _builtin_ok(atom: BuiltinAtom, binding: dict) -> bool:
-    left = binding.get(atom.left.name) if isinstance(atom.left, Var) else atom.left
-    right = binding.get(atom.right.name) if isinstance(atom.right, Var) else atom.right
-    if left is None or right is None:
-        return True  # not yet ground; later atoms bind it and re-filtering happens
-    return (left != right) if atom.negated else (left == right)
+def _first_of_each(violations) -> list:
+    """The first violation of each (message, subject), sorted by both."""
+    unique = {}
+    for v in violations:
+        unique.setdefault((v.message, v.subject), v)
+    return [unique[k] for k in sorted(unique, key=lambda k: (k[0], k[1].value))]
 
 
 # -- built-in ruleset ------------------------------------------------------------
@@ -334,18 +247,10 @@ def structural_violations(m: Model) -> list:
         for element in m.typed(vocab.COMPUTE_ELEMENT) + m.typed(NETWORK_CONNECTION):
             if element not in reachable:
                 out.append(Violation(MSG_ORPHAN_ELEMENT, element, ()))
-    unique = {}
-    for v in out:
-        unique.setdefault((v.message, v.subject), v)
-    return [unique[k] for k in sorted(unique, key=lambda k: (k[0], k[1].value))]
+    return _first_of_each(out)
 
 
 def validate(m: Model, extra_rules: Sequence[Rule] = ()) -> list:
     """Built-in ruleset plus structural checks plus caller-supplied rules."""
-    violations = evaluate(m, [*_BUILTIN_RULES, *extra_rules])
-    violations.extend(structural_violations(m))
-    violations.sort(key=lambda v: (v.message, v.subject.value))
-    unique = {}
-    for v in violations:
-        unique.setdefault((v.message, v.subject), v)
-    return [unique[k] for k in sorted(unique, key=lambda k: (k[0], k[1].value))]
+    found = evaluate(m, [*_BUILTIN_RULES, *extra_rules])
+    return _first_of_each([*found, *structural_violations(m)])

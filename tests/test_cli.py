@@ -1,5 +1,7 @@
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +10,11 @@ import pytest
 
 import netslice
 from netslice import graphstore, rules
-from netslice.cli import main, run_scenario
+from netslice.cli import _parse_scenario, main, run_scenario
 
 from conftest import FIXTURES, LOOSE_LABEL_SETS
+
+ROOT = FIXTURES.parent
 
 
 def _run(capsys, *argv):
@@ -48,16 +52,51 @@ def test_entail_emits_closure(capsys):
     assert "topo:interfaceOf" in out  # inverse materialized
 
 
-def test_query_bgp(capsys):
-    code, out, _ = _run(
-        capsys,
-        "query",
-        FIXTURES / "renci.ndl",
-        "--bgp",
-        "<http://geni-orca.renci.org/sites/renci/Server/A> topo:hasInterface ?i",
-    )
-    assert code == 0
-    assert out.strip() == "?i=rnc:Server/A/f1/ethernet"
+_TYPED_DOCUMENT = """\
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+<urn:l1> <urn:bw> "100"^^xsd:integer .
+<urn:l2> <urn:bw> "100" .
+<urn:l2> <urn:name> "two words # not a comment" .
+"""
+
+
+@pytest.mark.parametrize(
+    "document, bgp, answer",
+    [
+        (
+            FIXTURES / "renci.ndl",
+            "<http://geni-orca.renci.org/sites/renci/Server/A> topo:hasInterface ?i",
+            "?i=rnc:Server/A/f1/ethernet",
+        ),
+        # the rest query _TYPED_DOCUMENT
+        (None, '?l <urn:bw> "100"^^xsd:integer', "?l=<urn:l1>"),
+        (None, '?l <urn:bw> "100"', "?l=<urn:l2>"),
+        (None, '?l <urn:name> "two words # not a comment" .', "?l=<urn:l2>"),
+        (None, '?l <urn:bw> ?b . ?l <urn:name> ?n', '?b="100" ?l=<urn:l2> ?n="two words # not a comment"'),
+    ],
+    ids=["fixture", "integer-literal", "string-literal", "literal-with-spaces", "join"],
+)
+def test_query_bgp(capsys, tmp_path, document, bgp, answer):
+    if document is None:
+        document = tmp_path / "typed.ndl"
+        document.write_text(_TYPED_DOCUMENT)
+    code, out, _ = _run(capsys, "query", document, "--bgp", bgp)
+    assert (code, out) == (0, answer + "\n")
+
+
+@pytest.mark.parametrize(
+    "bgp, error",
+    [
+        ('?l <urn:bw> "100', "error: --bgp: line 1, col 13: unterminated string literal"),
+        ("?l <urn:bw> . ?l", "error: --bgp: line 1, col 13: incomplete pattern"),
+        ("?l nosuch:p ?o", "error: --bgp: cannot resolve 'nosuch:p': unknown prefix"),
+    ],
+    ids=["unterminated-quote", "dot-inside-a-pattern", "unknown-prefix"],
+)
+def test_query_bad_bgp_exits_two(capsys, bgp, error):
+    code, out, err = _run(capsys, "query", FIXTURES / "renci.ndl", "--bgp", bgp)
+    assert (code, out) == (2, "")
+    assert err.startswith(error)
 
 
 def test_query_path_expr(capsys):
@@ -249,11 +288,34 @@ def test_run_failed_expectation_exits_one(tmp_path, monkeypatch, capsys):
     assert "EXPECTATION FAILED" in captured.err
 
 
-def test_run_bad_script_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("frobnicate everything\n", "error: line 1: unknown command 'frobnicate'\n"),
+        ('# c\nexpect-violation "port #3\n', "error: line 2, col 18: unterminated string literal\n"),
+        ('expect-violation "a\\qb"\n', "error: line 1, col 20: bad escape in string literal\n"),
+    ],
+    ids=["unknown-command", "unterminated-quote", "bad-escape"],
+)
+def test_run_bad_script_exits_two(tmp_path, capsys, text, error):
     script = tmp_path / "bad.scn"
-    script.write_text("frobnicate everything\n")
-    code = main(["run", str(script)])
-    assert code == 2
+    script.write_text(text)
+    code, out, err = _run(capsys, "run", script)
+    assert (code, out, err) == (2, "", error)
+
+
+def test_scenario_lines_read_quoted_words_and_comments():
+    text = (
+        "# a comment line\n"
+        'expect-violation "port #3 is bad"  # a trailing comment\n'
+        'expect-state "slice one" Closed\n'
+        '\tadvance-time  2026-01-01T02:00:00Z\r\n'
+    )
+    assert _parse_scenario(text) == [
+        (2, "expect-violation", ["port #3 is bad"]),
+        (3, "expect-state", ["slice one", "Closed"]),
+        (4, "advance-time", ["2026-01-01T02:00:00Z"]),
+    ]
 
 
 def test_run_invalid_substrate_exits_two_naming_the_line(tmp_path, capsys):
@@ -470,6 +532,29 @@ def test_exceeded_rule_join_budget_exits_two(capsys, monkeypatch, tmp_path, argv
     code, out, err = _run(capsys, *argv, FIXTURES / "request-pair.ndl", "--rules", cross_join)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "rule join produced" in err and "(cap 5)" in err
+
+
+def test_exceeded_bgp_join_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(graphstore.query_bgp, "__defaults__", ((), 5))
+    cross_product = "?a topo:hasInterface ?b . ?c topo:hasInterface ?d"
+    code, out, err = _run(capsys, "query", FIXTURES / "renci.ndl", "--bgp", cross_product)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "rule join produced" in err and "(cap 5)" in err
+
+
+def _readme_queries():
+    """The `netslice query` command lines of README.md, as argument lists."""
+    text = re.sub(r"\\\n\s*", " ", (ROOT / "README.md").read_text())
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("netslice query")]
+
+
+def test_readme_query_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    queries = _readme_queries()
+    assert sorted(argv[2] for argv in queries) == ["--bgp", "--path-expr"]
+    for argv in queries:
+        code, out, err = _run(capsys, *argv)
+        assert (code, err) == (0, "") and out.strip(), argv
 
 
 def _python_m_netslice(*argv):

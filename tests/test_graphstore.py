@@ -24,8 +24,10 @@ from netslice.graphstore import (
     Triple,
     Var,
     XSD_INTEGER,
+    EvaluationBudgetExceeded,
     entail,
     integer,
+    lex,
     merge,
     parse_document,
     query_bgp,
@@ -400,6 +402,93 @@ def test_query_unbound_predicate_variable():
     m.add(t("a", "p", "b"))
     got = query_bgp(m, [(ex("a"), Var("p"), ex("b"))])
     assert got == [{"p": ex("p")}]
+
+
+def test_join_results_do_not_depend_on_the_written_order():
+    rng = random.Random(7)
+    for _ in range(30):
+        m = Model()
+        for _ in range(rng.randrange(4, 14)):
+            m.add(t(f"s{rng.randrange(4)}", f"p{rng.randrange(2)}", f"s{rng.randrange(4)}"))
+        patterns = [
+            (Var("x"), ex(f"p{rng.randrange(2)}"), Var("y")),
+            (Var("y"), ex(f"p{rng.randrange(2)}"), Var("z")),
+            (Var("z"), Var("q"), ex(f"s{rng.randrange(4)}")),
+        ]
+        filters = [(Var("x"), Var("z"), True)]
+        expected = [b for b in bgp_by_assignment(m, patterns) if b["x"] != b["z"]]
+        for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            assert query_bgp(m, [patterns[k] for k in order], filters) == expected
+
+
+def test_join_refuses_a_cross_product_over_its_budget():
+    m = Model()
+    for k in range(4):
+        m.add(t(f"s{k}", "p", f"o{k}"))
+    cross = [(Var("a"), ex("p"), Var("b")), (Var("c"), ex("p"), Var("d"))]
+    assert len(query_bgp(m, cross, budget=20)) == 16
+    with pytest.raises(EvaluationBudgetExceeded, match=r"produced 20 rows \(cap 19\)"):
+        query_bgp(m, cross, budget=19)
+    with pytest.raises(ValueError, match="bound by no pattern"):
+        query_bgp(m, cross, [(Var("a"), Var("nowhere"), False)])
+
+
+@pytest.mark.parametrize(
+    "text, marks, tokens",
+    [
+        # a document line: a dot is a mark only before whitespace, '#' or the end
+        (
+            'e:a <urn:b#c> "x\\ty"^^e:t.x .# c',
+            (".",),
+            [("word", "e:a", 1, 1), ("iri", "urn:b#c", 1, 5), ("literal", "x\ty", 1, 15),
+             ("mark", ".", 1, 29)],
+        ),
+        # a rule: marks end words, "<-" is one mark, "?X" is a variable
+        (
+            'violation("m # x", ?X) <-(?X a:b.c ?y).',
+            ("(", ")", ",", ".", "<-"),
+            [("word", "violation", 1, 1), ("mark", "(", 1, 10), ("literal", "m # x", 1, 11),
+             ("mark", ",", 1, 18), ("var", "X", 1, 20), ("mark", ")", 1, 22),
+             ("mark", "<-", 1, 24), ("mark", "(", 1, 26), ("var", "X", 1, 27),
+             ("word", "a:b.c", 1, 30), ("var", "y", 1, 36), ("mark", ")", 1, 38),
+             ("mark", ".", 1, 39)],
+        ),
+        (
+            "^a:b/(c:d|<urn:e>)*",
+            ("(", ")", "|", "/", "*", "+", "^"),
+            [("mark", "^", 1, 1), ("word", "a:b", 1, 2), ("mark", "/", 1, 5),
+             ("mark", "(", 1, 6), ("word", "c:d", 1, 7), ("mark", "|", 1, 10),
+             ("iri", "urn:e", 1, 11), ("mark", ")", 1, 18), ("mark", "*", 1, 19)],
+        ),
+        # lines count from one, columns restart on each line
+        (
+            '"a"\n  ?v ?w:x # c\n\t<urn:x>\r',
+            (),
+            [("literal", "a", 1, 1), ("var", "v", 2, 3), ("word", "?w:x", 2, 6),
+             ("iri", "urn:x", 3, 2)],
+        ),
+    ],
+    ids=["document", "rule", "path", "lines"],
+)
+def test_lex_reads_terms_and_marks_with_their_positions(text, marks, tokens):
+    assert [(k.kind, k.value, k.line, k.col) for k in lex(text, marks)] == tokens
+
+
+@pytest.mark.parametrize(
+    "text, line, col, reason",
+    [
+        ('x\n  "abc', 2, 3, "unterminated string literal"),
+        ('"a\\qb"', 1, 3, "bad escape in string literal"),
+        ('"ab\\', 1, 4, "bad escape in string literal"),
+        ('"a"^^ x', 1, 6, "missing datatype after ^^"),
+        ('"a"^^<x', 1, 6, "unterminated datatype IRI"),
+        ("<urn:a\n>", 1, 1, "unterminated IRI reference"),
+    ],
+)
+def test_lex_errors_name_line_and_column(text, line, col, reason):
+    with pytest.raises(ParseError) as raised:
+        lex(text)
+    assert (raised.value.line, raised.value.col, raised.value.reason) == (line, col, reason)
 
 
 def test_parse_substrate_fixture_chain_present():

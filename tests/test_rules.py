@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from netslice import vocab
+from netslice import graphstore, vocab
 from netslice.graphstore import (
     Iri,
+    Literal,
     Model,
     RDF_TYPE,
     Triple,
@@ -55,12 +56,42 @@ def test_parse_builtin_broadcast_rule():
     assert len([a for a in rule.body if isinstance(a, BuiltinAtom)]) == 6
 
 
-def test_parse_class_membership_sugar():
-    rules = parse_ruleset(
-        'violation("m", ?X) <- comp:ComputeElement(?X), (?X topo:inDomain ?D) .'
-    )
-    atom = rules[0].body[0]
-    assert atom == PatternAtom(Var("X"), RDF_TYPE, vocab.COMPUTE_ELEMENT)
+def _document_object(spelling):
+    """The object term a document reads from `spelling`."""
+    return next(iter(parse_document(f"<urn:s> <urn:p> {spelling} .\n"))).object
+
+
+@pytest.mark.parametrize(
+    "text, message, atom",
+    [
+        (
+            'violation("m", ?X) <- comp:ComputeElement(?X), (?X topo:inDomain ?D) .',
+            "m",
+            PatternAtom(Var("X"), RDF_TYPE, vocab.COMPUTE_ELEMENT),
+        ),
+        # a literal is read with the escapes of documents, to the same term
+        (
+            'violation("m", ?X) <- (?X topo:inDomain "a\\tb \\"q\\" \\\\"), (?X rdf:type ?C) .',
+            "m",
+            PatternAtom(Var("X"), vocab.IN_DOMAIN, _document_object('"a\\tb \\"q\\" \\\\"')),
+        ),
+        (
+            'violation("m", ?X) <- (?X topo:inDomain "5"^^<http://www.w3.org/2001/XMLSchema#integer>) .',
+            "m",
+            PatternAtom(Var("X"), vocab.IN_DOMAIN, Literal("5", graphstore.XSD_INTEGER)),
+        ),
+        # a '#' inside a quoted message or an <iri#fragment> starts no comment
+        (
+            'violation("port #3 is bad", ?X) <- (?X <urn:p#f> ?Y) .  # a comment',
+            "port #3 is bad",
+            PatternAtom(Var("X"), Iri("urn:p#f"), Var("Y")),
+        ),
+    ],
+    ids=["class-membership-sugar", "document-escapes", "typed-literal", "hash-in-quotes-and-iri"],
+)
+def test_parse_class_membership_sugar(text, message, atom):
+    rule = parse_ruleset(text)[0]
+    assert (rule.message, rule.body[0]) == (message, atom)
 
 
 def test_parse_unsafe_rule_rejected():
@@ -75,13 +106,27 @@ def test_parse_empty_ruleset():
     assert parse_ruleset("# only a comment\n") == []
 
 
-def test_parse_syntax_errors():
-    with pytest.raises(RuleSyntaxError):
-        parse_ruleset('violation(?X, "msg") <- (?X topo:inDomain ?D) .')
-    with pytest.raises(RuleSyntaxError):
-        parse_ruleset('violation("m", ?X) <- (?X unknownprefix:p ?D) .')
-    with pytest.raises(RuleSyntaxError):
-        parse_ruleset('violation("m", ?X) <- (?X topo:inDomain ?D)')  # missing dot
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('violation(?X, "msg") <- (?X topo:inDomain ?D) .', "line 1, col 11: violation message"),
+        ('violation("m", ?X) <- (?X unknownprefix:p ?D) .', "line 1, col 27: cannot resolve"),
+        ('violation("m", ?X) <- (?X topo:inDomain ?D)', "unexpected end of rule text"),  # no dot
+        # an unterminated quote is refused where it opens
+        ('violation("m", ?X) <- (?X topo:inDomain "abc) .', "line 1, col 41: unterminated string"),
+        ('violation("m", ?X) <-\n  (?X topo:inDomain "abc) .', "line 2, col 21: unterminated string"),
+        ('violation("m", ?X) <- (?X topo:inDomain "a\\qb") .', "line 1, col 43: bad escape"),
+        ('violation("m, ?X) <- (?X topo:inDomain ?D) .', "line 1, col 11: unterminated string"),
+    ],
+    ids=[
+        "variable-message", "unknown-prefix", "missing-dot", "unterminated-quote",
+        "unterminated-quote-line-2", "bad-escape", "unterminated-message",
+    ],
+)
+def test_parse_syntax_errors(text, error):
+    with pytest.raises(RuleSyntaxError) as raised:
+        parse_ruleset(text)
+    assert str(raised.value).startswith(error)
 
 
 def test_broadcast_aba_fires_exactly_once():
