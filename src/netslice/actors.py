@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -145,7 +145,7 @@ class SliceRecord:
     plan: Optional[EmbeddingPlan] = None
     manifest_text: Optional[str] = None
     tickets: list = field(default_factory=list)
-    leases: list = field(default_factory=list)  # (am id, lease id)
+    leases: list = field(default_factory=list)  # (domain, lease id)
     failure: Optional[SliceError] = None
 
     def transition(self, new_state: str) -> None:
@@ -271,6 +271,14 @@ class AggregateManager:
         return serialize_document(self.state.snapshot())
 
 
+def _require_figures(figures: dict, ops) -> None:
+    """Raise OverAllocation for the first op on a figure a delegation does
+    not state."""
+    for kind, subject, _ in ops:
+        if (kind, subject) not in figures:
+            raise OverAllocation(f"{subject.value}: no {kind} figure delegated")
+
+
 class Broker:
     """Coordinates allocations across providers by ticketing delegations."""
 
@@ -278,6 +286,7 @@ class Broker:
         self.broker_id = broker_id
         self.ledgers: dict[Iri, DomainState] = {}  # delegation residual, by domain
         self.views: dict[Iri, DelegationView] = {}
+        self.free: dict = {}  # every ledger's free figures; the ledgers write through to it
         self.tickets: dict[str, Ticket] = {}
         self._ticket_counter = 0
         self._routing: Optional[Model] = None  # closed merge of the ledger models
@@ -285,25 +294,30 @@ class Broker:
     def register_delegation(self, text: str) -> Iri:
         """Register (or replace) a domain's delegation. A replacement takes
         over the outstanding tickets' ops, and is rejected when it cannot
-        hold them or drops a figure one of them draws on."""
+        hold them or drops a figure one of them draws on. A delegation that
+        states a figure another domain's delegation states is rejected."""
         closed = close(parse_document(text))
         residual = residual_of(closed)
-        view = parse_delegation(closed, residual)
+        view = parse_delegation(closed)
         domain = view.domain
         ledger = DomainState(None, closed, residual)
         prior = self.ledgers.get(domain)
+        held = prior.original if prior is not None else {}
+        key = next((k for k in residual if k in self.free and k not in held), None)
+        if key is not None:
+            raise DelegationRejected(f"{key[1].value} {key[0]} figure delegated by another domain")
         outstanding = prior.active if prior is not None else {}
         for token in sorted(outstanding):
-            ops = outstanding[token]
             try:
-                lost = [op for op in ops if op[:2] not in residual]
-                if lost:
-                    raise OverAllocation(f"{lost[0][1].value}: no {lost[0][0]} figure delegated")
-                ledger.apply_ops(token, ops)
+                _require_figures(residual, outstanding[token])
+                ledger.apply_ops(token, outstanding[token])
             except OverAllocation as e:
                 raise DelegationRejected(
                     f"{domain.value}: re-delegation below outstanding commitments: {e}"
                 ) from e
+        for key in held:
+            del self.free[key]
+        ledger.share(self.free)
         self.ledgers[domain] = ledger
         self.views[domain] = view
         self._routing = None
@@ -318,36 +332,19 @@ class Broker:
             )
         return self._routing
 
-    def scratch_free(self) -> dict:
-        """A copy of every ledger's free figures, for one create to deduct from."""
-        return {key: v for ledger in self.ledgers.values() for key, v in ledger.free.items()}
-
     def delegation_views(self) -> list:
-        """The registered views, with unit counts net of outstanding tickets."""
-        views = []
-        for domain in sorted(self.ledgers, key=lambda d: d.value):
-            view, used = self.views[domain], self.ledgers[domain].used
-            units = {c: n - used.get(("units", view.pool_nodes[c]), 0) for c, n in view.units.items()}
-            views.append(replace(view, units=units))
-        return views
+        """The registered views, in domain IRI order."""
+        return [self.views[d] for d in sorted(self.views, key=lambda d: d.value)]
 
     def issue_ticket(
         self, slice_id: str, domain: Iri, placements, border_allocs, segments, term: Term
     ) -> Ticket:
+        """Ticket one domain's share of a slice: a unit from each placement's
+        (request node, compute class, delegated pool), and its border sides."""
         ledger = self.ledgers.get(domain)
         if ledger is None:
             raise TicketError(f"no delegation registered for {domain.value}")
-        ops = []
-        view = self.views[domain]
-        for node, cls in placements:
-            # the ledger model carries the delegation's own subclass axioms
-            delegated = [
-                c for c in sorted(view.pool_nodes, key=lambda c: c.value)
-                if satisfies(ledger.model, c, cls)
-            ]
-            if not delegated:
-                raise TicketError(f"{domain.value} delegated no {cls.local()} units")
-            ops.append(("units", view.pool_nodes[delegated[0]], 1))
+        ops = [("units", pool, 1) for _, _, pool in placements]
         for iface, bandwidth, label in border_allocs:
             ops.extend(border_ops(iface, bandwidth, label))
         self._ticket_counter += 1
@@ -355,12 +352,13 @@ class Broker:
             ticket_id=f"ticket/{self._ticket_counter}",
             slice_id=slice_id,
             domain=domain,
-            placements=list(placements),
+            placements=[(node, cls) for node, cls, _ in placements],
             border_allocs=list(border_allocs),
             segments=list(segments),
             term=term,
         )
         try:
+            _require_figures(ledger.original, ops)
             ledger.apply_ops(f"ticket:{ticket.ticket_id}", ops)
         except OverAllocation as e:
             raise TicketError(str(e)) from e
@@ -377,11 +375,15 @@ class Broker:
             ledger.release_token(token)
 
     def conservation_problems(self) -> list:
-        return [
+        problems = [
             f"{domain.value}: {p}"
             for domain in sorted(self.ledgers, key=lambda d: d.value)
             for p in self.ledgers[domain].conservation_problems()
         ]
+        owned = {key for ledger in self.ledgers.values() for key in ledger.original}
+        for kind, subject in sorted(self.free.keys() - owned, key=lambda k: (k[1].value, k[0])):
+            problems.append(f"{kind} {subject.value}: free figure of no delegation")
+        return problems
 
     def serialized_state(self) -> str:
         return "\n".join(
@@ -418,6 +420,8 @@ class Controller:
         self.extra_rules: list = []
 
     def create_slice(self, slice_id: str, request_text: str, ams: dict) -> str:
+        """The manifest text of a provisioned slice, or SliceError with
+        everything taken released. `ams` maps each domain to its AM."""
         if slice_id in self.slices:
             raise ValueError(f"slice {slice_id!r} already exists")
         record = SliceRecord(slice_id)
@@ -437,11 +441,7 @@ class Controller:
         request = self._validate(record, request_text)
         try:
             plan = embed_mod.embed_request(
-                request,
-                self.broker.delegation_views(),
-                self.broker.routing_view(),
-                self.broker.scratch_free(),
-                record.slice_id,
+                request, self.broker.routing_view(), dict(self.broker.free), record.slice_id
             )
         except InsufficientResources as e:
             raise SliceError("Binding", str(e))
@@ -489,8 +489,10 @@ class Controller:
         border crossings, and its segments of every strand."""
         domain_placements: dict = {}
         for node in request.nodes:
-            domain = plan.placements[node.iri].domain
-            domain_placements.setdefault(domain, []).append((node.iri, node.compute_class))
+            placement = plan.placements[node.iri]
+            domain_placements.setdefault(placement.domain, []).append(
+                (node.iri, node.compute_class, placement.pool)
+            )
         domain_borders: dict = {}
         domain_segments: dict = {}
         for link in request.links:
@@ -538,16 +540,15 @@ class Controller:
         request node and the detail path per (branch key, hop index)."""
         node_hosts: dict = {}
         branch_paths: dict = {}
-        am_by_domain = {am.domain: am for am in ams.values()}
         for ticket in tickets:
-            am = am_by_domain.get(ticket.domain)
+            am = ams.get(ticket.domain)
             if am is None:
                 raise SliceError("Redeem", f"no AM for domain {ticket.domain.value}")
             try:
                 lease, placements, paths = am.redeem(ticket, self.clock)
             except RedeemError as e:
                 raise SliceError("Redeem", f"{am.am_id}: {e}")
-            record.leases.append((am.am_id, lease.lease_id))
+            record.leases.append((ticket.domain, lease.lease_id))
             self._log("redeem", f"{record.slice_id}/{ticket.domain.value}", "ok")
             node_hosts.update(placements)
             branch_paths.update(paths)
@@ -579,8 +580,8 @@ class Controller:
         return serialize_document(manifest)
 
     def _teardown(self, record: SliceRecord, ams: dict) -> None:
-        for am_id, _lease in record.leases:
-            ams[am_id].release_slice(record.slice_id)
+        for domain, _lease in record.leases:
+            ams[domain].release_slice(record.slice_id)
         record.leases.clear()
         for ticket_id in record.tickets:
             self.broker.refund(ticket_id)
@@ -610,22 +611,28 @@ class World:
         self.broker = Broker()
         self.controller = Controller("controller", self.broker, self.clock, self.log, schemas)
         self.ams: dict[str, AggregateManager] = {}
+        self.am_of: dict[Iri, AggregateManager] = {}  # the same AMs, by domain
 
     def add_substrate(self, substrate_text: str) -> AggregateManager:
         """Start an AM for a substrate and register its delegation. Raises
         SubstrateError, with nothing added or logged, for a domain that
-        already has an AM: tickets are redeemed at one AM per domain."""
+        already has an AM (tickets are redeemed at one AM per domain) or a
+        delegation the broker rejects."""
         am = AggregateManager(
             f"am-{len(self.ams) + 1}", substrate_text, self.controller.schemas
         )
-        for other in self.ams.values():
-            if other.domain == am.domain:
-                raise SubstrateError(
-                    [f"domain {am.domain.value} already has aggregate manager {other.am_id}"]
-                )
+        other = self.am_of.get(am.domain)
+        if other is not None:
+            raise SubstrateError(
+                [f"domain {am.domain.value} already has aggregate manager {other.am_id}"]
+            )
+        try:
+            self.broker.register_delegation(am.delegate())
+        except DelegationRejected as e:
+            raise SubstrateError([str(e)]) from e
         self.ams[am.am_id] = am
+        self.am_of[am.domain] = am
         self.log(am.am_id, "delegate", am.domain.value, "ok")
-        self.broker.register_delegation(am.delegate())
         self.log(self.broker.broker_id, "register", am.domain.value, "ok")
         return am
 
@@ -633,7 +640,7 @@ class World:
         log = self.controller._log
         log("slice-request", slice_id, "ok")
         try:
-            manifest = self.controller.create_slice(slice_id, request_text, self.ams)
+            manifest = self.controller.create_slice(slice_id, request_text, self.am_of)
         except SliceError as e:
             _drop_frames(e)
             for v in e.violations:
@@ -648,7 +655,7 @@ class World:
         return manifest
 
     def delete_slice(self, slice_id: str) -> None:
-        self.controller.delete_slice(slice_id, self.ams)
+        self.controller.delete_slice(slice_id, self.am_of)
         self.controller._log("delete", slice_id, "ok")
         self.controller._log("state", slice_id, "Closed")
 
@@ -660,7 +667,7 @@ class World:
             for lease in am.expired_leases(self.clock.now):
                 record = self.controller.slices.get(lease.slice_id)
                 if record is not None and record.state != "Closed":
-                    self.controller.delete_slice(lease.slice_id, self.ams)
+                    self.controller.delete_slice(lease.slice_id, self.am_of)
                     self.log(am_id, "expire", lease.slice_id, "ok")
 
     def conservation_problems(self) -> list:

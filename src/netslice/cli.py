@@ -382,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # --help (0) or a usage error (2)
+        return e.code
     try:
         return args.func(args)
     except (CliInputError, ScenarioError, ParseError, ValueError, *BUDGET_ERRORS) as e:

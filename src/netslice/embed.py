@@ -23,9 +23,10 @@ when an aggregate manager redeems a ticket.
 Residual capacity is typed data, never rewritten triples: a mapping keyed
 like allocation ops, ("bw" | "label" | "units", subject), holds what is
 free. The path search reads one beside the model; a DomainState keeps one
-per domain, and the broker deducts a request's own crossings from a
-scratch copy of its ledgers'. Only `DomainState.snapshot()` writes residual
-figures back into a model, for serializing and delegating.
+per domain, the broker's ledgers share one, and the broker deducts a
+request's own crossings from a scratch copy of it. Only
+`DomainState.snapshot()` writes residual figures back into a model, for
+serializing and delegating.
 """
 
 from __future__ import annotations
@@ -39,18 +40,20 @@ from typing import NamedTuple, Optional, Sequence
 from . import vocab
 from .graphstore import Iri, Literal, Model, Triple, int_value, integer, string
 from .models import (
-    RESIDUAL_PROPERTIES, DelegationView, SliceRequest, SubstrateGraph, parse_substrate, residual_of,
+    RESIDUAL_PROPERTIES, SliceRequest, SubstrateGraph, parse_substrate, pool_classes, residual_of,
 )
 from .pathquery import HopWitness, Pred, Seq, adjacent, sub_graph
 from .vocab import (
     AT_LAYER,
+    IN_DOMAIN,
     INTERNALLY_REACHABLE,
     LABEL_TRANSLATOR,
     LAYERS,
     NETWORK_CONNECTION,
     NETWORK_DOMAIN,
     NO_LABELS,
-    entailed_schema,
+    PROVISIONS,
+    RDFS_SUBCLASS_OF,
     render_label_set,
 )
 
@@ -129,10 +132,7 @@ class PathResult:
 
     @property
     def allocated_label(self) -> Optional[int]:
-        for seg in self.segments:
-            if seg.label is not None:
-                return seg.label
-        return None
+        return next((seg.label for seg in self.segments if seg.label is not None), None)
 
     def hop_count(self) -> int:
         return len(self.segments)
@@ -190,27 +190,36 @@ def _candidate_paths(topo: _Topology, source: Iri, dest: Iri):
     count, lexicographic hop sequence). Parallel links yield distinct
     candidates.
 
-    `togo` holds each node's hop distance to dest over the compiled steps,
-    ignoring simplicity, by a reverse BFS. The topology covers the whole
-    model, not just what source reaches, but a shortest walk from a node
-    source reaches stays among such nodes, so their `togo` is the same. A
-    prefix is queued under (hops so far + togo of its last node, its key);
-    one that can no longer reach dest is dropped. `togo[u] <= 1 + togo[v]`
-    on every step u -> v (the bound is consistent), so an extension's bound
-    is never below its prefix's, and a prefix's key sorts before every
-    extension of it: entries pop in increasing (bound, key) order. A
-    complete path's bound is its hop count, and every prefix of a path to
-    dest is kept, so the paths come out in exactly the order of plain
-    best-first enumeration by (hop count, key), and all of them come out.
+    `togo` holds hop distances to dest over the compiled steps, ignoring
+    simplicity, from a reverse BFS run one layer at a time as far as the
+    search asks: a node not reached yet is farther than all reached, so a
+    lookup runs layers until the node is reached or the BFS is exhausted
+    (it cannot reach dest). A prefix is queued under (hops so far + togo of
+    its last node, its key); one that can no longer reach dest is dropped.
+    `togo[u] <= 1 + togo[v]` on every step u -> v (the bound is
+    consistent), so an extension's bound is never below its prefix's, and
+    a prefix's key sorts before every extension of it: entries pop in
+    increasing (bound, key) order. A complete path's bound is its hop
+    count, and every prefix of a path to dest is kept, so the paths come
+    out in exactly the order of plain best-first enumeration by (hop count,
+    key), and all of them come out.
     """
     togo = {dest: 0}
-    queue = [dest]
-    for node in queue:
-        for p in topo.preds.get(node, ()):
-            if p not in togo:
-                togo[p] = togo[node] + 1
-                queue.append(p)
-    if source not in togo:
+    frontier = [dest]
+
+    def reached(node) -> bool:
+        nonlocal frontier
+        while node not in togo and frontier:
+            depth, layer = togo[frontier[0]] + 1, []
+            for v in frontier:
+                for p in topo.preds.get(v, ()):
+                    if p not in togo:
+                        togo[p] = depth
+                        layer.append(p)
+            frontier = layer
+        return node in togo
+
+    if not reached(source):
         return
     heap = [(togo[source], (), ())]
     while heap:
@@ -222,7 +231,7 @@ def _candidate_paths(topo: _Topology, source: Iri, dest: Iri):
         visited = {source} | {s.witness.neighbor for s in chain}
         for step in topo.steps[last]:
             neighbor = step.witness.neighbor
-            if neighbor in visited or neighbor not in togo:
+            if neighbor in visited or not (neighbor in togo or reached(neighbor)):
                 continue
             bound = len(chain) + 1 + togo[neighbor]
             heapq.heappush(heap, (bound, key + (step.key,), chain + (step,)))
@@ -382,7 +391,8 @@ class DomainState:
     returning a label costs the same on a 4,093-label pool as on a
     one-label one. `snapshot()` projects them back to
     triples so that a released state serializes byte-identically to the
-    document.
+    document. `share` moves `free` into a map that other states write to as
+    well, so only the state's own keys are its figures.
     """
 
     def __init__(self, substrate: Optional[SubstrateGraph], model: Model, original=None):
@@ -421,6 +431,12 @@ class DomainState:
         else:  # all returned: share the document's figure again
             self.used.pop(key, None)
             self.free[key] = self.original.get(key, free)
+
+    def share(self, free: dict) -> None:
+        """Keep the free figures in `free` from now on: they are written into
+        it, and every later change writes through to it."""
+        free.update(self.free)
+        self.free = free
 
     def apply_ops(self, token: str, ops) -> None:
         """Apply an op list atomically under a token; rolls back on failure."""
@@ -474,16 +490,17 @@ class DomainState:
         return m
 
     def conservation_problems(self) -> list:
-        """Violations of free + used == original, empty when sound. A figure
+        """Violations of free + used == original over the state's own keys,
+        the document's figures and those in use, empty when sound. A figure
         out of use whose free entry is still the document's own object holds
         unless that figure is negative, so only the others are compared."""
         problems = []
-        original = self.original
+        original, free = self.original, self.free
         keys = {
-            key for key, free in self.free.items()
-            if free is not original.get(key) or (key[0] != "label" and free < 0)
+            key for key, orig in original.items()
+            if free.get(key) is not orig or (key[0] != "label" and orig < 0)
         }
-        keys.update(self.used, (key for key in original if key not in self.free))
+        keys.update(self.used)
         for kind, subject in sorted(keys, key=lambda k: (k[1].value, k[0])):
             zero = NO_LABELS if kind == "label" else 0
             orig, free, used = (
@@ -516,6 +533,7 @@ class Placement:
     compute_class: Iri
     host: Optional[Iri] = None
     management_address: Optional[str] = None
+    pool: Optional[Iri] = None  # the delegated pool binding took a unit from
 
 
 @dataclass
@@ -557,22 +575,14 @@ class BranchPath:
         devices = []
         for _, path in self.domain_paths:
             for i, hop in enumerate(path.hops):
-                label = path.segments[i - 1].label if i > 0 else (
-                    path.segments[0].label if path.segments else None
-                )
+                label = path.segments[max(i - 1, 0)].label if path.segments else None
                 devices.append((hop.element, label))
-        return devices[1:-1] if len(devices) >= 2 else []
+        return devices[1:-1]
 
-    def labels(self):
-        out = set()
-        for crossing in self.crossings:
-            if crossing.label is not None:
-                out.add(crossing.label)
-        for _, path in self.domain_paths:
-            for seg in path.segments:
-                if seg.label is not None:
-                    out.add(seg.label)
-        return out
+    def labels(self) -> set:
+        labels = {c.label for c in self.crossings}
+        labels.update(seg.label for _, path in self.domain_paths for seg in path.segments)
+        return labels - {None}
 
 
 @dataclass
@@ -581,11 +591,8 @@ class LinkRealization:
     root_node: Iri
     branches: list  # BranchPath per non-root member
 
-    def labels(self):
-        out = set()
-        for b in self.branches:
-            out |= b.labels()
-        return out
+    def labels(self) -> set:
+        return set().union(*(b.labels() for b in self.branches))
 
 
 @dataclass
@@ -598,38 +605,45 @@ class EmbeddingPlan:
 # -- domain binding ----------------------------------------------------------------
 
 
-def bind_domains(
-    req: SliceRequest,
-    delegations: Sequence[DelegationView],
-    schema: Optional[Model] = None,
-) -> dict:
-    """Assign every request node a domain: bound nodes keep their binding,
-    unbound ones are placed first-fit over domains sorted by IRI. Raises
-    InsufficientResources when no domain can host a node's class.
+def _pools_by_class(m: Model) -> dict:
+    """The delegated pools of a closed merge of delegations, for
+    `m.derived`: requested compute class -> domain -> pools able to
+    provision it, domains in IRI order and each domain's pools in order of
+    their sorted class IRIs. A pool serves the classes it provisions and
+    their superclasses in m, provider extensions included."""
+    pools = [
+        (m.value(node, IN_DOMAIN), node, pool_classes(m, node))
+        for node in dict.fromkeys(t.subject for t in m.match(p=PROVISIONS))
+    ]
+    index = {}
+    for domain, node, provided in sorted(
+        (p for p in pools if isinstance(p[0], Iri) and NETWORK_DOMAIN in m.types(p[0])),
+        key=lambda p: (p[0].value, [c.value for c in p[2]]),
+    ):
+        for cls in {sup for c in provided for sup in (c, *m.objects(c, RDFS_SUBCLASS_OF))}:
+            index.setdefault(cls, {}).setdefault(domain, []).append(node)
+    return index
 
-    `schema` supplies the subclass closure; passing the broker's merged
-    delegation view lets provider-defined compute subclasses match."""
-    if schema is None:
-        schema = entailed_schema()
-    views = sorted(delegations, key=lambda d: d.domain.value)
-    free = {}
-    for view in views:
-        for cls, units in view.units.items():
-            free[(view.domain, cls)] = free.get((view.domain, cls), 0) + units
 
+def bind_domains(req: SliceRequest, routing: Optional[Model], free: dict) -> dict:
+    """Assign every request node a delegated pool, first fit over the pools
+    that serve its class (`_pools_by_class` of the routing view), within
+    the node's bound domain if it has one. Each assignment takes one unit
+    from `free`, the request's scratch copy of the broker's free figures.
+    Returns node -> (domain, pool). Raises InsufficientResources when no
+    pool has a unit left for a node's class."""
+    index = routing.derived(_pools_by_class) if routing is not None else {}
     binding = {}
     for node in req.nodes:
-        placed = False
-        usable = [dc for dc in free if vocab.satisfies(schema, dc[1], node.compute_class)]
-        for domain, cls in sorted(usable, key=lambda dc: (dc[0].value, dc[1].value)):
-            if node.in_domain is not None and domain != node.in_domain:
-                continue
-            if free[(domain, cls)] >= 1:
-                free[(domain, cls)] -= 1
-                binding[node.iri] = domain
-                placed = True
+        by_domain = index.get(node.compute_class, {})
+        for domain in by_domain if node.in_domain is None else (node.in_domain,):
+            pools = (p for p in by_domain.get(domain, ()) if free.get(("units", p), 0) >= 1)
+            pool = next(pools, None)
+            if pool is not None:
+                free[("units", pool)] -= 1
+                binding[node.iri] = (domain, pool)
                 break
-        if not placed:
+        else:
             raise InsufficientResources(node.iri, node.compute_class)
     return binding
 
@@ -644,36 +658,26 @@ def _required_labels_per_domain(route: PathResult, broker_view: Model):
     translators = broker_view.derived(_compile).translators
     required = []
     for i, hop in enumerate(route.hops):
-        labels = set()
-        if i > 0 and route.segments[i - 1].label is not None:
-            labels.add(route.segments[i - 1].label)
-        if i < len(route.segments) and route.segments[i].label is not None:
-            labels.add(route.segments[i].label)
-        if hop.element in translators or not labels:
-            required.append(None)
-        else:
-            required.append(min(labels))
+        labels = {seg.label for seg in route.segments[max(i - 1, 0) : i + 1]} - {None}
+        required.append(None if hop.element in translators or not labels else min(labels))
     return required
 
 
 def embed_request(
-    req: SliceRequest,
-    views: Sequence[DelegationView],
-    routing: Optional[Model],
-    free: dict,
-    slice_id: str,
+    req: SliceRequest, routing: Optional[Model], free: dict, slice_id: str
 ) -> EmbeddingPlan:
     """Delegation-level embedding of a validated request: bind every node to
-    a domain, then route every link strand over the broker's routing view
-    and the delegations' free figures. Each strand's crossings are deducted
-    from `free`, a scratch copy the caller hands over, so later strands of
-    the request route around them. Hosts and per-domain paths are left to
-    the aggregate managers. Raises InsufficientResources or
-    EmbeddingFailed."""
-    binding = bind_domains(req, views, schema=routing)
+    a delegated pool, then route every link strand over the broker's
+    routing view and the delegations' free figures. Each placement's unit
+    and each strand's crossings are deducted from `free`, a scratch copy
+    the caller hands over, so later nodes and strands of the request fit
+    around them. Hosts and per-domain paths are left to the aggregate
+    managers. Raises InsufficientResources or EmbeddingFailed."""
+    binding = bind_domains(req, routing, free)
     plan = EmbeddingPlan(slice_id)
     for node in req.nodes:
-        plan.placements[node.iri] = Placement(node.iri, binding[node.iri], node.compute_class)
+        domain, pool = binding[node.iri]
+        plan.placements[node.iri] = Placement(node.iri, domain, node.compute_class, pool=pool)
     for link in req.links:
         root, others = link_members(req, link, plan.placements)
         realization = LinkRealization(link=link.iri, root_node=root, branches=[])
@@ -697,10 +701,7 @@ def embed_request(
 
 
 def _owner_device(state: DomainState, border_iface: Iri) -> Optional[Iri]:
-    for b in state.substrate.borders:
-        if b.iri == border_iface:
-            return b.owner
-    return None
+    return next((b.owner for b in state.substrate.borders if b.iri == border_iface), None)
 
 
 def link_members(req, link, placements) -> tuple:

@@ -623,17 +623,22 @@ def render_term(t: Term, prefixes: dict) -> str:
 
 
 def _namespaces(prefixes: dict) -> list:
-    """(namespace, name) pairs in the order they compete to compact an IRI:
-    the longest namespace wins, and ties break on prefix name."""
-    return sorted(((ns, name) for name, ns in prefixes.items()), key=lambda x: (-len(x[0]), x[1]))
+    """(length, {namespace: its smallest prefix name}) groups, longest
+    first: the longest namespace that leaves a safe local part compacts an
+    IRI, and at most one namespace of each length prefixes it."""
+    groups = {}
+    for name, ns in sorted(prefixes.items()):
+        groups.setdefault(len(ns), {}).setdefault(ns, name)
+    return sorted(groups.items(), key=lambda g: -g[0])
 
 
 def _render(t: Term, namespaces: list) -> str:
     if isinstance(t, Iri):
         v = t.value
-        for ns, name in namespaces:
-            if v.startswith(ns):
-                local = v[len(ns) :]
+        for length, names in namespaces:
+            name = names.get(v[:length])
+            if name is not None:
+                local = v[length:]
                 if not local or (_SAFE_LOCAL_RE.match(local) and not local.endswith(".")):
                     return f"{name}:{local}"
         return f"<{v}>"

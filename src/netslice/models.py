@@ -374,15 +374,21 @@ def build_delegation(s: SubstrateGraph) -> Model:
         for b2 in s.borders[i + 1 :]:
             if find(b1.owner) == find(b2.owner):
                 m.add(Triple(b1.iri, INTERNALLY_REACHABLE, b2.iri))
-    totals = {}
+    # one delegated pool per distinct set of provided classes, so a host
+    # that provisions several classes advertises its units once
+    hosts = {}  # node -> (the classes it provisions, its units)
     for p in s.pools:
-        totals[p.provides] = totals.get(p.provides, 0) + p.units
-    for cls in sorted(totals, key=lambda c: c.value):
-        pool_node = Iri(f"{s.domain.value}/pool/{cls.local()}")
+        hosts.setdefault(p.node, (set(), p.units))[0].add(p.provides)
+    totals = {}
+    for provided, units in hosts.values():
+        key = tuple(sorted(provided, key=lambda c: c.value))
+        totals[key] = totals.get(key, 0) + units
+    for provided, total in totals.items():
+        pool_node = Iri(f"{s.domain.value}/pool/{'+'.join(c.local() for c in provided)}")
         m.add(Triple(pool_node, RDF_TYPE, SERVER_CLOUD))
         m.add(Triple(pool_node, IN_DOMAIN, s.domain))
-        m.add(Triple(pool_node, PROVISIONS, cls))
-        m.add(Triple(pool_node, AVAILABLE_UNITS, integer(totals[cls])))
+        m.add_all(Triple(pool_node, PROVISIONS, c) for c in provided)
+        m.add(Triple(pool_node, AVAILABLE_UNITS, integer(total)))
     if any(d.label_translator for d in s.devices):
         m.add(Triple(s.domain, RDF_TYPE, LABEL_TRANSLATOR))
     m.add_all(s.class_axioms)
@@ -391,31 +397,28 @@ def build_delegation(s: SubstrateGraph) -> Model:
 
 @dataclass(frozen=True)
 class DelegationView:
-    """What binding and ticketing read of one registered delegation. The
-    broker routes over the closed delegation models themselves."""
+    """What a broker keeps of one registered delegation besides its ledger.
+    The broker routes and binds over the closed delegation models, and reads
+    the pools' units from its free figures."""
 
     domain: Iri
-    units: dict  # compute class -> available units
-    pool_nodes: dict  # compute class -> pool node IRI
+    pools: dict  # pool node IRI -> the compute classes it provisions, sorted by IRI
 
 
-def parse_delegation(m: Model, residual: Optional[dict] = None) -> DelegationView:
-    """Typed view of a closed delegation. `residual` is residual_of(m),
-    when the caller already has it."""
-    if residual is None:
-        residual = residual_of(m)
+def parse_delegation(m: Model) -> DelegationView:
+    """Typed view of a closed delegation."""
     domains = m.typed(NETWORK_DOMAIN)
     if len(domains) != 1:
         raise SubstrateError([f"delegation must describe exactly one domain, got {len(domains)}"])
     domain = domains[0]
-    units = {}
-    pool_nodes = {}
-    for node in m.subjects(IN_DOMAIN, domain):
-        for cls in m.objects(node, PROVISIONS):
-            if isinstance(cls, Iri):
-                units[cls] = units.get(cls, 0) + residual.get(("units", node), 0)
-                pool_nodes[cls] = node
-    return DelegationView(domain=domain, units=units, pool_nodes=pool_nodes)
+    pools = {node: pool_classes(m, node) for node in m.subjects(IN_DOMAIN, domain)}
+    return DelegationView(domain=domain, pools={n: c for n, c in pools.items() if c})
+
+
+def pool_classes(m: Model, node: Iri) -> tuple:
+    """The compute classes a delegated pool node provisions, sorted by IRI."""
+    provided = (c for c in m.objects(node, PROVISIONS) if isinstance(c, Iri))
+    return tuple(sorted(provided, key=lambda c: c.value))
 
 
 # -- slice request ----------------------------------------------------------------
@@ -464,12 +467,6 @@ class SliceRequest:
     links: tuple
     term: Term
     model: Model  # the source request document (not the entailed merge)
-
-    def node(self, iri: Iri) -> Optional[RequestNode]:
-        for n in self.nodes:
-            if n.iri == iri:
-                return n
-        return None
 
 
 def _minimal_compute_class(m: Model, types: set) -> Optional[Iri]:
@@ -699,15 +696,8 @@ def check_homeomorphic(req: SliceRequest, manifest: Model) -> bool:
     if hops:
         return False  # a hop vertex survived smoothing: not a simple chain
 
-    mapped = set()
-    for e in edges:
-        a, b = sorted(e, key=lambda v: v.value)
-        mapped.add(frozenset((corr[a], corr[b])))
-
-    expected = set()
-    for link in req.links:
-        for owner in link.owners(req):
-            expected.add(frozenset((owner.iri, link.iri)))
+    mapped = {frozenset(corr[v] for v in e) for e in edges}
+    expected = {frozenset((o.iri, link.iri)) for link in req.links for o in link.owners(req)}
     if mapped != expected:
         return False
 
@@ -715,10 +705,4 @@ def check_homeomorphic(req: SliceRequest, manifest: Model) -> bool:
     images = {}
     for v in verts:
         images.setdefault(corr[v], []).append(v)
-    for node in req.nodes:
-        if len(images.get(node.iri, [])) != 1:
-            return False
-    for link in req.links:
-        if len(images.get(link.iri, [])) != 1:
-            return False
-    return True
+    return all(len(images.get(e.iri, ())) == 1 for e in (*req.nodes, *req.links))

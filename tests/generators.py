@@ -85,7 +85,8 @@ def instance_model(instance) -> Model:
         if d["translator"]:
             m.add(Triple(dev, RDF_TYPE, vocab.LABEL_TRANSLATOR))
         if d.get("units"):
-            m.add(Triple(dev, vocab.PROVISIONS, vocab.VM))
+            for cls in d.get("classes", [vocab.VM]):
+                m.add(Triple(dev, vocab.PROVISIONS, cls))
             m.add(Triple(dev, vocab.AVAILABLE_UNITS, integer(d["units"])))
         for k, (client, server, cap) in enumerate(d["adaptations"]):
             a = Iri(base + f"{name}/adapt/{k}")
@@ -160,8 +161,10 @@ def random_schema_model(rng: random.Random, base: str = "urn:acc4/") -> Model:
     return m
 
 
-def federation_substrate(site, n_hosts, units, neighbors, pool="100-150"):
-    """One domain: n_hosts hosts behind two switches, borders per neighbor."""
+def federation_substrate(site, n_hosts, units, neighbors, pool="100-150", bare_metal=()):
+    """One domain: n_hosts hosts behind two switches, borders per neighbor.
+    Every host provisions VMs; the hosts numbered in bare_metal also
+    provision BareMetalCE."""
     s = f"urn:fed:{site}/"
     lines = [
         "@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .",
@@ -200,6 +203,8 @@ def federation_substrate(site, n_hosts, units, neighbors, pool="100-150"):
             f"s:host{h} comp:provisions comp:VM .",
             f's:host{h} comp:availableUnits "{units}"^^xsd:integer .',
         ]
+        if h in bare_metal:
+            lines.append(f"s:host{h} comp:provisions comp:BareMetalCE .")
         for tag, sw in (("a", "sw0"), ("b", "sw1")):  # dual-homed hosts
             lines += [
                 f"s:host{h} topo:hasInterface s:host{h}/if{tag} .",
@@ -227,7 +232,9 @@ def federation_substrate(site, n_hosts, units, neighbors, pool="100-150"):
     return "\n".join(lines) + "\n"
 
 
-def federation_world(n_domains, n_hosts, units):
+def federation_world(n_domains, n_hosts, units, mixed=False):
+    """A ring of domains with chords; mixed: host h of domain i also
+    provisions BareMetalCE when 3 divides i + h."""
     world = World()
     sites = [f"d{i:02d}" for i in range(n_domains)]
     for i, site in enumerate(sites):
@@ -235,5 +242,46 @@ def federation_world(n_domains, n_hosts, units):
         chord = sites[(i + n_domains // 2) % n_domains]
         if chord not in neighbors and chord != site:
             neighbors.append(chord)
-        world.add_substrate(federation_substrate(site, n_hosts, units, sorted(set(neighbors))))
+        metal = {h for h in range(n_hosts) if (i + h) % 3 == 0} if mixed else ()
+        neighbors = sorted(set(neighbors))
+        world.add_substrate(federation_substrate(site, n_hosts, units, neighbors, bare_metal=metal))
     return world, sites
+
+
+def federation_request(
+    tag, members, bandwidth=100, broadcast=False, term_begin="2026-01-01T00:00:00Z", classes=None
+):
+    """A request over federation_world: one link joining compute nodes.
+    members: (node ordinal, site the node is bound to or None) per node;
+    classes: node ordinal -> compute class local name, VM by default."""
+    kind = "topo:BroadcastConnection" if broadcast else "topo:NetworkConnection"
+    lines = [
+        "@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .",
+        "@prefix eth: <http://geni-orca.renci.org/owl/ethernet.owl#> .",
+        "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .",
+        "@prefix req: <http://geni-orca.renci.org/owl/request.owl#> .",
+        f"@prefix rq: <urn:req:{tag}/> .",
+        "@prefix time: <http://www.w3.org/2006/time#> .",
+        "@prefix topo: <http://geni-orca.renci.org/owl/topology.owl#> .",
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .",
+        "rq:Reservation/1 rdf:type req:Reservation .",
+        "rq:Reservation/1 req:hasTerm rq:Term/1 .",
+        "rq:Term/1 rdf:type time:Interval .",
+        f'rq:Term/1 time:hasBeginning "{term_begin}"^^xsd:dateTime .',
+        'rq:Term/1 time:hasDurationSeconds "3600"^^xsd:integer .',
+        f"rq:Link/1 rdf:type {kind} .",
+        "rq:Link/1 topo:atLayer eth:EthernetNetworkElement .",
+        f'rq:Link/1 req:bandwidth "{bandwidth}"^^xsd:integer .',
+        "rq:Reservation/1 req:element rq:Link/1 .",
+    ]
+    for n, site in members:
+        lines += [
+            f"rq:Reservation/1 req:element rq:Node/{n} .",
+            f"rq:Node/{n} rdf:type comp:{(classes or {}).get(n, 'VM')} .",
+            f"rq:Node/{n} topo:hasInterface rq:Node/{n}/if0 .",
+            f"rq:Node/{n}/if0 rdf:type topo:Interface .",
+            f"rq:Link/1 topo:hasInterface rq:Node/{n}/if0 .",
+        ]
+        if site is not None:
+            lines.append(f"rq:Node/{n} topo:inDomain <urn:fed:{site}/dom> .")
+    return "\n".join(lines) + "\n"

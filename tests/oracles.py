@@ -29,6 +29,7 @@ from netslice.graphstore import (
     term_key,
 )
 from netslice.pathquery import adjacent
+from netslice.vocab import satisfies
 
 
 def naive_entail(m: Model) -> set:
@@ -570,3 +571,36 @@ def reference_render_iri(value: str, prefixes: dict) -> str:
             if best is None or len(ns) > best[0] or (len(ns) == best[0] and name < best[1]):
                 best = (len(ns), name, local)
     return f"<{value}>" if best is None else f"{best[1]}:{best[2]}"
+
+
+def reference_binding(broker, req):
+    """Domain binding as the broker once computed it on every create: each
+    registered view rebuilt with its pools' units net of what the ledger has
+    in use, then, per request node, every (domain, pool) pair checked with
+    `satisfies` against the routing view and the first fit taken in (domain
+    IRI, pool classes) order. Returns node -> (domain, pool), or None where
+    the engine raises InsufficientResources."""
+    units = {}
+    for view in broker.delegation_views():
+        ledger = broker.ledgers[view.domain]
+        for pool, classes in view.pools.items():
+            key = ("units", pool)
+            left = ledger.original.get(key, 0) - ledger.used.get(key, 0)
+            units[(view.domain, pool, classes)] = left
+    schema = broker.routing_view()
+    binding = {}
+    for node in req.nodes:
+        usable = [
+            k for k in units if any(satisfies(schema, c, node.compute_class) for c in k[2])
+        ]
+        for key in sorted(usable, key=lambda k: (k[0].value, [c.value for c in k[2]])):
+            domain, pool, _ = key
+            if node.in_domain is not None and domain != node.in_domain:
+                continue
+            if units[key] >= 1:
+                units[key] -= 1
+                binding[node.iri] = (domain, pool)
+                break
+        else:
+            return None
+    return binding

@@ -34,6 +34,7 @@ from netslice.vocab import builtin_schema
 
 from conftest import FIXTURES
 from generators import (
+    federation_request,
     federation_world,
     instance_device_iri,
     instance_model,
@@ -162,41 +163,6 @@ def test_criterion_5_datalog_oracle_equivalence():
 # -- randomized federation scenario (criteria 6 and 8) -----------------------------
 
 
-def _request_text(tag, members, bandwidth=100, broadcast=False, term_begin="2026-01-01T00:00:00Z"):
-    """members: list of (node ordinal, site or None)."""
-    kind = "topo:BroadcastConnection" if broadcast else "topo:NetworkConnection"
-    lines = [
-        "@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .",
-        "@prefix eth: <http://geni-orca.renci.org/owl/ethernet.owl#> .",
-        "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .",
-        "@prefix req: <http://geni-orca.renci.org/owl/request.owl#> .",
-        f"@prefix rq: <urn:req:{tag}/> .",
-        "@prefix time: <http://www.w3.org/2006/time#> .",
-        "@prefix topo: <http://geni-orca.renci.org/owl/topology.owl#> .",
-        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .",
-        "rq:Reservation/1 rdf:type req:Reservation .",
-        "rq:Reservation/1 req:hasTerm rq:Term/1 .",
-        "rq:Term/1 rdf:type time:Interval .",
-        f'rq:Term/1 time:hasBeginning "{term_begin}"^^xsd:dateTime .',
-        'rq:Term/1 time:hasDurationSeconds "3600"^^xsd:integer .',
-        f"rq:Link/1 rdf:type {kind} .",
-        "rq:Link/1 topo:atLayer eth:EthernetNetworkElement .",
-        f'rq:Link/1 req:bandwidth "{bandwidth}"^^xsd:integer .',
-        "rq:Reservation/1 req:element rq:Link/1 .",
-    ]
-    for n, site in members:
-        lines += [
-            f"rq:Reservation/1 req:element rq:Node/{n} .",
-            f"rq:Node/{n} rdf:type comp:VM .",
-            f"rq:Node/{n} topo:hasInterface rq:Node/{n}/if0 .",
-            f"rq:Node/{n}/if0 rdf:type topo:Interface .",
-            f"rq:Link/1 topo:hasInterface rq:Node/{n}/if0 .",
-        ]
-        if site is not None:
-            lines.append(f"rq:Node/{n} topo:inDomain <urn:fed:{site}/dom> .")
-    return "\n".join(lines) + "\n"
-
-
 def test_criterion_6_conservation_and_atomicity():
     from datetime import timedelta
 
@@ -236,7 +202,7 @@ def test_criterion_6_conservation_and_atomicity():
                     for i in range(k)
                 ]
             bandwidth = 50000 if adversarial else rng.choice([50, 100, 200])
-            text = _request_text(
+            text = federation_request(
                 slice_id,
                 members,
                 bandwidth=bandwidth,
@@ -292,7 +258,7 @@ def test_criterion_8_scale_smoke():
             members = [(i + 1, s) for i, s in enumerate(rng.sample(sites, 3))]
         else:
             members = [(i + 1, rng.choice(sites)) for i in range(k)]
-        text = _request_text(f"scale{n}", members, bandwidth=50, broadcast=(k == 3))
+        text = federation_request(f"scale{n}", members, bandwidth=50, broadcast=(k == 3))
         if world.submit_request(f"scale{n}", text) is not None:
             provisioned += 1
         problems = world.conservation_problems()

@@ -1,16 +1,21 @@
 import gc
+import random
 import weakref
 from datetime import datetime, timezone
 
 import pytest
 
+from netslice import actors as actors_mod
 from netslice import graphstore, rules, vocab
-from netslice.actors import RedeemError, SliceError, World
+from netslice.actors import DelegationRejected, RedeemError, SliceError, World
+from netslice.embed import InsufficientResources, bind_domains
 from netslice.graphstore import Iri, parse_document, serialize_document
-from netslice.models import SubstrateError, check_homeomorphic, parse_request
+from netslice.models import SubstrateError, build_delegation, check_homeomorphic, parse_request
 from netslice.vocab import close
 
 from conftest import FIXTURES
+from generators import federation_request, federation_world
+from oracles import reference_binding
 
 BCAST_MSG = "Domains in broadcast link can't be repeated"
 
@@ -53,6 +58,18 @@ def test_pair_slice_lifecycle():
     world.delete_slice("demo1")
     assert world.controller.slices["demo1"].state == "Closed"
     assert world.serialized_states() == initial
+    assert world.conservation_problems() == []
+
+
+def test_substrate_restating_another_domains_figures_is_refused_before_any_change():
+    # the twin names its domain anew but keeps site A's border interfaces
+    world = World()
+    world.add_substrate(_fixture("ring-a.ndl"))
+    before = (list(world.ams), list(world.events), dict(world.broker.free))
+    refused = "urn:orca:site:a/Switch/toB bw figure delegated by another domain"
+    with pytest.raises(SubstrateError, match=refused):
+        world.add_substrate(_fixture("ring-a.ndl").replace("sa:Domain", "sa:Twin"))
+    assert (list(world.ams), list(world.events), dict(world.broker.free)) == before
     assert world.conservation_problems() == []
 
 
@@ -470,3 +487,152 @@ def test_provider_extension_class_satisfies_vm_request():
     manifest = parse_document(manifest_text)
     vms = manifest.typed(Iri("urn:provider:classes/MiniVM"))
     assert len(vms) == 2  # provisioned entities carry the concrete class
+
+
+# -- broker state -------------------------------------------------------------------
+
+
+def test_multi_class_host_is_delegated_once_and_refused_at_binding():
+    # Server/A also provisions BareMetalCE: two hosts, two units, whatever
+    # the classes, so a third node is refused before anything is ticketed
+    substrate = _fixture("renci.ndl").replace(
+        "rnc:Server/A comp:provisions comp:VM .\n",
+        "rnc:Server/A comp:provisions comp:VM .\nrnc:Server/A comp:provisions comp:BareMetalCE .\n",
+    )
+    request = _fixture("request-pair.ndl").replace("comp:ComputeElement", "comp:VM").replace(
+        "rq:Reservation/1 req:element rq:Link/1 .\n",
+        "rq:Reservation/1 req:element rq:Link/1 .\nrq:Reservation/1 req:element rq:Node/3 .\n",
+    ) + "rq:Node/3 rdf:type comp:BareMetalCE .\n"
+    world = World()
+    world.add_substrate(substrate)
+    before = world.serialized_states()
+    assert world.submit_request("three", request) is None
+    assert world.controller.slices["three"].failure.step == "Binding"
+    assert world.broker.tickets == {}
+    assert world.serialized_states() == before
+    units = {k[1].local(): v for k, v in world.broker.free.items() if k[0] == "units"}
+    assert units == {"BareMetalCE+VM": 1, "VM": 1}
+
+
+def _ledger_free(broker) -> dict:
+    """Every ledger's free figures recomputed as original minus in use."""
+    merged = {}
+    for ledger in broker.ledgers.values():
+        for key in ledger.original.keys() | ledger.used.keys():
+            orig, used = ledger.original.get(key), ledger.used.get(key)
+            if key[0] == "label":
+                merged[key] = (orig or vocab.NO_LABELS) - (used or vocab.NO_LABELS)
+            else:
+                merged[key] = (orig or 0) - (used or 0)
+    return merged
+
+
+def _binding_or_none(broker, req):
+    try:
+        return bind_domains(req, broker.routing_view(), dict(broker.free))
+    except InsufficientResources:
+        return None
+
+
+def test_broker_free_map_and_binding_follow_every_operation():
+    from datetime import timedelta
+
+    rng = random.Random(0xB0CE)
+    world, sites = federation_world(6, 2, 1, mixed=True)
+    broker = world.broker
+    active, bound, rejected = [], 0, 0
+    for step in range(160):
+        roll = rng.random()
+        if active and roll < 0.25:
+            world.delete_slice(active.pop(rng.randrange(len(active))))
+        elif roll < 0.35:
+            world.advance_time(world.clock.now + timedelta(minutes=rng.randint(5, 40)))
+            active = [s for s in active if world.controller.slices[s].state == "Provisioned"]
+        elif roll < 0.45:
+            am = world.ams[rng.choice(sorted(world.ams))]
+            before = dict(broker.free)
+            # the residual delegation is refused while slices hold its units
+            text = am.delegate() if rng.random() < 0.5 else serialize_document(
+                build_delegation(am.state.substrate)
+            )
+            try:
+                broker.register_delegation(text)
+            except DelegationRejected:
+                rejected += 1
+                assert broker.free == before
+        else:
+            slice_id = f"s{step}"
+            members = [(i + 1, rng.choice([*sites, None])) for i in range(rng.randint(2, 3))]
+            classes = {n: rng.choice(["VM", "BareMetalCE", "ComputeElement"]) for n, _ in members}
+            text = federation_request(
+                slice_id, members, bandwidth=rng.choice([100, 2000]), broadcast=len(members) == 3,
+                term_begin=world.clock.now.strftime("%Y-%m-%dT%H:%M:%SZ"), classes=classes,
+            )
+            raw = parse_document(text)
+            req = parse_request(close(raw), source=raw)
+            expected = reference_binding(broker, req)
+            assert _binding_or_none(broker, req) == expected, f"step {step}"
+            bound += expected is not None
+            if world.submit_request(slice_id, text) is not None:
+                active.append(slice_id)
+        assert broker.free == _ledger_free(broker), f"step {step}"
+        assert world.conservation_problems() == [], f"step {step}"
+    assert bound >= 40 and rejected >= 3
+
+
+class _CountingDict(dict):
+    """A dict that counts its reads, one per key looked up or walked."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        type(self).reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        type(self).reads += 1
+        return super().get(key, default)
+
+    def __iter__(self):
+        for key in super().__iter__():
+            type(self).reads += 1
+            yield key
+
+    def values(self):
+        return [self[k] for k in self]
+
+    def items(self):
+        return [(k, self[k]) for k in self]
+
+
+def _neighbour_create_cost(n_domains, monkeypatch):
+    world, sites = federation_world(n_domains, 8, 4)
+    satisfies_calls = []
+    counted = vocab.satisfies
+
+    def counting(*args):
+        satisfies_calls.append(args)
+        return counted(*args)
+
+    for module in (vocab, actors_mod):
+        monkeypatch.setattr(module, "satisfies", counting)
+    broker = world.broker
+    broker.ledgers, broker.views = _CountingDict(broker.ledgers), _CountingDict(broker.views)
+    costs = []
+    for k in range(4):  # the first create builds the routing view
+        slice_id = f"n{k}"
+        text = federation_request(slice_id, [(1, sites[k]), (2, sites[k + 1])])
+        satisfies_calls.clear()
+        _CountingDict.reads = 0
+        assert world.submit_request(slice_id, text) is not None
+        costs.append((len(satisfies_calls), _CountingDict.reads))
+        world.delete_slice(slice_id)
+    monkeypatch.undo()
+    return costs[1:]
+
+
+def test_neighbour_create_reads_no_more_of_a_bigger_federation(monkeypatch):
+    small = _neighbour_create_cost(10, monkeypatch)
+    big = _neighbour_create_cost(40, monkeypatch)
+    assert small == big
+    assert all(satisfies > 0 and reads > 0 for satisfies, reads in small)

@@ -113,6 +113,27 @@ def test_query_path_expr(capsys):
     assert out.strip() == "http://geni-orca.renci.org/sites/renci/Renci/6509"
 
 
+def test_option_like_argument_value_exits_two(capsys):
+    # argparse reads a value that starts with "-" as an option: a usage error
+    code, out, err = _run(
+        capsys,
+        "query",
+        FIXTURES / "request-pair.ndl",
+        "--path-expr",
+        "-topo:hasInterface/topo:linkedTo/topo:interfaceOf",
+        "--from",
+        "<urn:orca:request:pair/Node/1>",
+    )
+    assert (code, out) == (2, "")
+    assert "usage:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = _run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: netslice")
+
+
 def test_path_fig_listing(capsys):
     code, out, _ = _run(
         capsys,

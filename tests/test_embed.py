@@ -4,7 +4,7 @@ import random
 import pytest
 
 from netslice import embed, vocab
-from netslice.actors import World
+from netslice.actors import Broker, World
 from netslice.embed import (
     DomainState,
     DoubleRelease,
@@ -36,7 +36,7 @@ from generators import (
     instance_model,
     random_layered_instance,
 )
-from oracles import best_first_simple_paths, oracle_best_hop_count
+from oracles import best_first_simple_paths, oracle_best_hop_count, reference_binding
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
 
@@ -335,16 +335,16 @@ def test_compiled_topology_is_dropped_when_the_model_changes(wide_ring):
 # -- domain binding ------------------------------------------------------------------
 
 
-def _delegations_for(*texts):
-    models = []
+def _broker_for(*texts):
+    broker = Broker()
     for text in texts:
         state = prepare_domain(parse_document(text))
-        models.append(build_delegation(state.substrate))
-    return models
+        broker.register_delegation(serialize_document(build_delegation(state.substrate)))
+    return broker
 
 
-def _view(m):
-    return parse_delegation(vocab.close(m))
+def _bind(req, broker):
+    return bind_domains(req, broker.routing_view(), dict(broker.free))
 
 
 def _two_domains(units_a=1, units_b=1, cls="VM"):
@@ -379,30 +379,33 @@ def _pair_request():
 
 
 def test_bind_domains_first_fit_spreads_after_exhaustion():
-    views = [_view(m) for m in _delegations_for(*_two_domains(1, 1))]
+    broker = _broker_for(*_two_domains(1, 1))
     req = _pair_request()
-    binding = bind_domains(req, views)
-    assert binding[req.nodes[0].iri] == Iri("urn:bind:a/dom")
-    assert binding[req.nodes[1].iri] == Iri("urn:bind:b/dom")
+    binding = _bind(req, broker)
+    assert binding[req.nodes[0].iri] == (Iri("urn:bind:a/dom"), Iri("urn:bind:a/dom/pool/VM"))
+    assert binding[req.nodes[1].iri] == (Iri("urn:bind:b/dom"), Iri("urn:bind:b/dom/pool/VM"))
+    assert binding == reference_binding(broker, req)
 
 
 def test_bind_domains_bound_node_without_units_fails():
-    views = [_view(m) for m in _delegations_for(*_two_domains(0, 2))]
+    broker = _broker_for(*_two_domains(0, 2))
     req = _pair_request()
     # bind the first node to the empty domain
     bound = req.nodes[0]
     object.__setattr__(bound, "in_domain", Iri("urn:bind:a/dom"))
     with pytest.raises(InsufficientResources):
-        bind_domains(req, views)
+        _bind(req, broker)
+    assert reference_binding(broker, req) is None
 
 
 def test_bind_domains_no_cross_class_substitution():
-    views = [_view(m) for m in _delegations_for(*_two_domains(2, 2, cls="VM"))]
+    broker = _broker_for(*_two_domains(2, 2, cls="VM"))
     req = _pair_request()
     for node in req.nodes:
         object.__setattr__(node, "compute_class", vocab.BARE_METAL_CE)
     with pytest.raises(InsufficientResources):
-        bind_domains(req, views)
+        _bind(req, broker)
+    assert reference_binding(broker, req) is None
 
 
 # -- allocation ---------------------------------------------------------------------

@@ -186,7 +186,7 @@ def test_build_delegation_borders_and_units():
     ]
     residual = residual_of(closed)
     assert all(residual.get(("bw", b), 0) == 5000 for b in borders)
-    assert view.units == {vocab.VM: 2}
+    assert _pool_units(view, closed) == {Iri("urn:orca:site:a/Domain/pool/VM"): ((vocab.VM,), 2)}
     # the two borders sit on one switch: internally reachable
     to_b, to_c = borders
     assert (
@@ -247,7 +247,7 @@ def test_delegation_hides_devices(renci_graph):
     assert rnc("Server/B") not in subjects
     assert rnc("Renci/6509") not in subjects
     view = parse_delegation(_closed(delegation))
-    assert view.units == {vocab.VM: 2}
+    assert _pool_units(view, _closed(delegation)) == {rnc("Renci/pool/VM"): ((vocab.VM,), 2)}
 
 
 def test_delegation_of_empty_substrate_is_domain_only():
@@ -270,25 +270,40 @@ def test_delegation_is_conformance_clean(renci_graph):
     assert issues == []
 
 
+def _pool_units(view, delegation) -> dict:
+    """pool node -> (its classes, its units) of a closed delegation."""
+    residual = residual_of(delegation)
+    return {pool: (classes, residual[("units", pool)]) for pool, classes in view.pools.items()}
+
+
 def test_delegation_never_exceeds_substrate():
     import random
 
     from generators import instance_model, random_layered_instance
 
+    classes = [vocab.VM, vocab.BARE_METAL_CE, vocab.SERVER_CLOUD]
     rng = random.Random(5150)
-    for _ in range(25):
+    several = 0
+    for _ in range(40):
         instance = random_layered_instance(rng, max_devices=8, max_links=12)
+        for d in instance["devices"].values():
+            d["classes"] = rng.sample(classes, rng.randint(1, len(classes)))
+            several += d["units"] > 0 and len(d["classes"]) > 1
         graph = parse_substrate(instance_model(instance))
         delegation = _closed(build_delegation(graph))
         view = parse_delegation(delegation)
-        total_units = {}
+        hosts = {}  # each host counted once, whatever it provisions
         for p in graph.pools:
-            total_units[p.provides] = total_units.get(p.provides, 0) + p.units
-        for cls, units in view.units.items():
-            assert units <= total_units.get(cls, 0)
+            hosts.setdefault(p.node, (set(), p.units))[0].add(p.provides)
+        pools = _pool_units(view, delegation)
+        assert sum(u for _, u in pools.values()) == sum(u for _, u in hosts.values())
+        for cls in classes:
+            delegated = sum(u for provided, u in pools.values() if cls in provided)
+            assert delegated == sum(u for provided, u in hosts.values() if cls in provided)
         border_iris = {b.iri for b in graph.borders}
         for b in delegation.objects(view.domain, vocab.HAS_INTERFACE):
             assert b in border_iris
+    assert several >= 20
 
 
 # -- requests ------------------------------------------------------------------------
