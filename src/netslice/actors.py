@@ -610,8 +610,7 @@ class World:
         self.events = self.log.lines
         self.broker = Broker()
         self.controller = Controller("controller", self.broker, self.clock, self.log, schemas)
-        self.ams: dict[str, AggregateManager] = {}
-        self.am_of: dict[Iri, AggregateManager] = {}  # the same AMs, by domain
+        self.ams: dict[Iri, AggregateManager] = {}  # by domain
 
     def add_substrate(self, substrate_text: str) -> AggregateManager:
         """Start an AM for a substrate and register its delegation. Raises
@@ -621,7 +620,7 @@ class World:
         am = AggregateManager(
             f"am-{len(self.ams) + 1}", substrate_text, self.controller.schemas
         )
-        other = self.am_of.get(am.domain)
+        other = self.ams.get(am.domain)
         if other is not None:
             raise SubstrateError(
                 [f"domain {am.domain.value} already has aggregate manager {other.am_id}"]
@@ -630,8 +629,7 @@ class World:
             self.broker.register_delegation(am.delegate())
         except DelegationRejected as e:
             raise SubstrateError([str(e)]) from e
-        self.ams[am.am_id] = am
-        self.am_of[am.domain] = am
+        self.ams[am.domain] = am
         self.log(am.am_id, "delegate", am.domain.value, "ok")
         self.log(self.broker.broker_id, "register", am.domain.value, "ok")
         return am
@@ -640,7 +638,7 @@ class World:
         log = self.controller._log
         log("slice-request", slice_id, "ok")
         try:
-            manifest = self.controller.create_slice(slice_id, request_text, self.am_of)
+            manifest = self.controller.create_slice(slice_id, request_text, self.ams)
         except SliceError as e:
             _drop_frames(e)
             for v in e.violations:
@@ -655,29 +653,31 @@ class World:
         return manifest
 
     def delete_slice(self, slice_id: str) -> None:
-        self.controller.delete_slice(slice_id, self.am_of)
+        self.controller.delete_slice(slice_id, self.ams)
         self.controller._log("delete", slice_id, "ok")
         self.controller._log("state", slice_id, "Closed")
 
     def advance_time(self, to: datetime) -> None:
         self.clock.advance(to)
         self.log("world", "advance", render_datetime(to), "ok")
-        for am_id in sorted(self.ams):
-            am = self.ams[am_id]
+        for am in self._ams_by_id():
             for lease in am.expired_leases(self.clock.now):
                 record = self.controller.slices.get(lease.slice_id)
                 if record is not None and record.state != "Closed":
-                    self.controller.delete_slice(lease.slice_id, self.am_of)
-                    self.log(am_id, "expire", lease.slice_id, "ok")
+                    self.controller.delete_slice(lease.slice_id, self.ams)
+                    self.log(am.am_id, "expire", lease.slice_id, "ok")
 
     def conservation_problems(self) -> list:
         problems = list(self.broker.conservation_problems())
-        for am_id in sorted(self.ams):
-            problems.extend(f"{am_id}: {p}" for p in self.ams[am_id].state.conservation_problems())
+        for am in self._ams_by_id():
+            problems.extend(f"{am.am_id}: {p}" for p in am.state.conservation_problems())
         return problems
 
     def serialized_states(self) -> dict:
         out = {"broker": self.broker.serialized_state()}
-        for am_id in sorted(self.ams):
-            out[am_id] = self.ams[am_id].serialized_state()
+        for am in self._ams_by_id():
+            out[am.am_id] = am.serialized_state()
         return out
+
+    def _ams_by_id(self) -> list:
+        return sorted(self.ams.values(), key=lambda am: am.am_id)

@@ -132,7 +132,10 @@ class PathResult:
 
     @property
     def allocated_label(self) -> Optional[int]:
-        return next((seg.label for seg in self.segments if seg.label is not None), None)
+        for seg in self.segments:
+            if seg.label is not None:
+                return seg.label
+        return None
 
     def hop_count(self) -> int:
         return len(self.segments)
@@ -575,14 +578,22 @@ class BranchPath:
         devices = []
         for _, path in self.domain_paths:
             for i, hop in enumerate(path.hops):
-                label = path.segments[max(i - 1, 0)].label if path.segments else None
+                label = path.segments[i - 1].label if i > 0 else (
+                    path.segments[0].label if path.segments else None
+                )
                 devices.append((hop.element, label))
-        return devices[1:-1]
+        return devices[1:-1] if len(devices) >= 2 else []
 
-    def labels(self) -> set:
-        labels = {c.label for c in self.crossings}
-        labels.update(seg.label for _, path in self.domain_paths for seg in path.segments)
-        return labels - {None}
+    def labels(self):
+        out = set()
+        for crossing in self.crossings:
+            if crossing.label is not None:
+                out.add(crossing.label)
+        for _, path in self.domain_paths:
+            for seg in path.segments:
+                if seg.label is not None:
+                    out.add(seg.label)
+        return out
 
 
 @dataclass
@@ -591,8 +602,11 @@ class LinkRealization:
     root_node: Iri
     branches: list  # BranchPath per non-root member
 
-    def labels(self) -> set:
-        return set().union(*(b.labels() for b in self.branches))
+    def labels(self):
+        out = set()
+        for b in self.branches:
+            out |= b.labels()
+        return out
 
 
 @dataclass
@@ -608,9 +622,11 @@ class EmbeddingPlan:
 def _pools_by_class(m: Model) -> dict:
     """The delegated pools of a closed merge of delegations, for
     `m.derived`: requested compute class -> domain -> pools able to
-    provision it, domains in IRI order and each domain's pools in order of
-    their sorted class IRIs. A pool serves the classes it provisions and
-    their superclasses in m, provider extensions included."""
+    provision it, domains in IRI order and each domain's pools by the
+    number of classes they provision, then by their sorted class IRIs, so
+    a pool kept for one class is drawn before one that several share. A
+    pool serves the classes it provisions and their superclasses in m,
+    provider extensions included."""
     pools = [
         (m.value(node, IN_DOMAIN), node, pool_classes(m, node))
         for node in dict.fromkeys(t.subject for t in m.match(p=PROVISIONS))
@@ -618,7 +634,7 @@ def _pools_by_class(m: Model) -> dict:
     index = {}
     for domain, node, provided in sorted(
         (p for p in pools if isinstance(p[0], Iri) and NETWORK_DOMAIN in m.types(p[0])),
-        key=lambda p: (p[0].value, [c.value for c in p[2]]),
+        key=lambda p: (p[0].value, len(p[2]), [c.value for c in p[2]]),
     ):
         for cls in {sup for c in provided for sup in (c, *m.objects(c, RDFS_SUBCLASS_OF))}:
             index.setdefault(cls, {}).setdefault(domain, []).append(node)
@@ -626,26 +642,51 @@ def _pools_by_class(m: Model) -> dict:
 
 
 def bind_domains(req: SliceRequest, routing: Optional[Model], free: dict) -> dict:
-    """Assign every request node a delegated pool, first fit over the pools
-    that serve its class (`_pools_by_class` of the routing view), within
-    the node's bound domain if it has one. Each assignment takes one unit
-    from `free`, the request's scratch copy of the broker's free figures.
+    """Assign every request node a delegated pool of the first domain, in
+    IRI order, whose pools that serve its class (`_pools_by_class` of the
+    routing view) can take it besides the nodes already assigned there;
+    a bound node tries its own domain only. Each node holds one unit of
+    `free`, the request's scratch copy of the broker's free figures.
     Returns node -> (domain, pool). Raises InsufficientResources when no
-    pool has a unit left for a node's class."""
+    domain can take a node."""
     index = routing.derived(_pools_by_class) if routing is not None else {}
     binding = {}
+    pools_of = {}  # node -> the pools serving it in the domain tried or taken
     for node in req.nodes:
         by_domain = index.get(node.compute_class, {})
         for domain in by_domain if node.in_domain is None else (node.in_domain,):
-            pools = (p for p in by_domain.get(domain, ()) if free.get(("units", p), 0) >= 1)
-            pool = next(pools, None)
+            pools_of[node.iri] = by_domain.get(domain, ())
+            pool = _claim_unit(node.iri, pools_of, binding, free, set())
             if pool is not None:
-                free[("units", pool)] -= 1
                 binding[node.iri] = (domain, pool)
                 break
         else:
             raise InsufficientResources(node.iri, node.compute_class)
     return binding
+
+
+def _claim_unit(node: Iri, pools_of: dict, binding: dict, free: dict, seen: set):
+    """A pool of `pools_of[node]` whose unit node can hold: the first with a
+    unit left in `free`, which it takes, else one whose unit an assigned
+    node gives up by moving to another of its pools (an augmenting path of
+    bipartite matching; `seen` holds the pools already tried). None when
+    there is neither, and then nothing has changed."""
+    pools = pools_of[node]
+    pool = next((p for p in pools if free.get(("units", p), 0) >= 1), None)
+    if pool is not None:
+        free[("units", pool)] -= 1
+        return pool
+    for pool in pools:
+        if pool in seen:
+            continue
+        seen.add(pool)
+        for holder, (domain, held) in binding.items():
+            if held == pool:
+                moved = _claim_unit(holder, pools_of, binding, free, seen)
+                if moved is not None:
+                    binding[holder] = (domain, moved)
+                    return pool
+    return None
 
 
 # -- delegation-level embedding ----------------------------------------------------
@@ -658,8 +699,15 @@ def _required_labels_per_domain(route: PathResult, broker_view: Model):
     translators = broker_view.derived(_compile).translators
     required = []
     for i, hop in enumerate(route.hops):
-        labels = {seg.label for seg in route.segments[max(i - 1, 0) : i + 1]} - {None}
-        required.append(None if hop.element in translators or not labels else min(labels))
+        labels = set()
+        if i > 0 and route.segments[i - 1].label is not None:
+            labels.add(route.segments[i - 1].label)
+        if i < len(route.segments) and route.segments[i].label is not None:
+            labels.add(route.segments[i].label)
+        if hop.element in translators or not labels:
+            required.append(None)
+        else:
+            required.append(min(labels))
     return required
 
 
@@ -701,7 +749,10 @@ def embed_request(
 
 
 def _owner_device(state: DomainState, border_iface: Iri) -> Optional[Iri]:
-    return next((b.owner for b in state.substrate.borders if b.iri == border_iface), None)
+    for b in state.substrate.borders:
+        if b.iri == border_iface:
+            return b.owner
+    return None
 
 
 def link_members(req, link, placements) -> tuple:

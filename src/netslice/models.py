@@ -402,7 +402,6 @@ class DelegationView:
     the pools' units from its free figures."""
 
     domain: Iri
-    pools: dict  # pool node IRI -> the compute classes it provisions, sorted by IRI
 
 
 def parse_delegation(m: Model) -> DelegationView:
@@ -410,9 +409,7 @@ def parse_delegation(m: Model) -> DelegationView:
     domains = m.typed(NETWORK_DOMAIN)
     if len(domains) != 1:
         raise SubstrateError([f"delegation must describe exactly one domain, got {len(domains)}"])
-    domain = domains[0]
-    pools = {node: pool_classes(m, node) for node in m.subjects(IN_DOMAIN, domain)}
-    return DelegationView(domain=domain, pools={n: c for n, c in pools.items() if c})
+    return DelegationView(domain=domains[0])
 
 
 def pool_classes(m: Model, node: Iri) -> tuple:
@@ -696,8 +693,15 @@ def check_homeomorphic(req: SliceRequest, manifest: Model) -> bool:
     if hops:
         return False  # a hop vertex survived smoothing: not a simple chain
 
-    mapped = {frozenset(corr[v] for v in e) for e in edges}
-    expected = {frozenset((o.iri, link.iri)) for link in req.links for o in link.owners(req)}
+    mapped = set()
+    for e in edges:
+        a, b = sorted(e, key=lambda v: v.value)
+        mapped.add(frozenset((corr[a], corr[b])))
+
+    expected = set()
+    for link in req.links:
+        for owner in link.owners(req):
+            expected.add(frozenset((owner.iri, link.iri)))
     if mapped != expected:
         return False
 
@@ -705,4 +709,10 @@ def check_homeomorphic(req: SliceRequest, manifest: Model) -> bool:
     images = {}
     for v in verts:
         images.setdefault(corr[v], []).append(v)
-    return all(len(images.get(e.iri, ())) == 1 for e in (*req.nodes, *req.links))
+    for node in req.nodes:
+        if len(images.get(node.iri, [])) != 1:
+            return False
+    for link in req.links:
+        if len(images.get(link.iri, [])) != 1:
+            return False
+    return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
-from collections import deque
+from collections import Counter, deque
 
 from netslice.embed import DEVICE_ADJACENCY
 from netslice.graphstore import (
@@ -28,8 +28,9 @@ from netslice.graphstore import (
     Var,
     term_key,
 )
+from netslice.models import pool_classes
 from netslice.pathquery import adjacent
-from netslice.vocab import satisfies
+from netslice.vocab import IN_DOMAIN, satisfies
 
 
 def naive_entail(m: Model) -> set:
@@ -573,34 +574,64 @@ def reference_render_iri(value: str, prefixes: dict) -> str:
     return f"<{value}>" if best is None else f"{best[1]}:{best[2]}"
 
 
+def _delegated_pools(broker) -> dict:
+    """(domain, pool) -> (the classes the pool provisions, its units left),
+    read from every ledger's delegation model and in-use figures."""
+    pools = {}
+    for domain, ledger in broker.ledgers.items():
+        for pool in ledger.model.subjects(IN_DOMAIN, domain):
+            classes = pool_classes(ledger.model, pool)
+            if classes:
+                key = ("units", pool)
+                left = ledger.original.get(key, 0) - ledger.used.get(key, 0)
+                pools[(domain, pool)] = (classes, left)
+    return pools
+
+
+def _serves(schema, classes, requested) -> bool:
+    return any(satisfies(schema, c, requested) for c in classes)
+
+
 def reference_binding(broker, req):
-    """Domain binding as the broker once computed it on every create: each
-    registered view rebuilt with its pools' units net of what the ledger has
-    in use, then, per request node, every (domain, pool) pair checked with
-    `satisfies` against the routing view and the first fit taken in (domain
-    IRI, pool classes) order. Returns node -> (domain, pool), or None where
-    the engine raises InsufficientResources."""
-    units = {}
-    for view in broker.delegation_views():
-        ledger = broker.ledgers[view.domain]
-        for pool, classes in view.pools.items():
-            key = ("units", pool)
-            left = ledger.original.get(key, 0) - ledger.used.get(key, 0)
-            units[(view.domain, pool, classes)] = left
+    """Domain binding by exhaustive search. Each request node in turn goes
+    to the first domain in IRI order (only its own, when it is bound) where
+    some choice of one pool per node bound there so far, this one included,
+    stays within every pool's units left; a node may take any pool whose
+    classes `satisfies` its class in the routing view. Returns node ->
+    domain, or None where the engine raises InsufficientResources."""
+    pools = _delegated_pools(broker)
     schema = broker.routing_view()
+    choices = {}  # domain -> the usable pools of each node placed there
     binding = {}
     for node in req.nodes:
-        usable = [
-            k for k in units if any(satisfies(schema, c, node.compute_class) for c in k[2])
-        ]
-        for key in sorted(usable, key=lambda k: (k[0].value, [c.value for c in k[2]])):
-            domain, pool, _ = key
-            if node.in_domain is not None and domain != node.in_domain:
+        for domain in sorted({d for d, _ in pools}, key=lambda d: d.value):
+            if node.in_domain not in (None, domain):
                 continue
-            if units[key] >= 1:
-                units[key] -= 1
-                binding[node.iri] = (domain, pool)
+            usable = [
+                p for (d, p), (classes, _) in pools.items()
+                if d == domain and _serves(schema, classes, node.compute_class)
+            ]
+            tried = choices.get(domain, []) + [usable]
+            if any(
+                all(n <= pools[(domain, p)][1] for p, n in Counter(pick).items())
+                for pick in itertools.product(*tried)
+            ):
+                choices[domain] = tried
+                binding[node.iri] = domain
                 break
         else:
             return None
     return binding
+
+
+def binding_fits(broker, req, binding) -> bool:
+    """Whether an engine binding (node -> (domain, pool)) gives every node a
+    pool of its domain that serves its class, within every pool's units
+    left."""
+    pools = _delegated_pools(broker)
+    schema = broker.routing_view()
+    taken = Counter(binding[node.iri] for node in req.nodes)
+    return all(
+        _serves(schema, pools.get(binding[node.iri], ((), 0))[0], node.compute_class)
+        for node in req.nodes
+    ) and all(n <= pools[key][1] for key, n in taken.items())

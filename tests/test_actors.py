@@ -15,7 +15,7 @@ from netslice.vocab import close
 
 from conftest import FIXTURES
 from generators import federation_request, federation_world
-from oracles import reference_binding
+from oracles import binding_fits, reference_binding
 
 BCAST_MSG = "Domains in broadcast link can't be repeated"
 
@@ -76,11 +76,12 @@ def test_substrate_restating_another_domains_figures_is_refused_before_any_chang
 def test_second_substrate_for_a_domain_is_refused_before_any_change():
     world = _pair_world()
     before = (list(world.ams), list(world.events), world.broker.serialized_state())
-    with pytest.raises(SubstrateError, match="http://geni-orca.renci.org/sites/renci/Renci"):
+    renci = "http://geni-orca.renci.org/sites/renci/Renci"
+    with pytest.raises(SubstrateError, match=renci):
         world.add_substrate(_fixture("renci.ndl"))
     assert (list(world.ams), list(world.events), world.broker.serialized_state()) == before
     # the domain's delegation can still be replaced through the broker
-    world.broker.register_delegation(world.ams["am-1"].delegate())
+    world.broker.register_delegation(world.ams[Iri(renci)].delegate())
     assert world.submit_request("s1", _fixture("request-pair.ndl")) is not None
 
 
@@ -399,7 +400,7 @@ def test_redelegation_dropping_a_ticketed_border_is_rejected():
     world = World()
     for name in ("ring-a.ndl", "ring-b.ndl", "ring-c.ndl"):
         world.add_substrate(_fixture(name))
-    am = world.ams["am-1"]
+    am = world.ams[Iri("urn:orca:site:a/Domain")]
     to_b = Iri("urn:orca:site:a/Switch/toB")
     # a zero-bandwidth, unlabelled crossing still commits the interface
     ticket = world.broker.issue_ticket(
@@ -514,6 +515,39 @@ def test_multi_class_host_is_delegated_once_and_refused_at_binding():
     assert units == {"BareMetalCE+VM": 1, "VM": 1}
 
 
+@pytest.mark.parametrize(
+    "server_b",
+    ["", "rnc:Server/B comp:provisions <urn:provider:classes/MiniVM> .\n"],
+    ids=["vm-only-pool", "two-shared-pools"],
+)
+def test_vm_and_bare_metal_nodes_share_a_multi_class_host_domain(server_b):
+    # Server/A provisions VM and BareMetalCE, Server/B VM (and, in the
+    # second case, a provider subclass of VM, so both pools serve two
+    # classes and the VM node first takes Server/A's pool, then moves)
+    substrate = _fixture("renci.ndl").replace(
+        "rnc:Server/A comp:provisions comp:VM .\n",
+        "rnc:Server/A comp:provisions comp:VM .\nrnc:Server/A comp:provisions comp:BareMetalCE .\n",
+    ) + server_b
+    if server_b:
+        substrate += (
+            "<urn:provider:classes/MiniVM> rdf:type <http://www.w3.org/2002/07/owl#Class> .\n"
+            "<urn:provider:classes/MiniVM> <http://www.w3.org/2000/01/rdf-schema#subClassOf> comp:VM .\n"
+        )
+    request = _fixture("request-pair.ndl").replace(
+        "rq:Node/1 rdf:type comp:ComputeElement", "rq:Node/1 rdf:type comp:VM"
+    ).replace("rq:Node/2 rdf:type comp:ComputeElement", "rq:Node/2 rdf:type comp:BareMetalCE")
+    world = World()
+    world.add_substrate(substrate)
+    manifest = world.submit_request("mixed", request)
+    assert manifest is not None, world.controller.slices["mixed"].failure
+    m = parse_document(manifest)
+    hosts = {m.value(t.subject, vocab.PROVISIONED_FROM).local(): t.object.local()
+             for t in m.match(p=vocab.HOSTED_ON)}
+    assert hosts == {"1": "B", "2": "A"}  # Node/2 on Server/A, Node/1 on Server/B
+    world.delete_slice("mixed")
+    assert world.conservation_problems() == []
+
+
 def _ledger_free(broker) -> dict:
     """Every ledger's free figures recomputed as original minus in use."""
     merged = {}
@@ -549,7 +583,7 @@ def test_broker_free_map_and_binding_follow_every_operation():
             world.advance_time(world.clock.now + timedelta(minutes=rng.randint(5, 40)))
             active = [s for s in active if world.controller.slices[s].state == "Provisioned"]
         elif roll < 0.45:
-            am = world.ams[rng.choice(sorted(world.ams))]
+            am = rng.choice(sorted(world.ams.values(), key=lambda am: am.am_id))
             before = dict(broker.free)
             # the residual delegation is refused while slices hold its units
             text = am.delegate() if rng.random() < 0.5 else serialize_document(
@@ -571,7 +605,9 @@ def test_broker_free_map_and_binding_follow_every_operation():
             raw = parse_document(text)
             req = parse_request(close(raw), source=raw)
             expected = reference_binding(broker, req)
-            assert _binding_or_none(broker, req) == expected, f"step {step}"
+            binding = _binding_or_none(broker, req)
+            assert (binding and {n: d for n, (d, _) in binding.items()}) == expected, f"step {step}"
+            assert binding is None or binding_fits(broker, req, binding), f"step {step}"
             bound += expected is not None
             if world.submit_request(slice_id, text) is not None:
                 active.append(slice_id)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +26,13 @@ from netslice.graphstore import (
     serialize_document,
     string,
 )
-from netslice.models import build_delegation, parse_delegation, parse_request, residual_of
+from netslice.models import (
+    RequestNode,
+    build_delegation,
+    parse_delegation,
+    parse_request,
+    residual_of,
+)
 from netslice.pathquery import adjacent
 from netslice.vocab import ETHERNET_ELEMENT, NO_LABELS, LabelSet, render_label_set
 
@@ -36,7 +43,12 @@ from generators import (
     instance_model,
     random_layered_instance,
 )
-from oracles import best_first_simple_paths, oracle_best_hop_count, reference_binding
+from oracles import (
+    best_first_simple_paths,
+    binding_fits,
+    oracle_best_hop_count,
+    reference_binding,
+)
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
 
@@ -384,7 +396,7 @@ def test_bind_domains_first_fit_spreads_after_exhaustion():
     binding = _bind(req, broker)
     assert binding[req.nodes[0].iri] == (Iri("urn:bind:a/dom"), Iri("urn:bind:a/dom/pool/VM"))
     assert binding[req.nodes[1].iri] == (Iri("urn:bind:b/dom"), Iri("urn:bind:b/dom/pool/VM"))
-    assert binding == reference_binding(broker, req)
+    assert _domains(binding) == reference_binding(broker, req)
 
 
 def test_bind_domains_bound_node_without_units_fails():
@@ -406,6 +418,104 @@ def test_bind_domains_no_cross_class_substitution():
     with pytest.raises(InsufficientResources):
         _bind(req, broker)
     assert reference_binding(broker, req) is None
+
+
+def _domains(binding):
+    return {node: domain for node, (domain, _) in binding.items()}
+
+
+MINI_VM = "<urn:provider:classes/MiniVM>"  # a provider's subclass of comp:VM
+
+
+def _pool_domain(site, hosts):
+    """A domain of hosts and no links; hosts: (provisioned classes, units) each."""
+    lines = [
+        "@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .",
+        "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .",
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .",
+        f"@prefix s: <urn:bind:{site}/> .",
+        "@prefix topo: <http://geni-orca.renci.org/owl/topology.owl#> .",
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .",
+        f"{MINI_VM} rdf:type <http://www.w3.org/2002/07/owl#Class> .",
+        f"{MINI_VM} rdfs:subClassOf comp:VM .",
+        "s:dom rdf:type topo:NetworkDomain .",
+    ]
+    for i, (classes, units) in enumerate(hosts):
+        lines += [
+            f"s:host{i} rdf:type topo:Device .",
+            f"s:host{i} topo:inDomain s:dom .",
+            f"s:host{i} topo:hasInterface s:host{i}/if0 .",
+            f"s:host{i}/if0 rdf:type topo:Interface .",
+            f's:host{i} comp:availableUnits "{units}"^^xsd:integer .',
+        ]
+        lines += [f"s:host{i} comp:provisions {cls} ." for cls in classes]
+    return "\n".join(lines) + "\n"
+
+
+def _nodes_request(nodes):
+    """The pair request with its nodes replaced: (compute class, domain or None) each."""
+    return replace(
+        _pair_request(),
+        nodes=[
+            RequestNode(Iri(f"urn:bind:node/{i}"), cls, (), domain)
+            for i, (cls, domain) in enumerate(nodes)
+        ],
+    )
+
+
+def test_bind_domains_draws_single_class_pools_first():
+    # the VM node leaves the shared pool to the bare-metal node
+    broker = _broker_for(_pool_domain("a", [(["comp:VM", "comp:BareMetalCE"], 1), (["comp:VM"], 1)]))
+    req = _nodes_request([(vocab.VM, None), (vocab.BARE_METAL_CE, None)])
+    binding = _bind(req, broker)
+    assert [pool.local() for _, pool in binding.values()] == ["VM", "BareMetalCE+VM"]
+
+
+def test_bind_domains_moves_an_earlier_node_to_make_room():
+    # the VM node first takes the BareMetalCE+VM pool; the bare-metal node
+    # can use no other, so the VM node moves to the VM+MiniVM pool
+    broker = _broker_for(
+        _pool_domain("a", [(["comp:VM", "comp:BareMetalCE"], 1), (["comp:VM", MINI_VM], 1)])
+    )
+    req = _nodes_request([(vocab.VM, None), (vocab.BARE_METAL_CE, None)])
+    free = dict(broker.free)
+    binding = bind_domains(req, broker.routing_view(), free)
+    assert [pool.local() for _, pool in binding.values()] == ["VM+MiniVM", "BareMetalCE+VM"]
+    assert all(free[k] == 0 for k in free if k[0] == "units")
+    assert binding_fits(broker, req, binding)
+
+
+def test_bind_domains_matches_exhaustive_search_on_random_pools():
+    rng = random.Random(0xB1D)
+    classes = ["comp:VM", "comp:BareMetalCE", MINI_VM]
+    requested = [vocab.VM, vocab.BARE_METAL_CE, Iri(MINI_VM[1:-1]), vocab.COMPUTE_ELEMENT]
+    sites = ["a", "b", "c"]
+    bound = refused = 0
+    for _ in range(150):
+        broker = _broker_for(
+            *(
+                _pool_domain(site, [
+                    (rng.sample(classes, rng.randint(1, 3)), rng.randint(0, 2))
+                    for _ in range(rng.randint(1, 3))
+                ])
+                for site in sites[: rng.randint(1, 3)]
+            )
+        )
+        domains = [Iri(f"urn:bind:{site}/dom") for site in sites]
+        req = _nodes_request([
+            (rng.choice(requested), rng.choice([None, None, *domains]))
+            for _ in range(rng.randint(1, 5))
+        ])
+        expected = reference_binding(broker, req)
+        try:
+            binding = _bind(req, broker)
+        except InsufficientResources:
+            binding = None
+        assert (binding and _domains(binding)) == expected
+        assert binding is None or binding_fits(broker, req, binding)
+        bound += binding is not None
+        refused += binding is None
+    assert bound >= 40 and refused >= 40
 
 
 # -- allocation ---------------------------------------------------------------------
@@ -435,7 +545,7 @@ def test_allocate_release_restores_bytes():
 def test_release_twice_is_double_release():
     world = _world("renci.ndl")
     assert world.submit_request("s1", PAIR_REQUEST) is not None
-    state = world.ams["am-1"].state
+    state = world.ams[Iri("http://geni-orca.renci.org/sites/renci/Renci")].state
     state.release_token("slice:s1")
     with pytest.raises(DoubleRelease):
         state.release_token("slice:s1")

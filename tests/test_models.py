@@ -24,6 +24,7 @@ from netslice.models import (
     parse_delegation,
     parse_request,
     parse_substrate,
+    pool_classes,
     residual_of,
 )
 from netslice.vocab import LabelSet, builtin_schema, validate_conformance
@@ -273,7 +274,8 @@ def test_delegation_is_conformance_clean(renci_graph):
 def _pool_units(view, delegation) -> dict:
     """pool node -> (its classes, its units) of a closed delegation."""
     residual = residual_of(delegation)
-    return {pool: (classes, residual[("units", pool)]) for pool, classes in view.pools.items()}
+    pools = {n: pool_classes(delegation, n) for n in delegation.subjects(vocab.IN_DOMAIN, view.domain)}
+    return {pool: (classes, residual[("units", pool)]) for pool, classes in pools.items() if classes}
 
 
 def test_delegation_never_exceeds_substrate():
