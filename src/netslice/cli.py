@@ -9,6 +9,7 @@ codes are a stable contract: 0 clean, 1 semantic or expectation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from datetime import datetime, timezone
@@ -91,7 +92,10 @@ def cmd_validate(args) -> int:
 
 def _write_out(text: str, out) -> int:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise CliInputError(f"{out}: {e}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -128,7 +132,11 @@ def cmd_query(args) -> int:
     prefixes = closed.prefixes
     if args.bgp:
         patterns = _parse_bgp(args.bgp, prefixes)
-        for binding in query_bgp(closed, patterns):
+        try:
+            bindings = query_bgp(closed, patterns)
+        except EvaluationBudgetExceeded as e:
+            raise CliInputError(f"--bgp: query join produced {e.rows} rows (cap {e.cap})")
+        for binding in bindings:
             print(" ".join(f"?{n}={render_term(binding[n], prefixes)}" for n in sorted(binding)))
         return EXIT_OK
     if not args.path_expr or not args.start:
@@ -302,7 +310,10 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
             if record is None or record.manifest_text is None:
                 failures.append(f"line {lineno}: slice {args[0]} has no manifest to dump")
             else:
-                Path(args[1]).write_text(record.manifest_text, encoding="utf-8")
+                try:
+                    Path(args[1]).write_text(record.manifest_text, encoding="utf-8")
+                except OSError as e:
+                    raise ScenarioError(f"line {lineno}: {args[1]}: {e}")
     for line in world.events:
         print(line, file=out)
     for failure in failures:
@@ -321,7 +332,11 @@ def cmd_run(args) -> int:
     return run_scenario(args.scenario)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing reads it and changes none of it, so repeated `main`
+    calls in one process pay for argparse once."""
     parser = argparse.ArgumentParser(
         prog="netslice",
         description="Multi-domain network slice orchestration over semantic resource graphs",
@@ -381,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; never raises SystemExit."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -826,6 +826,7 @@ class EvaluationBudgetExceeded(Exception):
 
     def __init__(self, rows: int, cap: int):
         super().__init__(f"rule join produced {rows} rows (cap {cap})")
+        self.rows, self.cap = rows, cap
 
 
 def query_bgp(

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 
 import netslice
 from netslice import graphstore, rules
-from netslice.cli import _parse_scenario, main, run_scenario
+from netslice.cli import _parse_scenario, build_parser, main, run_scenario
 
 from conftest import FIXTURES, LOOSE_LABEL_SETS
 
@@ -559,8 +560,79 @@ def test_exceeded_bgp_join_budget_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(graphstore.query_bgp, "__defaults__", ((), 5))
     cross_product = "?a topo:hasInterface ?b . ?c topo:hasInterface ?d"
     code, out, err = _run(capsys, "query", FIXTURES / "renci.ndl", "--bgp", cross_product)
+    assert (code, out, err) == (2, "", "error: --bgp: query join produced 6 rows (cap 5)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, target, where",
+    [
+        (("delegate", FIXTURES / "ring-a.ndl", "--out"), "missing/x.ndl", ""),
+        (("entail", FIXTURES / "renci.ndl", "--out"), ".", ""),
+        (("embed", FIXTURES / "renci.ndl", "--request", FIXTURES / "request-pair.ndl", "--out"),
+         "missing/m.ndl", ""),
+        (("run",), "missing/m.ndl", "line 3: "),
+    ],
+    ids=["delegate", "entail-into-directory", "embed", "dump-manifest"],
+)
+def test_unwritable_output_exits_two(capsys, tmp_path, argv, target, where):
+    target = tmp_path / target
+    if argv == ("run",):
+        script = tmp_path / "dump.scn"
+        script.write_text(
+            f"load-substrate {FIXTURES}/renci.ndl\n"
+            f"submit-request {FIXTURES}/request-pair.ndl as d1\n"
+            f"dump-manifest d1 {target}\n"
+        )
+        argv = ("run", script)
+    else:
+        argv = (*argv, target)
+    code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error:") and "rule join produced" in err and "(cap 5)" in err
+    assert err.startswith(f"error: {where}{target}: [Errno ") and err.count("\n") == 1
+
+
+def test_repeated_main_calls_give_identical_results(capsys, tmp_path):
+    """One parser serves every call: options of one call (an appended
+    --schema, a --label) never reach the next, nor do --help or a usage
+    error."""
+    request, schema = tmp_path / "request.ndl", tmp_path / "gpu-schema.ndl"
+    request.write_text(GPU_REQUEST)
+    schema.write_text(GPU_SCHEMA)
+    calls = {
+        "clean": ("validate", FIXTURES / "request-pair.ndl"),
+        "schema": ("validate", request, "--schema", schema),
+        "no-schema": ("validate", request),
+        "label": (*_PATH_ARGS, "--label", "5"),
+        "no-label": _PATH_ARGS,
+        "help": ("--help",),
+        "usage": _PATH_ARGS[:4],  # no --to
+    }
+    build_parser.cache_clear()  # the first call below builds the parser
+    order = [*calls, *reversed(calls), *calls]
+    seen = {}
+    for kind in order:
+        seen.setdefault(kind, []).append(_run(capsys, *calls[kind]))
+    for kind, results in seen.items():
+        assert results == [results[0]] * len(results), kind
+    codes = {kind: results[0][0] for kind, results in seen.items()}
+    assert codes == {
+        "clean": 0, "schema": 0, "no-schema": 1, "label": 1, "no-label": 0, "help": 0, "usage": 2,
+    }
+
+
+def test_repeated_main_calls_build_no_parser(capsys, monkeypatch):
+    main(["validate", str(FIXTURES / "request-pair.ndl")])  # warm-up
+    built = []
+    constructor = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        constructor(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (("validate", FIXTURES / "request-pair.ndl"), _PATH_ARGS, ("--help",)):
+        _run(capsys, *argv)
+    assert built == []
 
 
 def _readme_queries():
