@@ -55,6 +55,7 @@ from .models import (
     parse_substrate,
     render_datetime,
     residual_of,
+    slice_base,
 )
 from .vocab import close, satisfies, validate_conformance
 
@@ -167,8 +168,10 @@ class AggregateManager:
         self._lease_counter = 0
 
     def delegate(self) -> str:
-        """Serialized delegation of the current residual substrate."""
-        return serialize_document(build_delegation(parse_substrate(self.state.snapshot())))
+        """Serialized delegation of the current residual substrate. With nothing
+        in use that is the model and residual the AM's own view was read from."""
+        graph = self.state.substrate if not self.state.used else parse_substrate(self.state.snapshot())
+        return serialize_document(build_delegation(graph))
 
     def _host_candidates(self, requested_class: Iri) -> list:
         """Pools able to provision the class, first-fit order. Subclass
@@ -421,9 +424,15 @@ class Controller:
 
     def create_slice(self, slice_id: str, request_text: str, ams: dict) -> str:
         """The manifest text of a provisioned slice, or SliceError with
-        everything taken released. `ams` maps each domain to its AM."""
+        everything taken released. `ams` maps each domain to its AM. An id
+        taken or naming no IRI is a ValueError, with nothing logged or taken."""
         if slice_id in self.slices:
             raise ValueError(f"slice {slice_id!r} already exists")
+        try:
+            Iri(slice_base(slice_id) if slice_id else "")
+        except ValueError as e:
+            raise ValueError(f"slice id {slice_id!r} names no IRI: {e}") from None
+        self._log("slice-request", slice_id, "ok")
         record = SliceRecord(slice_id)
         self.slices[slice_id] = record
         try:
@@ -636,7 +645,6 @@ class World:
 
     def submit_request(self, slice_id: str, request_text: str) -> Optional[str]:
         log = self.controller._log
-        log("slice-request", slice_id, "ok")
         try:
             manifest = self.controller.create_slice(slice_id, request_text, self.ams)
         except SliceError as e:

@@ -153,10 +153,9 @@ def cmd_path(args) -> int:
     prefixes = closed.prefixes
     source = resolve(getattr(args, "from"), prefixes)
     dest = resolve(args.to, prefixes)
-    known = {t.subject for t in closed}
-    if source not in known or dest not in known:
-        missing = source if source not in known else dest
-        raise CliInputError(f"unknown element {missing.value}")
+    for element in (source, dest):
+        if next(closed.match(s=element), None) is None:
+            raise CliInputError(f"unknown element {element.value}")
     layer = resolve(args.layer, prefixes)
     preq = embed_mod.PathRequest(
         source, dest, layer, args.bandwidth, required_label=args.label
@@ -276,7 +275,10 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
                 raise ScenarioError(f"line {lineno}: {e}")
         elif verb == "submit-request":
             last_slice = args[2]
-            world.submit_request(args[2], _read_fixture(script.parent / args[0]))
+            try:
+                world.submit_request(args[2], _read_fixture(script.parent / args[0]))
+            except ValueError as e:  # a slice id taken or naming no IRI
+                raise ScenarioError(f"line {lineno}: {e}")
         elif verb == "delete-slice":
             try:
                 world.delete_slice(args[0])

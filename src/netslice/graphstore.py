@@ -32,6 +32,7 @@ _WS_RE = re.compile(r"\s")
 _SAFE_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_/.-]*$")
 _PREFIX_NAME = r"[A-Za-z][A-Za-z0-9_.-]*"
 _PREFIX_NAME_RE = re.compile(rf"^{_PREFIX_NAME}$|^$")
+_new = tuple.__new__  # _new(Triple, (s, p, o)) skips the named tuple's __new__ frame
 
 
 def _immutable(term, name, *value):
@@ -45,14 +46,16 @@ class Iri:
     __slots__ = ("value", "__weakref__")
 
     def __new__(cls, value: str) -> "Iri":
-        self = _IRIS.get(value)
+        ref = _IRIS.get(value)
+        self = ref() if ref is not None else None
         if self is None:
             if not value:
                 raise ValueError("empty IRI")
             if _WS_RE.search(value):
                 raise ValueError(f"IRI contains whitespace: {value!r}")
-            self = _IRIS[value] = object.__new__(cls)
+            self = object.__new__(cls)
             object.__setattr__(self, "value", value)
+            _intern(_IRIS, value, self)
         return self
 
     def local(self) -> str:
@@ -72,9 +75,26 @@ class Iri:
     __setattr__ = __delattr__ = _immutable
 
 
-# Weak, so that a long-lived process keeps only the terms its models still hold.
-_IRIS: "weakref.WeakValueDictionary[str, Iri]" = weakref.WeakValueDictionary()
-_LITERALS: "weakref.WeakValueDictionary[tuple, Literal]" = weakref.WeakValueDictionary()
+# Value -> weak reference to its term: a process keeps the terms its models hold.
+_IRIS: "dict[str, _Entry]" = {}
+_LITERALS: "dict[tuple, _Entry]" = {}
+
+
+class _Entry(weakref.ref):
+    """An intern table's weak reference to the term of `key`, which drops
+    the entry when the term dies, unless a newer term has taken the key."""
+
+    __slots__ = ("table", "key")
+
+    def drop(self) -> None:
+        if self.table.get(self.key) is self:
+            del self.table[self.key]
+
+
+def _intern(table: dict, key, term) -> None:
+    entry = table[key] = _Entry(term, _Entry.drop)
+    entry.table, entry.key = table, key
+
 
 XSD_STRING = Iri(XSD_NS + "string")
 XSD_INTEGER = Iri(XSD_NS + "integer")
@@ -94,11 +114,13 @@ class Literal:
 
     def __new__(cls, lexical: str, datatype: Iri = XSD_STRING) -> "Literal":
         key = (lexical, datatype)
-        self = _LITERALS.get(key)
+        ref = _LITERALS.get(key)
+        self = ref() if ref is not None else None
         if self is None:
-            self = _LITERALS[key] = object.__new__(cls)
+            self = object.__new__(cls)
             object.__setattr__(self, "lexical", lexical)
             object.__setattr__(self, "datatype", datatype)
+            _intern(_LITERALS, key, self)
         return self
 
     def __repr__(self) -> str:
@@ -217,23 +239,29 @@ class Model:
 
     def add(self, t: Triple) -> bool:
         """Insert a triple. Returns False if it was already present."""
-        if self._frozen:
-            raise TypeError("cannot add to a frozen model")
-        if t in self._triples:
-            return False
-        self._derived.clear()
-        self._triples[t] = None
-        s, p, o = t
-        if self._base is None:
-            self._spo.setdefault(s, {}).setdefault(p, {})[o] = None
-            self._pos.setdefault(p, {}).setdefault(o, {})[s] = None
-        else:
-            _own(self._spo, self._base._spo, s, p)[o] = None
-            _own(self._pos, self._base._pos, p, o)[s] = None
-        return True
+        return self.add_all((t,)) == 1
 
     def add_all(self, triples: Iterable[Triple]) -> int:
-        return sum(1 for t in triples if self.add(t))
+        """Insert triples in order; returns how many were new."""
+        if self._frozen:
+            raise TypeError("cannot add to a frozen model")
+        known, spo, pos, base = self._triples, self._spo, self._pos, self._base
+        added = 0
+        for t in triples:
+            if t in known:
+                continue
+            if not added:  # what was derived goes, once
+                self._derived.clear()
+            known[t] = None
+            added += 1
+            s, p, o = t
+            if base is None:
+                spo.setdefault(s, {}).setdefault(p, {})[o] = None
+                pos.setdefault(p, {}).setdefault(o, {})[s] = None
+            else:
+                _own(spo, base._spo, s, p)[o] = None
+                _own(pos, base._pos, p, o)[s] = None
+        return added
 
     def remove(self, t: Triple) -> bool:
         if self._frozen:
@@ -279,32 +307,32 @@ class Model:
     ) -> Iterator[Triple]:
         """All triples matching the given fixed positions (None = wildcard)."""
         if s is not None and p is not None and o is not None:
-            t = Triple(s, p, o)
+            t = _new(Triple, (s, p, o))
             if t in self._triples:
                 yield t
             return
         if s is not None and p is not None:
             for obj in self._spo.get(s, {}).get(p, ()):
-                yield Triple(s, p, obj)
+                yield _new(Triple, (s, p, obj))
         elif p is not None and o is not None:
             for subj in self._pos.get(p, {}).get(o, ()):
-                yield Triple(subj, p, o)
+                yield _new(Triple, (subj, p, o))
         elif s is not None and o is not None:
             for pred, objs in self._spo.get(s, {}).items():
                 if o in objs:
-                    yield Triple(s, pred, o)
+                    yield _new(Triple, (s, pred, o))
         elif s is not None:
             for pred, objs in self._spo.get(s, {}).items():
                 for obj in objs:
-                    yield Triple(s, pred, obj)
+                    yield _new(Triple, (s, pred, obj))
         elif p is not None:
             for obj, subjs in self._pos.get(p, {}).items():
                 for subj in subjs:
-                    yield Triple(subj, p, obj)
+                    yield _new(Triple, (subj, p, obj))
         elif o is not None:
             for pred, by_object in self._pos.items():
                 for subj in by_object.get(o, ()):
-                    yield Triple(subj, pred, o)
+                    yield _new(Triple, (subj, pred, o))
         else:
             yield from self._triples
 
@@ -313,8 +341,8 @@ class Model:
         return sorted(self._spo.get(s, {}).get(p, ()), key=term_key)
 
     def value(self, s: Iri, p: Iri) -> Optional[Term]:
-        objs = self.objects(s, p)
-        return objs[0] if objs else None
+        objs = self._spo.get(s, {}).get(p, ())  # the first of objects(s, p), unsorted
+        return min(objs, key=term_key) if len(objs) > 1 else next(iter(objs), None)
 
     def subjects(self, p: Iri, o: Term) -> list:
         """Subjects of (·, p, o), sorted."""
@@ -413,6 +441,7 @@ def parse_document(text: str) -> Model:
     m = Model()
     prefixes = m.prefixes
     terms: dict = {}  # token -> term under the current prefix map
+    triples = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         match = _LINE_RE.fullmatch(line)
         if match is None:
@@ -438,7 +467,8 @@ def parse_document(text: str) -> Model:
                 terms[o] = obj
         except (KeyError, ValueError):
             _explain(line, lineno, prefixes)
-        m.add(Triple(subject, predicate, obj))
+        triples.append(_new(Triple, (subject, predicate, obj)))
+    m.add_all(triples)
     return m
 
 
@@ -754,7 +784,7 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
         nonlocal derived
         if (s, p, o) in known:
             return
-        t = Triple(s, p, o)
+        t = _new(Triple, (s, p, o))
         out.add(t)
         if p in _PROPERTY_RELATIONS:
             rules.pop(s, None)
@@ -844,15 +874,20 @@ def query_bgp(
     a malformed pattern list or a filter variable no pattern binds, and
     EvaluationBudgetExceeded past `budget` matched rows."""
     steps, names = _join_plan(tuple(patterns), tuple(filters))
+    spo, pos = m._spo, m._pos
     rows: list = [{}]
     produced = 0
-    for ((sn, sc), (pn, pc), (on, oc)), fresh, same, checks in steps:
+    for ((sn, sc), (pn, pc), (on, oc)), walk, fresh, same, checks in steps:
         next_rows = []
         for row in rows:
             s, p, o = row.get(sn, sc), row.get(pn, pc), row.get(on, oc)
             if isinstance(s, Literal) or isinstance(p, Literal):
                 continue  # literals never occupy subject or predicate
-            for t in m.match(s, p, o):
+            if walk:  # the free end's terms are one SPO or POS leaf
+                found = zip(spo.get(s, {}).get(p, ()) if walk == "o" else pos.get(p, {}).get(o, ()))
+            else:
+                found = m.match(s, p, o)
+            for t in found:
                 if same and any(t[a] is not t[b] for a, b in same):
                     continue  # a variable repeated within the pattern
                 produced += 1
@@ -873,10 +908,11 @@ def query_bgp(
 def _join_plan(patterns: tuple, filters: tuple) -> tuple:
     """The join's steps and the sorted variable names. A step reads each of
     its pattern's positions, and its filters' sides, as row.get(name, term):
-    a variable by its name, a constant (name None) as the term. It binds
-    the `fresh` variables at their first positions, requires the `same`
-    pairs of positions to hold one term, then tests the filters whose
-    variables it completes."""
+    a variable by its name, a constant (name None) as the term. It matches
+    1-tuples of the terms at `walk`, its only free position ("s" or "o"),
+    or else `Model.match` triples; binds the `fresh` variables at their
+    first positions in those, requires the `same` pairs of positions to
+    hold one term, then tests the filters whose variables it completes."""
     if not patterns or any(len(pattern) != 3 for pattern in patterns):
         raise ValueError(f"expected one or more (s, p, o) patterns, got {patterns!r}")
     left, pending, bound, steps = list(patterns), list(filters), set(), []
@@ -895,12 +931,13 @@ def _join_plan(patterns: tuple, filters: tuple) -> tuple:
                 same.append((fresh[x.name], k))
             elif not ground(x):
                 fresh[x.name] = k
+        walk = None if same or len(fresh) != 1 else {0: "s", 2: "o"}.get(*fresh.values())
         bound.update(fresh)
         ready = [f for f in pending if ground(f[0]) and ground(f[1])]
         pending = [f for f in pending if f not in ready]
         checks = tuple((lookup(a), lookup(b), negated) for a, b, negated in ready)
-        fresh = tuple((k, name) for name, k in fresh.items())
-        steps.append((tuple(map(lookup, pattern)), fresh, same, checks))
+        fresh = tuple((0 if walk else k, name) for name, k in fresh.items())
+        steps.append((tuple(map(lookup, pattern)), walk, fresh, same, checks))
     if pending:
         raise ValueError(f"filter variable bound by no pattern: {pending[0]!r}")
     return tuple(steps), sorted(bound)

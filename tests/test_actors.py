@@ -1,12 +1,14 @@
 import gc
 import random
+import re
 import weakref
 from datetime import datetime, timezone
 
 import pytest
 
 from netslice import actors as actors_mod
-from netslice import graphstore, rules, vocab
+from netslice import embed as embed_mod
+from netslice import graphstore, models, rules, vocab
 from netslice.actors import DelegationRejected, RedeemError, SliceError, World
 from netslice.embed import InsufficientResources, bind_domains
 from netslice.graphstore import Iri, parse_document, serialize_document
@@ -83,6 +85,45 @@ def test_second_substrate_for_a_domain_is_refused_before_any_change():
     # the domain's delegation can still be replaced through the broker
     world.broker.register_delegation(world.ams[Iri(renci)].delegate())
     assert world.submit_request("s1", _fixture("request-pair.ndl")) is not None
+
+
+
+@pytest.mark.parametrize("slice_id", ["bad id", "", "tab\tid", "line\nid"])
+def test_slice_id_naming_no_iri_is_refused_before_anything_is_logged_or_taken(slice_id):
+    world = _pair_world()
+    before = (list(world.events), world.serialized_states())
+    with pytest.raises(ValueError, match=re.escape(f"slice id {slice_id!r}")):
+        world.submit_request(slice_id, _fixture("request-pair.ndl"))
+    assert (list(world.events), world.serialized_states()) == before
+    assert slice_id not in world.controller.slices
+    assert world.submit_request("ok", _fixture("request-pair.ndl")) is not None
+    assert world.events[len(before[0])] == "seq 3 controller slice-request ok ok"
+
+
+def test_new_am_derives_its_substrate_view_once(monkeypatch):
+    calls = []
+    counted = models.parse_substrate
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+
+    for module in (embed_mod, actors_mod):
+        monkeypatch.setattr(module, "parse_substrate", counting)
+    world = World()
+    am = world.add_substrate(_fixture("renci.ndl"))
+    assert len(calls) == 1
+    fresh = am.delegate()
+    assert len(calls) == 1
+    assert fresh == serialize_document(build_delegation(counted(am.state.snapshot())))
+    # once something is in use, a delegation reads the residual from the snapshot
+    assert world.submit_request("s1", _fixture("request-pair.ndl")) is not None
+    after = am.delegate()
+    assert len(calls) == 2
+    assert after == serialize_document(build_delegation(counted(am.state.snapshot())))
+    assert after != fresh
+    world.delete_slice("s1")
+    assert am.delegate() == fresh
 
 
 def test_negative_bandwidth_fails_validation_and_holds_nothing():

@@ -373,6 +373,35 @@ def test_run_delete_of_unknown_slice_exits_two_naming_the_line(tmp_path, capsys)
     assert err == "error: line 2: unknown slice 'nosuch'\n"
 
 
+
+@pytest.mark.parametrize(
+    "slice_ids, error",
+    [
+        (['"a b"'], "slice id 'a b' names no IRI: IRI contains whitespace"),
+        (['""'], "slice id '' names no IRI: empty IRI"),
+        (["s1", "s1"], "slice 's1' already exists"),
+    ],
+)
+def test_run_refused_slice_id_exits_two_naming_the_line(tmp_path, capsys, slice_ids, error):
+    script = tmp_path / "ids.scn"
+    script.write_text(f"load-substrate {FIXTURES}/renci.ndl\n" + "".join(
+        f"submit-request {FIXTURES}/request-pair.ndl as {slice_id}\n" for slice_id in slice_ids
+    ))
+    code, out, err = _run(capsys, "run", script)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line {1 + len(slice_ids)}: {error}")
+
+
+@pytest.mark.parametrize("slice_id", ["bad id", ""])
+def test_embed_slice_id_naming_no_iri_exits_two(capsys, slice_id):
+    code, out, err = _run(
+        capsys, "embed", FIXTURES / "renci.ndl",
+        "--request", FIXTURES / "request-pair.ndl", "--slice-id", slice_id,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: slice id {slice_id!r} names no IRI")
+
 PAIR_REQUEST = (FIXTURES / "request-pair.ndl").read_text()
 
 

@@ -99,6 +99,22 @@ def test_unused_terms_leave_the_intern_table():
     assert (value, ex("type")) not in graphstore._LITERALS
 
 
+def test_a_dead_terms_entry_goes_only_while_it_still_holds_that_term():
+    class Term:
+        __slots__ = ("__weakref__",)
+
+    table, old, new = {}, Term(), Term()
+    graphstore._intern(table, "k", old)
+    # the cycle collector holds a dead term's reference until its callback
+    # runs, and a callback it runs first may intern the value anew
+    stale = table["k"]
+    graphstore._intern(table, "k", new)
+    del old
+    assert stale() is None and table["k"]() is new
+    del new
+    assert table == {}
+
+
 def test_triples_of_equal_terms_are_equal_and_hash_equal():
     a = Triple(ex("s"), ex("p"), Literal("5", XSD_INTEGER))
     b = Triple(Iri(EX + "s"), Iri(EX + "p"), integer(5))
@@ -647,6 +663,64 @@ def test_copy_of_a_frozen_model_changes_only_itself():
         assert _answers(copied, terms) == _answers(reference, terms), f"round {round_no}"
         for model, (triples, answers) in zip(frozen, before):
             assert list(model) == triples and _answers(model, terms) == answers, f"round {round_no}"
+
+
+
+_LOAD_POOL = [t(f"s{i}", f"p{j}", f"s{k}") for i in range(3) for j in range(2) for k in range(3)]
+_LOAD_POOL += [t(f"s{i}", "p0", integer(i)) for i in range(3)]
+_LOAD_TERMS = [ex(f"s{i}") for i in range(3)] + [ex(f"p{j}") for j in range(2)] + [integer(0)]
+_picks = st.lists(st.integers(0, len(_LOAD_POOL) - 1), max_size=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=_picks, loaded=_picks, from_frozen=st.booleans())
+def test_add_all_loads_what_repeated_adds_load(base, loaded, from_frozen):
+    # one insertion loop serves add and add_all, on plain models and on
+    # copies of frozen ones: same counts, order, indexes and memo fate
+    start = Model()
+    for k in base:
+        start.add(_LOAD_POOL[k])
+    if from_frozen:
+        start.freeze()
+    before = list(start)
+    bulk, single = start.copy(), start.copy()
+
+    def build(m):
+        return object()
+
+    memos = [m.derived(build) for m in (bulk, single)]
+    triples = [_LOAD_POOL[k] for k in loaded]
+    added = bulk.add_all(triples)
+    flags = [single.add(trip) for trip in triples]
+    assert added == sum(flags)
+    assert list(bulk) == list(single)
+    assert _answers(bulk, _LOAD_TERMS) == _answers(single, _LOAD_TERMS)
+    assert len(bulk) == len(single) and bulk == single
+    for m, memo in zip((bulk, single), memos):
+        assert (m.derived(build) is memo) == (added == 0)
+    assert list(start) == before
+
+
+_JOIN_TERMS = [Var("x"), Var("y"), ex("s0"), ex("s1"), ex("p0"), integer(0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, len(_LOAD_POOL) - 1), min_size=6, max_size=16),
+    patterns=st.lists(st.tuples(*[st.sampled_from(_JOIN_TERMS)] * 3), min_size=1, max_size=3),
+)
+@example(picks=range(len(_LOAD_POOL)), patterns=[(Var("x"), ex("p0"), Var("x"))])
+@example(picks=range(len(_LOAD_POOL)), patterns=[(Var("x"), ex("p0"), ex("s1"))])
+@example(picks=range(len(_LOAD_POOL)), patterns=[(ex("s0"), ex("p0"), Var("x"))])
+@example(picks=range(len(_LOAD_POOL)), patterns=[(Var("x"), ex("p0"), integer(0))])
+def test_join_walks_match_the_assignment_oracle(picks, patterns):
+    # every pattern shape, alone and joined: index leaf walks (one free
+    # end), lookups (none free), repeated variables and literal constants
+    m = Model()
+    m.add_all(_LOAD_POOL[k] for k in picks)
+    for pattern in patterns:
+        assert query_bgp(m, [pattern]) == bgp_by_assignment(m, [pattern])
+    assert query_bgp(m, patterns) == bgp_by_assignment(m, patterns)
 
 
 # -- the line pattern against the character scanner ---------------------------
