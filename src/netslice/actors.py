@@ -462,19 +462,19 @@ class Controller:
         return self._assemble(request, plan, node_hosts, branch_paths)
 
     def _validate(self, record: SliceRecord, request_text: str) -> SliceRequest:
-        """Conformance, then rule violations against the closure, then the
-        typed view. Unparseable and malformed requests, and requests whose
-        closure or rule joins exceed their budgets, fail with that error as
-        the SliceError's cause."""
+        """Conformance, then rule violations, both over the request's one
+        closure, then the typed view. Unparseable and malformed requests,
+        and requests whose closure or rule joins exceed their budgets, fail
+        with that error as the SliceError's cause."""
         try:
             raw = parse_document(request_text)
-        except ParseError as e:
+        except (ParseError, ValueError) as e:  # a CURIE may make a malformed IRI
             raise SliceError("Validation", f"unparseable request: {e}") from e
         try:
-            issues = validate_conformance(*self.schemas, raw)
+            closed = close(*self.schemas, raw)
+            issues = validate_conformance(*self.schemas, raw, closed=closed)
             if issues:
                 raise SliceError("Validation", f"{len(issues)} conformance issues", issues=issues)
-            closed = close(*self.schemas, raw)
             violations = rules_mod.validate(closed, self.extra_rules)
         except (ClosureBudgetExceeded, rules_mod.EvaluationBudgetExceeded) as e:
             raise SliceError("Validation", str(e)) from e

@@ -56,7 +56,7 @@ class CliInputError(Exception):
 def _read_model(path: str) -> Model:
     try:
         return parse_document(_read_fixture(path))
-    except ParseError as e:
+    except (ParseError, ValueError) as e:
         raise CliInputError(f"{path}: {e}")
 
 
@@ -84,8 +84,9 @@ def _print_findings(issues, violations) -> None:
 
 def cmd_validate(args) -> int:
     docs = _documents(args.files, args.schema)
-    issues = validate_conformance(*docs)
-    violations = rules_mod.validate(close(*docs), _load_rules(args.rules))
+    closed = close(*docs)
+    issues = validate_conformance(*docs, closed=closed)
+    violations = rules_mod.validate(closed, _load_rules(args.rules))
     _print_findings(issues, violations)
     return EXIT_SEMANTIC if issues or violations else EXIT_OK
 

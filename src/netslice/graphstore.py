@@ -27,7 +27,10 @@ RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 
-_WS_RE = re.compile(r"\s")
+# Whitespace, and what else an RDF 1.1 N-Triples IRIREF may not hold: the
+# characters <>"{}|^`\ and U+0000-U+0020. An IRI free of them is written
+# back between <...> as it is.
+_BAD_IRI_RE = re.compile(r'[\s\x00-\x20<>"{}|^`\\]')
 # Locals that survive a CURIE round trip without quoting.
 _SAFE_LOCAL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_/.-]*$")
 _PREFIX_NAME = r"[A-Za-z][A-Za-z0-9_.-]*"
@@ -51,8 +54,10 @@ class Iri:
         if self is None:
             if not value:
                 raise ValueError("empty IRI")
-            if _WS_RE.search(value):
-                raise ValueError(f"IRI contains whitespace: {value!r}")
+            bad = _BAD_IRI_RE.search(value)
+            if bad:
+                what = "whitespace" if bad[0].isspace() else f"forbidden character {bad[0]!r}"
+                raise ValueError(f"IRI contains {what}: {value!r}")
             self = object.__new__(cls)
             object.__setattr__(self, "value", value)
             _intern(_IRIS, value, self)
@@ -435,8 +440,8 @@ def parse_document(text: str) -> Model:
     Each line is accepted by one pattern, and each distinct term token is
     resolved once per prefix map. Raises ParseError with line/column on
     malformed lines, undeclared prefixes, or a literal in subject or
-    predicate position, and ValueError when a declared namespace or a
-    datatype makes an IRI malformed (empty or holding whitespace).
+    predicate position, and ValueError when a CURIE or a datatype makes an
+    IRI malformed (empty, or holding a character an IRI may not hold).
     """
     m = Model()
     prefixes = m.prefixes

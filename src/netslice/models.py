@@ -494,7 +494,7 @@ def parse_request(m: Model, source: Optional[Model] = None) -> SliceRequest:
     begin_lit = m.value(terms[0], HAS_BEGINNING)
     duration = int_value(m.value(terms[0], HAS_DURATION_SECONDS))
     if not isinstance(begin_lit, Literal) or duration is None:
-        raise RequestError("term must carry hasBeginning and hasDurationSeconds")
+        raise RequestError(f"term {terms[0].value} must carry hasBeginning and hasDurationSeconds")
     if duration <= 0:
         raise RequestError("term duration must be positive")
     term = Term(parse_datetime(begin_lit.lexical), duration)
@@ -679,11 +679,8 @@ def check_homeomorphic(req: SliceRequest, manifest: Model) -> bool:
         for h in sorted(hops, key=lambda v: v.value):
             if degree.get(h, 0) == 2:
                 incident = [e for e in edges if h in e]
-                neighbors = sorted(
-                    {v for e in incident for v in e if v != h}, key=lambda v: v.value
-                )
-                if len(neighbors) != 2:
-                    continue  # parallel edges to one neighbor: not a chain
+                # edges are distinct pairs, so a degree-2 hop has two neighbours
+                neighbors = [v for e in incident for v in e if v != h]
                 edges -= set(incident)
                 edges.add(frozenset(neighbors))
                 hops.discard(h)
@@ -693,11 +690,7 @@ def check_homeomorphic(req: SliceRequest, manifest: Model) -> bool:
     if hops:
         return False  # a hop vertex survived smoothing: not a simple chain
 
-    mapped = set()
-    for e in edges:
-        a, b = sorted(e, key=lambda v: v.value)
-        mapped.add(frozenset((corr[a], corr[b])))
-
+    mapped = {frozenset(corr[v] for v in e) for e in edges}
     expected = set()
     for link in req.links:
         for owner in link.owners(req):

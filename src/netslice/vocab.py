@@ -514,22 +514,6 @@ _SCHEMA_PREDICATES = {
 _SCHEMA_TYPES = {OWL_CLASS, OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY}
 
 
-def _without_domain_range(m: Model) -> Model:
-    """m without its domain and range axioms: m itself when it has none."""
-    axioms = [*m.match(p=RDFS_DOMAIN), *m.match(p=RDFS_RANGE)]
-    out = m.copy() if axioms else m
-    for t in axioms:
-        out.remove(t)
-    return out
-
-
-@lru_cache(maxsize=1)
-def _asserted_schema() -> Model:
-    """Closure of the built-in T-box without its domain/range axioms,
-    built once per process and frozen."""
-    return entail(_without_domain_range(builtin_schema())).freeze()
-
-
 def _declared_domains(*models: Model) -> dict:
     """Each property's first declared IRI domain in the merge of models, in
     the order the merged model's POS index lists them."""
@@ -543,30 +527,39 @@ def _declared_domains(*models: Model) -> dict:
     return declared
 
 
-def validate_conformance(*docs: Model) -> list:
+def validate_conformance(*docs: Model, closed: Optional[Model] = None) -> list:
     """Schema conformance issues for documents checked against the
-    built-in T-box, which the documents may or may not include.
+    built-in T-box, which the documents may or may not include. `closed` is
+    close(*docs), when the caller already has it.
 
-    Checks run over the documents' asserted triples. Entailment's
+    Checks run over the documents' asserted triples. An instance's types
+    are the classes that the documents or the T-box assert for it with
+    rdf:type, plus their superclasses in close(*docs): entailment's
     domain/range rules would repair the very type gaps the checker is meant
-    to flag, so typing questions consult the closure of the documents
-    without their domain/range axioms, closed onto the cached T-box closure
-    that omits them too (subclass, subproperty and inverse rules still
-    apply). When a property has several declared domains, the first in the
-    merge of the T-box and the documents counts. Issues are data, not
-    errors: instances without a known class, property domain violations,
-    label values outside their layer's domain, and interfaces attached to
-    nothing.
+    to flag, so no other derived type counts. When a property has several
+    declared domains, the first in the merge of the T-box and the documents
+    counts. Issues are data, not errors: instances without a known class
+    (one typed owl:Class), property domain violations, label values outside
+    their layer's domain, and interfaces attached to nothing.
     """
     m = docs[0] if len(docs) == 1 else merge(docs)
-    closed = entail(_without_domain_range(m), closed=_asserted_schema())
+    if closed is None:
+        closed = close(m)
+    schema = entailed_schema()  # its rdf:type triples are all asserted ones
+    known: dict = {}
+
+    def types_of(x: Iri) -> set:
+        if x not in known:
+            asserted = m.types(x) | schema.types(x)
+            known[x] = asserted.union(*(closed.objects(c, RDFS_SUBCLASS_OF) for c in asserted))
+        return known[x]
+
     issues = []
 
     def report(kind: str, s: Iri, detail: str) -> None:
         issues.append(ConformanceIssue(kind, s, detail))
 
     # the T-box's table is derived once; documents' own domains merge after it
-    schema = entailed_schema()
     if any(m.match(p=RDFS_DOMAIN)):
         declared_domains = _declared_domains(schema, m)
     else:
@@ -574,10 +567,10 @@ def validate_conformance(*docs: Model) -> list:
 
     # the T-box's own subjects are all schema entities, which are skipped
     for s in sorted({t.subject for t in m}, key=lambda s: s.value):
-        types = closed.types(s)
+        types = types_of(s)
         if types & _SCHEMA_TYPES:
             continue  # schema entity
-        if not any(Triple(c, RDF_TYPE, OWL_CLASS) in closed for c in types):
+        if not any(OWL_CLASS in types_of(c) for c in types):
             report("untyped-instance", s, "no rdf:type naming a known class")
             continue
         for _, p, _ in m.match(s=s):

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -5,3 +6,19 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 # Label-set literals Python's int() reads, so that each would name the pool
 # of another literal: a sign, an underscore, spaces, non-ASCII digits ("3-5").
 LOOSE_LABEL_SETS = ["+5", "1_000", " 7 ", "5- 7", "\u0663-\u0665"]
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap the package function fn, in every netslice module that binds it
+    by name, with a wrapper that appends each call's arguments to the
+    returned list."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("netslice") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls

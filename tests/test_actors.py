@@ -15,7 +15,7 @@ from netslice.graphstore import Iri, parse_document, serialize_document
 from netslice.models import SubstrateError, build_delegation, check_homeomorphic, parse_request
 from netslice.vocab import close
 
-from conftest import FIXTURES
+from conftest import FIXTURES, count_calls
 from generators import federation_request, federation_world
 from oracles import binding_fits, reference_binding
 
@@ -88,7 +88,7 @@ def test_second_substrate_for_a_domain_is_refused_before_any_change():
 
 
 
-@pytest.mark.parametrize("slice_id", ["bad id", "", "tab\tid", "line\nid"])
+@pytest.mark.parametrize("slice_id", ["bad id", "", "tab\tid", "line\nid", "a>b", "a|b"])
 def test_slice_id_naming_no_iri_is_refused_before_anything_is_logged_or_taken(slice_id):
     world = _pair_world()
     before = (list(world.events), world.serialized_states())
@@ -126,6 +126,15 @@ def test_new_am_derives_its_substrate_view_once(monkeypatch):
     assert am.delegate() == fresh
 
 
+def test_a_create_closes_its_request_once(monkeypatch):
+    world = _pair_world()
+    assert world.submit_request("warm", _fixture("request-pair.ndl")) is not None
+    world.delete_slice("warm")
+    calls = count_calls(monkeypatch, graphstore.entail)
+    assert world.submit_request("s1", _fixture("request-pair.ndl")) is not None
+    assert len(calls) == 1
+
+
 def test_negative_bandwidth_fails_validation_and_holds_nothing():
     world = _pair_world()
     before = world.serialized_states()
@@ -137,6 +146,20 @@ def test_negative_bandwidth_fails_validation_and_holds_nothing():
     assert "negative bandwidth" in record.failure.detail
     assert world.serialized_states() == before
     assert world.conservation_problems() == []
+
+
+def test_request_naming_a_malformed_iri_fails_validation_and_holds_nothing():
+    world = _pair_world()
+    before = world.serialized_states()
+    request = _fixture("request-pair.ndl") + "rq:Node/1 rq:a|b rq:c .\n"
+    assert world.submit_request("bad1", request) is None
+    record = world.controller.slices["bad1"]
+    assert record.state == "Closed"
+    assert record.failure.step == "Validation"
+    assert record.failure.detail == (
+        "unparseable request: IRI contains forbidden character '|': 'urn:orca:request:pair/a|b'"
+    )
+    assert world.serialized_states() == before
 
 
 CROSS_JOIN_RULE = 'violation("m", ?X) <- (?X rdf:type ?A), (?Y rdf:type ?B) .'

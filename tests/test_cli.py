@@ -13,7 +13,7 @@ import netslice
 from netslice import graphstore, rules
 from netslice.cli import _parse_scenario, build_parser, main, run_scenario
 
-from conftest import FIXTURES, LOOSE_LABEL_SETS
+from conftest import FIXTURES, LOOSE_LABEL_SETS, count_calls
 
 ROOT = FIXTURES.parent
 
@@ -28,6 +28,13 @@ def test_validate_clean_request(capsys):
     code, out, _ = _run(capsys, "validate", FIXTURES / "request-pair.ndl")
     assert code == 0
     assert out == ""
+
+
+def test_validate_closes_the_documents_once(capsys, monkeypatch):
+    assert _run(capsys, "validate", FIXTURES / "request-pair.ndl")[0] == 0  # warm-up
+    calls = count_calls(monkeypatch, graphstore.entail)
+    assert _run(capsys, "validate", FIXTURES / "request-pair.ndl") == (0, "", "")
+    assert len(calls) == 1
 
 
 def test_validate_broadcast_bad_exits_one(capsys):
@@ -45,6 +52,14 @@ def test_validate_malformed_file_exits_two(tmp_path, capsys):
     code, _, err = _run(capsys, "validate", bad)
     assert code == 2
     assert "error:" in err
+
+
+def test_validate_curie_naming_a_malformed_iri_exits_two_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.ndl"
+    bad.write_text("@prefix x: <urn:x/> .\nx:a x:p|q x:b .\n")
+    code, out, err = _run(capsys, "validate", bad)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: IRI contains forbidden character '|': 'urn:x/p|q'\n"
 
 
 def test_entail_emits_closure(capsys):
@@ -393,7 +408,7 @@ def test_run_refused_slice_id_exits_two_naming_the_line(tmp_path, capsys, slice_
     assert err.startswith(f"error: line {1 + len(slice_ids)}: {error}")
 
 
-@pytest.mark.parametrize("slice_id", ["bad id", ""])
+@pytest.mark.parametrize("slice_id", ["bad id", "", "a>b", 'a"b', "a{b}"])
 def test_embed_slice_id_naming_no_iri_exits_two(capsys, slice_id):
     code, out, err = _run(
         capsys, "embed", FIXTURES / "renci.ndl",
@@ -449,6 +464,46 @@ def test_embed_bad_request_exits_two(capsys, tmp_path, request_text):
     assert code == 2
     assert out == ""
     assert "request.ndl" in err
+
+
+def _pair_without(*lines):
+    text = PAIR_REQUEST
+    for line in lines:
+        assert line in text
+        text = text.replace(line + "\n", "")
+    return text
+
+
+@pytest.mark.parametrize(
+    "request_text, error",
+    [
+        (
+            _pair_without('rq:Term/1 time:hasBeginning "2026-01-01T00:00:00Z"^^xsd:dateTime .'),
+            "term urn:orca:request:pair/Term/1 must carry hasBeginning and hasDurationSeconds",
+        ),
+        (
+            _pair_without('rq:Term/1 time:hasDurationSeconds "3600"^^xsd:integer .'),
+            "term urn:orca:request:pair/Term/1 must carry hasBeginning and hasDurationSeconds",
+        ),
+        (
+            _pair_without("rq:Link/1 topo:atLayer eth:EthernetNetworkElement ."),
+            "link urn:orca:request:pair/Link/1 has no atLayer",
+        ),
+        (
+            PAIR_REQUEST + "rq:Node/2 topo:hasInterface rq:Node/1/if0 .\n",
+            "interface urn:orca:request:pair/Node/1/if0 owned by two nodes",
+        ),
+        (
+            _pair_without("rq:Node/2 topo:hasInterface rq:Node/2/if0 ."),
+            "link urn:orca:request:pair/Link/1 interface urn:orca:request:pair/Node/2/if0"
+            " owned by no node",
+        ),
+    ],
+    ids=["no-beginning", "no-duration", "no-layer", "interface-owned-twice", "interface-unowned"],
+)
+def test_embed_request_refusals_name_the_element(capsys, tmp_path, request_text, error):
+    code, out, err = _embed(capsys, tmp_path, request_text)
+    assert (code, out, err) == (2, "", f"error: {tmp_path / 'request.ndl'}: {error}\n")
 
 
 GPU_SCHEMA = """\

@@ -82,7 +82,13 @@ def test_copies_and_pickles_return_the_interned_term(term):
     assert copy.deepcopy(triple).object is term
 
 
-@pytest.mark.parametrize("bad", ["", "urn:a b", "urn:a\tb"])
+# What an RDF 1.1 N-Triples IRIREF may not hold.
+_IRIREF_FORBIDDEN = '<>"{}|^`\\' + "".join(map(chr, range(0x21)))
+
+
+@pytest.mark.parametrize(
+    "bad", dict.fromkeys(["", "urn:a b", "urn:a\tb", *(f"urn:a{c}b" for c in _IRIREF_FORBIDDEN)])
+)
 def test_invalid_iri_raises_and_is_not_interned(bad):
     with pytest.raises(ValueError):
         Iri(bad)

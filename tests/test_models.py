@@ -2,6 +2,7 @@ import pytest
 
 from netslice import embed, vocab
 from netslice.actors import World
+from netslice.cli import main
 from netslice.graphstore import (
     Iri,
     Model,
@@ -164,6 +165,60 @@ def test_world_refuses_a_pool_outside_its_layer_domain(pool, lexical, subject):
     with pytest.raises(SubstrateError, match=subject):
         world.add_substrate(RING_A.replace(pool, f'"{lexical}"'))
     assert world.ams == {}
+
+
+def _without(text, line):
+    assert line in text
+    return text.replace(line + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "substrate, problem",
+    [
+        (
+            RING_A + "sa:Link/host rdf:type topo:BroadcastConnection .\n",
+            "substrate link urn:orca:site:a/Link/host may not be a broadcast connection",
+        ),
+        (
+            RING_A + "sa:Link/host topo:hasEndpoint sa:Switch/toB .\n",
+            "link urn:orca:site:a/Link/host has 3 interfaces, expected 2",
+        ),
+        (
+            _without(RING_A, "sa:Host/if0 topo:linkedTo sa:Switch/if0 ."),
+            "link urn:orca:site:a/Link/host endpoints are not linkedTo each other",
+        ),
+        (
+            _without(RING_A, 'sa:Link/host topo:availableBandwidth "10000"^^xsd:integer .'),
+            "link urn:orca:site:a/Link/host has no non-negative availableBandwidth",
+        ),
+        (
+            RING_A + "sa:Host topo:hasInterface sa:Switch/toB .\n",
+            "border interface urn:orca:site:a/Switch/toB has 2 owners, expected 1",
+        ),
+    ],
+    ids=["broadcast-link", "three-endpoints", "not-linked", "no-bandwidth", "two-owners"],
+)
+def test_substrate_refusals_name_their_subject(capsys, tmp_path, substrate, problem):
+    world = World()
+    with pytest.raises(SubstrateError) as err:
+        world.add_substrate(substrate)
+    assert err.value.problems == [problem]
+    assert world.ams == {}
+    path = tmp_path / "substrate.ndl"
+    path.write_text(substrate)
+    assert main(["delegate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {problem}\n")
+
+
+def test_broker_refuses_a_delegation_naming_two_domains():
+    world = World()
+    delegation = world.add_substrate(RING_A).delegate()
+    twin = "<urn:orca:site:twin/Domain> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+    twin += "<http://geni-orca.renci.org/owl/topology.owl#NetworkDomain> .\n"
+    before = world.broker.serialized_state()
+    with pytest.raises(SubstrateError, match="delegation must describe exactly one domain, got 2"):
+        world.broker.register_delegation(delegation + twin)
+    assert world.broker.serialized_state() == before
 
 
 def test_parse_ring_substrates_have_two_borders_each():
@@ -432,6 +487,32 @@ def test_homeomorphic_fails_on_rewired_vm():
     old = manifest.value(vm1, vocab.PROVISIONED_FROM)
     manifest.remove(Triple(vm1, vocab.PROVISIONED_FROM, old))
     manifest.add(Triple(vm1, vocab.PROVISIONED_FROM, req.nodes[0].iri))
+    assert not check_homeomorphic(req, manifest)
+
+
+PAIR = "urn:orca:request:pair/"
+DEMO1 = "urn:orca:slice:demo1/"
+
+
+@pytest.mark.parametrize(
+    "subject, predicate, obj",
+    [
+        # vm/0 is provisioned from two request nodes
+        (DEMO1 + "vm/0", vocab.PROVISIONED_FROM, PAIR + "Node/2"),
+        # the hop gains a third edge, so smoothing leaves it
+        (DEMO1 + "net/0/hop/0", vocab.CONNECTED_TO, DEMO1 + "vm/0"),
+        # a second entity provisioned from a request node
+        ("urn:extra", vocab.PROVISIONED_FROM, PAIR + "Node/1"),
+        # a second image of the request link
+        ("urn:extra", vocab.PROVISIONED_FROM, PAIR + "Link/1"),
+    ],
+    ids=["conflicting-provenance", "hop-left-after-smoothing", "node-twice", "link-twice"],
+)
+def test_homeomorphic_refuses_an_edited_manifest(subject, predicate, obj):
+    req, plan = _embedded_pair()
+    manifest = build_manifest(req, plan)
+    assert check_homeomorphic(req, manifest)
+    manifest.add(Triple(Iri(subject), predicate, Iri(obj)))
     assert not check_homeomorphic(req, manifest)
 
 

@@ -13,10 +13,12 @@ from netslice.graphstore import (
     Literal,
     Model,
     OWL_CLASS,
+    OWL_INVERSE_OF,
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_RANGE,
     RDFS_SUBCLASS_OF,
+    RDFS_SUBPROPERTY_OF,
     Triple,
     Var,
     entail,
@@ -391,3 +393,149 @@ def test_satisfies_follows_subclass_closure():
     assert satisfies(schema, vocab.VM, vocab.COMPUTE_ELEMENT)
     assert not satisfies(schema, vocab.VM, vocab.BARE_METAL_CE)
     assert not satisfies(schema, vocab.COMPUTE_ELEMENT, vocab.VM)
+
+
+# -- conformance typing: one closure, asserted types -----------------------------
+
+
+def _without_domain_range(m: Model) -> Model:
+    out = m.copy()
+    for t in [*m.match(p=RDFS_DOMAIN), *m.match(p=RDFS_RANGE)]:
+        out.remove(t)
+    return out
+
+
+_TBOX_WITHOUT_DOMAIN_RANGE = entail(_without_domain_range(builtin_schema())).freeze()
+
+
+def _two_closure_conformance(*docs: Model, closed=None) -> list:
+    """Conformance as it read when typing consulted a second closure: the
+    documents without their domain/range axioms, closed onto the closure of
+    the T-box without its own (`closed`, when the caller already has it).
+    The other checks are the same."""
+    m = docs[0] if len(docs) == 1 else merge(docs)
+    if closed is None:
+        closed = entail(_without_domain_range(m), closed=_TBOX_WITHOUT_DOMAIN_RANGE)
+    domains = Model()
+    domains.add_all(entailed_schema().match(p=RDFS_DOMAIN))
+    domains.add_all(m.match(p=RDFS_DOMAIN))
+    declared = {}
+    for s, _, o in domains.match(p=RDFS_DOMAIN):
+        if isinstance(o, Iri):
+            declared.setdefault(s, o)
+    schema_types = {OWL_CLASS, vocab.OWL_OBJECT_PROPERTY, vocab.OWL_DATATYPE_PROPERTY}
+    schema_predicates = {
+        RDF_TYPE, RDFS_SUBCLASS_OF, RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF
+    }
+    label_layers = {spec.label_class: spec for spec in vocab.LAYERS.values()}
+    issues = set()
+    for s in {t.subject for t in m}:
+        types = closed.types(s)
+        if types & schema_types:
+            continue
+        if not any(Triple(c, RDF_TYPE, OWL_CLASS) in closed for c in types):
+            issues.add(("untyped-instance", s, "no rdf:type naming a known class"))
+            continue
+        for _, p, _ in m.match(s=s):
+            dom = declared.get(p)
+            if p not in schema_predicates and dom not in (None, vocab.RDFS_CLASS) and dom not in types:
+                detail = f"{p.local()} requires {dom.local()}, subject types exclude it"
+                issues.add(("domain-violation", s, detail))
+        for label_class, spec in label_layers.items():
+            for v in m.objects(s, vocab.LABEL_VALUE) if label_class in types else ():
+                if isinstance(v, Literal) and not spec.label_ok(v.lexical):
+                    detail = f"labelValue {v.lexical!r} outside {label_class.local()} domain"
+                    issues.add(("label-out-of-range", s, detail))
+        spec = vocab.LAYERS.get(m.value(s, vocab.AT_LAYER))
+        for prop in (vocab.AVAILABLE_LABEL_SET, vocab.IN_USE_LABEL_SET) if spec and spec.pooled else ():
+            lit = m.value(s, prop)
+            if not isinstance(lit, Literal):
+                continue
+            try:
+                pool = parse_label_set(lit.lexical)
+            except ValueError:
+                issues.add(("label-out-of-range", s, f"unparseable label set {lit.lexical!r}"))
+                continue
+            if not spec.pool_in_domain(pool):
+                detail = f"label set {lit.lexical!r} exceeds layer domain"
+                issues.add(("label-out-of-range", s, detail))
+        if vocab.INTERFACE in types and not closed.objects(s, vocab.INTERFACE_OF):
+            issues.add(("dangling-interface", s, "interface attached to no element"))
+    return [f"{kind} {s.value}: {detail}" for kind, s, detail in sorted(
+        issues, key=lambda i: (i[0], i[1].value, i[2])
+    )]
+
+
+def _conformance_inputs():
+    """(name, variants of one input): each fixture document alone, beside
+    the T-box and merged into it, then seeded random schema documents, alone
+    and beside the T-box. The variants of one input have the same closure,
+    and the same two-closure reading's closure."""
+    schema = builtin_schema()
+    paths = sorted(FIXTURES.glob("**/*.ndl"))
+    assert paths
+    for path in paths:
+        doc = parse_document(path.read_text())
+        yield path.name, [(doc,), (doc, schema), (merge([schema, doc]),)]
+    rng = random.Random(0x7B0C)
+    for round_no in range(1000):
+        docs = tuple(random_schema_model(rng) for _ in range(rng.randint(1, 3)))
+        yield f"round {round_no}", [docs, (schema, *docs)]
+
+
+def test_one_closure_conformance_matches_the_two_closure_reading():
+    checked = 0
+    for name, variants in _conformance_inputs():
+        closed = close(*variants[0])
+        before = entail(_without_domain_range(merge(variants[0])), closed=_TBOX_WITHOUT_DOMAIN_RANGE)
+        for docs in variants:
+            got = [str(i) for i in validate_conformance(*docs, closed=closed)]
+            assert got == _two_closure_conformance(*docs, closed=before), name
+            checked += 1
+    assert checked >= 2000
+
+
+def test_conformance_closes_the_documents_when_no_closure_is_given():
+    for path in sorted(FIXTURES.glob("**/*.ndl")):
+        doc = parse_document(path.read_text())
+        assert validate_conformance(doc) == validate_conformance(doc, closed=close(doc)), path.name
+
+
+def test_entailed_schema_types_only_what_the_tbox_asserts():
+    # conformance reads the T-box's asserted types off its closure
+    assert set(entailed_schema().match(p=RDF_TYPE)) == set(builtin_schema().match(p=RDF_TYPE))
+
+
+_META_HEADER = """\
+@prefix comp: <http://geni-orca.renci.org/owl/compute.owl#> .
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+"""
+
+
+@pytest.mark.parametrize(
+    "body, before",
+    [
+        # a sub-property of rdf:type types no instance
+        (
+            "<urn:t> rdfs:subPropertyOf rdf:type .\n<urn:x> <urn:t> comp:VM .\n",
+            ["untyped-instance urn:t: no rdf:type naming a known class"],
+        ),
+        # a domain axiom derived through a sub-property of rdfs:domain types
+        # no instance, as an asserted one does not
+        (
+            "<urn:q> rdfs:subPropertyOf rdfs:domain .\n<urn:p> <urn:q> comp:VM .\n"
+            "<urn:x> <urn:p> <urn:y> .\n",
+            [
+                "untyped-instance urn:p: no rdf:type naming a known class",
+                "untyped-instance urn:q: no rdf:type naming a known class",
+            ],
+        ),
+    ],
+    ids=["subproperty-of-type", "derived-domain"],
+)
+def test_types_come_from_rdf_type_assertions_only(body, before):
+    doc = parse_document(_META_HEADER + body)
+    assert _two_closure_conformance(doc) == before
+    untyped_x = "untyped-instance urn:x: no rdf:type naming a known class"
+    assert [str(i) for i in validate_conformance(doc)] == sorted([*before, untyped_x])
