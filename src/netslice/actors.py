@@ -468,7 +468,7 @@ class Controller:
         with that error as the SliceError's cause."""
         try:
             raw = parse_document(request_text)
-        except (ParseError, ValueError) as e:  # a CURIE may make a malformed IRI
+        except ParseError as e:
             raise SliceError("Validation", f"unparseable request: {e}") from e
         try:
             closed = close(*self.schemas, raw)

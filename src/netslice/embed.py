@@ -38,7 +38,7 @@ from operator import and_
 from typing import NamedTuple, Optional, Sequence
 
 from . import vocab
-from .graphstore import Iri, Literal, Model, Triple, int_value, integer, string
+from .graphstore import Iri, Literal, Model, Triple, _new, int_value, integer, string
 from .models import (
     RESIDUAL_PROPERTIES, SliceRequest, SubstrateGraph, parse_substrate, pool_classes, residual_of,
 )
@@ -486,10 +486,11 @@ class DomainState:
             for prop in (available, in_use):
                 for t in list(m.match(s=subject, p=prop)):
                     m.remove(t)
-            free = self.free[(kind, subject)]
-            if kind != "label" or free:  # an exhausted label set is dropped
-                m.add(Triple(subject, available, _literal(kind, free)))
-            m.add(Triple(subject, in_use, _literal(kind, used)))
+            figures = ((available, self.free[(kind, subject)]), (in_use, used))
+            if kind == "label" and not figures[0][1]:  # an exhausted label set is dropped
+                figures = figures[1:]
+            # loaded key by key, so no later removal empties an index leaf they refill
+            m.add_all([_new(Triple, (subject, prop, _literal(kind, x))) for prop, x in figures])
         return m
 
     def conservation_problems(self) -> list:

@@ -17,6 +17,7 @@ import logging
 import re
 import weakref
 from collections import deque
+from itertools import islice
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -425,23 +426,14 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
-def _iri_term(token: str, prefixes: dict) -> Iri:
-    """The IRI of an <iri> or CURIE token. KeyError on an undeclared prefix,
-    ValueError on a malformed IRI."""
-    if token[0] == "<":
-        return Iri(token[1:-1])
-    name, local = token.split(":", 1)
-    return Iri(prefixes[name] + local)
-
-
 def parse_document(text: str) -> Model:
     """Parse an NDL-Lite document into a Model.
 
     Each line is accepted by one pattern, and each distinct term token is
     resolved once per prefix map. Raises ParseError with line/column on
-    malformed lines, undeclared prefixes, or a literal in subject or
-    predicate position, and ValueError when a CURIE or a datatype makes an
-    IRI malformed (empty, or holding a character an IRI may not hold).
+    malformed lines, undeclared prefixes, a literal in subject or predicate
+    position, or a malformed IRI (empty, or holding a character an IRI may
+    not hold) written as a term or a datatype, directly or as a CURIE.
     """
     m = Model()
     prefixes = m.prefixes
@@ -457,31 +449,27 @@ def parse_document(text: str) -> Model:
                 prefixes[name] = namespace
                 terms.clear()
             continue
-        try:
-            subject = terms.get(s) or terms.setdefault(s, _iri_term(s, prefixes))
-            predicate = terms.get(p) or terms.setdefault(p, _iri_term(p, prefixes))
-            obj = terms.get(o)
-            if obj is None:
-                if lexical is None:
-                    obj = _iri_term(o, prefixes)
-                else:
-                    if "\\" in lexical:
-                        lexical = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lexical)
-                    dt = XSD_STRING if datatype is None else _iri_term(datatype, prefixes)
-                    obj = Literal(lexical, dt)
-                terms[o] = obj
-        except (KeyError, ValueError):
-            _explain(line, lineno, prefixes)
+        at = match.start  # a fault's column is its term's, the literal's for a datatype
+        subject = terms.get(s) or terms.setdefault(s, _iri(s, prefixes, lineno, at(3) + 1))
+        predicate = terms.get(p) or terms.setdefault(p, _iri(p, prefixes, lineno, at(4) + 1))
+        obj = terms.get(o)
+        if obj is None:
+            if lexical is None:
+                obj = _iri(o, prefixes, lineno, at(5) + 1)
+            else:
+                if "\\" in lexical:
+                    lexical = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lexical)
+                dt = XSD_STRING if datatype is None else _iri(datatype, prefixes, lineno, at(5) + 1)
+                obj = Literal(lexical, dt)
+            terms[o] = obj
         triples.append(_new(Triple, (subject, predicate, obj)))
     m.add_all(triples)
     return m
 
 
 def _explain(line: str, lineno: int, prefixes: dict):
-    """Raise the first fault in a line that the line pattern rejects or
-    whose terms do not resolve, found by lexing it token by token: a
-    ParseError naming it, or the ValueError of a malformed IRI built from a
-    CURIE or written as a datatype."""
+    """Raise a ParseError naming the first fault in a line that the line
+    pattern rejects, found by lexing it token by token."""
     tokens = lex(line, ".", lineno)
     kinds = [token.kind for token in tokens]
     if kinds[0] == "word" and tokens[0].value == "@prefix":
@@ -495,38 +483,33 @@ def _explain(line: str, lineno: int, prefixes: dict):
         raise ParseError(lineno, tokens[-1].col, reason)
     else:
         for pos, token in enumerate(tokens[:3]):
-            _check_term(token, pos, prefixes)
+            if token.kind == "mark":
+                raise ParseError(lineno, token.col, "unexpected 'dot' token")
+            if token.kind == "literal" and pos < 2:
+                where = "subject" if pos == 0 else "predicate"
+                raise ParseError(lineno, token.col, f"literal not allowed in {where} position")
+            text = (token.datatype or "") if token.kind == "literal" else token.text
+            if text:
+                _iri(text, prefixes, lineno, token.col)
     raise AssertionError(f"line {lineno}: the lexer accepts what the line pattern rejects")
 
 
-def _check_term(token: "Token", pos: int, prefixes: dict) -> None:
-    """Raise the fault of a statement's term at position pos, if it has one."""
-    line, col, datatype = token.line, token.col, token.datatype or ""
-    if token.kind == "iri":
-        try:
-            Iri(token.value)
-        except ValueError as e:
-            raise ParseError(line, col, str(e)) from None
-    elif token.kind in ("word", "var"):
-        _resolve_word(token.text, prefixes, line, col)
-    elif token.kind == "mark":
-        raise ParseError(line, col, "unexpected 'dot' token")
-    elif pos < 2:
-        where = "subject" if pos == 0 else "predicate"
-        raise ParseError(line, col, f"literal not allowed in {where} position")
-    elif datatype.startswith("<"):
-        Iri(datatype[1:-1])
-    elif datatype:
-        _resolve_word(datatype, prefixes, line, col)
-
-
-def _resolve_word(word: str, prefixes: dict, lineno: int, col: int) -> Iri:
-    if ":" not in word:
-        raise ParseError(lineno, col, f"expected IRI, CURIE or literal, got {word!r}")
-    name, local = word.split(":", 1)
-    if name not in prefixes:
+def _iri(text: str, prefixes: dict, lineno: int, col: int) -> Iri:
+    """The IRI of an <iri> or CURIE, or a ParseError naming its fault at a
+    line and column."""
+    name, colon, local = text.partition(":")
+    if text.startswith("<"):
+        value = text[1:-1]
+    elif not colon:
+        raise ParseError(lineno, col, f"expected IRI, CURIE or literal, got {text!r}")
+    elif name not in prefixes:
         raise ParseError(lineno, col, f"undeclared prefix {name!r}")
-    return Iri(prefixes[name] + local)
+    else:
+        value = prefixes[name] + local
+    try:
+        return Iri(value)
+    except ValueError as e:
+        raise ParseError(lineno, col, str(e)) from None
 
 
 # -- terms: one grammar for documents, rules, BGPs, paths and scenarios -------
@@ -730,6 +713,9 @@ def merge(models: Sequence[Model]) -> Model:
 
 # The schema relations whose targets drive the rules for a predicate.
 _PROPERTY_RELATIONS = (RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF)
+_SCHEMA_RELATIONS = frozenset((RDFS_SUBCLASS_OF, *_PROPERTY_RELATIONS))
+# The placeholders of a one-triple probe (`_one_pass`): subject, IRI object, literal object.
+_S, _O, _L = Iri("urn:netslice:probe#s"), Iri("urn:netslice:probe#o"), Literal("probe#l")
 
 
 def _iri_objects(m: Model, x: Term, relation: Iri) -> tuple:
@@ -737,13 +723,71 @@ def _iri_objects(m: Model, x: Term, relation: Iri) -> tuple:
 
 
 def _schema_lookups(m: Model) -> tuple:
-    """The schema lookups of a closed base, for `m.derived`: the IRI
-    superclasses and the rule targets of each of m's subjects and predicates."""
+    """The schema lookups of a closed base, for `m.derived`: the IRI superclasses
+    and rule targets of each of m's subjects and predicates; `_compile`'s memo."""
     names = {*m._spo, *m._pos}
     return (
         {x: _iri_objects(m, x, RDFS_SUBCLASS_OF) for x in names},
         {x: tuple(_iri_objects(m, x, r) for r in _PROPERTY_RELATIONS) for x in names},
+        {},
     )
+
+
+def _compile(closed: Model, memo: dict, key) -> Optional[tuple]:
+    """memo[key]: what the fixpoint derives in closed from the probe of `key`
+    (see `_one_pass`) as _S's classes, _O's and the other triples, or None
+    if one is schema or types a node by a placeholder. It is None while the
+    fixpoint runs, so that the probe itself does not take the one pass; the
+    probe's budget is fixed, so that no caller's budget can leave it None."""
+    memo[key] = None
+    probe = Model()
+    probe.add(_new(Triple, (_S, RDF_TYPE, key) if isinstance(key, Iri) else (_S, key[0], key[1])))
+    found = ({}, {}, [])
+    for s, p, o in islice(entail(probe, 1_000_000, closed), len(closed) + 1, None):
+        if p in _SCHEMA_RELATIONS or (p is RDF_TYPE and o in (_S, _O, _L)):
+            return None
+        if p is RDF_TYPE and s in (_S, _O):
+            found[s is _O][o] = None
+        else:
+            found[2].append((s, p, o))
+    memo[key] = found
+    return found
+
+
+def _one_pass(closed: Model, fresh: Iterable, known: dict) -> Optional[dict]:
+    """What closing `fresh`, instance triples outside closed, adds to the
+    `known` triples, or None if one needs the fixpoint. The probe of (s,
+    rdf:type, c) for a class c that closed names is (_S, rdf:type, c), else
+    (_S, p, _O) or (_S, p, _L). A triple is built only when it is new."""
+    _, rules, memo = closed.derived(_schema_lookups)
+    classes, new = {}, {}  # node -> {class: None}; the new triples
+    for s, p, o in fresh:
+        if p in _SCHEMA_RELATIONS:
+            return None
+        if p is RDF_TYPE and o in rules:  # a class closed names
+            key = o
+        elif p in rules:
+            key = (p, _O if isinstance(o, Iri) else _L)
+        else:
+            continue  # closed holds no rule for p
+        found = memo[key] if key in memo else _compile(closed, memo, key)
+        if found is None:
+            return None
+        of_s, of_o, triples = found
+        if of_s:
+            classes.setdefault(s, {}).update(of_s)
+        if of_o:
+            classes.setdefault(o, {}).update(of_o)
+        if triples:
+            get = {_S: s, _O: o, _L: o}.get
+            for a, q, b in triples:
+                if (t := (get(a, a), q, get(b, b))) not in known:
+                    new[_new(Triple, t)] = None
+    for node, of_node in classes.items():
+        for c in of_node:
+            if (node, RDF_TYPE, c) not in known:
+                new[_new(Triple, (node, RDF_TYPE, c))] = None
+    return new
 
 
 def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) -> Model:
@@ -752,15 +796,15 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
     Monotone (result contains m) and idempotent. Raises
     ClosureBudgetExceeded when more than `budget` new triples get derived.
     With `closed`, a model that is already a fixpoint, the result is the
-    closure of merge([closed, m]): it starts from a copy of `closed` (which
-    shares its index dicts when `closed` is frozen) and only m's triples
-    outside it are processed, since every consequence drawn from `closed`
-    alone is in it already. m may or may not contain `closed`.
-
-    Schema lookups (each class's IRI superclasses, each predicate's IRI
-    sub-property, domain, range and inverse targets) start empty, or as
-    `closed`'s, derived once per state of it, less the IRIs that m's own
-    triples add schema about; adding (x, relation, ·) drops x's entry.
+    closure of merge([closed, m]), from a copy of `closed` (which shares its
+    index dicts when `closed` is frozen). Each rule joins one instance
+    triple with schema, so each of m's triples outside `closed` closes on
+    its own (Urbani et al., ISWC 2009), in one pass: it takes what the
+    fixpoint derived from a one-triple probe, kept per state of `closed`.
+    The fixpoint runs instead when m states a schema triple (subclass,
+    sub-property, domain, range, inverse) that `closed` lacks, or a probe
+    derives one or types a node by a placeholder; it starts from `closed`'s
+    schema lookups, less those of the IRIs m adds schema about.
     """
     if closed is None:
         out, supers, rules = m.copy(), {}, {}
@@ -768,7 +812,12 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
     else:
         out = merge([closed, m])
         agenda = deque(t for t in m if t not in closed)
-        supers, rules = map(dict, closed.derived(_schema_lookups))
+        if (new := _one_pass(closed, agenda, out._triples)) is not None:
+            if len(new) > budget:
+                raise ClosureBudgetExceeded(budget + 1, budget)
+            out.add_all(new)
+            return out
+        supers, rules = map(dict, closed.derived(_schema_lookups)[:2])
         for s, p, _ in agenda:
             if p in _PROPERTY_RELATIONS:
                 rules.pop(s, None)

@@ -21,6 +21,7 @@ from .graphstore import (
     Model,
     RDF_TYPE,
     Triple,
+    _new,
     int_value,
     integer,
     string,
@@ -341,18 +342,16 @@ def build_delegation(s: SubstrateGraph) -> Model:
     one domain node, its border interfaces, aggregate compute units, and
     border-pair internal reachability: two borders are reachable when
     substrate links join their owners, from one labelling of components."""
-    m = Model(dict(vocab.BASE_PREFIXES))
-    m.add(Triple(s.domain, RDF_TYPE, NETWORK_DOMAIN))
+    triples = [(s.domain, RDF_TYPE, NETWORK_DOMAIN)]
     for b in s.borders:
-        m.add(Triple(s.domain, HAS_INTERFACE, b.iri))
-        m.add(Triple(b.iri, RDF_TYPE, BORDER_INTERFACE))
-        m.add(Triple(b.iri, AVAILABLE_BANDWIDTH, integer(b.bandwidth)))
+        triples += [(s.domain, HAS_INTERFACE, b.iri), (b.iri, RDF_TYPE, BORDER_INTERFACE)]
+        triples.append((b.iri, AVAILABLE_BANDWIDTH, integer(b.bandwidth)))
         if b.layer is not None:
-            m.add(Triple(b.iri, AT_LAYER, b.layer))
+            triples.append((b.iri, AT_LAYER, b.layer))
         if b.label_pool:
-            m.add(Triple(b.iri, AVAILABLE_LABEL_SET, string(render_label_set(b.label_pool))))
+            triples.append((b.iri, AVAILABLE_LABEL_SET, string(render_label_set(b.label_pool))))
         if b.remote is not None:
-            m.add(Triple(b.iri, LINKED_TO, b.remote))
+            triples.append((b.iri, LINKED_TO, b.remote))
     # internal reachability between borders: a union-find root per owner
     root = {}
 
@@ -373,7 +372,7 @@ def build_delegation(s: SubstrateGraph) -> Model:
     for i, b1 in enumerate(s.borders):
         for b2 in s.borders[i + 1 :]:
             if find(b1.owner) == find(b2.owner):
-                m.add(Triple(b1.iri, INTERNALLY_REACHABLE, b2.iri))
+                triples.append((b1.iri, INTERNALLY_REACHABLE, b2.iri))
     # one delegated pool per distinct set of provided classes, so a host
     # that provisions several classes advertises its units once
     hosts = {}  # node -> (the classes it provisions, its units)
@@ -385,13 +384,14 @@ def build_delegation(s: SubstrateGraph) -> Model:
         totals[key] = totals.get(key, 0) + units
     for provided, total in totals.items():
         pool_node = Iri(f"{s.domain.value}/pool/{'+'.join(c.local() for c in provided)}")
-        m.add(Triple(pool_node, RDF_TYPE, SERVER_CLOUD))
-        m.add(Triple(pool_node, IN_DOMAIN, s.domain))
-        m.add_all(Triple(pool_node, PROVISIONS, c) for c in provided)
-        m.add(Triple(pool_node, AVAILABLE_UNITS, integer(total)))
+        triples += [(pool_node, RDF_TYPE, SERVER_CLOUD), (pool_node, IN_DOMAIN, s.domain)]
+        triples += [(pool_node, PROVISIONS, c) for c in provided]
+        triples.append((pool_node, AVAILABLE_UNITS, integer(total)))
     if any(d.label_translator for d in s.devices):
-        m.add(Triple(s.domain, RDF_TYPE, LABEL_TRANSLATOR))
-    m.add_all(s.class_axioms)
+        triples.append((s.domain, RDF_TYPE, LABEL_TRANSLATOR))
+    triples.extend(s.class_axioms)
+    m = Model(dict(vocab.BASE_PREFIXES))
+    m.add_all([_new(Triple, t) for t in triples])
     return m
 
 
@@ -595,7 +595,7 @@ def build_manifest(req: SliceRequest, plan) -> Model:
     for name, ns in vocab.BASE_PREFIXES.items():
         m.prefixes.setdefault(name, ns)
     m.prefixes.setdefault("sl", base + "/")
-    m.add_all(req.model)
+    triples = list(req.model)
 
     vm_of = {}
     for k, node in enumerate(req.nodes):
@@ -604,27 +604,24 @@ def build_manifest(req: SliceRequest, plan) -> Model:
             raise PlanIncomplete(f"no placement for node {node.iri.value}")
         vm = Iri(f"{base}/vm/{k}")
         vm_of[node.iri] = vm
-        m.add(Triple(vm, RDF_TYPE, placement.compute_class))
-        m.add(Triple(vm, PROVISIONED_FROM, node.iri))
-        m.add(Triple(vm, IN_DOMAIN, placement.domain))
-        m.add(Triple(vm, MANAGEMENT_ADDRESS, string(placement.management_address or "")))
+        triples += [(vm, RDF_TYPE, placement.compute_class), (vm, PROVISIONED_FROM, node.iri)]
+        triples.append((vm, IN_DOMAIN, placement.domain))
+        triples.append((vm, MANAGEMENT_ADDRESS, string(placement.management_address or "")))
         if placement.host is not None:
-            m.add(Triple(vm, HOSTED_ON, placement.host))
+            triples.append((vm, HOSTED_ON, placement.host))
 
     for j, link in enumerate(req.links):
         realization = plan.realizations.get(link.iri)
         if realization is None:
             raise PlanIncomplete(f"no realization for link {link.iri.value}")
         net = Iri(f"{base}/net/{j}")
-        m.add(Triple(net, RDF_TYPE, NETWORK_CONNECTION))
-        m.add(Triple(net, AT_LAYER, link.layer))
-        m.add(Triple(net, PROVISIONED_FROM, link.iri))
-        for label in sorted(realization.labels()):
-            m.add(Triple(net, ALLOCATED_LABEL, integer(label)))
+        triples += [(net, RDF_TYPE, NETWORK_CONNECTION), (net, AT_LAYER, link.layer)]
+        triples.append((net, PROVISIONED_FROM, link.iri))
+        triples += [(net, ALLOCATED_LABEL, integer(n)) for n in sorted(realization.labels())]
         root_vm = vm_of.get(realization.root_node)
         if root_vm is None:
             raise PlanIncomplete(f"link {link.iri.value} root node is not placed")
-        m.add(Triple(net, CONNECTED_TO, root_vm))
+        triples.append((net, CONNECTED_TO, root_vm))
         hop_counter = 0
         for branch in realization.branches:
             target_vm = vm_of.get(branch.to_node)
@@ -634,15 +631,14 @@ def build_manifest(req: SliceRequest, plan) -> Model:
             for device, label in branch.hop_devices():
                 hop = Iri(f"{base}/net/{j}/hop/{hop_counter}")
                 hop_counter += 1
-                m.add(Triple(hop, RDF_TYPE, PATH_HOP))
-                m.add(Triple(hop, PROVISIONED_FROM, link.iri))
-                m.add(Triple(hop, HOP_DEVICE, device))
-                m.add(Triple(hop, HOP_INDEX, integer(hop_counter - 1)))
+                triples += [(hop, RDF_TYPE, PATH_HOP), (hop, PROVISIONED_FROM, link.iri)]
+                triples += [(hop, HOP_DEVICE, device), (hop, HOP_INDEX, integer(hop_counter - 1))]
                 if label is not None:
-                    m.add(Triple(hop, HOP_LABEL, integer(label)))
-                m.add(Triple(prev, CONNECTED_TO, hop))
+                    triples.append((hop, HOP_LABEL, integer(label)))
+                triples.append((prev, CONNECTED_TO, hop))
                 prev = hop
-            m.add(Triple(prev, CONNECTED_TO, target_vm))
+            triples.append((prev, CONNECTED_TO, target_vm))
+    m.add_all([_new(Triple, t) for t in triples])
     return m
 
 

@@ -28,9 +28,10 @@ from .graphstore import (
     RDFS_NS,
     RDFS_RANGE,
     RDFS_SUBCLASS_OF,
-    RDFS_SUBPROPERTY_OF,
     Triple,
     XSD_NS,
+    _SCHEMA_RELATIONS,
+    _new as _new_tuple,
     entail,
     merge,
 )
@@ -259,24 +260,17 @@ _LABEL_CLASS_LAYER = {spec.label_class: spec for spec in LAYERS.values()}
 
 def builtin_schema() -> Model:
     """The T-box as a Model. Constructed fresh; callers may mutate."""
-    m = Model(BASE_PREFIXES)
-    classes = {NETWORK_ELEMENT, RESERVATION, INTERVAL}
-    for sub, sup in _SUBCLASSES:
-        m.add(Triple(sub, RDFS_SUBCLASS_OF, sup))
-        classes.add(sub)
-        classes.add(sup)
-    for c in sorted(classes, key=lambda c: c.value):
-        m.add(Triple(c, RDF_TYPE, OWL_CLASS))
-    for prop, (dom, rng) in _OBJECT_PROPERTIES.items():
-        m.add(Triple(prop, RDF_TYPE, OWL_OBJECT_PROPERTY))
-        m.add(Triple(prop, RDFS_DOMAIN, dom))
-        m.add(Triple(prop, RDFS_RANGE, rng))
-    for a, b in _INVERSES:
-        m.add(Triple(a, OWL_INVERSE_OF, b))
+    classes = {NETWORK_ELEMENT, RESERVATION, INTERVAL}.union(*_SUBCLASSES)
+    triples = [(sub, RDFS_SUBCLASS_OF, sup) for sub, sup in _SUBCLASSES]
+    triples += [(c, RDF_TYPE, OWL_CLASS) for c in sorted(classes, key=lambda c: c.value)]
+    for p, (dom, rng) in _OBJECT_PROPERTIES.items():
+        triples += [(p, RDF_TYPE, OWL_OBJECT_PROPERTY), (p, RDFS_DOMAIN, dom), (p, RDFS_RANGE, rng)]
+    triples += [(a, OWL_INVERSE_OF, b) for a, b in _INVERSES]
     for prop, dom in _DATA_PROPERTIES.items():
-        m.add(Triple(prop, RDF_TYPE, OWL_DATATYPE_PROPERTY))
-        m.add(Triple(prop, RDFS_DOMAIN, dom))
-        m.add(Triple(prop, RDFS_RANGE, RDFS_CLASS))
+        triples += [(prop, RDF_TYPE, OWL_DATATYPE_PROPERTY), (prop, RDFS_DOMAIN, dom)]
+        triples.append((prop, RDFS_RANGE, RDFS_CLASS))
+    m = Model(BASE_PREFIXES)
+    m.add_all([_new_tuple(Triple, t) for t in triples])
     return m
 
 
@@ -507,9 +501,7 @@ class ConformanceIssue:
         return f"{self.kind} {self.subject.value}: {self.detail}"
 
 
-_SCHEMA_PREDICATES = {
-    RDF_TYPE, RDFS_SUBCLASS_OF, RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF
-}
+_SCHEMA_PREDICATES = {RDF_TYPE, *_SCHEMA_RELATIONS}
 
 _SCHEMA_TYPES = {OWL_CLASS, OWL_OBJECT_PROPERTY, OWL_DATATYPE_PROPERTY}
 

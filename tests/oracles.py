@@ -495,8 +495,14 @@ def _reference_scan_string(text: str, i: int, lineno: int):
 def reference_parse_document(text: str) -> Model:
     """An NDL-Lite document parsed line by line with a character scanner:
     the parser the line pattern replaced. Same Model, same ParseError (line,
-    column and message) and the same ValueError on a malformed IRI."""
+    column and message), also on a malformed IRI."""
     m = Model()
+
+    def iri(value: str, lineno: int, col: int) -> Iri:
+        try:
+            return Iri(value)
+        except ValueError as e:
+            raise ParseError(lineno, col, str(e)) from None
 
     def resolve_word(word: str, lineno: int, col: int) -> Iri:
         if ":" not in word:
@@ -504,7 +510,7 @@ def reference_parse_document(text: str) -> Model:
         name, local = word.split(":", 1)
         if name not in m.prefixes:
             raise ParseError(lineno, col, f"undeclared prefix {name!r}")
-        return Iri(m.prefixes[name] + local)
+        return iri(m.prefixes[name] + local, lineno, col)
 
     for lineno, line in enumerate(text.split("\n"), start=1):
         tokens = _reference_scan_line(line, lineno)
@@ -533,10 +539,7 @@ def reference_parse_document(text: str) -> Model:
         terms = []
         for pos, (kind, value, col, dt_spec) in enumerate(tokens[:3]):
             if kind == "iri":
-                try:
-                    terms.append(Iri(value))
-                except ValueError as e:
-                    raise ParseError(lineno, col, str(e)) from None
+                terms.append(iri(value, lineno, col))
             elif kind == "word":
                 terms.append(resolve_word(value, lineno, col))
             elif kind == "literal":
@@ -547,7 +550,7 @@ def reference_parse_document(text: str) -> Model:
                 if dt_spec is None:
                     terms.append(Literal(value))
                 elif dt_spec[0] == "iri":
-                    terms.append(Literal(value, Iri(dt_spec[1])))
+                    terms.append(Literal(value, iri(dt_spec[1], lineno, col)))
                 else:
                     terms.append(Literal(value, resolve_word(dt_spec[1], lineno, col)))
             else:

@@ -308,3 +308,24 @@ def test_criterion_9_format_stability():
     golden_manifest = (FIXTURES / "golden" / "demo1-manifest.ndl").read_text()
     assert manifest == golden_manifest
     _ok(9, "fixtures + 1000 random documents are parse/serialize fixpoints; goldens stable")
+
+
+# The event-log digests of one seed-1 round of the two World workloads of
+# perfbench (`perfbench/run.py` prints them as `digest=`): a change that
+# moves an embedding, an admission or an event line moves them.
+_WORKLOAD_DIGESTS = {
+    "churn-vlan": "8b1b920abe87be6f81f937def3f334ac8847b8469adecb8f43e41b11015326b8",
+    "wide-ring": "3699bda0b72ca3e0ff77dc250ab496e8f9aa5b41c3b19751a2b8cdf3cfec3f9e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOAD_DIGESTS))
+def test_world_workload_rounds_keep_their_event_log_digests(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(str(FIXTURES.parent))
+    from perfbench.workloads import WORKLOADS, Recorder
+
+    workload = WORKLOADS[name](1, tmp_path)
+    rec = Recorder()
+    digest = workload.round(workload.setup(), rec, checks=False)
+    assert rec.failed == {}
+    assert digest == _WORKLOAD_DIGESTS[name]

@@ -157,7 +157,8 @@ def test_request_naming_a_malformed_iri_fails_validation_and_holds_nothing():
     assert record.state == "Closed"
     assert record.failure.step == "Validation"
     assert record.failure.detail == (
-        "unparseable request: IRI contains forbidden character '|': 'urn:orca:request:pair/a|b'"
+        "unparseable request: line 34, col 11: "
+        "IRI contains forbidden character '|': 'urn:orca:request:pair/a|b'"
     )
     assert world.serialized_states() == before
 

@@ -59,7 +59,7 @@ def test_validate_curie_naming_a_malformed_iri_exits_two_naming_the_file(tmp_pat
     bad.write_text("@prefix x: <urn:x/> .\nx:a x:p|q x:b .\n")
     code, out, err = _run(capsys, "validate", bad)
     assert (code, out) == (2, "")
-    assert err == f"error: {bad}: IRI contains forbidden character '|': 'urn:x/p|q'\n"
+    assert err == f"error: {bad}: line 2, col 5: IRI contains forbidden character '|': 'urn:x/p|q'\n"
 
 
 def test_entail_emits_closure(capsys):

@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import netslice
-from netslice import vocab
+from netslice import graphstore, vocab
 from netslice.graphstore import (
     Iri,
     Literal,
@@ -27,6 +27,7 @@ from netslice.graphstore import (
     parse_document,
     query_bgp,
     serialize_document,
+    string,
 )
 from netslice.vocab import (
     LabelSet,
@@ -41,7 +42,7 @@ from netslice.vocab import (
 
 from conftest import FIXTURES, LOOSE_LABEL_SETS
 from generators import random_schema_model
-from oracles import reference_parse_label_set, reference_render_label_set
+from oracles import naive_entail, reference_parse_label_set, reference_render_label_set
 
 import pytest
 from hypothesis import given, settings
@@ -539,3 +540,177 @@ def test_types_come_from_rdf_type_assertions_only(body, before):
     assert _two_closure_conformance(doc) == before
     untyped_x = "untyped-instance urn:x: no rdf:type naming a known class"
     assert [str(i) for i in validate_conformance(doc)] == sorted([*before, untyped_x])
+
+
+# -- one-pass closure against the built-in T-box --------------------------------
+
+_TBOX = entailed_schema()
+_CLASSES = _TBOX.typed(OWL_CLASS)
+_OBJECT_PROPERTIES = _TBOX.typed(vocab.OWL_OBJECT_PROPERTY)
+_DATA_PROPERTIES = _TBOX.typed(vocab.OWL_DATATYPE_PROPERTY)
+_FRESH = [Iri("urn:doc/p"), Iri("urn:doc/C")]  # a predicate and a class the T-box never names
+# instance nodes, and T-box classes and properties standing as nodes
+_NODES = [Iri(f"urn:doc/n{i}") for i in range(4)] + [vocab.INTERFACE, vocab.HAS_INTERFACE]
+_LITERALS = [string("x"), integer(7), Literal("2-4094")]
+
+_instance_triple = st.one_of(
+    st.tuples(
+        st.sampled_from(_NODES),
+        st.sampled_from(_OBJECT_PROPERTIES + _FRESH[:1]),
+        st.sampled_from(_NODES + _CLASSES + _FRESH[1:]),
+    ),
+    st.tuples(
+        st.sampled_from(_NODES),
+        st.sampled_from(_DATA_PROPERTIES + _OBJECT_PROPERTIES[:2] + _FRESH[:1]),
+        st.sampled_from(_LITERALS),
+    ),
+    st.tuples(
+        st.sampled_from(_NODES),
+        st.just(RDF_TYPE),
+        st.sampled_from(_CLASSES + _FRESH + _NODES[:1] + _LITERALS[:1]),
+    ),
+)
+
+
+def _document(triples) -> Model:
+    doc = Model()
+    doc.add_all(Triple(*t) for t in triples)
+    return doc
+
+
+def _fresh(closed: Model, doc: Model) -> list:
+    return [t for t in doc if t not in closed]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_instance_triple, max_size=14))
+def test_one_pass_closure_matches_the_naive_fixpoint(triples):
+    # every object and datatype property (inverse pairs among them), IRI
+    # and literal objects, a predicate and a class the T-box never names,
+    # and T-box classes and properties as subjects and objects
+    doc = _document(triples)
+    assert graphstore._one_pass(_TBOX, _fresh(_TBOX, doc), {}) is not None
+    assert set(close(doc)) == naive_entail(merge([builtin_schema(), doc]))
+
+
+def test_every_builtin_property_closes_in_one_pass_like_the_fixpoint():
+    # one triple per predicate and object kind, against the plain fixpoint
+    # over the schema merge (criterion 4 holds that one to the naive oracle)
+    nodes = [Iri("urn:doc/a"), Iri("urn:doc/b")]
+    for p in _OBJECT_PROPERTIES + _DATA_PROPERTIES + [RDF_TYPE]:
+        for o in [nodes[1], string("v"), *_CLASSES]:
+            doc = _document([(nodes[0], p, o)])
+            assert graphstore._one_pass(_TBOX, _fresh(_TBOX, doc), {}) is not None
+            assert close(doc) == entail(merge([builtin_schema(), doc])), (p, o)
+
+
+_EXT = [Iri(f"urn:ext/{name}") for name in ("q", "dom", "C", "D")]
+
+# Schema a document states: each needs the fixpoint. The last three give an
+# instance predicate a schema predicate as a super-property, so that its
+# instance triples derive schema or type a node by their object.
+_SCHEMA_FORMS = [
+    [(_EXT[2], RDFS_SUBCLASS_OF, vocab.INTERFACE), (_NODES[0], RDF_TYPE, _EXT[2])],
+    [(vocab.INTERFACE, RDFS_SUBCLASS_OF, _EXT[3]), (_NODES[1], vocab.HAS_INTERFACE, _NODES[2])],
+    [(_EXT[0], RDFS_SUBPROPERTY_OF, vocab.LINKED_TO), (_NODES[0], _EXT[0], _NODES[3])],
+    [(_EXT[0], RDFS_DOMAIN, _EXT[2]), (_EXT[0], RDFS_RANGE, vocab.INTERFACE)],
+    [(vocab.HAS_INTERFACE, OWL_INVERSE_OF, _EXT[0]), (_NODES[2], _EXT[0], _NODES[1])],
+    [(_EXT[0], RDFS_SUBPROPERTY_OF, RDF_TYPE), (_NODES[0], _EXT[0], vocab.INTERFACE)],
+    [(_EXT[1], RDFS_SUBPROPERTY_OF, RDFS_DOMAIN), (_EXT[0], _EXT[1], _EXT[2])],
+    [(_EXT[1], RDFS_SUBPROPERTY_OF, RDFS_DOMAIN), (vocab.LINKED_TO, _EXT[1], _EXT[3])],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(_SCHEMA_FORMS), min_size=1, max_size=3),
+    st.lists(_instance_triple, max_size=10),
+)
+def test_documents_stating_schema_take_the_fixpoint(forms, triples):
+    doc = _document([t for form in forms for t in form] + triples)
+    assert graphstore._one_pass(_TBOX, _fresh(_TBOX, doc), {}) is None
+    assert set(close(doc)) == naive_entail(merge([builtin_schema(), doc]))
+
+
+@pytest.mark.parametrize("extension", _SCHEMA_FORMS[5:], ids=["sub-type", "sub-domain", "sub-domain-of-tbox"])
+def test_probes_that_derive_schema_or_type_by_a_placeholder_take_the_fixpoint(extension):
+    # the extension is part of the closed base here, so the document states
+    # no schema: its instance triple's probe derives a schema triple, or an
+    # rdf:type triple whose class is the probe's object
+    ext = _document(extension[:1])
+    base = entail(merge([builtin_schema(), ext])).freeze()
+    doc = _document(extension[1:] + [(_NODES[0], vocab.LINKED_TO, _NODES[1])])
+    assert graphstore._one_pass(base, _fresh(base, doc), {}) is None
+    assert set(entail(doc, closed=base)) == naive_entail(merge([builtin_schema(), ext, doc]))
+
+
+def test_one_pass_budget_raises_exactly_past_the_derived_count():
+    docs = [parse_document((FIXTURES / name).read_text()) for name in ("renci.ndl", "request-pair.ndl")]
+    for doc in docs:
+        assert graphstore._one_pass(_TBOX, _fresh(_TBOX, doc), {}) is not None
+        derived = len(naive_entail(merge([builtin_schema(), doc]))) - len(merge([_TBOX, doc]))
+        assert derived > 1
+        for budget in (0, derived - 1, derived, derived + 1):
+            if derived > budget:
+                with pytest.raises(graphstore.ClosureBudgetExceeded) as err:
+                    entail(doc, budget=budget, closed=_TBOX)
+                assert (err.value.derived, err.value.cap) == (budget + 1, budget)
+            else:
+                got = entail(doc, budget=budget, closed=_TBOX)
+                assert len(got) - len(merge([_TBOX, doc])) == derived
+
+
+def test_fresh_names_leave_the_consequence_memo_as_it_was():
+    names = {*_TBOX._spo, *_TBOX._pos}
+    memo = _TBOX.derived(graphstore._schema_lookups)[2]
+    close(_document([(_NODES[0], _FRESH[0], _NODES[1]), (_NODES[0], RDF_TYPE, _FRESH[1])]))
+    before = dict(memo)
+    doc = Model()
+    for i in range(10_000):
+        node = Iri(f"urn:many/n{i}")
+        doc.add(Triple(node, Iri(f"urn:many/p{i}"), Iri(f"urn:many/o{i}")))
+        doc.add(Triple(node, Iri(f"urn:many/d{i}"), string(str(i))))
+        doc.add(Triple(node, RDF_TYPE, Iri(f"urn:many/C{i}")))
+    closed = close(doc)
+    assert len(closed) == len(_TBOX) + len(doc)
+    assert memo == before
+    assert all((key if isinstance(key, Iri) else key[0]) in names for key in memo)
+
+
+# Lists the closure of a fixture document after interning `argv[1]` other
+# IRIs first, which moves the identity hashes of every term.
+_LIST_CLOSURE = """
+import sys
+from netslice.graphstore import Iri, parse_document
+padding = [Iri(f"urn:pad/{i}") for i in range(int(sys.argv[1]))]
+from netslice.vocab import close
+print(list(close(parse_document(open(sys.argv[2]).read()))))
+"""
+
+
+def test_one_pass_closure_lists_in_the_same_order_in_every_interpreter():
+    src = str(Path(netslice.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    listings = [
+        subprocess.run(
+            [sys.executable, "-c", _LIST_CLOSURE, str(padding), str(FIXTURES / "renci.ndl")],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for padding in (0, 7)
+    ]
+    assert listings[0] == listings[1] != ""
+
+
+def test_a_refused_closure_leaves_every_compiled_consequence_usable(monkeypatch):
+    # a caller's small default budget (as the budget tests set it) refuses
+    # the document, but no probe compiled meanwhile is kept as needing the
+    # fixpoint for the rest of the process
+    base = entail(builtin_schema()).freeze()
+    doc = parse_document((FIXTURES / "renci.ndl").read_text())
+    monkeypatch.setattr(graphstore.entail, "__defaults__", (5, None))
+    with pytest.raises(graphstore.ClosureBudgetExceeded):
+        entail(doc, closed=base)
+    monkeypatch.undo()
+    assert None not in base.derived(graphstore._schema_lookups)[2].values()
+    assert graphstore._one_pass(base, _fresh(base, doc), {}) is not None
