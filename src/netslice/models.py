@@ -36,7 +36,6 @@ from .vocab import (
     COMPUTE_ELEMENT,
     CONNECTED_TO,
     DEVICE,
-    DISK_IMAGE,
     ELEMENT,
     HAS_ADAPTATION,
     HAS_BEGINNING,
@@ -61,7 +60,6 @@ from .vocab import (
     NETWORK_CONNECTION,
     NETWORK_DOMAIN,
     PATH_HOP,
-    POST_BOOT_SCRIPT,
     PROVISIONED_FROM,
     PROVISIONS,
     RESERVATION,
@@ -161,15 +159,12 @@ class SubstrateLink:
     iri: Iri
     interfaces: tuple  # exactly two, sorted by IRI
     layer: Iri
-    capacity: int
-    label_pool: LabelSet  # the labels the document states free
 
 
 @dataclass(frozen=True)
 class ComputePool:
     node: Iri  # attachment point; a device with interfaces
     provides: Iri  # compute element class provisioned from this pool
-    units: int
 
 
 @dataclass(frozen=True)
@@ -177,8 +172,6 @@ class BorderInterface:
     iri: Iri
     owner: Iri  # internal device owning the interface
     layer: Optional[Iri]
-    bandwidth: int
-    label_pool: LabelSet  # the labels the document states free
     remote: Optional[Iri]  # the peer border interface in another domain
 
 
@@ -189,6 +182,7 @@ class SubstrateGraph:
     links: tuple
     pools: tuple
     borders: tuple
+    residual: dict  # residual_of the model: the only copy of its figures
     class_axioms: tuple = ()  # subclass triples for provider-defined pool classes
 
 
@@ -204,16 +198,15 @@ def _pool_problems(kind: str, subject: Iri, layer, pool: LabelSet):
         yield f"{kind} {subject.value} label pool exceeds layer domain {domain}"
 
 
-def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph:
+def parse_substrate(m: Model) -> SubstrateGraph:
     """Typed view of an entailed substrate advertisement: the domain's
-    devices, links, compute pools and border interfaces. `residual` is
-    residual_of(m), when the caller already has it.
+    devices, links, compute pools and border interfaces, and its checked
+    residual_of figures.
 
     Raises SubstrateError listing every problem found in the links,
     borders, label pools and adaptations. Adaptations are checked but not
     kept: the search reads them, and device layers, from the model."""
-    if residual is None:
-        residual = residual_of(m)
+    residual = residual_of(m)
     problems = []
     domains = m.typed(NETWORK_DOMAIN)
     if len(domains) != 1:
@@ -248,10 +241,9 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
     for node in sorted({t.subject for t in m.match(p=PROVISIONS)}, key=lambda s: s.value):
         if m.value(node, IN_DOMAIN) != domain:
             continue
-        units = residual.get(("units", node), 0)
         for cls in m.objects(node, PROVISIONS):
             if isinstance(cls, Iri):
-                pools.append(ComputePool(node=node, provides=cls, units=units))
+                pools.append(ComputePool(node=node, provides=cls))
     attach_points = device_iris | {p.node for p in pools}
 
     links = []
@@ -279,13 +271,11 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
         if not isinstance(layer, Iri):
             problems.append(f"link {link.value} has no atLayer")
             continue
-        capacity = residual.get(("bw", link))
-        if capacity is None or capacity < 0:
+        if residual.get(("bw", link), -1) < 0:
             problems.append(f"link {link.value} has no non-negative availableBandwidth")
-            capacity = 0
         pool = residual.get(("label", link), NO_LABELS)
         problems.extend(_pool_problems("link", link, layer, pool))
-        links.append(SubstrateLink(link, (a, b), layer, capacity, pool))
+        links.append(SubstrateLink(link, (a, b), layer))
     links.sort(key=lambda l: l.iri.value)
 
     local_ifaces = {
@@ -310,8 +300,6 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
                 iri=bif,
                 owner=owners[0],
                 layer=layer if isinstance(layer, Iri) else None,
-                bandwidth=residual.get(("bw", bif), 0),
-                label_pool=pool,
                 remote=remotes[0] if remotes else None,
             )
         )
@@ -333,23 +321,28 @@ def parse_substrate(m: Model, residual: Optional[dict] = None) -> SubstrateGraph
                     axioms.append(t)
     axioms = tuple(sorted(set(axioms), key=lambda t: (t.subject.value, t.predicate.value, str(t.object))))
     return SubstrateGraph(
-        domain, tuple(devices), tuple(links), tuple(pools), tuple(borders), axioms
+        domain, tuple(devices), tuple(links), tuple(pools), tuple(borders), residual, axioms
     )
 
 
-def build_delegation(s: SubstrateGraph) -> Model:
+def build_delegation(s: SubstrateGraph, free: Optional[dict] = None) -> Model:
     """Compress a substrate into the abstract delegation advertised to a broker:
     one domain node, its border interfaces, aggregate compute units, and
     border-pair internal reachability: two borders are reachable when
-    substrate links join their owners, from one labelling of components."""
+    substrate links join their owners, from one labelling of components.
+    Figures come from `free`, keyed like residual_of, by default the
+    substrate's own."""
+    if free is None:
+        free = s.residual
     triples = [(s.domain, RDF_TYPE, NETWORK_DOMAIN)]
     for b in s.borders:
         triples += [(s.domain, HAS_INTERFACE, b.iri), (b.iri, RDF_TYPE, BORDER_INTERFACE)]
-        triples.append((b.iri, AVAILABLE_BANDWIDTH, integer(b.bandwidth)))
+        triples.append((b.iri, AVAILABLE_BANDWIDTH, integer(free.get(("bw", b.iri), 0))))
         if b.layer is not None:
             triples.append((b.iri, AT_LAYER, b.layer))
-        if b.label_pool:
-            triples.append((b.iri, AVAILABLE_LABEL_SET, string(render_label_set(b.label_pool))))
+        pool = free.get(("label", b.iri), NO_LABELS)
+        if pool:
+            triples.append((b.iri, AVAILABLE_LABEL_SET, string(render_label_set(pool))))
         if b.remote is not None:
             triples.append((b.iri, LINKED_TO, b.remote))
     # internal reachability between borders: a union-find root per owner
@@ -377,7 +370,7 @@ def build_delegation(s: SubstrateGraph) -> Model:
     # that provisions several classes advertises its units once
     hosts = {}  # node -> (the classes it provisions, its units)
     for p in s.pools:
-        hosts.setdefault(p.node, (set(), p.units))[0].add(p.provides)
+        hosts.setdefault(p.node, (set(), free.get(("units", p.node), 0)))[0].add(p.provides)
     totals = {}
     for provided, units in hosts.values():
         key = tuple(sorted(provided, key=lambda c: c.value))
@@ -395,21 +388,14 @@ def build_delegation(s: SubstrateGraph) -> Model:
     return m
 
 
-@dataclass(frozen=True)
-class DelegationView:
-    """What a broker keeps of one registered delegation besides its ledger.
-    The broker routes and binds over the closed delegation models, and reads
-    the pools' units from its free figures."""
-
-    domain: Iri
-
-
-def parse_delegation(m: Model) -> DelegationView:
-    """Typed view of a closed delegation."""
+def parse_delegation(m: Model) -> Iri:
+    """The one domain a closed delegation describes. The broker routes and
+    binds over the closed delegation models, and reads figures from its
+    free map."""
     domains = m.typed(NETWORK_DOMAIN)
     if len(domains) != 1:
         raise SubstrateError([f"delegation must describe exactly one domain, got {len(domains)}"])
-    return DelegationView(domain=domains[0])
+    return domains[0]
 
 
 def pool_classes(m: Model, node: Iri) -> tuple:
@@ -427,8 +413,6 @@ class RequestNode:
     compute_class: Iri
     interfaces: tuple
     in_domain: Optional[Iri] = None
-    disk_image: Optional[str] = None
-    post_boot_script: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -459,7 +443,6 @@ class Term:
 
 @dataclass(frozen=True)
 class SliceRequest:
-    reservation: Iri
     nodes: tuple
     links: tuple
     term: Term
@@ -512,8 +495,6 @@ def parse_request(m: Model, source: Optional[Model] = None) -> SliceRequest:
         cls = _minimal_compute_class(m, types)
         if cls is not None:
             in_domain = m.value(element, IN_DOMAIN)
-            image = m.value(element, DISK_IMAGE)
-            script = m.value(element, POST_BOOT_SCRIPT)
             nodes.append(
                 RequestNode(
                     iri=element,
@@ -522,8 +503,6 @@ def parse_request(m: Model, source: Optional[Model] = None) -> SliceRequest:
                         o for o in m.objects(element, HAS_INTERFACE) if isinstance(o, Iri)
                     ),
                     in_domain=in_domain if isinstance(in_domain, Iri) else None,
-                    disk_image=image.lexical if isinstance(image, Literal) else None,
-                    post_boot_script=script.lexical if isinstance(script, Literal) else None,
                 )
             )
         elif NETWORK_CONNECTION in types:
@@ -569,7 +548,6 @@ def parse_request(m: Model, source: Optional[Model] = None) -> SliceRequest:
             if i not in owned:
                 raise RequestError(f"link {l.iri.value} interface {i.value} owned by no node")
     return SliceRequest(
-        reservation=res,
         nodes=tuple(nodes),
         links=tuple(links),
         term=term,

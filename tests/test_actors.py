@@ -7,12 +7,14 @@ from datetime import datetime, timezone
 import pytest
 
 from netslice import actors as actors_mod
-from netslice import embed as embed_mod
 from netslice import graphstore, models, rules, vocab
 from netslice.actors import DelegationRejected, RedeemError, SliceError, World
 from netslice.embed import InsufficientResources, bind_domains
 from netslice.graphstore import Iri, parse_document, serialize_document
-from netslice.models import SubstrateError, build_delegation, check_homeomorphic, parse_request
+from netslice.cli import main
+from netslice.models import (
+    SubstrateError, build_delegation, check_homeomorphic, parse_request, parse_substrate,
+)
 from netslice.vocab import close
 
 from conftest import FIXTURES, count_calls
@@ -101,29 +103,22 @@ def test_slice_id_naming_no_iri_is_refused_before_anything_is_logged_or_taken(sl
 
 
 def test_new_am_derives_its_substrate_view_once(monkeypatch):
-    calls = []
-    counted = models.parse_substrate
-
-    def counting(*args):
-        calls.append(args)
-        return counted(*args)
-
-    for module in (embed_mod, actors_mod):
-        monkeypatch.setattr(module, "parse_substrate", counting)
+    reference = models.parse_substrate
+    calls = count_calls(monkeypatch, reference)
     world = World()
     am = world.add_substrate(_fixture("renci.ndl"))
     assert len(calls) == 1
+    assert am.state.original is am.state.substrate.residual
     fresh = am.delegate()
-    assert len(calls) == 1
-    assert fresh == serialize_document(build_delegation(counted(am.state.snapshot())))
-    # once something is in use, a delegation reads the residual from the snapshot
+    assert fresh == serialize_document(build_delegation(reference(am.state.snapshot())))
+    # once something is in use, a delegation reads the live free figures, not a snapshot
     assert world.submit_request("s1", _fixture("request-pair.ndl")) is not None
     after = am.delegate()
-    assert len(calls) == 2
-    assert after == serialize_document(build_delegation(counted(am.state.snapshot())))
+    assert after == serialize_document(build_delegation(reference(am.state.snapshot())))
     assert after != fresh
     world.delete_slice("s1")
     assert am.delegate() == fresh
+    assert len(calls) == 1
 
 
 def test_a_create_closes_its_request_once(monkeypatch):
@@ -678,7 +673,20 @@ def test_broker_free_map_and_binding_follow_every_operation():
                 active.append(slice_id)
         assert broker.free == _ledger_free(broker), f"step {step}"
         assert world.conservation_problems() == [], f"step {step}"
+        for am in world.ams.values():  # live figures delegate as the snapshot re-read does
+            reference = build_delegation(parse_substrate(am.state.snapshot()))
+            assert am.delegate() == serialize_document(reference), f"step {step}"
     assert bound >= 40 and rejected >= 3
+
+
+@pytest.mark.parametrize("name", [p.name for p in sorted(FIXTURES.glob("*.ndl"))])
+def test_cli_delegate_prints_a_fresh_ams_delegation(capsys, name):
+    try:
+        expected = (0, World().add_substrate(_fixture(name)).delegate())
+    except SubstrateError:  # a request, not a substrate
+        expected = (2, "")
+    code = main(["delegate", str(FIXTURES / name)])
+    assert (code, capsys.readouterr().out) == expected
 
 
 class _CountingDict(dict):
@@ -718,7 +726,7 @@ def _neighbour_create_cost(n_domains, monkeypatch):
     for module in (vocab, actors_mod):
         monkeypatch.setattr(module, "satisfies", counting)
     broker = world.broker
-    broker.ledgers, broker.views = _CountingDict(broker.ledgers), _CountingDict(broker.views)
+    broker.ledgers = _CountingDict(broker.ledgers)
     costs = []
     for k in range(4):  # the first create builds the routing view
         slice_id = f"n{k}"

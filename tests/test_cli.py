@@ -466,6 +466,28 @@ def test_embed_bad_request_exits_two(capsys, tmp_path, request_text):
     assert "request.ndl" in err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["script", "rules", "embed-request", "scenario-rules", "scenario-request"],
+)
+def test_input_that_is_not_utf8_exits_two_naming_the_file(capsys, tmp_path, entry):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# \xff\n")
+    script = tmp_path / "s.scn"
+    if entry == "scenario-rules":
+        script.write_text("load-rules bad.txt\n")
+    elif entry == "scenario-request":
+        script.write_text(f"load-substrate {FIXTURES}/renci.ndl\nsubmit-request bad.txt as s1\n")
+    argv = {
+        "script": ("run", bad),
+        "rules": ("validate", FIXTURES / "request-pair.ndl", "--rules", bad),
+        "embed-request": ("embed", FIXTURES / "renci.ndl", "--request", bad),
+    }.get(entry, ("run", script))
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def _pair_without(*lines):
     text = PAIR_REQUEST
     for line in lines:

@@ -29,7 +29,6 @@ from netslice.graphstore import (
 from netslice.models import (
     RequestNode,
     build_delegation,
-    parse_delegation,
     parse_request,
     residual_of,
 )

@@ -61,12 +61,13 @@ def test_parse_substrate_devices_links_layer(renci_graph):
     ]
     assert len(renci_graph.links) == 2
     assert all(l.layer == vocab.ETHERNET_ELEMENT for l in renci_graph.links)
-    assert all(l.capacity == 10000 for l in renci_graph.links)
-    assert all(l.label_pool == LabelSet(range(100, 111)) for l in renci_graph.links)
+    residual = renci_graph.residual
+    assert all(residual[("bw", l.iri)] == 10000 for l in renci_graph.links)
+    assert all(residual[("label", l.iri)] == LabelSet(range(100, 111)) for l in renci_graph.links)
     # the search, not the view, reads a device's switching layer
     topology = _closed(_load("renci.ndl")).derived(embed._compile)
     assert topology.layers[rnc("Renci/6509")] == vocab.ETHERNET_ELEMENT
-    assert {(p.node, p.provides, p.units) for p in renci_graph.pools} == {
+    assert {(p.node, p.provides, residual[("units", p.node)]) for p in renci_graph.pools} == {
         (rnc("Server/A"), vocab.VM, 1),
         (rnc("Server/B"), vocab.VM, 1),
     }
@@ -227,28 +228,36 @@ def test_parse_ring_substrates_have_two_borders_each():
         assert len(graph.borders) == 2, name
         for b in graph.borders:
             assert b.remote is not None
-            assert b.bandwidth == 5000
+            assert graph.residual[("bw", b.iri)] == 5000
 
 
 def test_build_delegation_borders_and_units():
     graph = parse_substrate(_closed(_load("ring-a.ndl")))
     closed = _closed(build_delegation(graph))
-    view = parse_delegation(closed)
-    assert view.domain == Iri("urn:orca:site:a/Domain")
-    borders = closed.objects(view.domain, vocab.HAS_INTERFACE)
+    domain = parse_delegation(closed)
+    assert domain == Iri("urn:orca:site:a/Domain")
+    borders = closed.objects(domain, vocab.HAS_INTERFACE)
     assert [b.value for b in borders] == [
         "urn:orca:site:a/Switch/toB",
         "urn:orca:site:a/Switch/toC",
     ]
     residual = residual_of(closed)
     assert all(residual.get(("bw", b), 0) == 5000 for b in borders)
-    assert _pool_units(view, closed) == {Iri("urn:orca:site:a/Domain/pool/VM"): ((vocab.VM,), 2)}
+    assert _pool_units(domain, closed) == {Iri("urn:orca:site:a/Domain/pool/VM"): ((vocab.VM,), 2)}
     # the two borders sit on one switch: internally reachable
     to_b, to_c = borders
     assert (
         Triple(to_b, vocab.INTERNALLY_REACHABLE, to_c) in closed
         or Triple(to_c, vocab.INTERNALLY_REACHABLE, to_b) in closed
     )
+    # figures come from the free map handed in, by default the substrate's own
+    units = ("units", Iri("urn:orca:site:a/Host"))
+    same = build_delegation(graph, graph.residual)
+    assert serialize_document(same) == serialize_document(build_delegation(graph))
+    free = {**graph.residual, ("bw", to_b): 1200, ("label", to_b): vocab.NO_LABELS, units: 1}
+    residual = residual_of(build_delegation(graph, free))
+    assert residual[("bw", to_b)] == 1200 and ("label", to_b) not in residual
+    assert residual[("units", Iri("urn:orca:site:a/Domain/pool/VM"))] == 1
 
 
 @pytest.mark.parametrize("linked", [False, True])
@@ -273,8 +282,9 @@ def test_residual_of_reads_the_stated_figures():
     assert residual[("bw", to_b)] == 5000
     assert residual[("label", to_b)] == LabelSet(range(100, 151))
     assert residual[("label", to_c)] == LabelSet(range(140, 161))
-    graph = parse_substrate(m, residual)
-    assert [l.capacity for l in graph.links] == [residual[("bw", l.iri)] for l in graph.links]
+    graph = parse_substrate(m)
+    assert graph.residual == residual
+    assert all(("bw", l.iri) in graph.residual for l in graph.links)
     # a figure that is not an integer is left out, so it reads as 0
     m.add(Triple(to_c, vocab.AVAILABLE_UNITS, string("many")))
     assert ("units", to_c) not in residual_of(m)
@@ -302,8 +312,8 @@ def test_delegation_hides_devices(renci_graph):
     assert rnc("Server/A") not in subjects
     assert rnc("Server/B") not in subjects
     assert rnc("Renci/6509") not in subjects
-    view = parse_delegation(_closed(delegation))
-    assert _pool_units(view, _closed(delegation)) == {rnc("Renci/pool/VM"): ((vocab.VM,), 2)}
+    domain = parse_delegation(_closed(delegation))
+    assert _pool_units(domain, _closed(delegation)) == {rnc("Renci/pool/VM"): ((vocab.VM,), 2)}
 
 
 def test_delegation_of_empty_substrate_is_domain_only():
@@ -326,10 +336,10 @@ def test_delegation_is_conformance_clean(renci_graph):
     assert issues == []
 
 
-def _pool_units(view, delegation) -> dict:
+def _pool_units(domain, delegation) -> dict:
     """pool node -> (its classes, its units) of a closed delegation."""
     residual = residual_of(delegation)
-    pools = {n: pool_classes(delegation, n) for n in delegation.subjects(vocab.IN_DOMAIN, view.domain)}
+    pools = {n: pool_classes(delegation, n) for n in delegation.subjects(vocab.IN_DOMAIN, domain)}
     return {pool: (classes, residual[("units", pool)]) for pool, classes in pools.items() if classes}
 
 
@@ -348,17 +358,18 @@ def test_delegation_never_exceeds_substrate():
             several += d["units"] > 0 and len(d["classes"]) > 1
         graph = parse_substrate(instance_model(instance))
         delegation = _closed(build_delegation(graph))
-        view = parse_delegation(delegation)
+        domain = parse_delegation(delegation)
         hosts = {}  # each host counted once, whatever it provisions
         for p in graph.pools:
-            hosts.setdefault(p.node, (set(), p.units))[0].add(p.provides)
-        pools = _pool_units(view, delegation)
+            units = graph.residual.get(("units", p.node), 0)
+            hosts.setdefault(p.node, (set(), units))[0].add(p.provides)
+        pools = _pool_units(domain, delegation)
         assert sum(u for _, u in pools.values()) == sum(u for _, u in hosts.values())
         for cls in classes:
             delegated = sum(u for provided, u in pools.values() if cls in provided)
             assert delegated == sum(u for provided, u in hosts.values() if cls in provided)
         border_iris = {b.iri for b in graph.borders}
-        for b in delegation.objects(view.domain, vocab.HAS_INTERFACE):
+        for b in delegation.objects(domain, vocab.HAS_INTERFACE):
             assert b in border_iris
     assert several >= 20
 
