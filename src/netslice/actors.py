@@ -37,6 +37,8 @@ from .graphstore import (
     Iri,
     Model,
     ParseError,
+    _SCHEMA_RELATIONS,
+    merge,
     parse_document,
     serialize_document,
 )
@@ -55,7 +57,7 @@ from .models import (
     residual_of,
     slice_base,
 )
-from .vocab import close, satisfies, validate_conformance
+from .vocab import close, entailed_schema, satisfies, validate_conformance
 
 
 class UnknownSlice(Exception):
@@ -319,12 +321,18 @@ class Broker:
         return domain
 
     def routing_view(self) -> Optional[Model]:
-        """Closed merge of the registered delegations, rebuilt only after a
-        registration. Shared: callers must not mutate it."""
+        """`close` of the registered delegations, rebuilt only after a
+        registration. Shared: callers must not mutate it. Every rule joins
+        one instance triple with schema, so the ledgers, each closed onto the
+        T-box, merge onto it as that closure unless one owns the index level
+        of a schema relation (states schema the T-box lacks)."""
         if self._routing is None and self.ledgers:
-            self._routing = close(
-                *(self.ledgers[d].model for d in sorted(self.ledgers, key=lambda d: d.value))
-            )
+            tbox = entailed_schema()
+            models = [self.ledgers[d].model for d in sorted(self.ledgers, key=lambda d: d.value)]
+            if all(m._pos.get(r) is tbox._pos.get(r) for m in models for r in _SCHEMA_RELATIONS):
+                self._routing = merge([tbox, *models])
+            else:
+                self._routing = close(*models)
         return self._routing
 
     def delegation_views(self) -> list:

@@ -260,13 +260,17 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
     failures = []
     last_slice = None
     for lineno, verb, args in commands:
+        if verb in ("load-substrate", "load-rules", "submit-request"):
+            try:
+                text = _read_fixture(script.parent / args[0])
+            except CliInputError as e:
+                raise ScenarioError(f"line {lineno}: {e}") from None
         if verb == "load-substrate":
             try:
-                world.add_substrate(_read_fixture(script.parent / args[0]))
+                world.add_substrate(text)
             except (ParseError, SubstrateError, ValueError) as e:
                 raise ScenarioError(f"line {lineno}: {args[0]}: {e}")
         elif verb == "load-rules":
-            text = _read_fixture(script.parent / args[0])
             try:
                 world.controller.extra_rules.extend(rules_mod.parse_ruleset(text))
             except (rules_mod.RuleSyntaxError, rules_mod.UnsafeRule) as e:
@@ -274,7 +278,7 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
         elif verb == "submit-request":
             last_slice = args[2]
             try:
-                world.submit_request(args[2], _read_fixture(script.parent / args[0]))
+                world.submit_request(args[2], text)
             except ValueError as e:  # a slice id taken or naming no IRI
                 raise ScenarioError(f"line {lineno}: {e}")
         elif verb == "delete-slice":

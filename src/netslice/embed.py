@@ -38,11 +38,11 @@ from operator import and_
 from typing import NamedTuple, Optional, Sequence
 
 from . import vocab
-from .graphstore import Iri, Literal, Model, Triple, _new, int_value, integer, string
+from .graphstore import Iri, Literal, Model, Triple, _new, int_value, integer, string, term_key
 from .models import (
     RESIDUAL_PROPERTIES, SliceRequest, SubstrateGraph, parse_substrate, pool_classes, residual_of,
 )
-from .pathquery import HopWitness, Pred, Seq, adjacent, sub_graph
+from .pathquery import HopWitness, Pred, Seq, sub_graph
 from .vocab import (
     AT_LAYER,
     IN_DOMAIN,
@@ -163,14 +163,20 @@ class _Topology(NamedTuple):
 
 
 def _compile(m: Model) -> _Topology:
-    """The search topology of m, for `m.derived(_compile)`."""
-    steps, preds = {}, {}
-    for node in dict.fromkeys(t.subject for t in m.match(p=vocab.HAS_INTERFACE)):
+    """The search topology of m, for `m.derived(_compile)`. A node's steps
+    are its DEVICE_ADJACENCY walks off the index leaves, in key order, as
+    `adjacent` lists them (keys differ, so no two IRIs are compared)."""
+    spo, steps, preds = m._spo, {}, {}
+    for node in dict.fromkeys(s for by_o in m._pos.get(vocab.HAS_INTERFACE, {}).values() for s in by_o):
         out = steps[node] = []
-        for w in adjacent(m, node, DEVICE_ADJACENCY):
-            key = (w.neighbor.value, tuple(v.value for v in w.via))
-            out.append(_Step(key, w, *_segment_of(m, *w.via)))
-            preds.setdefault(w.neighbor, []).append(node)
+        for key, n, a, b in sorted(
+            ((n.value, (a.value, b.value)), n, a, b)
+            for a in spo[node][vocab.HAS_INTERFACE] if isinstance(a, Iri)
+            for b in spo.get(a, {}).get(vocab.LINKED_TO, ()) if isinstance(b, Iri)
+            for n in spo.get(b, {}).get(vocab.INTERFACE_OF, ()) if isinstance(n, Iri) and n is not node
+        ):
+            out.append(_Step(key, HopWitness(node, n, (a, b)), *_segment_of(m, a, b)))
+            preds.setdefault(n, []).append(node)
     adaptations = set()
     for t in m.match(p=vocab.HAS_ADAPTATION):
         client = m.value(t.object, vocab.ADAPTATION_CLIENT)
@@ -257,10 +263,14 @@ def _carrier_bandwidth(free: dict, carriers) -> int:
 def _segment_of(m: Model, a_iface: Iri, b_iface: Iri):
     """The resource carriers and layer of one interface pair: (None, None)
     when the crossing layers disagree, a None layer when none is stated."""
-    for link in m.subjects(vocab.HAS_ENDPOINT, a_iface):
-        if NETWORK_CONNECTION in m.types(link) and b_iface in m.objects(link, vocab.HAS_ENDPOINT):
-            layer = m.value(link, AT_LAYER)
-            return (link,), layer if isinstance(layer, Iri) else None
+    links = [  # of several, the first in IRI order is taken
+        link for link in m._pos.get(vocab.HAS_ENDPOINT, {}).get(a_iface, ())
+        if b_iface in m._spo[link][vocab.HAS_ENDPOINT] and NETWORK_CONNECTION in m.types(link)
+    ]
+    if links:
+        link = min(links, key=term_key)
+        layer = m.value(link, AT_LAYER)
+        return (link,), layer if isinstance(layer, Iri) else None
     layers = {lv for lv in (m.value(i, AT_LAYER) for i in (a_iface, b_iface)) if isinstance(lv, Iri)}
     if len(layers) > 1:
         return None, None  # disagreeing crossing layers: unusable

@@ -10,6 +10,8 @@ manifests serialize byte-identically.
 
 from __future__ import annotations
 
+import heapq
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Optional
@@ -97,12 +99,14 @@ class LabelSetError(ValueError):
 
 
 def parse_datetime(lexical: str) -> datetime:
-    """Strict ISO 8601 UTC instant: YYYY-MM-DDTHH:MM:SSZ."""
+    """Strict ISO 8601 UTC instant: YYYY-MM-DDTHH:MM:SSZ, ASCII digits."""
     try:
-        dt = datetime.strptime(lexical, "%Y-%m-%dT%H:%M:%SZ")
+        fields = re.fullmatch(r"(?a)(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", lexical)
+        if fields is None:
+            raise ValueError("not YYYY-MM-DDTHH:MM:SSZ")
+        return datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
     except ValueError as e:
         raise ValueError(f"bad dateTime {lexical!r}: {e}") from None
-    return dt.replace(tzinfo=timezone.utc)
 
 
 def render_datetime(dt: datetime) -> str:
@@ -636,35 +640,33 @@ def check_homeomorphic(req: SliceRequest, manifest: Model) -> bool:
             corr[t.subject] = t.object
     verts = set(corr)
     hops = {v for v in verts if PATH_HOP in manifest.types(v)}
-    edges = set()
+    near = {v: set() for v in verts}  # the edges, as neighbour sets
     for t in manifest.match(p=CONNECTED_TO):
-        if t.subject in verts and isinstance(t.object, Iri) and t.object in verts:
-            if t.subject != t.object:
-                edges.add(frozenset((t.subject, t.object)))
+        if t.subject in verts and t.object in verts and t.subject is not t.object:
+            near[t.subject].add(t.object)
+            near[t.object].add(t.subject)
 
-    # smooth out degree-2 hop vertices
-    changed = True
-    while changed:
-        changed = False
-        degree = {}
-        for e in edges:
-            for v in e:
-                degree[v] = degree.get(v, 0) + 1
-        for h in sorted(hops, key=lambda v: v.value):
-            if degree.get(h, 0) == 2:
-                incident = [e for e in edges if h in e]
-                # edges are distinct pairs, so a degree-2 hop has two neighbours
-                neighbors = [v for e in incident for v in e if v != h]
-                edges -= set(incident)
-                edges.add(frozenset(neighbors))
-                hops.discard(h)
-                verts.discard(h)
-                changed = True
-                break
+    # smooth out degree-2 hops, least IRI first. No degree grows, so a hop is
+    # queued once, on reaching 2, and skipped if it has dropped below 2 since.
+    heap = [(h.value, h) for h in hops if len(near[h]) == 2]
+    heapq.heapify(heap)
+    while heap:
+        h = heapq.heappop(heap)[1]
+        if len(near[h]) != 2:
+            continue
+        a, b = near.pop(h)
+        hops.discard(h)
+        verts.discard(h)
+        for v, w in ((a, b), (b, a)):
+            near[v].discard(h)
+            if w not in near[v]:
+                near[v].add(w)
+            elif v in hops and len(near[v]) == 2:
+                heapq.heappush(heap, (v.value, v))
     if hops:
         return False  # a hop vertex survived smoothing: not a simple chain
 
-    mapped = {frozenset(corr[v] for v in e) for e in edges}
+    mapped = {frozenset((corr[v], corr[w])) for v in near for w in near[v]}
     expected = set()
     for link in req.links:
         for owner in link.owners(req):

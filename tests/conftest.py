@@ -7,6 +7,15 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 # of another literal: a sign, an underscore, spaces, non-ASCII digits ("3-5").
 LOOSE_LABEL_SETS = ["+5", "1_000", " 7 ", "5- 7", "\u0663-\u0665"]
 
+# dateTime literals strptime read as instants: one-digit fields, lower-case
+# separators, full-width digits ("2026-01-01T00:00:00Z"), a space-padded day.
+LOOSE_DATETIMES = [
+    "2026-1-5T1:2:3Z",
+    "2026-01-01t00:00:00z",
+    "\uff12\uff10\uff12\uff16-01-01T00:00:00Z",
+    "2026-01- 1T00:00:00Z",
+]
+
 
 def count_calls(monkeypatch, fn) -> list:
     """Wrap the package function fn, in every netslice module that binds it

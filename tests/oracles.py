@@ -12,6 +12,7 @@ import itertools
 import re
 from collections import Counter, deque
 
+from netslice import embed, vocab
 from netslice.embed import DEVICE_ADJACENCY
 from netslice.graphstore import (
     Iri,
@@ -26,6 +27,7 @@ from netslice.graphstore import (
     RDFS_SUBPROPERTY_OF,
     Triple,
     Var,
+    int_value,
     term_key,
 )
 from netslice.models import pool_classes
@@ -638,3 +640,86 @@ def binding_fits(broker, req, binding) -> bool:
         _serves(schema, pools.get(binding[node.iri], ((), 0))[0], node.compute_class)
         for node in req.nodes
     ) and all(n <= pools[key][1] for key, n in taken.items())
+
+
+def _reference_segment(m: Model, a_iface: Iri, b_iface: Iri):
+    """`embed._segment_of` over the sorted `subjects` and `objects` lists."""
+    for link in m.subjects(vocab.HAS_ENDPOINT, a_iface):
+        if vocab.NETWORK_CONNECTION in m.types(link) and b_iface in m.objects(link, vocab.HAS_ENDPOINT):
+            layer = m.value(link, vocab.AT_LAYER)
+            return (link,), layer if isinstance(layer, Iri) else None
+    layers = {m.value(i, vocab.AT_LAYER) for i in (a_iface, b_iface)}
+    layers = {lv for lv in layers if isinstance(lv, Iri)}
+    if len(layers) > 1:
+        return None, None
+    return (a_iface, b_iface), (layers.pop() if layers else None)
+
+
+def reference_compile(m: Model):
+    """The search topology of m built from `adjacent`: each subject of
+    hasInterface in `match` order, its witnesses in `adjacent`'s order, and
+    each step's segment over the sorted lists (`_reference_segment`)."""
+    steps, preds = {}, {}
+    for node in dict.fromkeys(t.subject for t in m.match(p=vocab.HAS_INTERFACE)):
+        out = steps[node] = []
+        for w in adjacent(m, node, DEVICE_ADJACENCY):
+            key = (w.neighbor.value, tuple(v.value for v in w.via))
+            out.append(embed._Step(key, w, *_reference_segment(m, *w.via)))
+            preds.setdefault(w.neighbor, []).append(node)
+    adaptations = set()
+    for t in m.match(p=vocab.HAS_ADAPTATION):
+        client = m.value(t.object, vocab.ADAPTATION_CLIENT)
+        server = m.value(t.object, vocab.ADAPTATION_SERVER)
+        cap = int_value(m.value(t.object, vocab.ADAPTATION_CAPACITY)) or 1
+        if isinstance(client, Iri) and isinstance(server, Iri) and cap >= 1:
+            adaptations.add((t.subject, frozenset((client, server))))
+    return embed._Topology(
+        steps,
+        preds,
+        {node: embed._device_layer(m, node) for node in (*steps, *preds)},
+        frozenset(adaptations),
+        frozenset(m.typed(vocab.NETWORK_DOMAIN)),
+        frozenset(m.typed(vocab.LABEL_TRANSLATOR)),
+        frozenset(frozenset((t.subject, t.object)) for t in m.match(p=vocab.INTERNALLY_REACHABLE)),
+    )
+
+
+def reference_check_homeomorphic(req, manifest: Model) -> bool:
+    """`check_homeomorphic` by repeated rescans: after each smoothing every
+    degree is recounted and the hops are scanned again in IRI order."""
+    corr = {}
+    for t in manifest.match(p=vocab.PROVISIONED_FROM):
+        if isinstance(t.object, Iri):
+            if t.subject in corr and corr[t.subject] != t.object:
+                return False
+            corr[t.subject] = t.object
+    verts = set(corr)
+    hops = {v for v in verts if vocab.PATH_HOP in manifest.types(v)}
+    edges = set()
+    for t in manifest.match(p=vocab.CONNECTED_TO):
+        if t.subject in verts and isinstance(t.object, Iri) and t.object in verts:
+            if t.subject != t.object:
+                edges.add(frozenset((t.subject, t.object)))
+    changed = True
+    while changed:
+        changed = False
+        degree = Counter(v for e in edges for v in e)
+        for h in sorted(hops, key=lambda v: v.value):
+            if degree[h] == 2:
+                incident = [e for e in edges if h in e]
+                neighbors = [v for e in incident for v in e if v != h]
+                edges -= set(incident)
+                edges.add(frozenset(neighbors))
+                hops.discard(h)
+                verts.discard(h)
+                changed = True
+                break
+    if hops:
+        return False
+    expected = {
+        frozenset((owner.iri, link.iri)) for link in req.links for owner in link.owners(req)
+    }
+    if {frozenset(corr[v] for v in e) for e in edges} != expected:
+        return False
+    images = Counter(corr[v] for v in verts)
+    return all(images[x.iri] == 1 for x in (*req.nodes, *req.links))

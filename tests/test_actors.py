@@ -1,6 +1,9 @@
 import gc
+import os
 import random
 import re
+import subprocess
+import sys
 import weakref
 from datetime import datetime, timezone
 
@@ -17,7 +20,7 @@ from netslice.models import (
 )
 from netslice.vocab import close
 
-from conftest import FIXTURES, count_calls
+from conftest import FIXTURES, LOOSE_DATETIMES, count_calls
 from generators import federation_request, federation_world
 from oracles import binding_fits, reference_binding
 
@@ -156,6 +159,35 @@ def test_request_naming_a_malformed_iri_fails_validation_and_holds_nothing():
         "IRI contains forbidden character '|': 'urn:orca:request:pair/a|b'"
     )
     assert world.serialized_states() == before
+
+
+@pytest.mark.parametrize("lexical", LOOSE_DATETIMES)
+def test_request_beginning_at_a_loose_datetime_fails_validation(lexical):
+    world = _pair_world()
+    before = world.serialized_states()
+    request = _fixture("request-pair.ndl").replace('"2026-01-01T00:00:00Z"', f'"{lexical}"')
+    assert world.submit_request("loose1", request) is None
+    record = world.controller.slices["loose1"]
+    assert record.failure.step == "Validation"
+    assert record.failure.detail == f"bad dateTime {lexical!r}: not YYYY-MM-DDTHH:MM:SSZ"
+    assert world.serialized_states() == before
+
+
+def test_a_create_does_not_import_strptime():
+    script = (
+        "import sys\n"
+        "from netslice.actors import World\n"
+        "world = World()\n"
+        f"world.add_substrate(open({str(FIXTURES / 'renci.ndl')!r}).read())\n"
+        f"assert world.submit_request('s1', open({str(FIXTURES / 'request-pair.ndl')!r}).read())\n"
+        "print('_strptime' in sys.modules)\n"
+    )
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 CROSS_JOIN_RULE = 'violation("m", ?X) <- (?X rdf:type ?A), (?Y rdf:type ?B) .'
@@ -745,3 +777,71 @@ def test_neighbour_create_reads_no_more_of_a_bigger_federation(monkeypatch):
     big = _neighbour_create_cost(40, monkeypatch)
     assert small == big
     assert all(satisfies > 0 and reads > 0 for satisfies, reads in small)
+
+
+def _assert_same_listing(got, want):
+    """Equal triples, listed, indexed at every level and prefixed in the same order."""
+    assert list(got) == list(want)
+    for a, b in ((got._spo, want._spo), (got._pos, want._pos)):
+        assert list(a) == list(b)
+        for x in a:
+            assert list(a[x]) == list(b[x])
+            assert all(list(a[x][y]) == list(b[x][y]) for y in a[x])
+    assert list(got.prefixes.items()) == list(want.prefixes.items())
+
+
+def test_routing_view_lists_as_closing_the_ledgers_after_every_registration(monkeypatch):
+    from datetime import timedelta
+
+    tbox, unions, carried = vocab.entailed_schema(), [], []
+    register = actors_mod.Broker.register_delegation
+
+    def checked(broker, text):
+        domain = register(broker, text)
+        ledgers = [broker.ledgers[d].model for d in sorted(broker.ledgers, key=lambda d: d.value)]
+        view = broker.routing_view()
+        _assert_same_listing(view, close(*ledgers))
+        assert view._base is tbox  # the T-box's index dicts are shared
+        unions.append(set(view) == set(graphstore.merge([tbox, *ledgers])))
+        carried.append(bool(broker.ledgers[domain].active))  # took over tickets
+        return domain
+
+    monkeypatch.setattr(actors_mod.Broker, "register_delegation", checked)
+    rng = random.Random(0x51CE)
+    world, sites = federation_world(8, 2, 1, mixed=True)
+    active = []
+    for step in range(80):
+        roll = rng.random()
+        if active and roll < 0.25:
+            world.delete_slice(active.pop(rng.randrange(len(active))))
+        elif roll < 0.55:
+            am = rng.choice(sorted(world.ams.values(), key=lambda am: am.am_id))
+            # the residual delegation is refused while slices hold its units
+            text = am.delegate() if rng.random() < 0.5 else serialize_document(
+                build_delegation(am.state.substrate)
+            )
+            try:
+                world.broker.register_delegation(text)
+            except DelegationRejected:
+                pass
+        else:
+            members = [(i + 1, rng.choice([*sites, None])) for i in range(2)]
+            text = federation_request(
+                f"s{step}", members, term_begin=world.clock.now.strftime("%Y-%m-%dT%H:%M:%SZ")
+            )
+            if world.submit_request(f"s{step}", text) is not None:
+                active.append(f"s{step}")
+        world.advance_time(world.clock.now + timedelta(seconds=1))
+    assert len(unions) >= 20 and all(unions) and sum(carried) >= 3
+    # one delegation types a node by a class that another's subclass axiom
+    # extends: their union is not closed, so the view must close them afresh
+    for slice_id in active:
+        world.delete_slice(slice_id)
+    first, second = (world.ams[Iri(f"urn:fed:{site}/dom")] for site in sites[:2])
+    extra = f"<urn:fed:{sites[0]}/extra> <{graphstore.RDF_NS}type> <urn:ext/Special> .\n"
+    world.broker.register_delegation(first.delegate() + extra)
+    axiom = f"<urn:ext/Special> <{graphstore.RDFS_NS}subClassOf> <{vocab.DEVICE.value}> .\n"
+    world.broker.register_delegation(second.delegate() + axiom)
+    assert unions[-2:] == [True, False]
+    view = world.broker.routing_view()
+    assert graphstore.Triple(Iri(f"urn:fed:{sites[0]}/extra"), graphstore.RDF_TYPE, vocab.DEVICE) in view

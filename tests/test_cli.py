@@ -13,7 +13,7 @@ import netslice
 from netslice import graphstore, rules
 from netslice.cli import _parse_scenario, build_parser, main, run_scenario
 
-from conftest import FIXTURES, LOOSE_LABEL_SETS, count_calls
+from conftest import FIXTURES, LOOSE_DATETIMES, LOOSE_LABEL_SETS, count_calls
 
 ROOT = FIXTURES.parent
 
@@ -485,7 +485,36 @@ def test_input_that_is_not_utf8_exits_two_naming_the_file(capsys, tmp_path, entr
     }.get(entry, ("run", script))
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    line = {"scenario-rules": "line 1: ", "scenario-request": "line 2: "}.get(entry, "")
+    assert err.startswith(f"error: {line}{bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("problem", ["missing", "not-utf8"])
+@pytest.mark.parametrize("verb", ["load-substrate", "load-rules", "submit-request"])
+def test_scenario_file_that_cannot_be_read_exits_two_naming_the_line(
+    capsys, tmp_path, verb, problem
+):
+    bad = tmp_path / "bad.txt"
+    if problem == "not-utf8":
+        bad.write_bytes(b"# \xff\n")
+    script = tmp_path / "s.scn"
+    command = "submit-request bad.txt as s1" if verb == "submit-request" else f"{verb} bad.txt"
+    script.write_text(f"# a comment\nload-substrate {FIXTURES}/renci.ndl\n{command}\n")
+    code, out, err = _run(capsys, "run", script)
+    assert (code, out) == (2, "")
+    reason = "No such file or directory" if problem == "missing" else "'utf-8' codec"
+    assert re.fullmatch(rf"error: line 3: {re.escape(str(bad))}: .*{reason}.*\n", err)
+
+
+@pytest.mark.parametrize("lexical", LOOSE_DATETIMES)
+def test_scenario_advance_time_to_a_loose_datetime_exits_two_naming_the_line(
+    capsys, tmp_path, lexical
+):
+    script = tmp_path / "s.scn"
+    script.write_text(f'load-substrate {FIXTURES}/renci.ndl\nadvance-time "{lexical}"\n')
+    code, out, err = _run(capsys, "run", script)
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: bad dateTime {lexical!r}: not YYYY-MM-DDTHH:MM:SSZ\n"
 
 
 def _pair_without(*lines):

@@ -32,10 +32,9 @@ from netslice.models import (
     parse_request,
     residual_of,
 )
-from netslice.pathquery import adjacent
 from netslice.vocab import ETHERNET_ELEMENT, NO_LABELS, LabelSet, render_label_set
 
-from conftest import FIXTURES
+from conftest import FIXTURES, count_calls
 from generators import (
     federation_world,
     instance_device_iri,
@@ -47,6 +46,7 @@ from oracles import (
     binding_fits,
     oracle_best_hop_count,
     reference_binding,
+    reference_compile,
 )
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
@@ -269,27 +269,15 @@ def wide_ring():
     return world.broker.routing_view(), [_domain(site) for site in sites]
 
 
-def _count_adjacent(monkeypatch, bound):
-    calls = []
-
-    def counted(m, node, conn):
-        calls.append(node)
-        if len(calls) > bound:
-            raise AssertionError(f"more than {bound} adjacent calls in one compile")
-        return adjacent(m, node, conn)
-
-    monkeypatch.setattr(embed, "adjacent", counted)
-    return calls
-
-
 def test_long_route_expands_each_domain_at_most_once(wide_ring, monkeypatch):
     view, domains = wide_ring
     m = view.copy()
-    calls = _count_adjacent(monkeypatch, len(domains))
+    calls = count_calls(monkeypatch, embed._compile)
     preq = PathRequest(domains[0], domains[16], ETHERNET_ELEMENT, 100)
     route = shortest_valid_path(m, preq)
     assert route is not None and route.hop_count() >= 16
-    assert len(calls) == len(set(calls))
+    assert calls == [(m,)]  # one compile, which lists each domain's steps once
+    assert set(m.derived(embed._compile).steps) == set(domains)
     calls.clear()
     assert shortest_valid_path(m, preq) == route
     assert calls == []  # the same model state is compiled once
@@ -300,13 +288,64 @@ def test_unreachable_destination_expands_each_domain_at_most_once(wide_ring, mon
     island = Iri("urn:fed:island/dom")
     m = view.copy()
     m.add(Triple(island, RDF_TYPE, vocab.NETWORK_DOMAIN))
-    calls = _count_adjacent(monkeypatch, len(domains))
+    calls = count_calls(monkeypatch, embed._compile)
     preq = PathRequest(domains[0], island, ETHERNET_ELEMENT, 100)
     assert shortest_valid_path(m, preq) is None
-    assert len(calls) == len(set(calls))
+    assert calls == [(m,)]
     calls.clear()
     assert shortest_valid_path(m, preq) is None
     assert calls == []
+
+
+def _assert_same_topology(got, want):
+    """Equal, with every node's steps and predecessors in the same order."""
+    assert got == want
+    assert list(got.steps) == list(want.steps) and list(got.preds) == list(want.preds)
+    assert list(got.layers) == list(want.layers)
+
+
+def _add_twins_and_loops(m, rng):
+    """Edit a closed instance model: some links get a twin over the same two
+    interfaces, at another layer and named to sort before or after them, or
+    an untyped one; some devices an interface linked to their own."""
+    eth, ip = ETHERNET_ELEMENT, vocab.IP_ELEMENT
+    for link in [t.subject for t in m.match(p=RDF_TYPE, o=vocab.NETWORK_CONNECTION)]:
+        if rng.random() < 0.4:
+            twin = Iri(f"urn:gen/{rng.choice('az')}{link.local()}")
+            ends = m.objects(link, vocab.HAS_ENDPOINT)
+            m.add_all([Triple(twin, vocab.HAS_ENDPOINT, end) for end in ends])
+            if rng.random() < 0.8:
+                m.add(Triple(twin, RDF_TYPE, vocab.NETWORK_CONNECTION))
+                m.add(Triple(twin, vocab.AT_LAYER, rng.choice([eth, ip])))
+    for dev in [t.subject for t in m.match(p=vocab.HAS_INTERFACE)]:
+        if rng.random() < 0.2:
+            loop = Iri(dev.value + "/loop")
+            m.add(Triple(m.objects(dev, vocab.HAS_INTERFACE)[0], vocab.LINKED_TO, loop))
+            m.add(Triple(loop, vocab.INTERFACE_OF, dev))
+    return m
+
+
+def test_compile_matches_the_adjacent_reference_on_random_instances():
+    rng = random.Random(0xC0DE)
+    for _ in range(300):
+        m = instance_model(random_layered_instance(rng, max_devices=12, max_links=20))
+        _assert_same_topology(embed._compile(m), reference_compile(m))
+        m = _add_twins_and_loops(m, rng)
+        _assert_same_topology(embed._compile(m), reference_compile(m))
+
+
+@pytest.mark.parametrize("name", ["churn-vlan", "wide-ring"])
+def test_compile_matches_the_adjacent_reference_on_the_workload_federations(
+    monkeypatch, tmp_path, name
+):
+    monkeypatch.syspath_prepend(str(FIXTURES.parent))
+    from perfbench.workloads import WORKLOADS
+
+    world = WORKLOADS[name](1, tmp_path).setup()
+    models = [world.broker.routing_view(), *(am.state.model for am in world.ams.values())]
+    for m in models:
+        _assert_same_topology(embed._compile(m), reference_compile(m))
+    assert sum(len(embed._compile(m).steps) for m in models) > 100
 
 
 def _crossing(a: Iri, b: Iri, name: str) -> list:

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netslice import actors as actors_mod
 from netslice import embed, vocab
 from netslice.actors import World
 from netslice.cli import main
@@ -31,6 +34,7 @@ from netslice.models import (
 from netslice.vocab import LabelSet, builtin_schema, validate_conformance
 
 from conftest import FIXTURES, LOOSE_LABEL_SETS
+from oracles import reference_check_homeomorphic
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
 
@@ -548,3 +552,108 @@ def test_homeomorphic_isomorphic_case_trivial_path():
     manifest = build_manifest(req, plan)
     assert manifest.typed(vocab.PATH_HOP) == []
     assert check_homeomorphic(req, manifest)
+
+
+# -- homeomorphism check against the rescanning reference ---------------------------
+
+_PAIR_LINK = Iri(PAIR + "Link/1")
+_EDIT_KINDS = ("chain", "twin", "cycle", "spur", "subdivide", "edge", "self-loop", "literal")
+
+
+def _edit_manifest(manifest, edits):
+    """Apply (kind, picks) edits: picks choose vertices, chain lengths and
+    new hops' names, which interleave with the provisioned hops' in IRI
+    order."""
+    verts = sorted(
+        {t.subject for t in manifest.match(p=vocab.PROVISIONED_FROM)}, key=lambda v: v.value
+    )
+
+    def hop(name):
+        h = Iri(f"{DEMO1}net/0/hop/{name}x{len(verts)}")
+        manifest.add(Triple(h, RDF_TYPE, vocab.PATH_HOP))
+        manifest.add(Triple(h, vocab.PROVISIONED_FROM, _PAIR_LINK))
+        verts.append(h)
+        return h
+
+    def chain(a, b, length, name):
+        for h in [hop(name) for _ in range(length)] + [b]:
+            manifest.add(Triple(a, vocab.CONNECTED_TO, h))
+            a = h
+
+    for kind, picks in edits:
+        first, pick = picks[0], lambda i: verts[picks[i % len(picks)] % len(verts)]
+        if kind in ("chain", "twin"):
+            for _ in range(1 + (kind == "twin")):
+                chain(pick(1), pick(2), 1 + first % 3, first)
+        elif kind == "cycle":
+            start = hop(first)
+            chain(start, start, 1 + first % 4, first)
+        elif kind == "spur":
+            h = hop(first)
+            for i in range(1 if first % 2 else 3):
+                manifest.add(Triple(h, vocab.CONNECTED_TO, pick(i + 1)))
+        elif kind == "subdivide":
+            edges = [t for t in manifest.match(p=vocab.CONNECTED_TO) if t.object in verts]
+            t = edges[first % len(edges)]
+            manifest.remove(t)
+            chain(t.subject, t.object, 1 + first % 2, first)
+        elif kind == "edge":
+            manifest.add(Triple(pick(1), vocab.CONNECTED_TO, pick(2)))
+        elif kind == "self-loop":
+            manifest.add(Triple(pick(1), vocab.CONNECTED_TO, pick(1)))
+        else:
+            manifest.add(Triple(pick(1), vocab.CONNECTED_TO, string(f"v{first}")))
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "edits, verdict",
+    [
+        ([("twin", [0, 1, 3])], True),  # two hop chains beside hop/0 - vm/1 smooth onto it
+        ([("subdivide", [2]), ("subdivide", [5])], True),
+        ([("self-loop", [0, 2])], True),
+        ([("literal", [0, 2])], True),
+        ([("cycle", [2])], False),  # four hops in a ring smooth to two joined by one edge
+        ([("spur", [1, 2])], False),  # a hop with one neighbour
+        ([("spur", [2, 0, 2, 3])], False),  # a hop with three neighbours
+        ([("chain", [1, 2, 3])], False),  # vm/0 - vm/1 is no request edge
+    ],
+    ids=["two-chains-one-edge", "subdivided", "self-loop", "literal", "cycle", "spur-1", "spur-3",
+         "chain"],
+)
+def test_homeomorphic_verdict_on_edited_manifests(edits, verdict):
+    req, plan = _embedded_pair()
+    manifest = _edit_manifest(build_manifest(req, plan), edits)
+    assert check_homeomorphic(req, manifest) is reference_check_homeomorphic(req, manifest) is verdict
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_EDIT_KINDS), st.lists(st.integers(0, 40), min_size=1, max_size=4)),
+        max_size=6,
+    )
+)
+def test_homeomorphic_matches_the_rescanning_reference(edits):
+    req, plan = _embedded_pair()
+    manifest = _edit_manifest(build_manifest(req, plan), edits)
+    assert check_homeomorphic(req, manifest) == reference_check_homeomorphic(req, manifest)
+
+
+@pytest.mark.parametrize("name", ["churn-vlan", "wide-ring"])
+def test_homeomorphic_matches_the_reference_on_every_workload_manifest(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(str(FIXTURES.parent))
+    from perfbench.workloads import WORKLOADS, Recorder
+
+    checked = []
+
+    def recorded(req, manifest):
+        verdict = check_homeomorphic(req, manifest)
+        assert verdict is reference_check_homeomorphic(req, manifest) is True
+        checked.append(len(manifest.typed(vocab.PATH_HOP)))
+        return verdict
+
+    monkeypatch.setattr(actors_mod, "check_homeomorphic", recorded)
+    workload = WORKLOADS[name](1, tmp_path)
+    workload.round(workload.setup(), Recorder(), checks=False)
+    assert len(checked) == workload.admitted and max(checked) >= 4
