@@ -38,11 +38,11 @@ from .graphstore import (
     Model,
     ParseError,
     _SCHEMA_RELATIONS,
+    entail,
     merge,
     parse_document,
     serialize_document,
 )
-from .graphstore import entail  # noqa: F401 -- perfbench's tracer test checks this binding
 from .models import (
     RequestError,
     SliceRequest,
@@ -159,10 +159,10 @@ class SliceRecord:
 class AggregateManager:
     """Represents one resource provider; owns the detailed substrate."""
 
-    def __init__(self, am_id: str, substrate_text: str, schemas=()):
+    def __init__(self, am_id: str, substrate_text: str, base: Model):
         self.am_id = am_id
         raw = parse_document(substrate_text)
-        self.state: DomainState = prepare_domain(raw, schemas)
+        self.state: DomainState = prepare_domain(raw, base)
         self.domain = self.state.substrate.domain
         self.leases: dict[str, Lease] = {}
         self._lease_counter = 0
@@ -419,7 +419,10 @@ class Controller:
         self.broker = broker
         self.clock = clock
         self.log = log
-        self.schemas = list(schemas)  # extension T-boxes for request closure
+        self.schemas = list(schemas)  # extension T-boxes, for conformance
+        # the T-box and its extensions, closed once: requests and substrates
+        # close onto it, each in one pass unless it states schema
+        self.base = close(*self.schemas).freeze() if self.schemas else entailed_schema()
         self.slices: dict[str, SliceRecord] = {}
         self.extra_rules: list = []
 
@@ -472,7 +475,7 @@ class Controller:
         except ParseError as e:
             raise SliceError("Validation", f"unparseable request: {e}") from e
         try:
-            closed = close(*self.schemas, raw)
+            closed = entail(raw, closed=self.base)
             issues = validate_conformance(*self.schemas, raw, closed=closed)
             if issues:
                 raise SliceError("Validation", f"{len(issues)} conformance issues", issues=issues)
@@ -627,9 +630,7 @@ class World:
         SubstrateError, with nothing added or logged, for a domain that
         already has an AM (tickets are redeemed at one AM per domain) or a
         delegation the broker rejects."""
-        am = AggregateManager(
-            f"am-{len(self.ams) + 1}", substrate_text, self.controller.schemas
-        )
+        am = AggregateManager(f"am-{len(self.ams) + 1}", substrate_text, self.controller.base)
         other = self.ams.get(am.domain)
         if other is not None:
             raise SubstrateError(

@@ -35,10 +35,12 @@ import heapq
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from . import vocab
-from .graphstore import Iri, Literal, Model, Triple, _new, int_value, integer, string, term_key
+from .graphstore import (
+    Iri, Literal, Model, Triple, _new, entail, int_value, integer, string, term_key,
+)
 from .models import (
     RESIDUAL_PROPERTIES, SliceRequest, SubstrateGraph, parse_substrate, pool_classes, residual_of,
 )
@@ -406,10 +408,10 @@ class DomainState:
     well, so only the state's own keys are its figures.
     """
 
-    def __init__(self, substrate: Optional[SubstrateGraph], model: Model, original=None):
+    def __init__(self, substrate: Optional[SubstrateGraph], model: Model, original: dict):
         self.substrate = substrate
         self.model = model
-        self.original: dict = residual_of(model) if original is None else original
+        self.original = original
         self.free: dict = dict(self.original)
         self.used: dict = {}
         self.active: dict[str, list] = {}  # token -> ops applied under it
@@ -526,11 +528,12 @@ class DomainState:
         return problems
 
 
-def prepare_domain(raw: Model, extra_schemas: Sequence[Model] = ()) -> DomainState:
-    """DomainState for a raw substrate document: close it with the schema
-    (plus any extension T-boxes) and take the typed view. Conformance
-    checking is the caller's business."""
-    closed = vocab.close(*extra_schemas, raw)
+def prepare_domain(raw: Model, base: Optional[Model] = None) -> DomainState:
+    """DomainState for a raw substrate document: close it onto `base`, a
+    frozen closed T-box (a World's, with its extensions; by default the
+    built-in one), and take the typed view. Conformance checking is the
+    caller's business."""
+    closed = entail(raw, closed=vocab.entailed_schema() if base is None else base)
     substrate = parse_substrate(closed)
     return DomainState(substrate, closed, substrate.residual)
 

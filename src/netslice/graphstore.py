@@ -711,26 +711,26 @@ def merge(models: Sequence[Model]) -> Model:
 # subproperty transitivity and propagation, inverse-property symmetry,
 # domain/range typing. Applied to fixpoint; only ever adds triples.
 
-# The schema relations whose targets drive the rules for a predicate.
-_PROPERTY_RELATIONS = (RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF)
-_SCHEMA_RELATIONS = frozenset((RDFS_SUBCLASS_OF, *_PROPERTY_RELATIONS))
+# The schema relations: their triples state the axioms the rules read.
+_SCHEMA_RELATIONS = frozenset(
+    (RDFS_SUBCLASS_OF, RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF)
+)
 # The placeholders of a one-triple probe (`_one_pass`): subject, IRI object, literal object.
 _S, _O, _L = Iri("urn:netslice:probe#s"), Iri("urn:netslice:probe#o"), Literal("probe#l")
 
 
 def _iri_objects(m: Model, x: Term, relation: Iri) -> tuple:
-    return tuple(o for o in m.objects(x, relation) if isinstance(o, Iri))
+    """The IRI objects of (x, relation, ·) in m, sorted; an empty index leaf
+    is not sorted."""
+    leaf = m._spo.get(x, {}).get(relation)
+    return tuple(o for o in sorted(leaf, key=term_key) if isinstance(o, Iri)) if leaf else ()
 
 
 def _schema_lookups(m: Model) -> tuple:
-    """The schema lookups of a closed base, for `m.derived`: the IRI superclasses
-    and rule targets of each of m's subjects and predicates; `_compile`'s memo."""
-    names = {*m._spo, *m._pos}
-    return (
-        {x: _iri_objects(m, x, RDFS_SUBCLASS_OF) for x in names},
-        {x: tuple(_iri_objects(m, x, r) for r in _PROPERTY_RELATIONS) for x in names},
-        {},
-    )
+    """What `_one_pass` reads of a closed base, for `m.derived`: the names
+    of m's subjects and predicates, the only keys `_compile`'s memo takes,
+    and that memo."""
+    return {*m._spo, *m._pos}, {}
 
 
 def _compile(closed: Model, memo: dict, key) -> Optional[tuple]:
@@ -759,14 +759,14 @@ def _one_pass(closed: Model, fresh: Iterable, known: dict) -> Optional[dict]:
     `known` triples, or None if one needs the fixpoint. The probe of (s,
     rdf:type, c) for a class c that closed names is (_S, rdf:type, c), else
     (_S, p, _O) or (_S, p, _L). A triple is built only when it is new."""
-    _, rules, memo = closed.derived(_schema_lookups)
+    names, memo = closed.derived(_schema_lookups)
     classes, new = {}, {}  # node -> {class: None}; the new triples
     for s, p, o in fresh:
         if p in _SCHEMA_RELATIONS:
             return None
-        if p is RDF_TYPE and o in rules:  # a class closed names
+        if p is RDF_TYPE and o in names:  # a class closed names
             key = o
-        elif p in rules:
+        elif p in names:
             key = (p, _O if isinstance(o, Iri) else _L)
         else:
             continue  # closed holds no rule for p
@@ -801,13 +801,15 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
     triple with schema, so each of m's triples outside `closed` closes on
     its own (Urbani et al., ISWC 2009), in one pass: it takes what the
     fixpoint derived from a one-triple probe, kept per state of `closed`.
-    The fixpoint runs instead when m states a schema triple (subclass,
-    sub-property, domain, range, inverse) that `closed` lacks, or a probe
-    derives one or types a node by a placeholder; it starts from `closed`'s
-    schema lookups, less those of the IRIs m adds schema about.
+    The fixpoint runs instead when there is no `closed`, when m states a
+    schema triple (subclass, sub-property, domain, range, inverse) that
+    `closed` lacks, or when a probe derives one or types a node by a
+    placeholder. Each of its rules reads its schema targets from the index
+    when it fires: a predicate's sub-properties first, then its domains,
+    ranges and inverses as those emissions left them.
     """
     if closed is None:
-        out, supers, rules = m.copy(), {}, {}
+        out = m.copy()
         agenda = deque(out)
     else:
         out = merge([closed, m])
@@ -817,22 +819,8 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
                 raise ClosureBudgetExceeded(budget + 1, budget)
             out.add_all(new)
             return out
-        supers, rules = map(dict, closed.derived(_schema_lookups)[:2])
-        for s, p, _ in agenda:
-            if p in _PROPERTY_RELATIONS:
-                rules.pop(s, None)
-            elif p == RDFS_SUBCLASS_OF:
-                supers.pop(s, None)
     known = out._triples
     derived = 0
-
-    def superclasses(c: Iri) -> tuple:
-        found = supers[c] = _iri_objects(out, c, RDFS_SUBCLASS_OF)
-        return found
-
-    def rule_of(p: Iri) -> tuple:
-        found = rules[p] = tuple(_iri_objects(out, p, r) for r in _PROPERTY_RELATIONS)
-        return found
 
     def emit(s: Iri, p: Iri, o: Term) -> None:
         nonlocal derived
@@ -840,10 +828,6 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
             return
         t = _new(Triple, (s, p, o))
         out.add(t)
-        if p in _PROPERTY_RELATIONS:
-            rules.pop(s, None)
-        elif p == RDFS_SUBCLASS_OF:
-            supers.pop(s, None)
         derived += 1
         if derived > budget:
             raise ClosureBudgetExceeded(derived, budget)
@@ -853,14 +837,14 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
         t = agenda.popleft()
         s, p, o = t
         if p == RDFS_SUBCLASS_OF and isinstance(o, Iri):
-            for sup in supers[o] if o in supers else superclasses(o):
+            for sup in _iri_objects(out, o, RDFS_SUBCLASS_OF):
                 emit(s, RDFS_SUBCLASS_OF, sup)
             for sub in out.subjects(RDFS_SUBCLASS_OF, s):
                 emit(sub, RDFS_SUBCLASS_OF, o)
             for inst in out.subjects(RDF_TYPE, s):
                 emit(inst, RDF_TYPE, o)
         elif p == RDF_TYPE and isinstance(o, Iri):
-            for sup in supers[o] if o in supers else superclasses(o):
+            for sup in _iri_objects(out, o, RDFS_SUBCLASS_OF):
                 emit(s, RDF_TYPE, sup)
         elif p == RDFS_SUBPROPERTY_OF and isinstance(o, Iri):
             for sup in _iri_objects(out, o, RDFS_SUBPROPERTY_OF):
@@ -883,19 +867,14 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
                     emit(inst.object, o, inst.subject)
         # Property-driven rules for the triple itself (covers instance
         # triples arriving after their schema declarations).
-        sub_properties, domains, ranges, inverses = rules[p] if p in rules else rule_of(p)
-        for sup in sub_properties:
+        for sup in _iri_objects(out, p, RDFS_SUBPROPERTY_OF):
             emit(s, sup, o)
-        if p not in rules:
-            # those emissions gave p new schema; the domain and range loops
-            # below emit only rdf:type triples, which change no rule
-            _, domains, ranges, inverses = rule_of(p)
-        for cls in domains:
+        for cls in _iri_objects(out, p, RDFS_DOMAIN):
             emit(s, RDF_TYPE, cls)
         if isinstance(o, Iri):
-            for cls in ranges:
+            for cls in _iri_objects(out, p, RDFS_RANGE):
                 emit(o, RDF_TYPE, cls)
-            for inv in inverses:
+            for inv in _iri_objects(out, p, OWL_INVERSE_OF):
                 emit(o, inv, s)
     return out
 

@@ -53,7 +53,6 @@ from .vocab import (
     IN_USE_BANDWIDTH,
     IN_USE_LABEL_SET,
     IN_USE_UNITS,
-    INTERFACE_OF,
     INTERNALLY_REACHABLE,
     LABEL_TRANSLATOR,
     LAYERS,
@@ -159,13 +158,6 @@ class SubstrateDevice:
 
 
 @dataclass(frozen=True)
-class SubstrateLink:
-    iri: Iri
-    interfaces: tuple  # exactly two, sorted by IRI
-    layer: Iri
-
-
-@dataclass(frozen=True)
 class ComputePool:
     node: Iri  # attachment point; a device with interfaces
     provides: Iri  # compute element class provisioned from this pool
@@ -183,7 +175,7 @@ class BorderInterface:
 class SubstrateGraph:
     domain: Iri
     devices: tuple
-    links: tuple
+    links: tuple  # each link's two interfaces, sorted by IRI, in link IRI order
     pools: tuple
     borders: tuple
     residual: dict  # residual_of the model: the only copy of its figures
@@ -279,8 +271,7 @@ def parse_substrate(m: Model) -> SubstrateGraph:
             problems.append(f"link {link.value} has no non-negative availableBandwidth")
         pool = residual.get(("label", link), NO_LABELS)
         problems.extend(_pool_problems("link", link, layer, pool))
-        links.append(SubstrateLink(link, (a, b), layer))
-    links.sort(key=lambda l: l.iri.value)
+        links.append((a, b))
 
     local_ifaces = {
         t.object
@@ -361,8 +352,7 @@ def build_delegation(s: SubstrateGraph, free: Optional[dict] = None) -> Model:
     owner_of = {i: d.iri for d in s.devices for i in d.interfaces}
     for p in s.pools:
         owner_of.setdefault(p.node, p.node)
-    for link in s.links:
-        a, b = link.interfaces
+    for a, b in s.links:
         da, db = owner_of.get(a), owner_of.get(b)
         if da and db:
             root[find(da)] = find(db)

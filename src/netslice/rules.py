@@ -13,7 +13,7 @@ are implemented procedurally but report through the same Violation type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import vocab
 from .graphstore import EvaluationBudgetExceeded  # noqa: F401 -- re-exported for callers
@@ -69,18 +69,17 @@ class Violation:
         return f'VIOLATION {self.message} {self.subject.value}'
 
 
-def parse_ruleset(text: str, prefixes: Optional[dict] = None) -> list:
+def parse_ruleset(text: str) -> list:
     """Parse rules of the form::
 
         violation("message", ?X) <- (?X topo:hasInterface ?I), equal(?A, ?B), ... .
 
     Terms are read by `graphstore.lex`, as in documents, and CURIEs resolve
-    against the supplied prefix map (built-in namespaces by default).
+    against the built-in namespaces.
     Raises RuleSyntaxError, naming the line and column, on malformed input
     and UnsafeRule when a head or builtin variable is not bound by a
     pattern atom.
     """
-    prefixes = dict(BASE_PREFIXES if prefixes is None else prefixes)
     try:
         tokens = lex(text, ("(", ")", ",", ".", "<-"))
     except ParseError as e:
@@ -105,7 +104,7 @@ def parse_ruleset(text: str, prefixes: Optional[dict] = None) -> list:
 
     def term(token) -> Union[Var, Term]:
         try:
-            return token_term(token, prefixes)
+            return token_term(token, BASE_PREFIXES)
         except ValueError as e:
             raise fail(token, str(e)) from None
 

@@ -23,6 +23,7 @@ from netslice.vocab import close
 from conftest import FIXTURES, LOOSE_DATETIMES, count_calls
 from generators import federation_request, federation_world
 from oracles import binding_fits, reference_binding
+from test_cli import GPU_REQUEST, GPU_SCHEMA, GPU_SUBSTRATE
 
 BCAST_MSG = "Domains in broadcast link can't be repeated"
 
@@ -188,6 +189,43 @@ def test_a_create_does_not_import_strptime():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_a_schema_world_closes_requests_onto_its_base_in_one_pass(monkeypatch):
+    # the World closes the T-box and its extension once; after the first
+    # create has compiled the request's probes, the second closes in one
+    # pass, to the closure of the schema and the request together
+    schema = parse_document(GPU_SCHEMA)
+    world = World(start=datetime.min.replace(tzinfo=timezone.utc), schemas=[schema])
+    base = world.controller.base
+    assert base._frozen and set(base) == set(close(schema))
+    assert World().controller.base is vocab.entailed_schema()
+    world.add_substrate(GPU_SUBSTRATE)
+    assert world.submit_request("g1", GPU_REQUEST) is not None
+    world.delete_slice("g1")
+    closures, passes = [], []
+    entail, one_pass = graphstore.entail, graphstore._one_pass
+
+    def closing(m, *args, **kwargs):
+        closures.append((m, kwargs.get("closed"), entail(m, *args, **kwargs)))
+        return closures[-1][2]
+
+    def passing(*args):
+        passes.append(one_pass(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(actors_mod, "entail", closing)
+    monkeypatch.setattr(graphstore, "_one_pass", passing)
+    compiled = count_calls(monkeypatch, graphstore._compile)
+    manifest = world.submit_request("g2", GPU_REQUEST)
+    [(raw, closed_onto, closed)] = closures
+    assert closed_onto is base
+    assert passes and None not in passes and compiled == []
+    assert set(closed) == set(close(schema, raw))
+    assert manifest == (FIXTURES / "golden" / "gpu2-manifest.ndl").read_text()
+    assert "".join(line + "\n" for line in world.events) == (
+        FIXTURES / "golden" / "gpu-events.log"
+    ).read_text()
 
 
 CROSS_JOIN_RULE = 'violation("m", ?X) <- (?X rdf:type ?A), (?Y rdf:type ?B) .'

@@ -632,7 +632,8 @@ def test_conservation_reports_broken_records():
         corrupt(state)
         assert state.conservation_problems() != []
     # a ledger's figures are not checked by parse_substrate
-    negative = DomainState(None, parse_document(_mini_substrate([("l0", "a", "b", -1, {5})])))
+    ledger = parse_document(_mini_substrate([("l0", "a", "b", -1, {5})]))
+    negative = DomainState(None, ledger, residual_of(ledger))
     assert negative.conservation_problems() != []
 
 
@@ -760,7 +761,7 @@ def test_projection_after_random_ops_and_release_is_the_document(fixture):
 
 def test_double_release_on_a_ledger_is_double_release():
     with pytest.raises(DoubleRelease):
-        DomainState(None, Model()).release_token("x")
+        DomainState(None, Model(), residual_of(Model())).release_token("x")
 
 
 # -- full embedding -------------------------------------------------------------------

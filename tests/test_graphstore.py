@@ -33,10 +33,13 @@ from netslice.graphstore import (
     query_bgp,
     serialize_document,
 )
+from netslice.vocab import builtin_schema, entailed_schema
+from conftest import FIXTURES
 from generators import random_schema_model
 from oracles import (
     bgp_by_assignment,
     naive_entail,
+    reference_entail,
     reference_parse_document,
     reference_render_iri,
 )
@@ -364,6 +367,33 @@ def test_entail_sees_schema_triples_derived_mid_fixpoint():
     for inst, cls in [("x", "C"), ("y", "D"), ("z", "C"), ("w", "D")]:
         assert Triple(ex(inst), RDF_TYPE, ex(cls)) in closed
     assert set(closed) == naive_entail(m)
+
+
+def _orders(m):
+    """m's triples in list order and its SPO and POS indexes in key order."""
+    return list(m), [
+        [(a, [(b, list(c)) for b, c in bs.items()]) for a, bs in index.items()]
+        for index in (m._spo, m._pos)
+    ]
+
+
+def test_entail_orders_the_closure_like_the_lookup_table_reference():
+    # the fixpoint reads schema from the index where the reference kept
+    # lookup tables: its triples, and every index level, must come in the
+    # same order, on the T-box, every fixture onto it and random models
+    tbox = entailed_schema()
+    assert _orders(entail(builtin_schema())) == _orders(reference_entail(builtin_schema()))
+    fixtures = sorted(FIXTURES.rglob("*.ndl"))
+    assert len(fixtures) >= 10
+    for path in fixtures:
+        doc = merge([builtin_schema(), parse_document(path.read_text())])
+        assert _orders(entail(doc)) == _orders(reference_entail(doc)), path.name
+    rng = random.Random(0x0DE7)
+    for round_no in range(1000):
+        m = random_schema_model(rng)
+        assert _orders(entail(m)) == _orders(reference_entail(m)), f"round {round_no}"
+        got, want = entail(m, closed=tbox), reference_entail(m, closed=tbox)
+        assert _orders(got) == _orders(want), f"round {round_no}, onto the T-box"
 
 
 def test_entail_budget_raises_exactly_past_the_derived_count():

@@ -63,13 +63,18 @@ def test_parse_substrate_devices_links_layer(renci_graph):
         rnc("Server/A"),
         rnc("Server/B"),
     ]
-    assert len(renci_graph.links) == 2
-    assert all(l.layer == vocab.ETHERNET_ELEMENT for l in renci_graph.links)
+    m = _closed(_load("renci.ndl"))
+    links = m.typed(vocab.NETWORK_CONNECTION)
+    assert len(links) == 2
+    assert renci_graph.links == tuple(
+        tuple(sorted(m.objects(l, vocab.HAS_ENDPOINT), key=lambda i: i.value)) for l in links
+    )
+    assert all(m.value(l, vocab.AT_LAYER) == vocab.ETHERNET_ELEMENT for l in links)
     residual = renci_graph.residual
-    assert all(residual[("bw", l.iri)] == 10000 for l in renci_graph.links)
-    assert all(residual[("label", l.iri)] == LabelSet(range(100, 111)) for l in renci_graph.links)
+    assert all(residual[("bw", l)] == 10000 for l in links)
+    assert all(residual[("label", l)] == LabelSet(range(100, 111)) for l in links)
     # the search, not the view, reads a device's switching layer
-    topology = _closed(_load("renci.ndl")).derived(embed._compile)
+    topology = m.derived(embed._compile)
     assert topology.layers[rnc("Renci/6509")] == vocab.ETHERNET_ELEMENT
     assert {(p.node, p.provides, residual[("units", p.node)]) for p in renci_graph.pools} == {
         (rnc("Server/A"), vocab.VM, 1),
@@ -197,11 +202,15 @@ def _without(text, line):
             "link urn:orca:site:a/Link/host has no non-negative availableBandwidth",
         ),
         (
+            _without(RING_A, "sa:Link/host topo:atLayer eth:EthernetNetworkElement ."),
+            "link urn:orca:site:a/Link/host has no atLayer",
+        ),
+        (
             RING_A + "sa:Host topo:hasInterface sa:Switch/toB .\n",
             "border interface urn:orca:site:a/Switch/toB has 2 owners, expected 1",
         ),
     ],
-    ids=["broadcast-link", "three-endpoints", "not-linked", "no-bandwidth", "two-owners"],
+    ids=["broadcast-link", "three-endpoints", "not-linked", "no-bandwidth", "no-layer", "two-owners"],
 )
 def test_substrate_refusals_name_their_subject(capsys, tmp_path, substrate, problem):
     world = World()
@@ -288,7 +297,9 @@ def test_residual_of_reads_the_stated_figures():
     assert residual[("label", to_c)] == LabelSet(range(140, 161))
     graph = parse_substrate(m)
     assert graph.residual == residual
-    assert all(("bw", l.iri) in graph.residual for l in graph.links)
+    links = m.typed(vocab.NETWORK_CONNECTION)
+    assert len(graph.links) == len(links) > 0
+    assert all(("bw", l) in graph.residual for l in links)
     # a figure that is not an integer is left out, so it reads as 0
     m.add(Triple(to_c, vocab.AVAILABLE_UNITS, string("many")))
     assert ("units", to_c) not in residual_of(m)

@@ -661,8 +661,8 @@ def test_one_pass_budget_raises_exactly_past_the_derived_count():
 
 
 def test_fresh_names_leave_the_consequence_memo_as_it_was():
-    names = {*_TBOX._spo, *_TBOX._pos}
-    memo = _TBOX.derived(graphstore._schema_lookups)[2]
+    names, memo = _TBOX.derived(graphstore._schema_lookups)
+    assert names == {*_TBOX._spo, *_TBOX._pos}
     close(_document([(_NODES[0], _FRESH[0], _NODES[1]), (_NODES[0], RDF_TYPE, _FRESH[1])]))
     before = dict(memo)
     doc = Model()
@@ -712,5 +712,6 @@ def test_a_refused_closure_leaves_every_compiled_consequence_usable(monkeypatch)
     with pytest.raises(graphstore.ClosureBudgetExceeded):
         entail(doc, closed=base)
     monkeypatch.undo()
-    assert None not in base.derived(graphstore._schema_lookups)[2].values()
+    _, memo = base.derived(graphstore._schema_lookups)
+    assert memo and None not in memo.values()
     assert graphstore._one_pass(base, _fresh(base, doc), {}) is not None
