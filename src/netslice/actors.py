@@ -117,7 +117,8 @@ class Ticket:
     domain: Iri
     placements: list  # (request node, requested compute class)
     border_allocs: list  # (iface, bandwidth, label or None)
-    segments: list  # (branch key, index, DomainHop, from_node, to_node, layer, bandwidth)
+    # (branch key, hop index, route PathHop, its label, from_node, to_node, layer, bandwidth)
+    segments: list
     term: Term
 
 
@@ -125,7 +126,6 @@ class Ticket:
 class Lease:
     lease_id: str
     slice_id: str
-    ticket_id: str
     term: Term
 
 
@@ -146,7 +146,7 @@ class SliceRecord:
     plan: Optional[EmbeddingPlan] = None
     manifest_text: Optional[str] = None
     tickets: list = field(default_factory=list)
-    leases: list = field(default_factory=list)  # (domain, lease id)
+    leases: list = field(default_factory=list)  # domains holding a lease
     failure: Optional[SliceError] = None
 
     def transition(self, new_state: str) -> None:
@@ -218,7 +218,6 @@ class AggregateManager:
             lease = Lease(
                 lease_id=f"{self.am_id}/lease/{self._lease_counter}",
                 slice_id=ticket.slice_id,
-                ticket_id=ticket.ticket_id,
                 term=ticket.term,
             )
             self.leases[lease.lease_id] = lease
@@ -234,11 +233,11 @@ class AggregateManager:
                 placements[node] = (host, concrete, None)
             for iface, bandwidth, label in ticket.border_allocs:
                 self.state.apply_ops(token, border_ops(iface, bandwidth, label))
-            for branch_key, index, hop, from_node, to_node, layer, bandwidth in ticket.segments:
+            for branch_key, index, hop, label, from_node, to_node, layer, bw in ticket.segments:
                 from_dev = placements[from_node][0] if from_node is not None else None
                 to_dev = placements[to_node][0] if to_node is not None else None
                 path = expand_domain_hop(
-                    self.state, hop, layer, bandwidth, from_dev, to_dev, link=branch_key[0]
+                    self.state, hop, label, layer, bw, from_dev, to_dev, link=branch_key[0]
                 )
                 if path.segments:
                     self.state.apply_ops(token, path_ops(path))
@@ -511,20 +510,19 @@ class Controller:
         for link in request.links:
             realization = plan.realizations[link.iri]
             for branch in realization.branches:
-                branch_key = (link.iri, branch.to_node)
-                for crossing in branch.crossings:
-                    domain_borders.setdefault(crossing.domain_a, []).append(
-                        (crossing.iface_a, crossing.bandwidth, crossing.label)
-                    )
-                    domain_borders.setdefault(crossing.domain_b, []).append(
-                        (crossing.iface_b, crossing.bandwidth, crossing.label)
-                    )
-                for index, hop in enumerate(branch.hops):
-                    from_node = realization.root_node if hop.entry_iface is None else None
-                    to_node = branch.to_node if hop.exit_iface is None else None
-                    domain_segments.setdefault(hop.domain, []).append(
-                        (branch_key, index, hop, from_node, to_node, link.layer, link.bandwidth)
-                    )
+                branch_key, hops = (link.iri, branch.to_node), branch.route.hops
+                for i, seg in enumerate(branch.route.segments):  # a-side, then b-side
+                    for hop, iface in ((hops[i], seg.a_iface), (hops[i + 1], seg.b_iface)):
+                        domain_borders.setdefault(hop.element, []).append(
+                            (iface, link.bandwidth, seg.label)
+                        )
+                for index, hop in enumerate(hops):
+                    from_node = realization.root_node if hop.ingress is None else None
+                    to_node = branch.to_node if hop.egress is None else None
+                    domain_segments.setdefault(hop.element, []).append((
+                        branch_key, index, hop, branch.required[index],
+                        from_node, to_node, link.layer, link.bandwidth,
+                    ))
         involved = sorted(
             set(domain_placements) | set(domain_borders) | set(domain_segments),
             key=lambda d: d.value,
@@ -561,7 +559,7 @@ class Controller:
                 lease, placements, paths = am.redeem(ticket, self.clock)
             except RedeemError as e:
                 raise SliceError("Redeem", f"{am.am_id}: {e}")
-            record.leases.append((ticket.domain, lease.lease_id))
+            record.leases.append(ticket.domain)
             self._log("redeem", f"{record.slice_id}/{ticket.domain.value}", "ok")
             node_hosts.update(placements)
             branch_paths.update(paths)
@@ -579,11 +577,11 @@ class Controller:
             p.host, p.compute_class, p.management_address = node_hosts[node.iri]
         for link in request.links:
             for branch in plan.realizations[link.iri].branches:
-                for index, hop in enumerate(branch.hops):
+                for index in range(len(branch.route.hops)):
                     path = branch_paths.get(((link.iri, branch.to_node), index))
                     if path is None:
                         raise SliceError("Redeem", "missing path expansion from AM")
-                    branch.domain_paths.append((hop.domain, path))
+                    branch.domain_paths.append(path)
         try:
             manifest = build_manifest(request, plan)
         except Exception as e:
@@ -593,7 +591,7 @@ class Controller:
         return serialize_document(manifest)
 
     def _teardown(self, record: SliceRecord, ams: dict) -> None:
-        for domain, _lease in record.leases:
+        for domain in record.leases:
             ams[domain].release_slice(record.slice_id)
         record.leases.clear()
         for ticket_id in record.tickets:

@@ -189,12 +189,17 @@ def cmd_embed(args) -> int:
     one controller, one request. The clock starts at the earliest instant,
     so the request's term is never in the past."""
     schemas = [_read_model(p) for p in (args.schema or ())]
-    world = World(start=datetime.min.replace(tzinfo=timezone.utc), schemas=schemas)
+    try:
+        world = World(start=datetime.min.replace(tzinfo=timezone.utc), schemas=schemas)
+    except BUDGET_ERRORS as e:  # closing the extension T-boxes
+        if not schemas:
+            raise
+        raise CliInputError(f"{', '.join(args.schema)}: {e}")
     world.controller.extra_rules.extend(_load_rules(args.rules))
     for path in args.substrates:
         try:
             world.add_substrate(_read_fixture(Path(path)))
-        except (ParseError, SubstrateError, ValueError) as e:
+        except (ParseError, SubstrateError, ValueError, *BUDGET_ERRORS) as e:
             raise CliInputError(f"{path}: {e}")
     manifest = world.submit_request(args.slice_id, _read_fixture(Path(args.request)))
     if manifest is None:
@@ -268,7 +273,7 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
         if verb == "load-substrate":
             try:
                 world.add_substrate(text)
-            except (ParseError, SubstrateError, ValueError) as e:
+            except (ParseError, SubstrateError, ValueError, *BUDGET_ERRORS) as e:
                 raise ScenarioError(f"line {lineno}: {args[0]}: {e}")
         elif verb == "load-rules":
             try:

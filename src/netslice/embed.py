@@ -14,11 +14,14 @@ sorts before its extensions, so candidates come out in the same order as
 plain best-first enumeration, without expanding prefixes that can no
 longer reach the destination.
 
-The same engine serves both levels of the two-level embedding: the broker's
+The same engine and the same path type (`PathResult`, its `PathHop`s and
+`PathSegment`s) serve both levels of the two-level embedding: the broker's
 abstract delegation graph (domain nodes, border interfaces, reachability
 flags), routed by `embed_request`, and a provider's detailed substrate
 (devices, switch matrices, adaptations), expanded by `expand_domain_hop`
-when an aggregate manager redeems a ticket.
+when an aggregate manager redeems a ticket. A strand keeps its broker
+route: the route's segments are its border crossings, and each route hop
+enters and leaves its domain by the hop's ingress and egress interfaces.
 
 Residual capacity is typed data, never rewritten triples: a mapping keyed
 like allocation ops, ("bw" | "label" | "units", subject), holds what is
@@ -44,7 +47,6 @@ from .graphstore import (
 from .models import (
     RESIDUAL_PROPERTIES, SliceRequest, SubstrateGraph, parse_substrate, pool_classes, residual_of,
 )
-from .pathquery import HopWitness, Pred, Seq, sub_graph
 from .vocab import (
     AT_LAYER,
     IN_DOMAIN,
@@ -57,10 +59,6 @@ from .vocab import (
     PROVISIONS,
     RDFS_SUBCLASS_OF,
     render_label_set,
-)
-
-DEVICE_ADJACENCY = Seq(
-    Pred(vocab.HAS_INTERFACE), Pred(vocab.LINKED_TO), Pred(vocab.INTERFACE_OF)
 )
 
 
@@ -128,7 +126,17 @@ class PathResult:
     hops: tuple
     segments: tuple
     consumed_bandwidth: int
-    internal_elements: tuple
+
+    @property
+    def internal_elements(self) -> tuple:
+        """Every element and interface along the path in walk order: each
+        hop's ingress, element and egress, consecutive duplicates removed."""
+        out = []
+        for hop in self.hops:
+            for element in (hop.ingress, hop.element, hop.egress):
+                if element is not None and (not out or out[-1] != element):
+                    out.append(element)
+        return tuple(out)
 
     @property
     def allocated_label(self) -> Optional[int]:
@@ -142,11 +150,13 @@ class PathResult:
 
 
 class _Step(NamedTuple):
-    """One compiled adjacency step: its witness, its place in the candidate
-    order, and the carriers and layer of what it crosses (`_segment_of`)."""
+    """One compiled adjacency step: its neighbour and the interfaces it
+    leaves and enters by, its place in the candidate order, and the carriers
+    and layer of what it crosses (`_segment_of`)."""
 
     key: tuple  # (neighbour IRI, via IRIs) as text
-    witness: HopWitness
+    neighbor: Iri
+    via: tuple  # (local interface, remote interface)
     carriers: Optional[tuple]  # None: the crossing layers disagree
     layer: Optional[Iri]  # None: the request's layer
 
@@ -166,8 +176,9 @@ class _Topology(NamedTuple):
 
 def _compile(m: Model) -> _Topology:
     """The search topology of m, for `m.derived(_compile)`. A node's steps
-    are its DEVICE_ADJACENCY walks off the index leaves, in key order, as
-    `adjacent` lists them (keys differ, so no two IRIs are compared)."""
+    are its hasInterface / linkedTo / interfaceOf walks off the index
+    leaves, self-loops dropped, in key order (keys differ, so no two IRIs
+    are compared)."""
     spo, steps, preds = m._spo, {}, {}
     for node in dict.fromkeys(s for by_o in m._pos.get(vocab.HAS_INTERFACE, {}).values() for s in by_o):
         out = steps[node] = []
@@ -177,7 +188,7 @@ def _compile(m: Model) -> _Topology:
             for b in spo.get(a, {}).get(vocab.LINKED_TO, ()) if isinstance(b, Iri)
             for n in spo.get(b, {}).get(vocab.INTERFACE_OF, ()) if isinstance(n, Iri) and n is not node
         ):
-            out.append(_Step(key, HopWitness(node, n, (a, b)), *_segment_of(m, a, b)))
+            out.append(_Step(key, n, (a, b), *_segment_of(m, a, b)))
             preds.setdefault(n, []).append(node)
     adaptations = set()
     for t in m.match(p=vocab.HAS_ADAPTATION):
@@ -233,13 +244,13 @@ def _candidate_paths(topo: _Topology, source: Iri, dest: Iri):
     heap = [(togo[source], (), ())]
     while heap:
         _, key, chain = heapq.heappop(heap)
-        last = chain[-1].witness.neighbor if chain else source
+        last = chain[-1].neighbor if chain else source
         if last == dest:
             yield chain
             continue
-        visited = {source} | {s.witness.neighbor for s in chain}
+        visited = {source} | {s.neighbor for s in chain}
         for step in topo.steps[last]:
-            neighbor = step.witness.neighbor
+            neighbor = step.neighbor
             if neighbor in visited or not (neighbor in togo or reached(neighbor)):
                 continue
             bound = len(chain) + 1 + togo[neighbor]
@@ -281,14 +292,13 @@ def _segment_of(m: Model, a_iface: Iri, b_iface: Iri):
 
 def _validate_candidate(topo: _Topology, free: dict, source: Iri, chain: tuple, preq: PathRequest):
     """Check one candidate path. Returns a PathResult or None."""
-    witnesses = [s.witness for s in chain]
-    elements = [source] + [w.neighbor for w in witnesses]
+    elements = [source] + [s.neighbor for s in chain]
 
     segments = []
     for step in chain:
         if step.carriers is None or _carrier_bandwidth(free, step.carriers) < preq.bandwidth:
             return None
-        segments.append([*step.witness.via, step.layer or preq.layer, step.carriers, None])
+        segments.append([*step.via, step.layer or preq.layer, step.carriers, None])
 
     # layer transitions: at every element boundary, the two incident layers
     # must either agree or be bridged by an adaptation on that element.
@@ -307,7 +317,7 @@ def _validate_candidate(topo: _Topology, free: dict, source: Iri, chain: tuple, 
                 return None
         elif intermediate:
             if is_domain:
-                crossing = frozenset((witnesses[i - 1].via[1], witnesses[i].via[0]))
+                crossing = frozenset((chain[i - 1].via[1], chain[i].via[0]))
                 if crossing not in topo.reachable:
                     return None
             elif topo.layers[element] != lin:
@@ -349,14 +359,13 @@ def _validate_candidate(topo: _Topology, free: dict, source: Iri, chain: tuple, 
 
     hops = []
     for i, element in enumerate(elements):
-        ingress = witnesses[i - 1].via[1] if i > 0 else None
-        egress = witnesses[i].via[0] if i < len(chain) else None
+        ingress = chain[i - 1].via[1] if i > 0 else None
+        egress = chain[i].via[0] if i < len(chain) else None
         hops.append(PathHop(element, ingress, egress))
     return PathResult(
         hops=tuple(hops),
         segments=tuple(PathSegment(a, b, carriers, label) for a, b, _, carriers, label in segments),
         consumed_bandwidth=preq.bandwidth,
-        internal_elements=tuple(sub_graph(witnesses)),
     )
 
 
@@ -552,59 +561,33 @@ class Placement:
 
 
 @dataclass
-class BorderCrossing:
-    domain_a: Iri
-    iface_a: Iri
-    domain_b: Iri
-    iface_b: Iri
-    label: Optional[int]
-    bandwidth: int
-
-
-@dataclass
-class DomainHop:
-    """One domain's share of an inter-domain route: where the strand enters
-    and leaves (None at the terminal ends), and the label its internal
-    expansion must carry for continuity."""
-
-    domain: Iri
-    entry_iface: Optional[Iri]
-    exit_iface: Optional[Iri]
-    required_label: Optional[int]
-
-
-@dataclass
 class BranchPath:
-    """One root-to-member strand of a request link: its delegation-level
-    route, then the per-domain detail expansions that redeem fills in."""
+    """One root-to-member strand of a request link: its route over the
+    delegations, the label each route hop's expansion must carry for
+    continuity, and the per-hop detail expansions that redeem fills in."""
 
     to_node: Iri
-    hops: list  # DomainHop per traversed domain
-    crossings: list  # BorderCrossing between consecutive domains
-    domain_paths: list = field(default_factory=list)  # (domain Iri, PathResult)
+    route: PathResult  # over domains; one hop, and no segment, within a domain
+    required: list  # label or None per route hop (`_required_labels_per_domain`)
+    domain_paths: list = field(default_factory=list)  # PathResult per route hop
 
     def hop_devices(self):
         """Intermediate (device, label) pairs along the stitched strand,
         endpoints' hosts excluded."""
-        devices = []
-        for _, path in self.domain_paths:
-            for i, hop in enumerate(path.hops):
-                label = path.segments[i - 1].label if i > 0 else (
-                    path.segments[0].label if path.segments else None
-                )
-                devices.append((hop.element, label))
-        return devices[1:-1] if len(devices) >= 2 else []
+        devices = [
+            (hop.element, path.segments[max(i - 1, 0)].label if path.segments else None)
+            for path in self.domain_paths
+            for i, hop in enumerate(path.hops)
+        ]
+        return devices[1:-1]
 
     def labels(self):
-        out = set()
-        for crossing in self.crossings:
-            if crossing.label is not None:
-                out.add(crossing.label)
-        for _, path in self.domain_paths:
-            for seg in path.segments:
-                if seg.label is not None:
-                    out.add(seg.label)
-        return out
+        return {
+            seg.label
+            for path in (self.route, *self.domain_paths)
+            for seg in path.segments
+            if seg.label is not None
+        }
 
 
 @dataclass
@@ -708,16 +691,9 @@ def _required_labels_per_domain(route: PathResult, broker_view: Model):
     crossings are unlabelled)."""
     translators = broker_view.derived(_compile).translators
     required = []
-    for i, hop in enumerate(route.hops):
-        labels = set()
-        if i > 0 and route.segments[i - 1].label is not None:
-            labels.add(route.segments[i - 1].label)
-        if i < len(route.segments) and route.segments[i].label is not None:
-            labels.add(route.segments[i].label)
-        if hop.element in translators or not labels:
-            required.append(None)
-        else:
-            required.append(min(labels))
+    for i, hop in enumerate(route.hops):  # the segments in and out of hop i
+        labels = {s.label for s in route.segments[max(i - 1, 0):i + 1] if s.label is not None}
+        required.append(None if hop.element in translators or not labels else min(labels))
     return required
 
 
@@ -750,8 +726,7 @@ def embed_request(
                 link.bandwidth,
                 link=link.iri,
             )
-            for crossing in branch.crossings:
-                deduct_crossing_from_view(free, crossing)
+            deduct_crossing_from_view(free, branch.route)
             realization.branches.append(branch)
         plan.realizations[link.iri] = realization
     return plan
@@ -787,7 +762,7 @@ def route_branch(
     """Delegation-level route for one strand: the domains it traverses, the
     border interfaces it enters and leaves by, and the crossing labels."""
     if src_domain == dst_domain:
-        return BranchPath(to_node, [DomainHop(src_domain, None, None, None)], [])
+        return BranchPath(to_node, _trivial_path(src_domain), [None])
     if broker_view is None:
         raise EmbeddingFailed(link, "no delegations available for inter-domain route")
     route = shortest_valid_path(
@@ -795,23 +770,7 @@ def route_branch(
     )
     if route is None:
         raise EmbeddingFailed(link, "no inter-domain route")
-    required = _required_labels_per_domain(route, broker_view)
-    hops = [
-        DomainHop(hop.element, hop.ingress, hop.egress, required[i])
-        for i, hop in enumerate(route.hops)
-    ]
-    crossings = [
-        BorderCrossing(
-            domain_a=route.hops[i].element,
-            iface_a=seg.a_iface,
-            domain_b=route.hops[i + 1].element,
-            iface_b=seg.b_iface,
-            label=seg.label,
-            bandwidth=bandwidth,
-        )
-        for i, seg in enumerate(route.segments)
-    ]
-    return BranchPath(to_node, hops, crossings)
+    return BranchPath(to_node, route, _required_labels_per_domain(route, broker_view))
 
 
 def border_ops(iface: Iri, bandwidth: int, label: Optional[int]) -> list:
@@ -822,53 +781,51 @@ def border_ops(iface: Iri, bandwidth: int, label: Optional[int]) -> list:
     return ops
 
 
-def deduct_crossing_from_view(free: dict, crossing: BorderCrossing) -> None:
+def deduct_crossing_from_view(free: dict, route: PathResult) -> None:
     """Tentative accounting on a request's scratch free figures: later
-    strands of the same request must not resell the label or bandwidth this
-    crossing took."""
-    for iface in (crossing.iface_a, crossing.iface_b):
-        free[("bw", iface)] = free.get(("bw", iface), 0) - crossing.bandwidth
-        if crossing.label is not None:
-            key = ("label", iface)
-            free[key] = free.get(key, NO_LABELS).take(crossing.label)
+    strands of the same request must not resell the labels or bandwidth the
+    crossings of this route took."""
+    for seg in route.segments:
+        for iface in (seg.a_iface, seg.b_iface):
+            free[("bw", iface)] = free.get(("bw", iface), 0) - route.consumed_bandwidth
+            if seg.label is not None:
+                key = ("label", iface)
+                free[key] = free.get(key, NO_LABELS).take(seg.label)
 
 
 def expand_domain_hop(
     state: DomainState,
-    hop: DomainHop,
+    hop: PathHop,
+    required_label: Optional[int],
     layer: Iri,
     bandwidth: int,
     from_device: Optional[Iri],
     to_device: Optional[Iri],
     link: Iri,
 ) -> PathResult:
-    """Detail expansion of one domain's share of a strand. The terminal ends
-    use the placed hosts; transit ends use the border interfaces' owners."""
-    entry = _owner_device(state, hop.entry_iface) if hop.entry_iface else from_device
-    exit_ = _owner_device(state, hop.exit_iface) if hop.exit_iface else to_device
+    """Detail expansion of one domain's hop of a strand's route. The terminal
+    ends use the placed hosts; transit ends use the border interfaces'
+    owners."""
+    entry = _owner_device(state, hop.ingress) if hop.ingress else from_device
+    exit_ = _owner_device(state, hop.egress) if hop.egress else to_device
     if entry is None or exit_ is None:
-        raise EmbeddingFailed(link, f"unknown border interface in {hop.domain.value}")
+        raise EmbeddingFailed(link, f"unknown border interface in {hop.element.value}")
     if entry == exit_:
         return _trivial_path(entry)
     path = shortest_valid_path(
         state.model,
-        PathRequest(entry, exit_, layer, bandwidth, hop.required_label),
+        PathRequest(entry, exit_, layer, bandwidth, required_label),
         free=state.free,
     )
     if path is None:
         raise EmbeddingFailed(
-            link, f"delegation admitted {hop.domain.value} but detail expansion failed"
+            link, f"delegation admitted {hop.element.value} but detail expansion failed"
         )
     return path
 
 
-def _trivial_path(device: Iri) -> PathResult:
-    return PathResult(
-        hops=(PathHop(device, None, None),),
-        segments=(),
-        consumed_bandwidth=0,
-        internal_elements=(device,),
-    )
+def _trivial_path(element: Iri) -> PathResult:
+    return PathResult(hops=(PathHop(element, None, None),), segments=(), consumed_bandwidth=0)
 
 
 def path_ops(path: PathResult) -> list:

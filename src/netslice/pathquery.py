@@ -1,9 +1,10 @@
 """Regular path expressions over a Model.
 
-Two graph primitives sit on top of the generic evaluator: next-hop
-adjacency discovery (`adjacent`) and internal-element extraction
-(`sub_graph`). The pathfinder walks device-level adjacency with the
-expression hasInterface / linkedTo / interfaceOf.
+`eval_path` evaluates an expression from a start node, and `netslice query
+--path-expr` reads its text form. `adjacent` lists one-step walks of a
+sequence expression with the nodes each passes through. The pathfinder in
+`embed` compiles its own adjacency and uses neither; the test oracles
+re-derive that adjacency with `adjacent`.
 """
 
 from __future__ import annotations
@@ -150,17 +151,6 @@ def adjacent(m: Model, node: Iri, conn: PathExpr) -> list:
         if w[-1] != node
     }
     return sorted(witnesses, key=lambda h: (h.neighbor.value, tuple(v.value for v in h.via)))
-
-
-def sub_graph(witness_chain: list) -> list:
-    """All endpoints and via elements of a contiguous hop chain, in walk
-    order, with consecutive duplicates removed."""
-    out: list[Iri] = []
-    for hop in witness_chain:
-        for element in (hop.source, *hop.via, hop.neighbor):
-            if not out or out[-1] != element:
-                out.append(element)
-    return out
 
 
 # -- text form ----------------------------------------------------------------

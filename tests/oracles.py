@@ -13,7 +13,6 @@ import re
 from collections import Counter, deque
 
 from netslice import embed, graphstore, vocab
-from netslice.embed import DEVICE_ADJACENCY
 from netslice.graphstore import (
     Iri,
     Literal,
@@ -31,8 +30,13 @@ from netslice.graphstore import (
     term_key,
 )
 from netslice.models import pool_classes
-from netslice.pathquery import adjacent
+from netslice.pathquery import Pred, Seq, adjacent
 from netslice.vocab import IN_DOMAIN, satisfies
+
+# one device-level step: out by an interface, across its link, into the neighbour
+DEVICE_ADJACENCY = Seq(
+    Pred(vocab.HAS_INTERFACE), Pred(vocab.LINKED_TO), Pred(vocab.INTERFACE_OF)
+)
 
 
 def naive_entail(m: Model) -> set:
@@ -411,6 +415,18 @@ def best_first_simple_paths(m: Model, source: Iri, dest: Iri):
             heapq.heappush(heap, (length + 1, key + (step_key,), chain + (w,)))
 
 
+def sub_graph(witness_chain) -> list:
+    """All endpoints and via elements of a contiguous HopWitness chain, in
+    walk order, with consecutive duplicates removed: the reference for
+    `PathResult.internal_elements`."""
+    out = []
+    for hop in witness_chain:
+        for element in (hop.source, *hop.via, hop.neighbor):
+            if not out or out[-1] != element:
+                out.append(element)
+    return out
+
+
 def feasible_simple_paths(instance, source, dest, bandwidth, required_label, request_layer):
     """Exhaustive simple-path feasibility oracle over a generated instance.
 
@@ -778,7 +794,7 @@ def reference_compile(m: Model):
         out = steps[node] = []
         for w in adjacent(m, node, DEVICE_ADJACENCY):
             key = (w.neighbor.value, tuple(v.value for v in w.via))
-            out.append(embed._Step(key, w, *_reference_segment(m, *w.via)))
+            out.append(embed._Step(key, w.neighbor, w.via, *_reference_segment(m, *w.via)))
             preds.setdefault(w.neighbor, []).append(node)
     adaptations = set()
     for t in m.match(p=vocab.HAS_ADAPTATION):

@@ -578,8 +578,8 @@ def test_three_delegations_merge_into_ring_graph():
         "urn:orca:site:c/Domain",
     ]
     # the merged delegations form a traversable inter-domain graph
-    from netslice.embed import DEVICE_ADJACENCY
     from netslice.pathquery import adjacent
+    from oracles import DEVICE_ADJACENCY
 
     neighbors = {
         w.neighbor.value

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import netslice
-from netslice import graphstore, rules
+from netslice import graphstore, rules, vocab
 from netslice.cli import _parse_scenario, build_parser, main, run_scenario
 
 from conftest import FIXTURES, LOOSE_DATETIMES, LOOSE_LABEL_SETS, count_calls
@@ -248,6 +248,61 @@ def test_path_detours_around_label_exhaustion(capsys):
         "urn:orca:site:c/Switch",
         "urn:orca:site:c/Host",
     ]
+
+
+_RENCI_PATH = [
+    "HOP http://geni-orca.renci.org/sites/renci/Server/A",
+    "HOP http://geni-orca.renci.org/sites/renci/Renci/6509",
+    "HOP http://geni-orca.renci.org/sites/renci/Server/B",
+    "INTERNAL http://geni-orca.renci.org/sites/renci/Server/A",
+    "INTERNAL http://geni-orca.renci.org/sites/renci/Server/A/f1/ethernet",
+    "INTERNAL http://geni-orca.renci.org/sites/renci/10GB/1/0/ethernet",
+    "INTERNAL http://geni-orca.renci.org/sites/renci/Renci/6509",
+    "INTERNAL http://geni-orca.renci.org/sites/renci/10GB/1/1/ethernet",
+    "INTERNAL http://geni-orca.renci.org/sites/renci/Server/B/f1/ethernet",
+    "INTERNAL http://geni-orca.renci.org/sites/renci/Server/B",
+    "LABEL 100",
+    "BANDWIDTH 1000",
+]
+
+_RING_DETOUR_PATH = [
+    "HOP urn:orca:site:a/Host",
+    "HOP urn:orca:site:a/Switch",
+    "HOP urn:orca:site:b/Switch",
+    "HOP urn:orca:site:c/Switch",
+    "HOP urn:orca:site:c/Host",
+    "INTERNAL urn:orca:site:a/Host",
+    "INTERNAL urn:orca:site:a/Host/if0",
+    "INTERNAL urn:orca:site:a/Switch/if0",
+    "INTERNAL urn:orca:site:a/Switch",
+    "INTERNAL urn:orca:site:a/Switch/toB",
+    "INTERNAL urn:orca:site:b/Switch/toA",
+    "INTERNAL urn:orca:site:b/Switch",
+    "INTERNAL urn:orca:site:b/Switch/toC",
+    "INTERNAL urn:orca:site:c/Switch/toB",
+    "INTERNAL urn:orca:site:c/Switch",
+    "INTERNAL urn:orca:site:c/Switch/if0",
+    "INTERNAL urn:orca:site:c/Host/if0",
+    "INTERNAL urn:orca:site:c/Host",
+    "LABEL 120",
+    "BANDWIDTH 100",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        ((FIXTURES / "renci.ndl", "--from", "<http://geni-orca.renci.org/sites/renci/Server/A>",
+          "--to", "<http://geni-orca.renci.org/sites/renci/Server/B>", "--bandwidth", "1000"),
+         _RENCI_PATH),
+        ((*(FIXTURES / f"ring-{site}.ndl" for site in "abc"), "--from", "<urn:orca:site:a/Host>",
+          "--to", "<urn:orca:site:c/Host>", "--bandwidth", "100", "--label", "120"),
+         _RING_DETOUR_PATH),
+    ],
+    ids=["renci", "ring-detour"],
+)
+def test_path_prints_every_hop_internal_element_label_and_bandwidth(capsys, argv, lines):
+    assert _run(capsys, "path", *argv) == (0, "".join(f"{line}\n" for line in lines), "")
 
 
 def test_delegate_output_parses(capsys):
@@ -677,6 +732,46 @@ def test_exceeded_closure_budget_exits_two(capsys, monkeypatch, argv):
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: entailment produced") and "(cap 5)" in err
+
+
+@pytest.mark.parametrize(
+    "cap, schema, culprit, derived",
+    [
+        (5, False, "gpu-site.ndl", 6),
+        (5, True, "gpu-site.ndl", 6),
+        (2, True, "gpu-schema.ndl", 3),
+    ],
+    ids=["substrate", "substrate-with-schema", "schema"],
+)
+def test_exceeded_closure_budget_in_embed_names_the_file(
+    capsys, monkeypatch, tmp_path, cap, schema, culprit, derived
+):
+    files = {"gpu-schema.ndl": GPU_SCHEMA, "gpu-site.ndl": GPU_SUBSTRATE, "req.ndl": GPU_REQUEST}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = ["embed", tmp_path / "gpu-site.ndl", "--request", tmp_path / "req.ndl"]
+    if schema:
+        argv += ["--schema", tmp_path / "gpu-schema.ndl"]
+    vocab.entailed_schema()  # the built-in T-box closes within the default budget
+    monkeypatch.setattr(graphstore.entail, "__defaults__", (cap, None))
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {tmp_path / culprit}: entailment produced {derived} derived triples (cap {cap})\n"
+    )
+
+
+def test_exceeded_closure_budget_in_a_scenario_names_the_line_and_file(
+    capsys, monkeypatch, tmp_path
+):
+    (tmp_path / "gpu-site.ndl").write_text(GPU_SUBSTRATE)
+    script = tmp_path / "gpu.scn"
+    script.write_text("load-substrate gpu-site.ndl\n")
+    vocab.entailed_schema()
+    monkeypatch.setattr(graphstore.entail, "__defaults__", (5, None))
+    code, out, err = _run(capsys, "run", script)
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: gpu-site.ndl: entailment produced 6 derived triples (cap 5)\n"
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from netslice.models import (
     parse_request,
     residual_of,
 )
+from netslice.pathquery import HopWitness
 from netslice.vocab import ETHERNET_ELEMENT, NO_LABELS, LabelSet, render_label_set
 
 from conftest import FIXTURES, count_calls
@@ -47,6 +48,7 @@ from oracles import (
     oracle_best_hop_count,
     reference_binding,
     reference_compile,
+    sub_graph,
 )
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
@@ -188,6 +190,14 @@ def _oracle_revalidates(instance, result, source, bandwidth, required):
     return any(path_names == names for _, path_names in feasible)
 
 
+def _witness_chain(result) -> list:
+    """The HopWitness chain a path walks, rebuilt from its hops."""
+    return [
+        HopWitness(a.element, b.element, (a.egress, b.ingress))
+        for a, b in zip(result.hops, result.hops[1:])
+    ]
+
+
 def test_pathfinding_matches_exhaustive_oracle():
     rng = random.Random(31337)
     misses = 0
@@ -223,13 +233,21 @@ def test_pathfinding_matches_exhaustive_oracle():
             assert _oracle_revalidates(instance, got, source, bandwidth, required), (
                 f"round {round_no}: returned path fails independent re-validation"
             )
+            assert list(got.internal_elements) == sub_graph(_witness_chain(got)), (
+                f"round {round_no}: internal elements differ from the reference"
+            )
     assert misses <= 4  # limit-induced misses stay rare
 
 
 def _first_candidates(m, source, dest, n=100):
     chains = embed._candidate_paths(m.derived(embed._compile), source, dest)
-    got = [tuple(step.witness for step in chain) for chain in itertools.islice(chains, n)]
-    want = list(itertools.islice(best_first_simple_paths(m, source, dest), n))
+    got = [
+        tuple((step.neighbor, step.via) for step in chain) for chain in itertools.islice(chains, n)
+    ]
+    want = [
+        tuple((w.neighbor, w.via) for w in chain)
+        for chain in itertools.islice(best_first_simple_paths(m, source, dest), n)
+    ]
     return got, want
 
 
@@ -839,8 +857,9 @@ def test_embed_across_adjacent_ring_domains():
     before = world.serialized_states()
     assert world.submit_request("ring1", _ring_request("a", "b")) is not None
     branch = _only_branch(world, "ring1")
-    assert len(branch.crossings) == 1  # adjacent domains: direct crossing
-    assert {d.value for d, _ in branch.domain_paths} == {
+    assert len(branch.route.segments) == 1  # adjacent domains: direct crossing
+    assert len(branch.domain_paths) == len(branch.route.hops)
+    assert {hop.element.value for hop in branch.route.hops} == {
         "urn:orca:site:a/Domain",
         "urn:orca:site:b/Domain",
     }
@@ -854,10 +873,10 @@ def test_embed_label_continuity_across_ring():
     world = _world(*RING)
     assert world.submit_request("ring2", _ring_request("a", "c")) is not None
     branch = _only_branch(world, "ring2")
-    assert len(branch.crossings) == 1  # a-c are adjacent too
-    label = branch.crossings[0].label
+    assert len(branch.route.segments) == 1  # a-c are adjacent too
+    label = branch.route.segments[0].label
     assert label == 140  # lowest common label on the a-c border pools
-    for _, path in branch.domain_paths:
+    for path in branch.domain_paths:
         for seg in path.segments:
             assert seg.label == label
     world.delete_slice("ring2")

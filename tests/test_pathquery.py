@@ -15,9 +15,8 @@ from netslice.pathquery import (
     adjacent,
     eval_path,
     parse_path_expr,
-    sub_graph,
 )
-from oracles import nfa_reachable
+from oracles import nfa_reachable, sub_graph
 
 EX = "urn:ex/"
 
