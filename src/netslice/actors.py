@@ -583,12 +583,12 @@ class Controller:
                         raise SliceError("Redeem", "missing path expansion from AM")
                     branch.domain_paths.append(path)
         try:
-            manifest = build_manifest(request, plan)
+            prefixes, manifest = build_manifest(request, plan)
         except Exception as e:
             raise SliceError("Redeem", f"manifest assembly failed: {e}")
         if not check_homeomorphic(request, manifest):
             raise SliceError("Redeem", "manifest failed the homeomorphism check")
-        return serialize_document(manifest)
+        return serialize_document(manifest, prefixes)
 
     def _teardown(self, record: SliceRecord, ams: dict) -> None:
         for domain in record.leases:

@@ -23,10 +23,11 @@ from .graphstore import (
     EvaluationBudgetExceeded,
     Model,
     ParseError,
+    _namespaces,
+    _render,
     lex,
     parse_document,
     query_bgp,
-    render_term,
     resolve,
     serialize_document,
     token_term,
@@ -60,9 +61,14 @@ def _read_model(path: str) -> Model:
         raise CliInputError(f"{path}: {e}")
 
 
-def _documents(files, schemas) -> list:
-    """Extension schemas, then the named documents, parsed."""
-    return [_read_model(path) for path in [*(schemas or ()), *files]]
+def _close(files, schemas) -> tuple:
+    """The documents, extension schemas first, and their closure, naming them if over budget."""
+    paths = [*(schemas or ()), *files]
+    docs = [_read_model(path) for path in paths]
+    try:
+        return docs, close(*docs)
+    except ClosureBudgetExceeded as e:
+        raise CliInputError(f"{', '.join(map(str, paths))}: {e}") from None
 
 
 def _load_rules(paths) -> list:
@@ -83,8 +89,7 @@ def _print_findings(issues, violations) -> None:
 
 
 def cmd_validate(args) -> int:
-    docs = _documents(args.files, args.schema)
-    closed = close(*docs)
+    docs, closed = _close(args.files, args.schema)
     issues = validate_conformance(*docs, closed=closed)
     violations = rules_mod.validate(closed, _load_rules(args.rules))
     _print_findings(issues, violations)
@@ -103,7 +108,7 @@ def _write_out(text: str, out) -> int:
 
 
 def cmd_entail(args) -> int:
-    return _write_out(serialize_document(close(*_documents(args.files, args.schema))), args.out)
+    return _write_out(serialize_document(_close(args.files, args.schema)[1]), args.out)
 
 
 def _parse_bgp(text: str, prefixes: dict) -> list:
@@ -129,7 +134,7 @@ def _parse_bgp(text: str, prefixes: dict) -> list:
 
 
 def cmd_query(args) -> int:
-    closed = close(*_documents(args.files, args.schema))
+    closed = _close(args.files, args.schema)[1]
     prefixes = closed.prefixes
     if args.bgp:
         patterns = _parse_bgp(args.bgp, prefixes)
@@ -137,8 +142,9 @@ def cmd_query(args) -> int:
             bindings = query_bgp(closed, patterns)
         except EvaluationBudgetExceeded as e:
             raise CliInputError(f"--bgp: query join produced {e.rows} rows (cap {e.cap})")
+        namespaces = _namespaces(prefixes)
         for binding in bindings:
-            print(" ".join(f"?{n}={render_term(binding[n], prefixes)}" for n in sorted(binding)))
+            print(" ".join(f"?{n}={_render(binding[n], namespaces)}" for n in sorted(binding)))
         return EXIT_OK
     if not args.path_expr or not args.start:
         raise CliInputError("query needs --bgp, or --path-expr with --from")
@@ -150,7 +156,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_path(args) -> int:
-    closed = close(*_documents(args.files, args.schema))
+    closed = _close(args.files, args.schema)[1]
     prefixes = closed.prefixes
     source = resolve(getattr(args, "from"), prefixes)
     dest = resolve(args.to, prefixes)
@@ -176,7 +182,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_delegate(args) -> int:
-    closed = close(*_documents([args.file], args.schema))
+    closed = _close([args.file], args.schema)[1]
     try:
         graph = parse_substrate(closed)
     except SubstrateError as e:

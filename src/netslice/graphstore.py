@@ -17,7 +17,7 @@ import logging
 import re
 import weakref
 from collections import deque
-from itertools import islice
+from itertools import chain, islice
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -235,9 +235,6 @@ class Model:
 
     # -- mutation ---------------------------------------------------------
 
-    def declare(self, name: str, iri: str) -> None:
-        self.prefixes[name] = iri
-
     def freeze(self) -> "Model":
         """Make every later add or remove raise TypeError; returns the model."""
         self._frozen = True
@@ -424,6 +421,9 @@ _LINE_RE = re.compile(
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+# The writer's side of _ESCAPES: the characters it reads back, as escapes.
+_ESCAPED = str.maketrans({raw: "\\" + code for code, raw in _ESCAPES.items()})
+_TO_ESCAPE_RE = re.compile(f"[{re.escape(''.join(_ESCAPES.values()))}]")
 
 
 def parse_document(text: str) -> Model:
@@ -635,56 +635,50 @@ def resolve(text: str, prefixes: dict) -> Iri:
     raise ValueError(f"cannot resolve {text!r}: unknown prefix")
 
 
-def render_term(t: Term, prefixes: dict) -> str:
-    """Render a term, compacting IRIs against the prefix map when safe."""
-    return _render(t, _namespaces(prefixes))
-
-
-def _namespaces(prefixes: dict) -> list:
-    """(length, {namespace: its smallest prefix name}) groups, longest
-    first: the longest namespace that leaves a safe local part compacts an
-    IRI, and at most one namespace of each length prefixes it."""
+def _namespaces(prefixes: dict) -> tuple:
+    """(k, groups): k is the shortest namespace's length; a group holds the
+    namespaces that share their first k characters as (length, {namespace:
+    its smallest prefix name}) pairs, longest first. Only an IRI's group can
+    prefix it, and its longest namespace that leaves a safe local wins."""
+    k = min(map(len, prefixes.values()), default=0)
     groups = {}
     for name, ns in sorted(prefixes.items()):
-        groups.setdefault(len(ns), {}).setdefault(ns, name)
-    return sorted(groups.items(), key=lambda g: -g[0])
+        groups.setdefault(ns[:k], {}).setdefault(len(ns), {}).setdefault(ns, name)
+    return k, {lead: sorted(g.items(), reverse=True) for lead, g in groups.items()}
 
 
-def _render(t: Term, namespaces: list) -> str:
+def _render(t: Term, namespaces: tuple) -> str:
+    """A term's text, with IRIs compacted against `_namespaces` when safe."""
     if isinstance(t, Iri):
         v = t.value
-        for length, names in namespaces:
+        k, groups = namespaces
+        for length, names in groups.get(v[:k], ()):
             name = names.get(v[:length])
             if name is not None:
                 local = v[length:]
                 if not local or (_SAFE_LOCAL_RE.match(local) and not local.endswith(".")):
                     return f"{name}:{local}"
         return f"<{v}>"
-    lex = (
-        t.lexical.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
-    if t.datatype == XSD_STRING:
+    lex = t.lexical.translate(_ESCAPED) if _TO_ESCAPE_RE.search(t.lexical) else t.lexical
+    if t.datatype is XSD_STRING:
         return f'"{lex}"'
     return f'"{lex}"^^{_render(t.datatype, namespaces)}'
 
 
-def serialize_document(m: Model) -> str:
-    """Canonical NDL-Lite text: sorted prefixes, then sorted compacted triples.
+def serialize_document(triples: Iterable[Triple], prefixes: Optional[dict] = None) -> str:
+    """Canonical NDL-Lite text of distinct triples under a prefix map (by
+    default a Model's own): sorted prefixes, then sorted compacted triples.
 
     parse_document(serialize_document(m)) reproduces m exactly; serializing
     again yields identical bytes.
     """
-    prefixes = m.prefixes
+    prefixes = triples.prefixes if prefixes is None else prefixes
     lines = [f"@prefix {name}: <{iri}> ." for name, iri in sorted(prefixes.items())]
-    # each distinct term is rendered once
+    # each distinct term is rendered once. No subject or predicate text holds
+    # a character at or below a space, so lines sort as their term texts do.
     namespaces = _namespaces(prefixes)
-    text = {term: _render(term, namespaces) for term in {x for t in m for x in t}}
-    rendered = sorted((text[s], text[p], text[o]) for s, p, o in m)
-    lines.extend(f"{s} {p} {o} ." for s, p, o in rendered)
+    text = {term: _render(term, namespaces) for term in set(chain.from_iterable(triples))}
+    lines += sorted(f"{text[s]} {text[p]} {text[o]} ." for s, p, o in triples)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -556,20 +556,17 @@ def slice_base(slice_id: str) -> str:
     return f"urn:orca:slice:{slice_id}"
 
 
-def build_manifest(req: SliceRequest, plan) -> Model:
-    """Manifest model: every request statement plus provisioned entities,
-    each linked back to its request entity via provisionedFrom.
+def build_manifest(req: SliceRequest, plan) -> tuple:
+    """The manifest document as (prefix map, triples): every request
+    statement, in order, then the provisioned entities, each linked back to
+    its request entity via provisionedFrom; each triple once, and no index.
 
     Raises PlanIncomplete when the plan misses a request element.
     """
     base = slice_base(plan.slice_id)
-    m = Model(dict(req.model.prefixes))
-    for name, ns in vocab.BASE_PREFIXES.items():
-        m.prefixes.setdefault(name, ns)
-    m.prefixes.setdefault("sl", base + "/")
-    triples = list(req.model)
+    prefixes = {**vocab.BASE_PREFIXES, "sl": base + "/", **req.model.prefixes}
 
-    vm_of = {}
+    vm_of, triples = {}, []
     for k, node in enumerate(req.nodes):
         placement = plan.placements.get(node.iri)
         if placement is None:
@@ -610,31 +607,34 @@ def build_manifest(req: SliceRequest, plan) -> Model:
                 triples.append((prev, CONNECTED_TO, hop))
                 prev = hop
             triples.append((prev, CONNECTED_TO, target_vm))
-    m.add_all([_new(Triple, t) for t in triples])
-    return m
+    return prefixes, list(dict.fromkeys([*req.model, *[_new(Triple, t) for t in triples]]))
 
 
-def check_homeomorphic(req: SliceRequest, manifest: Model) -> bool:
+def check_homeomorphic(req: SliceRequest, manifest) -> bool:
     """True iff smoothing out degree-2 path hops from the provisioned
     topology leaves a graph isomorphic to the request topology under the
-    provisionedFrom correspondence.
+    provisionedFrom correspondence. The manifest is any iterable of its
+    triples, read once.
 
     Request topology here is the incidence graph: one vertex per node, one
     per link, an edge wherever a node owns one of the link's interfaces.
     """
-    corr = {}
-    for t in manifest.match(p=PROVISIONED_FROM):
-        if isinstance(t.object, Iri):
-            if t.subject in corr and corr[t.subject] != t.object:
+    corr, hops, edges = {}, set(), []
+    for s, p, o in manifest:
+        if p is PROVISIONED_FROM:
+            if isinstance(o, Iri) and corr.setdefault(s, o) is not o:
                 return False
-            corr[t.subject] = t.object
+        elif p is CONNECTED_TO:
+            edges.append((s, o))
+        elif p is RDF_TYPE and o is PATH_HOP:
+            hops.add(s)
     verts = set(corr)
-    hops = {v for v in verts if PATH_HOP in manifest.types(v)}
+    hops &= verts
     near = {v: set() for v in verts}  # the edges, as neighbour sets
-    for t in manifest.match(p=CONNECTED_TO):
-        if t.subject in verts and t.object in verts and t.subject is not t.object:
-            near[t.subject].add(t.object)
-            near[t.object].add(t.subject)
+    for s, o in edges:
+        if s in verts and o in verts and s is not o:
+            near[s].add(o)
+            near[o].add(s)
 
     # smooth out degree-2 hops, least IRI first. No degree grows, so a hop is
     # queued once, on reaching 2, and skipped if it has dropped below 2 since.

@@ -660,7 +660,7 @@ def reference_parse_document(text: str) -> Model:
             name = tokens[1][1][:-1]
             if not _REFERENCE_PREFIX_NAME_RE.match(name):
                 raise ParseError(lineno, tokens[1][2], f"bad prefix name {name!r}")
-            m.declare(name, tokens[2][1])
+            m.prefixes[name] = tokens[2][1]
             continue
         if len(tokens) != 4 or tokens[3][0] != "dot":
             raise ParseError(
@@ -707,6 +707,50 @@ def reference_render_iri(value: str, prefixes: dict) -> str:
             if best is None or len(ns) > best[0] or (len(ns) == best[0] and name < best[1]):
                 best = (len(ns), name, local)
     return f"<{value}>" if best is None else f"{best[1]}:{best[2]}"
+
+
+def _reference_namespaces(prefixes: dict) -> list:
+    """(length, {namespace: its smallest prefix name}) groups, longest first."""
+    groups = {}
+    for name, ns in sorted(prefixes.items()):
+        groups.setdefault(len(ns), {}).setdefault(ns, name)
+    return sorted(groups.items(), key=lambda g: -g[0])
+
+
+def _reference_render(t, namespaces: list) -> str:
+    if isinstance(t, Iri):
+        v = t.value
+        for length, names in namespaces:
+            name = names.get(v[:length])
+            if name is not None:
+                local = v[length:]
+                if not local or (_SAFE_LOCAL.match(local) and not local.endswith(".")):
+                    return f"{name}:{local}"
+        return f"<{v}>"
+    lex = (
+        t.lexical.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+        .replace("\t", "\\t")
+    )
+    if t.datatype == graphstore.XSD_STRING:
+        return f'"{lex}"'
+    return f'"{lex}"^^{_reference_render(t.datatype, namespaces)}'
+
+
+def reference_serialize(m: Model) -> str:
+    """`serialize_document` of a Model as it was before namespaces were
+    grouped by leading characters: every namespace length is tried for
+    every IRI, every literal goes through the five escapes, and the rows
+    sort as (subject, predicate, object) text tuples."""
+    prefixes = m.prefixes
+    lines = [f"@prefix {name}: <{iri}> ." for name, iri in sorted(prefixes.items())]
+    namespaces = _reference_namespaces(prefixes)
+    text = {term: _reference_render(term, namespaces) for term in {x for t in m for x in t}}
+    rendered = sorted((text[s], text[p], text[o]) for s, p, o in m)
+    lines.extend(f"{s} {p} {o} ." for s, p, o in rendered)
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _delegated_pools(broker) -> dict:

@@ -722,16 +722,27 @@ _PATH_ARGS = (
 )
 
 
+_RENCI, _PAIR = FIXTURES / "renci.ndl", FIXTURES / "request-pair.ndl"
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [_PATH_ARGS, ("validate", FIXTURES / "request-pair.ndl"), ("entail", FIXTURES / "renci.ndl")],
-    ids=["path", "validate", "entail"],
+    "argv, named",
+    [
+        (_PATH_ARGS, _RENCI),
+        (("validate", _PAIR), _PAIR),
+        (("entail", _RENCI), _RENCI),
+        (("delegate", FIXTURES / "ring-a.ndl"), FIXTURES / "ring-a.ndl"),
+        (("query", _RENCI, "--bgp", "?s rdf:type ?c"), _RENCI),
+        (("validate", _PAIR, "--schema", _RENCI), f"{_RENCI}, {_PAIR}"),
+    ],
+    ids=["path", "validate", "entail", "delegate", "query", "validate-with-schema"],
 )
-def test_exceeded_closure_budget_exits_two(capsys, monkeypatch, argv):
+def test_exceeded_closure_budget_exits_two(capsys, monkeypatch, argv, named):
+    vocab.entailed_schema()  # the built-in T-box closes within the default budget
     monkeypatch.setattr(graphstore.entail, "__defaults__", (5, None))
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: entailment produced") and "(cap 5)" in err
+    assert err.startswith(f"error: {named}: entailment produced ") and err.endswith(" (cap 5)\n")
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,7 @@ from oracles import (
     reference_entail,
     reference_parse_document,
     reference_render_iri,
+    reference_serialize,
 )
 
 EX = "urn:ex/"
@@ -217,6 +218,10 @@ def test_serialization_invariant_under_insertion_order():
         assert serialize_document(m) == expected
 
 
+def render_term(t, prefixes: dict) -> str:
+    return graphstore._render(t, graphstore._namespaces(prefixes))
+
+
 def test_render_term_compacts_like_the_reference():
     # overlapping and equal namespaces, empty and unsafe locals
     rng = random.Random(0x5E7)
@@ -226,7 +231,42 @@ def test_render_term_compacts_like_the_reference():
         names = [rng.choice("pqrs") + rng.choice(["", "1"]) for _ in range(4)]
         prefixes = {name: rng.choice(spaces) for name in names}
         value = rng.choice(spaces) + "".join(rng.choice(pieces) for _ in range(rng.randrange(4)))
-        assert graphstore.render_term(Iri(value), prefixes) == reference_render_iri(value, prefixes)
+        assert render_term(Iri(value), prefixes) == reference_render_iri(value, prefixes)
+
+
+# Nested namespaces ("urn:a/" in "urn:a/b" in "urn:a/b/"), one that leaves
+# locals ending in "." ("urn:a/b/c."), and one shorter than the rest ("u:").
+_SPACES = [
+    "urn:a/", "urn:a/b", "urn:a/b/", "urn:a/b/c.", "urn:a/b/c/d#", "urn:z#", "u:", "http://x.org/ns#"
+]
+# Locals that are empty, safe, unsafe ("~", "#", a leading "." or "-") or end in ".".
+_LOCALS = st.text(alphabet="ab0_/.#~-", max_size=4)
+_IRIS = st.builds(
+    lambda ns, local: Iri(ns + local), st.sampled_from([*_SPACES, "urn:other/"]), _LOCALS
+)
+# Every character a literal escapes, and two it does not.
+_LITERALS = st.builds(
+    Literal,
+    st.text(alphabet='a \\"\n\r\t\x01\u00e9', max_size=5),
+    st.one_of(st.sampled_from([graphstore.XSD_STRING, XSD_INTEGER]), _IRIS),
+)
+# Two names for one namespace, the empty prefix name, and maps with none.
+_PREFIX_MAPS = st.dictionaries(
+    st.sampled_from(["", "p", "q", "p1", "ns.x", "a-b"]), st.sampled_from(_SPACES), max_size=5
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PREFIX_MAPS, st.lists(st.tuples(_IRIS, _IRIS, st.one_of(_IRIS, _LITERALS)), max_size=10))
+def test_serializer_is_byte_equal_to_the_reference_and_round_trips(prefixes, rows):
+    m = Model(prefixes)
+    m.add_all(Triple(*row) for row in rows)
+    text = serialize_document(m)
+    assert text == reference_serialize(m)
+    assert serialize_document(list(m), prefixes) == text
+    again = parse_document(text)
+    assert again == m and again.prefixes == prefixes
+    assert serialize_document(again) == text
 
 
 def test_set_semantics_on_re_add():
@@ -817,7 +857,7 @@ _curie = st.builds(
 )
 _term = st.one_of(_iri, _curie)
 _literal = st.builds(
-    lambda raw, datatype: '"' + graphstore.render_term(Literal(raw), {})[1:-1] + '"' + datatype,
+    lambda raw, datatype: '"' + render_term(Literal(raw), {})[1:-1] + '"' + datatype,
     st.text(alphabet='ab \t\r\n#<>."\\', max_size=6),
     st.one_of(st.just(""), _term.map("^^{}".format)),
 )
@@ -858,7 +898,7 @@ def _valid_statement(draw):
         kind = draw(st.sampled_from(["iri", "curie", "literal"][: 3 if position == "object" else 2]))
         if kind == "literal":
             raw = draw(st.text(alphabet='ab \t\r\n#<>."\\^', max_size=6))
-            line += graphstore.render_term(Literal(raw), {})
+            line += render_term(Literal(raw), {})
             kind = draw(st.sampled_from(["", "iri", "curie"]))
             line += "^^" if kind else ""
         if kind == "iri":

@@ -34,7 +34,7 @@ from netslice.models import (
 from netslice.vocab import LabelSet, builtin_schema, validate_conformance
 
 from conftest import FIXTURES, LOOSE_LABEL_SETS
-from oracles import reference_check_homeomorphic
+from oracles import reference_check_homeomorphic, reference_serialize
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
 
@@ -463,9 +463,21 @@ def _embedded_pair():
     return _embedded((FIXTURES / "renci.ndl").read_text(), "demo1")
 
 
+def _manifest_model(req, plan) -> Model:
+    """The manifest `build_manifest` returns, loaded into a Model to query
+    or edit."""
+    prefixes, triples = build_manifest(req, plan)
+    m = Model(prefixes)
+    m.add_all(triples)
+    return m
+
+
 def test_build_manifest_contains_request_and_links_back():
     req, plan = _embedded_pair()
-    manifest = build_manifest(req, plan)
+    _, triples = build_manifest(req, plan)
+    assert triples[: len(req.model)] == list(req.model)  # the request first, in order
+    assert len(set(triples)) == len(triples)
+    manifest = _manifest_model(req, plan)
     for t in req.model:
         assert t in manifest
     vms = [t.subject for t in manifest.match(p=vocab.PROVISIONED_FROM) if vocab.VM in manifest.types(t.subject)]
@@ -484,8 +496,8 @@ def test_build_manifest_contains_request_and_links_back():
 def test_build_manifest_deterministic_bytes():
     req1, plan1 = _embedded_pair()
     req2, plan2 = _embedded_pair()
-    assert serialize_document(build_manifest(req1, plan1)) == serialize_document(
-        build_manifest(req2, plan2)
+    assert serialize_document(_manifest_model(req1, plan1)) == serialize_document(
+        _manifest_model(req2, plan2)
     )
 
 
@@ -500,13 +512,14 @@ def test_build_manifest_empty_plan_incomplete():
 
 def test_manifest_is_homeomorphic_to_request():
     req, plan = _embedded_pair()
-    manifest = build_manifest(req, plan)
-    assert check_homeomorphic(req, manifest)
+    _, triples = build_manifest(req, plan)
+    assert check_homeomorphic(req, triples)
+    assert check_homeomorphic(req, _manifest_model(req, plan))
 
 
 def test_homeomorphic_fails_on_rewired_vm():
     req, plan = _embedded_pair()
-    manifest = build_manifest(req, plan)
+    manifest = _manifest_model(req, plan)
     # relink the second VM to the wrong request node
     base = "urn:orca:slice:demo1"
     vm1 = Iri(f"{base}/vm/1")
@@ -536,7 +549,7 @@ DEMO1 = "urn:orca:slice:demo1/"
 )
 def test_homeomorphic_refuses_an_edited_manifest(subject, predicate, obj):
     req, plan = _embedded_pair()
-    manifest = build_manifest(req, plan)
+    manifest = _manifest_model(req, plan)
     assert check_homeomorphic(req, manifest)
     manifest.add(Triple(Iri(subject), predicate, Iri(obj)))
     assert not check_homeomorphic(req, manifest)
@@ -560,7 +573,7 @@ def test_homeomorphic_isomorphic_case_trivial_path():
         't:host comp:availableUnits "2"^^xsd:integer .\n'
     )
     req, plan = _embedded(text, "solo1")
-    manifest = build_manifest(req, plan)
+    manifest = _manifest_model(req, plan)
     assert manifest.typed(vocab.PATH_HOP) == []
     assert check_homeomorphic(req, manifest)
 
@@ -634,7 +647,7 @@ def _edit_manifest(manifest, edits):
 )
 def test_homeomorphic_verdict_on_edited_manifests(edits, verdict):
     req, plan = _embedded_pair()
-    manifest = _edit_manifest(build_manifest(req, plan), edits)
+    manifest = _edit_manifest(_manifest_model(req, plan), edits)
     assert check_homeomorphic(req, manifest) is reference_check_homeomorphic(req, manifest) is verdict
 
 
@@ -647,7 +660,7 @@ def test_homeomorphic_verdict_on_edited_manifests(edits, verdict):
 )
 def test_homeomorphic_matches_the_rescanning_reference(edits):
     req, plan = _embedded_pair()
-    manifest = _edit_manifest(build_manifest(req, plan), edits)
+    manifest = _edit_manifest(_manifest_model(req, plan), edits)
     assert check_homeomorphic(req, manifest) == reference_check_homeomorphic(req, manifest)
 
 
@@ -658,8 +671,10 @@ def test_homeomorphic_matches_the_reference_on_every_workload_manifest(monkeypat
 
     checked = []
 
-    def recorded(req, manifest):
-        verdict = check_homeomorphic(req, manifest)
+    def recorded(req, triples):
+        verdict = check_homeomorphic(req, triples)
+        manifest = Model()
+        manifest.add_all(triples)
         assert verdict is reference_check_homeomorphic(req, manifest) is True
         checked.append(len(manifest.typed(vocab.PATH_HOP)))
         return verdict
@@ -668,3 +683,29 @@ def test_homeomorphic_matches_the_reference_on_every_workload_manifest(monkeypat
     workload = WORKLOADS[name](1, tmp_path)
     workload.round(workload.setup(), Recorder(), checks=False)
     assert len(checked) == workload.admitted and max(checked) >= 4
+
+
+@pytest.mark.parametrize("name", ["churn-vlan", "wide-ring"])
+def test_serializer_matches_the_reference_on_every_workload_document(monkeypatch, tmp_path, name):
+    """Every manifest, delegation and ledger snapshot the actors write in a
+    round serializes as the reference does."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent))
+    from perfbench.workloads import WORKLOADS, Recorder
+
+    manifests = []
+
+    def recorded(triples, prefixes=None):
+        text = serialize_document(triples, prefixes)
+        model = triples
+        if prefixes is not None:  # a manifest: a prefix map and distinct triples
+            model = Model(prefixes)
+            model.add_all(triples)
+            assert len(model) == len(triples)
+            manifests.append(text)
+        assert text == reference_serialize(model)
+        return text
+
+    monkeypatch.setattr(actors_mod, "serialize_document", recorded)
+    workload = WORKLOADS[name](1, tmp_path)
+    workload.round(workload.setup(), Recorder(), checks=False)
+    assert len(manifests) == workload.admitted
