@@ -122,13 +122,6 @@ class Ticket:
     term: Term
 
 
-@dataclass
-class Lease:
-    lease_id: str
-    slice_id: str
-    term: Term
-
-
 SLICE_ARCS = {
     "Requested": {"Validated", "Closed"},
     "Validated": {"Ticketed", "Closed"},
@@ -142,11 +135,7 @@ SLICE_ARCS = {
 class SliceRecord:
     slice_id: str
     state: str = "Requested"
-    request: Optional[SliceRequest] = None
-    plan: Optional[EmbeddingPlan] = None
-    manifest_text: Optional[str] = None
-    tickets: list = field(default_factory=list)
-    leases: list = field(default_factory=list)  # domains holding a lease
+    tickets: list = field(default_factory=list)  # the Tickets held until the slice closes
     failure: Optional[SliceError] = None
 
     def transition(self, new_state: str) -> None:
@@ -164,7 +153,7 @@ class AggregateManager:
         raw = parse_document(substrate_text)
         self.state: DomainState = prepare_domain(raw, base)
         self.domain = self.state.substrate.domain
-        self.leases: dict[str, Lease] = {}
+        self.leases: dict[str, tuple] = {}  # slice id -> (lease id, term end)
         self._lease_counter = 0
 
     def delegate(self) -> str:
@@ -172,13 +161,15 @@ class AggregateManager:
         return serialize_document(build_delegation(self.state.substrate, self.state.free))
 
     def _host_candidates(self, requested_class: Iri) -> list:
-        """Pools able to provision the class, first-fit order. Subclass
-        checks use the substrate's own model so provider extensions count."""
+        """Pools able to provision the class with a unit free now, first-fit
+        order. Subclass checks use the substrate's own model so provider
+        extensions count."""
         pools = sorted(self.state.substrate.pools, key=lambda p: (p.node.value, p.provides.value))
         return [
             (pool.node, pool.provides)
             for pool in pools
-            if satisfies(self.state.model, pool.provides, requested_class)
+            if self.state.free.get(("units", pool.node), 0) >= 1
+            and satisfies(self.state.model, pool.provides, requested_class)
         ]
 
     def redeem(self, ticket: Ticket, clock: VirtualClock):
@@ -215,13 +206,9 @@ class AggregateManager:
                 failure = RedeemError("infeasible-detail", str(e))
                 continue
             self._lease_counter += 1
-            lease = Lease(
-                lease_id=f"{self.am_id}/lease/{self._lease_counter}",
-                slice_id=ticket.slice_id,
-                term=ticket.term,
-            )
-            self.leases[lease.lease_id] = lease
-            return lease, placements, paths
+            lease_id = f"{self.am_id}/lease/{self._lease_counter}"
+            self.leases[ticket.slice_id] = (lease_id, ticket.term.end)
+            return placements, paths
         raise failure
 
     def _try_redeem(self, ticket: Ticket, token: str, nodes, combo):
@@ -257,14 +244,13 @@ class AggregateManager:
         token = f"slice:{slice_id}"
         if self.state.has_token(token):
             self.state.release_token(token)
-        for lease_id in [l for l, lease in self.leases.items() if lease.slice_id == slice_id]:
-            del self.leases[lease_id]
+        self.leases.pop(slice_id, None)
 
     def expired_leases(self, now: datetime) -> list:
-        return sorted(
-            (l for l in self.leases.values() if l.term.end <= now),
-            key=lambda l: l.lease_id,
-        )
+        """The ids of the slices whose lease term has ended, in lease-id
+        text order."""
+        ended = sorted((lease_id, s) for s, (lease_id, end) in self.leases.items() if end <= now)
+        return [s for _, s in ended]
 
     def serialized_state(self) -> str:
         return serialize_document(self.state.snapshot())
@@ -285,7 +271,6 @@ class Broker:
         self.broker_id = broker_id
         self.ledgers: dict[Iri, DomainState] = {}  # delegation residual, by domain
         self.free: dict = {}  # every ledger's free figures; the ledgers write through to it
-        self.tickets: dict[str, Ticket] = {}
         self._ticket_counter = 0
         self._routing: Optional[Model] = None  # closed merge of the ledger models
 
@@ -365,15 +350,13 @@ class Broker:
             ledger.apply_ops(f"ticket:{ticket.ticket_id}", ops)
         except OverAllocation as e:
             raise TicketError(str(e)) from e
-        self.tickets[ticket.ticket_id] = ticket
         return ticket
 
-    def refund(self, ticket_id: str) -> None:
-        ticket = self.tickets.pop(ticket_id, None)
-        if ticket is None:
-            return
+    def refund(self, ticket: Ticket) -> None:
+        """Give a ticket's units and border figures back to its domain's
+        ledger; a no-op once refunded."""
         ledger = self.ledgers.get(ticket.domain)
-        token = f"ticket:{ticket_id}"
+        token = f"ticket:{ticket.ticket_id}"
         if ledger is not None and ledger.has_token(token):
             ledger.release_token(token)
 
@@ -446,7 +429,6 @@ class Controller:
             record.transition("Closed")
             raise
         record.transition("Provisioned")
-        record.manifest_text = manifest
         return manifest
 
     def _create(self, record: SliceRecord, request_text: str, ams: dict) -> str:
@@ -459,9 +441,8 @@ class Controller:
             raise SliceError("Binding", str(e))
         except EmbeddingFailed as e:
             raise SliceError("Embedding", str(e))
-        record.plan = plan
-        tickets = self._ticket(record, request, plan)
-        node_hosts, branch_paths = self._redeem(record, tickets, ams)
+        self._ticket(record, request, plan)
+        node_hosts, branch_paths = self._redeem(record, ams)
         return self._assemble(request, plan, node_hosts, branch_paths)
 
     def _validate(self, record: SliceRecord, request_text: str) -> SliceRequest:
@@ -491,12 +472,11 @@ class Controller:
             raise SliceError("Validation", str(e)) from e
         if request.term.begin < self.clock.now:
             raise SliceError("Validation", "term begins in the past")
-        record.request = request
         record.transition("Validated")
         self._log("validate", record.slice_id, "ok")
         return request
 
-    def _ticket(self, record: SliceRecord, request: SliceRequest, plan: EmbeddingPlan) -> list:
+    def _ticket(self, record: SliceRecord, request: SliceRequest, plan: EmbeddingPlan) -> None:
         """One ticket per involved domain: its placements, its sides of the
         border crossings, and its segments of every strand."""
         domain_placements: dict = {}
@@ -527,7 +507,6 @@ class Controller:
             set(domain_placements) | set(domain_borders) | set(domain_segments),
             key=lambda d: d.value,
         )
-        tickets = []
         try:
             for domain in involved:
                 ticket = self.broker.issue_ticket(
@@ -538,28 +517,25 @@ class Controller:
                     domain_segments.get(domain, []),
                     request.term,
                 )
-                tickets.append(ticket)
-                record.tickets.append(ticket.ticket_id)
+                record.tickets.append(ticket)
                 self._log("ticket", f"{record.slice_id}/{domain.value}", "ok")
         except TicketError as e:
             raise SliceError("Ticketing", str(e))
         record.transition("Ticketed")
-        return tickets
 
-    def _redeem(self, record: SliceRecord, tickets: list, ams: dict) -> tuple:
-        """Redeem every ticket at its domain's AM. Returns the hosts per
-        request node and the detail path per (branch key, hop index)."""
+    def _redeem(self, record: SliceRecord, ams: dict) -> tuple:
+        """Redeem every ticket the slice holds at its domain's AM. Returns the
+        hosts per request node and the detail path per (branch key, hop index)."""
         node_hosts: dict = {}
         branch_paths: dict = {}
-        for ticket in tickets:
+        for ticket in record.tickets:
             am = ams.get(ticket.domain)
             if am is None:
                 raise SliceError("Redeem", f"no AM for domain {ticket.domain.value}")
             try:
-                lease, placements, paths = am.redeem(ticket, self.clock)
+                placements, paths = am.redeem(ticket, self.clock)
             except RedeemError as e:
                 raise SliceError("Redeem", f"{am.am_id}: {e}")
-            record.leases.append(ticket.domain)
             self._log("redeem", f"{record.slice_id}/{ticket.domain.value}", "ok")
             node_hosts.update(placements)
             branch_paths.update(paths)
@@ -591,11 +567,13 @@ class Controller:
         return serialize_document(manifest, prefixes)
 
     def _teardown(self, record: SliceRecord, ams: dict) -> None:
-        for domain in record.leases:
-            ams[domain].release_slice(record.slice_id)
-        record.leases.clear()
-        for ticket_id in record.tickets:
-            self.broker.refund(ticket_id)
+        """Release the slice at each ticketed domain's AM (a no-op where
+        nothing was redeemed), and refund its tickets."""
+        for ticket in record.tickets:
+            am = ams.get(ticket.domain)
+            if am is not None:
+                am.release_slice(record.slice_id)
+            self.broker.refund(ticket)
         record.tickets.clear()
 
     def delete_slice(self, slice_id: str, ams: dict) -> None:
@@ -669,11 +647,11 @@ class World:
         self.clock.advance(to)
         self.log("world", "advance", render_datetime(to), "ok")
         for am in self._ams_by_id():
-            for lease in am.expired_leases(self.clock.now):
-                record = self.controller.slices.get(lease.slice_id)
+            for slice_id in am.expired_leases(self.clock.now):
+                record = self.controller.slices.get(slice_id)
                 if record is not None and record.state != "Closed":
-                    self.controller.delete_slice(lease.slice_id, self.ams)
-                    self.log(am.am_id, "expire", lease.slice_id, "ok")
+                    self.controller.delete_slice(slice_id, self.ams)
+                    self.log(am.am_id, "expire", slice_id, "ok")
 
     def conservation_problems(self) -> list:
         problems = list(self.broker.conservation_problems())

@@ -269,6 +269,7 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
     commands = _parse_scenario(_read_fixture(script_path))
     world = World()
     failures = []
+    manifests = {}  # slice id -> the manifest its submit-request returned
     last_slice = None
     for lineno, verb, args in commands:
         if verb in ("load-substrate", "load-rules", "submit-request"):
@@ -289,9 +290,11 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
         elif verb == "submit-request":
             last_slice = args[2]
             try:
-                world.submit_request(args[2], text)
+                manifest = world.submit_request(args[2], text)
             except ValueError as e:  # a slice id taken or naming no IRI
                 raise ScenarioError(f"line {lineno}: {e}")
+            if manifest is not None:
+                manifests[args[2]] = manifest
         elif verb == "delete-slice":
             try:
                 world.delete_slice(args[0])
@@ -321,12 +324,11 @@ def run_scenario(script_path: str, out=sys.stdout) -> int:
                     f"line {lineno}: slice {args[0]} in state {state}, expected {args[1]}"
                 )
         elif verb == "dump-manifest":
-            record = world.controller.slices.get(args[0])
-            if record is None or record.manifest_text is None:
+            if args[0] not in manifests:
                 failures.append(f"line {lineno}: slice {args[0]} has no manifest to dump")
             else:
                 try:
-                    Path(args[1]).write_text(record.manifest_text, encoding="utf-8")
+                    Path(args[1]).write_text(manifests[args[0]], encoding="utf-8")
                 except OSError as e:
                     raise ScenarioError(f"line {lineno}: {args[1]}: {e}")
     for line in world.events:

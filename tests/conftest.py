@@ -1,6 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
+
+from netslice.models import build_manifest
+
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 # Label-set literals Python's int() reads, so that each would name the pool
@@ -31,3 +35,13 @@ def count_calls(monkeypatch, fn) -> list:
         if name.startswith("netslice") and getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, counting)
     return calls
+
+
+def provisioned(world, slice_id, request_text) -> tuple:
+    """Submit a request that must provision; the (request, plan) its
+    manifest was built from."""
+    with pytest.MonkeyPatch.context() as mp:
+        built = count_calls(mp, build_manifest)
+        assert world.submit_request(slice_id, request_text) is not None
+    [(request, plan)] = built
+    return request, plan

@@ -4,8 +4,9 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -17,6 +18,7 @@ from netslice.graphstore import Iri, parse_document, serialize_document
 from netslice.cli import main
 from netslice.models import (
     SubstrateError, build_delegation, check_homeomorphic, parse_request, parse_substrate,
+    render_datetime,
 )
 from netslice.vocab import close
 
@@ -286,6 +288,74 @@ def test_world_with_refused_slices_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def _closed_slice_cycle(world, i):
+    """One deleted, one refused (at Redeem, after ticketing) and one expired
+    slice."""
+    text = _fixture("request-pair.ndl").replace(
+        "2026-01-01T00:00:00Z", render_datetime(world.clock.now)
+    )
+    assert world.submit_request(f"deleted{i}", text) is not None
+    world.delete_slice(f"deleted{i}")
+    assert world.submit_request(f"refused{i}", text.replace('"1000"', '"99999"')) is None
+    assert world.submit_request(f"expired{i}", text) is not None
+    world.advance_time(world.clock.now + timedelta(hours=2))
+
+
+def _held(world):
+    """Collector-tracked objects, and traced bytes beyond the event log's."""
+    gc.collect()
+    log = sum(sys.getsizeof(line) + 8 for line in world.events)
+    return len(gc.get_objects()), tracemalloc.get_traced_memory()[0] - log
+
+
+def test_a_closed_slice_keeps_a_bounded_record():
+    world = _pair_world()
+    tracemalloc.start()
+    try:
+        for i in range(5):  # warm-up: first-use caches
+            _closed_slice_cycle(world, i)
+        start = _held(world)
+        per_cycle = []
+        for first, last in ((5, 25), (25, 105)):
+            for i in range(first, last):
+                _closed_slice_cycle(world, i)
+            held = _held(world)
+            per_cycle.append([(b - a) / (last - 5) for a, b in zip(start, held)])
+    finally:
+        tracemalloc.stop()
+    assert world.events[-1].endswith(" expire expired104 ok")
+    (objects_20, bytes_20), (objects_100, bytes_100) = per_cycle
+    assert objects_100 <= 16 and bytes_100 <= 4096
+    assert abs(objects_20 - objects_100) <= 0.2 * objects_100
+    assert abs(bytes_20 - bytes_100) <= 0.2 * bytes_100
+
+
+def test_leases_expire_in_lease_id_text_order():
+    world, _ = federation_world(3, 4, 4)
+    for k in range(12):
+        text = federation_request(f"s{k}", [(1, "d00"), (2, "d01")])
+        assert world.submit_request(f"s{k}", text) is not None
+    world.advance_time(_utc(2026, 1, 1, 2))
+    expired = [line.split()[2:5] for line in world.events if line.split()[3] == "expire"]
+    # am-1/lease/10 sorts before am-1/lease/2
+    order = [0, 9, 10, 11, *range(1, 9)]
+    assert expired == [["am-1", "expire", f"s{k}"] for k in order]
+    assert world.conservation_problems() == []
+
+
+def test_am_passes_over_full_hosts_when_it_picks_a_combination():
+    # first fit fills d00's eight 4-unit hosts in order; once hosts 0-3 are
+    # full, the AM's 32 tries must not all start with one of them
+    world, _ = federation_world(3, 8, 4)
+    for k in range(16):
+        text = federation_request(f"p{k}", [(1, "d00"), (2, "d00")], bandwidth=10)
+        assert world.submit_request(f"p{k}", text) is not None, k
+    text = federation_request("p16", [(1, "d00"), (2, "d00")], bandwidth=10)
+    assert world.submit_request("p16", text) is None
+    assert world.controller.slices["p16"].failure.step == "Binding"
+    assert world.conservation_problems() == []
+
+
 def test_broadcast_aba_fails_validation_with_exact_message():
     world = World()
     for name in ("ring-a.ndl", "ring-b.ndl", "ring-c.ndl"):
@@ -480,6 +550,18 @@ def test_adversarial_delegation_fails_at_redeem_and_refunds():
     assert world.conservation_problems() == []
 
 
+def test_domain_delegated_without_an_am_fails_at_redeem_and_refunds():
+    world = World()
+    am = actors_mod.AggregateManager("am-x", _fixture("renci.ndl"), world.controller.base)
+    world.broker.register_delegation(am.delegate())
+    before = world.serialized_states()
+    assert world.submit_request("orphan", _fixture("request-pair.ndl")) is None
+    failure = world.controller.slices["orphan"].failure
+    assert failure.step == "Redeem" and failure.detail.startswith("no AM for domain")
+    assert world.serialized_states() == before
+    assert world.conservation_problems() == []
+
+
 def test_expired_ticket_rejected():
     world = _pair_world()
     am = next(iter(world.ams.values()))
@@ -541,7 +623,7 @@ def test_redelegation_dropping_a_ticketed_border_is_rejected():
     )
     with pytest.raises(DelegationRejected):
         world.broker.register_delegation(without_b)
-    world.broker.refund(ticket.ticket_id)
+    world.broker.refund(ticket)
     world.broker.register_delegation(without_b)
 
 
@@ -639,7 +721,7 @@ def test_multi_class_host_is_delegated_once_and_refused_at_binding():
     before = world.serialized_states()
     assert world.submit_request("three", request) is None
     assert world.controller.slices["three"].failure.step == "Binding"
-    assert world.broker.tickets == {}
+    assert all(not ledger.active for ledger in world.broker.ledgers.values())
     assert world.serialized_states() == before
     units = {k[1].local(): v for k, v in world.broker.free.items() if k[0] == "units"}
     assert units == {"BareMetalCE+VM": 1, "VM": 1}

@@ -356,6 +356,21 @@ def test_run_demo_scenario_matches_goldens(tmp_path, monkeypatch):
     assert (tmp_path / "demo1-manifest.ndl").read_text() == golden_manifest
 
 
+def test_run_dump_after_delete_writes_the_provisioned_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    script = tmp_path / "late.scn"
+    script.write_text(
+        f"load-substrate {FIXTURES}/renci.ndl\n"
+        f"submit-request {FIXTURES}/request-pair.ndl as demo1\n"
+        "delete-slice demo1\n"
+        "expect-state demo1 Closed\n"
+        "dump-manifest demo1 demo1-manifest.ndl\n"
+    )
+    assert run_scenario(str(script), out=io.StringIO()) == 0
+    golden_manifest = (FIXTURES / "golden" / "demo1-manifest.ndl").read_text()
+    assert (tmp_path / "demo1-manifest.ndl").read_text() == golden_manifest
+
+
 def test_run_scenario_twice_is_byte_identical(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outputs = []

@@ -35,7 +35,7 @@ from netslice.models import (
 from netslice.pathquery import HopWitness
 from netslice.vocab import ETHERNET_ELEMENT, NO_LABELS, LabelSet, render_label_set
 
-from conftest import FIXTURES, count_calls
+from conftest import FIXTURES, count_calls, provisioned
 from generators import (
     federation_world,
     instance_device_iri,
@@ -787,14 +787,12 @@ def test_double_release_on_a_ledger_is_double_release():
 
 def test_embed_pair_on_single_domain():
     world = _world("renci.ndl")
-    assert world.submit_request("demo", PAIR_REQUEST) is not None
-    record = world.controller.slices["demo"]
-    plan = record.plan
+    request, plan = provisioned(world, "demo", PAIR_REQUEST)
     assert len(plan.placements) == 2
     hosts = {p.host for p in plan.placements.values()}
     assert hosts == {rnc("Server/A"), rnc("Server/B")}
     assert all(p.domain == rnc("Renci") for p in plan.placements.values())
-    realization = plan.realizations[record.request.links[0].iri]
+    realization = plan.realizations[request.links[0].iri]
     assert len(realization.branches) == 1
     devices = [d for d, _ in realization.branches[0].hop_devices()]
     assert devices == [rnc("Renci/6509")]
@@ -847,16 +845,16 @@ def _ring_request(*domains, bandwidth=100):
     return "\n".join(lines) + "\n"
 
 
-def _only_branch(world, slice_id):
-    record = world.controller.slices[slice_id]
-    return record.plan.realizations[record.request.links[0].iri].branches[0]
+def _only_branch(world, slice_id, request_text):
+    """Provision a one-link request; the first strand of its link."""
+    request, plan = provisioned(world, slice_id, request_text)
+    return plan.realizations[request.links[0].iri].branches[0]
 
 
 def test_embed_across_adjacent_ring_domains():
     world = _world(*RING)
     before = world.serialized_states()
-    assert world.submit_request("ring1", _ring_request("a", "b")) is not None
-    branch = _only_branch(world, "ring1")
+    branch = _only_branch(world, "ring1", _ring_request("a", "b"))
     assert len(branch.route.segments) == 1  # adjacent domains: direct crossing
     assert len(branch.domain_paths) == len(branch.route.hops)
     assert {hop.element.value for hop in branch.route.hops} == {
@@ -871,8 +869,7 @@ def test_embed_across_adjacent_ring_domains():
 
 def test_embed_label_continuity_across_ring():
     world = _world(*RING)
-    assert world.submit_request("ring2", _ring_request("a", "c")) is not None
-    branch = _only_branch(world, "ring2")
+    branch = _only_branch(world, "ring2", _ring_request("a", "c"))
     assert len(branch.route.segments) == 1  # a-c are adjacent too
     label = branch.route.segments[0].label
     assert label == 140  # lowest common label on the a-c border pools

@@ -33,7 +33,7 @@ from netslice.models import (
 )
 from netslice.vocab import LabelSet, builtin_schema, validate_conformance
 
-from conftest import FIXTURES, LOOSE_LABEL_SETS
+from conftest import FIXTURES, LOOSE_LABEL_SETS, provisioned
 from oracles import reference_check_homeomorphic, reference_serialize
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
@@ -451,12 +451,11 @@ def test_parse_request_term_past_date_range_rejected():
 
 
 def _embedded(substrate_text, slice_id):
-    """(request, plan) of the pair request provisioned on one substrate."""
+    """(request, plan) that the manifest of the pair request provisioned on
+    one substrate was built from."""
     world = World()
     world.add_substrate(substrate_text)
-    assert world.submit_request(slice_id, (FIXTURES / "request-pair.ndl").read_text())
-    record = world.controller.slices[slice_id]
-    return record.request, record.plan
+    return provisioned(world, slice_id, (FIXTURES / "request-pair.ndl").read_text())
 
 
 def _embedded_pair():
