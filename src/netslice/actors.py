@@ -14,8 +14,6 @@ scenario replays byte-identically.
 from __future__ import annotations
 
 import itertools
-
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -37,6 +35,7 @@ from .graphstore import (
     Iri,
     Model,
     ParseError,
+    Record,
     _SCHEMA_RELATIONS,
     entail,
     merge,
@@ -78,12 +77,13 @@ class DelegationRejected(Exception):
     pass
 
 
-@dataclass
-class SliceError(Exception):
-    step: str  # Validation | Binding | Embedding | Ticketing | Redeem
-    detail: str
-    violations: list = field(default_factory=list)
-    issues: list = field(default_factory=list)
+class SliceError(Record, Exception):
+    __slots__ = ("step", "detail", "violations", "issues")
+
+    def __init__(self, step: str, detail: str, violations=None, issues=None):
+        self.step, self.detail = step, detail  # Validation | Binding | Embedding | Ticketing | Redeem
+        self.violations = [] if violations is None else violations
+        self.issues = [] if issues is None else issues
 
     def __str__(self) -> str:
         return f"{self.step}: {self.detail}"
@@ -110,16 +110,15 @@ class VirtualClock:
         self.now = to
 
 
-@dataclass
-class Ticket:
-    ticket_id: str
-    slice_id: str
-    domain: Iri
-    placements: list  # (request node, requested compute class)
-    border_allocs: list  # (iface, bandwidth, label or None)
-    # (branch key, hop index, route PathHop, its label, from_node, to_node, layer, bandwidth)
-    segments: list
-    term: Term
+class Ticket(Record):
+    __slots__ = ("ticket_id", "slice_id", "domain", "placements", "border_allocs", "segments", "term")
+
+    def __init__(self, ticket_id, slice_id, domain, placements, border_allocs, segments, term):
+        self.ticket_id, self.slice_id, self.domain, self.term = ticket_id, slice_id, domain, term
+        self.placements = placements  # (request node, requested compute class)
+        self.border_allocs = border_allocs  # (iface, bandwidth, label or None)
+        # (branch key, hop index, route PathHop, its label, from_node, to_node, layer, bandwidth)
+        self.segments = segments
 
 
 SLICE_ARCS = {
@@ -131,12 +130,12 @@ SLICE_ARCS = {
 }
 
 
-@dataclass
-class SliceRecord:
-    slice_id: str
-    state: str = "Requested"
-    tickets: list = field(default_factory=list)  # the Tickets held until the slice closes
-    failure: Optional[SliceError] = None
+class SliceRecord(Record):
+    __slots__ = ("slice_id", "state", "tickets", "failure")
+
+    def __init__(self, slice_id: str):
+        self.slice_id, self.state, self.failure = slice_id, "Requested", None
+        self.tickets = []  # the Tickets held until the slice closes
 
     def transition(self, new_state: str) -> None:
         allowed = SLICE_ARCS[self.state]
@@ -192,11 +191,9 @@ class AggregateManager:
                     "over-delegated", f"no {classes[n].local()} units left in {self.am_id}"
                 )
 
-        combos = itertools.product(*(candidates[n] for n in nodes)) if nodes else [()]
+        combos = itertools.product(*(candidates[n] for n in nodes))  # one empty combo for no nodes
         failure: Exception = RedeemError("infeasible-detail", "no host combination works")
-        for attempt_no, combo in enumerate(combos):
-            if attempt_no >= 32:
-                break
+        for combo in itertools.islice(combos, 32):
             try:
                 placements, paths = self._try_redeem(ticket, token, nodes, combo)
             except OverAllocation as e:

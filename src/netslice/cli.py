@@ -164,9 +164,7 @@ def cmd_path(args) -> int:
         if next(closed.match(s=element), None) is None:
             raise CliInputError(f"unknown element {element.value}")
     layer = resolve(args.layer, prefixes)
-    preq = embed_mod.PathRequest(
-        source, dest, layer, args.bandwidth, required_label=args.label
-    )
+    preq = embed_mod.PathRequest(source, dest, layer, args.bandwidth, required_label=args.label)
     result = embed_mod.shortest_valid_path(closed, preq, limit=args.limit)
     if result is None:
         print("NO PATH")

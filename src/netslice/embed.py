@@ -35,14 +35,15 @@ serializing; a delegation reads them from the map.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
+from itertools import islice
 from operator import and_
 from typing import NamedTuple, Optional
 
 from . import vocab
 from .graphstore import (
-    Iri, Literal, Model, Triple, _new, entail, int_value, integer, string, term_key,
+    Iri, Literal, Model, Record, Triple, _new, entail, int_value, integer, string, term_key,
 )
 from .models import (
     RESIDUAL_PROPERTIES, SliceRequest, SubstrateGraph, parse_substrate, pool_classes, residual_of,
@@ -87,30 +88,26 @@ class DoubleRelease(Exception):
 # -- path finding ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathRequest:
-    source: Iri
-    dest: Iri
-    layer: Iri
-    bandwidth: int = 0
-    required_label: Optional[int] = None
+class PathRequest(namedtuple("PathRequest", "source dest layer bandwidth required_label")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.source == self.dest:
+    def __new__(cls, source: Iri, dest: Iri, layer: Iri, bandwidth=0, required_label=None):
+        if source == dest:
             raise ValueError("path source and destination must differ")
-        if self.bandwidth < 0:
+        if bandwidth < 0:
             raise ValueError("bandwidth must be non-negative")
+        if required_label is not None and required_label < 0:
+            raise ValueError("required label must be non-negative")
+        return _new(cls, (source, dest, layer, bandwidth, required_label))
 
 
-@dataclass(frozen=True)
-class PathHop:
+class PathHop(NamedTuple):
     element: Iri
     ingress: Optional[Iri]
     egress: Optional[Iri]
 
 
-@dataclass(frozen=True)
-class PathSegment:
+class PathSegment(NamedTuple):
     """One traversed connection: the interface pair, the model entities
     carrying its resources (a link entity, or the two border interfaces of
     a crossing), and the allocated label if any."""
@@ -121,8 +118,7 @@ class PathSegment:
     label: Optional[int]
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     hops: tuple
     segments: tuple
     consumed_bandwidth: int
@@ -140,10 +136,7 @@ class PathResult:
 
     @property
     def allocated_label(self) -> Optional[int]:
-        for seg in self.segments:
-            if seg.label is not None:
-                return seg.label
-        return None
+        return next((seg.label for seg in self.segments if seg.label is not None), None)
 
     def hop_count(self) -> int:
         return len(self.segments)
@@ -383,14 +376,10 @@ def shortest_valid_path(m: Model, preq: PathRequest, limit: int = 10, free: Opti
     if free is None:
         free = residual_of(m)
     topo = m.derived(_compile)
-    failures = 0
-    for chain in _candidate_paths(topo, preq.source, preq.dest):
+    for chain in islice(_candidate_paths(topo, preq.source, preq.dest), limit):
         result = _validate_candidate(topo, free, preq.source, chain, preq)
         if result is not None:
             return result
-        failures += 1
-        if failures >= limit:
-            return None
     return None
 
 
@@ -550,26 +539,27 @@ def prepare_domain(raw: Model, base: Optional[Model] = None) -> DomainState:
 # -- embedding plan ----------------------------------------------------------------
 
 
-@dataclass
-class Placement:
-    node: Iri
-    domain: Iri
-    compute_class: Iri
-    host: Optional[Iri] = None
-    management_address: Optional[str] = None
-    pool: Optional[Iri] = None  # the delegated pool binding took a unit from
+class Placement(Record):
+    __slots__ = ("node", "domain", "compute_class", "host", "management_address", "pool")
+
+    def __init__(self, node: Iri, domain: Iri, compute_class: Iri, pool: Iri):
+        self.node, self.domain, self.compute_class = node, domain, compute_class
+        self.pool = pool  # the delegated pool binding took a unit from
+        self.host = self.management_address = None  # filled in by redeem
 
 
-@dataclass
-class BranchPath:
+class BranchPath(Record):
     """One root-to-member strand of a request link: its route over the
     delegations, the label each route hop's expansion must carry for
     continuity, and the per-hop detail expansions that redeem fills in."""
 
-    to_node: Iri
-    route: PathResult  # over domains; one hop, and no segment, within a domain
-    required: list  # label or None per route hop (`_required_labels_per_domain`)
-    domain_paths: list = field(default_factory=list)  # PathResult per route hop
+    __slots__ = ("to_node", "route", "required", "domain_paths")
+
+    def __init__(self, to_node: Iri, route: PathResult, required: list):
+        self.to_node = to_node
+        self.route = route  # over domains; one hop, and no segment, within a domain
+        self.required = required  # label or None per route hop (`_required_labels_per_domain`)
+        self.domain_paths = []  # PathResult per route hop
 
     def hop_devices(self):
         """Intermediate (device, label) pairs along the stitched strand,
@@ -590,10 +580,11 @@ class BranchPath:
         }
 
 
-@dataclass
-class LinkRealization:
-    root_node: Iri
-    branches: list  # BranchPath per non-root member
+class LinkRealization(Record):
+    __slots__ = ("root_node", "branches")
+
+    def __init__(self, root_node: Iri, branches: list):
+        self.root_node, self.branches = root_node, branches  # a BranchPath per non-root member
 
     def labels(self):
         out = set()
@@ -602,11 +593,13 @@ class LinkRealization:
         return out
 
 
-@dataclass
-class EmbeddingPlan:
-    slice_id: str
-    placements: dict = field(default_factory=dict)  # node Iri -> Placement
-    realizations: dict = field(default_factory=dict)  # link Iri -> LinkRealization
+class EmbeddingPlan(Record):
+    __slots__ = ("slice_id", "placements", "realizations")
+
+    def __init__(self, slice_id: str):
+        self.slice_id = slice_id
+        self.placements = {}  # node Iri -> Placement
+        self.realizations = {}  # link Iri -> LinkRealization
 
 
 # -- domain binding ----------------------------------------------------------------
@@ -733,10 +726,7 @@ def embed_request(
 
 
 def _owner_device(state: DomainState, border_iface: Iri) -> Optional[Iri]:
-    for b in state.substrate.borders:
-        if b.iri == border_iface:
-            return b.owner
-    return None
+    return next((b.owner for b in state.substrate.borders if b.iri == border_iface), None)
 
 
 def link_members(req, link, placements) -> tuple:

@@ -13,15 +13,12 @@ terms, hashed and compared as a tuple.
 
 from __future__ import annotations
 
-import logging
 import re
 import weakref
 from collections import deque
 from itertools import chain, islice
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
-
-log = logging.getLogger(__name__)
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -39,8 +36,8 @@ _PREFIX_NAME_RE = re.compile(rf"^{_PREFIX_NAME}$|^$")
 _new = tuple.__new__  # _new(Triple, (s, p, o)) skips the named tuple's __new__ frame
 
 
-def _immutable(term, name, *value):
-    raise AttributeError(f"cannot change {name!r} of an interned term")
+def _immutable(obj, name, *value):
+    raise AttributeError(f"cannot change {name!r} of an immutable {type(obj).__name__}")
 
 
 class Iri:
@@ -156,6 +153,24 @@ class Var(NamedTuple):
 
 
 PatternTerm = Union[Iri, Literal, Var]
+
+
+class Record:
+    """Base of the package's slotted records: equal to a record of its own
+    type with equal fields, shown by its fields, and unhashable unless a
+    subclass defines a hash. Fields are the subclass's `__slots__`."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({shown})"
 
 
 RDF_TYPE = Iri(RDF_NS + "type")
@@ -693,7 +708,9 @@ def merge(models: Sequence[Model]) -> Model:
         for name, iri in m.prefixes.items():
             old = out.prefixes.get(name)
             if old is not None and old != iri:
-                log.warning("prefix %r redefined: %s -> %s", name, old, iri)
+                import logging  # on a conflict only: the package import leaves it out
+
+                logging.getLogger(__name__).warning("prefix %r redefined: %s -> %s", name, old, iri)
             out.prefixes[name] = iri
         out.add_all(m)
     return out

@@ -2,7 +2,7 @@
 lifecycle: substrate description, substrate delegation, slice request,
 slice manifest.
 
-Views are plain dataclasses extracted from an entailed model; builders are
+Views are plain named tuples extracted from an entailed model; builders are
 pure functions back to models. Naming of generated entities is a
 deterministic function of (slice id, request entity ordinal) so rebuilt
 manifests serialize byte-identically.
@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import vocab
 from .graphstore import (
@@ -150,29 +149,25 @@ def residual_of(m: Model) -> dict:
 # -- substrate ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubstrateDevice:
+class SubstrateDevice(NamedTuple):
     iri: Iri
     interfaces: tuple
     label_translator: bool
 
 
-@dataclass(frozen=True)
-class ComputePool:
+class ComputePool(NamedTuple):
     node: Iri  # attachment point; a device with interfaces
     provides: Iri  # compute element class provisioned from this pool
 
 
-@dataclass(frozen=True)
-class BorderInterface:
+class BorderInterface(NamedTuple):
     iri: Iri
     owner: Iri  # internal device owning the interface
     layer: Optional[Iri]
     remote: Optional[Iri]  # the peer border interface in another domain
 
 
-@dataclass(frozen=True)
-class SubstrateGraph:
+class SubstrateGraph(NamedTuple):
     domain: Iri
     devices: tuple
     links: tuple  # each link's two interfaces, sorted by IRI, in link IRI order
@@ -401,16 +396,14 @@ def pool_classes(m: Model, node: Iri) -> tuple:
 # -- slice request ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RequestNode:
+class RequestNode(NamedTuple):
     iri: Iri
     compute_class: Iri
     interfaces: tuple
     in_domain: Optional[Iri] = None
 
 
-@dataclass(frozen=True)
-class RequestLink:
+class RequestLink(NamedTuple):
     iri: Iri
     interfaces: tuple  # stubs, each owned by exactly one RequestNode
     layer: Iri
@@ -425,8 +418,7 @@ class RequestLink:
         return tuple(by_iface[i] for i in self.interfaces)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     begin: datetime
     duration_seconds: int
 
@@ -435,8 +427,7 @@ class Term:
         return self.begin + timedelta(seconds=self.duration_seconds)
 
 
-@dataclass(frozen=True)
-class SliceRequest:
+class SliceRequest(NamedTuple):
     nodes: tuple
     links: tuple
     term: Term

@@ -9,24 +9,49 @@ re-derive that adjacency with `adjacent`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
-from .graphstore import Iri, Model, ParseError, lex, token_term
-
-
-@dataclass(frozen=True)
-class Pred:
-    iri: Iri
+from .graphstore import Iri, Model, ParseError, Record, _immutable, lex, token_term
 
 
-@dataclass(frozen=True)
-class Inverse:
-    expr: "PathExpr"
+class _Node(Record):
+    """A path expression node: immutable, hashed by its fields, and equal
+    only to a node of its own type, so a Star is never a Plus nor a Seq an
+    Alt. Its constructor serves the one-operand nodes."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, expr: "PathExpr"):
+        object.__setattr__(self, "expr", expr)
+
+    def __hash__(self):
+        return hash(self._values())
 
 
-class _Parts:
+class Pred(_Node):
+    __slots__ = ("iri",)
+
+    def __init__(self, iri: Iri):
+        object.__setattr__(self, "iri", iri)
+
+
+class Inverse(_Node):
+    __slots__ = ("expr",)
+
+
+class Star(_Node):
+    __slots__ = ("expr",)
+
+
+class Plus(_Node):
+    __slots__ = ("expr",)
+
+
+class _Parts(_Node):
     """A path expression over two or more parts, given one by one or as a tuple."""
+
+    __slots__ = ()
 
     def __init__(self, *parts):
         if len(parts) == 1 and isinstance(parts[0], tuple):
@@ -36,31 +61,18 @@ class _Parts:
         object.__setattr__(self, "parts", tuple(parts))
 
 
-@dataclass(frozen=True, init=False)
 class Seq(_Parts):
-    parts: tuple
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True, init=False)
 class Alt(_Parts):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Star:
-    expr: "PathExpr"
-
-
-@dataclass(frozen=True)
-class Plus:
-    expr: "PathExpr"
+    __slots__ = ("parts",)
 
 
 PathExpr = Union[Pred, Inverse, Seq, Alt, Star, Plus]
 
 
-@dataclass(frozen=True)
-class HopWitness:
+class HopWitness(NamedTuple):
     """One concrete adjacency: the neighbor plus the intermediate nodes
     traversed to reach it (for the device expression: local interface,
     then remote interface)."""

@@ -12,7 +12,6 @@ are implemented procedurally but report through the same Violation type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 from . import vocab
@@ -49,8 +48,7 @@ class BuiltinAtom(NamedTuple):
     negated: bool  # True for notEqual
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     message: str
     subject: Var
     body: tuple
@@ -59,8 +57,7 @@ class Rule:
         return [a for a in self.body if isinstance(a, PatternAtom)]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     message: str
     subject: Iri
     bindings: tuple  # sorted (name, Term) pairs that fired the rule

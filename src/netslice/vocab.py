@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphstore import (
     Iri,
@@ -212,8 +211,7 @@ _DATA_PROPERTIES = {
 }
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(NamedTuple):
     """One transport layer: its marker class, label class, and label domain."""
 
     layer: Iri
@@ -491,8 +489,7 @@ def render_label_set(values) -> str:
 # -- conformance -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConformanceIssue:
+class ConformanceIssue(NamedTuple):
     kind: str  # untyped-instance | domain-violation | label-out-of-range | dangling-interface
     subject: Iri
     detail: str

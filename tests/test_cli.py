@@ -222,6 +222,24 @@ def test_path_limit_below_one_exits_two(capsys, limit):
     assert "limit must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            ("--to", "<http://geni-orca.renci.org/sites/renci/Server/A>"),
+            "path source and destination must differ",
+        ),
+        (("--bandwidth", "-5"), "bandwidth must be non-negative"),
+        (("--label", "-5"), "required label must be non-negative"),
+    ],
+)
+def test_path_refuses_a_malformed_request_with_exit_two(capsys, extra, message):
+    # the request's own checks, reached through the CLI: a negative label
+    # once searched and printed NO PATH with exit 1
+    code, out, err = _run(capsys, *_PATH_ARGS, *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_path_detours_around_label_exhaustion(capsys):
     # direct a-c border only offers 140-160; label 120 forces the b detour
     code, out, _ = _run(
@@ -906,16 +924,20 @@ def test_readme_query_examples_run(capsys, monkeypatch):
         assert (code, err) == (0, "") and out.strip(), argv
 
 
-def _python_m_netslice(*argv):
-    """`python -m netslice` in a fresh interpreter, importing the package
-    from this checkout's src/."""
+def _fresh_python(*args):
+    """A fresh interpreter run with args, importing the package from this
+    checkout's src/."""
     src = str(Path(netslice.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", "netslice", *map(str, argv)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def _python_m_netslice(*argv):
+    """`python -m netslice` in a fresh interpreter."""
+    return _fresh_python("-m", "netslice", *argv)
 
 
 def test_python_m_netslice_runs_the_cli():
@@ -932,3 +954,13 @@ def test_python_m_netslice_exits_two_on_a_malformed_file(tmp_path):
         f"error: {bad}: line 1, col 17: "
         "expected 'S P O .' (terms and terminating dot separated by spaces)\n"
     )
+
+
+def test_the_cli_import_leaves_out_dataclasses_and_logging():
+    # a shell one-shot pays for the package import on every call; -S keeps
+    # site-packages' start-up imports out of what is checked
+    heavy = "{'dataclasses', 'inspect', 'logging'}"
+    done = _fresh_python(
+        "-S", "-c", f"import sys, netslice.cli; print(sorted({heavy} & set(sys.modules)))"
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -100,6 +99,25 @@ def test_required_label_is_honored(renci_state):
         rnc("Server/A"), rnc("Server/B"), ETHERNET_ELEMENT, 100, required_label=4000
     )
     assert shortest_valid_path(renci_state.model, missing) is None
+
+
+@pytest.mark.parametrize(
+    "dest, bandwidth, label, message",
+    [
+        ("Server/A", 0, None, "path source and destination must differ"),
+        ("Server/B", -1, None, "bandwidth must be non-negative"),
+        ("Server/B", 0, -1, "required label must be non-negative"),
+    ],
+)
+def test_path_request_refuses_malformed_fields(dest, bandwidth, label, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PathRequest(rnc("Server/A"), rnc(dest), ETHERNET_ELEMENT, bandwidth, required_label=label)
+
+
+def test_path_request_takes_zero_bandwidth_and_label():
+    preq = PathRequest(rnc("Server/A"), rnc("Server/B"), ETHERNET_ELEMENT, 0, required_label=0)
+    assert (preq.bandwidth, preq.required_label) == (0, 0)
+    assert preq == PathRequest(rnc("Server/A"), rnc("Server/B"), ETHERNET_ELEMENT, 0, 0)
 
 
 def _mini_substrate(links):
@@ -459,8 +477,8 @@ def test_bind_domains_bound_node_without_units_fails():
     broker = _broker_for(*_two_domains(0, 2))
     req = _pair_request()
     # bind the first node to the empty domain
-    bound = req.nodes[0]
-    object.__setattr__(bound, "in_domain", Iri("urn:bind:a/dom"))
+    bound = req.nodes[0]._replace(in_domain=Iri("urn:bind:a/dom"))
+    req = req._replace(nodes=(bound, *req.nodes[1:]))
     with pytest.raises(InsufficientResources):
         _bind(req, broker)
     assert reference_binding(broker, req) is None
@@ -469,8 +487,9 @@ def test_bind_domains_bound_node_without_units_fails():
 def test_bind_domains_no_cross_class_substitution():
     broker = _broker_for(*_two_domains(2, 2, cls="VM"))
     req = _pair_request()
-    for node in req.nodes:
-        object.__setattr__(node, "compute_class", vocab.BARE_METAL_CE)
+    req = req._replace(
+        nodes=tuple(node._replace(compute_class=vocab.BARE_METAL_CE) for node in req.nodes)
+    )
     with pytest.raises(InsufficientResources):
         _bind(req, broker)
     assert reference_binding(broker, req) is None
@@ -510,8 +529,7 @@ def _pool_domain(site, hosts):
 
 def _nodes_request(nodes):
     """The pair request with its nodes replaced: (compute class, domain or None) each."""
-    return replace(
-        _pair_request(),
+    return _pair_request()._replace(
         nodes=[
             RequestNode(Iri(f"urn:bind:node/{i}"), cls, (), domain)
             for i, (cls, domain) in enumerate(nodes)

@@ -166,6 +166,22 @@ def test_parse_path_expr_forms():
     assert parse_path_expr("<urn:ex/p>", prefixes) == Pred(ex("p"))
 
 
+def test_path_expressions_equal_only_their_own_kind():
+    a, b = Pred(ex("a")), Pred(ex("b"))
+    assert Star(a) != Plus(a) and not Star(a) == Plus(a)
+    assert Seq(a, b) != Alt(a, b) and not Seq(a, b) == Alt(a, b)
+    assert Inverse(a) != Star(a) and Pred(ex("a")) != (ex("a"),)
+    assert Seq(a, b) != (a, b) and Seq(a, b) != Seq(b, a)
+    assert Star(Pred(ex("a"))) == Star(a) and Seq((a, b)) == Seq(a, b)
+    assert hash(Seq((a, b))) == hash(Seq(a, b)) and len({Star(a), Star(a), Plus(a)}) == 2
+    assert repr(Seq(a, Star(b))) == "Seq(parts=(Pred(iri=<urn:ex/a>), Star(expr=Pred(iri=<urn:ex/b>))))"
+    for parts in ((a,), ((a,),), ()):
+        with pytest.raises(ValueError, match="Seq needs at least 2 children"):
+            Seq(*parts)
+    with pytest.raises(AttributeError):
+        a.iri = ex("b")
+
+
 def test_parse_path_expr_errors():
     with pytest.raises(PathExprError):
         parse_path_expr("t:a/", {"t": EX})
