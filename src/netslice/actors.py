@@ -209,17 +209,15 @@ class AggregateManager:
         raise failure
 
     def _try_redeem(self, ticket: Ticket, token: str, nodes, combo):
-        placements = {}
+        host_of = {node: host for node, (host, _) in zip(nodes, combo)}
         paths = {}
         try:
-            for node, (host, concrete) in zip(nodes, combo):
-                self.state.apply_ops(token, [("units", host, 1)])
-                placements[node] = (host, concrete, None)
+            self.state.apply_ops(token, [("units", host, 1) for host, _ in combo])
             for iface, bandwidth, label in ticket.border_allocs:
                 self.state.apply_ops(token, border_ops(iface, bandwidth, label))
             for branch_key, index, hop, label, from_node, to_node, layer, bw in ticket.segments:
-                from_dev = placements[from_node][0] if from_node is not None else None
-                to_dev = placements[to_node][0] if to_node is not None else None
+                from_dev = host_of[from_node] if from_node is not None else None
+                to_dev = host_of[to_node] if to_node is not None else None
                 path = expand_domain_hop(
                     self.state, hop, label, layer, bw, from_dev, to_dev, link=branch_key[0]
                 )
@@ -232,9 +230,10 @@ class AggregateManager:
             raise
         # addresses are handed out only once a combination sticks, so failed
         # attempts do not burn address space
-        for node in nodes:
-            host, concrete, _ = placements[node]
-            placements[node] = (host, concrete, self.state.next_address())
+        placements = {
+            node: (host, concrete, self.state.next_address())
+            for node, (host, concrete) in zip(nodes, combo)
+        }
         return placements, paths
 
     def release_slice(self, slice_id: str) -> None:
@@ -431,16 +430,20 @@ class Controller:
     def _create(self, record: SliceRecord, request_text: str, ams: dict) -> str:
         request = self._validate(record, request_text)
         try:
-            plan = embed_mod.embed_request(
-                request, self.broker.routing_view(), dict(self.broker.free), record.slice_id
-            )
+            plan = embed_mod.embed_request(request, self.broker.routing_view(), dict(self.broker.free))
         except InsufficientResources as e:
             raise SliceError("Binding", str(e))
         except EmbeddingFailed as e:
             raise SliceError("Embedding", str(e))
         self._ticket(record, request, plan)
-        node_hosts, branch_paths = self._redeem(record, ams)
-        return self._assemble(request, plan, node_hosts, branch_paths)
+        hosts, paths = self._redeem(record, ams)
+        try:
+            prefixes, manifest = build_manifest(request, record.slice_id, plan, hosts, paths)
+        except Exception as e:
+            raise SliceError("Redeem", f"manifest assembly failed: {e}")
+        if not check_homeomorphic(request, manifest):
+            raise SliceError("Redeem", "manifest failed the homeomorphism check")
+        return serialize_document(manifest, prefixes)
 
     def _validate(self, record: SliceRecord, request_text: str) -> SliceRequest:
         """Conformance, then rule violations, both over the request's one
@@ -478,15 +481,13 @@ class Controller:
         border crossings, and its segments of every strand."""
         domain_placements: dict = {}
         for node in request.nodes:
-            placement = plan.placements[node.iri]
-            domain_placements.setdefault(placement.domain, []).append(
-                (node.iri, node.compute_class, placement.pool)
-            )
+            domain, pool = plan.binding[node.iri]
+            domain_placements.setdefault(domain, []).append((node.iri, node.compute_class, pool))
         domain_borders: dict = {}
         domain_segments: dict = {}
         for link in request.links:
-            realization = plan.realizations[link.iri]
-            for branch in realization.branches:
+            root, branches = plan.strands[link.iri]
+            for branch in branches:
                 branch_key, hops = (link.iri, branch.to_node), branch.route.hops
                 for i, seg in enumerate(branch.route.segments):  # a-side, then b-side
                     for hop, iface in ((hops[i], seg.a_iface), (hops[i + 1], seg.b_iface)):
@@ -494,7 +495,7 @@ class Controller:
                             (iface, link.bandwidth, seg.label)
                         )
                 for index, hop in enumerate(hops):
-                    from_node = realization.root_node if hop.ingress is None else None
+                    from_node = root if hop.ingress is None else None
                     to_node = branch.to_node if hop.egress is None else None
                     domain_segments.setdefault(hop.element, []).append((
                         branch_key, index, hop, branch.required[index],
@@ -537,31 +538,6 @@ class Controller:
             node_hosts.update(placements)
             branch_paths.update(paths)
         return node_hosts, branch_paths
-
-    def _assemble(
-        self, request: SliceRequest, plan: EmbeddingPlan, node_hosts: dict, branch_paths: dict
-    ) -> str:
-        """Fill the plan with what the AMs provisioned and serialize the
-        manifest, which must be homeomorphic to the request."""
-        for node in request.nodes:
-            p = plan.placements[node.iri]
-            if node.iri not in node_hosts:
-                raise SliceError("Redeem", f"AM returned no host for {node.iri.value}")
-            p.host, p.compute_class, p.management_address = node_hosts[node.iri]
-        for link in request.links:
-            for branch in plan.realizations[link.iri].branches:
-                for index in range(len(branch.route.hops)):
-                    path = branch_paths.get(((link.iri, branch.to_node), index))
-                    if path is None:
-                        raise SliceError("Redeem", "missing path expansion from AM")
-                    branch.domain_paths.append(path)
-        try:
-            prefixes, manifest = build_manifest(request, plan)
-        except Exception as e:
-            raise SliceError("Redeem", f"manifest assembly failed: {e}")
-        if not check_homeomorphic(request, manifest):
-            raise SliceError("Redeem", "manifest failed the homeomorphism check")
-        return serialize_document(manifest, prefixes)
 
     def _teardown(self, record: SliceRecord, ams: dict) -> None:
         """Release the slice at each ticketed domain's AM (a no-op where

@@ -258,11 +258,11 @@ def _parse_scenario(text: str) -> list:
     return commands
 
 
-def run_scenario(script_path: str, out=sys.stdout) -> int:
+def run_scenario(script_path: str, out=None) -> int:
     """Execute a scenario: one broker, one controller, one AM per substrate.
 
-    The event log goes to `out`; any failed expectation makes the exit code
-    nonzero."""
+    The event log goes to `out`, by default `sys.stdout` as it is when the
+    log is written; any failed expectation makes the exit code nonzero."""
     script = Path(script_path)
     commands = _parse_scenario(_read_fixture(script_path))
     world = World()

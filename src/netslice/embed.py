@@ -19,9 +19,12 @@ The same engine and the same path type (`PathResult`, its `PathHop`s and
 abstract delegation graph (domain nodes, border interfaces, reachability
 flags), routed by `embed_request`, and a provider's detailed substrate
 (devices, switch matrices, adaptations), expanded by `expand_domain_hop`
-when an aggregate manager redeems a ticket. A strand keeps its broker
-route: the route's segments are its border crossings, and each route hop
-enters and leaves its domain by the hop's ingress and egress interfaces.
+when an aggregate manager redeems a ticket. `embed_request` returns an
+immutable plan: the domain binding and, per link, its root node and one
+strand (`BranchPath`) per other member. A strand keeps its broker route:
+the route's segments are its border crossings, and each route hop enters
+and leaves its domain by the hop's ingress and egress interfaces. The
+manifest is built from the plan and the aggregate managers' answers.
 
 Residual capacity is typed data, never rewritten triples: a mapping keyed
 like allocation ops, ("bw" | "label" | "units", subject), holds what is
@@ -43,7 +46,7 @@ from typing import NamedTuple, Optional
 
 from . import vocab
 from .graphstore import (
-    Iri, Literal, Model, Record, Triple, _new, entail, int_value, integer, string, term_key,
+    Iri, Literal, Model, Triple, _new, entail, int_value, integer, string, term_key,
 )
 from .models import (
     RESIDUAL_PROPERTIES, SliceRequest, SubstrateGraph, parse_substrate, pool_classes, residual_of,
@@ -539,67 +542,20 @@ def prepare_domain(raw: Model, base: Optional[Model] = None) -> DomainState:
 # -- embedding plan ----------------------------------------------------------------
 
 
-class Placement(Record):
-    __slots__ = ("node", "domain", "compute_class", "host", "management_address", "pool")
-
-    def __init__(self, node: Iri, domain: Iri, compute_class: Iri, pool: Iri):
-        self.node, self.domain, self.compute_class = node, domain, compute_class
-        self.pool = pool  # the delegated pool binding took a unit from
-        self.host = self.management_address = None  # filled in by redeem
-
-
-class BranchPath(Record):
+class BranchPath(NamedTuple):
     """One root-to-member strand of a request link: its route over the
-    delegations, the label each route hop's expansion must carry for
-    continuity, and the per-hop detail expansions that redeem fills in."""
+    delegations, one hop and no segment within a domain, and the label each
+    route hop's expansion must carry for continuity, None where it need
+    not (`_required_labels_per_domain`)."""
 
-    __slots__ = ("to_node", "route", "required", "domain_paths")
-
-    def __init__(self, to_node: Iri, route: PathResult, required: list):
-        self.to_node = to_node
-        self.route = route  # over domains; one hop, and no segment, within a domain
-        self.required = required  # label or None per route hop (`_required_labels_per_domain`)
-        self.domain_paths = []  # PathResult per route hop
-
-    def hop_devices(self):
-        """Intermediate (device, label) pairs along the stitched strand,
-        endpoints' hosts excluded."""
-        devices = [
-            (hop.element, path.segments[max(i - 1, 0)].label if path.segments else None)
-            for path in self.domain_paths
-            for i, hop in enumerate(path.hops)
-        ]
-        return devices[1:-1]
-
-    def labels(self):
-        return {
-            seg.label
-            for path in (self.route, *self.domain_paths)
-            for seg in path.segments
-            if seg.label is not None
-        }
+    to_node: Iri
+    route: PathResult
+    required: tuple
 
 
-class LinkRealization(Record):
-    __slots__ = ("root_node", "branches")
-
-    def __init__(self, root_node: Iri, branches: list):
-        self.root_node, self.branches = root_node, branches  # a BranchPath per non-root member
-
-    def labels(self):
-        out = set()
-        for b in self.branches:
-            out |= b.labels()
-        return out
-
-
-class EmbeddingPlan(Record):
-    __slots__ = ("slice_id", "placements", "realizations")
-
-    def __init__(self, slice_id: str):
-        self.slice_id = slice_id
-        self.placements = {}  # node Iri -> Placement
-        self.realizations = {}  # link Iri -> LinkRealization
+class EmbeddingPlan(NamedTuple):
+    binding: dict  # node Iri -> (domain, delegated pool), as `bind_domains` returns
+    strands: dict  # link Iri -> (root node, a BranchPath per other member)
 
 
 # -- domain binding ----------------------------------------------------------------
@@ -687,12 +643,10 @@ def _required_labels_per_domain(route: PathResult, broker_view: Model):
     for i, hop in enumerate(route.hops):  # the segments in and out of hop i
         labels = {s.label for s in route.segments[max(i - 1, 0):i + 1] if s.label is not None}
         required.append(None if hop.element in translators or not labels else min(labels))
-    return required
+    return tuple(required)
 
 
-def embed_request(
-    req: SliceRequest, routing: Optional[Model], free: dict, slice_id: str
-) -> EmbeddingPlan:
+def embed_request(req: SliceRequest, routing: Optional[Model], free: dict) -> EmbeddingPlan:
     """Delegation-level embedding of a validated request: bind every node to
     a delegated pool, then route every link strand over the broker's
     routing view and the delegations' free figures. Each placement's unit
@@ -701,39 +655,36 @@ def embed_request(
     around them. Hosts and per-domain paths are left to the aggregate
     managers. Raises InsufficientResources or EmbeddingFailed."""
     binding = bind_domains(req, routing, free)
-    plan = EmbeddingPlan(slice_id)
-    for node in req.nodes:
-        domain, pool = binding[node.iri]
-        plan.placements[node.iri] = Placement(node.iri, domain, node.compute_class, pool=pool)
+    strands = {}
     for link in req.links:
-        root, others = link_members(req, link, plan.placements)
-        realization = LinkRealization(root_node=root, branches=[])
+        root, others = link_members(req, link, binding)
+        branches = []
         for member in others:
             branch = route_branch(
                 routing,
                 free,
                 member,
-                plan.placements[root].domain,
-                plan.placements[member].domain,
+                binding[root][0],
+                binding[member][0],
                 link.layer,
                 link.bandwidth,
                 link=link.iri,
             )
             deduct_crossing_from_view(free, branch.route)
-            realization.branches.append(branch)
-        plan.realizations[link.iri] = realization
-    return plan
+            branches.append(branch)
+        strands[link.iri] = (root, tuple(branches))
+    return EmbeddingPlan(binding, strands)
 
 
 def _owner_device(state: DomainState, border_iface: Iri) -> Optional[Iri]:
     return next((b.owner for b in state.substrate.borders if b.iri == border_iface), None)
 
 
-def link_members(req, link, placements) -> tuple:
+def link_members(req, link, binding) -> tuple:
     """(root node, other member nodes) of a link: the root sits in the
     lexicographically first participating domain."""
     members = sorted({n.iri for n in link.owners(req)}, key=lambda n: n.value)
-    domains = {n: placements[n].domain for n in members}
+    domains = {n: binding[n][0] for n in members}
     root_domain = min(domains[n].value for n in members)
     root = [n for n in members if domains[n].value == root_domain][0]
     return root, [n for n in members if n != root]
@@ -752,7 +703,7 @@ def route_branch(
     """Delegation-level route for one strand: the domains it traverses, the
     border interfaces it enters and leaves by, and the crossing labels."""
     if src_domain == dst_domain:
-        return BranchPath(to_node, _trivial_path(src_domain), [None])
+        return BranchPath(to_node, _trivial_path(src_domain), (None,))
     if broker_view is None:
         raise EmbeddingFailed(link, "no delegations available for inter-domain route")
     route = shortest_valid_path(

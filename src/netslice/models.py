@@ -84,10 +84,6 @@ class RequestError(Exception):
     pass
 
 
-class PlanIncomplete(Exception):
-    pass
-
-
 class LabelSetError(ValueError):
     """A malformed label-set literal, named by the subject that states it."""
 
@@ -444,8 +440,10 @@ def _minimal_compute_class(m: Model, types: set) -> Optional[Iri]:
     return sorted(minimal, key=lambda t: t.value)[0] if minimal else None
 
 
-def parse_request(m: Model, source: Optional[Model] = None) -> SliceRequest:
-    """Typed slice request from an entailed model (schema merged in).
+def parse_request(m: Model, source: Model) -> SliceRequest:
+    """Typed slice request from an entailed model (schema merged in);
+    `source` is the request document itself, which the view keeps and a
+    manifest repeats.
 
     Nodes without an inDomain binding stay unbound; the controller binds
     them later. Domain-repetition and endpoint-count policy live in the
@@ -536,7 +534,7 @@ def parse_request(m: Model, source: Optional[Model] = None) -> SliceRequest:
         nodes=tuple(nodes),
         links=tuple(links),
         term=term,
-        model=source if source is not None else m,
+        model=source,
     )
 
 
@@ -547,57 +545,66 @@ def slice_base(slice_id: str) -> str:
     return f"urn:orca:slice:{slice_id}"
 
 
-def build_manifest(req: SliceRequest, plan) -> tuple:
+def build_manifest(req: SliceRequest, slice_id: str, plan, hosts: dict, paths: dict) -> tuple:
     """The manifest document as (prefix map, triples): every request
     statement, in order, then the provisioned entities, each linked back to
     its request entity via provisionedFrom; each triple once, and no index.
 
-    Raises PlanIncomplete when the plan misses a request element.
+    `plan` is the `EmbeddingPlan` the slice was ticketed from, and the
+    aggregate managers' redeem answers fill it in: `hosts` maps each node
+    to (host, compute class, management address), and `paths` maps
+    ((link, member), route hop index) to that hop's detail path. A strand's
+    path hops are its detail paths' elements stitched end to end, hosts
+    excluded, each with the label it is entered by, numbered on across the
+    link's strands.
     """
-    base = slice_base(plan.slice_id)
+    base = slice_base(slice_id)
     prefixes = {**vocab.BASE_PREFIXES, "sl": base + "/", **req.model.prefixes}
 
     vm_of, triples = {}, []
     for k, node in enumerate(req.nodes):
-        placement = plan.placements.get(node.iri)
-        if placement is None:
-            raise PlanIncomplete(f"no placement for node {node.iri.value}")
+        host, compute_class, address = hosts[node.iri]
         vm = Iri(f"{base}/vm/{k}")
         vm_of[node.iri] = vm
-        triples += [(vm, RDF_TYPE, placement.compute_class), (vm, PROVISIONED_FROM, node.iri)]
-        triples.append((vm, IN_DOMAIN, placement.domain))
-        triples.append((vm, MANAGEMENT_ADDRESS, string(placement.management_address or "")))
-        if placement.host is not None:
-            triples.append((vm, HOSTED_ON, placement.host))
+        triples += [(vm, RDF_TYPE, compute_class), (vm, PROVISIONED_FROM, node.iri)]
+        triples.append((vm, IN_DOMAIN, plan.binding[node.iri][0]))
+        triples += [(vm, MANAGEMENT_ADDRESS, string(address)), (vm, HOSTED_ON, host)]
 
     for j, link in enumerate(req.links):
-        realization = plan.realizations.get(link.iri)
-        if realization is None:
-            raise PlanIncomplete(f"no realization for link {link.iri.value}")
+        root, branches = plan.strands[link.iri]
+        detail = [
+            [paths[((link.iri, b.to_node), i)] for i in range(len(b.route.hops))] for b in branches
+        ]
+        labels = {
+            seg.label
+            for branch, expansions in zip(branches, detail)
+            for path in (branch.route, *expansions)
+            for seg in path.segments
+            if seg.label is not None
+        }
         net = Iri(f"{base}/net/{j}")
         triples += [(net, RDF_TYPE, NETWORK_CONNECTION), (net, AT_LAYER, link.layer)]
         triples.append((net, PROVISIONED_FROM, link.iri))
-        triples += [(net, ALLOCATED_LABEL, integer(n)) for n in sorted(realization.labels())]
-        root_vm = vm_of.get(realization.root_node)
-        if root_vm is None:
-            raise PlanIncomplete(f"link {link.iri.value} root node is not placed")
-        triples.append((net, CONNECTED_TO, root_vm))
+        triples += [(net, ALLOCATED_LABEL, integer(n)) for n in sorted(labels)]
+        triples.append((net, CONNECTED_TO, vm_of[root]))
         hop_counter = 0
-        for branch in realization.branches:
-            target_vm = vm_of.get(branch.to_node)
-            if target_vm is None:
-                raise PlanIncomplete(f"link {link.iri.value} member is not placed")
+        for branch, expansions in zip(branches, detail):
+            stitched = [
+                (hop.element, path.segments[max(i - 1, 0)].label if path.segments else None)
+                for path in expansions
+                for i, hop in enumerate(path.hops)
+            ]
             prev = net
-            for device, label in branch.hop_devices():
+            for device, label in stitched[1:-1]:
                 hop = Iri(f"{base}/net/{j}/hop/{hop_counter}")
-                hop_counter += 1
                 triples += [(hop, RDF_TYPE, PATH_HOP), (hop, PROVISIONED_FROM, link.iri)]
-                triples += [(hop, HOP_DEVICE, device), (hop, HOP_INDEX, integer(hop_counter - 1))]
+                triples += [(hop, HOP_DEVICE, device), (hop, HOP_INDEX, integer(hop_counter))]
                 if label is not None:
                     triples.append((hop, HOP_LABEL, integer(label)))
                 triples.append((prev, CONNECTED_TO, hop))
                 prev = hop
-            triples.append((prev, CONNECTED_TO, target_vm))
+                hop_counter += 1
+            triples.append((prev, CONNECTED_TO, vm_of[branch.to_node]))
     return prefixes, list(dict.fromkeys([*req.model, *[_new(Triple, t) for t in triples]]))
 
 

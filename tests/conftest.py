@@ -38,10 +38,11 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 def provisioned(world, slice_id, request_text) -> tuple:
-    """Submit a request that must provision; the (request, plan) its
-    manifest was built from."""
+    """Submit a request that must provision; the `build_manifest` arguments
+    its manifest was built from: (request, slice id, plan, the AMs' hosts
+    per node, their detail paths per (strand, route hop index))."""
     with pytest.MonkeyPatch.context() as mp:
         built = count_calls(mp, build_manifest)
         assert world.submit_request(slice_id, request_text) is not None
-    [(request, plan)] = built
-    return request, plan
+    [args] = built
+    return args

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import os
 import re
@@ -397,6 +398,15 @@ def test_run_scenario_twice_is_byte_identical(tmp_path, monkeypatch):
         assert run_scenario(str(FIXTURES / "ring.scn"), out=buffer) == 0
         outputs.append((buffer.getvalue(), (tmp_path / "bcast1-manifest.ndl").read_text()))
     assert outputs[0] == outputs[1]
+    assert outputs[0][1] == (FIXTURES / "golden" / "bcast1-manifest.ndl").read_text()
+
+
+def test_run_writes_the_event_log_to_the_current_stdout(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(["run", str(FIXTURES / "demo.scn")]) == 0
+    assert buffer.getvalue() == (FIXTURES / "golden" / "demo-events.log").read_text()
 
 
 def test_run_failed_expectation_exits_one(tmp_path, monkeypatch, capsys):

@@ -805,15 +805,19 @@ def test_double_release_on_a_ledger_is_double_release():
 
 def test_embed_pair_on_single_domain():
     world = _world("renci.ndl")
-    request, plan = provisioned(world, "demo", PAIR_REQUEST)
-    assert len(plan.placements) == 2
-    hosts = {p.host for p in plan.placements.values()}
-    assert hosts == {rnc("Server/A"), rnc("Server/B")}
-    assert all(p.domain == rnc("Renci") for p in plan.placements.values())
-    realization = plan.realizations[request.links[0].iri]
-    assert len(realization.branches) == 1
-    devices = [d for d, _ in realization.branches[0].hop_devices()]
-    assert devices == [rnc("Renci/6509")]
+    request, _, plan, hosts, paths = provisioned(world, "demo", PAIR_REQUEST)
+    assert len(plan.binding) == 2
+    assert {host for host, _, _ in hosts.values()} == {rnc("Server/A"), rnc("Server/B")}
+    assert all(domain == rnc("Renci") for domain, _ in plan.binding.values())
+    link = request.links[0].iri
+    _, branches = plan.strands[link]
+    assert len(branches) == 1
+    [branch] = branches
+    stitched = [
+        hop.element for i in range(len(branch.route.hops))
+        for hop in paths[((link, branch.to_node), i)].hops
+    ]
+    assert stitched[1:-1] == [rnc("Renci/6509")]
 
 
 def test_embed_failure_rolls_back():
@@ -864,17 +868,21 @@ def _ring_request(*domains, bandwidth=100):
 
 
 def _only_branch(world, slice_id, request_text):
-    """Provision a one-link request; the first strand of its link."""
-    request, plan = provisioned(world, slice_id, request_text)
-    return plan.realizations[request.links[0].iri].branches[0]
+    """Provision a one-link request; the first strand of its link and the
+    detail path of each of its route hops."""
+    request, _, plan, _, paths = provisioned(world, slice_id, request_text)
+    link = request.links[0].iri
+    branch = plan.strands[link][1][0]
+    detail = [paths.get(((link, branch.to_node), i)) for i in range(len(branch.route.hops))]
+    return branch, [path for path in detail if path is not None]
 
 
 def test_embed_across_adjacent_ring_domains():
     world = _world(*RING)
     before = world.serialized_states()
-    branch = _only_branch(world, "ring1", _ring_request("a", "b"))
+    branch, domain_paths = _only_branch(world, "ring1", _ring_request("a", "b"))
     assert len(branch.route.segments) == 1  # adjacent domains: direct crossing
-    assert len(branch.domain_paths) == len(branch.route.hops)
+    assert len(domain_paths) == len(branch.route.hops)
     assert {hop.element.value for hop in branch.route.hops} == {
         "urn:orca:site:a/Domain",
         "urn:orca:site:b/Domain",
@@ -887,11 +895,11 @@ def test_embed_across_adjacent_ring_domains():
 
 def test_embed_label_continuity_across_ring():
     world = _world(*RING)
-    branch = _only_branch(world, "ring2", _ring_request("a", "c"))
+    branch, domain_paths = _only_branch(world, "ring2", _ring_request("a", "c"))
     assert len(branch.route.segments) == 1  # a-c are adjacent too
     label = branch.route.segments[0].label
     assert label == 140  # lowest common label on the a-c border pools
-    for path in branch.domain_paths:
+    for path in domain_paths:
         for seg in path.segments:
             assert seg.label == label
     world.delete_slice("ring2")

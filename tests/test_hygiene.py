@@ -1,4 +1,5 @@
-"""Source checks over the package modules, made with `ast` alone."""
+"""Source checks over the package modules, made with `ast` alone, and over
+the test modules' use of the golden files."""
 
 import ast
 import re
@@ -7,6 +8,8 @@ from pathlib import Path
 import netslice
 
 SRC = Path(netslice.__file__).parent
+TESTS = Path(__file__).parent
+GOLDEN = TESTS.parent / "fixtures" / "golden"
 # an import kept on purpose names its reason: "# noqa: F401 -- re-exported for callers"
 _EXEMPT_RE = re.compile(r"#\s*noqa:\s*F401\s+--\s*\S")
 
@@ -65,3 +68,18 @@ def test_the_import_check_finds_an_unused_name_and_honours_a_reasoned_mark():
         "    return v.LAYERS",
     ])
     assert _unused_imports(source) == [(2, "os"), (4, "sys"), (7, "Sequence")]
+
+
+def test_every_golden_file_is_compared_by_a_test():
+    """A golden no test compares pins nothing: each file under
+    fixtures/golden is named, quoted, on a test-module line that also names
+    `golden`."""
+    lines = [
+        line
+        for path in sorted(TESTS.glob("test_*.py"))
+        for line in path.read_text().splitlines()
+        if "golden" in line
+    ]
+    names = sorted(path.name for path in GOLDEN.iterdir())
+    assert names
+    assert [name for name in names if not any(f'"{name}"' in line for line in lines)] == []

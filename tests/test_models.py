@@ -19,7 +19,6 @@ from netslice.graphstore import (
 )
 from netslice.models import (
     LabelSetError,
-    PlanIncomplete,
     RequestError,
     SubstrateError,
     build_delegation,
@@ -408,7 +407,7 @@ def test_parse_request_two_reservations_rejected():
     raw = _load("request-pair.ndl")
     raw.add(Triple(Iri("urn:other:res"), RDF_TYPE, vocab.RESERVATION))
     with pytest.raises(RequestError, match="exactly one Reservation"):
-        parse_request(_closed(raw))
+        parse_request(_closed(raw), source=raw)
 
 
 def test_parse_request_untyped_element_rejected():
@@ -416,7 +415,7 @@ def test_parse_request_untyped_element_rejected():
     res = Iri("urn:orca:request:pair/Reservation/1")
     raw.add(Triple(res, vocab.ELEMENT, Iri("urn:orca:request:pair/Mystery")))
     with pytest.raises(RequestError, match="neither a compute element nor a connection"):
-        parse_request(_closed(raw))
+        parse_request(_closed(raw), source=raw)
 
 
 def test_parse_request_broadcast_across_three_domains_parses_clean():
@@ -437,22 +436,22 @@ def test_parse_request_missing_term_rejected():
     for t in list(raw.match(s=res, p=vocab.HAS_TERM)):
         raw.remove(t)
     with pytest.raises(RequestError, match="term"):
-        parse_request(_closed(raw))
+        parse_request(_closed(raw), source=raw)
 
 
 def test_parse_request_term_past_date_range_rejected():
     text = (FIXTURES / "request-pair.ndl").read_text()
-    late = text.replace("2026-01-01T00:00:00Z", "9999-12-31T23:00:00Z")
+    late = parse_document(text.replace("2026-01-01T00:00:00Z", "9999-12-31T23:00:00Z"))
     with pytest.raises(RequestError, match="term"):
-        parse_request(_closed(parse_document(late)))
+        parse_request(_closed(late), source=late)
 
 
 # -- manifests -----------------------------------------------------------------------
 
 
 def _embedded(substrate_text, slice_id):
-    """(request, plan) that the manifest of the pair request provisioned on
-    one substrate was built from."""
+    """The `build_manifest` arguments that the manifest of the pair request
+    provisioned on one substrate was built from."""
     world = World()
     world.add_substrate(substrate_text)
     return provisioned(world, slice_id, (FIXTURES / "request-pair.ndl").read_text())
@@ -462,21 +461,22 @@ def _embedded_pair():
     return _embedded((FIXTURES / "renci.ndl").read_text(), "demo1")
 
 
-def _manifest_model(req, plan) -> Model:
+def _manifest_model(built) -> Model:
     """The manifest `build_manifest` returns, loaded into a Model to query
     or edit."""
-    prefixes, triples = build_manifest(req, plan)
+    prefixes, triples = build_manifest(*built)
     m = Model(prefixes)
     m.add_all(triples)
     return m
 
 
 def test_build_manifest_contains_request_and_links_back():
-    req, plan = _embedded_pair()
-    _, triples = build_manifest(req, plan)
+    built = _embedded_pair()
+    req = built[0]
+    _, triples = build_manifest(*built)
     assert triples[: len(req.model)] == list(req.model)  # the request first, in order
     assert len(set(triples)) == len(triples)
-    manifest = _manifest_model(req, plan)
+    manifest = _manifest_model(built)
     for t in req.model:
         assert t in manifest
     vms = [t.subject for t in manifest.match(p=vocab.PROVISIONED_FROM) if vocab.VM in manifest.types(t.subject)]
@@ -493,32 +493,23 @@ def test_build_manifest_contains_request_and_links_back():
 
 
 def test_build_manifest_deterministic_bytes():
-    req1, plan1 = _embedded_pair()
-    req2, plan2 = _embedded_pair()
-    assert serialize_document(_manifest_model(req1, plan1)) == serialize_document(
-        _manifest_model(req2, plan2)
+    assert serialize_document(_manifest_model(_embedded_pair())) == serialize_document(
+        _manifest_model(_embedded_pair())
     )
 
 
-def test_build_manifest_empty_plan_incomplete():
-    from netslice.embed import EmbeddingPlan
-
-    raw = _load("request-pair.ndl")
-    req = parse_request(_closed(raw), source=raw)
-    with pytest.raises(PlanIncomplete):
-        build_manifest(req, EmbeddingPlan("empty"))
-
-
 def test_manifest_is_homeomorphic_to_request():
-    req, plan = _embedded_pair()
-    _, triples = build_manifest(req, plan)
+    built = _embedded_pair()
+    req = built[0]
+    _, triples = build_manifest(*built)
     assert check_homeomorphic(req, triples)
-    assert check_homeomorphic(req, _manifest_model(req, plan))
+    assert check_homeomorphic(req, _manifest_model(built))
 
 
 def test_homeomorphic_fails_on_rewired_vm():
-    req, plan = _embedded_pair()
-    manifest = _manifest_model(req, plan)
+    built = _embedded_pair()
+    req = built[0]
+    manifest = _manifest_model(built)
     # relink the second VM to the wrong request node
     base = "urn:orca:slice:demo1"
     vm1 = Iri(f"{base}/vm/1")
@@ -547,8 +538,9 @@ DEMO1 = "urn:orca:slice:demo1/"
     ids=["conflicting-provenance", "hop-left-after-smoothing", "node-twice", "link-twice"],
 )
 def test_homeomorphic_refuses_an_edited_manifest(subject, predicate, obj):
-    req, plan = _embedded_pair()
-    manifest = _manifest_model(req, plan)
+    built = _embedded_pair()
+    req = built[0]
+    manifest = _manifest_model(built)
     assert check_homeomorphic(req, manifest)
     manifest.add(Triple(Iri(subject), predicate, Iri(obj)))
     assert not check_homeomorphic(req, manifest)
@@ -571,8 +563,9 @@ def test_homeomorphic_isomorphic_case_trivial_path():
         "t:host comp:provisions comp:VM .\n"
         't:host comp:availableUnits "2"^^xsd:integer .\n'
     )
-    req, plan = _embedded(text, "solo1")
-    manifest = _manifest_model(req, plan)
+    built = _embedded(text, "solo1")
+    req = built[0]
+    manifest = _manifest_model(built)
     assert manifest.typed(vocab.PATH_HOP) == []
     assert check_homeomorphic(req, manifest)
 
@@ -645,8 +638,9 @@ def _edit_manifest(manifest, edits):
          "chain"],
 )
 def test_homeomorphic_verdict_on_edited_manifests(edits, verdict):
-    req, plan = _embedded_pair()
-    manifest = _edit_manifest(_manifest_model(req, plan), edits)
+    built = _embedded_pair()
+    req = built[0]
+    manifest = _edit_manifest(_manifest_model(built), edits)
     assert check_homeomorphic(req, manifest) is reference_check_homeomorphic(req, manifest) is verdict
 
 
@@ -658,8 +652,9 @@ def test_homeomorphic_verdict_on_edited_manifests(edits, verdict):
     )
 )
 def test_homeomorphic_matches_the_rescanning_reference(edits):
-    req, plan = _embedded_pair()
-    manifest = _edit_manifest(_manifest_model(req, plan), edits)
+    built = _embedded_pair()
+    req = built[0]
+    manifest = _edit_manifest(_manifest_model(built), edits)
     assert check_homeomorphic(req, manifest) == reference_check_homeomorphic(req, manifest)
 
 
