@@ -324,32 +324,20 @@ class Model:
         o: Optional[Term] = None,
     ) -> Iterator[Triple]:
         """All triples matching the given fixed positions (None = wildcard)."""
-        if s is not None and p is not None and o is not None:
-            t = _new(Triple, (s, p, o))
-            if t in self._triples:
-                yield t
-            return
-        if s is not None and p is not None:
-            for obj in self._spo.get(s, {}).get(p, ()):
-                yield _new(Triple, (s, p, obj))
-        elif p is not None and o is not None:
-            for subj in self._pos.get(p, {}).get(o, ()):
-                yield _new(Triple, (subj, p, o))
-        elif s is not None and o is not None:
-            for pred, objs in self._spo.get(s, {}).items():
-                if o in objs:
-                    yield _new(Triple, (s, pred, o))
-        elif s is not None:
-            for pred, objs in self._spo.get(s, {}).items():
-                for obj in objs:
+        if s is not None:  # the subject's SPO level
+            by_p = self._spo.get(s, {})
+            for pred in by_p if p is None else (p,) if p in by_p else ():
+                objs = by_p[pred]
+                for obj in objs if o is None else (o,) if o in objs else ():
                     yield _new(Triple, (s, pred, obj))
-        elif p is not None:
-            for obj, subjs in self._pos.get(p, {}).items():
-                for subj in subjs:
+        elif p is not None:  # the predicate's POS level
+            by_o = self._pos.get(p, {})
+            for obj in by_o if o is None else (o,) if o in by_o else ():
+                for subj in by_o[obj]:
                     yield _new(Triple, (subj, p, obj))
         elif o is not None:
-            for pred, by_object in self._pos.items():
-                for subj in by_object.get(o, ()):
+            for pred, by_o in self._pos.items():
+                for subj in by_o.get(o, ()):
                     yield _new(Triple, (subj, pred, o))
         else:
             yield from self._triples
@@ -417,23 +405,13 @@ def _own(index: dict, shared: dict, a, b) -> dict:
 
 # -- text format ------------------------------------------------------------
 
-# One NDL-Lite line, blank or holding an @prefix declaration or an "S P O ."
+# One NDL-Lite line is blank or holds an @prefix declaration or an "S P O ."
 # statement, and then at most a comment. Whitespace is space, tab or CR. A
 # term is an <iri>, a prefix:local CURIE or, as an object only, a quoted
 # literal with an optional ^^datatype. An IRI or a literal ends where it
 # closes, so the next token may follow at once; a CURIE runs to the next
 # whitespace; a dot ends a statement only before whitespace, '#' or the end.
-_CURIE = rf"(?:{_PREFIX_NAME})?:[^ \t\r]*(?![^ \t\r])"
-_TERM = rf"<[^>]*>|{_CURIE}"
-_LINE_RE = re.compile(
-    rf"""(?:[ \t\r]*
-        (?:@prefix[ \t\r]+({_PREFIX_NAME}|):[ \t\r]+<([^>]*)>
-          | ({_TERM})[ \t\r]*({_TERM})[ \t\r]*
-            ({_TERM}|"((?:[^"\\]|\\[\\"ntr])*)"(?:\^\^({_TERM}))?)
-        )[ \t\r]*\.
-    )?[ \t\r]*(?:\#.*)?""",
-    re.VERBOSE,
-)
+_LITERAL_RE = re.compile(r'"((?:[^"\\]|\\[\\"ntr])*)"(?:\^\^(.+))?')
 _ESCAPE_RE = re.compile(r"\\(.)")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 # The writer's side of _ESCAPES: the characters it reads back, as escapes.
@@ -444,48 +422,86 @@ _TO_ESCAPE_RE = re.compile(f"[{re.escape(''.join(_ESCAPES.values()))}]")
 def parse_document(text: str) -> Model:
     """Parse an NDL-Lite document into a Model.
 
-    Each line is accepted by one pattern, and each distinct term token is
-    resolved once per prefix map. Raises ParseError with line/column on
-    malformed lines, undeclared prefixes, a literal in subject or predicate
-    position, or a malformed IRI (empty, or holding a character an IRI may
-    not hold) written as a term or a datatype, directly or as a CURIE.
+    A line spelled "S P O ." or "@prefix name: <namespace> ." with single
+    spaces is split at them, each token new to the document read as `lex`
+    would read it; any other line is lexed. Raises ParseError with line and
+    column on malformed lines, undeclared prefixes, a literal in subject or
+    predicate position, or a malformed IRI (empty, or holding a character an
+    IRI may not hold) written as a term or a datatype, directly or as a CURIE.
     """
     m = Model()
     prefixes = m.prefixes
     terms: dict = {}  # token -> term under the current prefix map
     triples = []
     for lineno, line in enumerate(text.split("\n"), start=1):
-        match = _LINE_RE.fullmatch(line)
-        if match is None:
-            _explain(line, lineno, prefixes)
-        name, namespace, s, p, o, lexical, datatype = match.groups()
-        if s is None:
-            if namespace is not None:
-                prefixes[name] = namespace
-                terms.clear()
-            continue
-        at = match.start  # a fault's column is its term's, the literal's for a datatype
-        subject = terms.get(s) or terms.setdefault(s, _iri(s, prefixes, lineno, at(3) + 1))
-        predicate = terms.get(p) or terms.setdefault(p, _iri(p, prefixes, lineno, at(4) + 1))
-        obj = terms.get(o)
-        if obj is None:
-            if lexical is None:
-                obj = _iri(o, prefixes, lineno, at(5) + 1)
-            else:
-                if "\\" in lexical:
-                    lexical = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lexical)
-                dt = XSD_STRING if datatype is None else _iri(datatype, prefixes, lineno, at(5) + 1)
-                obj = Literal(lexical, dt)
-            terms[o] = obj
-        triples.append(_new(Triple, (subject, predicate, obj)))
+        parts = line.split(" ")
+        if len(parts) == 4 and parts[3] == ".":
+            if parts[0] == "@prefix" and _declared(parts, prefixes, terms):
+                continue
+            if (found := _split_statement(parts, terms, prefixes)) is not None:
+                triples.append(found)
+                continue
+        if line and (found := _lexed_statement(line, lineno, prefixes, terms)) is not None:
+            triples.append(found)
     m.add_all(triples)
     return m
 
 
-def _explain(line: str, lineno: int, prefixes: dict):
-    """Raise a ParseError naming the first fault in a line that the line
-    pattern rejects, found by lexing it token by token."""
+def _split_statement(parts: list, terms: dict, prefixes: dict) -> Optional[Triple]:
+    """The triple of a line split at single spaces into S, P, O and ".", or
+    None if a token is no term of its position or names an undeclared prefix
+    or no IRI, for the lexer to read the line. `terms` holds only terms."""
+    s, p, o = parts[0], parts[1], parts[2]
+    subject = terms.get(s) or _token_iri(s, prefixes)
+    predicate = terms.get(p) or _token_iri(p, prefixes)
+    if subject.__class__ is not Iri or predicate.__class__ is not Iri:
+        return None
+    obj = terms.get(o) or (None if o[:1] == '"' else _token_iri(o, prefixes))
+    if obj is None:
+        literal = _LITERAL_RE.fullmatch(o) if o[:1] == '"' else None
+        dt = literal and (XSD_STRING if literal[2] is None else _token_iri(literal[2], prefixes))
+        if not dt:
+            return None
+        obj = Literal(_ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], literal[1]), dt)
+    terms[s], terms[p], terms[o] = subject, predicate, obj
+    return _new(Triple, (subject, predicate, obj))
+
+
+def _declared(parts: list, prefixes: dict, terms: dict) -> bool:
+    """Whether a line split at single spaces into "@prefix", "name:",
+    "<namespace>" and "." declares a prefix; if so, it is declared."""
+    name, namespace = parts[1][:-1], parts[2]
+    iri = namespace[:1] == "<" and namespace.find(">") == len(namespace) - 1
+    if parts[1][-1:] != ":" or not _PREFIX_NAME_RE.match(name) or not iri:
+        return False
+    prefixes[name] = namespace[1:-1]
+    terms.clear()
+    return True
+
+
+def _token_iri(token: str, prefixes: dict) -> Optional[Iri]:
+    """The IRI a spaceless <iri> or CURIE token of a declared prefix names, or None."""
+    if token[:1] == "<":
+        if token.find(">") != len(token) - 1:
+            return None
+        value = token[1:-1]
+    else:
+        name, colon, local = token.partition(":")
+        if not colon or name not in prefixes:
+            return None
+        value = prefixes[name] + local
+    try:
+        return Iri(value)
+    except ValueError:
+        return None
+
+
+def _lexed_statement(line: str, lineno: int, prefixes: dict, terms: dict) -> Optional[Triple]:
+    """The triple of a line read token by token, or None for a blank line,
+    a comment or a prefix declaration, which is made; else a ParseError."""
     tokens = lex(line, ".", lineno)
+    if not tokens:
+        return None
     kinds = [token.kind for token in tokens]
     if kinds[0] == "word" and tokens[0].value == "@prefix":
         if kinds != ["word", "word", "iri", "mark"] or not tokens[1].value.endswith(":"):
@@ -493,20 +509,26 @@ def _explain(line: str, lineno: int, prefixes: dict):
         name = tokens[1].value[:-1]
         if not _PREFIX_NAME_RE.match(name):
             raise ParseError(lineno, tokens[1].col, f"bad prefix name {name!r}")
-    elif len(tokens) != 4 or kinds[3] != "mark":
+        prefixes[name] = tokens[2].value
+        terms.clear()
+        return None
+    if len(tokens) != 4 or kinds[3] != "mark":
         reason = "expected 'S P O .' (terms and terminating dot separated by spaces)"
         raise ParseError(lineno, tokens[-1].col, reason)
-    else:
-        for pos, token in enumerate(tokens[:3]):
-            if token.kind == "mark":
-                raise ParseError(lineno, token.col, "unexpected 'dot' token")
-            if token.kind == "literal" and pos < 2:
-                where = "subject" if pos == 0 else "predicate"
-                raise ParseError(lineno, token.col, f"literal not allowed in {where} position")
-            text = (token.datatype or "") if token.kind == "literal" else token.text
-            if text:
-                _iri(text, prefixes, lineno, token.col)
-    raise AssertionError(f"line {lineno}: the lexer accepts what the line pattern rejects")
+    statement = []
+    for pos, token in enumerate(tokens[:3]):
+        if token.kind == "mark":
+            raise ParseError(lineno, token.col, "unexpected 'dot' token")
+        if token.kind == "literal" and pos < 2:
+            where = "subject" if pos == 0 else "predicate"
+            raise ParseError(lineno, token.col, f"literal not allowed in {where} position")
+        if token.kind != "literal":
+            statement.append(_iri(token.text, prefixes, lineno, token.col))
+        elif token.datatype is None:
+            statement.append(Literal(token.value))
+        else:
+            statement.append(Literal(token.value, _iri(token.datatype, prefixes, lineno, token.col)))
+    return _new(Triple, tuple(statement))
 
 
 def _iri(text: str, prefixes: dict, lineno: int, col: int) -> Iri:
@@ -918,31 +940,32 @@ def query_bgp(
     a malformed pattern list or a filter variable no pattern binds, and
     EvaluationBudgetExceeded past `budget` matched rows."""
     steps, names = _join_plan(tuple(patterns), tuple(filters))
-    spo, pos = m._spo, m._pos
+    spo, pos, known = m._spo, m._pos, m._triples
     rows: list = [{}]
     produced = 0
     for ((sn, sc), (pn, pc), (on, oc)), walk, fresh, same, checks in steps:
+        if not rows:
+            break  # no row is left to extend
         next_rows = []
         for row in rows:
             s, p, o = row.get(sn, sc), row.get(pn, pc), row.get(on, oc)
             if isinstance(s, Literal) or isinstance(p, Literal):
                 continue  # literals never occupy subject or predicate
-            if walk:  # the free end's terms are one SPO or POS leaf
-                found = zip(spo.get(s, {}).get(p, ()) if walk == "o" else pos.get(p, {}).get(o, ()))
-            else:
-                found = m.match(s, p, o)
-            for t in found:
-                if same and any(t[a] is not t[b] for a, b in same):
-                    continue  # a variable repeated within the pattern
-                produced += 1
-                if produced > budget:
-                    raise EvaluationBudgetExceeded(produced, budget)
-                new = dict(row)
-                for k, name in fresh:
-                    new[name] = t[k]
-                # interned terms are equal exactly when identical
-                if all((new.get(*a) is new.get(*b)) != negated for a, b, negated in checks):
-                    next_rows.append(new)
+            if not fresh:  # a ground pattern: the row passes on, uncopied, if m holds it
+                matched = [row] if (s, p, o) in known else []
+            elif walk:  # the free end's terms are one SPO or POS leaf
+                name = fresh[0][1]
+                leaf = spo.get(s, {}).get(p, ()) if walk == "o" else pos.get(p, {}).get(o, ())
+                matched = [{**row, name: v} for v in leaf]
+            else:  # a variable repeated within the pattern binds one term
+                found = (t for t in m.match(s, p, o) if all(t[a] is t[b] for a, b in same))
+                matched = [{**row, **{name: t[k] for k, name in fresh}} for t in found]
+            produced += len(matched)
+            if produced > budget:
+                raise EvaluationBudgetExceeded(budget + 1, budget)
+            if checks:  # interned terms are equal exactly when identical
+                matched = [r for r in matched if all((r.get(*a) is r.get(*b)) != n for a, b, n in checks)]
+            next_rows += matched
         rows = next_rows
     unique = {tuple(term_key(row[name]) for name in names): row for row in rows}
     return [unique[key] for key in sorted(unique)]
@@ -952,11 +975,12 @@ def query_bgp(
 def _join_plan(patterns: tuple, filters: tuple) -> tuple:
     """The join's steps and the sorted variable names. A step reads each of
     its pattern's positions, and its filters' sides, as row.get(name, term):
-    a variable by its name, a constant (name None) as the term. It matches
-    1-tuples of the terms at `walk`, its only free position ("s" or "o"),
-    or else `Model.match` triples; binds the `fresh` variables at their
-    first positions in those, requires the `same` pairs of positions to
-    hold one term, then tests the filters whose variables it completes."""
+    a variable by its name, a constant (name None) as the term. With no
+    `fresh` variable it tests that m holds its triple; else it binds one at
+    `walk`, its only free position ("s" or "o"), to each term of an index
+    leaf, or the `fresh` ones at their first positions in `Model.match`
+    triples whose `same` pairs of positions hold one term; then it tests
+    the filters whose variables it completes."""
     if not patterns or any(len(pattern) != 3 for pattern in patterns):
         raise ValueError(f"expected one or more (s, p, o) patterns, got {patterns!r}")
     left, pending, bound, steps = list(patterns), list(filters), set(), []
@@ -980,7 +1004,7 @@ def _join_plan(patterns: tuple, filters: tuple) -> tuple:
         ready = [f for f in pending if ground(f[0]) and ground(f[1])]
         pending = [f for f in pending if f not in ready]
         checks = tuple((lookup(a), lookup(b), negated) for a, b, negated in ready)
-        fresh = tuple((0 if walk else k, name) for name, k in fresh.items())
+        fresh = tuple((k, name) for name, k in fresh.items())
         steps.append((tuple(map(lookup, pattern)), walk, fresh, same, checks))
     if pending:
         raise ValueError(f"filter variable bound by no pattern: {pending[0]!r}")

@@ -431,13 +431,19 @@ class SliceRequest(NamedTuple):
 
 
 def _minimal_compute_class(m: Model, types: set) -> Optional[Iri]:
-    compute = {t for t in types if vocab.satisfies(m, t, COMPUTE_ELEMENT)}
-    minimal = [
-        t
-        for t in compute
-        if not any(other != t and vocab.satisfies(m, other, t) for other in compute)
-    ]
-    return sorted(minimal, key=lambda t: t.value)[0] if minimal else None
+    """The least-IRI compute class of types that no other of them specialises."""
+    supers = {t: m._spo.get(t, {}).get(vocab.RDFS_SUBCLASS_OF, {}) for t in types}
+    compute = [t for t in types if t is COMPUTE_ELEMENT or COMPUTE_ELEMENT in supers[t]]
+    specialised = {c for t in compute for c in supers[t] if c is not t}
+    return min((t for t in compute if t not in specialised), key=lambda t: t.value, default=None)
+
+
+def _single(m: Model, s: Iri, p: Iri):
+    """The one value of a request property, or None; a RequestError if several."""
+    values = m._spo.get(s, {}).get(p, ())
+    if len(values) > 1:
+        raise RequestError(f"{s.value} states {len(values)} values of {p.local()}, expected one")
+    return next(iter(values), None)
 
 
 def parse_request(m: Model, source: Model) -> SliceRequest:
@@ -449,16 +455,16 @@ def parse_request(m: Model, source: Model) -> SliceRequest:
     them later. Domain-repetition and endpoint-count policy live in the
     rules module, not here.
     """
-    reservations = m.typed(RESERVATION)
+    reservations = m._pos.get(RDF_TYPE, {}).get(RESERVATION, ())
     if len(reservations) != 1:
         raise RequestError(f"expected exactly one Reservation, found {len(reservations)}")
-    res = reservations[0]
+    (res,) = reservations
 
-    terms = [o for o in m.objects(res, HAS_TERM) if isinstance(o, Iri)]
+    terms = [o for o in m._spo[res].get(HAS_TERM, ()) if isinstance(o, Iri)]
     if len(terms) != 1:
         raise RequestError("reservation must reference exactly one term interval")
-    begin_lit = m.value(terms[0], HAS_BEGINNING)
-    duration = int_value(m.value(terms[0], HAS_DURATION_SECONDS))
+    begin_lit = _single(m, terms[0], HAS_BEGINNING)
+    duration = int_value(_single(m, terms[0], HAS_DURATION_SECONDS))
     if not isinstance(begin_lit, Literal) or duration is None:
         raise RequestError(f"term {terms[0].value} must carry hasBeginning and hasDurationSeconds")
     if duration <= 0:
@@ -469,50 +475,30 @@ def parse_request(m: Model, source: Model) -> SliceRequest:
     except OverflowError:
         raise RequestError("term ends beyond the representable date range") from None
 
-    nodes = []
-    links = []
+    nodes, links = [], []
     for element in m.objects(res, ELEMENT):
         if not isinstance(element, Iri):
             raise RequestError(f"reservation element {element!r} is not an IRI")
         types = m.types(element)
         cls = _minimal_compute_class(m, types)
+        interfaces = tuple(o for o in m.objects(element, HAS_INTERFACE) if isinstance(o, Iri))
         if cls is not None:
-            in_domain = m.value(element, IN_DOMAIN)
-            nodes.append(
-                RequestNode(
-                    iri=element,
-                    compute_class=cls,
-                    interfaces=tuple(
-                        o for o in m.objects(element, HAS_INTERFACE) if isinstance(o, Iri)
-                    ),
-                    in_domain=in_domain if isinstance(in_domain, Iri) else None,
-                )
-            )
+            in_domain = _single(m, element, IN_DOMAIN)
+            in_domain = in_domain if isinstance(in_domain, Iri) else None
+            nodes.append(RequestNode(element, cls, interfaces, in_domain))
         elif NETWORK_CONNECTION in types:
-            layer = m.value(element, AT_LAYER)
+            layer = _single(m, element, AT_LAYER)
             if not isinstance(layer, Iri):
                 raise RequestError(f"link {element.value} has no atLayer")
-            bandwidth = int_value(m.value(element, REQUESTED_BANDWIDTH)) or 0
+            stated = _single(m, element, REQUESTED_BANDWIDTH)
+            bandwidth = 0 if stated is None else int_value(stated)
+            if bandwidth is None:
+                raise RequestError(f"link {element.value} requests bandwidth {stated!r}, not an xsd:integer")
             if bandwidth < 0:
                 raise RequestError(f"link {element.value} requests negative bandwidth {bandwidth}")
-            links.append(
-                RequestLink(
-                    iri=element,
-                    interfaces=tuple(
-                        sorted(
-                            (o for o in m.objects(element, HAS_INTERFACE) if isinstance(o, Iri)),
-                            key=lambda i: i.value,
-                        )
-                    ),
-                    layer=layer,
-                    bandwidth=bandwidth,
-                    broadcast=BROADCAST_CONNECTION in types,
-                )
-            )
+            links.append(RequestLink(element, interfaces, layer, bandwidth, BROADCAST_CONNECTION in types))
         else:
-            raise RequestError(
-                f"element {element.value} is neither a compute element nor a connection"
-            )
+            raise RequestError(f"element {element.value} is neither a compute element nor a connection")
     nodes.sort(key=lambda n: n.iri.value)
     links.sort(key=lambda l: l.iri.value)
 
@@ -524,18 +510,11 @@ def parse_request(m: Model, source: Model) -> SliceRequest:
             owned[i] = n
     for l in links:
         if not l.broadcast and len(l.interfaces) != 2:
-            raise RequestError(
-                f"point-to-point link {l.iri.value} has {len(l.interfaces)} interfaces"
-            )
+            raise RequestError(f"point-to-point link {l.iri.value} has {len(l.interfaces)} interfaces")
         for i in l.interfaces:
             if i not in owned:
                 raise RequestError(f"link {l.iri.value} interface {i.value} owned by no node")
-    return SliceRequest(
-        nodes=tuple(nodes),
-        links=tuple(links),
-        term=term,
-        model=source,
-    )
+    return SliceRequest(tuple(nodes), tuple(links), term, source)
 
 
 # -- manifest ---------------------------------------------------------------------

@@ -227,20 +227,20 @@ MSG_ORPHAN_ELEMENT = "Request element not reachable from reservation"
 def structural_violations(m: Model) -> list:
     """Counting/negation checks the rule language cannot express."""
     out = []
-    for link in m.typed(NETWORK_CONNECTION):
-        endpoints = {o for o in m.objects(link, HAS_INTERFACE) if isinstance(o, Iri)}
-        endpoints |= {o for o in m.objects(link, vocab.HAS_ENDPOINT) if isinstance(o, Iri)}
-        n = len(endpoints)
-        if BROADCAST_CONNECTION in m.types(link):
+    spo, typed = m._spo, m._pos.get(RDF_TYPE, {})
+    links = typed.get(NETWORK_CONNECTION, ())
+    for link in links:
+        level = spo[link]
+        n = len({o for p in (HAS_INTERFACE, vocab.HAS_ENDPOINT) for o in level.get(p, ()) if isinstance(o, Iri)})
+        if BROADCAST_CONNECTION in level[RDF_TYPE]:
             if n < 3:
                 out.append(Violation(MSG_BROADCAST_TOO_FEW, link, ()))
         elif n != 2:
             out.append(Violation(MSG_P2P_ENDPOINT_COUNT, link, ()))
-    reservations = m.typed(RESERVATION)
+    reservations = typed.get(RESERVATION, ())
     if len(reservations) == 1:
-        res = reservations[0]
-        reachable = set(m.objects(res, ELEMENT))
-        for element in m.typed(vocab.COMPUTE_ELEMENT) + m.typed(NETWORK_CONNECTION):
+        reachable = spo[next(iter(reservations))].get(ELEMENT, ())
+        for element in [*typed.get(vocab.COMPUTE_ELEMENT, ()), *links]:
             if element not in reachable:
                 out.append(Violation(MSG_ORPHAN_ELEMENT, element, ()))
     return _first_of_each(out)

@@ -516,6 +516,14 @@ def _declared_domains(*models: Model) -> dict:
     return declared
 
 
+def _known_classes(schema: Model) -> frozenset:
+    """The classes the T-box alone types owl:Class, directly or by a superclass:
+    documents only add types and superclasses, so these stay known."""
+    spo = schema._spo
+    return frozenset(c for c, level in spo.items() for t in level.get(RDF_TYPE, ())
+                     if t is OWL_CLASS or OWL_CLASS in spo.get(t, {}).get(RDFS_SUBCLASS_OF, ()))
+
+
 def validate_conformance(*docs: Model, closed: Optional[Model] = None) -> list:
     """Schema conformance issues for documents checked against the
     built-in T-box, which the documents may or may not include. `closed` is
@@ -535,48 +543,46 @@ def validate_conformance(*docs: Model, closed: Optional[Model] = None) -> list:
     if closed is None:
         closed = close(m)
     schema = entailed_schema()  # its rdf:type triples are all asserted ones
-    known: dict = {}
+    spo, tbox, supers = m._spo, schema._spo, closed._spo
+    known_classes = schema.derived(_known_classes)
 
     def types_of(x: Iri) -> set:
-        if x not in known:
-            asserted = m.types(x) | schema.types(x)
-            known[x] = asserted.union(*(closed.objects(c, RDFS_SUBCLASS_OF) for c in asserted))
-        return known[x]
+        asserted = {o for o in spo.get(x, {}).get(RDF_TYPE, ()) if isinstance(o, Iri)}
+        if x in tbox:
+            asserted |= schema.types(x)
+        return asserted.union(*(supers.get(c, {}).get(RDFS_SUBCLASS_OF, ()) for c in asserted))
 
     issues = []
-
-    def report(kind: str, s: Iri, detail: str) -> None:
-        issues.append(ConformanceIssue(kind, s, detail))
-
+    report = issues.append
     # the T-box's table is derived once; documents' own domains merge after it
-    if any(m.match(p=RDFS_DOMAIN)):
+    if RDFS_DOMAIN in m._pos:
         declared_domains = _declared_domains(schema, m)
     else:
         declared_domains = schema.derived(_declared_domains)
 
-    # the T-box's own subjects are all schema entities, which are skipped
-    for s in sorted({t.subject for t in m}, key=lambda s: s.value):
+    # the T-box's subjects are schema entities, skipped; issues are sorted last
+    for s, level in spo.items():
         types = types_of(s)
         if types & _SCHEMA_TYPES:
             continue  # schema entity
-        if not any(OWL_CLASS in types_of(c) for c in types):
-            report("untyped-instance", s, "no rdf:type naming a known class")
+        if not any(c in known_classes or OWL_CLASS in types_of(c) for c in types):
+            report(ConformanceIssue("untyped-instance", s, "no rdf:type naming a known class"))
             continue
-        for _, p, _ in m.match(s=s):
+        for p in level:
             dom = declared_domains.get(p)
             if p in _SCHEMA_PREDICATES or dom in (None, RDFS_CLASS) or dom in types:
                 continue
             detail = f"{p.local()} requires {dom.local()}, subject types exclude it"
-            report("domain-violation", s, detail)
+            report(ConformanceIssue("domain-violation", s, detail))
         # label entities: value must sit inside the layer's label domain
         for label_class, spec in _LABEL_CLASS_LAYER.items():
             if label_class in types:
-                for v in m.objects(s, LABEL_VALUE):
+                for v in level.get(LABEL_VALUE, ()):
                     if isinstance(v, Literal) and not spec.label_ok(v.lexical):
                         detail = f"labelValue {v.lexical!r} outside {label_class.local()} domain"
-                        report("label-out-of-range", s, detail)
+                        report(ConformanceIssue("label-out-of-range", s, detail))
         # pooled label sets on links and border interfaces
-        spec = LAYERS.get(m.value(s, AT_LAYER))
+        spec = LAYERS.get(m.value(s, AT_LAYER)) if AT_LAYER in level else None
         if spec is not None and spec.pooled:
             for prop in (AVAILABLE_LABEL_SET, IN_USE_LABEL_SET):
                 lit = m.value(s, prop)
@@ -585,12 +591,13 @@ def validate_conformance(*docs: Model, closed: Optional[Model] = None) -> list:
                 try:
                     pool = parse_label_set(lit.lexical)
                 except ValueError:
-                    report("label-out-of-range", s, f"unparseable label set {lit.lexical!r}")
+                    detail = f"unparseable label set {lit.lexical!r}"
+                    report(ConformanceIssue("label-out-of-range", s, detail))
                     continue
                 if not spec.pool_in_domain(pool):
                     detail = f"label set {lit.lexical!r} exceeds layer domain"
-                    report("label-out-of-range", s, detail)
-        if INTERFACE in types and not closed.objects(s, INTERFACE_OF):
-            report("dangling-interface", s, "interface attached to no element")
+                    report(ConformanceIssue("label-out-of-range", s, detail))
+        if INTERFACE in types and not supers.get(s, {}).get(INTERFACE_OF):
+            report(ConformanceIssue("dangling-interface", s, "interface attached to no element"))
     # repeated property uses give equal issues, which collapse
     return sorted(set(issues), key=lambda i: (i.kind, i.subject.value, i.detail))

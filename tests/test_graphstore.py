@@ -940,6 +940,30 @@ def test_parse_matches_the_reference_scanner(text):
     assert _parse_outcome(parse_document, text) == _parse_outcome(reference_parse_document, text)
 
 
+# Lines whose tokens are split at single spaces, as the parser's fast
+# path reads them: terms, literals, near-terms and @prefix declarations.
+_token = st.one_of(
+    _term,
+    _literal,
+    st.sampled_from(["@prefix", "e:", "<urn:x/>", "<urn:x", ".", "", "a", '"a"^^', '"a"^^e:', '"a"^^<x>y']),
+)
+_split_line = st.one_of(
+    st.builds("{} {} {} .".format, _token, _token, _token),
+    st.builds(
+        "@prefix {}: {} .".format,
+        st.sampled_from(["e", "", "x.y-1", "1a", "a:b", ".x", "z"]),
+        st.sampled_from(["<urn:e/>", "<>", "<a>b", "urn:x", "<a\tb>", "<u:z/>"]),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_split_line, max_size=8))
+def test_parse_of_single_spaced_lines_matches_the_reference_scanner(lines):
+    text = "\n".join(["@prefix e: <urn:e/> .", "@prefix : <urn:empty/> .", *lines])
+    assert _parse_outcome(parse_document, text) == _parse_outcome(reference_parse_document, text)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     _documents,

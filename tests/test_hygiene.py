@@ -1,7 +1,9 @@
-"""Source checks over the package modules, made with `ast` alone, and over
-the test modules' use of the golden files."""
+"""Source checks over the package modules, made with `ast` alone, over
+the test modules' use of the golden files, and over the names the
+benchmark's tracer patches."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import netslice
 SRC = Path(netslice.__file__).parent
 TESTS = Path(__file__).parent
 GOLDEN = TESTS.parent / "fixtures" / "golden"
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 # an import kept on purpose names its reason: "# noqa: F401 -- re-exported for callers"
 _EXEMPT_RE = re.compile(r"#\s*noqa:\s*F401\s+--\s*\S")
 
@@ -83,3 +86,27 @@ def test_every_golden_file_is_compared_by_a_test():
     names = sorted(path.name for path in GOLDEN.iterdir())
     assert names
     assert [name for name in names if not any(f'"{name}"' in line for line in lines)] == []
+
+
+def _tracer_targets() -> list:
+    """(module, qualified name) of each entry of the tracer's TARGETS
+    list, read from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("no TARGETS list in perfbench/tracer.py")
+
+
+def test_every_traced_name_resolves_in_the_package():
+    """The tracer patches functions by name, so a renamed one would go
+    untimed: each (module, Class.method or function) it names exists."""
+    targets = _tracer_targets()
+    assert len(targets) >= 30
+    missing = []
+    for module, qualname in targets:
+        obj = importlib.import_module(f"netslice.{module}")
+        for part in qualname.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{qualname}")
+    assert missing == []
