@@ -6,7 +6,8 @@ broker's view, obtains tickets, and redeems them at the owning AMs, which
 re-validate against their detailed substrates before allocating. Leases
 expire on a virtual clock.
 
-Actors exchange serialized documents only, never live objects, and a
+Delegations, requests and manifests cross between actors as serialized
+documents; tickets and the AMs' redeem answers are in-process records. A
 single-threaded driver assigns every event a global sequence number, so a
 scenario replays byte-identically.
 """

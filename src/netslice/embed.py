@@ -61,7 +61,6 @@ from .vocab import (
     NETWORK_DOMAIN,
     NO_LABELS,
     PROVISIONS,
-    RDFS_SUBCLASS_OF,
     render_label_set,
 )
 
@@ -578,7 +577,7 @@ def _pools_by_class(m: Model) -> dict:
         (p for p in pools if isinstance(p[0], Iri) and NETWORK_DOMAIN in m.types(p[0])),
         key=lambda p: (p[0].value, len(p[2]), [c.value for c in p[2]]),
     ):
-        for cls in {sup for c in provided for sup in (c, *m.objects(c, RDFS_SUBCLASS_OF))}:
+        for cls in {sup for c in provided for sup in (c, *vocab.superclasses(m, c))}:
             index.setdefault(cls, {}).setdefault(domain, []).append(node)
     return index
 

@@ -13,9 +13,9 @@ terms, hashed and compared as a tuple.
 
 from __future__ import annotations
 
+import gc
 import re
 import weakref
-from collections import deque
 from itertools import chain, islice
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -192,12 +192,12 @@ def term_key(t: Term):
 
 
 def int_value(t: Optional[Term]) -> Optional[int]:
-    """Integer of an xsd:integer literal, else None."""
+    """Integer of an xsd:integer literal, else None: its lexical form is
+    XSD's, an optional sign and ASCII digits, nothing around them."""
     if isinstance(t, Literal) and t.datatype == XSD_INTEGER:
-        try:
+        digits = t.lexical[1:] if t.lexical[:1] in ("+", "-") else t.lexical
+        if digits.isascii() and digits.isdigit():
             return int(t.lexical)
-        except ValueError:
-            return None
     return None
 
 
@@ -263,7 +263,9 @@ class Model:
         """Insert triples in order; returns how many were new."""
         if self._frozen:
             raise TypeError("cannot add to a frozen model")
-        known, spo, pos, base = self._triples, self._spo, self._pos, self._base
+        known, spo, pos = self._triples, self._spo, self._pos
+        # the frozen base's index levels: only a key of one can share a level
+        base_spo, base_pos = ({}, {}) if self._base is None else (self._base._spo, self._base._pos)
         added = 0
         for t in triples:
             if t in known:
@@ -273,12 +275,14 @@ class Model:
             known[t] = None
             added += 1
             s, p, o = t
-            if base is None:
-                spo.setdefault(s, {}).setdefault(p, {})[o] = None
-                pos.setdefault(p, {}).setdefault(o, {})[s] = None
+            if s in base_spo:
+                _own(spo, base_spo, s, p)[o] = None
             else:
-                _own(spo, base._spo, s, p)[o] = None
-                _own(pos, base._pos, p, o)[s] = None
+                spo.setdefault(s, {}).setdefault(p, {})[o] = None
+            if p in base_pos:
+                _own(pos, base_pos, p, o)[s] = None
+            else:
+                pos.setdefault(p, {}).setdefault(o, {})[s] = None
         return added
 
     def remove(self, t: Triple) -> bool:
@@ -742,174 +746,164 @@ def merge(models: Sequence[Model]) -> Model:
 
 # Fixed profile: subclass transitivity, type propagation via subclass,
 # subproperty transitivity and propagation, inverse-property symmetry,
-# domain/range typing. Applied to fixpoint; only ever adds triples.
+# domain/range typing. Only ever adds triples.
 
-# The schema relations: their triples state the axioms the rules read.
+# The schema relations: their triples with IRI objects state the axioms the rules read.
 _SCHEMA_RELATIONS = frozenset(
     (RDFS_SUBCLASS_OF, RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF)
 )
-# The placeholders of a one-triple probe (`_one_pass`): subject, IRI object, literal object.
-_S, _O, _L = Iri("urn:netslice:probe#s"), Iri("urn:netslice:probe#o"), Literal("probe#l")
+_NOTHING = ({}, {}, {}, {})  # the consequences of a predicate no table keys
 
 
-def _iri_objects(m: Model, x: Term, relation: Iri) -> tuple:
-    """The IRI objects of (x, relation, ·) in m, sorted; an empty index leaf
-    is not sorted."""
-    leaf = m._spo.get(x, {}).get(relation)
-    return tuple(o for o in sorted(leaf, key=term_key) if isinstance(o, Iri)) if leaf else ()
+def _rules(triples: Iterable[Triple]) -> tuple:
+    """(tables, names, memo) of triples' schema, for `m.derived`: tables[r][x]
+    lists x's superclasses or super-properties, transitively (one walk per
+    node, cycles allowed), or its domains, ranges or inverses (both ways;
+    owl:inverseOf is its own), in triple order; names, the properties a
+    table keys; memo, their `_consequences`."""
+    tables = {r: {} for r in _SCHEMA_RELATIONS}
+    tables[OWL_INVERSE_OF][OWL_INVERSE_OF] = {OWL_INVERSE_OF: None}
+    for s, p, o in triples:
+        if p in tables and o.__class__ is Iri:
+            tables[p].setdefault(s, {})[o] = None
+            if p is OWL_INVERSE_OF:
+                tables[p].setdefault(o, {})[s] = None
+    for r in (RDFS_SUBCLASS_OF, RDFS_SUBPROPERTY_OF):
+        parents, done = tables[r], set()
+        for node, found in parents.items():  # found: node's parents, then its ancestors
+            walk = list(found)
+            for x in walk:  # grows as it runs
+                if x in done:  # parents[x] holds all of x's ancestors
+                    found.update(parents[x])
+                elif x is not node:
+                    for y in parents.get(x, ()):
+                        if y not in found:
+                            found[y] = None
+                            walk.append(y)
+            done.add(node)
+    names = {x for r in _SCHEMA_RELATIONS if r is not RDFS_SUBCLASS_OF for x in tables[r]}
+    return tables, names, ({}, {})
 
 
-def _schema_lookups(m: Model) -> tuple:
-    """What `_one_pass` reads of a closed base, for `m.derived`: the names
-    of m's subjects and predicates, the only keys `_compile`'s memo takes,
-    and that memo."""
-    return {*m._spo, *m._pos}, {}
-
-
-def _compile(closed: Model, memo: dict, key) -> Optional[tuple]:
-    """memo[key]: what the fixpoint derives in closed from the probe of `key`
-    (see `_one_pass`) as _S's classes, _O's and the other triples, or None
-    if one is schema or types a node by a placeholder. It is None while the
-    fixpoint runs, so that the probe itself does not take the one pass; the
-    probe's budget is fixed, so that no caller's budget can leave it None."""
-    memo[key] = None
-    probe = Model()
-    probe.add(_new(Triple, (_S, RDF_TYPE, key) if isinstance(key, Iri) else (_S, key[0], key[1])))
-    found = ({}, {}, [])
-    for s, p, o in islice(entail(probe, 1_000_000, closed), len(closed) + 1, None):
-        if p in _SCHEMA_RELATIONS or (p is RDF_TYPE and o in (_S, _O, _L)):
-            return None
-        if p is RDF_TYPE and s in (_S, _O):
-            found[s is _O][o] = None
-        else:
-            found[2].append((s, p, o))
-    memo[key] = found
-    return found
-
-
-def _one_pass(closed: Model, fresh: Iterable, known: dict) -> Optional[dict]:
-    """What closing `fresh`, instance triples outside closed, adds to the
-    `known` triples, or None if one needs the fixpoint. The probe of (s,
-    rdf:type, c) for a class c that closed names is (_S, rdf:type, c), else
-    (_S, p, _O) or (_S, p, _L). A triple is built only when it is new."""
-    names, memo = closed.derived(_schema_lookups)
-    classes, new = {}, {}  # node -> {class: None}; the new triples
-    for s, p, o in fresh:
-        if p in _SCHEMA_RELATIONS:
-            return None
-        if p is RDF_TYPE and o in names:  # a class closed names
-            key = o
-        elif p in names:
-            key = (p, _O if isinstance(o, Iri) else _L)
-        else:
-            continue  # closed holds no rule for p
-        found = memo[key] if key in memo else _compile(closed, memo, key)
-        if found is None:
-            return None
-        of_s, of_o, triples = found
-        if of_s:
-            classes.setdefault(s, {}).update(of_s)
-        if of_o:
-            classes.setdefault(o, {}).update(of_o)
-        if triples:
-            get = {_S: s, _O: o, _L: o}.get
-            for a, q, b in triples:
-                if (t := (get(a, a), q, get(b, b))) not in known:
-                    new[_new(Triple, t)] = None
-    for node, of_node in classes.items():
-        for c in of_node:
-            if (node, RDF_TYPE, c) not in known:
-                new[_new(Triple, (node, RDF_TYPE, c))] = None
-    return new
+def _consequences(rules: tuple, p: Iri, iri: bool) -> tuple:
+    """(forward, backward, subject classes, object classes): a triple (s, p,
+    o), o an IRI or not, entails (s, q, o) for each forward q but p, (o, q,
+    s) for each backward q, and types s and o by their classes (dicts),
+    superclasses included. Kept in memo for each predicate a table keys."""
+    tables, names, memo = rules
+    if p not in names:
+        return _NOTHING
+    super_props, inverses = tables[RDFS_SUBPROPERTY_OF], tables[OWL_INVERSE_OF]
+    sides = ({p: None}, {})
+    # (side, q, whole): q holds on side 0 (s, q, o) or 1 (o, q, s); a q
+    # reached as a super-property has its own super-properties there already
+    todo = [(0, p, True)]
+    for side, q, whole in todo:  # grows as it runs
+        for r in super_props.get(q, ()) if whole else ():
+            if r not in sides[side]:
+                sides[side][r] = None
+                todo.append((side, r, False))
+        for r in inverses.get(q, ()) if iri else ():
+            if r not in sides[1 - side]:
+                sides[1 - side][r] = None
+                todo.append((1 - side, r, True))
+    supers, domains, ranges = tables[RDFS_SUBCLASS_OF], tables[RDFS_DOMAIN], tables[RDFS_RANGE]
+    classes = ({}, {})  # of s, of o
+    for side, q, _ in todo:
+        for node, table in ((side, domains), (1 - side, ranges))[: 1 + iri]:
+            for c in table.get(q, ()):
+                classes[node].update(dict.fromkeys((c, *supers.get(c, ()))))
+    del sides[0][p]
+    return memo[iri].setdefault(p, (*sides, *classes))
 
 
 def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) -> Model:
-    """Fixpoint closure of m under the fixed entailment profile.
+    """Closure of m under the fixed entailment profile: the stated triples
+    in their order (`closed`'s first), then the derived ones.
 
     Monotone (result contains m) and idempotent. Raises
     ClosureBudgetExceeded when more than `budget` new triples get derived.
-    With `closed`, a model that is already a fixpoint, the result is the
+    With `closed`, a model that is already a closure, the result is the
     closure of merge([closed, m]), from a copy of `closed` (which shares its
-    index dicts when `closed` is frozen). Each rule joins one instance
-    triple with schema, so each of m's triples outside `closed` closes on
-    its own (Urbani et al., ISWC 2009), in one pass: it takes what the
-    fixpoint derived from a one-triple probe, kept per state of `closed`.
-    The fixpoint runs instead when there is no `closed`, when m states a
-    schema triple (subclass, sub-property, domain, range, inverse) that
-    `closed` lacks, or when a probe derives one or types a node by a
-    placeholder. Each of its rules reads its schema targets from the index
-    when it fires: a predicate's sub-properties first, then its domains,
-    ranges and inverses as those emissions left them.
+    index dicts when `closed` is frozen).
+
+    Each triple closes on its own by looking up rule tables (`_rules`),
+    so the closure costs what it derives (Urbani et al., ISWC 2009): m's
+    triples outside `closed` against the tables `closed` keeps. A stated
+    or derived schema triple the tables lack (one m states, or one from a
+    sub-property of a schema relation) rebuilds them, and each triple that
+    reads a row they grew closes again. The cyclic collector is off
+    meanwhile: it would traverse the growing triples and index dicts again
+    and again, for no cycle.
     """
     if closed is None:
         out = m.copy()
-        agenda = deque(out)
+        rules, agenda = _rules(out), list(out)
     else:
         out = merge([closed, m])
-        agenda = deque(t for t in m if t not in closed)
-        if (new := _one_pass(closed, agenda, out._triples)) is not None:
-            if len(new) > budget:
-                raise ClosureBudgetExceeded(budget + 1, budget)
-            out.add_all(new)
-            return out
-    known = out._triples
-    derived = 0
+        rules, agenda = closed.derived(_rules), list(islice(out, len(closed), None))
+    (tables, names, memo), stated = rules, len(out)
+    known, new, support = out._triples, {}, []  # support: schema the tables lack
 
-    def emit(s: Iri, p: Iri, o: Term) -> None:
-        nonlocal derived
-        if (s, p, o) in known:
-            return
-        t = _new(Triple, (s, p, o))
-        out.add(t)
-        derived += 1
-        if derived > budget:
-            raise ClosureBudgetExceeded(derived, budget)
-        agenda.append(t)
+    def derive(triples: Iterable[tuple], push: bool) -> None:
+        """Adds the new (s, p, o) of triples, onto the agenda if push,
+        unless they are schema the tables lack."""
+        for t in triples:
+            if t in known or t in new:
+                continue
+            t = _new(Triple, t)
+            new[t] = None
+            s, q, o = t
+            if q in tables and o.__class__ is Iri and o not in tables[q].get(s, ()):
+                support.append(t)
+            elif push:
+                pushed.append(t)
+        if len(known) + len(new) - stated > budget:
+            raise ClosureBudgetExceeded(budget + 1, budget)
 
-    while agenda:
-        t = agenda.popleft()
-        s, p, o = t
-        if p == RDFS_SUBCLASS_OF and isinstance(o, Iri):
-            for sup in _iri_objects(out, o, RDFS_SUBCLASS_OF):
-                emit(s, RDFS_SUBCLASS_OF, sup)
-            for sub in out.subjects(RDFS_SUBCLASS_OF, s):
-                emit(sub, RDFS_SUBCLASS_OF, o)
-            for inst in out.subjects(RDF_TYPE, s):
-                emit(inst, RDF_TYPE, o)
-        elif p == RDF_TYPE and isinstance(o, Iri):
-            for sup in _iri_objects(out, o, RDFS_SUBCLASS_OF):
-                emit(s, RDF_TYPE, sup)
-        elif p == RDFS_SUBPROPERTY_OF and isinstance(o, Iri):
-            for sup in _iri_objects(out, o, RDFS_SUBPROPERTY_OF):
-                emit(s, RDFS_SUBPROPERTY_OF, sup)
-            for sub in out.subjects(RDFS_SUBPROPERTY_OF, s):
-                emit(sub, RDFS_SUBPROPERTY_OF, o)
-            for inst in list(out.match(p=s)):
-                emit(inst.subject, o, inst.object)
-        elif p == RDFS_DOMAIN and isinstance(o, Iri):
-            for inst in list(out.match(p=s)):
-                emit(inst.subject, RDF_TYPE, o)
-        elif p == RDFS_RANGE and isinstance(o, Iri):
-            for inst in list(out.match(p=s)):
-                if isinstance(inst.object, Iri):
-                    emit(inst.object, RDF_TYPE, o)
-        elif p == OWL_INVERSE_OF and isinstance(o, Iri):
-            emit(o, OWL_INVERSE_OF, s)
-            for inst in list(out.match(p=s)):
-                if isinstance(inst.object, Iri):
-                    emit(inst.object, o, inst.subject)
-        # Property-driven rules for the triple itself (covers instance
-        # triples arriving after their schema declarations).
-        for sup in _iri_objects(out, p, RDFS_SUBPROPERTY_OF):
-            emit(s, sup, o)
-        for cls in _iri_objects(out, p, RDFS_DOMAIN):
-            emit(s, RDF_TYPE, cls)
-        if isinstance(o, Iri):
-            for cls in _iri_objects(out, p, RDFS_RANGE):
-                emit(o, RDF_TYPE, cls)
-            for inv in _iri_objects(out, p, OWL_INVERSE_OF):
-                emit(o, inv, s)
-    return out
+    collecting = gc.isenabled()
+    gc.disable()  # the closure makes no cycles: see the docstring
+    try:
+        # a derived triple closes in turn (is pushed) when the tables key
+        # its predicate or it types a node by its object: it entails more
+        while agenda:
+            supers, pushed, typed = tables[RDFS_SUBCLASS_OF], [], {}  # node -> its classes
+            for s, p, o in agenda:
+                iri = o.__class__ is Iri
+                if iri and p is RDF_TYPE:
+                    typed.setdefault(s, {}).update(supers.get(o, {}))
+                elif iri and p in tables:
+                    if o not in tables[p].get(s, ()):  # stated schema the tables lack
+                        support.append((s, p, o))
+                    elif p in (RDFS_SUBCLASS_OF, RDFS_SUBPROPERTY_OF):  # transitive
+                        derive(((s, p, c) for c in tables[p].get(o, ())), p in names)
+                forward, backward, of_s, of_o = memo[iri].get(p) or _consequences(rules, p, iri)
+                if forward:
+                    derive(((s, q, o) for q in forward), iri and RDF_TYPE in forward)
+                if backward:
+                    derive(((o, q, s) for q in backward), RDF_TYPE in backward)
+                if of_s:
+                    typed.setdefault(s, {}).update(of_s)
+                if of_o:
+                    typed.setdefault(o, {}).update(of_o)
+            derive(((x, RDF_TYPE, c) for x, cs in typed.items() for c in cs), RDF_TYPE in names)
+            agenda = pushed
+            if support:  # schema the tables lack: rebuild them
+                out.add_all(new)
+                new.clear()
+                support.clear()
+                old, rules = tables, _rules(chain.from_iterable(out.match(None, r) for r in tables))
+                tables, names, memo = rules
+                for r, rows in tables.items():  # what reads a row that grew closes again
+                    for x in [x for x, row in rows.items() if row != old[r].get(x)]:
+                        agenda += [*out.match(None, x), *out.match(None, RDF_TYPE, x), *out.match(x, r)]
+        derived = list(new)
+        new.clear()  # not held while the indexes grow
+        out.add_all(derived)
+        return out
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # -- basic graph patterns ------------------------------------------------------

@@ -432,9 +432,8 @@ class SliceRequest(NamedTuple):
 
 def _minimal_compute_class(m: Model, types: set) -> Optional[Iri]:
     """The least-IRI compute class of types that no other of them specialises."""
-    supers = {t: m._spo.get(t, {}).get(vocab.RDFS_SUBCLASS_OF, {}) for t in types}
-    compute = [t for t in types if t is COMPUTE_ELEMENT or COMPUTE_ELEMENT in supers[t]]
-    specialised = {c for t in compute for c in supers[t] if c is not t}
+    compute = [t for t in types if vocab.satisfies(m, t, COMPUTE_ELEMENT)]
+    specialised = {t for t in compute for u in compute if u is not t and vocab.satisfies(m, u, t)}
     return min((t for t in compute if t not in specialised), key=lambda t: t.value, default=None)
 
 

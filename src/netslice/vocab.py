@@ -286,10 +286,15 @@ def close(*docs: Model) -> Model:
     return entail(docs[0] if len(docs) == 1 else merge(docs), closed=entailed_schema())
 
 
+def superclasses(m: Model, cls: Iri):
+    """cls's superclasses in the closed model m, its own subclass axioms
+    (provider extensions included) read off its subclass leaf."""
+    return m._spo.get(cls, {}).get(RDFS_SUBCLASS_OF, {})
+
+
 def satisfies(m: Model, cls: Iri, requested: Iri) -> bool:
-    """True when instances of cls are instances of requested in the closed
-    model m (its own subclass axioms, provider extensions included)."""
-    return cls == requested or Triple(cls, RDFS_SUBCLASS_OF, requested) in m
+    """True when instances of cls are instances of requested in the closed model m."""
+    return cls is requested or requested in superclasses(m, cls)
 
 
 # -- label sets ------------------------------------------------------------------
@@ -521,7 +526,7 @@ def _known_classes(schema: Model) -> frozenset:
     documents only add types and superclasses, so these stay known."""
     spo = schema._spo
     return frozenset(c for c, level in spo.items() for t in level.get(RDF_TYPE, ())
-                     if t is OWL_CLASS or OWL_CLASS in spo.get(t, {}).get(RDFS_SUBCLASS_OF, ()))
+                     if satisfies(schema, t, OWL_CLASS))
 
 
 def validate_conformance(*docs: Model, closed: Optional[Model] = None) -> list:
@@ -543,14 +548,14 @@ def validate_conformance(*docs: Model, closed: Optional[Model] = None) -> list:
     if closed is None:
         closed = close(m)
     schema = entailed_schema()  # its rdf:type triples are all asserted ones
-    spo, tbox, supers = m._spo, schema._spo, closed._spo
+    spo, tbox = m._spo, schema._spo
     known_classes = schema.derived(_known_classes)
 
     def types_of(x: Iri) -> set:
         asserted = {o for o in spo.get(x, {}).get(RDF_TYPE, ()) if isinstance(o, Iri)}
         if x in tbox:
             asserted |= schema.types(x)
-        return asserted.union(*(supers.get(c, {}).get(RDFS_SUBCLASS_OF, ()) for c in asserted))
+        return asserted.union(*(superclasses(closed, c) for c in asserted))
 
     issues = []
     report = issues.append
@@ -597,7 +602,7 @@ def validate_conformance(*docs: Model, closed: Optional[Model] = None) -> list:
                 if not spec.pool_in_domain(pool):
                     detail = f"label set {lit.lexical!r} exceeds layer domain"
                     report(ConformanceIssue("label-out-of-range", s, detail))
-        if INTERFACE in types and not supers.get(s, {}).get(INTERFACE_OF):
+        if INTERFACE in types and not closed._spo.get(s, {}).get(INTERFACE_OF):
             report(ConformanceIssue("dangling-interface", s, "interface attached to no element"))
     # repeated property uses give equal issues, which collapse
     return sorted(set(issues), key=lambda i: (i.kind, i.subject.value, i.detail))

@@ -11,6 +11,10 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 # of another literal: a sign, an underscore, spaces, non-ASCII digits ("3-5").
 LOOSE_LABEL_SETS = ["+5", "1_000", " 7 ", "5- 7", "\u0663-\u0665"]
 
+# xsd:integer lexical forms Python's int() reads: spaces, an underscore,
+# Arabic-Indic digits ("100").
+LOOSE_INTEGERS = [" 100", "100 ", "1_000", "\u0661\u0660\u0660"]
+
 # dateTime literals strptime read as instants: one-digit fields, lower-case
 # separators, full-width digits ("2026-01-01T00:00:00Z"), a space-padded day.
 LOOSE_DATETIMES = [

@@ -108,85 +108,35 @@ def naive_entail(m: Model) -> set:
         facts |= new
 
 
-_PROPERTY_RELATIONS = (RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF)
-
-
 def _iri_objects(m: Model, x, relation: Iri) -> tuple:
     return tuple(o for o in m.objects(x, relation) if isinstance(o, Iri))
 
 
-def _reference_lookups(m: Model) -> tuple:
-    """The IRI superclasses and rule targets of each of m's subjects and
-    predicates, for `m.derived`."""
-    names = {*m._spo, *m._pos}
-    return (
-        {x: _iri_objects(m, x, RDFS_SUBCLASS_OF) for x in names},
-        {x: tuple(_iri_objects(m, x, r) for r in _PROPERTY_RELATIONS) for x in names},
-    )
-
-
-def reference_entail(m: Model, budget: int = 1_000_000, closed=None) -> Model:
-    """`graphstore.entail` with lookup tables: each class's superclasses and
-    each predicate's sub-property, domain, range and inverse targets are
-    read once, seeded from `closed`'s, and dropped when a schema triple
-    about them is added; the domain, range and inverse targets are read
-    again after sub-property emissions that dropped them. Its list order
-    and index key order are what `entail` must reproduce."""
-    if closed is None:
-        out, supers, rules = m.copy(), {}, {}
-        agenda = deque(out)
-    else:
-        out = graphstore.merge([closed, m])
-        agenda = deque(t for t in m if t not in closed)
-        if (new := graphstore._one_pass(closed, agenda, out._triples)) is not None:
-            if len(new) > budget:
-                raise graphstore.ClosureBudgetExceeded(budget + 1, budget)
-            out.add_all(new)
-            return out
-        supers, rules = map(dict, closed.derived(_reference_lookups))
-        for s, p, _ in agenda:
-            if p in _PROPERTY_RELATIONS:
-                rules.pop(s, None)
-            elif p == RDFS_SUBCLASS_OF:
-                supers.pop(s, None)
-    known = out._triples
-    derived = 0
-
-    def superclasses(c: Iri) -> tuple:
-        found = supers[c] = _iri_objects(out, c, RDFS_SUBCLASS_OF)
-        return found
-
-    def rule_of(p: Iri) -> tuple:
-        found = rules[p] = tuple(_iri_objects(out, p, r) for r in _PROPERTY_RELATIONS)
-        return found
+def reference_entail(m: Model, closed=None) -> Model:
+    """The closure by an agenda of triples, each joined pairwise with the
+    triples already there, from a copy of m; with `closed`, a closure, the
+    closure of merge([closed, m]), whose agenda starts with m's triples
+    outside it."""
+    out = m.copy() if closed is None else graphstore.merge([closed, m])
+    agenda = deque(t for t in out if closed is None or t not in closed)
 
     def emit(s, p, o) -> None:
-        nonlocal derived
-        if (s, p, o) in known:
-            return
-        t = Triple(s, p, o)
-        out.add(t)
-        if p in _PROPERTY_RELATIONS:
-            rules.pop(s, None)
-        elif p == RDFS_SUBCLASS_OF:
-            supers.pop(s, None)
-        derived += 1
-        if derived > budget:
-            raise graphstore.ClosureBudgetExceeded(derived, budget)
-        agenda.append(t)
+        if (s, p, o) not in out:
+            t = Triple(s, p, o)
+            out.add(t)
+            agenda.append(t)
 
     while agenda:
-        t = agenda.popleft()
-        s, p, o = t
+        s, p, o = agenda.popleft()
         if p == RDFS_SUBCLASS_OF and isinstance(o, Iri):
-            for sup in supers[o] if o in supers else superclasses(o):
+            for sup in _iri_objects(out, o, RDFS_SUBCLASS_OF):
                 emit(s, RDFS_SUBCLASS_OF, sup)
             for sub in out.subjects(RDFS_SUBCLASS_OF, s):
                 emit(sub, RDFS_SUBCLASS_OF, o)
             for inst in out.subjects(RDF_TYPE, s):
                 emit(inst, RDF_TYPE, o)
         elif p == RDF_TYPE and isinstance(o, Iri):
-            for sup in supers[o] if o in supers else superclasses(o):
+            for sup in _iri_objects(out, o, RDFS_SUBCLASS_OF):
                 emit(s, RDF_TYPE, sup)
         elif p == RDFS_SUBPROPERTY_OF and isinstance(o, Iri):
             for sup in _iri_objects(out, o, RDFS_SUBPROPERTY_OF):
@@ -207,17 +157,15 @@ def reference_entail(m: Model, budget: int = 1_000_000, closed=None) -> Model:
             for inst in list(out.match(p=s)):
                 if isinstance(inst.object, Iri):
                     emit(inst.object, o, inst.subject)
-        sub_properties, domains, ranges, inverses = rules[p] if p in rules else rule_of(p)
-        for sup in sub_properties:
+        # the rules of the triple's own predicate
+        for sup in _iri_objects(out, p, RDFS_SUBPROPERTY_OF):
             emit(s, sup, o)
-        if p not in rules:
-            _, domains, ranges, inverses = rule_of(p)
-        for cls in domains:
+        for cls in _iri_objects(out, p, RDFS_DOMAIN):
             emit(s, RDF_TYPE, cls)
         if isinstance(o, Iri):
-            for cls in ranges:
+            for cls in _iri_objects(out, p, RDFS_RANGE):
                 emit(o, RDF_TYPE, cls)
-            for inv in inverses:
+            for inv in _iri_objects(out, p, OWL_INVERSE_OF):
                 emit(o, inv, s)
     return out
 

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from datetime import datetime, timedelta, timezone
@@ -22,7 +23,7 @@ from netslice.models import (
 )
 from netslice.vocab import close
 
-from conftest import FIXTURES, LOOSE_DATETIMES, count_calls
+from conftest import FIXTURES, LOOSE_DATETIMES, LOOSE_INTEGERS, count_calls
 from generators import federation_request, federation_world
 from oracles import binding_fits, reference_binding
 from test_cli import GPU_REQUEST, GPU_SCHEMA, GPU_SUBSTRATE
@@ -176,6 +177,23 @@ def test_request_beginning_at_a_loose_datetime_fails_validation(lexical):
     assert world.serialized_states() == before
 
 
+@pytest.mark.parametrize("lexical", LOOSE_INTEGERS)
+def test_request_bandwidth_outside_the_xsd_integer_lexical_space_fails_validation(lexical):
+    world = _pair_world()
+    before = world.serialized_states()
+    request = _fixture("request-pair.ndl").replace('"1000"^^xsd:integer', f'"{lexical}"^^xsd:integer')
+    assert world.submit_request("loose1", request) is None
+    record = world.controller.slices["loose1"]
+    assert record.failure.step == "Validation"
+    assert record.failure.detail == (
+        f'link urn:orca:request:pair/Link/1 requests bandwidth "{lexical}"'
+        "^^<http://www.w3.org/2001/XMLSchema#integer>, not an xsd:integer"
+    )
+    assert world.serialized_states() == before
+    signed = _fixture("request-pair.ndl").replace('"1000"^^xsd:integer', '"+1000"^^xsd:integer')
+    assert world.submit_request("signed1", signed) is not None
+
+
 def test_a_create_does_not_import_strptime():
     script = (
         "import sys\n"
@@ -194,9 +212,9 @@ def test_a_create_does_not_import_strptime():
 
 
 def test_a_schema_world_closes_requests_onto_its_base_in_one_pass(monkeypatch):
-    # the World closes the T-box and its extension once; after the first
-    # create has compiled the request's probes, the second closes in one
-    # pass, to the closure of the schema and the request together
+    # the World closes the T-box and its extension once; a request that
+    # states no schema closes against the rule tables the base keeps, never
+    # tables built for it, to the closure of the schema and the request
     schema = parse_document(GPU_SCHEMA)
     world = World(start=datetime.min.replace(tzinfo=timezone.utc), schemas=[schema])
     base = world.controller.base
@@ -205,29 +223,67 @@ def test_a_schema_world_closes_requests_onto_its_base_in_one_pass(monkeypatch):
     world.add_substrate(GPU_SUBSTRATE)
     assert world.submit_request("g1", GPU_REQUEST) is not None
     world.delete_slice("g1")
-    closures, passes = [], []
-    entail, one_pass = graphstore.entail, graphstore._one_pass
+    closures = []
+    entail = graphstore.entail
 
     def closing(m, *args, **kwargs):
         closures.append((m, kwargs.get("closed"), entail(m, *args, **kwargs)))
         return closures[-1][2]
 
-    def passing(*args):
-        passes.append(one_pass(*args))
-        return passes[-1]
-
     monkeypatch.setattr(actors_mod, "entail", closing)
-    monkeypatch.setattr(graphstore, "_one_pass", passing)
-    compiled = count_calls(monkeypatch, graphstore._compile)
+    tables = count_calls(monkeypatch, graphstore._rules)
     manifest = world.submit_request("g2", GPU_REQUEST)
     [(raw, closed_onto, closed)] = closures
     assert closed_onto is base
-    assert passes and None not in passes and compiled == []
+    assert len(tables) == 1 and tables[0][0] is base
     assert set(closed) == set(close(schema, raw))
     assert manifest == (FIXTURES / "golden" / "gpu2-manifest.ndl").read_text()
     assert "".join(line + "\n" for line in world.events) == (
         FIXTURES / "golden" / "gpu-events.log"
     ).read_text()
+
+
+def _chain_request(relation: str, n: int) -> str:
+    """request-pair.ndl plus an n-long chain of rdfs:subClassOf, or of
+    rdfs:subPropertyOf with n instance triples of the chain's first property."""
+    chain = "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n@prefix ch: <urn:chain/> .\n"
+    for i in range(n):
+        if relation == "subClassOf":
+            chain += f"ch:C{i} rdfs:subClassOf ch:C{i + 1} .\n"
+        else:
+            chain += f"ch:p{i} rdfs:subPropertyOf ch:p{i + 1} .\nch:x{i} ch:p0 ch:y{i} .\n"
+    return _fixture("request-pair.ndl") + chain
+
+
+@pytest.mark.parametrize(
+    "relation, n, refusal",
+    [
+        ("subClassOf", 600, "600 conformance issues"),
+        ("subPropertyOf", 600, "1200 conformance issues"),
+        ("subPropertyOf", 1000, "entailment produced 1000001 derived triples (cap 1000000)"),
+    ],
+    ids=["subclass-600", "subproperty-600", "subproperty-1000"],
+)
+def test_a_request_stating_a_long_schema_chain_is_refused_in_time(tmp_path, capsys, relation, n, refusal):
+    # the closure costs what it derives: a chain of n derives about n*n/2
+    # schema triples, and a property chain n*n instance triples
+    world = _pair_world()
+    before = world.serialized_states()
+    request = _chain_request(relation, n)
+    started = time.monotonic()
+    assert world.submit_request("chain1", request) is None
+    elapsed = time.monotonic() - started
+    failure = world.controller.slices["chain1"].failure
+    assert (failure.step, failure.detail) == ("Validation", refusal)
+    assert world.serialized_states() == before
+    if n == 600:
+        assert elapsed < 3.0
+    path = tmp_path / "chain.ndl"
+    path.write_text(request)
+    assert main(["validate", str(path)]) == (2 if "cap" in refusal else 1)
+    assert main(["delegate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert (refusal in err) if "cap" in refusal else "expected exactly one NetworkDomain, found 0" in err
 
 
 CROSS_JOIN_RULE = 'violation("m", ?X) <- (?X rdf:type ?A), (?Y rdf:type ?B) .'

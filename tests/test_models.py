@@ -32,7 +32,7 @@ from netslice.models import (
 )
 from netslice.vocab import LabelSet, builtin_schema, validate_conformance
 
-from conftest import FIXTURES, LOOSE_LABEL_SETS, provisioned
+from conftest import FIXTURES, LOOSE_INTEGERS, LOOSE_LABEL_SETS, provisioned
 from oracles import reference_check_homeomorphic, reference_serialize
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
@@ -221,6 +221,17 @@ def test_substrate_refusals_name_their_subject(capsys, tmp_path, substrate, prob
     path.write_text(substrate)
     assert main(["delegate", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {problem}\n")
+
+
+@pytest.mark.parametrize("lexical", LOOSE_INTEGERS)
+def test_substrate_bandwidth_outside_the_xsd_integer_lexical_space_is_refused(lexical):
+    line = 'sa:Link/host topo:availableBandwidth "10000"^^xsd:integer .'
+    substrate = RING_A.replace(line, line.replace("10000", lexical))
+    with pytest.raises(SubstrateError) as err:
+        World().add_substrate(substrate)
+    assert err.value.problems == ["link urn:orca:site:a/Link/host has no non-negative availableBandwidth"]
+    signed = World().add_substrate(RING_A.replace(line, line.replace("10000", "+10000")))
+    assert signed.delegate() == World().add_substrate(RING_A).delegate()
 
 
 def test_broker_refuses_a_delegation_naming_two_domains():
