@@ -263,9 +263,7 @@ class Model:
         """Insert triples in order; returns how many were new."""
         if self._frozen:
             raise TypeError("cannot add to a frozen model")
-        known, spo, pos = self._triples, self._spo, self._pos
-        # the frozen base's index levels: only a key of one can share a level
-        base_spo, base_pos = ({}, {}) if self._base is None else (self._base._spo, self._base._pos)
+        known, spo, pos, base = self._triples, self._spo, self._pos, self._base
         added = 0
         for t in triples:
             if t in known:
@@ -275,14 +273,12 @@ class Model:
             known[t] = None
             added += 1
             s, p, o = t
-            if s in base_spo:
-                _own(spo, base_spo, s, p)[o] = None
-            else:
+            if base is None:
                 spo.setdefault(s, {}).setdefault(p, {})[o] = None
-            if p in base_pos:
-                _own(pos, base_pos, p, o)[s] = None
-            else:
                 pos.setdefault(p, {}).setdefault(o, {})[s] = None
+            else:
+                _own(spo, base._spo, s, p)[o] = None
+                _own(pos, base._pos, p, o)[s] = None
         return added
 
     def remove(self, t: Triple) -> bool:
@@ -383,11 +379,13 @@ class Model:
             m._base = self
             m._spo, m._pos = dict(self._spo), dict(self._pos)
         else:
-            m._spo, m._pos = (
-                {a: {b: dict(c) for b, c in bs.items()} for a, bs in index.items()}
-                for index in (self._spo, self._pos)
-            )
+            m._spo, m._pos = _copied(self._spo), _copied(self._pos)
         return m
+
+
+def _copied(index: dict) -> dict:
+    """A copy of a dict of dicts of dicts, down to the innermost dicts."""
+    return {a: {b: dict(c) for b, c in bs.items()} for a, bs in index.items()}
 
 
 def _own(index: dict, shared: dict, a, b) -> dict:
@@ -747,52 +745,50 @@ def merge(models: Sequence[Model]) -> Model:
 # Fixed profile: subclass transitivity, type propagation via subclass,
 # subproperty transitivity and propagation, inverse-property symmetry,
 # domain/range typing. Only ever adds triples.
-
 # The schema relations: their triples with IRI objects state the axioms the rules read.
 _SCHEMA_RELATIONS = frozenset(
     (RDFS_SUBCLASS_OF, RDFS_SUBPROPERTY_OF, RDFS_DOMAIN, RDFS_RANGE, OWL_INVERSE_OF)
 )
-_NOTHING = ({}, {}, {}, {})  # the consequences of a predicate no table keys
 
 
 def _rules(triples: Iterable[Triple]) -> tuple:
-    """(tables, names, memo) of triples' schema, for `m.derived`: tables[r][x]
-    lists x's superclasses or super-properties, transitively (one walk per
-    node, cycles allowed), or its domains, ranges or inverses (both ways;
-    owl:inverseOf is its own), in triple order; names, the properties a
-    table keys; memo, their `_consequences`."""
+    """(tables, below, names, memo) of triples' schema, for `m.derived`:
+    tables[r][x] lists x's superclasses or super-properties, transitively,
+    or its domains, ranges or inverses (both ways; owl:inverseOf is its own);
+    below, see `_grow`; names, the properties a table keys; memo, theirs."""
     tables = {r: {} for r in _SCHEMA_RELATIONS}
     tables[OWL_INVERSE_OF][OWL_INVERSE_OF] = {OWL_INVERSE_OF: None}
-    for s, p, o in triples:
-        if p in tables and o.__class__ is Iri:
-            tables[p].setdefault(s, {})[o] = None
-            if p is OWL_INVERSE_OF:
-                tables[p].setdefault(o, {})[s] = None
-    for r in (RDFS_SUBCLASS_OF, RDFS_SUBPROPERTY_OF):
-        parents, done = tables[r], set()
-        for node, found in parents.items():  # found: node's parents, then its ancestors
-            walk = list(found)
-            for x in walk:  # grows as it runs
-                if x in done:  # parents[x] holds all of x's ancestors
-                    found.update(parents[x])
-                elif x is not node:
-                    for y in parents.get(x, ()):
-                        if y not in found:
-                            found[y] = None
-                            walk.append(y)
-            done.add(node)
+    below = {RDFS_SUBCLASS_OF: {}, RDFS_SUBPROPERTY_OF: {}}  # one per transitive relation
+    _grow(tables, below, (t for t in triples if t[1] in tables and t[2].__class__ is Iri))
     names = {x for r in _SCHEMA_RELATIONS if r is not RDFS_SUBCLASS_OF for x in tables[r]}
-    return tables, names, ({}, {})
+    return tables, below, names, ({}, {})
 
 
-def _consequences(rules: tuple, p: Iri, iri: bool) -> tuple:
+def _grow(tables: dict, below: dict, support: Iterable[tuple]) -> dict:
+    """Adds the schema triples (s, r, o) of support to the tables in place,
+    keeping a transitive row closed: s and below[r][s], the nodes whose rows
+    hold s, gain o and o's row. Returns what each (r, node) row gained."""
+    grown = {}
+    for s, r, o in support:
+        if r in below:
+            rows = dict.fromkeys((s, *below[r].get(s, ())), {o: None, **tables[r].get(o, {})})
+        else:  # owl:inverseOf holds both ways
+            rows = {s: (o,), o: (s,)} if r is OWL_INVERSE_OF else {s: (o,)}
+        for x, gain in rows.items():
+            row = tables[r].setdefault(x, {})
+            for a in [a for a in gain if a not in row]:
+                row[a] = None
+                grown.setdefault((r, x), []).append(a)
+                if r in below:
+                    below[r].setdefault(a, {})[x] = None
+    return grown
+
+
+def _consequences(tables: dict, memo: tuple, p: Iri, iri: bool) -> tuple:
     """(forward, backward, subject classes, object classes): a triple (s, p,
     o), o an IRI or not, entails (s, q, o) for each forward q but p, (o, q,
     s) for each backward q, and types s and o by their classes (dicts),
-    superclasses included. Kept in memo for each predicate a table keys."""
-    tables, names, memo = rules
-    if p not in names:
-        return _NOTHING
+    superclasses included. Kept in memo; p is a name the tables key."""
     super_props, inverses = tables[RDFS_SUBPROPERTY_OF], tables[OWL_INVERSE_OF]
     sides = ({p: None}, {})
     # (side, q, whole): q holds on side 0 (s, q, o) or 1 (o, q, s); a q
@@ -813,8 +809,7 @@ def _consequences(rules: tuple, p: Iri, iri: bool) -> tuple:
         for node, table in ((side, domains), (1 - side, ranges))[: 1 + iri]:
             for c in table.get(q, ()):
                 classes[node].update(dict.fromkeys((c, *supers.get(c, ()))))
-    del sides[0][p]
-    return memo[iri].setdefault(p, (*sides, *classes))
+    return memo[iri].setdefault(p, ({q: None for q in sides[0] if q is not p}, sides[1], *classes))
 
 
 def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) -> Model:
@@ -822,81 +817,88 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
     in their order (`closed`'s first), then the derived ones.
 
     Monotone (result contains m) and idempotent. Raises
-    ClosureBudgetExceeded when more than `budget` new triples get derived.
-    With `closed`, a model that is already a closure, the result is the
-    closure of merge([closed, m]), from a copy of `closed` (which shares its
-    index dicts when `closed` is frozen).
+    ClosureBudgetExceeded as soon as more than `budget` new triples get
+    derived. With `closed`, a model that is already a closure, the result
+    is the closure of merge([closed, m]), from a copy of `closed` (which
+    shares its index dicts when `closed` is frozen).
 
-    Each triple closes on its own by looking up rule tables (`_rules`),
-    so the closure costs what it derives (Urbani et al., ISWC 2009): m's
-    triples outside `closed` against the tables `closed` keeps. A stated
-    or derived schema triple the tables lack (one m states, or one from a
-    sub-property of a schema relation) rebuilds them, and each triple that
-    reads a row they grew closes again. The cyclic collector is off
-    meanwhile: it would traverse the growing triples and index dicts again
-    and again, for no cycle.
+    Each triple closes on its own by looking up rule tables (`_rules`;
+    Urbani et al., ISWC 2009), so the closure costs what it derives. A
+    schema triple the tables lack waits for the end of its round; then the
+    tables grow in place (`_grow`, on a copy of those `closed` keeps), and
+    what read a grown row closes again. The cyclic collector is off
+    meanwhile: it would traverse the growing triples again and again.
     """
-    if closed is None:
-        out = m.copy()
-        rules, agenda = _rules(out), list(out)
-    else:
-        out = merge([closed, m])
-        rules, agenda = closed.derived(_rules), list(islice(out, len(closed), None))
-    (tables, names, memo), stated = rules, len(out)
-    known, new, support = out._triples, {}, []  # support: schema the tables lack
+    owned = closed is None  # the rule tables; closed keeps its own
+    out = m.copy() if owned else merge([closed, m])
+    tables, below, names, memo = _rules(()) if owned else closed.derived(_rules)
+    agenda = list(islice(out, 0 if owned else len(closed), None))
+    known, new, support, room = out._triples, {}, [], budget  # room: what new may hold
 
-    def derive(triples: Iterable[tuple], push: bool) -> None:
-        """Adds the new (s, p, o) of triples, onto the agenda if push,
-        unless they are schema the tables lack."""
+    def derive(triples: Iterable[tuple], push: bool) -> None:  # onto the next agenda if push
         for t in triples:
             if t in known or t in new:
                 continue
             t = _new(Triple, t)
             new[t] = None
+            if len(new) > room:
+                raise ClosureBudgetExceeded(budget + 1, budget)
             s, q, o = t
             if q in tables and o.__class__ is Iri and o not in tables[q].get(s, ()):
                 support.append(t)
             elif push:
                 pushed.append(t)
-        if len(known) + len(new) - stated > budget:
-            raise ClosureBudgetExceeded(budget + 1, budget)
 
     collecting = gc.isenabled()
-    gc.disable()  # the closure makes no cycles: see the docstring
+    gc.disable()
     try:
-        # a derived triple closes in turn (is pushed) when the tables key
-        # its predicate or it types a node by its object: it entails more
-        while agenda:
-            supers, pushed, typed = tables[RDFS_SUBCLASS_OF], [], {}  # node -> its classes
+        pushed = agenda  # a derived triple is, when what derived it did not close it too
+        while pushed:
+            # typed: node -> classes to type it by; pending: at most how many
+            agenda, pushed, typed, pending = pushed, [], {}, 0
             for s, p, o in agenda:
                 iri = o.__class__ is Iri
                 if iri and p is RDF_TYPE:
-                    typed.setdefault(s, {}).update(supers.get(o, {}))
-                elif iri and p in tables:
-                    if o not in tables[p].get(s, ()):  # stated schema the tables lack
-                        support.append((s, p, o))
-                    elif p in (RDFS_SUBCLASS_OF, RDFS_SUBPROPERTY_OF):  # transitive
-                        derive(((s, p, c) for c in tables[p].get(o, ())), p in names)
-                forward, backward, of_s, of_o = memo[iri].get(p) or _consequences(rules, p, iri)
-                if forward:
-                    derive(((s, q, o) for q in forward), iri and RDF_TYPE in forward)
-                if backward:
-                    derive(((o, q, s) for q in backward), RDF_TYPE in backward)
-                if of_s:
-                    typed.setdefault(s, {}).update(of_s)
-                if of_o:
-                    typed.setdefault(o, {}).update(of_o)
+                    row = tables[RDFS_SUBCLASS_OF].get(o)
+                    if row:
+                        typed.setdefault(s, {}).update(row)
+                        pending += len(row)
+                elif iri and p in tables and o not in tables[p].get(s, ()):
+                    support.append((s, p, o))  # stated schema the tables lack
+                    continue
+                if p in names:
+                    forward, backward, of_s, of_o = memo[iri].get(p) or _consequences(tables, memo, p, iri)
+                    if forward:
+                        derive(((s, q, o) for q in forward), iri and RDF_TYPE in forward)
+                    if backward:
+                        derive(((o, q, s) for q in backward), RDF_TYPE in backward)
+                    if of_s:
+                        typed.setdefault(s, {}).update(of_s)
+                        pending += len(of_s)
+                    if of_o:
+                        typed.setdefault(o, {}).update(of_o)
+                        pending += len(of_o)
+                if pending > room:  # typed stays within the budget
+                    derive(((x, RDF_TYPE, c) for x, cs in typed.items() for c in cs), RDF_TYPE in names)
+                    typed, pending = {}, 0
             derive(((x, RDF_TYPE, c) for x, cs in typed.items() for c in cs), RDF_TYPE in names)
-            agenda = pushed
-            if support:  # schema the tables lack: rebuild them
-                out.add_all(new)
+            if support:
+                room -= out.add_all(new)  # the readers of a grown row are found in out
                 new.clear()
+                if not owned:
+                    tables, below, names, owned = _copied(tables), _copied(below), set(names), True
+                grown = _grow(tables, below, support)
+                names.update(props := dict.fromkeys(x for r, x in grown if r is not RDFS_SUBCLASS_OF))
+                memo, pushed = ({}, {}), pushed + support
                 support.clear()
-                old, rules = tables, _rules(chain.from_iterable(out.match(None, r) for r in tables))
-                tables, names, memo = rules
-                for r, rows in tables.items():  # what reads a row that grew closes again
-                    for x in [x for x, row in rows.items() if row != old[r].get(x)]:
-                        agenda += [*out.match(None, x), *out.match(None, RDF_TYPE, x), *out.match(x, r)]
+                for (r, x), gained in grown.items():
+                    if r in below:
+                        derive(((x, r, a) for a in gained), r in names)
+                    if r is RDFS_SUBCLASS_OF:  # x's instances take what it gained
+                        ys = out._pos.get(RDF_TYPE, {}).get(x, ())
+                        derive(((y, RDF_TYPE, a) for y in ys for a in gained), RDF_TYPE in names)
+                for x in props:  # what reads a grown row of x closes again
+                    pushed += out.match(None, x)
         derived = list(new)
         new.clear()  # not held while the indexes grow
         out.add_all(derived)

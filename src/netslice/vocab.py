@@ -287,8 +287,7 @@ def close(*docs: Model) -> Model:
 
 
 def superclasses(m: Model, cls: Iri):
-    """cls's superclasses in the closed model m, its own subclass axioms
-    (provider extensions included) read off its subclass leaf."""
+    """cls's superclasses in the closed model m (provider extensions too)."""
     return m._spo.get(cls, {}).get(RDFS_SUBCLASS_OF, {})
 
 

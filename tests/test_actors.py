@@ -243,41 +243,67 @@ def test_a_schema_world_closes_requests_onto_its_base_in_one_pass(monkeypatch):
     ).read_text()
 
 
-def _chain_request(relation: str, n: int) -> str:
-    """request-pair.ndl plus an n-long chain of rdfs:subClassOf, or of
-    rdfs:subPropertyOf with n instance triples of the chain's first property."""
+def _chain_request(kind: str, n: int) -> str:
+    """request-pair.ndl plus n-long schema: a chain of rdfs:subClassOf; one
+    of rdfs:subPropertyOf with n instance triples of its first property; a
+    300-long subclass chain with n instances of its first class; or n
+    sub-properties of rdfs:subPropertyOf, each derived in a round of its
+    own from an instance triple of the one before."""
     chain = "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n@prefix ch: <urn:chain/> .\n"
-    for i in range(n):
-        if relation == "subClassOf":
-            chain += f"ch:C{i} rdfs:subClassOf ch:C{i + 1} .\n"
-        else:
-            chain += f"ch:p{i} rdfs:subPropertyOf ch:p{i + 1} .\nch:x{i} ch:p0 ch:y{i} .\n"
+    if kind == "subClassOf":
+        chain += "".join(f"ch:C{i} rdfs:subClassOf ch:C{i + 1} .\n" for i in range(n))
+    elif kind == "subPropertyOf":
+        chain += "".join(f"ch:p{i} rdfs:subPropertyOf ch:p{i + 1} .\nch:x{i} ch:p0 ch:y{i} .\n" for i in range(n))
+    elif kind == "instances":
+        chain += "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+        chain += "".join(f"ch:C{i} rdfs:subClassOf ch:C{i + 1} .\n" for i in range(300))
+        chain += "".join(f"ch:x{i} rdf:type ch:C0 .\n" for i in range(n))
+    else:
+        chain += "ch:a0 rdfs:subPropertyOf rdfs:subPropertyOf .\n" + "".join(
+            f"ch:a{i} ch:a{i - 1} ch:b{i} .\nch:b{i} rdfs:subPropertyOf rdfs:subPropertyOf .\n"
+            for i in range(1, n + 1)
+        )
     return _fixture("request-pair.ndl") + chain
 
 
 @pytest.mark.parametrize(
-    "relation, n, refusal",
+    "kind, n, refusal, budget",
     [
-        ("subClassOf", 600, "600 conformance issues"),
-        ("subPropertyOf", 600, "1200 conformance issues"),
-        ("subPropertyOf", 1000, "entailment produced 1000001 derived triples (cap 1000000)"),
+        ("subClassOf", 600, "600 conformance issues", None),
+        ("subPropertyOf", 600, "1200 conformance issues", None),
+        ("subPropertyOf", 1000, "entailment produced 1000001 derived triples (cap 1000000)", None),
+        ("instances", 5000, "entailment produced 100001 derived triples (cap 100000)", 100_000),
+        ("derived", 2000, "4001 conformance issues", None),
     ],
-    ids=["subclass-600", "subproperty-600", "subproperty-1000"],
+    ids=["subclass-600", "subproperty-600", "subproperty-1000", "instances-5000", "derived-2000"],
 )
-def test_a_request_stating_a_long_schema_chain_is_refused_in_time(tmp_path, capsys, relation, n, refusal):
+def test_a_request_stating_a_long_schema_chain_is_refused_in_time(
+    tmp_path, capsys, monkeypatch, kind, n, refusal, budget
+):
     # the closure costs what it derives: a chain of n derives about n*n/2
-    # schema triples, and a property chain n*n instance triples
+    # schema triples, and a property chain n*n instance triples. It holds
+    # no more than its budget meanwhile: 5000 instances of a 300-long
+    # chain's first class would take 1.5 million types
     world = _pair_world()
     before = world.serialized_states()
-    request = _chain_request(relation, n)
+    request = _chain_request(kind, n)
+    if budget is not None:
+        monkeypatch.setattr(graphstore.entail, "__defaults__", (budget, None))
+        tracemalloc.start()
     started = time.monotonic()
-    assert world.submit_request("chain1", request) is None
+    try:
+        assert world.submit_request("chain1", request) is None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
     elapsed = time.monotonic() - started
     failure = world.controller.slices["chain1"].failure
     assert (failure.step, failure.detail) == ("Validation", refusal)
     assert world.serialized_states() == before
-    if n == 600:
+    if n == 600 or kind == "derived":
         assert elapsed < 3.0
+    if budget is not None:
+        assert peak < 60e6
     path = tmp_path / "chain.ndl"
     path.write_text(request)
     assert main(["validate", str(path)]) == (2 if "cap" in refusal else 1)

@@ -655,7 +655,7 @@ def test_one_pass_budget_raises_exactly_past_the_derived_count():
 
 
 def test_fresh_names_leave_the_consequence_memo_as_it_was():
-    _, names, memo = _TBOX.derived(graphstore._rules)
+    *_, names, memo = _TBOX.derived(graphstore._rules)
     assert names and names <= {*_TBOX._spo, OWL_INVERSE_OF}
     close(_document([(_NODES[0], _FRESH[0], _NODES[1]), (_NODES[0], RDF_TYPE, _FRESH[1])]))
     before = [dict(by_predicate) for by_predicate in memo]
@@ -705,5 +705,5 @@ def test_a_refused_closure_leaves_every_kept_consequence_usable(monkeypatch):
     with pytest.raises(graphstore.ClosureBudgetExceeded):
         entail(doc, closed=base)
     monkeypatch.undo()
-    assert any(base.derived(graphstore._rules)[2])
+    assert any(base.derived(graphstore._rules)[-1])
     assert entail(doc, closed=base) == entail(merge([builtin_schema(), doc]))
