@@ -752,10 +752,10 @@ _SCHEMA_RELATIONS = frozenset(
 
 
 def _rules(triples: Iterable[Triple]) -> tuple:
-    """(tables, below, names, memo) of triples' schema, for `m.derived`:
-    tables[r][x] lists x's superclasses or super-properties, transitively,
-    or its domains, ranges or inverses (both ways; owl:inverseOf is its own);
-    below, see `_grow`; names, the properties a table keys; memo, theirs."""
+    """(tables, below, names, memo) for `m.derived`: tables[r][x] lists
+    x's superclasses or super-properties (transitively), or domains,
+    ranges or inverses (both ways; owl:inverseOf is its own); below, see
+    `_grow`; names, the properties a table keys; memo, their `_consequences`."""
     tables = {r: {} for r in _SCHEMA_RELATIONS}
     tables[OWL_INVERSE_OF][OWL_INVERSE_OF] = {OWL_INVERSE_OF: None}
     below = {RDFS_SUBCLASS_OF: {}, RDFS_SUBPROPERTY_OF: {}}  # one per transitive relation
