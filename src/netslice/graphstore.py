@@ -852,7 +852,7 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
     collecting = gc.isenabled()
     gc.disable()
     try:
-        pushed = agenda  # a derived triple is, when what derived it did not close it too
+        pushed = agenda  # a derived triple is pushed only when what derived it did not close it too
         while pushed:
             # typed: node -> classes to type it by; pending: at most how many
             agenda, pushed, typed, pending = pushed, [], {}, 0
