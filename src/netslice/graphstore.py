@@ -193,11 +193,15 @@ def term_key(t: Term):
 
 def int_value(t: Optional[Term]) -> Optional[int]:
     """Integer of an xsd:integer literal, else None: its lexical form is
-    XSD's, an optional sign and ASCII digits, nothing around them."""
+    XSD's, an optional sign and ASCII digits, nothing around them, and
+    int() converts it (past its digit limit, it does not)."""
     if isinstance(t, Literal) and t.datatype == XSD_INTEGER:
         digits = t.lexical[1:] if t.lexical[:1] in ("+", "-") else t.lexical
         if digits.isascii() and digits.isdigit():
-            return int(t.lexical)
+            try:
+                return int(t.lexical)
+            except ValueError:  # more digits than int() converts
+                pass
     return None
 
 
@@ -425,8 +429,9 @@ def parse_document(text: str) -> Model:
     """Parse an NDL-Lite document into a Model.
 
     A line spelled "S P O ." or "@prefix name: <namespace> ." with single
-    spaces is split at them, each token new to the document read as `lex`
-    would read it; any other line is lexed. Raises ParseError with line and
+    spaces is split at them; any other line, or one with a token that does
+    not read, is lexed. Either way a term is read by `resolve` or, quoted,
+    by `_literal`, as in rules and queries. Raises ParseError with line and
     column on malformed lines, undeclared prefixes, a literal in subject or
     predicate position, or a malformed IRI (empty, or holding a character an
     IRI may not hold) written as a term or a datatype, directly or as a CURIE.
@@ -451,20 +456,17 @@ def parse_document(text: str) -> Model:
 
 def _split_statement(parts: list, terms: dict, prefixes: dict) -> Optional[Triple]:
     """The triple of a line split at single spaces into S, P, O and ".", or
-    None if a token is no term of its position or names an undeclared prefix
-    or no IRI, for the lexer to read the line. `terms` holds only terms."""
+    None if a token is no term of its position, for the lexer to read the
+    line and name the fault. `terms` holds only terms."""
     s, p, o = parts[0], parts[1], parts[2]
-    subject = terms.get(s) or _token_iri(s, prefixes)
-    predicate = terms.get(p) or _token_iri(p, prefixes)
+    try:
+        subject = terms.get(s) or resolve(s, prefixes)
+        predicate = terms.get(p) or resolve(p, prefixes)
+        obj = terms.get(o) or (_literal(o, prefixes) if o[:1] == '"' else resolve(o, prefixes))
+    except ValueError:
+        return None
     if subject.__class__ is not Iri or predicate.__class__ is not Iri:
         return None
-    obj = terms.get(o) or (None if o[:1] == '"' else _token_iri(o, prefixes))
-    if obj is None:
-        literal = _LITERAL_RE.fullmatch(o) if o[:1] == '"' else None
-        dt = literal and (XSD_STRING if literal[2] is None else _token_iri(literal[2], prefixes))
-        if not dt:
-            return None
-        obj = Literal(_ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], literal[1]), dt)
     terms[s], terms[p], terms[o] = subject, predicate, obj
     return _new(Triple, (subject, predicate, obj))
 
@@ -479,23 +481,6 @@ def _declared(parts: list, prefixes: dict, terms: dict) -> bool:
     prefixes[name] = namespace[1:-1]
     terms.clear()
     return True
-
-
-def _token_iri(token: str, prefixes: dict) -> Optional[Iri]:
-    """The IRI a spaceless <iri> or CURIE token of a declared prefix names, or None."""
-    if token[:1] == "<":
-        if token.find(">") != len(token) - 1:
-            return None
-        value = token[1:-1]
-    else:
-        name, colon, local = token.partition(":")
-        if not colon or name not in prefixes:
-            return None
-        value = prefixes[name] + local
-    try:
-        return Iri(value)
-    except ValueError:
-        return None
 
 
 def _lexed_statement(line: str, lineno: int, prefixes: dict, terms: dict) -> Optional[Triple]:
@@ -521,34 +506,15 @@ def _lexed_statement(line: str, lineno: int, prefixes: dict, terms: dict) -> Opt
     for pos, token in enumerate(tokens[:3]):
         if token.kind == "mark":
             raise ParseError(lineno, token.col, "unexpected 'dot' token")
-        if token.kind == "literal" and pos < 2:
+        literal = token.kind == "literal"
+        if literal and pos < 2:
             where = "subject" if pos == 0 else "predicate"
             raise ParseError(lineno, token.col, f"literal not allowed in {where} position")
-        if token.kind != "literal":
-            statement.append(_iri(token.text, prefixes, lineno, token.col))
-        elif token.datatype is None:
-            statement.append(Literal(token.value))
-        else:
-            statement.append(Literal(token.value, _iri(token.datatype, prefixes, lineno, token.col)))
+        try:
+            statement.append(_literal(token.text, prefixes) if literal else resolve(token.text, prefixes))
+        except ValueError as e:
+            raise ParseError(lineno, token.col, str(e)) from None
     return _new(Triple, tuple(statement))
-
-
-def _iri(text: str, prefixes: dict, lineno: int, col: int) -> Iri:
-    """The IRI of an <iri> or CURIE, or a ParseError naming its fault at a
-    line and column."""
-    name, colon, local = text.partition(":")
-    if text.startswith("<"):
-        value = text[1:-1]
-    elif not colon:
-        raise ParseError(lineno, col, f"expected IRI, CURIE or literal, got {text!r}")
-    elif name not in prefixes:
-        raise ParseError(lineno, col, f"undeclared prefix {name!r}")
-    else:
-        value = prefixes[name] + local
-    try:
-        return Iri(value)
-    except ValueError as e:
-        raise ParseError(lineno, col, str(e)) from None
 
 
 # -- terms: one grammar for documents, rules, BGPs, paths and scenarios -------
@@ -558,14 +524,13 @@ class Token(NamedTuple):
     """A term or punctuation mark that `lex` read, at its 1-based line and
     column. `kind` is "iri", "literal", "var", "word" or "mark"; `value` is
     the IRI, the lexical form (escapes read), the variable's name or the
-    text; `datatype` is the text of a literal's ^^ term, <iri> or word."""
+    text; `text` is what the token spans, a literal's ^^datatype included."""
 
     kind: str
     value: str
     line: int
     col: int
     text: str
-    datatype: Optional[str] = None
 
 
 _VAR_RE = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
@@ -599,7 +564,6 @@ def lex(text: str, marks: Sequence[str] = (), line: int = 1) -> list:
             mark = next((m for m in marks if row.startswith(m, i)), None)
             if mark == "." and row[i + 1 : i + 2] not in ("", " ", "\t", "\r", "#"):
                 mark = None
-            datatype = None
             if mark is not None:
                 kind, value, j = "mark", mark, i + len(mark)
             elif c == "<":
@@ -613,12 +577,11 @@ def lex(text: str, marks: Sequence[str] = (), line: int = 1) -> list:
                         j = _iri_end(row, start, lineno, "unterminated datatype IRI")
                     elif (j := word_re.match(row, start).end()) == start:
                         raise ParseError(lineno, start + 1, "missing datatype after ^^")
-                    datatype = row[start:j]
             else:
                 j = word_re.match(row, i).end()
                 var = _VAR_RE.fullmatch(row, i, j)
                 kind, value = ("var", var[1]) if var else ("word", row[i:j])
-            tokens.append(Token(kind, value, lineno, i + 1, row[i:j], datatype))
+            tokens.append(Token(kind, value, lineno, i + 1, row[i:j]))
             i = j
     return tokens
 
@@ -646,32 +609,39 @@ def _string(row: str, i: int, lineno: int) -> tuple:
 
 
 def token_term(token: Token, prefixes: dict) -> PatternTerm:
-    """The Var, Iri (words read by `resolve`) or Literal a token writes.
-    Raises ValueError for a mark or a word that does not resolve."""
+    """The Var a `?name` token writes, else the Literal or Iri its text
+    writes, read as in documents. Raises ValueError for a mark or a term
+    that does not resolve."""
     if token.kind == "var":
         return Var(token.value)
-    if token.kind == "iri":
-        return Iri(token.value)
-    if token.kind == "word":
-        return resolve(token.value, prefixes)
-    if token.kind == "literal":
-        datatype = XSD_STRING if token.datatype is None else resolve(token.datatype, prefixes)
-        return Literal(token.value, datatype)
-    raise ValueError(f"expected a term, got {token.text!r}")
+    if token.kind == "mark":
+        raise ValueError(f"expected a term, got {token.text!r}")
+    return _literal(token.text, prefixes) if token.kind == "literal" else resolve(token.text, prefixes)
 
 
 def resolve(text: str, prefixes: dict) -> Iri:
-    """Resolve ``<iri>``, ``prefix:local`` or a bare absolute IRI against a
-    prefix map. Raises ValueError; callers map it to their own error type."""
-    if text.startswith("<") and text.endswith(">"):
+    """The IRI that an ``<iri>``, or a ``prefix:local`` CURIE of a declared
+    prefix, names: the one reading of an IRI in documents, rules, queries,
+    path expressions and command-line arguments. Raises ValueError; callers
+    map it to their own error type."""
+    if text[:1] == "<" and text.find(">") == len(text) - 1:
         return Iri(text[1:-1])
-    if ":" in text:
-        name, local = text.split(":", 1)
-        if name in prefixes:
-            return Iri(prefixes[name] + local)
-        if "://" in text or text.startswith("urn:"):
-            return Iri(text)
-    raise ValueError(f"cannot resolve {text!r}: unknown prefix")
+    name, colon, local = text.partition(":")
+    if colon and name in prefixes:
+        return Iri(prefixes[name] + local)
+    if not colon or text[:1] == "<":
+        raise ValueError(f"expected IRI, CURIE or literal, got {text!r}")
+    raise ValueError(f"undeclared prefix {name!r}")
+
+
+def _literal(text: str, prefixes: dict) -> Literal:
+    """The Literal of a quoted token, its ^^datatype read by `resolve`.
+    Raises ValueError."""
+    literal = _LITERAL_RE.fullmatch(text)
+    if literal is None:
+        raise ValueError(f"expected IRI, CURIE or literal, got {text!r}")
+    datatype = XSD_STRING if literal[2] is None else resolve(literal[2], prefixes)
+    return Literal(_ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], literal[1]), datatype)
 
 
 def _namespaces(prefixes: dict) -> tuple:

@@ -172,11 +172,17 @@ class PathExprError(ValueError):
     pass
 
 
+MAX_PATH_DEPTH = 64  # levels of ^, * or + and parentheses one term may sit in
+
+
 def parse_path_expr(text: str, prefixes: dict) -> PathExpr:
     """Parse `p`, `^p`, `a/b`, `a|b`, `p*`, `p+`, parentheses.
 
     Predicate names are CURIEs resolved against the supplied prefix map, or
-    `<iri>` references, read by `graphstore.lex`.
+    `<iri>` references, read by `graphstore.lex`. Each prefix ^, postfix *
+    or + and parenthesised group around a term is a level, and a term under
+    more than MAX_PATH_DEPTH levels is refused, before parsing or
+    evaluating it would recurse that deep.
     """
     try:
         tokens = lex(text, "()|/*+^")
@@ -195,41 +201,54 @@ def parse_path_expr(text: str, prefixes: dict) -> PathExpr:
         pos += 1
         return tokens[pos - 1]
 
-    def parse_alt():
-        return joined("|", Alt, lambda: joined("/", Seq, parse_unary))
+    def deeper(levels):
+        """levels + 1, unless that is more than MAX_PATH_DEPTH."""
+        if levels == MAX_PATH_DEPTH:
+            raise PathExprError(f"path expression nested deeper than {MAX_PATH_DEPTH} levels: {text!r}")
+        return levels + 1
+
+    # Each parse_* reads an expression whose terms sit in `depth` levels
+    # outside it, and returns it with the most levels it puts around a term.
+    def parse_alt(depth):
+        return joined("|", Alt, lambda: joined("/", Seq, lambda: parse_unary(depth)))
 
     def joined(separator, cls, parse_part):
         parts = [parse_part()]
         while peek() == separator:
             take()
             parts.append(parse_part())
-        return parts[0] if len(parts) == 1 else cls(*parts)
+        if len(parts) == 1:
+            return parts[0]
+        return cls(*(expr for expr, _ in parts)), max(levels for _, levels in parts)
 
-    def parse_unary():
+    def parse_unary(depth):
         if peek() == "^":
             take()
-            return Inverse(parse_unary())
-        expr = parse_atom()
+            expr, levels = parse_unary(deeper(depth))
+            return Inverse(expr), levels + 1
+        expr, levels = parse_atom(depth)
         while peek() in ("*", "+"):
+            deeper(depth + levels)
+            levels += 1
             expr = Star(expr) if take().text == "*" else Plus(expr)
-        return expr
+        return expr, levels
 
-    def parse_atom():
+    def parse_atom(depth):
         token = take()
         if token.text == "(":
-            inner = parse_alt()
+            inner, levels = parse_alt(deeper(depth))
             if peek() != ")":
                 raise PathExprError(f"expected ')' in {text!r}")
             take()
-            return inner
+            return inner, levels + 1
         if token.kind not in ("iri", "word"):
             raise PathExprError(f"unexpected {token.text!r} at col {token.col} in {text!r}")
         try:
-            return Pred(token_term(token, prefixes))
+            return Pred(token_term(token, prefixes)), 0
         except ValueError as e:
             raise PathExprError(f"{e} in {text!r}") from None
 
-    expr = parse_alt()
+    expr, _ = parse_alt(0)
     if pos != len(tokens):
         raise PathExprError(f"trailing input at col {tokens[pos].col} in {text!r}")
     return expr

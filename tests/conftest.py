@@ -15,6 +15,9 @@ LOOSE_LABEL_SETS = ["+5", "1_000", " 7 ", "5- 7", "\u0663-\u0665"]
 # Arabic-Indic digits ("100").
 LOOSE_INTEGERS = [" 100", "100 ", "1_000", "\u0661\u0660\u0660"]
 
+# An xsd:integer lexical form with more digits than Python's int() converts.
+HUGE_INTEGER = "9" * 5000
+
 # dateTime literals strptime read as instants: one-digit fields, lower-case
 # separators, full-width digits ("2026-01-01T00:00:00Z"), a space-padded day.
 LOOSE_DATETIMES = [

@@ -23,7 +23,7 @@ from netslice.models import (
 )
 from netslice.vocab import close
 
-from conftest import FIXTURES, LOOSE_DATETIMES, LOOSE_INTEGERS, count_calls
+from conftest import FIXTURES, HUGE_INTEGER, LOOSE_DATETIMES, LOOSE_INTEGERS, count_calls
 from generators import federation_request, federation_world
 from oracles import binding_fits, reference_binding
 from test_cli import GPU_REQUEST, GPU_SCHEMA, GPU_SUBSTRATE
@@ -177,7 +177,7 @@ def test_request_beginning_at_a_loose_datetime_fails_validation(lexical):
     assert world.serialized_states() == before
 
 
-@pytest.mark.parametrize("lexical", LOOSE_INTEGERS)
+@pytest.mark.parametrize("lexical", [*LOOSE_INTEGERS, pytest.param(HUGE_INTEGER, id="5000-digits")])
 def test_request_bandwidth_outside_the_xsd_integer_lexical_space_fails_validation(lexical):
     world = _pair_world()
     before = world.serialized_states()

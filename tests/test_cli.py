@@ -106,7 +106,7 @@ def test_query_bgp(capsys, tmp_path, document, bgp, answer):
     [
         ('?l <urn:bw> "100', "error: --bgp: line 1, col 13: unterminated string literal"),
         ("?l <urn:bw> . ?l", "error: --bgp: line 1, col 13: incomplete pattern"),
-        ("?l nosuch:p ?o", "error: --bgp: cannot resolve 'nosuch:p': unknown prefix"),
+        ("?l nosuch:p ?o", "error: --bgp: undeclared prefix 'nosuch'"),
     ],
     ids=["unterminated-quote", "dot-inside-a-pattern", "unknown-prefix"],
 )
@@ -114,6 +114,88 @@ def test_query_bad_bgp_exits_two(capsys, bgp, error):
     code, out, err = _run(capsys, "query", FIXTURES / "renci.ndl", "--bgp", bgp)
     assert (code, out) == (2, "")
     assert err.startswith(error)
+
+
+# One term read on every surface: (text, the IRI it names or the reason it
+# is refused).
+TERMS = [
+    ("<urn:x>", graphstore.Iri("urn:x")),
+    ("topo:local", graphstore.Iri(vocab.TOPO_NS + "local")),
+    ("urn:x", "undeclared prefix 'urn'"),
+    ("q:local", "undeclared prefix 'q'"),
+    ("local", "expected IRI, CURIE or literal, got 'local'"),
+    ("<a b>", "IRI contains whitespace: 'a b'"),
+]
+
+
+def _document_object(term, separator):
+    line = separator.join(("<urn:s>", "<urn:p>", term, "."))
+    try:
+        (triple,) = graphstore.parse_document(f"@prefix topo: <{vocab.TOPO_NS}> .\n{line}\n")
+    except graphstore.ParseError as e:
+        return str(e)
+    return triple.object
+
+
+def _rule_object(term):
+    try:
+        (rule,) = rules.parse_ruleset(f'violation("m", ?X) <- (?X <urn:p> {term}) .')
+    except rules.RuleSyntaxError as e:
+        return str(e)
+    return rule.body[0].o
+
+
+def _bgp_object(term):
+    from netslice.cli import CliInputError, _parse_bgp
+
+    try:
+        return _parse_bgp(f"?s <urn:p> {term}", vocab.BASE_PREFIXES)[0][2]
+    except CliInputError as e:
+        return str(e)
+
+
+def _path_predicate(term):
+    from netslice.pathquery import PathExprError, parse_path_expr
+
+    try:
+        return parse_path_expr(term, vocab.BASE_PREFIXES).iri
+    except PathExprError as e:
+        return str(e)
+
+
+def _path_source(term, document, capsys):
+    code, out, err = _run(capsys, "path", document, "--from", term, "--to", "<urn:s>")
+    assert (code, out) == (2, "")
+    unknown = re.fullmatch(r"error: unknown element (\S+)\n", err)
+    return graphstore.Iri(unknown[1]) if unknown else err
+
+
+@pytest.mark.parametrize("term, meaning", TERMS, ids=[term for term, _ in TERMS])
+def test_every_surface_reads_a_term_alike(capsys, tmp_path, term, meaning):
+    """Documents on either statement path, rule atoms, --bgp terms,
+    --path-expr predicates and `path --from` name one IRI, or refuse the
+    term for one reason after their own position prefix."""
+    document = tmp_path / "d.ndl"
+    document.write_text(f"@prefix topo: <{vocab.TOPO_NS}> .\n<urn:s> <urn:p> <urn:o> .\n")
+    read = {
+        "document": _document_object(term, " "),
+        "tabbed-document": _document_object(term, "\t"),
+        "rule": _rule_object(term),
+        "bgp": _bgp_object(term),
+        "path-expr": _path_predicate(term),
+        "path-from": _path_source(term, document, capsys),
+    }
+    if isinstance(meaning, graphstore.Iri):
+        assert read == dict.fromkeys(read, meaning)
+    else:
+        assert read == {
+            "document": f"line 2, col 17: {meaning}",
+            "tabbed-document": f"line 2, col 17: {meaning}",
+            "rule": f"line 1, col 35: {meaning}",
+            "bgp": f"--bgp: {meaning}",
+            "path-expr": f"{meaning} in {term!r}",
+            "path-from": f"error: {meaning}\n",
+        }
 
 
 def test_query_path_expr(capsys):

@@ -35,7 +35,7 @@ from netslice.graphstore import (
     serialize_document,
 )
 from netslice.vocab import builtin_schema, entailed_schema
-from conftest import FIXTURES, LOOSE_INTEGERS
+from conftest import FIXTURES, HUGE_INTEGER, LOOSE_INTEGERS
 from generators import random_schema_model
 from oracles import (
     bgp_by_assignment,
@@ -69,7 +69,8 @@ def test_equal_terms_are_one_object():
 @pytest.mark.parametrize(
     "lexical, value",
     [("100", 100), ("+100", 100), ("-7", -7), ("007", 7), ("", None), ("+", None), ("1e3", None)]
-    + [(lexical, None) for lexical in LOOSE_INTEGERS],
+    + [(lexical, None) for lexical in LOOSE_INTEGERS]
+    + [pytest.param(HUGE_INTEGER, None, id="5000-digits")],
 )
 def test_int_value_reads_only_the_xsd_integer_lexical_space(lexical, value):
     assert int_value(Literal(lexical, XSD_INTEGER)) == value

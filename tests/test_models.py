@@ -32,7 +32,7 @@ from netslice.models import (
 )
 from netslice.vocab import LabelSet, builtin_schema, validate_conformance
 
-from conftest import FIXTURES, LOOSE_INTEGERS, LOOSE_LABEL_SETS, provisioned
+from conftest import FIXTURES, HUGE_INTEGER, LOOSE_INTEGERS, LOOSE_LABEL_SETS, provisioned
 from oracles import reference_check_homeomorphic, reference_serialize
 
 RNC = "http://geni-orca.renci.org/sites/renci/"
@@ -223,7 +223,7 @@ def test_substrate_refusals_name_their_subject(capsys, tmp_path, substrate, prob
     assert capsys.readouterr() == ("", f"error: {problem}\n")
 
 
-@pytest.mark.parametrize("lexical", LOOSE_INTEGERS)
+@pytest.mark.parametrize("lexical", [*LOOSE_INTEGERS, pytest.param(HUGE_INTEGER, id="5000-digits")])
 def test_substrate_bandwidth_outside_the_xsd_integer_lexical_space_is_refused(lexical):
     line = 'sa:Link/host topo:availableBandwidth "10000"^^xsd:integer .'
     substrate = RING_A.replace(line, line.replace("10000", lexical))

@@ -21,7 +21,13 @@ RULES = [
     'violation("port #3 \\"x\\"", ?X) <- comp:ComputeElement(?X), (?X <urn:p#f> "a\\tb"^^xsd:string),\n'
     '    notEqual(?X, ?Y), (?Y topo:inDomain ?X) . # done',
 ]
-PATHS = ["topo:hasInterface/topo:linkedTo/topo:interfaceOf", "(^topo:a|<urn:x#y>)*/topo:b+"]
+# a term under 3,000 inverses, groups or stars: deeper than the parser nests
+DEEP_PATHS = [
+    "^" * 3000 + "topo:hasInterface",
+    "(" * 3000 + "topo:hasInterface" + ")" * 3000,
+    "topo:hasInterface" + "*" * 3000,
+]
+PATHS = ["topo:hasInterface/topo:linkedTo/topo:interfaceOf", "(^topo:a|<urn:x#y>)*/topo:b+", *DEEP_PATHS]
 BGPS = [
     '?s topo:hasInterface ?i . ?i topo:linkedTo ?j',
     '?l <urn:bw> "100"^^xsd:integer .\n?l <urn:name> "two words"',
@@ -92,3 +98,23 @@ def test_cli_exits_zero_one_or_two_on_mutated_inputs(tmp_path, monkeypatch):
         assert code in (0, 1, 2), out.getvalue()
 
     check()
+
+
+@pytest.mark.parametrize("expr", DEEP_PATHS, ids=["inverses", "groups", "stars"])
+def test_cli_refuses_a_deeply_nested_path_expression(expr):
+    start = "<http://geni-orca.renci.org/sites/renci/Server/A>"
+    argv = ["query", str(FIXTURES / "renci.ndl"), "--from", start, "--path-expr", expr]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, f"error: path expression nested deeper than 64 levels: {expr!r}\n")
+
+
+def test_cli_answers_a_long_flat_path_sequence():
+    start = "<http://geni-orca.renci.org/sites/renci/Server/A>"
+    expr = "/".join(["topo:hasInterface", "^topo:hasInterface"] * 1500)
+    argv = ["query", str(FIXTURES / "renci.ndl"), "--from", start, "--path-expr", expr]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == "http://geni-orca.renci.org/sites/renci/Server/A\n"

@@ -189,3 +189,27 @@ def test_parse_path_expr_errors():
         parse_path_expr("unknown:a", {})
     with pytest.raises(PathExprError):
         parse_path_expr("(t:a", {"t": EX})
+
+
+@pytest.mark.parametrize(
+    "allowed, refused",
+    [
+        ("^" * 64 + "t:p", "^" * 65 + "t:p"),
+        ("t:p" + "*+" * 32, "t:p" + "*+" * 32 + "*"),
+        ("(" * 64 + "t:p" + ")" * 64, "(" * 65 + "t:p" + ")" * 65),
+        ("(" * 32 + "t:p" + ")*" * 32, "(" * 32 + "t:p" + ")*" * 32 + "+"),
+        ("(t:a" + "*" * 63 + ")/(t:b" + "*" * 63 + ")", "(t:a" + "*" * 63 + ")/(t:b" + "*" * 64 + ")"),
+    ],
+    ids=["inverses", "postfixes", "groups", "starred-groups", "siblings"],
+)
+def test_path_expression_nesting_is_bounded(allowed, refused):
+    """A term may sit in MAX_PATH_DEPTH levels, each a prefix ^, a postfix
+    * or + or a parenthesised group; in one more, the text is refused
+    before anything recurses that deep. Siblings' levels do not add up."""
+    from netslice.pathquery import MAX_PATH_DEPTH
+
+    assert MAX_PATH_DEPTH == 64
+    parse_path_expr(allowed, {"t": EX})
+    with pytest.raises(PathExprError, match="nested deeper than 64 levels"):
+        parse_path_expr(refused, {"t": EX})
+

@@ -110,7 +110,7 @@ def test_parse_empty_ruleset():
     "text, error",
     [
         ('violation(?X, "msg") <- (?X topo:inDomain ?D) .', "line 1, col 11: violation message"),
-        ('violation("m", ?X) <- (?X unknownprefix:p ?D) .', "line 1, col 27: cannot resolve"),
+        ('violation("m", ?X) <- (?X unknownprefix:p ?D) .', "line 1, col 27: undeclared prefix"),
         ('violation("m", ?X) <- (?X topo:inDomain ?D)', "unexpected end of rule text"),  # no dot
         # an unterminated quote is refused where it opens
         ('violation("m", ?X) <- (?X topo:inDomain "abc) .', "line 1, col 41: unterminated string"),
