@@ -164,10 +164,9 @@ class AggregateManager:
         """Pools able to provision the class with a unit free now, first-fit
         order. Subclass checks use the substrate's own model so provider
         extensions count."""
-        pools = sorted(self.state.substrate.pools, key=lambda p: (p.node.value, p.provides.value))
         return [
             (pool.node, pool.provides)
-            for pool in pools
+            for pool in self.state.substrate.pools
             if self.state.free.get(("units", pool.node), 0) >= 1
             and satisfies(self.state.model, pool.provides, requested_class)
         ]
@@ -480,42 +479,31 @@ class Controller:
     def _ticket(self, record: SliceRecord, request: SliceRequest, plan: EmbeddingPlan) -> None:
         """One ticket per involved domain: its placements, its sides of the
         border crossings, and its segments of every strand."""
-        domain_placements: dict = {}
+        shares: dict = {}  # domain -> (placements, border sides, segments)
+
+        def share(domain) -> tuple:
+            return shares.setdefault(domain, ([], [], []))
+
         for node in request.nodes:
             domain, pool = plan.binding[node.iri]
-            domain_placements.setdefault(domain, []).append((node.iri, node.compute_class, pool))
-        domain_borders: dict = {}
-        domain_segments: dict = {}
+            share(domain)[0].append((node.iri, node.compute_class, pool))
         for link in request.links:
             root, branches = plan.strands[link.iri]
             for branch in branches:
                 branch_key, hops = (link.iri, branch.to_node), branch.route.hops
                 for i, seg in enumerate(branch.route.segments):  # a-side, then b-side
                     for hop, iface in ((hops[i], seg.a_iface), (hops[i + 1], seg.b_iface)):
-                        domain_borders.setdefault(hop.element, []).append(
-                            (iface, link.bandwidth, seg.label)
-                        )
+                        share(hop.element)[1].append((iface, link.bandwidth, seg.label))
                 for index, hop in enumerate(hops):
                     from_node = root if hop.ingress is None else None
                     to_node = branch.to_node if hop.egress is None else None
-                    domain_segments.setdefault(hop.element, []).append((
+                    share(hop.element)[2].append((
                         branch_key, index, hop, branch.required[index],
                         from_node, to_node, link.layer, link.bandwidth,
                     ))
-        involved = sorted(
-            set(domain_placements) | set(domain_borders) | set(domain_segments),
-            key=lambda d: d.value,
-        )
         try:
-            for domain in involved:
-                ticket = self.broker.issue_ticket(
-                    record.slice_id,
-                    domain,
-                    domain_placements.get(domain, []),
-                    domain_borders.get(domain, []),
-                    domain_segments.get(domain, []),
-                    request.term,
-                )
+            for domain in sorted(shares, key=lambda d: d.value):
+                ticket = self.broker.issue_ticket(record.slice_id, domain, *shares[domain], request.term)
                 record.tickets.append(ticket)
                 self._log("ticket", f"{record.slice_id}/{domain.value}", "ok")
         except TicketError as e:

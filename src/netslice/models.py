@@ -187,7 +187,8 @@ def _pool_problems(kind: str, subject: Iri, layer, pool: LabelSet):
 
 def parse_substrate(m: Model) -> SubstrateGraph:
     """Typed view of an entailed substrate advertisement: the domain's
-    devices, links, compute pools and border interfaces, and its checked
+    devices, links, compute pools (in node IRI, then class IRI order, the
+    AM's first-fit order) and border interfaces, and its checked
     residual_of figures.
 
     Raises SubstrateError listing every problem found in the links,

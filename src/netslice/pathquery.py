@@ -1,10 +1,10 @@
 """Regular path expressions over a Model.
 
-`eval_path` evaluates an expression from a start node, and `netslice query
---path-expr` reads its text form. `adjacent` lists one-step walks of a
-sequence expression with the nodes each passes through. The pathfinder in
-`embed` compiles its own adjacency and uses neither; the test oracles
-re-derive that adjacency with `adjacent`.
+`eval_path` evaluates an expression from a start node in one memoised walk,
+and `netslice query --path-expr` reads its text form. `adjacent` lists
+one-step walks of a sequence expression with the nodes each passes through.
+The pathfinder in `embed` compiles its own adjacency and uses neither; the
+test oracles re-derive that adjacency with `adjacent`.
 """
 
 from __future__ import annotations
@@ -83,85 +83,64 @@ class HopWitness(NamedTuple):
 
 
 def _step(m: Model, node: Iri, pred: Iri, forward: bool):
+    """The IRIs one pred step from node, in no order: its SPO index leaf
+    without literals forward, its POS leaf backward."""
     if forward:
-        return [o for o in m.objects(node, pred) if isinstance(o, Iri)]
-    return m.subjects(pred, node)
-
-
-def _eval(m: Model, starts: set, expr: PathExpr, forward: bool) -> set:
-    if isinstance(expr, Pred):
-        out = set()
-        for n in starts:
-            out.update(_step(m, n, expr.iri, forward))
-        return out
-    if isinstance(expr, Inverse):
-        return _eval(m, starts, expr.expr, not forward)
-    if isinstance(expr, Seq):
-        parts = expr.parts if forward else tuple(reversed(expr.parts))
-        cur = starts
-        for part in parts:
-            cur = _eval(m, cur, part, forward)
-            if not cur:
-                break
-        return cur
-    if isinstance(expr, Alt):
-        out = set()
-        for part in expr.parts:
-            out.update(_eval(m, starts, part, forward))
-        return out
-    if isinstance(expr, Star):
-        # Closure with a visited set; simple walks suffice for reachability.
-        seen = set(starts)
-        frontier = set(starts)
-        while frontier:
-            nxt = _eval(m, frontier, expr.expr, forward) - seen
-            seen.update(nxt)
-            frontier = nxt
-        return seen
-    if isinstance(expr, Plus):
-        first = _eval(m, starts, expr.expr, forward)
-        return _eval(m, first, Star(expr.expr), forward)
-    raise TypeError(f"not a path expression: {expr!r}")
+        return [o for o in m._spo.get(node, {}).get(pred, ()) if isinstance(o, Iri)]
+    return m._pos.get(pred, {}).get(node, ())
 
 
 def eval_path(m: Model, start: Iri, expr: PathExpr) -> set:
-    """Nodes reachable from start by a walk matching expr."""
-    return _eval(m, {start}, expr, True)
+    """Nodes reachable from start by a walk matching expr. Each
+    sub-expression is evaluated at most once per call from each node and
+    direction, so closures nested in closures cost time polynomial in the
+    sizes of the graph and the expression, not exponential in the nesting."""
+    memo = {}
 
-
-def _atomic_steps(conn: PathExpr) -> list:
-    """Flatten a Seq of Pred / Inverse(Pred) into (iri, forward) steps."""
-    parts = conn.parts if isinstance(conn, Seq) else (conn,)
-    steps = []
-    for part in parts:
-        if isinstance(part, Pred):
-            steps.append((part.iri, True))
-        elif isinstance(part, Inverse) and isinstance(part.expr, Pred):
-            steps.append((part.expr.iri, False))
+    def walk(node: Iri, expr: PathExpr, forward: bool) -> set:
+        key = (node, id(expr), forward)  # a node's hash would walk its whole subtree
+        if key in memo:
+            return memo[key]
+        if isinstance(expr, Pred):
+            out = set(_step(m, node, expr.iri, forward))
+        elif isinstance(expr, Inverse):
+            out = walk(node, expr.expr, not forward)
+        elif isinstance(expr, Seq):
+            out = {node}
+            for part in expr.parts if forward else reversed(expr.parts):
+                out = {y for x in out for y in walk(x, part, forward)}
+        elif isinstance(expr, Alt):
+            out = set().union(*(walk(node, part, forward) for part in expr.parts))
+        elif isinstance(expr, (Star, Plus)):
+            # a Plus's start is reached (and walked again, from the memo) only if a step returns to it
+            out = {node} if isinstance(expr, Star) else set()
+            todo = [node]
+            while todo:
+                for y in walk(todo.pop(), expr.expr, forward):
+                    if y not in out:
+                        out.add(y)
+                        todo.append(y)
         else:
-            raise ValueError("adjacency expression must be a Seq of atomic steps")
-    return steps
+            raise TypeError(f"not a path expression: {expr!r}")
+        memo[key] = out
+        return out
+
+    return walk(start, expr, True)
 
 
 def adjacent(m: Model, node: Iri, conn: PathExpr) -> list:
-    """One HopWitness per distinct (neighbor, via) walk of conn from node.
-
-    The witness records every intermediate node. Self-loops (neighbor ==
-    node) are dropped. Sorted by (neighbor, via) for determinism.
-    """
-    steps = _atomic_steps(conn)
+    """One HopWitness per distinct (neighbor, via) walk from node of conn, a
+    Pred, an Inverse of a Pred or a Seq of these. The witness records every
+    intermediate node. Self-loops (neighbor == node) are dropped. Sorted by
+    (neighbor, via) for determinism."""
     walks = [(node,)]
-    for pred, forward in steps:
-        nxt = []
-        for walk in walks:
-            for target in _step(m, walk[-1], pred, forward):
-                nxt.append(walk + (target,))
-        walks = nxt
-    witnesses = {
-        HopWitness(source=node, neighbor=w[-1], via=w[1:-1])
-        for w in walks
-        if w[-1] != node
-    }
+    for step in conn.parts if isinstance(conn, Seq) else (conn,):
+        forward = isinstance(step, Pred)
+        if not forward and not (isinstance(step, Inverse) and isinstance(step.expr, Pred)):
+            raise ValueError("adjacency expression must be a Seq of atomic steps")
+        pred = step.iri if forward else step.expr.iri
+        walks = [walk + (target,) for walk in walks for target in _step(m, walk[-1], pred, forward)]
+    witnesses = {HopWitness(node, w[-1], w[1:-1]) for w in walks if w[-1] != node}
     return sorted(witnesses, key=lambda h: (h.neighbor.value, tuple(v.value for v in h.via)))
 
 

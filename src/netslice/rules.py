@@ -225,10 +225,18 @@ MSG_ORPHAN_ELEMENT = "Request element not reachable from reservation"
 
 
 def structural_violations(m: Model) -> list:
-    """Counting/negation checks the rule language cannot express."""
+    """Counting/negation checks the rule language cannot express. A subject
+    stating provisionedFrom that no reservation lists as an element is a
+    manifest's provisioned entity, and is not checked."""
     out = []
     spo, typed = m._spo, m._pos.get(RDF_TYPE, {})
-    links = typed.get(NETWORK_CONNECTION, ())
+    reservations = typed.get(RESERVATION, ())
+    elements = {e for r in reservations for e in spo[r].get(ELEMENT, ())}
+
+    def requested(cls) -> list:
+        return [s for s in typed.get(cls, ()) if s in elements or vocab.PROVISIONED_FROM not in spo[s]]
+
+    links = requested(NETWORK_CONNECTION)
     for link in links:
         level = spo[link]
         n = len({o for p in (HAS_INTERFACE, vocab.HAS_ENDPOINT) for o in level.get(p, ()) if isinstance(o, Iri)})
@@ -237,11 +245,9 @@ def structural_violations(m: Model) -> list:
                 out.append(Violation(MSG_BROADCAST_TOO_FEW, link, ()))
         elif n != 2:
             out.append(Violation(MSG_P2P_ENDPOINT_COUNT, link, ()))
-    reservations = typed.get(RESERVATION, ())
     if len(reservations) == 1:
-        reachable = spo[next(iter(reservations))].get(ELEMENT, ())
-        for element in [*typed.get(vocab.COMPUTE_ELEMENT, ()), *links]:
-            if element not in reachable:
+        for element in [*requested(vocab.COMPUTE_ELEMENT), *links]:
+            if element not in elements:
                 out.append(Violation(MSG_ORPHAN_ELEMENT, element, ()))
     return _first_of_each(out)
 

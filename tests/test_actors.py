@@ -10,6 +10,8 @@ import weakref
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netslice import actors as actors_mod
 from netslice import graphstore, models, rules, vocab
@@ -436,6 +438,35 @@ def test_am_passes_over_full_hosts_when_it_picks_a_combination():
     assert world.submit_request("p16", text) is None
     assert world.controller.slices["p16"].failure.step == "Binding"
     assert world.conservation_problems() == []
+
+
+_ODD_SLICE_IDS = ["c%41", "sl:odd", "dot.", "n(1)"]
+# printable ASCII an IRI may hold
+_SLICE_ID_CHARS = "".join(c for c in map(chr, range(0x21, 0x7F)) if c not in '<>"{}|^`\\')
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_ODD_SLICE_IDS), st.text(_SLICE_ID_CHARS, min_size=1, max_size=8)),
+        min_size=1, max_size=4, unique=True,
+    )
+)
+@example(_ODD_SLICE_IDS)
+def test_every_written_document_reads_back_to_its_bytes(slice_ids):
+    """Manifests under any slice id, and each AM's delegation and state
+    after the slices took their share, parse back to the text written."""
+    world, sites = federation_world(6, 2, 2, mixed=True)
+    texts = []
+    for k, slice_id in enumerate(slice_ids):
+        members = [(1, sites[k]), (2, sites[k + 1])] + ([(3, sites[k + 2])] if k % 2 else [])
+        manifest = world.submit_request(slice_id, federation_request(f"t{k}", members, broadcast=k % 2))
+        assert manifest is not None
+        texts.append(manifest)
+    for am in world.ams.values():
+        texts += [am.delegate(), am.serialized_state()]
+    for text in texts:
+        assert serialize_document(parse_document(text)) == text
 
 
 def test_broadcast_aba_fails_validation_with_exact_message():

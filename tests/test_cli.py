@@ -782,6 +782,17 @@ rq:Node/2 rdf:type gpu:GpuVM .
 """
 
 
+@pytest.mark.parametrize("name", ["demo1", "bcast1", "gpu2"])
+def test_golden_manifests_validate_clean(capsys, tmp_path, name):
+    """The structural checks skip a manifest's provisioned VMs and networks,
+    which no reservation lists, so every manifest validates."""
+    argv = ["validate", FIXTURES / "golden" / f"{name}-manifest.ndl"]
+    if name == "gpu2":
+        (tmp_path / "gpu-schema.ndl").write_text(GPU_SCHEMA)
+        argv += ["--schema", tmp_path / "gpu-schema.ndl"]
+    assert _run(capsys, *argv) == (0, "", "")
+
+
 def test_embed_schema_supplies_provider_extension_class(capsys, tmp_path):
     schema = tmp_path / "gpu-schema.ndl"
     schema.write_text(GPU_SCHEMA)

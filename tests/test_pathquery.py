@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from netslice.graphstore import Iri, Model, Triple
+from netslice import pathquery
+from netslice.graphstore import Iri, Model, Triple, parse_document
 from netslice.pathquery import (
     Alt,
     HopWitness,
@@ -16,6 +17,9 @@ from netslice.pathquery import (
     eval_path,
     parse_path_expr,
 )
+from netslice.vocab import close
+
+from conftest import FIXTURES, count_calls
 from oracles import nfa_reachable, sub_graph
 
 EX = "urn:ex/"
@@ -69,32 +73,77 @@ def test_eval_plus_walks_line(line_graph):
     assert got == {ex("a"), ex("b"), ex("c"), ex("d")}
 
 
+_PREDS = [ex(p) for p in "pqr"]
+
+
+def _random_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Pred(rng.choice(_PREDS))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Inverse(_random_expr(rng, depth - 1))
+    if kind == 1:
+        return Seq(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+    if kind == 2:
+        return Alt(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+    if kind == 3:
+        return Star(_random_expr(rng, depth - 1))
+    return Plus(_random_expr(rng, depth - 1))
+
+
+def _random_graph(rng) -> tuple:
+    """A model of 3-15 nodes and 5-24 random edges, and a start node."""
+    m = Model()
+    nodes = [ex(f"n{i}") for i in range(rng.randrange(3, 16))]
+    for _ in range(rng.randrange(5, 25)):
+        m.add(Triple(rng.choice(nodes), rng.choice(_PREDS), rng.choice(nodes)))
+    return m, rng.choice(nodes)
+
+
 def test_eval_matches_nfa_oracle_on_random_graphs():
     rng = random.Random(4242)
-    preds = [ex(p) for p in "pqr"]
+    for _ in range(120):
+        m, start = _random_graph(rng)
+        expr = _random_expr(rng, 3)
+        assert eval_path(m, start, expr) == nfa_reachable(m, start, expr)
 
-    def random_expr(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return Pred(rng.choice(preds))
-        kind = rng.randrange(5)
+
+def test_eval_matches_nfa_oracle_on_nested_closures():
+    """Six levels: every even level a * or + around the next, every odd one
+    an inverse of it or a sequence or alternative of it and a random
+    expression, so closures sit inside closures."""
+    rng = random.Random(2929)
+
+    def nested(depth):
+        if depth == 0:
+            return Pred(rng.choice(_PREDS))
+        inner = nested(depth - 1)
+        if depth % 2 == 0:
+            return rng.choice((Star, Plus))(inner)
+        kind = rng.randrange(4)
         if kind == 0:
-            return Inverse(random_expr(depth - 1))
-        if kind == 1:
-            return Seq(random_expr(depth - 1), random_expr(depth - 1))
-        if kind == 2:
-            return Alt(random_expr(depth - 1), random_expr(depth - 1))
-        if kind == 3:
-            return Star(random_expr(depth - 1))
-        return Plus(random_expr(depth - 1))
+            return Inverse(inner)
+        other = _random_expr(rng, depth - 1)
+        return Alt(inner, other) if kind == 1 else Seq(inner, other) if kind == 2 else Seq(other, inner)
 
     for _ in range(120):
-        m = Model()
-        nodes = [ex(f"n{i}") for i in range(rng.randrange(3, 16))]
-        for _ in range(rng.randrange(5, 25)):
-            m.add(Triple(rng.choice(nodes), rng.choice(preds), rng.choice(nodes)))
-        start = rng.choice(nodes)
-        expr = random_expr(3)
+        m, start = _random_graph(rng)
+        expr = nested(6)
         assert eval_path(m, start, expr) == nfa_reachable(m, start, expr)
+
+
+@pytest.mark.parametrize("closure", ["+", "*"])
+@pytest.mark.parametrize("n", [14, 62])
+def test_nested_closures_read_each_leaf_once(monkeypatch, closure, n):
+    """Each sub-expression is walked once per node and direction: the walk
+    reaches Server/A and its one interface and reads each one's hasInterface
+    leaf forward and backward, however deep the closures nest."""
+    closed = close(parse_document((FIXTURES / "renci.ndl").read_text()))
+    expr = parse_path_expr("(topo:hasInterface|^topo:hasInterface)" + closure * n, closed.prefixes)
+    server = Iri("http://geni-orca.renci.org/sites/renci/Server/A")
+    steps = count_calls(monkeypatch, pathquery._step)
+    assert eval_path(closed, server, expr) == {server, Iri(server.value + "/f1/ethernet")}
+    assert len(steps) <= 4
 
 
 def test_adjacent_basic(line_graph):

@@ -169,11 +169,16 @@ def test_monotone_adding_triples_never_removes_violation():
     assert {(v.message, v.subject) for v in before} <= {(v.message, v.subject) for v in after}
 
 
-def test_structural_broadcast_with_two_endpoints():
+@pytest.mark.parametrize("provisioned", [False, True], ids=["plain", "stating-provisionedFrom"])
+def test_structural_broadcast_with_two_endpoints(provisioned):
+    # a reservation element is checked even when it states provisionedFrom,
+    # as a manifest's provisioned entities do
     raw = _load("broadcast-bad.ndl")
     link = Iri("urn:orca:request:bcast-bad/Link/1")
     dropped = Triple(link, vocab.HAS_INTERFACE, Iri("urn:orca:request:bcast-bad/Node/3/if0"))
     raw.remove(dropped)
+    if provisioned:
+        raw.add(Triple(link, vocab.PROVISIONED_FROM, Iri("urn:orca:request:bcast-bad/Link/0")))
     violations = structural_violations(_closed(raw))
     assert any(v.message == MSG_BROADCAST_TOO_FEW and v.subject == link for v in violations)
 
