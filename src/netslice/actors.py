@@ -44,7 +44,6 @@ from .graphstore import (
     serialize_document,
 )
 from .models import (
-    RequestError,
     SliceRequest,
     SubstrateError,
     Term,
@@ -57,7 +56,7 @@ from .models import (
     residual_of,
     slice_base,
 )
-from .vocab import close, entailed_schema, satisfies, validate_conformance
+from .vocab import RESERVATION, close, entailed_schema, satisfies, validate_conformance
 
 
 class UnknownSlice(Exception):
@@ -386,6 +385,23 @@ class EventLog:
         self.lines.append(f"seq {len(self.lines) + 1} {actor} {kind} {subject} {outcome}")
 
 
+def check_request(docs, closed: Model, extra_rules) -> Optional[SliceRequest]:
+    """The verdict on docs (extension schemas first, the request last) over
+    their closure: conformance issues, else rule violations, else the typed
+    view's refusal or an exceeded join budget as cause, each a SliceError at
+    Validation. Returns the view, or None if the closure states no req:Reservation."""
+    issues = validate_conformance(*docs, closed=closed)
+    if issues:
+        raise SliceError("Validation", f"{len(issues)} conformance issues", issues=issues)
+    try:
+        violations = rules_mod.validate(closed, extra_rules)
+        if violations:
+            raise SliceError("Validation", f"{len(violations)} rule violations", violations=violations)
+        return parse_request(closed, source=docs[-1]) if closed.typed(RESERVATION) else None
+    except (ValueError, rules_mod.EvaluationBudgetExceeded) as e:
+        raise SliceError("Validation", str(e)) from e
+
+
 class Controller:
     """Entry point for slice requests: validates, embeds at the delegation
     level, tickets, redeems, and assembles manifests."""
@@ -446,30 +462,21 @@ class Controller:
         return serialize_document(manifest, prefixes)
 
     def _validate(self, record: SliceRecord, request_text: str) -> SliceRequest:
-        """Conformance, then rule violations, both over the request's one
-        closure, then the typed view. Unparseable and malformed requests,
-        and requests whose closure or rule joins exceed their budgets, fail
-        with that error as the SliceError's cause."""
+        """`check_request` over the request's one closure onto the T-box,
+        then its term against the clock. An unparseable request, and one
+        whose closure exceeds its budget, fails with that error as the
+        SliceError's cause."""
         try:
             raw = parse_document(request_text)
         except ParseError as e:
             raise SliceError("Validation", f"unparseable request: {e}") from e
         try:
             closed = entail(raw, closed=self.base)
-            issues = validate_conformance(*self.schemas, raw, closed=closed)
-            if issues:
-                raise SliceError("Validation", f"{len(issues)} conformance issues", issues=issues)
-            violations = rules_mod.validate(closed, self.extra_rules)
-        except (ClosureBudgetExceeded, rules_mod.EvaluationBudgetExceeded) as e:
+        except ClosureBudgetExceeded as e:
             raise SliceError("Validation", str(e)) from e
-        if violations:
-            raise SliceError(
-                "Validation", f"{len(violations)} rule violations", violations=violations
-            )
-        try:
-            request = parse_request(closed, source=raw)
-        except (RequestError, ValueError) as e:
-            raise SliceError("Validation", str(e)) from e
+        request = check_request((*self.schemas, raw), closed, self.extra_rules)
+        if request is None:
+            raise SliceError("Validation", "expected exactly one Reservation, found 0")
         if request.term.begin < self.clock.now:
             raise SliceError("Validation", "term begins in the past")
         record.transition("Validated")

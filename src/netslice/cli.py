@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import embed as embed_mod
 from . import rules as rules_mod
-from .actors import UnknownSlice, World
+from .actors import SliceError, UnknownSlice, World, check_request
 from .graphstore import (
     ClosureBudgetExceeded,
     EvaluationBudgetExceeded,
@@ -33,14 +33,13 @@ from .graphstore import (
     token_term,
 )
 from .models import (
-    RequestError,
     SubstrateError,
     build_delegation,
     parse_datetime,
     parse_substrate,
 )
 from .pathquery import eval_path, parse_path_expr
-from .vocab import close, validate_conformance
+from .vocab import close
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -81,19 +80,29 @@ def _load_rules(paths) -> list:
     return out
 
 
-def _print_findings(issues, violations) -> None:
-    for issue in issues:
-        print(f"ISSUE {issue.kind} {issue.subject.value} {issue.detail}")
-    for v in violations:
-        print(v)
+def _report(failure: SliceError, path: str) -> int:
+    """Print a refused slice's findings, one a line, or its failure, and
+    return 1. A refusal at Validation that names no finding (a request
+    unparseable, malformed or over a budget) is an input error naming path."""
+    if failure.issues or failure.violations:
+        for issue in failure.issues:
+            print(f"ISSUE {issue.kind} {issue.subject.value} {issue.detail}")
+        for v in failure.violations:
+            print(v)
+    elif failure.step == "Validation":
+        raise CliInputError(f"{path}: {failure.detail}")
+    else:
+        print(f"EMBEDDING FAILED {failure}")
+    return EXIT_SEMANTIC
 
 
 def cmd_validate(args) -> int:
     docs, closed = _close(args.files, args.schema)
-    issues = validate_conformance(*docs, closed=closed)
-    violations = rules_mod.validate(closed, _load_rules(args.rules))
-    _print_findings(issues, violations)
-    return EXIT_SEMANTIC if issues or violations else EXIT_OK
+    try:
+        check_request(docs, closed, _load_rules(args.rules))
+    except SliceError as failure:
+        return _report(failure, ", ".join(args.files))
+    return EXIT_OK
 
 
 def _write_out(text: str, out) -> int:
@@ -207,14 +216,7 @@ def cmd_embed(args) -> int:
             raise CliInputError(f"{path}: {e}")
     manifest = world.submit_request(args.slice_id, _read_fixture(Path(args.request)))
     if manifest is None:
-        failure = world.controller.slices[args.slice_id].failure
-        if isinstance(failure.__cause__, (ParseError, RequestError, ValueError, *BUDGET_ERRORS)):
-            raise CliInputError(f"{args.request}: {failure.detail}")
-        if failure.issues or failure.violations:
-            _print_findings(failure.issues, failure.violations)
-        else:
-            print(f"EMBEDDING FAILED {failure}")
-        return EXIT_SEMANTIC
+        return _report(world.controller.slices[args.slice_id].failure, args.request)
     return _write_out(manifest, args.out)
 
 
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="conformance and rule validation")
+    p = sub.add_parser("validate", help="conformance, rules, then the request read (no clock)")
     p.add_argument("files", nargs="+")
     p.add_argument("--schema", action="append", help="extension schema file (repeatable)")
     p.add_argument("--rules", action="append", help="extra ruleset file (repeatable)")

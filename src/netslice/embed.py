@@ -656,7 +656,7 @@ def embed_request(req: SliceRequest, routing: Optional[Model], free: dict) -> Em
     binding = bind_domains(req, routing, free)
     strands = {}
     for link in req.links:
-        root, others = link_members(req, link, binding)
+        root, others = link_members(link, binding)
         branches = []
         for member in others:
             branch = route_branch(
@@ -679,14 +679,12 @@ def _owner_device(state: DomainState, border_iface: Iri) -> Optional[Iri]:
     return next((b.owner for b in state.substrate.borders if b.iri == border_iface), None)
 
 
-def link_members(req, link, binding) -> tuple:
+def link_members(link, binding) -> tuple:
     """(root node, other member nodes) of a link: the root sits in the
-    lexicographically first participating domain."""
-    members = sorted({n.iri for n in link.owners(req)}, key=lambda n: n.value)
-    domains = {n: binding[n][0] for n in members}
-    root_domain = min(domains[n].value for n in members)
-    root = [n for n in members if domains[n].value == root_domain][0]
-    return root, [n for n in members if n != root]
+    lexicographically first participating domain, the first such member
+    in IRI order."""
+    root = min(link.members, key=lambda n: binding[n][0].value)
+    return root, [n for n in link.members if n != root]
 
 
 def route_branch(

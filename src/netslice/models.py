@@ -80,8 +80,8 @@ class SubstrateError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-class RequestError(Exception):
-    pass
+class RequestError(ValueError):
+    """A request the typed view refuses."""
 
 
 class LabelSetError(ValueError):
@@ -406,13 +406,7 @@ class RequestLink(NamedTuple):
     layer: Iri
     bandwidth: int
     broadcast: bool
-
-    def owners(self, req: "SliceRequest") -> tuple:
-        by_iface = {}
-        for node in req.nodes:
-            for i in node.interfaces:
-                by_iface[i] = node
-        return tuple(by_iface[i] for i in self.interfaces)
+    members: tuple  # the IRIs of the nodes owning its interfaces, each once, in IRI order
 
 
 class Term(NamedTuple):
@@ -434,7 +428,7 @@ class SliceRequest(NamedTuple):
 def _minimal_compute_class(m: Model, types: set) -> Optional[Iri]:
     """The least-IRI compute class of types that no other of them specialises."""
     compute = [t for t in types if vocab.satisfies(m, t, COMPUTE_ELEMENT)]
-    specialised = {t for t in compute for u in compute if u is not t and vocab.satisfies(m, u, t)}
+    specialised = {s for u in compute for s in vocab.superclasses(m, u) if s is not u}
     return min((t for t in compute if t not in specialised), key=lambda t: t.value, default=None)
 
 
@@ -475,7 +469,7 @@ def parse_request(m: Model, source: Model) -> SliceRequest:
     except OverflowError:
         raise RequestError("term ends beyond the representable date range") from None
 
-    nodes, links = [], []
+    nodes, connections = [], []
     for element in m.objects(res, ELEMENT):
         if not isinstance(element, Iri):
             raise RequestError(f"reservation element {element!r} is not an IRI")
@@ -496,24 +490,26 @@ def parse_request(m: Model, source: Model) -> SliceRequest:
                 raise RequestError(f"link {element.value} requests bandwidth {stated!r}, not an xsd:integer")
             if bandwidth < 0:
                 raise RequestError(f"link {element.value} requests negative bandwidth {bandwidth}")
-            links.append(RequestLink(element, interfaces, layer, bandwidth, BROADCAST_CONNECTION in types))
+            connections.append((element, interfaces, layer, bandwidth, BROADCAST_CONNECTION in types))
         else:
             raise RequestError(f"element {element.value} is neither a compute element nor a connection")
     nodes.sort(key=lambda n: n.iri.value)
-    links.sort(key=lambda l: l.iri.value)
 
     owned = {}
     for n in nodes:
         for i in n.interfaces:
             if i in owned:
                 raise RequestError(f"interface {i.value} owned by two nodes")
-            owned[i] = n
-    for l in links:
-        if not l.broadcast and len(l.interfaces) != 2:
-            raise RequestError(f"point-to-point link {l.iri.value} has {len(l.interfaces)} interfaces")
-        for i in l.interfaces:
+            owned[i] = n.iri
+    links = []
+    for iri, interfaces, layer, bandwidth, broadcast in sorted(connections, key=lambda c: c[0].value):
+        if not broadcast and len(interfaces) != 2:
+            raise RequestError(f"point-to-point link {iri.value} has {len(interfaces)} interfaces")
+        for i in interfaces:
             if i not in owned:
-                raise RequestError(f"link {l.iri.value} interface {i.value} owned by no node")
+                raise RequestError(f"link {iri.value} interface {i.value} owned by no node")
+        members = tuple(sorted({owned[i] for i in interfaces}, key=lambda n: n.value))
+        links.append(RequestLink(iri, interfaces, layer, bandwidth, broadcast, members))
     return SliceRequest(tuple(nodes), tuple(links), term, source)
 
 
@@ -634,11 +630,7 @@ def check_homeomorphic(req: SliceRequest, manifest) -> bool:
         return False  # a hop vertex survived smoothing: not a simple chain
 
     mapped = {frozenset((corr[v], corr[w])) for v in near for w in near[v]}
-    expected = set()
-    for link in req.links:
-        for owner in link.owners(req):
-            expected.add(frozenset((owner.iri, link.iri)))
-    if mapped != expected:
+    if mapped != {frozenset((member, link.iri)) for link in req.links for member in link.members}:
         return False
 
     # provisioned entity sets must biject onto request elements

@@ -384,11 +384,6 @@ class LabelSet:
             return NotImplemented
         return _from_bounds(_merge(self._bounds, other._bounds, (False, True, True, True)))
 
-    def __sub__(self, other: LabelSet) -> LabelSet:
-        if not isinstance(other, LabelSet):
-            return NotImplemented
-        return _from_bounds(_merge(self._bounds, other._bounds, (False, False, True, False)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelSet):
             return NotImplemented

@@ -838,9 +838,8 @@ def reference_check_homeomorphic(req, manifest: Model) -> bool:
                 break
     if hops:
         return False
-    expected = {
-        frozenset((owner.iri, link.iri)) for link in req.links for owner in link.owners(req)
-    }
+    owner = {i: node.iri for node in req.nodes for i in node.interfaces}
+    expected = {frozenset((owner[i], link.iri)) for link in req.links for i in link.interfaces}
     if {frozenset(corr[v] for v in e) for e in edges} != expected:
         return False
     images = Counter(corr[v] for v in verts)

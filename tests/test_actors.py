@@ -880,7 +880,7 @@ def _ledger_free(broker) -> dict:
         for key in ledger.original.keys() | ledger.used.keys():
             orig, used = ledger.original.get(key), ledger.used.get(key)
             if key[0] == "label":
-                merged[key] = (orig or vocab.NO_LABELS) - (used or vocab.NO_LABELS)
+                merged[key] = vocab.LabelSet(set(orig or ()) - set(used or ()))
             else:
                 merged[key] = (orig or 0) - (used or 0)
     return merged

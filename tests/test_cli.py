@@ -47,6 +47,24 @@ def test_validate_broadcast_bad_exits_one(capsys):
     )
 
 
+@pytest.mark.parametrize("name", ["renci", "ring-a", "ring-b", "ring-c"])
+def test_a_substrate_stating_no_reservation_validates_clean(capsys, name):
+    assert _run(capsys, "validate", FIXTURES / f"{name}.ndl") == (0, "", "")
+
+
+def test_validate_refuses_a_request_stating_two_reservations(capsys, tmp_path):
+    # with one reservation, the orphan node is a structural violation; with
+    # two, the structural check has no one reservation to reach it from
+    request = tmp_path / "request.ndl"
+    request.write_text(
+        (FIXTURES / "request-pair.ndl").read_text()
+        + "rq:Reservation/2 rdf:type req:Reservation .\nrq:Node/9 rdf:type comp:ComputeElement .\n"
+    )
+    assert _run(capsys, "validate", request) == (
+        2, "", f"error: {request}: expected exactly one Reservation, found 2\n"
+    )
+
+
 def test_validate_malformed_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.ndl"
     bad.write_text("<urn:a> <urn:p> .\n")

@@ -412,6 +412,7 @@ def test_parse_request_pair_fixture():
     assert not req.links[0].broadcast
     assert all(n.in_domain is None for n in req.nodes)
     assert all(n.compute_class == vocab.COMPUTE_ELEMENT for n in req.nodes)
+    assert req.links[0].members == tuple(n.iri for n in req.nodes)
 
 
 def test_parse_request_two_reservations_rejected():
@@ -434,6 +435,7 @@ def test_parse_request_broadcast_across_three_domains_parses_clean():
     req = parse_request(_closed(raw), source=raw)
     assert len(req.nodes) == 3
     assert req.links[0].broadcast
+    assert req.links[0].members == tuple(n.iri for n in req.nodes)
     assert {n.in_domain.value for n in req.nodes} == {
         "urn:orca:site:a/Domain",
         "urn:orca:site:b/Domain",

@@ -12,6 +12,7 @@ SliceRequest view."""
 from generators import federation_request
 
 from netslice.actors import SliceError, SliceRecord, World
+from netslice.cli import main
 
 from conftest import FIXTURES
 
@@ -130,3 +131,32 @@ def test_the_cases_cover_every_kind_of_outcome():
     for detail in ("owned by two nodes", "owned by no node", "begins in the past", "unparseable request"):
         assert detail in found, detail
     assert sum(line.split("\t")[1].startswith("ok") for line in lines) >= 20
+
+
+# the requests only the controller's clock refuses: `netslice validate` has no clock
+PAST_TERM = ["pair/begin-past", "pair-unbound/begin-past", "bcast/begin-past", "bcast-unbound/begin-past"]
+
+
+def test_validate_gives_the_controllers_verdict_and_prints_what_embed_prints(capsys, tmp_path):
+    """`netslice validate` exits 0 exactly on the requests the controller
+    accepts, but for a term in the past. Where the controller refuses at
+    Validation, validate exits with embed's code and prints embed's stdout."""
+    path = tmp_path / "request.ndl"
+
+    def cli(*argv) -> tuple:
+        code = main([str(a) for a in argv])
+        return code, capsys.readouterr().out
+
+    past, disagree = [], []
+    for name, text in cases():
+        path.write_text(text)
+        verdict = outcome(text)
+        if "begins in the past" in verdict:
+            past.append(name)
+        accepted = verdict.startswith("ok") or name in PAST_TERM
+        got = cli("validate", path)
+        want = (0, "") if accepted else cli("embed", FIXTURES / "renci.ndl", "--request", path)
+        if got != want or (got[0] == 0) != accepted:
+            disagree.append((name, verdict, got, want))
+    assert disagree == []
+    assert past == PAST_TERM
