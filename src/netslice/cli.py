@@ -17,11 +17,10 @@ from pathlib import Path
 
 from . import embed as embed_mod
 from . import rules as rules_mod
-from .actors import SliceError, UnknownSlice, World, check_request
+from .actors import SliceError, World, check_request
 from .graphstore import (
     ClosureBudgetExceeded,
     EvaluationBudgetExceeded,
-    Model,
     ParseError,
     _namespaces,
     _render,
@@ -37,6 +36,7 @@ from .models import (
     build_delegation,
     parse_datetime,
     parse_substrate,
+    residual_of,
 )
 from .pathquery import eval_path, parse_path_expr
 from .vocab import close
@@ -45,52 +45,69 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_INPUT = 2
 
-# Inputs too large to close or join within their budgets are input errors.
-BUDGET_ERRORS = (ClosureBudgetExceeded, EvaluationBudgetExceeded)
-
 
 class CliInputError(Exception):
     pass
 
 
-def _read_model(path: str) -> Model:
-    try:
-        return parse_document(_read_fixture(path))
-    except (ParseError, ValueError) as e:
-        raise CliInputError(f"{path}: {e}")
+# An input is refused when it is unreadable (a UnicodeDecodeError is a
+# ValueError), malformed, refused by a typed view, or too large to close or
+# join within its budget.
+INPUT_ERRORS = (
+    CliInputError, OSError, ParseError, ValueError, SubstrateError, rules_mod.RuleSyntaxError,
+    rules_mod.UnsafeRule, ClosureBudgetExceeded, EvaluationBudgetExceeded,
+)
+
+
+class _naming:
+    """A block whose input errors are re-raised as one CliInputError
+    prefixed `name: `; nested blocks prefix once each, the outermost first.
+    Leaving the block normally allocates nothing (a generator-based context
+    manager would), so it starts no collection while a closure just built
+    with the collector held off is still young."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, error, trace):
+        if isinstance(error, INPUT_ERRORS):
+            raise CliInputError(f"{self.name}: {error}") from None
+
+
+def _read_fixture(path, parse=None):
+    """The text of the file at path, or what parse returns for it; an error in either names path."""
+    with _naming(path):
+        text = Path(path).read_text(encoding="utf-8")
+        return text if parse is None else parse(text)
 
 
 def _close(files, schemas) -> tuple:
     """The documents, extension schemas first, and their closure, naming them if over budget."""
     paths = [*(schemas or ()), *files]
-    docs = [_read_model(path) for path in paths]
-    try:
+    docs = [_read_fixture(path, parse_document) for path in paths]
+    with _naming(", ".join(map(str, paths))):
         return docs, close(*docs)
-    except ClosureBudgetExceeded as e:
-        raise CliInputError(f"{', '.join(map(str, paths))}: {e}") from None
 
 
 def _load_rules(paths) -> list:
-    out = []
-    for path in paths or ():
-        try:
-            out.extend(rules_mod.parse_ruleset(_read_fixture(path)))
-        except (rules_mod.RuleSyntaxError, rules_mod.UnsafeRule) as e:
-            raise CliInputError(f"{path}: {e}")
-    return out
+    return [rule for path in paths or () for rule in _read_fixture(path, rules_mod.parse_ruleset)]
 
 
 def _report(failure: SliceError, path: str) -> int:
     """Print a refused slice's findings, one a line, or its failure, and
     return 1. A refusal at Validation that names no finding (a request
-    unparseable, malformed or over a budget) is an input error naming path."""
+    unparseable, malformed or over a budget) is an input error naming path,
+    worded by its cause where it has one, as `validate` words it."""
     if failure.issues or failure.violations:
         for issue in failure.issues:
             print(f"ISSUE {issue.kind} {issue.subject.value} {issue.detail}")
         for v in failure.violations:
             print(v)
     elif failure.step == "Validation":
-        raise CliInputError(f"{path}: {failure.detail}")
+        raise CliInputError(f"{path}: {failure.__cause__ or failure.detail}")
     else:
         print(f"EMBEDDING FAILED {failure}")
     return EXIT_SEMANTIC
@@ -107,10 +124,8 @@ def cmd_validate(args) -> int:
 
 def _write_out(text: str, out) -> int:
     if out:
-        try:
+        with _naming(out):
             Path(out).write_text(text, encoding="utf-8")
-        except OSError as e:
-            raise CliInputError(f"{out}: {e}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -124,21 +139,19 @@ def _parse_bgp(text: str, prefixes: dict) -> list:
     """Triple patterns: terms three at a time, each pattern optionally
     followed by a '.'."""
     patterns, current = [], []
-    try:
+    with _naming("--bgp"):
         for token in lex(text, "."):
             if token.kind == "mark" and current:
-                raise CliInputError(f"--bgp: line {token.line}, col {token.col}: incomplete pattern")
+                raise CliInputError(f"line {token.line}, col {token.col}: incomplete pattern")
             if token.kind != "mark":
                 current.append(token_term(token, prefixes))
             if len(current) == 3:
                 patterns.append(tuple(current))
                 current = []
-    except (ParseError, ValueError) as e:
-        raise CliInputError(f"--bgp: {e}") from None
-    if current:
-        raise CliInputError(f"--bgp: incomplete triple pattern: {current!r}")
-    if not patterns:
-        raise CliInputError("--bgp: empty pattern")
+        if current:
+            raise CliInputError(f"incomplete triple pattern: {current!r}")
+        if not patterns:
+            raise CliInputError("empty pattern")
     return patterns
 
 
@@ -174,7 +187,9 @@ def cmd_path(args) -> int:
             raise CliInputError(f"unknown element {element.value}")
     layer = resolve(args.layer, prefixes)
     preq = embed_mod.PathRequest(source, dest, layer, args.bandwidth, required_label=args.label)
-    result = embed_mod.shortest_valid_path(closed, preq, limit=args.limit)
+    with _naming(", ".join(args.files)):  # the figures the search checks, label pools parsed
+        free = residual_of(closed)
+    result = embed_mod.shortest_valid_path(closed, preq, limit=args.limit, free=free)
     if result is None:
         print("NO PATH")
         return EXIT_SEMANTIC
@@ -190,10 +205,8 @@ def cmd_path(args) -> int:
 
 def cmd_delegate(args) -> int:
     closed = _close([args.file], args.schema)[1]
-    try:
+    with _naming(args.file):
         graph = parse_substrate(closed)
-    except SubstrateError as e:
-        raise CliInputError(str(e))
     return _write_out(serialize_document(build_delegation(graph)), args.out)
 
 
@@ -201,30 +214,19 @@ def cmd_embed(args) -> int:
     """The provisioning protocol in-process: one AM per substrate, one broker,
     one controller, one request. The clock starts at the earliest instant,
     so the request's term is never in the past."""
-    schemas = [_read_model(p) for p in (args.schema or ())]
-    try:
+    schemas = [_read_fixture(p, parse_document) for p in args.schema or ()]
+    with _naming(", ".join(args.schema or ())):  # closes the extension T-boxes, if any
         world = World(start=datetime.min.replace(tzinfo=timezone.utc), schemas=schemas)
-    except BUDGET_ERRORS as e:  # closing the extension T-boxes
-        if not schemas:
-            raise
-        raise CliInputError(f"{', '.join(args.schema)}: {e}")
     world.controller.extra_rules.extend(_load_rules(args.rules))
     for path in args.substrates:
-        try:
-            world.add_substrate(_read_fixture(Path(path)))
-        except (ParseError, SubstrateError, ValueError, *BUDGET_ERRORS) as e:
-            raise CliInputError(f"{path}: {e}")
-    manifest = world.submit_request(args.slice_id, _read_fixture(Path(args.request)))
+        _read_fixture(path, world.add_substrate)
+    manifest = world.submit_request(args.slice_id, _read_fixture(args.request))
     if manifest is None:
         return _report(world.controller.slices[args.slice_id].failure, args.request)
     return _write_out(manifest, args.out)
 
 
 # -- scenario runner -------------------------------------------------------------
-
-
-class ScenarioError(Exception):
-    pass
 
 
 _SCENARIO_SHAPES = {  # the words on a command's line, its verb included
@@ -241,21 +243,21 @@ _SCENARIO_SHAPES = {  # the words on a command's line, its verb included
 
 def _parse_scenario(text: str) -> list:
     """Commands as (lineno, verb, args), one a line, whose words and quoted
-    strings `lex` reads. Raises ScenarioError on bad syntax."""
+    strings `lex` reads. Raises CliInputError on bad syntax."""
     try:
         tokens = lex(text)
     except ParseError as e:
-        raise ScenarioError(str(e)) from None
+        raise CliInputError(str(e)) from None
     commands = []
     for lineno, line in itertools.groupby(tokens, key=lambda token: token.line):
         parts = [token.value if token.kind == "literal" else token.text for token in line]
         verb = parts[0]
         if verb not in _SCENARIO_SHAPES:
-            raise ScenarioError(f"line {lineno}: unknown command {verb!r}")
+            raise CliInputError(f"line {lineno}: unknown command {verb!r}")
         if len(parts) != _SCENARIO_SHAPES[verb]:
-            raise ScenarioError(f"line {lineno}: {verb} takes {_SCENARIO_SHAPES[verb] - 1} arguments")
+            raise CliInputError(f"line {lineno}: {verb} takes {_SCENARIO_SHAPES[verb] - 1} arguments")
         if verb == "submit-request" and parts[2] != "as":
-            raise ScenarioError(f"line {lineno}: expected 'submit-request <file> as <sliceId>'")
+            raise CliInputError(f"line {lineno}: expected 'submit-request <file> as <sliceId>'")
         commands.append((lineno, verb, parts[1:]))
     return commands
 
@@ -272,77 +274,54 @@ def run_scenario(script_path: str, out=None) -> int:
     manifests = {}  # slice id -> the manifest its submit-request returned
     last_slice = None
     for lineno, verb, args in commands:
-        if verb in ("load-substrate", "load-rules", "submit-request"):
-            try:
+        with _naming(f"line {lineno}"):
+            if verb in ("load-substrate", "load-rules", "submit-request"):
                 text = _read_fixture(script.parent / args[0])
-            except CliInputError as e:
-                raise ScenarioError(f"line {lineno}: {e}") from None
-        if verb == "load-substrate":
-            try:
-                world.add_substrate(text)
-            except (ParseError, SubstrateError, ValueError, *BUDGET_ERRORS) as e:
-                raise ScenarioError(f"line {lineno}: {args[0]}: {e}")
-        elif verb == "load-rules":
-            try:
-                world.controller.extra_rules.extend(rules_mod.parse_ruleset(text))
-            except (rules_mod.RuleSyntaxError, rules_mod.UnsafeRule) as e:
-                raise ScenarioError(f"line {lineno}: {e}")
-        elif verb == "submit-request":
-            last_slice = args[2]
-            try:
-                manifest = world.submit_request(args[2], text)
-            except ValueError as e:  # a slice id taken or naming no IRI
-                raise ScenarioError(f"line {lineno}: {e}")
-            if manifest is not None:
-                manifests[args[2]] = manifest
-        elif verb == "delete-slice":
-            try:
+            if verb == "load-substrate":
+                with _naming(args[0]):
+                    world.add_substrate(text)
+            elif verb == "load-rules":
+                with _naming(args[0]):
+                    world.controller.extra_rules.extend(rules_mod.parse_ruleset(text))
+            elif verb == "submit-request":
+                last_slice = args[2]
+                manifest = world.submit_request(args[2], text)  # ValueError: a slice id refused
+                if manifest is not None:
+                    manifests[args[2]] = manifest
+            elif verb == "delete-slice":
+                if args[0] not in world.controller.slices:
+                    raise CliInputError(f"unknown slice {args[0]!r}")
                 world.delete_slice(args[0])
-            except UnknownSlice:
-                raise ScenarioError(f"line {lineno}: unknown slice {args[0]!r}")
-        elif verb == "advance-time":
-            try:
+            elif verb == "advance-time":
                 world.advance_time(parse_datetime(args[0]))
-            except ValueError as e:
-                raise ScenarioError(f"line {lineno}: {e}")
-        elif verb == "expect-violation":
-            record = world.controller.slices.get(last_slice) if last_slice else None
-            messages = (
-                [v.message for v in record.failure.violations]
-                if record is not None and record.failure is not None
-                else []
-            )
-            if args[0] not in messages:
-                failures.append(
-                    f"line {lineno}: expected violation {args[0]!r}, saw {messages!r}"
+            elif verb == "expect-violation":
+                record = world.controller.slices.get(last_slice) if last_slice else None
+                messages = (
+                    [v.message for v in record.failure.violations]
+                    if record is not None and record.failure is not None
+                    else []
                 )
-        elif verb == "expect-state":
-            record = world.controller.slices.get(args[0])
-            state = record.state if record is not None else "missing"
-            if state != args[1]:
-                failures.append(
-                    f"line {lineno}: slice {args[0]} in state {state}, expected {args[1]}"
-                )
-        elif verb == "dump-manifest":
-            if args[0] not in manifests:
-                failures.append(f"line {lineno}: slice {args[0]} has no manifest to dump")
-            else:
-                try:
-                    Path(args[1]).write_text(manifests[args[0]], encoding="utf-8")
-                except OSError as e:
-                    raise ScenarioError(f"line {lineno}: {args[1]}: {e}")
+                if args[0] not in messages:
+                    failures.append(
+                        f"line {lineno}: expected violation {args[0]!r}, saw {messages!r}"
+                    )
+            elif verb == "expect-state":
+                record = world.controller.slices.get(args[0])
+                state = record.state if record is not None else "missing"
+                if state != args[1]:
+                    failures.append(
+                        f"line {lineno}: slice {args[0]} in state {state}, expected {args[1]}"
+                    )
+            elif verb == "dump-manifest":
+                if args[0] not in manifests:
+                    failures.append(f"line {lineno}: slice {args[0]} has no manifest to dump")
+                else:
+                    _write_out(manifests[args[0]], args[1])
     for line in world.events:
         print(line, file=out)
     for failure in failures:
         print(f"EXPECTATION FAILED {failure}", file=sys.stderr)
     return EXIT_SEMANTIC if failures else EXIT_OK
-
-
-def _read_fixture(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise CliInputError(f"{path}: {e}")
 
 
 def cmd_run(args) -> int:
@@ -421,7 +400,7 @@ def main(argv=None) -> int:
         return e.code
     try:
         return args.func(args)
-    except (CliInputError, ScenarioError, ParseError, ValueError, *BUDGET_ERRORS) as e:
+    except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -516,11 +516,48 @@ def test_run_failed_expectation_exits_one(tmp_path, monkeypatch, capsys):
         f"load-substrate {FIXTURES}/renci.ndl\n"
         f"submit-request {FIXTURES}/broadcast-bad.ndl as s1\n"
         "expect-state s1 Provisioned\n"
+        'expect-violation "No such rule"\n'
+        "dump-manifest s1 s1.ndl\n"
     )
-    code = main(["run", str(script)])
-    captured = capsys.readouterr()
+    code, out, err = _run(capsys, "run", script)
     assert code == 1
-    assert "EXPECTATION FAILED" in captured.err
+    assert "controller slice-failed s1 fail:Validation" in out
+    assert err == (
+        "EXPECTATION FAILED line 3: slice s1 in state Closed, expected Provisioned\n"
+        "EXPECTATION FAILED line 4: expected violation 'No such rule', "
+        "saw [\"Domains in broadcast link can't be repeated\"]\n"
+        "EXPECTATION FAILED line 5: slice s1 has no manifest to dump\n"
+    )
+    assert not (tmp_path / "s1.ndl").exists()
+
+
+def test_run_loaded_rules_judge_later_requests(tmp_path, capsys):
+    (tmp_path / "no-compute.rules").write_text(
+        'violation("No compute here", ?X) <- comp:ComputeElement(?X) .\n'
+    )
+    script = tmp_path / "rules.scn"
+    script.write_text(
+        f"load-substrate {FIXTURES}/renci.ndl\n"
+        "load-rules no-compute.rules\n"
+        f"submit-request {FIXTURES}/request-pair.ndl as s1\n"
+        'expect-violation "No compute here"\n'
+        "expect-state s1 Closed\n"
+    )
+    code, out, err = _run(capsys, "run", script)
+    assert (code, err) == (0, "")
+    events = [line.split(" ", 2)[2] for line in out.splitlines()]
+    for node in ("Node/1", "Node/2"):
+        assert f'controller violation urn:orca:request:pair/{node} "No compute here"' in events
+    assert "controller slice-failed s1 fail:Validation" in events
+
+
+def test_run_rules_with_a_syntax_error_exit_two_naming_the_line_and_file(tmp_path, capsys):
+    (tmp_path / "bad.rules").write_text('violation("m" ?X) <- comp:ComputeElement(?X) .\n')
+    script = tmp_path / "rules.scn"
+    script.write_text(f"load-substrate {FIXTURES}/renci.ndl\nload-rules bad.rules\n")
+    code, out, err = _run(capsys, "run", script)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: bad.rules: line 1, col ")
 
 
 @pytest.mark.parametrize(
@@ -857,7 +894,7 @@ def test_border_pool_outside_layer_domain_exits_two(capsys, tmp_path):
     bad.write_text((FIXTURES / "ring-a.ndl").read_text().replace('"100-150"', '"0-150"'))
     problem = "border interface urn:orca:site:a/Switch/toB label pool exceeds layer domain 2-4094"
     code, out, err = _run(capsys, "delegate", bad)
-    assert (code, out, err) == (2, "", f"error: {problem}\n")
+    assert (code, out, err) == (2, "", f"error: {bad}: {problem}\n")
     code, out, err = _embed(capsys, tmp_path, PAIR_REQUEST, substrates=(bad,))
     assert (code, out, err) == (2, "", f"error: {bad}: {problem}\n")
     script = tmp_path / "ring.scn"

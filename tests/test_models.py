@@ -220,7 +220,7 @@ def test_substrate_refusals_name_their_subject(capsys, tmp_path, substrate, prob
     path = tmp_path / "substrate.ndl"
     path.write_text(substrate)
     assert main(["delegate", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {problem}\n")
+    assert capsys.readouterr() == ("", f"error: {path}: {problem}\n")
 
 
 @pytest.mark.parametrize("lexical", [*LOOSE_INTEGERS, pytest.param(HUGE_INTEGER, id="5000-digits")])

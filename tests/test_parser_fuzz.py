@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netslice.cli import CliInputError, ScenarioError, _parse_bgp, _parse_scenario, main
+from netslice.cli import CliInputError, _parse_bgp, _parse_scenario, main
 from netslice.pathquery import PathExprError, parse_path_expr
 from netslice.rules import BROADCAST_DOMAIN_RULE, RuleSyntaxError, UnsafeRule, parse_ruleset
 from netslice.vocab import BASE_PREFIXES
@@ -38,7 +38,7 @@ PARSERS = {
     "rules": (RULES, lambda text: parse_ruleset(text), (RuleSyntaxError, UnsafeRule)),
     "path": (PATHS, lambda text: parse_path_expr(text, BASE_PREFIXES), (PathExprError,)),
     "bgp": (BGPS, lambda text: _parse_bgp(text, BASE_PREFIXES), (CliInputError,)),
-    "scenario": (SCENARIOS, _parse_scenario, (ScenarioError,)),
+    "scenario": (SCENARIOS, _parse_scenario, (CliInputError,)),
 }
 
 

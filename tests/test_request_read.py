@@ -140,12 +140,13 @@ PAST_TERM = ["pair/begin-past", "pair-unbound/begin-past", "bcast/begin-past", "
 def test_validate_gives_the_controllers_verdict_and_prints_what_embed_prints(capsys, tmp_path):
     """`netslice validate` exits 0 exactly on the requests the controller
     accepts, but for a term in the past. Where the controller refuses at
-    Validation, validate exits with embed's code and prints embed's stdout."""
+    Validation, validate exits with embed's code and prints embed's stdout
+    and stderr: an input error names the request file and words it alike."""
     path = tmp_path / "request.ndl"
 
     def cli(*argv) -> tuple:
         code = main([str(a) for a in argv])
-        return code, capsys.readouterr().out
+        return code, *capsys.readouterr()
 
     past, disagree = [], []
     for name, text in cases():
@@ -155,8 +156,34 @@ def test_validate_gives_the_controllers_verdict_and_prints_what_embed_prints(cap
             past.append(name)
         accepted = verdict.startswith("ok") or name in PAST_TERM
         got = cli("validate", path)
-        want = (0, "") if accepted else cli("embed", FIXTURES / "renci.ndl", "--request", path)
+        want = (0, "", "") if accepted else cli("embed", FIXTURES / "renci.ndl", "--request", path)
         if got != want or (got[0] == 0) != accepted:
             disagree.append((name, verdict, got, want))
     assert disagree == []
     assert past == PAST_TERM
+
+
+def test_a_request_stating_no_reservation_is_refused_at_validation(capsys):
+    ring_a = FIXTURES / "ring-a.ndl"
+    world = World()
+    assert world.submit_request("s", ring_a.read_text()) is None
+    assert world.events[-2:] == [
+        "seq 2 controller slice-failed s fail:Validation", "seq 3 controller state s Closed",
+    ]
+    failure = world.controller.slices["s"].failure
+    assert (failure.step, failure.detail) == ("Validation", "expected exactly one Reservation, found 0")
+    assert main(["embed", str(FIXTURES / "renci.ndl"), "--request", str(ring_a)]) == 2
+    assert capsys.readouterr() == ("", f"error: {ring_a}: expected exactly one Reservation, found 0\n")
+
+
+def test_a_point_to_point_link_with_an_endpoint_for_an_interface_is_refused(capsys, tmp_path):
+    # the structural check counts hasInterface and hasEndpoint together, so
+    # it passes the link; the request read counts only its interfaces
+    line = "rq:Link/1 topo:hasInterface rq:Node/2/if0 ."
+    request = tmp_path / "request.ndl"
+    text = (FIXTURES / "request-pair.ndl").read_text()
+    request.write_text(text.replace(line, line.replace("hasInterface", "hasEndpoint")))
+    refusal = f"error: {request}: point-to-point link urn:orca:request:pair/Link/1 has 1 interfaces\n"
+    for argv in (["validate"], ["embed", FIXTURES / "renci.ndl", "--request"]):
+        assert main([*map(str, argv), str(request)]) == 2
+        assert capsys.readouterr() == ("", refusal)
