@@ -158,7 +158,7 @@ def _parse_bgp(text: str, prefixes: dict) -> list:
 def cmd_query(args) -> int:
     closed = _close(args.files, args.schema)[1]
     prefixes = closed.prefixes
-    if args.bgp:
+    if args.bgp is not None:
         patterns = _parse_bgp(args.bgp, prefixes)
         try:
             bindings = query_bgp(closed, patterns)
@@ -168,10 +168,12 @@ def cmd_query(args) -> int:
         for binding in bindings:
             print(" ".join(f"?{n}={_render(binding[n], namespaces)}" for n in sorted(binding)))
         return EXIT_OK
-    if not args.path_expr or not args.start:
+    if args.path_expr is None or args.start is None:
         raise CliInputError("query needs --bgp, or --path-expr with --from")
-    expr = parse_path_expr(args.path_expr, prefixes)  # a PathExprError is a ValueError
-    start = resolve(args.start, prefixes)
+    with _naming("--path-expr"):  # a PathExprError is a ValueError
+        expr = parse_path_expr(args.path_expr, prefixes)
+    with _naming("--from"):
+        start = resolve(args.start, prefixes)
     for node in sorted(eval_path(closed, start, expr), key=lambda n: n.value):
         print(node.value)
     return EXIT_OK
@@ -180,13 +182,13 @@ def cmd_query(args) -> int:
 def cmd_path(args) -> int:
     closed = _close(args.files, args.schema)[1]
     prefixes = closed.prefixes
-    source = resolve(getattr(args, "from"), prefixes)
-    dest = resolve(args.to, prefixes)
-    for element in (source, dest):
-        if next(closed.match(s=element), None) is None:
-            raise CliInputError(f"unknown element {element.value}")
-    layer = resolve(args.layer, prefixes)
-    preq = embed_mod.PathRequest(source, dest, layer, args.bandwidth, required_label=args.label)
+    terms = []  # the source, destination and layer
+    for option in ("--from", "--to", "--layer"):
+        with _naming(option):
+            terms.append(resolve(getattr(args, option[2:]), prefixes))
+            if option != "--layer" and next(closed.match(s=terms[-1]), None) is None:
+                raise CliInputError(f"unknown element {terms[-1].value}")
+    preq = embed_mod.PathRequest(*terms, args.bandwidth, required_label=args.label)
     with _naming(", ".join(args.files)):  # the figures the search checks, label pools parsed
         free = residual_of(closed)
     result = embed_mod.shortest_valid_path(closed, preq, limit=args.limit, free=free)

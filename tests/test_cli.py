@@ -125,13 +125,39 @@ def test_query_bgp(capsys, tmp_path, document, bgp, answer):
         ('?l <urn:bw> "100', "error: --bgp: line 1, col 13: unterminated string literal"),
         ("?l <urn:bw> . ?l", "error: --bgp: line 1, col 13: incomplete pattern"),
         ("?l nosuch:p ?o", "error: --bgp: undeclared prefix 'nosuch'"),
+        ("", "error: --bgp: empty pattern"),  # given, though empty
     ],
-    ids=["unterminated-quote", "dot-inside-a-pattern", "unknown-prefix"],
+    ids=["unterminated-quote", "dot-inside-a-pattern", "unknown-prefix", "empty"],
 )
 def test_query_bad_bgp_exits_two(capsys, bgp, error):
     code, out, err = _run(capsys, "query", FIXTURES / "renci.ndl", "--bgp", bgp)
     assert (code, out) == (2, "")
     assert err.startswith(error)
+
+
+_RENCI = FIXTURES / "renci.ndl"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("query", _RENCI, "--path-expr", "((", "--from", "<urn:x>"),
+         "--path-expr: unexpected end of path expression: '(('"),
+        (("query", _RENCI, "--path-expr", "topo:hasInterface", "--from", "zz:A"),
+         "--from: undeclared prefix 'zz'"),
+        (("path", _RENCI, "--from", "zz:A", "--to", "rnc:Server/B"),
+         "--from: undeclared prefix 'zz'"),
+        (("path", _RENCI, "--from", "rnc:Server/A", "--to", "zz:B"),
+         "--to: undeclared prefix 'zz'"),
+        (("path", _RENCI, "--from", "rnc:Server/A", "--to", "<urn:nowhere>"),
+         "--to: unknown element urn:nowhere"),
+        (("path", _RENCI, "--from", "rnc:Server/A", "--to", "rnc:Server/B", "--layer", "zz:L"),
+         "--layer: undeclared prefix 'zz'"),
+    ],
+    ids=["query-path-expr", "query-from", "path-from", "path-to", "path-to-unknown", "path-layer"],
+)
+def test_a_refused_option_is_named(capsys, argv, error):
+    assert _run(capsys, *argv) == (2, "", f"error: {error}\n")
 
 
 # One term read on every surface: (text, the IRI it names or the reason it
@@ -184,7 +210,7 @@ def _path_predicate(term):
 def _path_source(term, document, capsys):
     code, out, err = _run(capsys, "path", document, "--from", term, "--to", "<urn:s>")
     assert (code, out) == (2, "")
-    unknown = re.fullmatch(r"error: unknown element (\S+)\n", err)
+    unknown = re.fullmatch(r"error: --from: unknown element (\S+)\n", err)
     return graphstore.Iri(unknown[1]) if unknown else err
 
 
@@ -212,7 +238,7 @@ def test_every_surface_reads_a_term_alike(capsys, tmp_path, term, meaning):
             "rule": f"line 1, col 35: {meaning}",
             "bgp": f"--bgp: {meaning}",
             "path-expr": f"{meaning} in {term!r}",
-            "path-from": f"error: {meaning}\n",
+            "path-from": f"error: --from: {meaning}\n",
         }
 
 
@@ -302,6 +328,46 @@ def test_path_no_path_exits_one(capsys):
     )
     assert code == 1
     assert "NO PATH" in out
+
+
+_IP4 = "<http://geni-orca.renci.org/owl/ip4.owl#IPNetworkElement>"
+
+
+def _bare_crossing(layer_a, layer_b):
+    """renci.ndl with Link/A dropped: Server/A and the switch meet over
+    their linkedTo interfaces alone, each stating a label pool and a layer."""
+    lines = (FIXTURES / "renci.ndl").read_text().splitlines(True)
+    text = "".join(line for line in lines if not line.startswith("rnc:Link/A "))
+    for iface, layer in (("Server/A/f1/ethernet", layer_a), ("10GB/1/0/ethernet", layer_b)):
+        text += f'rnc:{iface} topo:availableLabelSet "100-110" .\nrnc:{iface} topo:atLayer {layer} .\n'
+    return text
+
+
+@pytest.mark.parametrize(
+    "text, found",
+    [
+        ((FIXTURES / "renci.ndl").read_text(), True),
+        # an intermediate device switching at another layer than its links
+        (
+            (FIXTURES / "renci.ndl").read_text().replace(
+                "rnc:Renci/6509/matrix rdf:type eth:EthernetNetworkElement .",
+                f"rnc:Renci/6509/matrix rdf:type {_IP4} .",
+            ),
+            False,
+        ),
+        (_bare_crossing("eth:EthernetNetworkElement", "eth:EthernetNetworkElement"), True),
+        # a bare crossing whose two interfaces state different layers
+        (_bare_crossing("eth:EthernetNetworkElement", _IP4), False),
+    ],
+    ids=["fixture", "switch-at-another-layer", "bare-crossing", "bare-crossing-across-layers"],
+)
+def test_path_refuses_a_layer_mismatch(capsys, tmp_path, text, found):
+    substrate = tmp_path / "renci.ndl"
+    substrate.write_text(text)
+    expected = [*_RENCI_PATH[:-1], "BANDWIDTH 0"] if found else ["NO PATH"]
+    assert _run(capsys, "path", substrate, "--from", "rnc:Server/A", "--to", "rnc:Server/B") == (
+        0 if found else 1, "".join(f"{line}\n" for line in expected), ""
+    )
 
 
 @pytest.mark.parametrize("limit", ["0", "-3"])
@@ -432,6 +498,70 @@ def test_delegate_output_parses(capsys):
     delegation = parse_document(out)
     assert len(delegation) > 0
     assert "urn:orca:site:a/Switch/toB" in out
+
+
+@pytest.mark.parametrize(
+    "golden", ["renci-delegation.ndl", "ring-a-delegation.ndl", "ring-b-delegation.ndl", "ring-c-delegation.ndl"]
+)
+def test_delegate_matches_golden(capsys, golden):
+    substrate = FIXTURES / golden.replace("-delegation", "")
+    assert _run(capsys, "delegate", substrate) == (0, (FIXTURES / "golden" / golden).read_text(), "")
+
+
+_FAR_HOST = """\
+rnc:Far rdf:type topo:Device .
+rnc:Far topo:hasInterface rnc:Far/eth0 .
+rnc:Far comp:provisions comp:VM .
+rnc:Far comp:availableUnits "4"^^xsd:integer .
+rnc:Far/eth0 rdf:type topo:Interface .
+"""
+
+_LINK_TO_FAR_HOST = """\
+rnc:Renci/6509 topo:hasInterface rnc:10GB/1/2/ethernet .
+rnc:10GB/1/2/ethernet rdf:type topo:Interface .
+rnc:10GB/1/2/ethernet topo:linkedTo rnc:Far/eth0 .
+rnc:Link/F rdf:type topo:NetworkConnection .
+rnc:Link/F topo:hasEndpoint rnc:10GB/1/2/ethernet .
+rnc:Link/F topo:hasEndpoint rnc:Far/eth0 .
+rnc:Link/F topo:atLayer eth:EthernetNetworkElement .
+rnc:Link/F topo:availableBandwidth "10000"^^xsd:integer .
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, code, out, err",
+    [
+        # a translator inside the domain makes the domain one: one line more
+        (
+            "rnc:Renci/6509 rdf:type topo:LabelTranslator .\n",
+            0,
+            "<http://geni-orca.renci.org/sites/renci/Renci> rdf:type topo:LabelTranslator .\n",
+            "",
+        ),
+        # a device stating no inDomain is outside the domain: no units, no owner
+        (_FAR_HOST, 0, "", ""),
+        (
+            _FAR_HOST + _LINK_TO_FAR_HOST,
+            2,
+            None,
+            "link endpoint http://geni-orca.renci.org/sites/renci/Far/eth0"
+            " belongs to 0 elements, expected 1",
+        ),
+    ],
+    ids=["translator", "device-outside-the-domain", "link-to-a-device-outside-the-domain"],
+)
+def test_delegate_reads_only_the_domains_own_devices(capsys, tmp_path, extra, code, out, err):
+    substrate = tmp_path / "renci.ndl"
+    substrate.write_text((FIXTURES / "renci.ndl").read_text() + extra)
+    if code == 0:
+        # the golden's lines and out's, the triples sorted as the serializer sorts them
+        lines = (FIXTURES / "golden" / "renci-delegation.ndl").read_text().splitlines(True)
+        prefixes = [line for line in lines if line.startswith("@prefix ")]
+        triples = sorted([*lines[len(prefixes):], *out.splitlines(True)])
+        expected = (0, "".join(prefixes + triples), "")
+    else:
+        expected = (code, "", f"error: {substrate}: {err}\n")
+    assert _run(capsys, "delegate", substrate) == expected
 
 
 def test_embed_one_shot(capsys, tmp_path):
@@ -913,7 +1043,7 @@ _PATH_ARGS = (
 )
 
 
-_RENCI, _PAIR = FIXTURES / "renci.ndl", FIXTURES / "request-pair.ndl"
+_PAIR = FIXTURES / "request-pair.ndl"
 
 
 @pytest.mark.parametrize(

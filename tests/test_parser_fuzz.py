@@ -107,7 +107,7 @@ def test_cli_refuses_a_deeply_nested_path_expression(expr):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = main(argv)
-    assert (code, out.getvalue()) == (2, f"error: path expression nested deeper than 64 levels: {expr!r}\n")
+    assert (code, out.getvalue()) == (2, f"error: --path-expr: path expression nested deeper than 64 levels: {expr!r}\n")
 
 
 def test_cli_answers_a_long_flat_path_sequence():
