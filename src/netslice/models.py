@@ -145,12 +145,6 @@ def residual_of(m: Model) -> dict:
 # -- substrate ------------------------------------------------------------------
 
 
-class SubstrateDevice(NamedTuple):
-    iri: Iri
-    interfaces: tuple
-    label_translator: bool
-
-
 class ComputePool(NamedTuple):
     node: Iri  # attachment point; a device with interfaces
     provides: Iri  # compute element class provisioned from this pool
@@ -165,10 +159,10 @@ class BorderInterface(NamedTuple):
 
 class SubstrateGraph(NamedTuple):
     domain: Iri
-    devices: tuple
-    links: tuple  # each link's two interfaces, sorted by IRI, in link IRI order
     pools: tuple
-    borders: tuple
+    borders: tuple  # in IRI order
+    reachable: tuple  # (border, border) IRI pairs, in border order, whose owners links join
+    translator: bool  # whether a device in the domain is a LabelTranslator
     residual: dict  # residual_of the model: the only copy of its figures
     class_axioms: tuple = ()  # subclass triples for provider-defined pool classes
 
@@ -187,13 +181,15 @@ def _pool_problems(kind: str, subject: Iri, layer, pool: LabelSet):
 
 def parse_substrate(m: Model) -> SubstrateGraph:
     """Typed view of an entailed substrate advertisement: the domain's
-    devices, links, compute pools (in node IRI, then class IRI order, the
-    AM's first-fit order) and border interfaces, and its checked
-    residual_of figures.
+    compute pools (in node IRI, then class IRI order, the AM's first-fit
+    order), its border interfaces, which pairs of borders reach each other
+    (their owners are joined by links between the domain's devices),
+    whether a device in it translates labels, and its checked residual_of
+    figures. Devices and links are checked but not kept: the search reads
+    them, their layers and adaptations from the model.
 
     Raises SubstrateError listing every problem found in the links,
-    borders, label pools and adaptations. Adaptations are checked but not
-    kept: the search reads them, and device layers, from the model."""
+    borders, label pools and adaptations."""
     residual = residual_of(m)
     problems = []
     domains = m.typed(NETWORK_DOMAIN)
@@ -201,7 +197,7 @@ def parse_substrate(m: Model) -> SubstrateGraph:
         raise SubstrateError([f"expected exactly one NetworkDomain, found {len(domains)}"])
     domain = domains[0]
 
-    devices = []
+    devices = set()
     for d in m.typed(DEVICE):
         if m.value(d, IN_DOMAIN) != domain:
             continue
@@ -215,15 +211,7 @@ def parse_substrate(m: Model) -> SubstrateGraph:
             # no capacity, or 0, reads as 1, as in the search
             if (int_value(m.value(a, vocab.ADAPTATION_CAPACITY)) or 0) < 0:
                 problems.append(f"adaptation {a.value} capacity must not be negative")
-        devices.append(
-            SubstrateDevice(
-                iri=d,
-                interfaces=tuple(o for o in m.objects(d, HAS_INTERFACE) if isinstance(o, Iri)),
-                label_translator=LABEL_TRANSLATOR in m.types(d),
-            )
-        )
-    devices.sort(key=lambda d: d.iri.value)
-    device_iris = {d.iri for d in devices}
+        devices.add(d)
 
     pools = []
     for node in sorted({t.subject for t in m.match(p=PROVISIONS)}, key=lambda s: s.value):
@@ -232,26 +220,35 @@ def parse_substrate(m: Model) -> SubstrateGraph:
         for cls in m.objects(node, PROVISIONS):
             if isinstance(cls, Iri):
                 pools.append(ComputePool(node=node, provides=cls))
-    attach_points = device_iris | {p.node for p in pools}
+    attach_points = devices | {p.node for p in pools}
 
-    links = []
+    root = {}  # a union-find over the devices that links join
+
+    def find(x):
+        while root.get(x, x) != x:
+            root[x] = root.get(root[x], root[x])  # path halving
+            x = root[x]
+        return x
+
     for link in m.typed(NETWORK_CONNECTION):
         if BROADCAST_CONNECTION in m.types(link):
             problems.append(f"substrate link {link.value} may not be a broadcast connection")
             continue
-        ifaces = sorted(
-            (o for o in m.objects(link, vocab.HAS_ENDPOINT) if isinstance(o, Iri)),
-            key=lambda i: i.value,
-        )
+        ifaces = [o for o in m.objects(link, vocab.HAS_ENDPOINT) if isinstance(o, Iri)]
         if len(ifaces) != 2:
             problems.append(f"link {link.value} has {len(ifaces)} interfaces, expected 2")
             continue
+        joined = []
         for iface in ifaces:
             owners = _interface_owner(m, iface, attach_points)
             if len(owners) != 1:
                 problems.append(
                     f"link endpoint {iface.value} belongs to {len(owners)} elements, expected 1"
                 )
+            elif owners[0] in devices:
+                joined.append(find(owners[0]))
+        if len(joined) == 2:
+            root[joined[0]] = joined[1]
         a, b = ifaces
         if Triple(a, LINKED_TO, b) not in m and Triple(b, LINKED_TO, a) not in m:
             problems.append(f"link {link.value} endpoints are not linkedTo each other")
@@ -263,13 +260,7 @@ def parse_substrate(m: Model) -> SubstrateGraph:
             problems.append(f"link {link.value} has no non-negative availableBandwidth")
         pool = residual.get(("label", link), NO_LABELS)
         problems.extend(_pool_problems("link", link, layer, pool))
-        links.append((a, b))
 
-    local_ifaces = {
-        t.object
-        for t in m.match(p=HAS_INTERFACE)
-        if t.subject in attach_points and isinstance(t.object, Iri)
-    }
     borders = []
     for bif in m.typed(BORDER_INTERFACE):
         owners = _interface_owner(m, bif, attach_points)
@@ -279,8 +270,10 @@ def parse_substrate(m: Model) -> SubstrateGraph:
         layer = m.value(bif, AT_LAYER)
         pool = residual.get(("label", bif), NO_LABELS)
         problems.extend(_pool_problems("border interface", bif, layer, pool))
-        remotes = [
-            r for r in m.objects(bif, LINKED_TO) if isinstance(r, Iri) and r not in local_ifaces
+        remotes = [  # a peer no element of the domain owns
+            r
+            for r in m.objects(bif, LINKED_TO)
+            if isinstance(r, Iri) and not _interface_owner(m, r, attach_points)
         ]
         borders.append(
             BorderInterface(
@@ -290,7 +283,6 @@ def parse_substrate(m: Model) -> SubstrateGraph:
                 remote=remotes[0] if remotes else None,
             )
         )
-    borders.sort(key=lambda b: b.iri.value)
 
     if problems:
         raise SubstrateError(sorted(problems))
@@ -307,16 +299,20 @@ def parse_substrate(m: Model) -> SubstrateGraph:
                 if t not in builtin:
                     axioms.append(t)
     axioms = tuple(sorted(set(axioms), key=lambda t: (t.subject.value, t.predicate.value, str(t.object))))
-    return SubstrateGraph(
-        domain, tuple(devices), tuple(links), tuple(pools), tuple(borders), residual, axioms
+    reachable = tuple(
+        (b1.iri, b2.iri)
+        for i, b1 in enumerate(borders)
+        for b2 in borders[i + 1 :]
+        if find(b1.owner) == find(b2.owner)
     )
+    translator = any(LABEL_TRANSLATOR in m.types(d) for d in devices)
+    return SubstrateGraph(domain, tuple(pools), tuple(borders), reachable, translator, residual, axioms)
 
 
 def build_delegation(s: SubstrateGraph, free: Optional[dict] = None) -> Model:
     """Compress a substrate into the abstract delegation advertised to a broker:
-    one domain node, its border interfaces, aggregate compute units, and
-    border-pair internal reachability: two borders are reachable when
-    substrate links join their owners, from one labelling of components.
+    one domain node, its border interfaces, aggregate compute units, the
+    view's border-pair internal reachability and its translator flag.
     Figures come from `free`, keyed like residual_of, by default the
     substrate's own."""
     if free is None:
@@ -332,26 +328,7 @@ def build_delegation(s: SubstrateGraph, free: Optional[dict] = None) -> Model:
             triples.append((b.iri, AVAILABLE_LABEL_SET, string(render_label_set(pool))))
         if b.remote is not None:
             triples.append((b.iri, LINKED_TO, b.remote))
-    # internal reachability between borders: a union-find root per owner
-    root = {}
-
-    def find(x):
-        while root.get(x, x) != x:
-            root[x] = root.get(root[x], root[x])  # path halving
-            x = root[x]
-        return x
-
-    owner_of = {i: d.iri for d in s.devices for i in d.interfaces}
-    for p in s.pools:
-        owner_of.setdefault(p.node, p.node)
-    for a, b in s.links:
-        da, db = owner_of.get(a), owner_of.get(b)
-        if da and db:
-            root[find(da)] = find(db)
-    for i, b1 in enumerate(s.borders):
-        for b2 in s.borders[i + 1 :]:
-            if find(b1.owner) == find(b2.owner):
-                triples.append((b1.iri, INTERNALLY_REACHABLE, b2.iri))
+    triples += [(b1, INTERNALLY_REACHABLE, b2) for b1, b2 in s.reachable]
     # one delegated pool per distinct set of provided classes, so a host
     # that provisions several classes advertises its units once
     hosts = {}  # node -> (the classes it provisions, its units)
@@ -366,7 +343,7 @@ def build_delegation(s: SubstrateGraph, free: Optional[dict] = None) -> Model:
         triples += [(pool_node, RDF_TYPE, SERVER_CLOUD), (pool_node, IN_DOMAIN, s.domain)]
         triples += [(pool_node, PROVISIONS, c) for c in provided]
         triples.append((pool_node, AVAILABLE_UNITS, integer(total)))
-    if any(d.label_translator for d in s.devices):
+    if s.translator:
         triples.append((s.domain, RDF_TYPE, LABEL_TRANSLATOR))
     triples.extend(s.class_axioms)
     m = Model(dict(vocab.BASE_PREFIXES))

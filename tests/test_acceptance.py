@@ -244,9 +244,13 @@ def test_criterion_8_scale_smoke():
     rng = random.Random(0x5CA1E)
     world, sites = federation_world(20, 8, 4)
     assert len(world.ams) == 20
-    devices = sum(len(am.state.substrate.devices) for am in world.ams.values())
+    # counted in each AM's closed model: the substrate view keeps no devices or links
+    models = [(am.domain, am.state.model) for am in world.ams.values()]
+    devices = sum(
+        m.value(d, vocab.IN_DOMAIN) == domain for domain, m in models for d in m.typed(vocab.DEVICE)
+    )
     assert devices == 200
-    links = sum(len(am.state.substrate.links) for am in world.ams.values())
+    links = sum(len(m.typed(vocab.NETWORK_CONNECTION)) for _, m in models)
     crossings = sum(len(am.state.substrate.borders) for am in world.ams.values())
     assert links + crossings >= 400
 

@@ -57,17 +57,11 @@ def renci_graph():
 
 def test_parse_substrate_devices_links_layer(renci_graph):
     assert renci_graph.domain == rnc("Renci")
-    assert [d.iri for d in renci_graph.devices] == [
-        rnc("Renci/6509"),
-        rnc("Server/A"),
-        rnc("Server/B"),
-    ]
+    # no borders, so no pair of them reaches the other; no translator
+    assert (renci_graph.borders, renci_graph.reachable, renci_graph.translator) == ((), (), False)
     m = _closed(_load("renci.ndl"))
     links = m.typed(vocab.NETWORK_CONNECTION)
     assert len(links) == 2
-    assert renci_graph.links == tuple(
-        tuple(sorted(m.objects(l, vocab.HAS_ENDPOINT), key=lambda i: i.value)) for l in links
-    )
     assert all(m.value(l, vocab.AT_LAYER) == vocab.ETHERNET_ELEMENT for l in links)
     residual = renci_graph.residual
     assert all(residual[("bw", l)] == 10000 for l in links)
@@ -308,7 +302,7 @@ def test_residual_of_reads_the_stated_figures():
     graph = parse_substrate(m)
     assert graph.residual == residual
     links = m.typed(vocab.NETWORK_CONNECTION)
-    assert len(graph.links) == len(links) > 0
+    assert len(links) > 0
     assert all(("bw", l) in graph.residual for l in links)
     # a figure that is not an integer is left out, so it reads as 0
     m.add(Triple(to_c, vocab.AVAILABLE_UNITS, string("many")))
