@@ -336,7 +336,7 @@ _IP4 = "<http://geni-orca.renci.org/owl/ip4.owl#IPNetworkElement>"
 def _bare_crossing(layer_a, layer_b):
     """renci.ndl with Link/A dropped: Server/A and the switch meet over
     their linkedTo interfaces alone, each stating a label pool and a layer."""
-    lines = (FIXTURES / "renci.ndl").read_text().splitlines(True)
+    lines = _RENCI.read_text().splitlines(True)
     text = "".join(line for line in lines if not line.startswith("rnc:Link/A "))
     for iface, layer in (("Server/A/f1/ethernet", layer_a), ("10GB/1/0/ethernet", layer_b)):
         text += f'rnc:{iface} topo:availableLabelSet "100-110" .\nrnc:{iface} topo:atLayer {layer} .\n'
@@ -346,10 +346,10 @@ def _bare_crossing(layer_a, layer_b):
 @pytest.mark.parametrize(
     "text, found",
     [
-        ((FIXTURES / "renci.ndl").read_text(), True),
+        (_RENCI.read_text(), True),
         # an intermediate device switching at another layer than its links
         (
-            (FIXTURES / "renci.ndl").read_text().replace(
+            _RENCI.read_text().replace(
                 "rnc:Renci/6509/matrix rdf:type eth:EthernetNetworkElement .",
                 f"rnc:Renci/6509/matrix rdf:type {_IP4} .",
             ),
@@ -529,38 +529,35 @@ rnc:Link/F topo:availableBandwidth "10000"^^xsd:integer .
 
 
 @pytest.mark.parametrize(
-    "extra, code, out, err",
+    "extra, added, error",
     [
         # a translator inside the domain makes the domain one: one line more
         (
             "rnc:Renci/6509 rdf:type topo:LabelTranslator .\n",
-            0,
             "<http://geni-orca.renci.org/sites/renci/Renci> rdf:type topo:LabelTranslator .\n",
-            "",
+            None,
         ),
         # a device stating no inDomain is outside the domain: no units, no owner
-        (_FAR_HOST, 0, "", ""),
+        (_FAR_HOST, "", None),
         (
             _FAR_HOST + _LINK_TO_FAR_HOST,
-            2,
             None,
-            "link endpoint http://geni-orca.renci.org/sites/renci/Far/eth0"
-            " belongs to 0 elements, expected 1",
+            "link endpoint http://geni-orca.renci.org/sites/renci/Far/eth0 belongs to 0 elements, expected 1",
         ),
     ],
     ids=["translator", "device-outside-the-domain", "link-to-a-device-outside-the-domain"],
 )
-def test_delegate_reads_only_the_domains_own_devices(capsys, tmp_path, extra, code, out, err):
+def test_delegate_reads_only_the_domains_own_devices(capsys, tmp_path, extra, added, error):
     substrate = tmp_path / "renci.ndl"
-    substrate.write_text((FIXTURES / "renci.ndl").read_text() + extra)
-    if code == 0:
-        # the golden's lines and out's, the triples sorted as the serializer sorts them
+    substrate.write_text(_RENCI.read_text() + extra)
+    if error is None:
+        # the golden's lines and the added ones, the triples sorted as the serializer sorts them
         lines = (FIXTURES / "golden" / "renci-delegation.ndl").read_text().splitlines(True)
         prefixes = [line for line in lines if line.startswith("@prefix ")]
-        triples = sorted([*lines[len(prefixes):], *out.splitlines(True)])
+        triples = sorted([*lines[len(prefixes):], *added.splitlines(True)])
         expected = (0, "".join(prefixes + triples), "")
     else:
-        expected = (code, "", f"error: {substrate}: {err}\n")
+        expected = (2, "", f"error: {substrate}: {error}\n")
     assert _run(capsys, "delegate", substrate) == expected
 
 
