@@ -30,7 +30,8 @@ Residual capacity is typed data, never rewritten triples: a mapping keyed
 like allocation ops, ("bw" | "label" | "units", subject), holds what is
 free. The path search reads one beside the model; a DomainState keeps one
 per domain, the broker's ledgers share one, and the broker deducts a
-request's own crossings from a scratch copy of it. Only
+request's own crossings from a scratch copy of it. What is in use is not
+kept beside it: it is the fold of the per-token journals of ops. Only
 `DomainState.snapshot()` writes residual figures back into a model, for
 serializing; a delegation reads them from the map.
 """
@@ -396,14 +397,15 @@ class DomainState:
     """One domain's substrate (or, at the broker, one delegation ledger) plus
     its residual state.
 
-    The model is the document and is never rewritten. Residual state lives
-    in three mappings keyed like allocation ops: `original` (the figures the
-    document states), `free` and `used` (only entries in use), with
-    free + used == original throughout: a sum of integers for bandwidth and
-    units, a disjoint union of LabelSets for a label pool, so taking or
-    returning a label costs the same on a 4,093-label pool as on a
-    one-label one. `snapshot()` projects them back to
-    triples so that a released state serializes byte-identically to the
+    The model is the document and is never rewritten. Residual state is the
+    figures the document states (`original`) and the free ones (`free`),
+    both keyed like allocation ops, plus each token's journal of the ops
+    applied under it (`active`). The figures in use (`used`) are the fold
+    of the journals, and free + used == original throughout: a sum of
+    integers for bandwidth and units, a disjoint union of LabelSets for a
+    label pool, so taking or returning a label costs the same on a
+    4,093-label pool as on a one-label one. `snapshot()` projects them back
+    to triples so that a released state serializes byte-identically to the
     document. `share` moves `free` into a map that other states write to as
     well, so only the state's own keys are its figures.
     """
@@ -413,37 +415,43 @@ class DomainState:
         self.model = model
         self.original = original
         self.free: dict = dict(self.original)
-        self.used: dict = {}
         self.active: dict[str, list] = {}  # token -> ops applied under it
         self._address_counter = 0
 
     def _step(self, op, sign: int) -> None:
-        """Apply (sign 1) or revert (sign -1) one op; applying raises
-        OverAllocation when the op does not fit."""
+        """Apply (sign 1) or revert (sign -1) one op on `free`; applying
+        raises OverAllocation when the op does not fit."""
         kind, subject, amount = op
         if kind not in RESIDUAL_PROPERTIES:
             raise ValueError(f"unknown op {op!r}")
         key = (kind, subject)
         if kind == "label":
-            free, used = self.free.get(key, NO_LABELS), self.used.get(key, NO_LABELS)
-            if sign > 0:
-                if amount not in free:
-                    raise OverAllocation(f"{subject.value}: label {amount} not available")
-                free, used = free.take(amount), used.put(amount)
-            else:
-                used = used.take(amount)
-                if used or key not in self.original:  # else the document's figure comes back below
-                    free = free.put(amount)
+            free = self.free.get(key, NO_LABELS)
+            if sign < 0:
+                free = free.put(amount)
+            elif free is (free := free.take(amount)):  # take returns the set itself without the label
+                raise OverAllocation(f"{subject.value}: label {amount} not available")
         else:
             free, unit = self.free.get(key, 0), "Mbps" if kind == "bw" else "units"
             if sign > 0 and amount > free:
                 raise OverAllocation(f"{subject.value}: {amount} {unit} requested, {free} available")
-            free, used = free - sign * amount, self.used.get(key, 0) + sign * amount
-        if used:
-            self.free[key], self.used[key] = free, used
-        else:  # all returned: share the document's figure again
-            self.used.pop(key, None)
-            self.free[key] = self.original.get(key, free)
+            free -= sign * amount
+        original = self.original.get(key)
+        self.free[key] = original if free == original else free  # all returned: share the document's figure
+
+    @property
+    def used(self) -> dict:
+        """The journals folded by key: the figures in use, a non-zero count
+        or a non-empty label set each. Computed afresh on every read."""
+        used = {}
+        for journal in self.active.values():
+            for kind, subject, amount in journal:
+                key = (kind, subject)
+                if kind == "label":
+                    used[key] = used.get(key, NO_LABELS).put(amount)
+                else:
+                    used[key] = used.get(key, 0) + amount
+        return {key: figure for key, figure in used.items() if figure}
 
     def share(self, free: dict) -> None:
         """Keep the free figures in `free` from now on: they are written into
@@ -488,15 +496,16 @@ class DomainState:
         use: available figures (an empty label set dropped) and in-use ones.
         With nothing in use this is the model itself, which callers must
         not mutate."""
-        if not self.used:
+        used = self.used
+        if not used:
             return self.model
         m = self.model.copy()
-        for (kind, subject), used in self.used.items():
+        for (kind, subject), figure in used.items():
             available, in_use = RESIDUAL_PROPERTIES[kind]
             for prop in (available, in_use):
                 for t in list(m.match(s=subject, p=prop)):
                     m.remove(t)
-            figures = ((available, self.free[(kind, subject)]), (in_use, used))
+            figures = ((available, self.free[(kind, subject)]), (in_use, figure))
             if kind == "label" and not figures[0][1]:  # an exhausted label set is dropped
                 figures = figures[1:]
             # loaded key by key, so no later removal empties an index leaf they refill
@@ -509,22 +518,21 @@ class DomainState:
         out of use whose free entry is still the document's own object holds
         unless that figure is negative, so only the others are compared."""
         problems = []
-        original, free = self.original, self.free
+        original, free, used = self.original, self.free, self.used
         keys = {
             key for key, orig in original.items()
             if free.get(key) is not orig or (key[0] != "label" and orig < 0)
         }
-        keys.update(self.used)
-        for kind, subject in sorted(keys, key=lambda k: (k[1].value, k[0])):
+        keys.update(used)
+        for key in sorted(keys, key=lambda k: (k[1].value, k[0])):
+            kind, subject = key
             zero = NO_LABELS if kind == "label" else 0
-            orig, free, used = (
-                d.get((kind, subject), zero) for d in (self.original, self.free, self.used)
-            )
+            orig, left, in_use = (d.get(key, zero) for d in (original, free, used))
             if kind == "label":
-                if free | used != orig or free & used:
+                if left | in_use != orig or left & in_use:
                     problems.append(f"labels {subject.value}: partition of {str(orig)!r} broken")
-            elif free + used != orig or free < 0 or used < 0:
-                problems.append(f"{kind} {subject.value}: {free}+{used} != {orig}")
+            elif left + in_use != orig or left < 0 or in_use < 0:
+                problems.append(f"{kind} {subject.value}: {left}+{in_use} != {orig}")
         return problems
 
 

@@ -29,7 +29,7 @@ from netslice.graphstore import (
     int_value,
     term_key,
 )
-from netslice.models import pool_classes
+from netslice.models import RESIDUAL_PROPERTIES, pool_classes
 from netslice.pathquery import Pred, Seq, adjacent
 from netslice.vocab import IN_DOMAIN, satisfies
 
@@ -706,11 +706,12 @@ def _delegated_pools(broker) -> dict:
     read from every ledger's delegation model and in-use figures."""
     pools = {}
     for domain, ledger in broker.ledgers.items():
+        used = ledger.used  # a fold of the ledger's journals on every read
         for pool in ledger.model.subjects(IN_DOMAIN, domain):
             classes = pool_classes(ledger.model, pool)
             if classes:
                 key = ("units", pool)
-                left = ledger.original.get(key, 0) - ledger.used.get(key, 0)
+                left = ledger.original.get(key, 0) - used.get(key, 0)
                 pools[(domain, pool)] = (classes, left)
     return pools
 
@@ -749,6 +750,98 @@ def reference_binding(broker, req):
         else:
             return None
     return binding
+
+
+class ReferenceResidualState:
+    """A domain's residual bookkeeping with a `used` map kept beside `free`
+    and both rewritten on every op, as `embed.DomainState` once did. Label
+    figures are frozensets changed label by label. A figure leaves `used`
+    once all of it is returned, and `free` then holds the document's own
+    object again. The projection and the conservation check read `used`."""
+
+    def __init__(self, model: Model, original: dict):
+        self.model = model
+        self.original = original
+        self.free = dict(original)
+        self.used = {}
+        self.active = {}
+
+    def _step(self, op, sign: int) -> None:
+        kind, subject, amount = op
+        key = (kind, subject)
+        if kind == "label":
+            free, used = set(self.free.get(key, ())), set(self.used.get(key, ()))
+            if sign > 0 and amount not in free:
+                raise embed.OverAllocation(f"{subject.value}: label {amount} not available")
+            (used if sign > 0 else free).add(amount)
+            (free if sign > 0 else used).discard(amount)
+            free, used = frozenset(free), frozenset(used)
+        else:
+            free = self.free.get(key, 0)
+            if sign > 0 and amount > free:
+                raise embed.OverAllocation(f"{subject.value}: {amount} requested, {free} available")
+            free, used = free - sign * amount, self.used.get(key, 0) + sign * amount
+        if used:
+            self.free[key], self.used[key] = free, used
+        else:
+            self.used.pop(key, None)
+            self.free[key] = self.original.get(key, free)
+
+    def apply_ops(self, token: str, ops) -> None:
+        done = []
+        try:
+            for op in ops:
+                self._step(op, 1)
+                done.append(op)
+        except embed.OverAllocation:
+            for op in reversed(done):
+                self._step(op, -1)
+            raise
+        self.active.setdefault(token, []).extend(done)
+
+    def release_token(self, token: str) -> None:
+        if token not in self.active:
+            raise embed.DoubleRelease(token)
+        for op in reversed(self.active.pop(token)):
+            self._step(op, -1)
+
+    def snapshot(self) -> Model:
+        """The model itself when nothing is in use, else a copy with both
+        figures of each key in use rewritten (an empty available label set
+        left out)."""
+        if not self.used:
+            return self.model
+        m = self.model.copy()
+        for (kind, subject), used in self.used.items():
+            available, in_use = RESIDUAL_PROPERTIES[kind]
+            for t in [t for t in m.match(s=subject) if t.predicate in (available, in_use)]:
+                m.remove(t)
+            for prop, figure in ((available, self.free[(kind, subject)]), (in_use, used)):
+                if kind != "label":
+                    m.add(Triple(subject, prop, graphstore.integer(figure)))
+                elif figure:
+                    text = reference_render_label_set(frozenset(figure))
+                    m.add(Triple(subject, prop, graphstore.string(text)))
+        return m
+
+    def conservation_problems(self) -> list:
+        """free + used == original checked on every figure the document
+        states and every one in use."""
+        problems = []
+        for key in sorted(self.original.keys() | self.used.keys(), key=lambda k: (k[1].value, k[0])):
+            kind, subject = key
+            if kind == "label":
+                orig, free, used = (
+                    frozenset(d.get(key, ())) for d in (self.original, self.free, self.used)
+                )
+                if free | used != orig or free & used:
+                    text = reference_render_label_set(orig)
+                    problems.append(f"labels {subject.value}: partition of {text!r} broken")
+            else:
+                orig, free, used = (d.get(key, 0) for d in (self.original, self.free, self.used))
+                if free + used != orig or free < 0 or used < 0:
+                    problems.append(f"{kind} {subject.value}: {free}+{used} != {orig}")
+        return problems
 
 
 def binding_fits(broker, req, binding) -> bool:

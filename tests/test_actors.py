@@ -74,6 +74,28 @@ def test_pair_slice_lifecycle():
     assert world.conservation_problems() == []
 
 
+def test_a_link_stating_no_bandwidth_writes_no_zero_figure():
+    # its ops take bandwidth 0, and a figure nothing takes is not in use
+    world = _pair_world()
+    initial = world.serialized_states()
+    request = _fixture("request-pair.ndl").replace('rq:Link/1 req:bandwidth "1000"^^xsd:integer .\n', "")
+    assert world.submit_request("nobw", request) is not None
+    (am,) = world.ams.values()
+    taken = {(kind, amount) for ops in am.state.active.values() for kind, _, amount in ops}
+    assert ("bw", 0) in taken and ("units", 1) in taken
+    live = world.serialized_states()
+    assert live != initial
+    assert [text for text in live.values() if 'inUseBandwidth "0"' in text] == []
+    world.delete_slice("nobw")
+    # a state that holds only zero figures projects to the document itself
+    bandwidths = [subject for kind, subject in am.state.original if kind == "bw"]
+    am.state.apply_ops("zero", [("bw", subject, 0) for subject in bandwidths])
+    assert am.state.snapshot() is am.state.model
+    am.state.release_token("zero")
+    assert world.serialized_states() == initial
+    assert world.conservation_problems() == []
+
+
 def test_substrate_restating_another_domains_figures_is_refused_before_any_change():
     # the twin names its domain anew but keeps site A's border interfaces
     world = World()
@@ -877,8 +899,9 @@ def _ledger_free(broker) -> dict:
     """Every ledger's free figures recomputed as original minus in use."""
     merged = {}
     for ledger in broker.ledgers.values():
-        for key in ledger.original.keys() | ledger.used.keys():
-            orig, used = ledger.original.get(key), ledger.used.get(key)
+        in_use = ledger.used  # a fold of the ledger's journals on every read
+        for key in ledger.original.keys() | in_use.keys():
+            orig, used = ledger.original.get(key), in_use.get(key)
             if key[0] == "label":
                 merged[key] = vocab.LabelSet(set(orig or ()) - set(used or ()))
             else:

@@ -42,6 +42,7 @@ from generators import (
     random_layered_instance,
 )
 from oracles import (
+    ReferenceResidualState,
     best_first_simple_paths,
     binding_fits,
     oracle_best_hop_count,
@@ -660,7 +661,10 @@ def test_conservation_reports_broken_records():
         lambda s: s.free.__setitem__(("bw", link), 999),
         lambda s: s.free.__setitem__(("label", link), LabelSet({5, 9})),
         lambda s: s.free.pop(("bw", other)),
-        lambda s: s.used.__setitem__(("bw", link), 10),
+        # a journal that holds a label `free` never paid
+        lambda s: s.active.__setitem__("forged", [("label", link, 6)]),
+        # a live token's journal that lost an op `free` paid
+        lambda s: (s.apply_ops("t", [("bw", other, 10), ("label", other, 7)]), s.active["t"].pop(0)),
     ]
     for corrupt in corruptions:
         state = prepare_domain(parse_document(text))
@@ -793,6 +797,63 @@ def test_projection_after_random_ops_and_release_is_the_document(fixture):
         state.release_token(token)
     assert state.used == {}
     assert serialize_document(state.snapshot()) == document
+
+
+@pytest.mark.parametrize("fixture", ["renci.ndl", "ring-a.ndl"])
+def test_journal_fold_agrees_with_a_kept_used_map(fixture):
+    # the reference rewrites a used map beside free on every op; the engine
+    # keeps only the journals and folds them when asked
+    state = prepare_domain(parse_document((FIXTURES / fixture).read_text()))
+    reference = ReferenceResidualState(state.model, state.original)
+    keys = sorted(state.original, key=lambda k: (k[1].value, k[0]))
+    stranger = Iri("urn:stranger/link")  # a subject no figure of the document names
+    rng = random.Random(f"fold-{fixture}")
+
+    def same_outcome(call, *args):
+        outcomes = []
+        for target in (state, reference):
+            try:
+                getattr(target, call)(*args)
+                outcomes.append(None)
+            except (OverAllocation, DoubleRelease) as e:
+                outcomes.append(type(e))
+        assert outcomes[0] == outcomes[1], (call, args, outcomes)
+        return outcomes[0]
+
+    def as_sets(figures):
+        return {k: frozenset(v) if k[0] == "label" else v for k, v in figures.items()}
+
+    outcomes, released, zero_taken = set(), [], False
+    for step in range(300):
+        roll = rng.random()
+        if released and roll < 0.1:
+            outcomes.add(same_outcome("release_token", rng.choice(released)))
+        elif state.active and roll < 0.4:
+            token = rng.choice(sorted(state.active))
+            released.append(token)
+            outcomes.add(same_outcome("release_token", token))
+        else:
+            ops = []
+            for kind, subject in rng.sample(keys, min(rng.randint(1, 4), len(keys))):
+                original = state.original[(kind, subject)]
+                if kind == "label":
+                    pool = sorted(original) or [0]
+                    ops.append((kind, subject, rng.choice(pool + [pool[-1] + 1])))
+                else:
+                    ops.append((kind, subject, rng.choice([0, 0, 1, max(original, 0) // 3, original + 1])))
+            if rng.random() < 0.1:
+                ops.append(("bw", stranger, 0))
+            ops = rng.sample(ops, len(ops))
+            outcome = same_outcome("apply_ops", f"t{step}", ops)
+            outcomes.add(outcome)
+            zero_taken |= outcome is None and any(k != "label" and not n for k, _, n in ops)
+        assert as_sets(state.used) == as_sets(reference.used)
+        assert as_sets(state.free) == as_sets(reference.free)
+        for key, figure in reference.free.items():
+            assert (state.free[key] is state.original.get(key)) == (figure is state.original.get(key)), key
+        assert serialize_document(state.snapshot()) == serialize_document(reference.snapshot())
+        assert state.conservation_problems() == reference.conservation_problems() == []
+    assert outcomes == {None, OverAllocation, DoubleRelease} and zero_taken
 
 
 def test_double_release_on_a_ledger_is_double_release():
