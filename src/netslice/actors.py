@@ -69,14 +69,6 @@ class RedeemError(Exception):
         super().__init__(f"{kind}: {detail}" if detail else kind)
 
 
-class TicketError(Exception):
-    pass
-
-
-class DelegationRejected(Exception):
-    pass
-
-
 class SliceError(Record, Exception):
     __slots__ = ("step", "detail", "violations", "issues")
 
@@ -121,27 +113,13 @@ class Ticket(Record):
         self.segments = segments
 
 
-SLICE_ARCS = {
-    "Requested": {"Validated", "Closed"},
-    "Validated": {"Ticketed", "Closed"},
-    "Ticketed": {"Provisioned", "Closed"},
-    "Provisioned": {"Closed"},
-    "Closed": set(),
-}
-
-
 class SliceRecord(Record):
     __slots__ = ("slice_id", "state", "tickets", "failure")
 
     def __init__(self, slice_id: str):
+        # Requested while its create runs, then Provisioned or Closed
         self.slice_id, self.state, self.failure = slice_id, "Requested", None
         self.tickets = []  # the Tickets held until the slice closes
-
-    def transition(self, new_state: str) -> None:
-        allowed = SLICE_ARCS[self.state]
-        if new_state not in allowed:
-            raise AssertionError(f"illegal slice transition {self.state} -> {new_state}")
-        self.state = new_state
 
 
 class AggregateManager:
@@ -262,18 +240,19 @@ def _require_figures(figures: dict, ops) -> None:
 class Broker:
     """Coordinates allocations across providers by ticketing delegations."""
 
-    def __init__(self, broker_id: str = "broker"):
-        self.broker_id = broker_id
+    broker_id = "broker"
+
+    def __init__(self):
         self.ledgers: dict[Iri, DomainState] = {}  # delegation residual, by domain
         self.free: dict = {}  # every ledger's free figures; the ledgers write through to it
         self._ticket_counter = 0
-        self._routing: Optional[Model] = None  # closed merge of the ledger models
+        self._routing = None  # the routing view, built at the first read after a registration
 
     def register_delegation(self, text: str) -> Iri:
         """Register (or replace) a domain's delegation. A replacement takes
-        over the outstanding tickets' ops, and is rejected when it cannot
-        hold them or drops a figure one of them draws on. A delegation that
-        states a figure another domain's delegation states is rejected."""
+        over the outstanding tickets' ops. A SubstrateError refuses a
+        malformed delegation, a replacement that cannot hold those ops or
+        drops a figure one draws on, and a figure another domain delegates."""
         closed = close(parse_document(text))
         residual = residual_of(closed)
         domain = parse_delegation(closed)
@@ -282,15 +261,15 @@ class Broker:
         held = prior.original if prior is not None else {}
         key = next((k for k in residual if k in self.free and k not in held), None)
         if key is not None:
-            raise DelegationRejected(f"{key[1].value} {key[0]} figure delegated by another domain")
+            raise SubstrateError([f"{key[1].value} {key[0]} figure delegated by another domain"])
         outstanding = prior.active if prior is not None else {}
         for token in sorted(outstanding):
             try:
                 _require_figures(residual, outstanding[token])
                 ledger.apply_ops(token, outstanding[token])
             except OverAllocation as e:
-                raise DelegationRejected(
-                    f"{domain.value}: re-delegation below outstanding commitments: {e}"
+                raise SubstrateError(
+                    [f"{domain.value}: re-delegation below outstanding commitments: {e}"]
                 ) from e
         for key in held:
             del self.free[key]
@@ -299,13 +278,14 @@ class Broker:
         self._routing = None
         return domain
 
-    def routing_view(self) -> Optional[Model]:
+    def routing_view(self) -> Model:
         """`close` of the registered delegations, rebuilt only after a
-        registration. Shared: callers must not mutate it. Every rule joins
-        one instance triple with schema, so the ledgers, each closed onto the
+        registration; before any, the closed T-box alone, which states no
+        domain. Shared: callers must not mutate it. Every rule joins one
+        instance triple with schema, so the ledgers, each closed onto the
         T-box, merge onto it as that closure unless one owns the index level
         of a schema relation (states schema the T-box lacks)."""
-        if self._routing is None and self.ledgers:
+        if self._routing is None:
             tbox = entailed_schema()
             models = [self.ledgers[d].model for d in sorted(self.ledgers, key=lambda d: d.value)]
             if all(m._pos.get(r) is tbox._pos.get(r) for m in models for r in _SCHEMA_RELATIONS):
@@ -323,10 +303,11 @@ class Broker:
         self, slice_id: str, domain: Iri, placements, border_allocs, segments, term: Term
     ) -> Ticket:
         """Ticket one domain's share of a slice: a unit from each placement's
-        (request node, compute class, delegated pool), and its border sides."""
+        (request node, compute class, delegated pool), and its border sides.
+        Raises OverAllocation, taking nothing, when no ledger covers them."""
         ledger = self.ledgers.get(domain)
         if ledger is None:
-            raise TicketError(f"no delegation registered for {domain.value}")
+            raise OverAllocation(f"no delegation registered for {domain.value}")
         ops = [("units", pool, 1) for _, _, pool in placements]
         for iface, bandwidth, label in border_allocs:
             ops.extend(border_ops(iface, bandwidth, label))
@@ -340,11 +321,8 @@ class Broker:
             segments=list(segments),
             term=term,
         )
-        try:
-            _require_figures(ledger.original, ops)
-            ledger.apply_ops(f"ticket:{ticket.ticket_id}", ops)
-        except OverAllocation as e:
-            raise TicketError(str(e)) from e
+        _require_figures(ledger.original, ops)
+        ledger.apply_ops(f"ticket:{ticket.ticket_id}", ops)
         return ticket
 
     def refund(self, ticket: Ticket) -> None:
@@ -406,10 +384,9 @@ class Controller:
     """Entry point for slice requests: validates, embeds at the delegation
     level, tickets, redeems, and assembles manifests."""
 
-    def __init__(
-        self, controller_id: str, broker: Broker, clock: VirtualClock, log: EventLog, schemas=()
-    ):
-        self.controller_id = controller_id
+    controller_id = "controller"
+
+    def __init__(self, broker: Broker, clock: VirtualClock, log: EventLog, schemas=()):
         self.broker = broker
         self.clock = clock
         self.log = log
@@ -438,9 +415,9 @@ class Controller:
         except SliceError as e:
             record.failure = e
             self._teardown(record, ams)
-            record.transition("Closed")
+            record.state = "Closed"
             raise
-        record.transition("Provisioned")
+        record.state = "Provisioned"
         return manifest
 
     def _create(self, record: SliceRecord, request_text: str, ams: dict) -> str:
@@ -479,7 +456,6 @@ class Controller:
             raise SliceError("Validation", "expected exactly one Reservation, found 0")
         if request.term.begin < self.clock.now:
             raise SliceError("Validation", "term begins in the past")
-        record.transition("Validated")
         self._log("validate", record.slice_id, "ok")
         return request
 
@@ -513,9 +489,8 @@ class Controller:
                 ticket = self.broker.issue_ticket(record.slice_id, domain, *shares[domain], request.term)
                 record.tickets.append(ticket)
                 self._log("ticket", f"{record.slice_id}/{domain.value}", "ok")
-        except TicketError as e:
+        except OverAllocation as e:
             raise SliceError("Ticketing", str(e))
-        record.transition("Ticketed")
 
     def _redeem(self, record: SliceRecord, ams: dict) -> tuple:
         """Redeem every ticket the slice holds at its domain's AM. Returns the
@@ -551,7 +526,7 @@ class Controller:
             raise UnknownSlice(slice_id)
         if record.state != "Closed":
             self._teardown(record, ams)
-            record.transition("Closed")
+            record.state = "Closed"
 
     def _log(self, kind: str, subject: str, outcome: str) -> None:
         self.log(self.controller_id, kind, subject, outcome)
@@ -567,7 +542,7 @@ class World:
         self.log = EventLog()
         self.events = self.log.lines
         self.broker = Broker()
-        self.controller = Controller("controller", self.broker, self.clock, self.log, schemas)
+        self.controller = Controller(self.broker, self.clock, self.log, schemas)
         self.ams: dict[Iri, AggregateManager] = {}  # by domain
 
     def add_substrate(self, substrate_text: str) -> AggregateManager:
@@ -581,10 +556,7 @@ class World:
             raise SubstrateError(
                 [f"domain {am.domain.value} already has aggregate manager {other.am_id}"]
             )
-        try:
-            self.broker.register_delegation(am.delegate())
-        except DelegationRejected as e:
-            raise SubstrateError([str(e)]) from e
+        self.broker.register_delegation(am.delegate())
         self.ams[am.domain] = am
         self.log(am.am_id, "delegate", am.domain.value, "ok")
         self.log(self.broker.broker_id, "register", am.domain.value, "ok")

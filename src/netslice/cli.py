@@ -188,6 +188,10 @@ def cmd_path(args) -> int:
             terms.append(resolve(getattr(args, option[2:]), prefixes))
             if option != "--layer" and next(closed.match(s=terms[-1]), None) is None:
                 raise CliInputError(f"unknown element {terms[-1].value}")
+    for option, least in (("--bandwidth", 0), ("--label", 0), ("--limit", 1)):
+        value = getattr(args, option[2:])
+        if value is not None and value < least:
+            raise CliInputError(f"{option}: must be at least {least}")
     preq = embed_mod.PathRequest(*terms, args.bandwidth, required_label=args.label)
     with _naming(", ".join(args.files)):  # the figures the search checks, label pools parsed
         free = residual_of(closed)

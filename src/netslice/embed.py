@@ -590,7 +590,7 @@ def _pools_by_class(m: Model) -> dict:
     return index
 
 
-def bind_domains(req: SliceRequest, routing: Optional[Model], free: dict) -> dict:
+def bind_domains(req: SliceRequest, routing: Model, free: dict) -> dict:
     """Assign every request node a delegated pool of the first domain, in
     IRI order, whose pools that serve its class (`_pools_by_class` of the
     routing view) can take it besides the nodes already assigned there;
@@ -598,7 +598,7 @@ def bind_domains(req: SliceRequest, routing: Optional[Model], free: dict) -> dic
     `free`, the request's scratch copy of the broker's free figures.
     Returns node -> (domain, pool). Raises InsufficientResources when no
     domain can take a node."""
-    index = routing.derived(_pools_by_class) if routing is not None else {}
+    index = routing.derived(_pools_by_class)
     binding = {}
     pools_of = {}  # node -> the pools serving it in the domain tried or taken
     for node in req.nodes:
@@ -653,7 +653,7 @@ def _required_labels_per_domain(route: PathResult, broker_view: Model):
     return tuple(required)
 
 
-def embed_request(req: SliceRequest, routing: Optional[Model], free: dict) -> EmbeddingPlan:
+def embed_request(req: SliceRequest, routing: Model, free: dict) -> EmbeddingPlan:
     """Delegation-level embedding of a validated request: bind every node to
     a delegated pool, then route every link strand over the broker's
     routing view and the delegations' free figures. Each placement's unit
@@ -696,7 +696,7 @@ def link_members(link, binding) -> tuple:
 
 
 def route_branch(
-    broker_view: Optional[Model],
+    broker_view: Model,
     free: dict,
     to_node: Iri,
     src_domain: Iri,
@@ -709,8 +709,6 @@ def route_branch(
     border interfaces it enters and leaves by, and the crossing labels."""
     if src_domain == dst_domain:
         return BranchPath(to_node, _trivial_path(src_domain), (None,))
-    if broker_view is None:
-        raise EmbeddingFailed(link, "no delegations available for inter-domain route")
     route = shortest_valid_path(
         broker_view, PathRequest(src_domain, dst_domain, layer, bandwidth), free=free
     )

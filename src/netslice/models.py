@@ -423,8 +423,8 @@ def parse_request(m: Model, source: Model) -> SliceRequest:
     manifest repeats.
 
     Nodes without an inDomain binding stay unbound; the controller binds
-    them later. Domain-repetition and endpoint-count policy live in the
-    rules module, not here.
+    them later. Domain repetition and endpoint counts are rule violations;
+    a point-to-point link must still state exactly two interfaces.
     """
     reservations = m._pos.get(RDF_TYPE, {}).get(RESERVATION, ())
     if len(reservations) != 1:

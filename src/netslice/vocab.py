@@ -311,8 +311,8 @@ class LabelSet:
     hi1 + 1, ...), strictly increasing, so equal sets have equal bounds and
     a label is a member exactly when an odd number of bounds are at or
     below it. Membership and taking or returning one label cost a bisect
-    and a copy of the bounds, and `&`, `|` and `-` one merge of the two
-    bound lists: all grow with the number of spans, not of labels.
+    and a copy of the bounds, and `&` and `|` one merge of the two bound
+    lists: all grow with the number of spans, not of labels.
     """
 
     __slots__ = ("_bounds",)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from netslice import actors as actors_mod
 from netslice import graphstore, models, rules, vocab
-from netslice.actors import DelegationRejected, RedeemError, SliceError, World
+from netslice.actors import RedeemError, SliceError, World
 from netslice.embed import InsufficientResources, bind_domains
 from netslice.graphstore import Iri, parse_document, serialize_document
 from netslice.cli import main
@@ -728,20 +728,17 @@ def test_event_log_deterministic_across_runs():
 
 
 def test_rejects_redelegation_below_commitments():
-    from netslice.actors import DelegationRejected
-
     world = _pair_world()
     assert world.submit_request("demo1", _fixture("request-pair.ndl")) is not None
     am = next(iter(world.ams.values()))
     # the AM's residual substrate now lacks the committed units
-    with pytest.raises(DelegationRejected):
+    with pytest.raises(SubstrateError):
         world.broker.register_delegation(am.delegate())
     world.delete_slice("demo1")
     world.broker.register_delegation(am.delegate())  # fine once released
 
 
 def test_redelegation_dropping_a_ticketed_border_is_rejected():
-    from netslice.actors import DelegationRejected
     from netslice.models import Term
 
     world = World()
@@ -756,10 +753,53 @@ def test_redelegation_dropping_a_ticketed_border_is_rejected():
     without_b = "".join(
         line for line in am.delegate().splitlines(keepends=True) if to_b.value not in line
     )
-    with pytest.raises(DelegationRejected):
+    with pytest.raises(SubstrateError):
         world.broker.register_delegation(without_b)
     world.broker.refund(ticket)
     world.broker.register_delegation(without_b)
+
+
+def test_the_broker_refuses_a_ticket_its_ledgers_cannot_cover():
+    from netslice.embed import OverAllocation
+    from netslice.models import Term
+
+    world = World()
+    for name in ("ring-a.ndl", "ring-b.ndl", "ring-c.ndl"):
+        world.add_substrate(_fixture(name))
+    broker, term = world.broker, Term(_utc(2026, 1, 1), 3600)
+    domain, nowhere = Iri("urn:orca:site:a/Domain"), Iri("urn:orca:site:z/Domain")
+    to_b, unstated = Iri("urn:orca:site:a/Switch/toB"), Iri("urn:orca:site:a/Switch/toZ")
+    delegated = broker.ledgers[domain].original[("bw", to_b)]
+    broker.issue_ticket("held", domain, [], [(to_b, 10, None)], [], term)
+    for ticketed, border, subject in (
+        (nowhere, [], nowhere),  # no delegation
+        (domain, [(to_b, delegated + 1, None)], to_b),  # above the delegated figure
+        (domain, [(unstated, 0, None)], unstated),  # on an interface the delegation omits
+    ):
+        free = dict(broker.free)
+        active = {d: {t: list(j) for t, j in l.active.items()} for d, l in broker.ledgers.items()}
+        with pytest.raises(OverAllocation, match=re.escape(subject.value)):
+            broker.issue_ticket("s0", ticketed, [], border, [], term)
+        assert broker.free == free
+        assert {d: l.active for d, l in broker.ledgers.items()} == active
+
+
+def test_an_empty_broker_has_a_routing_view_and_binds_nothing():
+    broker = actors_mod.Broker()
+    view = broker.routing_view()
+    assert isinstance(view, graphstore.Model) and not view.typed(vocab.NETWORK_DOMAIN)
+    assert broker.routing_view() is view
+    world = World()
+    assert world.submit_request("s", _fixture("request-pair.ndl")) is None
+    failure = world.controller.slices["s"].failure
+    assert str(failure) == (
+        "Binding: no domain has units of ComputeElement for urn:orca:request:pair/Node/1"
+    )
+    assert [line.split(" ", 2)[2] for line in world.events[-2:]] == [
+        "controller slice-failed s fail:Binding",
+        "controller state s Closed",
+    ]
+    assert world.controller.slices["s"].state == "Closed"
 
 
 def test_routing_view_is_kept_until_a_registration():
@@ -939,7 +979,7 @@ def test_broker_free_map_and_binding_follow_every_operation():
             )
             try:
                 broker.register_delegation(text)
-            except DelegationRejected:
+            except SubstrateError:
                 rejected += 1
                 assert broker.free == before
         else:
@@ -1078,7 +1118,7 @@ def test_routing_view_lists_as_closing_the_ledgers_after_every_registration(monk
             )
             try:
                 world.broker.register_delegation(text)
-            except DelegationRejected:
+            except SubstrateError:
                 pass
         else:
             members = [(i + 1, rng.choice([*sites, None])) for i in range(2)]
