@@ -516,6 +516,14 @@ def test_delegate_matches_golden(capsys, golden):
     assert _run(capsys, "delegate", substrate) == (0, (FIXTURES / "golden" / golden).read_text(), "")
 
 
+@pytest.mark.parametrize(
+    "golden", ["renci-entail.ndl", "ring-a-entail.ndl", "ring-b-entail.ndl", "ring-c-entail.ndl", "request-pair-entail.ndl"]
+)
+def test_entail_matches_golden(capsys, golden):
+    document = FIXTURES / golden.replace("-entail", "")
+    assert _run(capsys, "entail", document) == (0, (FIXTURES / "golden" / golden).read_text(), "")
+
+
 _FAR_HOST = """\
 rnc:Far rdf:type topo:Device .
 rnc:Far topo:hasInterface rnc:Far/eth0 .
