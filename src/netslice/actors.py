@@ -56,7 +56,7 @@ from .models import (
     residual_of,
     slice_base,
 )
-from .vocab import RESERVATION, close, entailed_schema, satisfies, validate_conformance
+from .vocab import RESERVATION, close, entailed_schema, read_closed, satisfies, validate_conformance
 
 
 class UnknownSlice(Exception):
@@ -127,8 +127,7 @@ class AggregateManager:
 
     def __init__(self, am_id: str, substrate_text: str, base: Model):
         self.am_id = am_id
-        raw = parse_document(substrate_text)
-        self.state: DomainState = prepare_domain(raw, base)
+        self.state: DomainState = prepare_domain(substrate_text, base)
         self.domain = self.state.substrate.domain
         self.leases: dict[str, tuple] = {}  # slice id -> (lease id, term end)
         self._lease_counter = 0
@@ -253,7 +252,7 @@ class Broker:
         over the outstanding tickets' ops. A SubstrateError refuses a
         malformed delegation, a replacement that cannot hold those ops or
         drops a figure one draws on, and a figure another domain delegates."""
-        closed = close(parse_document(text))
+        closed = read_closed(text)
         residual = residual_of(closed)
         domain = parse_delegation(closed)
         ledger = DomainState(None, closed, residual)
@@ -311,8 +310,10 @@ class Broker:
         ops = [("units", pool, 1) for _, _, pool in placements]
         for iface, bandwidth, label in border_allocs:
             ops.extend(border_ops(iface, bandwidth, label))
+        _require_figures(ledger.original, ops)
+        ledger.apply_ops(f"ticket:ticket/{self._ticket_counter + 1}", ops)  # numbered once covered
         self._ticket_counter += 1
-        ticket = Ticket(
+        return Ticket(
             ticket_id=f"ticket/{self._ticket_counter}",
             slice_id=slice_id,
             domain=domain,
@@ -321,9 +322,6 @@ class Broker:
             segments=list(segments),
             term=term,
         )
-        _require_figures(ledger.original, ops)
-        ledger.apply_ops(f"ticket:{ticket.ticket_id}", ops)
-        return ticket
 
     def refund(self, ticket: Ticket) -> None:
         """Give a ticket's units and border figures back to its domain's

@@ -23,6 +23,7 @@ from .graphstore import (
     EvaluationBudgetExceeded,
     ParseError,
     _namespaces,
+    entail,
     _render,
     lex,
     parse_document,
@@ -39,7 +40,7 @@ from .models import (
     residual_of,
 )
 from .pathquery import eval_path, parse_path_expr
-from .vocab import close
+from .vocab import close, entailed_schema
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -84,12 +85,15 @@ def _read_fixture(path, parse=None):
         return text if parse is None else parse(text)
 
 
-def _close(files, schemas) -> tuple:
-    """The documents, extension schemas first, and their closure, naming them if over budget."""
+def _close(files, schemas, raw: bool = False):
+    """The closure of the documents, extension schemas first, read straight into it (with
+    raw, their raw models too), naming a file that does not read, or all if over budget."""
     paths = [*(schemas or ()), *files]
-    docs = [_read_fixture(path, parse_document) for path in paths]
+    tbox = entailed_schema()
+    out = None if raw else tbox.copy()
+    docs = [_read_fixture(path, functools.partial(parse_document, into=out)) for path in paths]
     with _naming(", ".join(map(str, paths))):
-        return docs, close(*docs)
+        return (docs, close(*docs)) if raw else entail(out, closed=tbox, in_place=True)
 
 
 def _load_rules(paths) -> list:
@@ -114,7 +118,7 @@ def _report(failure: SliceError, path: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    docs, closed = _close(args.files, args.schema)
+    docs, closed = _close(args.files, args.schema, raw=True)
     try:
         check_request(docs, closed, _load_rules(args.rules))
     except SliceError as failure:
@@ -132,7 +136,7 @@ def _write_out(text: str, out) -> int:
 
 
 def cmd_entail(args) -> int:
-    return _write_out(serialize_document(_close(args.files, args.schema)[1]), args.out)
+    return _write_out(serialize_document(_close(args.files, args.schema)), args.out)
 
 
 def _parse_bgp(text: str, prefixes: dict) -> list:
@@ -156,7 +160,7 @@ def _parse_bgp(text: str, prefixes: dict) -> list:
 
 
 def cmd_query(args) -> int:
-    closed = _close(args.files, args.schema)[1]
+    closed = _close(args.files, args.schema)
     prefixes = closed.prefixes
     if args.bgp is not None:
         patterns = _parse_bgp(args.bgp, prefixes)
@@ -180,7 +184,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_path(args) -> int:
-    closed = _close(args.files, args.schema)[1]
+    closed = _close(args.files, args.schema)
     prefixes = closed.prefixes
     terms = []  # the source, destination and layer
     for option in ("--from", "--to", "--layer"):
@@ -210,7 +214,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_delegate(args) -> int:
-    closed = _close([args.file], args.schema)[1]
+    closed = _close([args.file], args.schema)
     with _naming(args.file):
         graph = parse_substrate(closed)
     return _write_out(serialize_document(build_delegation(graph)), args.out)

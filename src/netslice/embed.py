@@ -536,12 +536,14 @@ class DomainState:
         return problems
 
 
-def prepare_domain(raw: Model, base: Optional[Model] = None) -> DomainState:
-    """DomainState for a raw substrate document: close it onto `base`, a
-    frozen closed T-box (a World's, with its extensions; by default the
+def prepare_domain(doc, base: Optional[Model] = None) -> DomainState:
+    """DomainState for a substrate document, its text (read straight into
+    its closure, `vocab.read_closed`) or a raw Model: close it onto `base`,
+    a frozen closed T-box (a World's, with its extensions; by default the
     built-in one), and take the typed view. Conformance checking is the
     caller's business."""
-    closed = entail(raw, closed=vocab.entailed_schema() if base is None else base)
+    base = vocab.entailed_schema() if base is None else base
+    closed = vocab.read_closed(doc, base) if isinstance(doc, str) else entail(doc, closed=base)
     substrate = parse_substrate(closed)
     return DomainState(substrate, closed, substrate.residual)
 

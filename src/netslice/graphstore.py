@@ -425,8 +425,9 @@ _ESCAPED = str.maketrans({raw: "\\" + code for code, raw in _ESCAPES.items()})
 _TO_ESCAPE_RE = re.compile(f"[{re.escape(''.join(_ESCAPES.values()))}]")
 
 
-def parse_document(text: str) -> Model:
-    """Parse an NDL-Lite document into a Model.
+def parse_document(text: str, into: Optional[Model] = None) -> Model:
+    """Parse an NDL-Lite document into a new Model, or into `into` after its triples; its CURIEs
+    read its own prefixes only, which then merge into into's as `merge` merges them.
 
     A line spelled "S P O ." or "@prefix name: <namespace> ." with single
     spaces is split at them; any other line, or one with a token that does
@@ -436,8 +437,7 @@ def parse_document(text: str) -> Model:
     predicate position, or a malformed IRI (empty, or holding a character an
     IRI may not hold) written as a term or a datatype, directly or as a CURIE.
     """
-    m = Model()
-    prefixes = m.prefixes
+    prefixes: dict = {}
     terms: dict = {}  # token -> term under the current prefix map
     triples = []
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -450,7 +450,9 @@ def parse_document(text: str) -> Model:
                 continue
         if line and (found := _lexed_statement(line, lineno, prefixes, terms)) is not None:
             triples.append(found)
+    m = Model() if into is None else into
     m.add_all(triples)
+    _declare(m.prefixes, prefixes)
     return m
 
 
@@ -699,15 +701,20 @@ def merge(models: Sequence[Model]) -> Model:
         return Model()
     out = models[0].copy()
     for m in models[1:]:
-        for name, iri in m.prefixes.items():
-            old = out.prefixes.get(name)
-            if old is not None and old != iri:
-                import logging  # on a conflict only: the package import leaves it out
-
-                logging.getLogger(__name__).warning("prefix %r redefined: %s -> %s", name, old, iri)
-            out.prefixes[name] = iri
+        _declare(out.prefixes, m.prefixes)
         out.add_all(m)
     return out
+
+
+def _declare(prefixes: dict, later: dict) -> None:
+    """Declare the later prefixes in prefixes: a name's later namespace wins, with a warning."""
+    for name, iri in later.items():
+        old = prefixes.get(name)
+        if old is not None and old != iri:
+            import logging  # on a conflict only: the package import leaves it out
+
+            logging.getLogger(__name__).warning("prefix %r redefined: %s -> %s", name, old, iri)
+        prefixes[name] = iri
 
 
 # -- entailment ---------------------------------------------------------------
@@ -782,7 +789,7 @@ def _consequences(tables: dict, memo: tuple, p: Iri, iri: bool) -> tuple:
     return memo[iri].setdefault(p, ({q: None for q in sides[0] if q is not p}, sides[1], *classes))
 
 
-def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) -> Model:
+def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None, *, in_place=False) -> Model:
     """Closure of m under the fixed entailment profile: the stated triples
     in their order (`closed`'s first), then the derived ones.
 
@@ -790,7 +797,8 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
     ClosureBudgetExceeded as soon as more than `budget` new triples get
     derived. With `closed`, a model that is already a closure, the result
     is the closure of merge([closed, m]), from a copy of `closed` (which
-    shares its index dicts when `closed` is frozen).
+    shares its index dicts when `closed` is frozen); in place, from m itself,
+    a copy of `closed` that documents were read into.
 
     Each triple closes on its own by looking up rule tables (`_rules`;
     Urbani et al., ISWC 2009), so the closure costs what it derives. A
@@ -800,7 +808,7 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None) ->
     meanwhile: it would traverse the growing triples again and again.
     """
     owned = closed is None  # the rule tables; closed keeps its own
-    out = m.copy() if owned else merge([closed, m])
+    out = m if in_place else m.copy() if owned else merge([closed, m])
     tables, below, names, memo = _rules(()) if owned else closed.derived(_rules)
     agenda = list(islice(out, 0 if owned else len(closed), None))
     known, new, support, room = out._triples, {}, [], budget  # room: what new may hold

@@ -211,12 +211,7 @@ violation("Domains in broadcast link can't be repeated", ?X) <-
 """
 
 
-_BUILTIN_RULES = tuple(parse_ruleset(BROADCAST_DOMAIN_RULE))
-
-
-def builtin_ruleset() -> list:
-    """The built-in rules, parsed once at import."""
-    return list(_BUILTIN_RULES)
+_BUILTIN_RULES = tuple(parse_ruleset(BROADCAST_DOMAIN_RULE))  # parsed once, at import
 
 
 MSG_BROADCAST_TOO_FEW = "Broadcast link must have at least 3 interfaces"

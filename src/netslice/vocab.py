@@ -33,6 +33,7 @@ from .graphstore import (
     _new as _new_tuple,
     entail,
     merge,
+    parse_document,
 )
 
 TOPO_NS = "http://geni-orca.renci.org/owl/topology.owl#"
@@ -284,6 +285,13 @@ def close(*docs: Model) -> Model:
     triples are processed against the cached, frozen T-box closure. A single
     document is read as it is, and the closure is copied on write."""
     return entail(docs[0] if len(docs) == 1 else merge(docs), closed=entailed_schema())
+
+
+def read_closed(text: str, base: Optional[Model] = None) -> Model:
+    """close(parse_document(text)) onto base (a frozen closed T-box), read straight
+    into a copy of it and closed there, so each statement is indexed once."""
+    base = entailed_schema() if base is None else base
+    return entail(parse_document(text, base.copy()), closed=base, in_place=True)
 
 
 def superclasses(m: Model, cls: Iri):

@@ -29,7 +29,7 @@ from netslice.graphstore import (
     string,
 )
 from netslice.models import check_homeomorphic, parse_request
-from netslice.rules import Rule, builtin_ruleset, evaluate
+from netslice.rules import BROADCAST_DOMAIN_RULE, Rule, evaluate, parse_ruleset
 from netslice.vocab import builtin_schema
 
 from conftest import FIXTURES
@@ -80,13 +80,13 @@ def test_criterion_2_broadcast_rule():
     bad = entail(
         merge([builtin_schema(), parse_document((FIXTURES / "broadcast-bad.ndl").read_text())])
     )
-    violations = evaluate(bad, builtin_ruleset())
+    violations = evaluate(bad, parse_ruleset(BROADCAST_DOMAIN_RULE))
     assert len(violations) == 1
     assert violations[0].message == msg
     good = entail(
         merge([builtin_schema(), parse_document((FIXTURES / "broadcast-good.ndl").read_text())])
     )
-    assert evaluate(good, builtin_ruleset()) == []
+    assert evaluate(good, parse_ruleset(BROADCAST_DOMAIN_RULE)) == []
     _ok(2, "A,B,A fires exactly once; A,B,C stays clean")
 
 
@@ -148,7 +148,7 @@ def test_criterion_5_datalog_oracle_equivalence():
     for round_no in range(200):
         m = _random_model(rng)
         assert len(m) <= 40
-        rules = builtin_ruleset() + [_random_safe_rule(rng) for _ in range(rng.randint(1, 3))]
+        rules = parse_ruleset(BROADCAST_DOMAIN_RULE) + [_random_safe_rule(rng) for _ in range(rng.randint(1, 3))]
         got = {(v.message, v.subject) for v in evaluate(m, rules)}
         expected = set()
         for rule in rules:

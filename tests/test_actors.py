@@ -784,6 +784,20 @@ def test_the_broker_refuses_a_ticket_its_ledgers_cannot_cover():
         assert {d: l.active for d, l in broker.ledgers.items()} == active
 
 
+def test_a_refused_ticket_takes_no_ticket_number():
+    from netslice.embed import OverAllocation
+    from netslice.models import Term
+
+    world = World()
+    for name in ("ring-a.ndl", "ring-b.ndl", "ring-c.ndl"):
+        world.add_substrate(_fixture(name))
+    broker, term = world.broker, Term(_utc(2026, 1, 1), 3600)
+    domain, to_b = Iri("urn:orca:site:a/Domain"), Iri("urn:orca:site:a/Switch/toB")
+    with pytest.raises(OverAllocation):
+        broker.issue_ticket("s0", domain, [], [(to_b, 10**9, None)], [], term)
+    assert broker.issue_ticket("s1", domain, [], [(to_b, 10, None)], [], term).ticket_id == "ticket/1"
+
+
 def test_an_empty_broker_has_a_routing_view_and_binds_nothing():
     broker = actors_mod.Broker()
     view = broker.routing_view()

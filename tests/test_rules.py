@@ -13,6 +13,7 @@ from netslice.graphstore import (
     parse_document,
 )
 from netslice.rules import (
+    BROADCAST_DOMAIN_RULE,
     BuiltinAtom,
     MSG_BROADCAST_TOO_FEW,
     MSG_ORPHAN_ELEMENT,
@@ -21,7 +22,6 @@ from netslice.rules import (
     Rule,
     RuleSyntaxError,
     UnsafeRule,
-    builtin_ruleset,
     evaluate,
     parse_ruleset,
     structural_violations,
@@ -45,7 +45,7 @@ def _load(name):
 def test_parse_builtin_broadcast_rule():
     from netslice.graphstore import RDF_TYPE
 
-    rules = builtin_ruleset()
+    rules = parse_ruleset(BROADCAST_DOMAIN_RULE)
     assert len(rules) == 1
     rule = rules[0]
     assert rule.message == BCAST_MSG
@@ -131,14 +131,14 @@ def test_parse_syntax_errors(text, error):
 
 def test_broadcast_aba_fires_exactly_once():
     m = _closed(_load("broadcast-bad.ndl"))
-    violations = evaluate(m, builtin_ruleset())
+    violations = evaluate(m, parse_ruleset(BROADCAST_DOMAIN_RULE))
     assert len(violations) == 1
     v = violations[0]
     assert v.message == BCAST_MSG
     assert v.subject == Iri("urn:orca:request:bcast-bad/Link/1")
     # soundness: the recorded bindings re-check against the model
     bindings = dict(v.bindings)
-    for atom in builtin_ruleset()[0].pattern_atoms():
+    for atom in parse_ruleset(BROADCAST_DOMAIN_RULE)[0].pattern_atoms():
         s = bindings[atom.s.name] if hasattr(atom.s, "name") else atom.s
         o = bindings[atom.o.name] if hasattr(atom.o, "name") else atom.o
         assert Triple(s, atom.p, o) in m
@@ -146,7 +146,7 @@ def test_broadcast_aba_fires_exactly_once():
 
 def test_broadcast_abc_is_clean():
     m = _closed(_load("broadcast-good.ndl"))
-    assert evaluate(m, builtin_ruleset()) == []
+    assert evaluate(m, parse_ruleset(BROADCAST_DOMAIN_RULE)) == []
 
 
 def test_builtin_ruleset_quiet_on_shipped_fixtures():
@@ -157,7 +157,7 @@ def test_builtin_ruleset_quiet_on_shipped_fixtures():
 
 def test_monotone_adding_triples_never_removes_violation():
     m = _closed(_load("broadcast-bad.ndl"))
-    before = evaluate(m, builtin_ruleset())
+    before = evaluate(m, parse_ruleset(BROADCAST_DOMAIN_RULE))
     m.add(
         Triple(
             Iri("urn:orca:request:bcast-bad/Node/9"),
@@ -165,7 +165,7 @@ def test_monotone_adding_triples_never_removes_violation():
             vocab.COMPUTE_ELEMENT,
         )
     )
-    after = evaluate(m, builtin_ruleset())
+    after = evaluate(m, parse_ruleset(BROADCAST_DOMAIN_RULE))
     assert {(v.message, v.subject) for v in before} <= {(v.message, v.subject) for v in after}
 
 
@@ -238,7 +238,7 @@ def test_evaluate_matches_exhaustive_substitution_oracle():
     rng = random.Random(20111)
     for round_no in range(60):
         m = _random_model(rng)
-        rules = builtin_ruleset() + [_random_safe_rule(rng) for _ in range(2)]
+        rules = parse_ruleset(BROADCAST_DOMAIN_RULE) + [_random_safe_rule(rng) for _ in range(2)]
         got = evaluate(m, rules)
         expected = set()
         for rule in rules:
