@@ -23,8 +23,8 @@ from .graphstore import (
     EvaluationBudgetExceeded,
     ParseError,
     _namespaces,
-    entail,
     _render,
+    entail,
     lex,
     parse_document,
     query_bgp,

@@ -49,9 +49,9 @@ def _raw(text):
 
 @pytest.mark.parametrize("index", range(len(TEXTS)))
 def test_a_document_read_into_its_closure_lists_like_closing_its_raw_model(index):
-    text = TEXTS[index]
-    assert _outcome(read_closed, text) == _outcome(_raw, text)
-    assert _outcome(read_closed, text)[0] == "closed"
+    outcome = _outcome(read_closed, TEXTS[index])
+    assert outcome == _outcome(_raw, TEXTS[index])
+    assert outcome[0] == "closed"
 
 
 def test_a_substrate_read_into_its_closure_prepares_like_its_raw_model():
@@ -75,8 +75,9 @@ def test_a_substrate_read_into_its_closure_prepares_like_its_raw_model():
     ],
 )
 def test_a_malformed_document_is_refused_alike(text):
-    assert _outcome(read_closed, text) == _outcome(_raw, text)
-    assert _outcome(read_closed, text)[0] == "ParseError"
+    outcome = _outcome(read_closed, text)
+    assert outcome == _outcome(_raw, text)
+    assert outcome[0] == "ParseError"
 
 
 def test_mutated_documents_are_read_or_refused_alike():
