@@ -24,7 +24,6 @@ from .graphstore import (
     ParseError,
     _namespaces,
     _render,
-    entail,
     lex,
     parse_document,
     query_bgp,
@@ -40,7 +39,7 @@ from .models import (
     residual_of,
 )
 from .pathquery import eval_path, parse_path_expr
-from .vocab import close, entailed_schema
+from .vocab import close, read_closed
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -85,15 +84,14 @@ def _read_fixture(path, parse=None):
         return text if parse is None else parse(text)
 
 
-def _close(files, schemas, raw: bool = False):
-    """The closure of the documents, extension schemas first, read straight into it (with
-    raw, their raw models too), naming a file that does not read, or all if over budget."""
+def _close(files, schemas):
+    """The closure of the documents, extension schemas first, each read straight into it,
+    naming a file that does not read, or all of them if over budget."""
     paths = [*(schemas or ()), *files]
-    tbox = entailed_schema()
-    out = None if raw else tbox.copy()
-    docs = [_read_fixture(path, functools.partial(parse_document, into=out)) for path in paths]
-    with _naming(", ".join(map(str, paths))):
-        return (docs, close(*docs)) if raw else entail(out, closed=tbox, in_place=True)
+    try:
+        return read_closed(*paths, read=lambda path, into: _read_fixture(path, lambda t: parse_document(t, into)))
+    except ClosureBudgetExceeded as error:
+        raise CliInputError(f"{', '.join(map(str, paths))}: {error}") from None
 
 
 def _load_rules(paths) -> list:
@@ -118,7 +116,10 @@ def _report(failure: SliceError, path: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    docs, closed = _close(args.files, args.schema, raw=True)
+    paths = [*(args.schema or ()), *args.files]
+    docs = [_read_fixture(path, parse_document) for path in paths]
+    with _naming(", ".join(map(str, paths))):
+        closed = close(*docs)
     try:
         check_request(docs, closed, _load_rules(args.rules))
     except SliceError as failure:

@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 
 from . import vocab
 from .graphstore import (
-    Iri, Literal, Model, Triple, _new, entail, int_value, integer, string, term_key,
+    Iri, Literal, Model, Triple, _new, int_value, integer, string, term_key,
 )
 from .models import (
     RESIDUAL_PROPERTIES, SliceRequest, SubstrateGraph, parse_substrate, pool_classes, residual_of,
@@ -536,14 +536,12 @@ class DomainState:
         return problems
 
 
-def prepare_domain(doc, base: Optional[Model] = None) -> DomainState:
-    """DomainState for a substrate document, its text (read straight into
-    its closure, `vocab.read_closed`) or a raw Model: close it onto `base`,
-    a frozen closed T-box (a World's, with its extensions; by default the
-    built-in one), and take the typed view. Conformance checking is the
-    caller's business."""
-    base = vocab.entailed_schema() if base is None else base
-    closed = vocab.read_closed(doc, base) if isinstance(doc, str) else entail(doc, closed=base)
+def prepare_domain(text: str, base: Optional[Model] = None) -> DomainState:
+    """DomainState for a substrate document's text: read it straight into
+    its closure onto `base` (`vocab.read_closed`), a frozen closed T-box (a
+    World's, with its extensions; by default the built-in one), and take
+    the typed view. Conformance checking is the caller's business."""
+    closed = vocab.read_closed(text, base=base)
     substrate = parse_substrate(closed)
     return DomainState(substrate, closed, substrate.residual)
 

@@ -426,8 +426,8 @@ _TO_ESCAPE_RE = re.compile(f"[{re.escape(''.join(_ESCAPES.values()))}]")
 
 
 def parse_document(text: str, into: Optional[Model] = None) -> Model:
-    """Parse an NDL-Lite document into a new Model, or into `into` after its triples; its CURIEs
-    read its own prefixes only, which then merge into into's as `merge` merges them.
+    """Parse an NDL-Lite document into a new Model, or into `into` after its triples. Its
+    CURIEs read its own prefixes only, and its prefix map becomes the model's.
 
     A line spelled "S P O ." or "@prefix name: <namespace> ." with single
     spaces is split at them; any other line, or one with a token that does
@@ -437,7 +437,8 @@ def parse_document(text: str, into: Optional[Model] = None) -> Model:
     predicate position, or a malformed IRI (empty, or holding a character an
     IRI may not hold) written as a term or a datatype, directly or as a CURIE.
     """
-    prefixes: dict = {}
+    m = Model() if into is None else into
+    prefixes = m.prefixes = {}
     terms: dict = {}  # token -> term under the current prefix map
     triples = []
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -450,9 +451,7 @@ def parse_document(text: str, into: Optional[Model] = None) -> Model:
                 continue
         if line and (found := _lexed_statement(line, lineno, prefixes, terms)) is not None:
             triples.append(found)
-    m = Model() if into is None else into
     m.add_all(triples)
-    _declare(m.prefixes, prefixes)
     return m
 
 
@@ -701,20 +700,15 @@ def merge(models: Sequence[Model]) -> Model:
         return Model()
     out = models[0].copy()
     for m in models[1:]:
-        _declare(out.prefixes, m.prefixes)
+        for name, iri in m.prefixes.items():
+            old = out.prefixes.get(name)
+            if old is not None and old != iri:
+                import logging  # on a conflict only: the package import leaves it out
+
+                logging.getLogger(__name__).warning("prefix %r redefined: %s -> %s", name, old, iri)
+            out.prefixes[name] = iri
         out.add_all(m)
     return out
-
-
-def _declare(prefixes: dict, later: dict) -> None:
-    """Declare the later prefixes in prefixes: a name's later namespace wins, with a warning."""
-    for name, iri in later.items():
-        old = prefixes.get(name)
-        if old is not None and old != iri:
-            import logging  # on a conflict only: the package import leaves it out
-
-            logging.getLogger(__name__).warning("prefix %r redefined: %s -> %s", name, old, iri)
-        prefixes[name] = iri
 
 
 # -- entailment ---------------------------------------------------------------
@@ -797,8 +791,9 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None, *,
     ClosureBudgetExceeded as soon as more than `budget` new triples get
     derived. With `closed`, a model that is already a closure, the result
     is the closure of merge([closed, m]), from a copy of `closed` (which
-    shares its index dicts when `closed` is frozen); in place, from m itself,
-    a copy of `closed` that documents were read into.
+    shares its index dicts when `closed` is frozen). In place (only for
+    `vocab.read_closed`), from m itself: a copy of the frozen `closed` that
+    documents were read into.
 
     Each triple closes on its own by looking up rule tables (`_rules`;
     Urbani et al., ISWC 2009), so the closure costs what it derives. A
@@ -808,6 +803,8 @@ def entail(m: Model, budget: int = 1_000_000, closed: Optional[Model] = None, *,
     meanwhile: it would traverse the growing triples again and again.
     """
     owned = closed is None  # the rule tables; closed keeps its own
+    if in_place and (owned or m._base is not closed):
+        raise ValueError("entail in place needs m to be a copy of the frozen closed model")
     out = m if in_place else m.copy() if owned else merge([closed, m])
     tables, below, names, memo = _rules(()) if owned else closed.derived(_rules)
     agenda = list(islice(out, 0 if owned else len(closed), None))

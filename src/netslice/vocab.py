@@ -287,11 +287,15 @@ def close(*docs: Model) -> Model:
     return entail(docs[0] if len(docs) == 1 else merge(docs), closed=entailed_schema())
 
 
-def read_closed(text: str, base: Optional[Model] = None) -> Model:
-    """close(parse_document(text)) onto base (a frozen closed T-box), read straight
-    into a copy of it and closed there, so each statement is indexed once."""
+def read_closed(*docs, base: Optional[Model] = None, read=parse_document) -> Model:
+    """close(*map(read, docs)) onto base, a frozen closed T-box (by default the built-in one):
+    read(doc, into) reads each doc straight into one copy of base, which it returns with doc's
+    prefix map, and the copy closes in place, so each statement is indexed once."""
     base = entailed_schema() if base is None else base
-    return entail(parse_document(text, base.copy()), closed=base, in_place=True)
+    out = base.copy()
+    maps = [Model(read(doc, out).prefixes) for doc in docs]  # merged as close merges them
+    out.prefixes = merge([Model(base.prefixes), merge(maps)]).prefixes
+    return entail(out, closed=base, in_place=True)
 
 
 def superclasses(m: Model, cls: Iri):

@@ -60,8 +60,7 @@ def rnc(name):
 
 @pytest.fixture
 def renci_state():
-    raw = parse_document((FIXTURES / "renci.ndl").read_text())
-    return prepare_domain(raw)
+    return prepare_domain((FIXTURES / "renci.ndl").read_text())
 
 
 def test_fig_path_two_hops_via_switch(renci_state):
@@ -166,7 +165,7 @@ def test_invalid_shortest_candidate_falls_through_to_longer_path():
             ("l2", "c", "b", 1000, {5}),
         ]
     )
-    state = prepare_domain(parse_document(text))
+    state = prepare_domain(text)
     preq = PathRequest(Iri("urn:mini/a"), Iri("urn:mini/b"), ETHERNET_ELEMENT, 10)
     result = shortest_valid_path(state.model, preq)
     assert result is not None
@@ -182,7 +181,7 @@ def test_attempt_limit_returns_none():
             ("l2", "c", "b", 1000, {5}),
         ]
     )
-    state = prepare_domain(parse_document(text))
+    state = prepare_domain(text)
     preq = PathRequest(Iri("urn:mini/a"), Iri("urn:mini/b"), ETHERNET_ELEMENT, 10)
     assert shortest_valid_path(state.model, preq, limit=1) is None
 
@@ -425,7 +424,7 @@ def test_compiled_topology_is_dropped_when_the_model_changes(wide_ring):
 def _broker_for(*texts):
     broker = Broker()
     for text in texts:
-        state = prepare_domain(parse_document(text))
+        state = prepare_domain(text)
         broker.register_delegation(serialize_document(build_delegation(state.substrate)))
     return broker
 
@@ -641,7 +640,7 @@ def test_released_plan_can_be_reallocated():
 
 def test_over_allocation_on_shared_link():
     text = _mini_substrate([("l0", "a", "b", 1000, {5, 6})])
-    state = prepare_domain(parse_document(text))
+    state = prepare_domain(text)
     link = Iri("urn:mini/l0")
     state.apply_ops("p1", [("bw", link, 600)])
     with pytest.raises(OverAllocation):
@@ -667,7 +666,7 @@ def test_conservation_reports_broken_records():
         lambda s: (s.apply_ops("t", [("bw", other, 10), ("label", other, 7)]), s.active["t"].pop(0)),
     ]
     for corrupt in corruptions:
-        state = prepare_domain(parse_document(text))
+        state = prepare_domain(text)
         assert state.conservation_problems() == []
         corrupt(state)
         assert state.conservation_problems() != []
@@ -679,7 +678,7 @@ def test_conservation_reports_broken_records():
 
 def test_failed_op_list_rolls_back_partial_work():
     text = _mini_substrate([("l0", "a", "b", 1000, {5, 6})])
-    state = prepare_domain(parse_document(text))
+    state = prepare_domain(text)
     link = Iri("urn:mini/l0")
     state.apply_ops("p0", [("bw", link, 100), ("label", link, 6)])
     before = serialize_document(state.snapshot())
@@ -692,7 +691,7 @@ def test_failed_op_list_rolls_back_partial_work():
 
 
 def test_projection_writes_the_literal_forms_of_allocation():
-    state = prepare_domain(parse_document(_mini_substrate([("l0", "a", "b", 1000, {5})])))
+    state = prepare_domain(_mini_substrate([("l0", "a", "b", 1000, {5})]))
     link = Iri("urn:mini/l0")
     state.apply_ops("p", [("bw", link, 1000), ("label", link, 5)])
     lines = serialize_document(state.snapshot()).splitlines()
@@ -715,8 +714,8 @@ def test_random_plans_keep_conservation():
         [(name, *ends, capacities[name], pools[name]) for name, ends in
          [("l0", ("a", "b")), ("l1", ("b", "c")), ("l2", ("a", "c"))]]
     )
-    baseline = serialize_document(prepare_domain(parse_document(text)).model)
-    state = prepare_domain(parse_document(text))
+    baseline = serialize_document(prepare_domain(text).model)
+    state = prepare_domain(text)
     expected_bw = dict(capacities)
     expected_pool = {k: set(v) for k, v in pools.items()}
     active = {}
@@ -770,8 +769,8 @@ def test_random_plans_keep_conservation():
 @pytest.mark.parametrize("fixture", ["renci.ndl", "ring-a.ndl"])
 def test_projection_after_random_ops_and_release_is_the_document(fixture):
     text = (FIXTURES / fixture).read_text()
-    document = serialize_document(prepare_domain(parse_document(text)).model)
-    state = prepare_domain(parse_document(text))
+    document = serialize_document(prepare_domain(text).model)
+    state = prepare_domain(text)
     keys = sorted(state.original, key=lambda k: (k[1].value, k[0]))
     rng = random.Random(fixture)
     for step in range(200):
@@ -803,7 +802,7 @@ def test_projection_after_random_ops_and_release_is_the_document(fixture):
 def test_journal_fold_agrees_with_a_kept_used_map(fixture):
     # the reference rewrites a used map beside free on every op; the engine
     # keeps only the journals and folds them when asked
-    state = prepare_domain(parse_document((FIXTURES / fixture).read_text()))
+    state = prepare_domain((FIXTURES / fixture).read_text())
     reference = ReferenceResidualState(state.model, state.original)
     keys = sorted(state.original, key=lambda k: (k[1].value, k[0]))
     stranger = Iri("urn:stranger/link")  # a subject no figure of the document names

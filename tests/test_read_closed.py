@@ -9,8 +9,9 @@ import pytest
 
 from netslice import cli, graphstore
 from netslice.embed import prepare_domain
-from netslice.graphstore import ClosureBudgetExceeded, ParseError, entail, parse_document, serialize_document
-from netslice.vocab import close, entailed_schema, read_closed
+from netslice.graphstore import RDF_NS, ClosureBudgetExceeded, ParseError, entail, parse_document, serialize_document
+from netslice.models import parse_substrate
+from netslice.vocab import TOPO_NS, close, entailed_schema, read_closed
 
 from conftest import FIXTURES
 from generators import federation_request, federation_substrate, random_schema_model
@@ -56,9 +57,9 @@ def test_a_document_read_into_its_closure_lists_like_closing_its_raw_model(index
 
 def test_a_substrate_read_into_its_closure_prepares_like_its_raw_model():
     for text in SUBSTRATES:
-        straight, raw = prepare_domain(text), prepare_domain(parse_document(text))
-        assert _listing(straight.model) == _listing(raw.model)
-        assert straight.free == raw.free
+        state, closed = prepare_domain(text), entail(parse_document(text), closed=entailed_schema())
+        assert _listing(state.model) == _listing(closed)
+        assert state.free == parse_substrate(closed).residual
 
 
 @pytest.mark.parametrize(
@@ -125,8 +126,38 @@ def test_the_one_shots_read_several_documents_into_one_closure(tmp_path):
         paths.append(tmp_path / f"doc{k}.ndl")
         paths[-1].write_text(text)
     for schemas, files in (([], paths[1:2]), (paths[:1], paths[1:]), ([], paths)):
-        docs, closed = cli._close(files, schemas, raw=True)
-        assert _listing(cli._close(files, schemas)) == _listing(closed) == _listing(close(*docs))
+        docs = [parse_document(path.read_text()) for path in [*schemas, *files]]
+        assert _listing(cli._close(files, schemas)) == _listing(close(*docs))
+
+
+@pytest.mark.parametrize(
+    "maps, warned",
+    [
+        # the first redefines a T-box name, the second sets it back: one warning, against the first
+        ([{"topo": "urn:other#"}, {"topo": TOPO_NS}], [f"'topo' redefined: urn:other# -> {TOPO_NS}"]),
+        # two documents redefine a T-box name: the second against the first, then the T-box against both
+        (
+            [{"rdf": "urn:x#", "ex": "urn:ex/"}, {"rdf": "urn:y#"}],
+            ["'rdf' redefined: urn:x# -> urn:y#", f"'rdf' redefined: {RDF_NS} -> urn:y#"],
+        ),
+        ([{"ex": "urn:ex/"}, {"ex": "urn:ex/"}, {"ex": "urn:ex2/"}], ["'ex' redefined: urn:ex/ -> urn:ex2/"]),
+    ],
+)
+def test_several_documents_redefining_prefixes_warn_as_their_raw_models_close(tmp_path, caplog, maps, warned):
+    paths = []
+    for k, prefixes in enumerate(maps):
+        paths.append(tmp_path / f"doc{k}.ndl")
+        lines = [f"@prefix {name}: <{iri}> ." for name, iri in prefixes.items()]
+        paths[-1].write_text("\n".join([*lines, f"<urn:s{k}> <urn:p> <urn:o> .", ""]))
+    outcomes = []
+    raw = [parse_document(path.read_text()) for path in paths]
+    for read in (lambda: cli._close(paths[1:], paths[:1]), lambda: close(*raw)):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            listing = _listing(read())
+        outcomes.append((listing, [(r.name, r.getMessage()) for r in caplog.records]))
+    assert outcomes[0] == outcomes[1]
+    assert [message for _, message in outcomes[0][1]] == [f"prefix {line}" for line in warned]
 
 
 def _state(m) -> tuple:
@@ -140,6 +171,16 @@ def test_closing_leaves_the_raw_model_a_caller_holds_as_it_was(name):
     close(raw)
     entail(raw)
     entail(raw, closed=entailed_schema())
-    if name != "request-pair.ndl":
-        prepare_domain(raw)
     assert _state(raw) == before
+
+
+def test_entail_in_place_needs_a_copy_of_its_frozen_closure():
+    text = (FIXTURES / "renci.ndl").read_text()
+    with pytest.raises(ValueError):
+        entail(parse_document(text), closed=entailed_schema(), in_place=True)
+    copy = entailed_schema().copy()
+    with pytest.raises(ValueError):
+        entail(copy, closed=close(parse_document(text)).freeze(), in_place=True)
+    assert list(entail(parse_document(text, copy), closed=entailed_schema(), in_place=True)) == list(
+        close(parse_document(text))
+    )
